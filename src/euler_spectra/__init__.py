@@ -6,6 +6,10 @@ method and instruments every run with diagnostics built from the
 eigenvalues of the velocity deformation tensor: conserved quantities,
 exact integral identities, pointwise decompositions of the velocity
 gradient, and a priori growth envelopes for the vorticity.
+
+Fields are plain ndarrays with the components on a leading axis and
+the dtype giving the representation (float64 physical, complex128
+spectral); see :mod:`euler_spectra.fields`.
 """
 
 from euler_spectra.errors import (
@@ -16,7 +20,6 @@ from euler_spectra.errors import (
     SnapshotFormatError,
 )
 from euler_spectra.grid import Grid
-from euler_spectra.fields import ScalarField, VectorField
 
 __all__ = [
     "ConfigurationError",
@@ -24,9 +27,7 @@ __all__ = [
     "EulerSpectraError",
     "Grid",
     "NumericsError",
-    "ScalarField",
     "SnapshotFormatError",
-    "VectorField",
 ]
 
 __version__ = "0.1.0"

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 numeric
 abort (NaN detected mid-run), 3 I/O failure (unreadable input,
-unwritable output, corrupt snapshot).
+unwritable output, corrupt snapshot).  A run that aborts with code 2,
+or with code 3 after it has started, still writes ``summary.json``
+with an ``abort`` block.
 """
 
 import argparse
@@ -16,10 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from euler_spectra.config import parse_config
-from euler_spectra.deformation import (
-    SpectraField,
-    classify_admissible,
-)
+from euler_spectra.deformation import classify_admissible
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
@@ -185,18 +184,27 @@ def cmd_run(args) -> int:
     initial = cfg.initial.build(grid)
 
     collector = DiagnosticsCollector(
+        grid,
         every=cfg.output_every,
         csv_path=out_dir / "timeseries.csv",
         class_tolerance=cfg.class_tolerance,
         eps_floor=cfg.eps_floor)
 
-    observers = [collector]
+    # The latest state handed to the observers, for the abort block of
+    # an I/O failure.
+    reached = None
+
+    def reached_observer(state):
+        nonlocal reached
+        reached = state
+
+    observers = [reached_observer, collector]
     if cfg.snapshot_every > 0:
         def snapshot_observer(state):
             if state.step_index % cfg.snapshot_every == 0:
                 write_snapshot(
                     out_dir / f"snapshot_{state.step_index:08d}.bin",
-                    state.v, state.t)
+                    grid, state.v, state.t)
         observers.append(snapshot_observer)
 
     total_steps = cfg.solver.step_count()
@@ -228,9 +236,19 @@ def cmd_run(args) -> int:
     }
     exit_code = EXIT_OK
     try:
-        final_state = solver_run(initial, cfg.solver, observers)
-        write_snapshot(out_dir / "final.bin", final_state.v, final_state.t)
+        final_state = solver_run(grid, initial, cfg.solver, observers)
+        write_snapshot(out_dir / "final.bin", grid, final_state.v,
+                       final_state.t)
         summary["run"]["steps_completed"] = final_state.step_index
+    except OSError as exc:
+        summary["run"]["aborted"] = True
+        summary["run"]["abort"] = {
+            "step_index": reached.step_index if reached else None,
+            "time": reached.t if reached else None,
+            "message": f"I/O failure: {exc}",
+        }
+        print(f"error: I/O failure: {exc}", file=sys.stderr)
+        exit_code = EXIT_IO
     except NumericsError as exc:
         summary["run"]["aborted"] = True
         summary["run"]["abort"] = {
@@ -262,27 +280,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    loaded = []
-    for path in args.snapshots:
-        v, t = load_snapshot(path)
-        loaded.append((t, v))
-    grid = loaded[0][1].grid
-    for t, v in loaded[1:]:
-        if v.grid != grid:
-            raise ContractViolationError(
-                "snapshots mix different grids; diagnose needs one resolution")
-    times = [t for t, _ in loaded]
+    loaded = [load_snapshot(path) for path in args.snapshots]
+    grid = loaded[0][2]
+    if any(g != grid for _, _, g in loaded[1:]):
+        raise ContractViolationError(
+            "snapshots mix different grids; diagnose needs one resolution")
+    times = [t for _, t, _ in loaded]
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise ContractViolationError(
             "snapshots must be supplied in strictly increasing time order")
 
-    spectral = [fft_forward(v) for _, v in loaded]
-    classification = classify_initial(spectral[0])
+    spectral = [fft_forward(v) for v, _, _ in loaded]
+    classification = classify_initial(grid, spectral[0])
 
     print(",".join(DiagnosticsRecord.field_names()))
     records = []
     for t, vh in zip(times, spectral):
-        record = compute_record(t, vh, classification=classification)
+        record = compute_record(grid, t, vh, classification=classification)
         records.append(record)
         print(",".join(repr(float(x)) for x in record.as_tuple()))
 
@@ -312,7 +326,7 @@ def cmd_diagnose(args) -> int:
             _, normalized = moment_balance_residual(series_records)
             print(f"moment balance dQ/dt + 4P: max normalized residual "
                   f"{float(np.max(np.abs(normalized))):.3e}", file=sys.stderr)
-            raw, _ = vorticity_transport_residual(times, spectral)
+            raw, _ = vorticity_transport_residual(grid, times, spectral)
             print(f"vorticity transport: max residual "
                   f"{float(np.max(raw)):.3e}", file=sys.stderr)
     return EXIT_OK
@@ -333,15 +347,13 @@ def cmd_classify(args) -> int:
             return EXIT_IO
         cfg = parse_config(text)
         grid = Grid(cfg.n)
-        classification = classify_initial(cfg.initial.build(grid))
+        classification = classify_initial(grid, cfg.initial.build(grid))
     else:
-        v, _ = load_snapshot(args.snapshot)
+        v, _, grid = load_snapshot(args.snapshot)
         if args.spectra:
-            l1, l2, l3 = v.components
-            spectra = SpectraField(v.grid, l1, l2, l3)
-            classification = classify_admissible(spectra)
+            classification = classify_admissible(v)
         else:
-            classification = classify_initial(fft_forward(v))
+            classification = classify_initial(grid, fft_forward(v))
 
     print(f"class: {classification.label.value}")
     print(f"min_lambda2: {classification.min_lambda2!r}")

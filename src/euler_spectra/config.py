@@ -23,8 +23,10 @@ entry (e.g. ``$.solver.dt``).
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from euler_spectra.errors import ConfigurationError
-from euler_spectra.fields import VectorField, dealias_23, fft_forward, leray_project
+from euler_spectra.fields import dealias_23, fft_forward, leray_project
 from euler_spectra.grid import Grid
 from euler_spectra.initial import (
     abc_flow,
@@ -62,7 +64,7 @@ class InitSpec:
             raise ConfigurationError(
                 "initial kind 'from_file' needs a 'path'")
 
-    def build(self, grid: Grid) -> VectorField:
+    def build(self, grid: Grid) -> np.ndarray:
         """Materialize the initial spectral velocity on a grid."""
         if self.kind == "taylor_green":
             return taylor_green(grid)
@@ -73,12 +75,12 @@ class InitSpec:
         if self.kind == "random_solenoidal":
             return random_solenoidal(grid, self.seed, self.peak_k,
                                      self.slope, self.amplitude)
-        v, _ = load_snapshot(self.path)
-        if v.grid.n != grid.n or v.grid.length != grid.length:
+        v, _, stored = load_snapshot(self.path)
+        if stored != grid:
             raise ConfigurationError(
-                f"snapshot grid (n={v.grid.n}, L={v.grid.length}) does not "
+                f"snapshot grid (n={stored.n}, L={stored.length}) does not "
                 f"match configured grid (n={grid.n}, L={grid.length})")
-        return dealias_23(leray_project(fft_forward(v)))
+        return dealias_23(grid, leray_project(grid, fft_forward(v)))
 
 
 @dataclass

@@ -28,8 +28,6 @@ import numpy as np
 from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
-    SpectraField,
-    SymTensorField,
     classify_admissible,
     deformation_tensor,
     eigenvalues_sym3,
@@ -38,110 +36,82 @@ from euler_spectra.deformation import (
 from euler_spectra.envelopes import EnvelopeAccumulator, envelope_rates
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
-    ScalarField,
-    VectorField,
     curl,
     fft_inverse,
     integrate_domain,
     magnitude_squared,
+    max_speed,
     pointwise_dot,
-    to_physical,
-    to_spectral,
 )
+from euler_spectra.grid import Grid
 from euler_spectra.reductions import pairwise_sum
 
 
-def energy(v: VectorField) -> float:
-    """Kinetic energy 0.5 * integral |v|^2 of a velocity field."""
-    return 0.5 * integrate_domain(magnitude_squared(to_physical(v)))
-
-
-def helicity(v: VectorField) -> float:
-    """Helicity integral v . curl v of a velocity field."""
-    vh = to_spectral(v)
-    return integrate_domain(
-        pointwise_dot(to_physical(vh), fft_inverse(curl(vh))))
-
-
-def enstrophy(v: VectorField) -> float:
-    """Enstrophy integral |curl v|^2 of a velocity field."""
-    omega = fft_inverse(curl(to_spectral(v)))
-    return integrate_domain(magnitude_squared(omega))
-
-
-def gradient_norm_squared_pointwise(grad) -> ScalarField:
-    """Pointwise |grad v|^2 = sum_ij (d_i v_j)^2 from a gradient tuple."""
-    g = grad[0][0].grid
-    total = np.zeros((g.n,) * 3, dtype=np.float64)
+def gradient_norm_squared_pointwise(grad: np.ndarray) -> np.ndarray:
+    """Pointwise |grad v|^2 = sum_ij (d_i v_j)^2 of a (3, 3, ...) gradient."""
+    total = np.zeros(grad.shape[2:], dtype=np.float64)
     for i in range(3):
         for j in range(3):
-            total += grad[i][j].values ** 2
-    return ScalarField.physical(g, total)
+            total += grad[i, j] ** 2
+    return total
 
 
-def spectra_moments(spectra: SpectraField):
+def spectra_moments(grid: Grid, spectra: np.ndarray):
     """Quadratic and product moments (Q, P) of the eigenvalue fields.
 
     Q = integral (l1^2 + l2^2 + l3^2),  P = integral (l1 l2 l3).
     """
-    l1 = spectra.l1.values
-    l2 = spectra.l2.values
-    l3 = spectra.l3.values
-    vol = spectra.grid.cell_volume
+    l1, l2, l3 = spectra
+    vol = grid.cell_volume
     q = vol * pairwise_sum(l1 * l1 + l2 * l2 + l3 * l3)
     p = vol * pairwise_sum(l1 * l2 * l3)
     return q, p
 
 
-def stretching_integral(tensor: SymTensorField, omega: VectorField) -> float:
-    """Vortex-stretching integral W = integral omega . S omega."""
-    if not omega.is_physical:
-        raise ContractViolationError("stretching_integral needs physical omega")
-    s11, s12, s13, s22, s23, s33 = tensor.component_arrays()
-    w1, w2, w3 = omega.arrays()
+def stretching_integral(grid: Grid, tensor: np.ndarray,
+                        omega: np.ndarray) -> float:
+    """Vortex-stretching integral W = integral omega . S omega.
+
+    ``omega`` is the physical vorticity, ``tensor`` the (6, ...) strain.
+    """
+    s11, s12, s13, s22, s23, s33 = tensor
+    w1, w2, w3 = omega
     quad = (s11 * w1 * w1 + s22 * w2 * w2 + s33 * w3 * w3
             + 2.0 * (s12 * w1 * w2 + s13 * w1 * w3 + s23 * w2 * w3))
-    return tensor.grid.cell_volume * pairwise_sum(quad)
+    return grid.cell_volume * pairwise_sum(quad)
 
 
-def cubic_trace_integral(tensor: SymTensorField) -> float:
+def cubic_trace_integral(grid: Grid, tensor: np.ndarray) -> float:
     """Integral of tr(S^3), evaluated from components (not eigenvalues).
 
     Using the componentwise expansion keeps this quantity independent
     of the eigensolver, so comparing it against 3 P cross-checks the
     entire eigenvalue pipeline.
     """
-    s11, s12, s13, s22, s23, s33 = tensor.component_arrays()
+    s11, s12, s13, s22, s23, s33 = tensor
     cubic = (s11 ** 3 + s22 ** 3 + s33 ** 3
              + 3.0 * (s12 * s12 * (s11 + s22)
                       + s13 * s13 * (s11 + s33)
                       + s23 * s23 * (s22 + s33))
              + 6.0 * s12 * s13 * s23)
-    return tensor.grid.cell_volume * pairwise_sum(cubic)
+    return grid.cell_volume * pairwise_sum(cubic)
 
 
-def sup_vorticity(omega: VectorField) -> float:
-    """Maximum pointwise vorticity magnitude."""
-    return float(np.sqrt(np.max(magnitude_squared(to_physical(omega)).values)))
-
-
-def resolution_tail_fraction(v: VectorField) -> float:
+def resolution_tail_fraction(grid: Grid, v: np.ndarray) -> float:
     """Fraction of enstrophy carried by the outer third of retained modes.
 
     A well-resolved field keeps this small; values approaching one mean
     the retained band is saturated and the run is underresolved.  Uses
     the infinity-norm shell |k|_inf > (2/3) * (n/3) as the tail.
     """
-    vh = to_spectral(v)
-    g = vh.grid
-    omega_hat = curl(vh)
-    power = sum(np.abs(c) ** 2 for c in omega_hat.arrays())
-    keep = g.dealias_mask
-    absf = np.abs(g.freq)
-    kinf = np.maximum(np.maximum(absf.reshape(g.n, 1, 1),
-                                 absf.reshape(1, g.n, 1)),
-                      absf.reshape(1, 1, g.n))
-    tail = keep & (kinf > (2.0 / 3.0) * g.dealias_limit)
+    power = sum(np.abs(c) ** 2 for c in curl(grid, v))
+    keep = grid.dealias_mask
+    n = grid.n
+    absf = np.abs(grid.freq)
+    kinf = np.maximum(np.maximum(absf.reshape(n, 1, 1),
+                                 absf.reshape(1, n, 1)),
+                      absf.reshape(1, 1, n))
+    tail = keep & (kinf > (2.0 / 3.0) * grid.dealias_limit)
     total = pairwise_sum(power[keep])
     if total <= 0.0:
         return 0.0
@@ -188,31 +158,30 @@ class DiagnosticsRecord:
 assert tuple(f.name for f in dataclass_fields(DiagnosticsRecord)) == _CSV_FIELDS
 
 
-def compute_record(t: float, v: VectorField,
+def compute_record(grid: Grid, t: float, v: np.ndarray,
                    classification: Classification | None = None,
                    eps_floor: float | None = None,
                    class_valid: bool = True) -> DiagnosticsRecord:
-    """Evaluate the full diagnostics pipeline for one velocity field.
+    """Evaluate the full diagnostics pipeline for one spectral velocity.
 
     The epsilon-ratio infimum is only defined while the run sits in a
     one-signed class; pass the run's classification (and whether the
     sign condition still holds) to populate it, otherwise it is NaN.
     """
-    vh = to_spectral(v)
-    v_phys = fft_inverse(vh)
-    omega_phys = fft_inverse(curl(vh))
-    tensor = deformation_tensor(vh)
+    v_phys = fft_inverse(v)
+    omega_phys = fft_inverse(curl(grid, v))
+    tensor = deformation_tensor(grid, v)
     spectra = eigenvalues_sym3(tensor)
 
-    e = 0.5 * integrate_domain(magnitude_squared(v_phys))
-    h = integrate_domain(pointwise_dot(v_phys, omega_phys))
-    z = integrate_domain(magnitude_squared(omega_phys))
-    q, p = spectra_moments(spectra)
-    w = stretching_integral(tensor, omega_phys)
-    c3 = cubic_trace_integral(tensor)
+    e = 0.5 * integrate_domain(grid, magnitude_squared(v_phys))
+    h = integrate_domain(grid, pointwise_dot(v_phys, omega_phys))
+    z = integrate_domain(grid, magnitude_squared(omega_phys))
+    q, p = spectra_moments(grid, spectra)
+    w = stretching_integral(grid, tensor, omega_phys)
+    c3 = cubic_trace_integral(grid, tensor)
 
-    min_l2 = float(np.min(spectra.l2.values))
-    max_l2 = float(np.max(spectra.l2.values))
+    min_l2 = float(np.min(spectra[1]))
+    max_l2 = float(np.max(spectra[1]))
     sup_l2p = max(max_l2, 0.0)
     inf_l2p = max(min_l2, 0.0)
     sup_l2m_abs = max(-min_l2, 0.0)
@@ -222,17 +191,15 @@ def compute_record(t: float, v: VectorField,
     if (classification is not None and class_valid
             and classification.label != AdmissibleClass.NEITHER):
         ratio, excluded = epsilon_ratio(spectra, classification, eps_floor)
-        if excluded < ratio.values.size:
-            inf_eps = float(np.nanmin(ratio.values))
-
-    bkm = float(np.sqrt(np.max(magnitude_squared(omega_phys).values)))
+        if excluded < ratio.size:
+            inf_eps = float(np.nanmin(ratio))
 
     return DiagnosticsRecord(
         t=float(t), E=e, H=h, Z=z, Q=q, P=p, W=w, C3=c3,
         sup_l2p=sup_l2p, inf_l2p=inf_l2p,
         sup_l2m_abs=sup_l2m_abs, inf_l2m_abs=inf_l2m_abs,
         min_l2=min_l2, max_l2=max_l2,
-        inf_eps=inf_eps, bkm_sup_vort=bkm)
+        inf_eps=inf_eps, bkm_sup_vort=max_speed(omega_phys))
 
 
 def identity_residuals(record: DiagnosticsRecord) -> dict:
@@ -267,6 +234,8 @@ class DiagnosticsCollector:
 
     Parameters
     ----------
+    grid : Grid
+        Grid of the run's velocity.
     every : int
         Record cadence in steps (>= 1); step 0 is always recorded.
     csv_path : str or Path, optional
@@ -286,11 +255,12 @@ class DiagnosticsCollector:
     same left-to-right accumulation (see euler_spectra.envelopes).
     """
 
-    def __init__(self, every: int = 1, csv_path=None,
+    def __init__(self, grid: Grid, every: int = 1, csv_path=None,
                  class_tolerance: float | None = None,
                  eps_floor: float | None = None):
         if every < 1:
             raise ContractViolationError(f"cadence must be >= 1, got {every}")
+        self.grid = grid
         self.every = int(every)
         self.csv_path = csv_path
         self.class_tolerance = class_tolerance
@@ -342,12 +312,13 @@ class DiagnosticsCollector:
             return
         first = not self.records
         if first:
-            spectra = eigenvalues_sym3(deformation_tensor(state.v))
+            spectra = eigenvalues_sym3(deformation_tensor(self.grid, state.v))
             self.classification = classify_admissible(
                 spectra, self.class_tolerance)
-            self.tail_fraction_initial = resolution_tail_fraction(state.v)
+            self.tail_fraction_initial = resolution_tail_fraction(
+                self.grid, state.v)
 
-        record = compute_record(state.t, state.v,
+        record = compute_record(self.grid, state.t, state.v,
                                 classification=self.classification,
                                 eps_floor=self.eps_floor,
                                 class_valid=self._class_active())
@@ -362,7 +333,7 @@ class DiagnosticsCollector:
         for key, value in identity_residuals(record).items():
             if value > self.max_residuals[key]:
                 self.max_residuals[key] = value
-        self.tail_fraction_final = resolution_tail_fraction(state.v)
+        self.tail_fraction_final = resolution_tail_fraction(self.grid, state.v)
 
         envelope_row = self._advance_envelopes(record)
         self._write_row(record, envelope_row)

@@ -26,14 +26,11 @@ from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
     first_zero_touching,
+    velocity_gradient,
 )
 from euler_spectra.errors import ContractViolationError
-from euler_spectra.fields import (
-    curl,
-    fft_inverse,
-    spectral_derivative,
-    to_spectral,
-)
+from euler_spectra.fields import check_velocity, curl, fft_forward, fft_inverse
+from euler_spectra.grid import Grid
 
 
 def derivative_4th(values, spacing: float, axis: int = 0) -> np.ndarray:
@@ -366,11 +363,12 @@ def epsilon_decay_bound(records, classification: Classification,
                              satisfied_series, bool(satisfied_series.all()))
 
 
-def vorticity_transport_residual(times, velocities):
+def vorticity_transport_residual(grid: Grid, times, velocities):
     """Pointwise residual of the vorticity transport equation.
 
-    Given uniformly spaced velocity snapshots (any representation),
-    computes  d(omega)/dt + (v . grad) omega - (omega . grad) v  with a
+    Given uniformly spaced ``(3, n, n, n)`` velocity snapshots on
+    ``grid`` (physical float64 or spectral complex128), computes
+    d(omega)/dt + (v . grad) omega - (omega . grad) v  with a
     fourth-order time stencil and spectral space derivatives.
 
     Returns
@@ -388,30 +386,22 @@ def vorticity_transport_residual(times, velocities):
     if times.size < 5:
         raise ContractViolationError(
             f"need >= 5 snapshots for the transport residual, got {times.size}")
+    for v in velocities:
+        check_velocity(grid, v)
 
-    spectral = [to_spectral(v) for v in velocities]
-    grid = spectral[0].grid
-    for v in spectral[1:]:
-        if v.grid != grid:
-            raise ContractViolationError("snapshots live on different grids")
-
-    omega_hats = [curl(v) for v in spectral]
-    omega_stack = np.stack(
-        [np.stack([fft_inverse(c).values for c in w.components])
-         for w in omega_hats])
+    spectral = [v if np.iscomplexobj(v) else fft_forward(v)
+                for v in velocities]
+    omega_hats = [curl(grid, v) for v in spectral]
+    omega_stack = np.stack([fft_inverse(w) for w in omega_hats])
     domega_dt = derivative_4th(omega_stack, h, axis=0)
 
     raw = np.empty(times.size)
     normalized = np.empty(times.size)
     for m in range(times.size):
-        v_phys = [fft_inverse(c).values for c in spectral[m].components]
-        w_phys = [fft_inverse(c).values for c in omega_hats[m].components]
-        dv = [[fft_inverse(spectral_derivative(
-            spectral[m].components[j], i)).values for j in range(3)]
-            for i in range(3)]
-        dw = [[fft_inverse(spectral_derivative(
-            omega_hats[m].components[j], i)).values for j in range(3)]
-            for i in range(3)]
+        v_phys = fft_inverse(spectral[m])
+        w_phys = fft_inverse(omega_hats[m])
+        dv = velocity_gradient(grid, spectral[m])
+        dw = velocity_gradient(grid, omega_hats[m])
         advect = [sum(v_phys[j] * dw[j][i] for j in range(3))
                   for i in range(3)]
         stretch = [sum(w_phys[j] * dv[j][i] for j in range(3))

@@ -12,8 +12,8 @@ class ConfigurationError(EulerSpectraError):
 class ContractViolationError(EulerSpectraError):
     """An operation was invoked on inputs that break its preconditions.
 
-    Examples: mixing fields from different grids, asking for a spectral
-    operation on a physical-space field, or classifying an empty history.
+    Examples: a velocity array whose shape does not match its grid,
+    snapshots from different grids, or classifying an empty history.
     """
 
 

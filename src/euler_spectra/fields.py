@@ -1,15 +1,20 @@
-"""Scalar and vector fields on a periodic grid, plus spectral operators.
+"""Field arrays on a periodic grid, plus spectral operators.
 
 Conventions used throughout the package:
 
-- Physical-space values are real ``float64`` arrays indexed ``[ix, iy, iz]``.
-- Spectral values are ``complex128`` DFT coefficients with *forward*
-  normalization (``scipy.fft.fftn(..., norm="forward")``), so the
-  coefficient at (0, 0, 0) equals the field mean and Parseval reads
+- A field is a plain ndarray whose last three axes are ``[ix, iy, iz]``.
+  Components sit on a leading axis: a vector field is ``(3, n, n, n)``,
+  the deformation tensor ``(6, n, n, n)`` and its eigenvalues
+  ``(3, n, n, n)``.
+- The dtype gives the representation.  Physical-space values are real
+  ``float64``; spectral values are ``complex128`` DFT coefficients with
+  *forward* normalization (``scipy.fft.fftn(..., norm="forward")``), so
+  the coefficient at (0, 0, 0) equals the field mean and Parseval reads
   ``integral(f^2) = volume * sum(|fhat|^2)``.
 - Differentiation multiplies by ``1j * k`` with the Nyquist mode zeroed
   (see :mod:`euler_spectra.grid`); the solenoidal projection uses the
-  full integer wavenumbers and is exactly idempotent.
+  full integer wavenumbers and is exactly idempotent.  Operators that
+  need wavenumbers take the :class:`~euler_spectra.grid.Grid` first.
 
 Thread count for the FFT backend is taken from the environment variable
 ``EULER_SPECTRA_THREADS`` (default 1).  The default keeps runs
@@ -18,7 +23,6 @@ results, because all reductions are fixed-order.
 """
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -27,10 +31,8 @@ from euler_spectra.errors import ConfigurationError, ContractViolationError
 from euler_spectra.grid import Grid
 from euler_spectra.reductions import pairwise_sum
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
 _THREADS_ENV = "EULER_SPECTRA_THREADS"
+_SPACE_AXES = (-3, -2, -1)
 
 
 def fft_workers() -> int:
@@ -49,224 +51,70 @@ def fft_workers() -> int:
     return workers
 
 
-@dataclass
-class ScalarField:
-    """A scalar field tied to a grid, in physical or spectral form.
+def check_velocity(grid: Grid, v: np.ndarray) -> None:
+    """Require a ``(3, n, n, n)`` float64 or complex128 array on ``grid``.
 
-    Attributes
-    ----------
-    grid : Grid
-    values : ndarray
-        Shape (n, n, n); float64 when physical, complex128 when spectral.
-    representation : str
-        Either ``"physical"`` or ``"spectral"``.
+    Raises
+    ------
+    ContractViolationError
+        On any other shape or dtype.
     """
-
-    grid: Grid
-    values: np.ndarray
-    representation: str
-
-    def __post_init__(self):
-        if self.representation not in (PHYSICAL, SPECTRAL):
-            raise ContractViolationError(
-                f"unknown representation {self.representation!r}")
-        dtype = np.float64 if self.representation == PHYSICAL else np.complex128
-        values = np.asarray(self.values, dtype=dtype)
-        n = self.grid.n
-        if values.shape != (n, n, n):
-            raise ContractViolationError(
-                f"field shape {values.shape} does not match grid ({n}, {n}, {n})")
-        self.values = values
-
-    @classmethod
-    def physical(cls, grid: Grid, values) -> "ScalarField":
-        return cls(grid, values, PHYSICAL)
-
-    @classmethod
-    def spectral(cls, grid: Grid, values) -> "ScalarField":
-        return cls(grid, values, SPECTRAL)
-
-    @classmethod
-    def zeros(cls, grid: Grid, representation: str = PHYSICAL) -> "ScalarField":
-        dtype = np.float64 if representation == PHYSICAL else np.complex128
-        return cls(grid, np.zeros((grid.n,) * 3, dtype=dtype), representation)
-
-    @property
-    def is_physical(self) -> bool:
-        return self.representation == PHYSICAL
-
-    @property
-    def is_spectral(self) -> bool:
-        return self.representation == SPECTRAL
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.representation)
-
-    def _check_compatible(self, other: "ScalarField"):
-        if self.grid != other.grid:
-            raise ContractViolationError("fields live on different grids")
-        if self.representation != other.representation:
-            raise ContractViolationError(
-                "cannot combine physical and spectral fields")
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check_compatible(other)
-        return ScalarField(self.grid, self.values + other.values,
-                           self.representation)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self._check_compatible(other)
-        return ScalarField(self.grid, self.values - other.values,
-                           self.representation)
-
-    def __mul__(self, scalar) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(scalar),
-                           self.representation)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values, self.representation)
-
-
-@dataclass
-class VectorField:
-    """Three scalar components sharing one grid and one representation."""
-
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != 3:
-            raise ContractViolationError("a vector field needs 3 components")
-        self.components = tuple(self.components)
-        c0 = self.components[0]
-        for c in self.components[1:]:
-            c0._check_compatible(c)
-
-    @classmethod
-    def physical(cls, grid: Grid, arrays) -> "VectorField":
-        return cls(tuple(ScalarField.physical(grid, a) for a in arrays))
-
-    @classmethod
-    def spectral(cls, grid: Grid, arrays) -> "VectorField":
-        return cls(tuple(ScalarField.spectral(grid, a) for a in arrays))
-
-    @classmethod
-    def zeros(cls, grid: Grid, representation: str = PHYSICAL) -> "VectorField":
-        return cls(tuple(ScalarField.zeros(grid, representation)
-                         for _ in range(3)))
-
-    @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
-
-    @property
-    def representation(self) -> str:
-        return self.components[0].representation
-
-    @property
-    def is_physical(self) -> bool:
-        return self.representation == PHYSICAL
-
-    @property
-    def is_spectral(self) -> bool:
-        return self.representation == SPECTRAL
-
-    def arrays(self):
-        """The three component arrays as a tuple of ndarrays."""
-        return tuple(c.values for c in self.components)
-
-    def copy(self) -> "VectorField":
-        return VectorField(tuple(c.copy() for c in self.components))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a + b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a - b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __mul__(self, scalar) -> "VectorField":
-        return VectorField(tuple(c * scalar for c in self.components))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(tuple(-c for c in self.components))
-
-
-def _require(field, representation: str, what: str):
-    if field.representation != representation:
+    shape = (3,) + (grid.n,) * 3
+    if not isinstance(v, np.ndarray) or v.shape != shape:
         raise ContractViolationError(
-            f"{what} requires a {representation} field, got "
-            f"{field.representation}")
+            f"velocity shape {getattr(v, 'shape', None)} does not match "
+            f"grid {shape}")
+    if v.dtype not in (np.float64, np.complex128):
+        raise ContractViolationError(
+            f"velocity dtype must be float64 (physical) or complex128 "
+            f"(spectral), got {v.dtype}")
 
 
-def fft_forward(field):
+def fft_forward(values: np.ndarray) -> np.ndarray:
     """Physical -> spectral transform (forward-normalized).
 
-    Accepts a ScalarField or a VectorField and returns the same kind.
+    Transforms the last three axes, so a scalar ``(n, n, n)`` or a
+    stacked ``(m, n, n, n)`` field goes through one call.
     """
-    if isinstance(field, VectorField):
-        return VectorField(tuple(fft_forward(c) for c in field.components))
-    _require(field, PHYSICAL, "fft_forward")
-    coeffs = scipy.fft.fftn(field.values, norm="forward",
-                            workers=fft_workers())
-    return ScalarField.spectral(field.grid, coeffs)
+    return scipy.fft.fftn(values, axes=_SPACE_AXES, norm="forward",
+                          workers=fft_workers())
 
 
-def fft_inverse(field):
+def fft_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Spectral -> physical transform; imaginary residue is discarded.
 
     The solver only ever holds coefficients of real fields, so the
     imaginary part of the inverse transform is rounding noise.
     """
-    if isinstance(field, VectorField):
-        return VectorField(tuple(fft_inverse(c) for c in field.components))
-    _require(field, SPECTRAL, "fft_inverse")
-    values = scipy.fft.ifftn(field.values, norm="forward",
-                             workers=fft_workers()).real
-    return ScalarField.physical(field.grid, values)
+    return scipy.fft.ifftn(coeffs, axes=_SPACE_AXES, norm="forward",
+                           workers=fft_workers()).real
 
 
-def to_spectral(field):
-    """Return the field in spectral form, transforming if needed."""
-    return field if field.is_spectral else fft_forward(field)
-
-
-def to_physical(field):
-    """Return the field in physical form, transforming if needed."""
-    return field if field.is_physical else fft_inverse(field)
-
-
-def spectral_derivative(field: ScalarField, axis: int) -> ScalarField:
-    """Differentiate along an axis by multiplying with i*k.
+def spectral_derivative(grid: Grid, coeffs: np.ndarray,
+                        axis: int) -> np.ndarray:
+    """Differentiate along a space axis by multiplying with i*k.
 
     The Nyquist wavenumber is zeroed (it has no sign-definite partner),
     which keeps the operator skew-adjoint on the grid: the derivative of
     a real field is real to rounding and integration by parts holds
     exactly in the discrete inner product.
     """
-    _require(field, SPECTRAL, "spectral_derivative")
-    grid = field.grid
     k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)[axis]
-    return ScalarField.spectral(grid, (1j * k) * field.values)
+    return (1j * k) * coeffs
 
 
-def curl(v: VectorField) -> VectorField:
+def curl(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Spectral curl, componentwise i*k x vhat with Nyquist-zeroed k."""
-    _require(v, SPECTRAL, "curl")
-    g = v.grid
-    v1, v2, v3 = v.arrays()
-    kx, ky, kz = g.k_deriv_x, g.k_deriv_y, g.k_deriv_z
-    w1 = 1j * (ky * v3 - kz * v2)
-    w2 = 1j * (kz * v1 - kx * v3)
-    w3 = 1j * (kx * v2 - ky * v1)
-    return VectorField.spectral(g, (w1, w2, w3))
+    v1, v2, v3 = v
+    kx, ky, kz = grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z
+    w = np.empty_like(v)
+    w[0] = 1j * (ky * v3 - kz * v2)
+    w[1] = 1j * (kz * v1 - kx * v3)
+    w[2] = 1j * (kx * v2 - ky * v1)
+    return w
 
 
-def leray_project(v: VectorField) -> VectorField:
+def leray_project(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Remove the gradient part: vhat -> vhat - k (k . vhat) / |k|^2.
 
     Uses the full integer wavenumbers (Nyquist included), so the image
@@ -274,79 +122,58 @@ def leray_project(v: VectorField) -> VectorField:
     moves coefficients by at most a few ulps.  The mean (k = 0) mode
     is untouched.
     """
-    _require(v, SPECTRAL, "leray_project")
-    g = v.grid
-    v1, v2, v3 = v.arrays()
-    kx, ky, kz = g.k_true_x, g.k_true_y, g.k_true_z
-    kdotv = kx * v1 + ky * v2 + kz * v3
-    coef = kdotv / g.k_squared_safe
-    return VectorField.spectral(
-        g, (v1 - kx * coef, v2 - ky * coef, v3 - kz * coef))
+    k = (grid.k_true_x, grid.k_true_y, grid.k_true_z)
+    coef = (k[0] * v[0] + k[1] * v[1] + k[2] * v[2]) / grid.k_squared_safe
+    out = v.copy()
+    for i in range(3):
+        out[i] -= k[i] * coef
+    return out
 
 
-def divergence_free_error(v: VectorField) -> float:
+def divergence_free_error(grid: Grid, v: np.ndarray) -> float:
     """max |k . vhat| over retained modes, normalized by max |vhat|."""
-    _require(v, SPECTRAL, "divergence_free_error")
-    g = v.grid
-    v1, v2, v3 = v.arrays()
-    kdotv = g.k_true_x * v1 + g.k_true_y * v2 + g.k_true_z * v3
-    num = float(np.max(np.abs(kdotv)[g.dealias_mask]))
-    den = float(max(np.max(np.abs(v1)), np.max(np.abs(v2)),
-                    np.max(np.abs(v3))))
+    kdotv = (grid.k_true_x * v[0] + grid.k_true_y * v[1]
+             + grid.k_true_z * v[2])
+    num = float(np.max(np.abs(kdotv)[grid.dealias_mask]))
+    den = float(np.max(np.abs(v)))
     if den == 0.0:
         return 0.0
     return num / den
 
 
-def dealias_23(field):
+def dealias_23(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Zero every mode outside the 2/3-rule ball (keep 3|k_j| <= n)."""
-    if isinstance(field, VectorField):
-        return VectorField(tuple(dealias_23(c) for c in field.components))
-    _require(field, SPECTRAL, "dealias_23")
-    return ScalarField.spectral(field.grid,
-                                np.where(field.grid.dealias_mask,
-                                         field.values, 0.0))
+    return np.where(grid.dealias_mask, coeffs, 0.0)
 
 
-def integrate_domain(field: ScalarField) -> float:
-    """Integral of a physical field over the box, cell_volume * sum.
+def integrate_domain(grid: Grid, values: np.ndarray) -> float:
+    """Integral of a physical scalar field over the box, cell_volume * sum.
 
     Uses the deterministic pairwise reduction, so repeated evaluation on
     identical data is bit-stable.
     """
-    _require(field, PHYSICAL, "integrate_domain")
-    return field.grid.cell_volume * pairwise_sum(field.values)
+    return grid.cell_volume * pairwise_sum(values)
 
 
-def pointwise_dot(u: VectorField, v: VectorField) -> ScalarField:
+def pointwise_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise u . v of two physical vector fields."""
-    _require(u, PHYSICAL, "pointwise_dot")
-    _require(v, PHYSICAL, "pointwise_dot")
-    u1, u2, u3 = u.arrays()
-    v1, v2, v3 = v.arrays()
-    return ScalarField.physical(u.grid, u1 * v1 + u2 * v2 + u3 * v3)
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def cross_product(u: VectorField, v: VectorField) -> VectorField:
+def cross_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise u x v of two physical vector fields."""
-    _require(u, PHYSICAL, "cross_product")
-    _require(v, PHYSICAL, "cross_product")
-    u1, u2, u3 = u.arrays()
-    v1, v2, v3 = v.arrays()
-    return VectorField.physical(u.grid, (u2 * v3 - u3 * v2,
-                                         u3 * v1 - u1 * v3,
-                                         u1 * v2 - u2 * v1))
+    out = np.empty_like(u)
+    out[0] = u[1] * v[2] - u[2] * v[1]
+    out[1] = u[2] * v[0] - u[0] * v[2]
+    out[2] = u[0] * v[1] - u[1] * v[0]
+    return out
 
 
-def magnitude_squared(v: VectorField) -> ScalarField:
+def magnitude_squared(v: np.ndarray) -> np.ndarray:
     """Pointwise |v|^2 of a physical vector field."""
     return pointwise_dot(v, v)
 
 
-def max_speed(v: VectorField) -> float:
-    """Maximum pointwise magnitude |v| of a vector field.
-
-    Transforms to physical space if needed.
-    """
-    w = to_physical(v)
-    return float(np.sqrt(np.max(magnitude_squared(w).values)))
+def max_speed(v: np.ndarray) -> float:
+    """Maximum pointwise magnitude |v| of a physical vector field."""
+    return float(np.sqrt(np.max(magnitude_squared(v))))

@@ -1,9 +1,9 @@
 """Initial velocity fields: classical benchmarks and random ensembles.
 
-Every generator returns a *spectral*, solenoidally-projected, dealiased
-VectorField, ready to hand to the solver.  Generators are deterministic:
-the same arguments (and seed, where applicable) reproduce the same field
-bit for bit.
+Every generator returns a *spectral* (complex128, shape ``(3, n, n, n)``),
+solenoidally-projected, dealiased velocity, ready to hand to the solver.
+Generators are deterministic: the same arguments (and seed, where
+applicable) reproduce the same field bit for bit.
 """
 
 import numpy as np
@@ -16,23 +16,22 @@ from euler_spectra.deformation import (
 )
 from euler_spectra.errors import ConfigurationError
 from euler_spectra.fields import (
-    VectorField,
     dealias_23,
     fft_forward,
+    fft_inverse,
     integrate_domain,
     leray_project,
     magnitude_squared,
-    to_physical,
 )
 from euler_spectra.grid import Grid
 
 
-def _finalize(v: VectorField) -> VectorField:
+def _finalize(grid: Grid, vhat: np.ndarray) -> np.ndarray:
     """Project and dealias a freshly built spectral field."""
-    return dealias_23(leray_project(v))
+    return dealias_23(grid, leray_project(grid, vhat))
 
 
-def taylor_green(grid: Grid) -> VectorField:
+def taylor_green(grid: Grid) -> np.ndarray:
     """Taylor-Green vortex.
 
     v = (sin x cos y cos z, -cos x sin y cos z, 0).  Zero helicity,
@@ -43,11 +42,11 @@ def taylor_green(grid: Grid) -> VectorField:
     u1 = np.sin(x) * np.cos(y) * np.cos(z)
     u2 = -np.cos(x) * np.sin(y) * np.cos(z)
     u3 = np.zeros_like(u1)
-    return _finalize(fft_forward(VectorField.physical(grid, (u1, u2, u3))))
+    return _finalize(grid, fft_forward(np.stack((u1, u2, u3))))
 
 
 def abc_flow(grid: Grid, a: float = 1.0, b: float = 1.0,
-             c: float = 1.0) -> VectorField:
+             c: float = 1.0) -> np.ndarray:
     """Arnold-Beltrami-Childress flow.
 
     v = (a sin z + c cos y, b sin x + a cos z, c sin y + b cos x).
@@ -59,21 +58,21 @@ def abc_flow(grid: Grid, a: float = 1.0, b: float = 1.0,
     u1 = a * np.sin(z) + c * np.cos(y)
     u2 = b * np.sin(x) + a * np.cos(z)
     u3 = c * np.sin(y) + b * np.cos(x)
-    return _finalize(fft_forward(VectorField.physical(grid, (u1, u2, u3))))
+    return _finalize(grid, fft_forward(np.stack((u1, u2, u3))))
 
 
-def shear_flow(grid: Grid) -> VectorField:
+def shear_flow(grid: Grid) -> np.ndarray:
     """Plane shear v = (sin y, 0, 0): unidirectional, zero middle eigenvalue."""
     _, y, _ = grid.coordinates()
     u1 = np.sin(y)
     u2 = np.zeros_like(u1)
     u3 = np.zeros_like(u1)
-    return _finalize(fft_forward(VectorField.physical(grid, (u1, u2, u3))))
+    return _finalize(grid, fft_forward(np.stack((u1, u2, u3))))
 
 
 def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,
                       slope: float = 2.0,
-                      amplitude: float = 1.0) -> VectorField:
+                      amplitude: float = 1.0) -> np.ndarray:
     """Random divergence-free field with a bump spectrum.
 
     White Gaussian noise is shaped by the radial envelope
@@ -99,7 +98,7 @@ def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,
 
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
-    vhat = fft_forward(VectorField.physical(grid, tuple(noise)))
+    vhat = fft_forward(noise)
 
     kmag = grid.mode_radius()
     with np.errstate(divide="ignore"):
@@ -107,11 +106,10 @@ def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,
             kmag > 0.0,
             kmag ** slope * np.exp(-((kmag / peak_k) ** 2)),
             0.0)
-    shaped = VectorField.spectral(
-        grid, tuple(c * envelope for c in vhat.arrays()))
-    shaped = _finalize(shaped)
+    shaped = _finalize(grid, vhat * envelope)
 
-    energy = 0.5 * integrate_domain(magnitude_squared(to_physical(shaped)))
+    energy = 0.5 * integrate_domain(grid,
+                                    magnitude_squared(fft_inverse(shaped)))
     if energy <= 0.0:
         raise ConfigurationError(
             "random field degenerated to zero energy; check the spectrum "
@@ -119,12 +117,12 @@ def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,
     return shaped * float(np.sqrt(amplitude / energy))
 
 
-def classify_initial(v: VectorField,
+def classify_initial(grid: Grid, v: np.ndarray,
                      tolerance: float | None = None) -> Classification:
-    """Classify a velocity field by the sign of the middle eigenvalue.
+    """Classify a spectral velocity by the sign of the middle eigenvalue.
 
     Convenience pipeline: deformation tensor -> eigenvalues -> sign
     classification, in one call.
     """
-    spectra = eigenvalues_sym3(deformation_tensor(v))
+    spectra = eigenvalues_sym3(deformation_tensor(grid, v))
     return classify_admissible(spectra, tolerance)

@@ -12,17 +12,22 @@ Format (little-endian throughout)::
     40      -     payload: 3 * n^3 f64 values, components v1, v2, v3,
                   each stored x-fastest (index order iz, iy, ix)
 
+In memory the velocity is a ``(3, n, n, n)`` array indexed
+``[component, ix, iy, iz]``; the payload is that array with its three
+space axes reversed.
+
 The payload is always physical-space velocity.  FNV-1a is fast, has no
 external dependencies, and detects the truncation/corruption failure
 modes that matter for checkpoint files; it is not a cryptographic hash.
 """
 
+import math
 import struct
 
 import numpy as np
 
 from euler_spectra.errors import SnapshotFormatError
-from euler_spectra.fields import VectorField, to_physical
+from euler_spectra.fields import check_velocity, fft_inverse
 from euler_spectra.grid import Grid
 
 MAGIC = b"EULSPEC1"
@@ -64,33 +69,46 @@ except ImportError:  # pragma: no cover - exercised only without numba
         return _fnv1a64_python(bytes(data))
 
 
-def _payload_bytes(v: VectorField) -> bytes:
-    chunks = []
-    for comp in v.components:
-        ordered = np.transpose(comp.values, (2, 1, 0))
-        chunks.append(np.ascontiguousarray(ordered, dtype="<f8").tobytes())
-    return b"".join(chunks)
+# Axis order that turns [component, ix, iy, iz] into x-fastest storage;
+# it is its own inverse.
+_STORAGE_AXES = (0, 3, 2, 1)
 
 
-def write_snapshot(path, v: VectorField, time: float) -> None:
-    """Write a velocity snapshot; spectral inputs are transformed first."""
-    v = to_physical(v)
+def _payload_bytes(v: np.ndarray) -> bytes:
+    ordered = np.transpose(v, _STORAGE_AXES)
+    return np.ascontiguousarray(ordered, dtype="<f8").tobytes()
+
+
+def write_snapshot(path, grid: Grid, v: np.ndarray, time: float) -> None:
+    """Write a ``(3, n, n, n)`` velocity on ``grid``.
+
+    Spectral (complex128) inputs are transformed to physical space first.
+
+    Raises
+    ------
+    ContractViolationError
+        If ``v`` is not a float64 or complex128 velocity on ``grid``.
+    """
+    check_velocity(grid, v)
+    if np.iscomplexobj(v):
+        v = fft_inverse(v)
     payload = _payload_bytes(v)
-    header = _HEADER.pack(MAGIC, VERSION, v.grid.n, float(time),
-                          v.grid.length, fnv1a64(payload))
+    header = _HEADER.pack(MAGIC, VERSION, grid.n, float(time),
+                          grid.length, fnv1a64(payload))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 
 
 def load_snapshot(path):
-    """Read a snapshot back as (VectorField physical, time).
+    """Read a snapshot back as (physical velocity, time, grid).
 
     Raises
     ------
     SnapshotFormatError
         Naming the offending field, on a bad magic, unsupported
-        version, truncated payload, or checksum mismatch.
+        version, invalid grid size, time or box length, truncated
+        payload, or checksum mismatch.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -105,6 +123,11 @@ def load_snapshot(path):
             f"version: unsupported format version {version}")
     if n < 8 or n % 2 != 0:
         raise SnapshotFormatError(f"grid size: invalid n={n}")
+    if not math.isfinite(time):
+        raise SnapshotFormatError(f"time: not a finite number ({time})")
+    if not (math.isfinite(length) and length > 0.0):
+        raise SnapshotFormatError(
+            f"box length: must be positive and finite, got {length}")
     payload = raw[_HEADER.size:]
     expected = 3 * n ** 3 * 8
     if len(payload) != expected:
@@ -116,9 +139,6 @@ def load_snapshot(path):
             f"checksum: stored {checksum:#018x} != computed {actual:#018x}")
 
     grid = Grid(int(n), float(length))
-    flat = np.frombuffer(payload, dtype="<f8")
-    comps = []
-    for i in range(3):
-        block = flat[i * n ** 3:(i + 1) * n ** 3].reshape(n, n, n)
-        comps.append(np.ascontiguousarray(np.transpose(block, (2, 1, 0))))
-    return VectorField.physical(grid, comps), float(time)
+    stored = np.frombuffer(payload, dtype="<f8").reshape(3, n, n, n)
+    v = np.ascontiguousarray(np.transpose(stored, _STORAGE_AXES))
+    return v, float(time), grid

@@ -25,7 +25,7 @@ import numpy as np
 
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
-    VectorField,
+    check_velocity,
     cross_product,
     curl,
     dealias_23,
@@ -33,8 +33,8 @@ from euler_spectra.fields import (
     fft_inverse,
     leray_project,
     max_speed,
-    to_spectral,
 )
+from euler_spectra.grid import Grid
 
 logger = logging.getLogger("euler_spectra.solver")
 
@@ -96,38 +96,31 @@ class SolverState:
     """Solver state: spectral velocity plus clock and step counter."""
 
     t: float
-    v: VectorField
+    v: np.ndarray
     step_index: int = 0
 
-    def __post_init__(self):
-        if not self.v.is_spectral:
-            raise ConfigurationError("solver state velocity must be spectral")
 
-
-def rhs(v: VectorField, nu: float = 0.0, dealias: bool = True) -> VectorField:
+def rhs(grid: Grid, v: np.ndarray, nu: float = 0.0,
+        dealias: bool = True) -> np.ndarray:
     """Right-hand side of the momentum equation for a spectral velocity.
 
     Rotational form: transform to physical space, form v x omega, come
-    back, mask, project, and add the diffusion term.  Nine transforms
-    per evaluation.
+    back, mask, project, and add the diffusion term.  Three batched
+    transforms (one per vector field) per evaluation.
     """
-    grid = v.grid
     v_phys = fft_inverse(v)
-    omega_phys = fft_inverse(curl(v))
+    omega_phys = fft_inverse(curl(grid, v))
     nonlinear = fft_forward(cross_product(v_phys, omega_phys))
     if dealias:
-        nonlinear = dealias_23(nonlinear)
-    out = leray_project(nonlinear)
+        nonlinear = dealias_23(grid, nonlinear)
+    out = leray_project(grid, nonlinear)
     if nu != 0.0:
-        damp = nu * grid.k_squared
-        out = VectorField.spectral(
-            grid, tuple(o - damp * u for o, u in zip(out.arrays(),
-                                                     v.arrays())))
+        out = out - (nu * grid.k_squared) * v
     return out
 
 
-def _check_finite(v: VectorField, step_index: int, t: float):
-    for label, arr in zip("123", v.arrays()):
+def _check_finite(v: np.ndarray, step_index: int, t: float):
+    for label, arr in zip("123", v):
         if not np.all(np.isfinite(arr)):
             raise NumericsError(
                 f"non-finite velocity component v{label} after step "
@@ -136,7 +129,8 @@ def _check_finite(v: VectorField, step_index: int, t: float):
                 step_index=step_index, time=t)
 
 
-def step_rk4(state: SolverState, config: SolverConfig) -> SolverState:
+def step_rk4(grid: Grid, state: SolverState,
+             config: SolverConfig) -> SolverState:
     """Advance one classical RK4 step and re-project the result.
 
     Raises
@@ -146,34 +140,44 @@ def step_rk4(state: SolverState, config: SolverConfig) -> SolverState:
         records the failing step index and time.
     """
     dt = config.dt
+    nu, dealias = config.nu, config.dealias
     v = state.v
-    k1 = rhs(v, config.nu, config.dealias)
-    k2 = rhs(v + (0.5 * dt) * k1, config.nu, config.dealias)
-    k3 = rhs(v + (0.5 * dt) * k2, config.nu, config.dealias)
-    k4 = rhs(v + dt * k3, config.nu, config.dealias)
+    k1 = rhs(grid, v, nu, dealias)
+    k2 = rhs(grid, v + (0.5 * dt) * k1, nu, dealias)
+    k3 = rhs(grid, v + (0.5 * dt) * k2, nu, dealias)
+    k4 = rhs(grid, v + dt * k3, nu, dealias)
     combo = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new_v = leray_project(combo)
+    new_v = leray_project(grid, combo)
     new_index = state.step_index + 1
     new_t = new_index * dt + (state.t - state.step_index * dt)
     _check_finite(new_v, new_index, new_t)
     return SolverState(new_t, new_v, new_index)
 
 
-def run(initial: VectorField, config: SolverConfig,
+def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
         observers=()) -> SolverState:
     """Integrate from t = 0 to t_final, notifying observers each step.
 
-    The initial field is transformed (if physical) and projected, the
-    observers are called once on the initial state and then after every
-    step, and the final state is returned.  Observer exceptions
-    propagate to the caller, aborting the run.
+    The initial ``(3, n, n, n)`` velocity is transformed (if physical,
+    i.e. float64) and projected, the observers are called once on the
+    initial state and then after every step, and the final state is
+    returned.  Observer exceptions propagate to the caller, aborting
+    the run.
 
     The advective CFL number u_max * dt / dx is sampled at the start
     and every few dozen steps; exceeding ``config.cfl_warning`` logs a
     warning naming the offending value but does not stop the run.
+
+    Raises
+    ------
+    ContractViolationError
+        If ``initial`` is not a float64 or complex128 velocity on ``grid``.
     """
+    check_velocity(grid, initial)
     steps = config.step_count()
-    v0 = leray_project(to_spectral(initial))
+    if not np.iscomplexobj(initial):
+        initial = fft_forward(initial)
+    v0 = leray_project(grid, initial)
     state = SolverState(0.0, v0, 0)
     _check_finite(v0, 0, 0.0)
 
@@ -183,7 +187,7 @@ def run(initial: VectorField, config: SolverConfig,
         nonlocal warned_cfl
         if warned_cfl:
             return
-        cfl = max_speed(s.v) * config.dt / s.v.grid.dx
+        cfl = max_speed(fft_inverse(s.v)) * config.dt / grid.dx
         if cfl > config.cfl_warning:
             logger.warning(
                 "advective CFL number %.3f exceeds %.3f at t=%.6g; "
@@ -195,7 +199,7 @@ def run(initial: VectorField, config: SolverConfig,
     for obs in observers:
         obs(state)
     for _ in range(steps):
-        state = step_rk4(state, config)
+        state = step_rk4(grid, state, config)
         if state.step_index % _CFL_CHECK_STRIDE == 0:
             check_cfl(state)
         for obs in observers:

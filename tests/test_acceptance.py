@@ -20,9 +20,8 @@ from euler_spectra.cli import EXIT_OK, main
 from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
-    SymTensorField,
-    deformation_tensor,
     eigenvalues_sym3,
+    frobenius_squared,
     velocity_gradient,
 )
 from euler_spectra.diagnostics import (
@@ -41,7 +40,6 @@ from euler_spectra.envelopes import (
     quadrature_slack,
 )
 from euler_spectra.fields import (
-    VectorField,
     curl,
     fft_inverse,
     integrate_domain,
@@ -60,12 +58,11 @@ def report(number, passed, detail):
     assert passed, f"criterion {number} failed: {detail}"
 
 
-def reference_run(initial, dt, t_final, every):
-    grid = initial.grid
-    collector = DiagnosticsCollector(every=every)
+def reference_run(grid, initial, dt, t_final, every):
+    collector = DiagnosticsCollector(grid, every=every)
     config = SolverConfig(dt=dt, t_final=t_final, nu=0.0)
     started = time.perf_counter()
-    final = solver_run(initial, config, observers=[collector])
+    final = solver_run(grid, initial, config, observers=[collector])
     wall = time.perf_counter() - started
     return SimpleNamespace(grid=grid, initial=initial, final=final,
                            records=collector.records,
@@ -76,20 +73,23 @@ def reference_run(initial, dt, t_final, every):
 @pytest.fixture(scope="module")
 def tg32(grid32):
     # 1000 steps, records every 5 steps: spacing 5e-3, 201 samples.
-    return reference_run(taylor_green(grid32), dt=1e-3, t_final=1.0, every=5)
+    return reference_run(grid32, taylor_green(grid32), dt=1e-3, t_final=1.0,
+                         every=5)
 
 
 @pytest.fixture(scope="module")
 def tg64():
     # Same trajectory on the doubled grid; records every 10 steps so
     # the sample times are a subset of the n=32 ones.
-    return reference_run(taylor_green(Grid(64)), dt=1e-3, t_final=1.0,
+    grid = Grid(64)
+    return reference_run(grid, taylor_green(grid), dt=1e-3, t_final=1.0,
                          every=10)
 
 
 @pytest.fixture(scope="module")
 def abc32(grid32):
-    return reference_run(abc_flow(grid32), dt=1e-3, t_final=1.0, every=10)
+    return reference_run(grid32, abc_flow(grid32), dt=1e-3, t_final=1.0,
+                         every=10)
 
 
 def test_criterion_1_static_identity_suite(grid32):
@@ -100,22 +100,24 @@ def test_criterion_1_static_identity_suite(grid32):
     worst_gradient = 0.0
     for seed in range(50):
         vh = random_solenoidal(grid32, seed=seed, peak_k=4.0)
-        record = compute_record(0.0, vh)
+        record = compute_record(grid32, 0.0, vh)
         for key, value in identity_residuals(record).items():
             worst[key] = max(worst[key], value)
 
-        grad = velocity_gradient(vh)
-        tensor = deformation_tensor(grad)
-        omega = fft_inverse(curl(vh))
+        grad = velocity_gradient(grid32, vh)
+        sym = 0.5 * (grad + grad.swapaxes(0, 1))
+        tensor = np.stack([sym[i, j] for i, j in
+                           ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))])
+        omega = fft_inverse(curl(grid32, vh))
         grad_sq = gradient_norm_squared_pointwise(grad)
-        split = (tensor.frobenius_squared()
-                 + 0.5 * magnitude_squared(omega).values)
-        scale = float(np.max(np.abs(grad_sq.values)))
+        split = (frobenius_squared(tensor)
+                 + 0.5 * magnitude_squared(omega))
+        scale = float(np.max(np.abs(grad_sq)))
         worst_pointwise = max(
             worst_pointwise,
-            float(np.max(np.abs(grad_sq.values - split))) / scale)
+            float(np.max(np.abs(grad_sq - split))) / scale)
 
-        grad_integral = integrate_domain(grad_sq)
+        grad_integral = integrate_domain(grid32, grad_sq)
         worst_gradient = max(
             worst_gradient, abs(grad_integral - record.Z) / record.Z)
     elapsed = time.perf_counter() - started
@@ -169,13 +171,12 @@ def test_criterion_2_eigensolver_oracle():
     mats[4000:4100] = 0.0
 
     shape = (grid.n,) * 3
-    tensor = SymTensorField.from_arrays(grid, (
+    tensor = np.stack((
         mats[:, 0, 0].reshape(shape), mats[:, 0, 1].reshape(shape),
         mats[:, 0, 2].reshape(shape), mats[:, 1, 1].reshape(shape),
         mats[:, 1, 2].reshape(shape), mats[:, 2, 2].reshape(shape)))
     spectra = eigenvalues_sym3(tensor)
-    closed = np.stack([f.values.reshape(count)
-                       for f in (spectra.l1, spectra.l2, spectra.l3)], axis=1)
+    closed = np.stack([l.reshape(count) for l in spectra], axis=1)
     oracle = np.linalg.eigvalsh(mats)[:, ::-1]
     scale = np.maximum(np.abs(oracle).max(axis=1, keepdims=True), 1.0)
     err = float(np.max(np.abs(closed - oracle) / scale))
@@ -188,11 +189,7 @@ def test_criterion_2_eigensolver_oracle():
 
 
 def test_criterion_3_steady_abc_regression(abc32):
-    grid = abc32.grid
-    diff = VectorField.spectral(grid, tuple(
-        f.values - g.values
-        for f, g in zip(abc32.final.v.components, abc32.initial.components)))
-    steadiness = max_speed(fft_inverse(diff))
+    steadiness = max_speed(fft_inverse(abc32.final.v - abc32.initial))
 
     records = abc32.records
     e0, h0 = records[0].E, records[0].H

@@ -6,6 +6,7 @@ abort, 3 I/O).
 """
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from euler_spectra.cli import (
 )
 from euler_spectra.config import InitSpec, RunConfig, parse_config
 from euler_spectra.errors import ConfigurationError
-from euler_spectra.fields import VectorField
 from euler_spectra.grid import Grid
 from euler_spectra.initial import taylor_green
 from euler_spectra.snapshot import write_snapshot
@@ -146,20 +146,20 @@ class TestInitSpecBuild:
         spec = InitSpec(kind="taylor_green")
         built = spec.build(grid16)
         direct = taylor_green(grid16)
-        for a, b in zip(built.arrays(), direct.arrays()):
+        for a, b in zip(built, direct):
             assert np.array_equal(a, b)
 
     def test_from_file_round_trip(self, grid16, tmp_path):
         path = tmp_path / "ic.bin"
-        write_snapshot(path, taylor_green(grid16), time=0.0)
+        write_snapshot(path, grid16, taylor_green(grid16), time=0.0)
         built = InitSpec(kind="from_file", path=str(path)).build(grid16)
         direct = taylor_green(grid16)
-        for a, b in zip(built.arrays(), direct.arrays()):
+        for a, b in zip(built, direct):
             assert np.max(np.abs(a - b)) < 1e-15
 
     def test_from_file_grid_mismatch(self, grid16, tmp_path):
         path = tmp_path / "ic.bin"
-        write_snapshot(path, taylor_green(grid16), time=0.0)
+        write_snapshot(path, grid16, taylor_green(grid16), time=0.0)
         with pytest.raises(ConfigurationError, match="does not match"):
             InitSpec(kind="from_file", path=str(path)).build(Grid(8))
 
@@ -251,6 +251,37 @@ class TestCmdRun:
         lines = (out / "timeseries.csv").read_text().splitlines()
         assert len(lines) >= 2
 
+    def test_io_abort_still_writes_summary(self, tmp_path, threads_env,
+                                           monkeypatch, capsys):
+        # The third snapshot write fails as on a full disk: the run stops
+        # with exit code 3 but leaves a summary with an abort block.
+        import errno
+        import euler_spectra.cli as cli_module
+        calls = []
+
+        def failing_write(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_snapshot(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "write_snapshot", failing_write)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, n=8, output_dir=str(out),
+                           output_every=1, snapshot_every=1,
+                           solver={"t_final": 0.005, "dt": 1e-3})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["run"]["aborted"] is True
+        assert summary["run"]["abort"]["step_index"] == 2
+        assert "No space left on device" in summary["run"]["abort"]["message"]
+        assert "steps_completed" not in summary["run"]
+        assert summary["class"] == "Neither"
+        assert len(list(out.glob("snapshot_*.bin"))) == 2
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -295,7 +326,7 @@ class TestCmdDiagnose:
 
     def test_mixed_grids_rejected(self, snapshot_dir, tmp_path, capsys):
         other = tmp_path / "other.bin"
-        write_snapshot(other, taylor_green(Grid(16)), time=99.0)
+        write_snapshot(other, Grid(16), taylor_green(Grid(16)), time=99.0)
         code = main(["diagnose", snapshot_dir[0], str(other)])
         assert code == EXIT_USAGE
         assert "one resolution" in capsys.readouterr().err
@@ -311,6 +342,22 @@ class TestCmdDiagnose:
         assert main(["diagnose", str(bad)]) == EXIT_IO
 
 
+    def test_corrupt_header_values_are_io_errors(self, snapshot_dir,
+                                                 tmp_path, capsys):
+        # The payload checksum does not cover the header, so a bad time
+        # or box length must be caught by the header checks themselves.
+        raw = Path(snapshot_dir[0]).read_bytes()
+        for start, value, field in ((24, -1.0, "box length"),
+                                    (24, float("inf"), "box length"),
+                                    (16, float("nan"), "time")):
+            bad = tmp_path / "bad_header.bin"
+            bad.write_bytes(raw[:start] + struct.pack("<d", value)
+                            + raw[start + 8:])
+            for argv in (["classify", str(bad)], ["diagnose", str(bad)]):
+                assert main(argv) == EXIT_IO
+                assert field in capsys.readouterr().err
+
+
 class TestCmdClassify:
     def test_from_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n=16)
@@ -321,13 +368,13 @@ class TestCmdClassify:
 
     def test_from_snapshot(self, tmp_path, grid16, capsys):
         path = tmp_path / "snap.bin"
-        write_snapshot(path, taylor_green(grid16), time=0.0)
+        write_snapshot(path, grid16, taylor_green(grid16), time=0.0)
         assert main(["classify", str(path)]) == EXIT_OK
         assert "class: Neither" in capsys.readouterr().out
 
     def test_zero_field_snapshot(self, tmp_path, grid8, capsys):
         path = tmp_path / "zero.bin"
-        write_snapshot(path, VectorField.zeros(grid8), time=0.0)
+        write_snapshot(path, grid8, np.zeros((3, 8, 8, 8)), time=0.0)
         assert main(["classify", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "class: Neither" in out
@@ -337,11 +384,10 @@ class TestCmdClassify:
     def test_synthetic_spectra_file(self, tmp_path, grid8, capsys):
         # Payload interpreted as ordered eigenvalue fields.
         shape = (grid8.n,) * 3
-        spectra = VectorField.physical(grid8, (np.full(shape, 2.0),
-                                               np.full(shape, 1.0),
-                                               np.full(shape, -3.0)))
+        spectra = np.stack((np.full(shape, 2.0), np.full(shape, 1.0),
+                            np.full(shape, -3.0)))
         path = tmp_path / "spectra.bin"
-        write_snapshot(path, spectra, time=0.0)
+        write_snapshot(path, grid8, spectra, time=0.0)
         assert main(["classify", str(path), "--spectra"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "class: APlus" in out
@@ -375,3 +421,20 @@ class TestDeterminism:
         assert csv_a == csv_b
         assert (out_a / "final.bin").read_bytes() == \
             (out_b / "final.bin").read_bytes()
+
+    def test_thread_count_does_not_change_outputs(self, tmp_path,
+                                                  monkeypatch):
+        cfg = write_config(
+            tmp_path, n=16,
+            initial={"kind": "random_solenoidal", "seed": 3, "peak_k": 3.0},
+            output_every=1,
+            solver={"t_final": 0.005, "dt": 1e-3})
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("EULER_SPECTRA_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert main(["run", "--config", cfg, "--quiet",
+                         "--output-dir", str(out)]) == EXIT_OK
+            outputs.append(((out / "timeseries.csv").read_bytes(),
+                            (out / "final.bin").read_bytes()))
+        assert outputs[0] == outputs[1]

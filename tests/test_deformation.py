@@ -16,32 +16,30 @@ import pytest
 from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
-    SpectraField,
-    SymTensorField,
     classify_admissible,
     deformation_tensor,
     eigenvalues_sym3,
     epsilon_ratio,
     first_zero_touching,
-    lambda2_split,
+    frobenius_squared,
     velocity_gradient,
 )
+from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ContractViolationError, NumericsError
-from euler_spectra.fields import ScalarField, VectorField, fft_forward, fft_inverse
+from euler_spectra.fields import fft_forward, fft_inverse
 from euler_spectra.initial import abc_flow, shear_flow, taylor_green
 
 from conftest import make_random_velocity
 
 
 def tensor_from_matrices(grid, matrices):
-    """Pack a batch of n^3 symmetric matrices into a SymTensorField."""
+    """Pack a batch of n^3 symmetric matrices into a (6, n, n, n) tensor."""
     shape = (grid.n,) * 3
     m = np.asarray(matrices)
     assert m.shape == (grid.n ** 3, 3, 3)
     comps = (m[:, 0, 0], m[:, 0, 1], m[:, 0, 2],
              m[:, 1, 1], m[:, 1, 2], m[:, 2, 2])
-    return SymTensorField.from_arrays(grid, tuple(c.reshape(shape)
-                                                  for c in comps))
+    return np.stack([c.reshape(shape) for c in comps])
 
 
 def random_orthogonal(rng, count):
@@ -52,17 +50,13 @@ def random_orthogonal(rng, count):
     return q * signs[:, None, :]
 
 
-def spectra_arrays(spectra):
-    return (spectra.l1.values, spectra.l2.values, spectra.l3.values)
-
-
 class TestEigenvaluesHandSolved:
     def test_diagonal(self, grid8):
         count = grid8.n ** 3
         mats = np.zeros((count, 3, 3))
         mats[:] = np.diag([1.0, 0.0, -1.0])
         spectra = eigenvalues_sym3(tensor_from_matrices(grid8, mats))
-        l1, l2, l3 = spectra_arrays(spectra)
+        l1, l2, l3 = spectra
         assert np.max(np.abs(l1 - 1.0)) < 1e-14
         assert np.max(np.abs(l2)) < 1e-14
         assert np.max(np.abs(l3 + 1.0)) < 1e-14
@@ -70,7 +64,7 @@ class TestEigenvaluesHandSolved:
     def test_zero_tensor(self, grid8):
         mats = np.zeros((grid8.n ** 3, 3, 3))
         spectra = eigenvalues_sym3(tensor_from_matrices(grid8, mats))
-        for arr in spectra_arrays(spectra):
+        for arr in spectra:
             assert np.max(np.abs(arr)) == 0.0
 
     def test_pure_shear_block(self, grid8):
@@ -78,7 +72,7 @@ class TestEigenvaluesHandSolved:
         mats = np.zeros((grid8.n ** 3, 3, 3))
         mats[:, 0, 1] = mats[:, 1, 0] = 0.5
         spectra = eigenvalues_sym3(tensor_from_matrices(grid8, mats))
-        l1, l2, l3 = spectra_arrays(spectra)
+        l1, l2, l3 = spectra
         assert np.max(np.abs(l1 - 0.5)) < 1e-14
         assert np.max(np.abs(l2)) < 1e-14
         assert np.max(np.abs(l3 + 0.5)) < 1e-14
@@ -88,7 +82,7 @@ class TestEigenvaluesHandSolved:
         mats = np.zeros((grid8.n ** 3, 3, 3))
         mats[:] = np.diag([5.0, 2.0, -1.0])
         spectra = eigenvalues_sym3(tensor_from_matrices(grid8, mats))
-        l1, l2, l3 = spectra_arrays(spectra)
+        l1, l2, l3 = spectra
         assert np.max(np.abs(l1 - 5.0)) < 1e-13
         assert np.max(np.abs(l2 - 2.0)) < 1e-13
         assert np.max(np.abs(l3 + 1.0)) < 1e-13
@@ -102,7 +96,7 @@ class TestEigenvaluesAgainstLibrary:
         trace = np.einsum("pii->p", sym) / 3.0
         sym -= trace[:, None, None] * np.eye(3)
         spectra = eigenvalues_sym3(tensor_from_matrices(grid8, sym))
-        ours = np.stack(spectra_arrays(spectra), axis=-1).reshape(count, 3)
+        ours = np.stack(spectra, axis=-1).reshape(count, 3)
         ref = np.linalg.eigvalsh(sym)[:, ::-1]
         scale = np.max(np.abs(ref), axis=1)
         err = np.max(np.abs(ours - ref), axis=1)
@@ -131,7 +125,7 @@ class TestEigenvaluesAgainstLibrary:
         sym = 0.5 * (sym + np.transpose(sym, (0, 2, 1)))
 
         spectra = eigenvalues_sym3(tensor_from_matrices(grid8, sym))
-        ours = np.stack(spectra_arrays(spectra), axis=-1).reshape(count, 3)
+        ours = np.stack(spectra, axis=-1).reshape(count, 3)
         ref = np.linalg.eigvalsh(sym)[:, ::-1]
         scale = np.maximum(np.max(np.abs(ref), axis=1), 1e-300)
         err = np.max(np.abs(ours - ref), axis=1)
@@ -148,15 +142,15 @@ class TestEigenvaluesAgainstLibrary:
         sym = np.einsum("pij,pjk,plk->pil", q, diag, q)
         sym = 0.5 * (sym + np.transpose(sym, (0, 2, 1)))
         spectra = eigenvalues_sym3(tensor_from_matrices(grid8, sym))
-        l1, l2, _ = spectra_arrays(spectra)
+        l1, l2, _ = spectra
         assert np.max(np.abs(l1 - l2)) < 1e-12
 
 
 class TestEigenvalueInvariants:
     def test_on_random_velocity(self, grid16, rng):
         v = make_random_velocity(grid16, rng)
-        spectra = eigenvalues_sym3(deformation_tensor(v))
-        l1, l2, l3 = spectra_arrays(spectra)
+        spectra = eigenvalues_sym3(deformation_tensor(grid16, v))
+        l1, l2, l3 = spectra
         scale = max(np.max(np.abs(l1)), 1e-300)
         assert np.all(l1 >= l2) and np.all(l2 >= l3)
         assert np.max(np.abs(l1 + l2 + l3)) < 1e-12 * scale
@@ -169,8 +163,8 @@ class TestEigenvalueInvariants:
         # For traceless spectra the squared sum collapses to two
         # equivalent two-eigenvalue forms; all three must agree pointwise.
         v = make_random_velocity(grid16, rng)
-        spectra = eigenvalues_sym3(deformation_tensor(v))
-        l1, l2, l3 = spectra_arrays(spectra)
+        spectra = eigenvalues_sym3(deformation_tensor(grid16, v))
+        l1, l2, l3 = spectra
         full = l1 ** 2 + l2 ** 2 + l3 ** 2
         top = 2.0 * (l1 ** 2 + l1 * l2 + l2 ** 2)
         bottom = 2.0 * (l2 ** 2 + l2 * l3 + l3 ** 2)
@@ -180,10 +174,10 @@ class TestEigenvalueInvariants:
 
     def test_frobenius_matches_eigenvalues(self, grid16, rng):
         v = make_random_velocity(grid16, rng)
-        tensor = deformation_tensor(v)
+        tensor = deformation_tensor(grid16, v)
         spectra = eigenvalues_sym3(tensor)
-        l1, l2, l3 = spectra_arrays(spectra)
-        lhs = tensor.frobenius_squared()
+        l1, l2, l3 = spectra
+        lhs = frobenius_squared(tensor)
         rhs = l1 ** 2 + l2 ** 2 + l3 ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * max(np.max(lhs), 1e-300)
 
@@ -192,71 +186,69 @@ class TestDeformationTensor:
     def test_shear_flow_components(self, grid16):
         # v = (sin y, 0, 0): the only nonzero entry is s12 = cos(y)/2.
         v = shear_flow(grid16)
-        tensor = deformation_tensor(v)
+        s11, s12, s13, s22, s23, s33 = deformation_tensor(grid16, v)
         _, y, _ = grid16.coordinates()
-        assert np.max(np.abs(tensor.s12.values - 0.5 * np.cos(y))) < 1e-13
-        for name in ("s11", "s13", "s22", "s23", "s33"):
-            assert np.max(np.abs(getattr(tensor, name).values)) < 1e-13
+        assert np.max(np.abs(s12 - 0.5 * np.cos(y))) < 1e-13
+        for comp in (s11, s13, s22, s23, s33):
+            assert np.max(np.abs(comp)) < 1e-13
 
     def test_gradient_row_convention(self, grid16):
         # grad[i][j] = d v_j / d x_i: for shear flow only grad[1][0]
         # (y-derivative of the x-component) is nonzero.
         v = shear_flow(grid16)
-        grad = velocity_gradient(v)
+        grad = velocity_gradient(grid16, v)
         _, y, _ = grid16.coordinates()
-        assert np.max(np.abs(grad[1][0].values - np.cos(y))) < 1e-13
-        assert np.max(np.abs(grad[0][1].values)) < 1e-13
+        assert np.max(np.abs(grad[1, 0] - np.cos(y))) < 1e-13
+        assert np.max(np.abs(grad[0, 1])) < 1e-13
 
     def test_two_input_paths_agree(self, grid16, rng):
         v = make_random_velocity(grid16, rng)
-        direct = deformation_tensor(v)
-        via_grad = deformation_tensor(velocity_gradient(v))
-        for a, b in zip(direct.component_arrays(),
-                        via_grad.component_arrays()):
+        direct = deformation_tensor(grid16, v)
+        grad = velocity_gradient(grid16, v)
+        sym = 0.5 * (grad + grad.swapaxes(0, 1))
+        via_grad = [sym[i, j] for i, j in
+                    ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+        for a, b in zip(direct, via_grad):
             assert np.max(np.abs(a - b)) < 1e-14
 
     def test_against_finite_differences(self, grid32):
         # Central differences on the collocation values give an O(dx^2)
         # check of the spectral gradient that shares no code with it.
         v = abc_flow(grid32)
-        grad = velocity_gradient(v)
+        grad = velocity_gradient(grid32, v)
         phys = fft_inverse(v)
         dx = grid32.dx
-        for j, comp in enumerate(phys.arrays()):
+        for j, comp in enumerate(phys):
             for i in range(3):
                 fd = (np.roll(comp, -1, axis=i)
                       - np.roll(comp, 1, axis=i)) / (2.0 * dx)
-                err = np.max(np.abs(grad[i][j].values - fd))
+                err = np.max(np.abs(grad[i, j] - fd))
                 assert err < dx ** 2  # |f'''| <= 1 for unit ABC modes
 
     def test_trace_warning_for_compressible_input(self, grid16, caplog):
         x, _, _ = grid16.coordinates()
-        v = fft_forward(VectorField.physical(
-            grid16, (np.sin(x), np.zeros_like(x), np.zeros_like(x))))
+        v = fft_forward(np.stack(
+            (np.sin(x), np.zeros_like(x), np.zeros_like(x))))
         with caplog.at_level(logging.WARNING, "euler_spectra.deformation"):
-            deformation_tensor(v)
+            deformation_tensor(grid16, v)
         assert any("trace" in rec.message for rec in caplog.records)
 
     def test_no_warning_for_solenoidal_input(self, grid16, caplog):
         v = taylor_green(grid16)
         with caplog.at_level(logging.WARNING, "euler_spectra.deformation"):
-            deformation_tensor(v)
+            deformation_tensor(grid16, v)
         assert not caplog.records
 
     def test_non_finite_entry_rejected(self, grid8):
-        arrays = [np.zeros((8,) * 3) for _ in range(6)]
-        arrays[3][2, 5, 7] = np.nan
-        tensor = SymTensorField.from_arrays(grid8, tuple(arrays))
+        tensor = np.zeros((6, 8, 8, 8))
+        tensor[3, 2, 5, 7] = np.nan
         with pytest.raises(NumericsError, match=r"s22.*\(2, 5, 7\)"):
             eigenvalues_sym3(tensor)
 
 
 def constant_spectra(grid, l1, l2, l3):
     shape = (grid.n,) * 3
-    return SpectraField(grid,
-                        ScalarField.physical(grid, np.full(shape, l1)),
-                        ScalarField.physical(grid, np.full(shape, l2)),
-                        ScalarField.physical(grid, np.full(shape, l3)))
+    return np.stack([np.full(shape, l) for l in (l1, l2, l3)])
 
 
 class TestClassification:
@@ -272,7 +264,7 @@ class TestClassification:
 
     def test_shear_is_neither(self, grid16):
         v = shear_flow(grid16)
-        spectra = eigenvalues_sym3(deformation_tensor(v))
+        spectra = eigenvalues_sym3(deformation_tensor(grid16, v))
         c = classify_admissible(spectra)
         assert c.label == AdmissibleClass.NEITHER
         assert abs(c.min_lambda2) < 1e-13
@@ -294,13 +286,17 @@ class TestClassification:
                                 tolerance=-1.0)
 
     def test_lambda2_split(self, grid16, rng):
+        # The record's positive/negative-part extrema are those of the
+        # pointwise split l2 = max(l2, 0) + min(l2, 0).
         v = make_random_velocity(grid16, rng)
-        spectra = eigenvalues_sym3(deformation_tensor(v))
-        plus, minus = lambda2_split(spectra)
-        assert np.all(plus.values >= 0.0)
-        assert np.all(minus.values <= 0.0)
-        recombined = plus.values + minus.values
-        assert np.array_equal(recombined, spectra.l2.values)
+        l2 = eigenvalues_sym3(deformation_tensor(grid16, v))[1]
+        plus, minus = np.maximum(l2, 0.0), np.minimum(l2, 0.0)
+        assert np.array_equal(plus + minus, l2)
+        record = compute_record(grid16, 0.0, v)
+        assert record.sup_l2p == np.max(plus)
+        assert record.inf_l2p == np.min(plus)
+        assert record.sup_l2m_abs == np.max(-minus)
+        assert record.inf_l2m_abs == np.min(-minus)
 
 
 class TestEpsilonRatio:
@@ -309,20 +305,20 @@ class TestEpsilonRatio:
         c = classify_admissible(spectra)
         ratio, excluded = epsilon_ratio(spectra, c)
         assert excluded == 0
-        assert np.max(np.abs(ratio.values - 0.5)) < 1e-15
+        assert np.max(np.abs(ratio - 0.5)) < 1e-15
 
     def test_negative_class_value(self, grid8):
         spectra = constant_spectra(grid8, 3.0, -1.0, -2.0)
         c = classify_admissible(spectra)
         ratio, excluded = epsilon_ratio(spectra, c)
         assert excluded == 0
-        assert np.max(np.abs(ratio.values - 0.5)) < 1e-15
+        assert np.max(np.abs(ratio - 0.5)) < 1e-15
 
     def test_ratio_can_reach_one(self, grid8):
         spectra = constant_spectra(grid8, 1.0, 1.0, -2.0)
         c = classify_admissible(spectra)
         ratio, _ = epsilon_ratio(spectra, c)
-        assert np.max(np.abs(ratio.values - 1.0)) < 1e-15
+        assert np.max(np.abs(ratio - 1.0)) < 1e-15
 
     def test_degenerate_points_excluded(self, grid8):
         shape = (grid8.n,) * 3
@@ -330,15 +326,12 @@ class TestEpsilonRatio:
         l2 = np.full(shape, 1.0)
         l3 = np.full(shape, -3.0)
         l1[0, 0, 0] = l2[0, 0, 0] = l3[0, 0, 0] = 0.0
-        spectra = SpectraField(grid8,
-                               ScalarField.physical(grid8, l1),
-                               ScalarField.physical(grid8, l2),
-                               ScalarField.physical(grid8, l3))
+        spectra = np.stack((l1, l2, l3))
         c = Classification(AdmissibleClass.APLUS, 0.0, 1.0, 0.0)
         ratio, excluded = epsilon_ratio(spectra, c, floor=1e-8)
         assert excluded == 1
-        assert np.isnan(ratio.values[0, 0, 0])
-        assert np.nanmax(np.abs(ratio.values - 0.5)) < 1e-15
+        assert np.isnan(ratio[0, 0, 0])
+        assert np.nanmax(np.abs(ratio - 0.5)) < 1e-15
 
     def test_rejected_for_neither(self, grid8):
         spectra = constant_spectra(grid8, 1.0, 0.0, -1.0)

@@ -16,31 +16,27 @@ from euler_spectra.deformation import (
     AdmissibleClass,
     deformation_tensor,
     eigenvalues_sym3,
+    frobenius_squared,
     velocity_gradient,
 )
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
     compute_record,
-    cubic_trace_integral,
-    energy,
-    enstrophy,
     gradient_norm_squared_pointwise,
-    helicity,
     identity_residuals,
     resolution_tail_fraction,
     spectra_moments,
     stretching_integral,
-    sup_vorticity,
 )
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
-    VectorField,
     curl,
     fft_inverse,
     integrate_domain,
     magnitude_squared,
 )
+from euler_spectra.grid import Grid
 from euler_spectra.initial import (
     abc_flow,
     random_solenoidal,
@@ -56,52 +52,52 @@ PI3 = math.pi ** 3
 
 class TestScalarFunctionals:
     def test_energy_accepts_both_representations(self, grid16):
+        # The record integrates |v|^2 in physical space; Parseval gives
+        # the same energy from the spectral coefficients.
         vhat = taylor_green(grid16)
-        assert energy(vhat) == pytest.approx(energy(fft_inverse(vhat)),
-                                             rel=1e-14)
+        parseval = 0.5 * grid16.volume * np.sum(np.abs(vhat) ** 2)
+        assert compute_record(grid16, 0.0, vhat).E == pytest.approx(
+            parseval, rel=1e-14)
 
     def test_enstrophy_equals_gradient_norm(self, grid16, rng):
         # For solenoidal fields, integral |grad v|^2 = integral |omega|^2.
         v = make_random_velocity(grid16, rng)
-        grad_sq = gradient_norm_squared_pointwise(velocity_gradient(v))
-        lhs = integrate_domain(grad_sq)
-        assert lhs == pytest.approx(enstrophy(v), rel=1e-12)
+        grad_sq = gradient_norm_squared_pointwise(velocity_gradient(grid16, v))
+        lhs = integrate_domain(grid16, grad_sq)
+        assert lhs == pytest.approx(compute_record(grid16, 0.0, v).Z,
+                                    rel=1e-12)
 
     def test_sup_vorticity_shear(self, grid16):
         # omega = (0, 0, -cos y) has max magnitude 1.
-        assert sup_vorticity(curl(shear_flow(grid16))) == pytest.approx(
-            1.0, rel=1e-12)
+        record = compute_record(grid16, 0.0, shear_flow(grid16))
+        assert record.bkm_sup_vort == pytest.approx(1.0, rel=1e-12)
 
     def test_spectra_moments_shear(self, grid16):
         # Shear eigenvalues are (|cos y|/2, 0, -|cos y|/2):
         # Q = integral cos^2(y)/2 = 2 pi^3, P = 0.
-        spectra = eigenvalues_sym3(deformation_tensor(shear_flow(grid16)))
-        q, p = spectra_moments(spectra)
+        spectra = eigenvalues_sym3(
+            deformation_tensor(grid16, shear_flow(grid16)))
+        q, p = spectra_moments(grid16, spectra)
         assert q == pytest.approx(2.0 * PI3, rel=1e-12)
         assert abs(p) < 1e-14
 
     def test_stretching_vanishes_for_shear(self, grid16):
         # omega is an eigenvector of S with eigenvalue 0 for plane shear.
         v = shear_flow(grid16)
-        tensor = deformation_tensor(v)
-        omega = fft_inverse(curl(v))
-        assert abs(stretching_integral(tensor, omega)) < 1e-13
-
-    def test_stretching_requires_physical_omega(self, grid16):
-        v = shear_flow(grid16)
-        with pytest.raises(ContractViolationError):
-            stretching_integral(deformation_tensor(v), curl(v))
+        tensor = deformation_tensor(grid16, v)
+        omega = fft_inverse(curl(grid16, v))
+        assert abs(stretching_integral(grid16, tensor, omega)) < 1e-13
 
 
 class TestPointwiseGradientSplit:
     def test_gradient_splits_into_strain_and_rotation(self, grid16, rng):
         # |grad v|^2 = |S|^2 + |omega|^2 / 2 pointwise for solenoidal v.
         v = make_random_velocity(grid16, rng)
-        grad = velocity_gradient(v)
-        lhs = gradient_norm_squared_pointwise(grad).values
-        tensor = deformation_tensor(v)
-        omega_sq = magnitude_squared(fft_inverse(curl(v))).values
-        rhs = tensor.frobenius_squared() + 0.5 * omega_sq
+        grad = velocity_gradient(grid16, v)
+        lhs = gradient_norm_squared_pointwise(grad)
+        tensor = deformation_tensor(grid16, v)
+        omega_sq = magnitude_squared(fft_inverse(curl(grid16, v)))
+        rhs = frobenius_squared(tensor) + 0.5 * omega_sq
         scale = np.max(lhs)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
@@ -111,20 +107,20 @@ class TestIntegralIdentities:
     def velocity(self, request, grid16):
         return random_solenoidal(grid16, seed=request.param, peak_k=3.0)
 
-    def test_enstrophy_is_twice_quadratic_moment(self, velocity):
-        record = compute_record(0.0, velocity)
+    def test_enstrophy_is_twice_quadratic_moment(self, velocity, grid16):
+        record = compute_record(grid16, 0.0, velocity)
         assert record.Z == pytest.approx(2.0 * record.Q, rel=1e-11)
 
-    def test_stretching_is_minus_four_thirds_cubic(self, velocity):
-        record = compute_record(0.0, velocity)
+    def test_stretching_is_minus_four_thirds_cubic(self, velocity, grid16):
+        record = compute_record(grid16, 0.0, velocity)
         assert record.W == pytest.approx(-(4.0 / 3.0) * record.C3, rel=1e-9)
 
-    def test_cubic_is_three_times_product(self, velocity):
-        record = compute_record(0.0, velocity)
+    def test_cubic_is_three_times_product(self, velocity, grid16):
+        record = compute_record(grid16, 0.0, velocity)
         assert record.C3 == pytest.approx(3.0 * record.P, rel=1e-10)
 
-    def test_residuals_near_rounding(self, velocity):
-        res = identity_residuals(compute_record(0.0, velocity))
+    def test_residuals_near_rounding(self, velocity, grid16):
+        res = identity_residuals(compute_record(grid16, 0.0, velocity))
         assert res["enstrophy_moment"] < 1e-11
         assert res["stretching_cubic"] < 1e-9
         assert res["cubic_product"] < 1e-10
@@ -133,7 +129,7 @@ class TestIntegralIdentities:
         # Taylor-Green at t = 0 has W = C3 = P = 0 by mirror symmetry;
         # the floored denominators must keep the residuals tiny instead
         # of reporting 0/0 garbage.
-        record = compute_record(0.0, taylor_green(grid16))
+        record = compute_record(grid16, 0.0, taylor_green(grid16))
         assert abs(record.W) < 1e-10
         assert abs(record.C3) < 1e-10
         res = identity_residuals(record)
@@ -143,18 +139,20 @@ class TestIntegralIdentities:
 
 class TestComputeRecord:
     def test_lambda2_extrema_splits(self, grid16, rng):
-        record = compute_record(0.0, make_random_velocity(grid16, rng))
+        record = compute_record(grid16, 0.0,
+                                make_random_velocity(grid16, rng))
         assert record.sup_l2p == max(record.max_l2, 0.0)
         assert record.inf_l2p == max(record.min_l2, 0.0)
         assert record.sup_l2m_abs == max(-record.min_l2, 0.0)
         assert record.inf_l2m_abs == max(-record.max_l2, 0.0)
 
     def test_eps_requires_classification(self, grid16, rng):
-        record = compute_record(0.0, make_random_velocity(grid16, rng))
+        record = compute_record(grid16, 0.0,
+                                make_random_velocity(grid16, rng))
         assert math.isnan(record.inf_eps)
 
     def test_abc_benchmark_values(self, grid16):
-        record = compute_record(0.0, abc_flow(grid16))
+        record = compute_record(grid16, 0.0, abc_flow(grid16))
         assert record.E == pytest.approx(12.0 * PI3, rel=1e-12)
         assert record.H == pytest.approx(24.0 * PI3, rel=1e-12)
         assert record.Z == pytest.approx(24.0 * PI3, rel=1e-12)
@@ -173,7 +171,7 @@ class TestResolutionTail:
     def test_band_limited_field_has_empty_tail(self, grid32):
         # All spectral content of the ABC flow sits at |k| = 1, far
         # inside the tail shell; only transform noise remains out there.
-        assert resolution_tail_fraction(abc_flow(grid32)) < 1e-28
+        assert resolution_tail_fraction(grid32, abc_flow(grid32)) < 1e-28
 
     def test_saturated_field_has_full_tail(self, grid16):
         g = grid16
@@ -186,29 +184,30 @@ class TestResolutionTail:
                           absf.reshape(1, 1, g.n))
         shell = g.dealias_mask & (kinf > (2.0 / 3.0) * g.dealias_limit)
         coeffs[shell] = rng.standard_normal(int(shell.sum()))
-        v = VectorField.spectral(g, (coeffs, 0.0 * coeffs, 0.0 * coeffs))
-        assert resolution_tail_fraction(v) == pytest.approx(1.0)
+        v = np.stack((coeffs, 0.0 * coeffs, 0.0 * coeffs))
+        assert resolution_tail_fraction(g, v) == pytest.approx(1.0)
 
     def test_zero_field(self, grid8):
         assert resolution_tail_fraction(
-            VectorField.zeros(grid8, "spectral")) == 0.0
+            grid8, np.zeros((3, 8, 8, 8), dtype=np.complex128)) == 0.0
 
 
 class TestDiagnosticsCollector:
     def test_cadence_and_initial_sample(self, grid16):
-        col = DiagnosticsCollector(every=3)
-        run(taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.1),
+        col = DiagnosticsCollector(grid16, every=3)
+        run(grid16, taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.1),
             observers=[col])
         assert [round(r.t / 1e-2) for r in col.records] == [0, 3, 6, 9]
 
     def test_rejects_bad_cadence(self):
         with pytest.raises(ContractViolationError):
-            DiagnosticsCollector(every=0)
+            DiagnosticsCollector(Grid(8), every=0)
 
     def test_csv_layout_and_roundtrip(self, grid16, tmp_path):
         path = tmp_path / "series.csv"
-        with DiagnosticsCollector(every=2, csv_path=path) as col:
-            run(taylor_green(grid16), SolverConfig(dt=5e-3, t_final=0.02),
+        with DiagnosticsCollector(grid16, every=2, csv_path=path) as col:
+            run(grid16, taylor_green(grid16),
+                SolverConfig(dt=5e-3, t_final=0.02),
                 observers=[col])
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -225,7 +224,7 @@ class TestDiagnosticsCollector:
 
     def test_csv_flushed_incrementally(self, grid16, tmp_path):
         path = tmp_path / "series.csv"
-        col = DiagnosticsCollector(every=1, csv_path=path)
+        col = DiagnosticsCollector(grid16, every=1, csv_path=path)
         lines_seen = []
 
         def spy(state):
@@ -233,22 +232,22 @@ class TestDiagnosticsCollector:
             with open(path) as fh:
                 lines_seen.append(sum(1 for _ in fh))
 
-        run(taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.03),
+        run(grid16, taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.03),
             observers=[spy])
         col.close()
         assert lines_seen == [2, 3, 4, 5]
 
     def test_classification_happens_once(self, grid16):
-        col = DiagnosticsCollector(every=1)
-        run(taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.02),
+        col = DiagnosticsCollector(grid16, every=1)
+        run(grid16, taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.02),
             observers=[col])
         assert col.classification is not None
         assert col.classification.label == AdmissibleClass.NEITHER
         assert col.zero_touch_time is None
 
     def test_summary_schema(self, grid16):
-        col = DiagnosticsCollector(every=1)
-        run(abc_flow(grid16), SolverConfig(dt=1e-2, t_final=0.02),
+        col = DiagnosticsCollector(grid16, every=1)
+        run(grid16, abc_flow(grid16), SolverConfig(dt=1e-2, t_final=0.02),
             observers=[col])
         s = col.summary()
         assert s["class"] == "Neither"
@@ -261,12 +260,12 @@ class TestDiagnosticsCollector:
 
     def test_summary_requires_records(self):
         with pytest.raises(ContractViolationError):
-            DiagnosticsCollector().summary()
+            DiagnosticsCollector(Grid(8)).summary()
 
     def test_zero_touch_detection(self, grid16):
         # Feed the collector a synthetic positive-class history whose
         # minimum dips below -tolerance at the third sample.
-        col = DiagnosticsCollector(every=1, class_tolerance=1e-3)
+        col = DiagnosticsCollector(grid16, every=1, class_tolerance=1e-3)
 
         class FakeState:
             def __init__(self, t, step_index, v):

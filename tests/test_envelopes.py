@@ -27,7 +27,7 @@ from euler_spectra.envelopes import (
     vorticity_transport_residual,
 )
 from euler_spectra.errors import ContractViolationError
-from euler_spectra.fields import VectorField, fft_inverse
+from euler_spectra.fields import fft_inverse
 from euler_spectra.initial import shear_flow, taylor_green
 from euler_spectra.solver import SolverConfig, run
 
@@ -178,8 +178,8 @@ class TestGrowthEnvelopes:
         assert np.all(np.isfinite(env.upper))
 
     def test_shear_run_envelopes_flat(self, grid16):
-        col = DiagnosticsCollector(every=2)
-        run(shear_flow(grid16), SolverConfig(dt=5e-3, t_final=0.05),
+        col = DiagnosticsCollector(grid16, every=2)
+        run(grid16, shear_flow(grid16), SolverConfig(dt=5e-3, t_final=0.05),
             observers=[col])
         env = growth_envelopes(col.records, col.classification)
         z0 = math.sqrt(col.records[0].Z)
@@ -187,8 +187,8 @@ class TestGrowthEnvelopes:
         assert np.max(np.abs(env.upper - z0)) < 1e-10 * z0
 
     def test_streaming_matches_batch_bitwise(self, grid16):
-        col = DiagnosticsCollector(every=2)
-        run(taylor_green(grid16), SolverConfig(dt=5e-3, t_final=0.05),
+        col = DiagnosticsCollector(grid16, every=2)
+        run(grid16, taylor_green(grid16), SolverConfig(dt=5e-3, t_final=0.05),
             observers=[col])
         env = growth_envelopes(col.records, col.classification)
         streamed = np.array(col.envelope_rows)
@@ -377,7 +377,7 @@ class TestTransportResidual:
         v = shear_flow(grid16)
         times = np.linspace(0.0, 0.4, 5)
         raw, normalized = vorticity_transport_residual(
-            times, [v.copy() for _ in times])
+            grid16, times, [v.copy() for _ in times])
         assert np.max(raw) < 1e-13
         assert np.all(np.isfinite(normalized))
         assert np.max(normalized) <= 3.0
@@ -387,27 +387,25 @@ class TestTransportResidual:
         # time derivative term survives while the transport terms cancel.
         v = fft_inverse(shear_flow(grid16))
         times = np.linspace(0.0, 0.4, 5)
-        snaps = [VectorField.physical(
-            grid16, tuple(math.exp(t) * a for a in v.arrays()))
-            for t in times]
-        raw, _ = vorticity_transport_residual(times, snaps)
+        snaps = [math.exp(t) * v for t in times]
+        raw, _ = vorticity_transport_residual(grid16, times, snaps)
         assert np.max(raw) > 0.5
 
     def test_needs_five_snapshots(self, grid16):
         v = shear_flow(grid16)
         with pytest.raises(ContractViolationError):
-            vorticity_transport_residual([0.0, 0.1, 0.2], [v, v, v])
+            vorticity_transport_residual(grid16, [0.0, 0.1, 0.2], [v, v, v])
 
     def test_rejects_mismatched_lengths(self, grid16):
         v = shear_flow(grid16)
         with pytest.raises(ContractViolationError):
-            vorticity_transport_residual([0.0, 0.1], [v])
+            vorticity_transport_residual(grid16, [0.0, 0.1], [v])
 
     def test_rejects_mixed_grids(self, grid8, grid16):
         times = np.linspace(0.0, 0.4, 5)
         snaps = [shear_flow(grid16)] * 4 + [shear_flow(grid8)]
         with pytest.raises(ContractViolationError):
-            vorticity_transport_residual(times, snaps)
+            vorticity_transport_residual(grid16, times, snaps)
 
     def test_abc_run_snapshots(self, grid16):
         # Five snapshots from a real (steady) solve: the residual mixes
@@ -419,8 +417,9 @@ class TestTransportResidual:
             if state.step_index % 5 == 0:
                 snaps.append((state.t, state.v))
 
-        run(abc_flow(grid16), SolverConfig(dt=1e-2, t_final=0.2),
+        run(grid16, abc_flow(grid16), SolverConfig(dt=1e-2, t_final=0.2),
             observers=[taker])
         times = [t for t, _ in snaps]
-        raw, _ = vorticity_transport_residual(times, [v for _, v in snaps])
+        raw, _ = vorticity_transport_residual(grid16, times,
+                                              [v for _, v in snaps])
         assert np.max(raw) < 1e-9

@@ -15,8 +15,6 @@ import pytest
 from euler_spectra.errors import ConfigurationError, ContractViolationError
 from euler_spectra.grid import Grid
 from euler_spectra.fields import (
-    ScalarField,
-    VectorField,
     curl,
     dealias_23,
     divergence_free_error,
@@ -30,6 +28,8 @@ from euler_spectra.fields import (
     spectral_derivative,
 )
 from euler_spectra.reductions import pairwise_sum
+from euler_spectra.snapshot import write_snapshot
+from euler_spectra.solver import SolverConfig, run
 
 from conftest import make_random_velocity
 
@@ -85,90 +85,90 @@ class TestGrid:
 class TestTransforms:
     def test_round_trip(self, grid16, rng):
         values = rng.standard_normal((16, 16, 16))
-        f = ScalarField.physical(grid16, values)
-        back = fft_inverse(fft_forward(f))
-        assert np.max(np.abs(back.values - values)) < 1e-12
+        back = fft_inverse(fft_forward(values))
+        assert np.max(np.abs(back - values)) < 1e-12
 
     def test_forward_normalization_mean(self, grid16, rng):
         values = rng.standard_normal((16, 16, 16)) + 3.5
-        fhat = fft_forward(ScalarField.physical(grid16, values))
-        assert fhat.values[0, 0, 0] == pytest.approx(values.mean(), rel=1e-13)
+        fhat = fft_forward(values)
+        assert fhat[0, 0, 0] == pytest.approx(values.mean(), rel=1e-13)
 
     def test_cosine_coefficients(self, grid16):
         X, _, _ = grid16.coordinates()
-        fhat = fft_forward(ScalarField.physical(grid16, np.cos(X)))
+        fhat = fft_forward(np.cos(X))
         # cos(x) = (e^{ix} + e^{-ix})/2 -> coefficients 1/2 at k = +/-1
-        assert fhat.values[1, 0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert fhat.values[-1, 0, 0] == pytest.approx(0.5, abs=1e-14)
-        other = fhat.values.copy()
+        assert fhat[1, 0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert fhat[-1, 0, 0] == pytest.approx(0.5, abs=1e-14)
+        other = fhat.copy()
         other[1, 0, 0] = other[-1, 0, 0] = 0.0
         assert np.max(np.abs(other)) < 1e-14
 
     def test_parseval(self, grid16, rng):
         values = rng.standard_normal((16, 16, 16))
-        f = ScalarField.physical(grid16, values)
-        fhat = fft_forward(f)
-        lhs = integrate_domain(ScalarField.physical(grid16, values ** 2))
-        rhs = grid16.volume * np.sum(np.abs(fhat.values) ** 2)
+        fhat = fft_forward(values)
+        lhs = integrate_domain(grid16, values ** 2)
+        rhs = grid16.volume * np.sum(np.abs(fhat) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_representation_contracts(self, grid8):
-        f = ScalarField.zeros(grid8)
-        with pytest.raises(ContractViolationError):
-            fft_inverse(f)
-        with pytest.raises(ContractViolationError):
-            spectral_derivative(f, 0)
-        with pytest.raises(ContractViolationError):
-            integrate_domain(fft_forward(f))
+    def test_batched_transform_matches_components(self, grid16, rng):
+        # One call over a stacked (3, n, n, n) field must give exactly
+        # what three scalar transforms give.
+        v = rng.standard_normal((3, 16, 16, 16))
+        vhat = fft_forward(v)
+        for c in range(3):
+            assert np.array_equal(vhat[c], fft_forward(v[c]))
+            assert np.array_equal(fft_inverse(vhat)[c], fft_inverse(vhat[c]))
 
-    def test_mismatched_shapes_rejected(self, grid8):
-        with pytest.raises(ContractViolationError):
-            ScalarField.physical(grid8, np.zeros((8, 8, 4)))
-
-    def test_cross_representation_arithmetic_rejected(self, grid8):
-        f = ScalarField.zeros(grid8)
-        with pytest.raises(ContractViolationError):
-            f + fft_forward(f)
+    def test_mismatched_shapes_rejected(self, grid8, tmp_path):
+        # The velocity check shared by solver.run and write_snapshot.
+        path = tmp_path / "bad.bin"
+        for bad in (np.zeros((3, 8, 8, 4)),              # wrong space shape
+                    np.zeros((8, 8, 8)),                 # scalar, not vector
+                    np.zeros((3, 16, 16, 16)),           # another grid
+                    np.zeros((3, 8, 8, 8), np.float32)):  # wrong dtype
+            with pytest.raises(ContractViolationError):
+                run(grid8, bad, SolverConfig(dt=1e-3, t_final=0.0))
+            with pytest.raises(ContractViolationError):
+                write_snapshot(path, grid8, bad, 0.0)
+            assert not path.exists()
 
 
 class TestDerivatives:
     def test_single_mode(self, grid16):
         _, _, Z = grid16.coordinates()
-        f = fft_forward(ScalarField.physical(grid16, np.sin(4.0 * Z)))
-        df = fft_inverse(spectral_derivative(f, 2))
-        assert np.max(np.abs(df.values - 4.0 * np.cos(4.0 * Z))) < 1e-12
+        f = fft_forward(np.sin(4.0 * Z))
+        df = fft_inverse(spectral_derivative(grid16, f, 2))
+        assert np.max(np.abs(df - 4.0 * np.cos(4.0 * Z))) < 1e-12
 
     def test_product_field(self, grid32):
         X, Y, _ = grid32.coordinates()
-        f = fft_forward(ScalarField.physical(grid32, np.sin(X) * np.cos(2 * Y)))
-        dfy = fft_inverse(spectral_derivative(f, 1))
+        f = fft_forward(np.sin(X) * np.cos(2 * Y))
+        dfy = fft_inverse(spectral_derivative(grid32, f, 1))
         exact = -2.0 * np.sin(X) * np.sin(2 * Y)
-        assert np.max(np.abs(dfy.values - exact)) < 1e-12
+        assert np.max(np.abs(dfy - exact)) < 1e-12
 
     def test_derivative_kills_constants(self, grid8):
-        f = fft_forward(ScalarField.physical(grid8, np.full((8, 8, 8), 7.0)))
+        f = fft_forward(np.full((8, 8, 8), 7.0))
         for axis in range(3):
-            df = spectral_derivative(f, axis)
-            assert np.max(np.abs(df.values)) == 0.0
+            df = spectral_derivative(grid8, f, axis)
+            assert np.max(np.abs(df)) == 0.0
 
     def test_curl_of_beltrami_field(self, grid16):
         # (sin z, cos z, 0) has curl equal to itself.
         _, _, Z = grid16.coordinates()
-        v = VectorField.physical(
-            grid16, (np.sin(Z), np.cos(Z), np.zeros_like(Z)))
+        v = np.stack((np.sin(Z), np.cos(Z), np.zeros_like(Z)))
         vhat = fft_forward(v)
-        w = curl(vhat)
-        for wc, vc in zip(w.arrays(), vhat.arrays()):
+        w = curl(grid16, vhat)
+        for wc, vc in zip(w, vhat):
             assert np.max(np.abs(wc - vc)) < 1e-13
 
     def test_curl_of_gradient_vanishes(self, grid16, rng):
-        phi = fft_forward(ScalarField.physical(
-            grid16, rng.standard_normal((16,) * 3)))
-        gradient = VectorField(tuple(spectral_derivative(phi, a)
-                                     for a in range(3)))
-        w = curl(gradient)
-        scale = max(np.max(np.abs(c)) for c in gradient.arrays())
-        assert max(np.max(np.abs(c)) for c in w.arrays()) < 1e-13 * scale
+        phi = fft_forward(rng.standard_normal((16,) * 3))
+        gradient = np.stack([spectral_derivative(grid16, phi, a)
+                             for a in range(3)])
+        w = curl(grid16, gradient)
+        scale = max(np.max(np.abs(c)) for c in gradient)
+        assert max(np.max(np.abs(c)) for c in w) < 1e-13 * scale
 
 
 class TestLerayProjection:
@@ -176,41 +176,37 @@ class TestLerayProjection:
         X, Y, _ = grid16.coordinates()
         # Helmholtz-decomposable field: (cos x + sin y, 0, 0).
         # grad part: (cos x, 0, 0); solenoidal part: (sin y, 0, 0).
-        v = fft_forward(VectorField.physical(
-            grid16, (np.cos(X) + np.sin(Y), np.zeros_like(X),
-                     np.zeros_like(X))))
-        p = fft_inverse(leray_project(v))
-        assert np.max(np.abs(p.arrays()[0] - np.sin(Y))) < 1e-13
-        assert np.max(np.abs(p.arrays()[1])) < 1e-13
-        assert np.max(np.abs(p.arrays()[2])) < 1e-13
+        v = fft_forward(np.stack(
+            (np.cos(X) + np.sin(Y), np.zeros_like(X), np.zeros_like(X))))
+        p = fft_inverse(leray_project(grid16, v))
+        assert np.max(np.abs(p[0] - np.sin(Y))) < 1e-13
+        assert np.max(np.abs(p[1])) < 1e-13
+        assert np.max(np.abs(p[2])) < 1e-13
 
     def test_idempotent_to_rounding(self, grid16, rng):
-        v = fft_forward(VectorField.physical(
-            grid16, tuple(rng.standard_normal((16,) * 3) for _ in range(3))))
-        once = leray_project(v)
-        twice = leray_project(once)
-        scale = max(np.max(np.abs(a)) for a in once.arrays())
-        for a, b in zip(once.arrays(), twice.arrays()):
+        v = fft_forward(rng.standard_normal((3, 16, 16, 16)))
+        once = leray_project(grid16, v)
+        twice = leray_project(grid16, once)
+        scale = max(np.max(np.abs(a)) for a in once)
+        for a, b in zip(once, twice):
             assert np.max(np.abs(a - b)) < 1e-15 * scale
 
     def test_output_divergence_free(self, grid16, rng):
-        v = fft_forward(VectorField.physical(
-            grid16, tuple(rng.standard_normal((16,) * 3) for _ in range(3))))
-        assert divergence_free_error(leray_project(v)) < 1e-14
+        v = fft_forward(rng.standard_normal((3, 16, 16, 16)))
+        assert divergence_free_error(grid16, leray_project(grid16, v)) < 1e-14
 
     def test_fixes_solenoidal_fields(self, grid16, rng):
         v = make_random_velocity(grid16, rng)
-        p = leray_project(v)
-        for a, b in zip(v.arrays(), p.arrays()):
+        p = leray_project(grid16, v)
+        for a, b in zip(v, p):
             assert np.max(np.abs(a - b)) < 1e-15
 
     def test_preserves_mean_flow(self, grid8):
-        v = VectorField.physical(
-            grid8, (np.full((8,) * 3, 2.0), np.zeros((8,) * 3),
-                    np.full((8,) * 3, -1.0)))
-        p = leray_project(fft_forward(v))
-        assert p.arrays()[0][0, 0, 0] == pytest.approx(2.0)
-        assert p.arrays()[2][0, 0, 0] == pytest.approx(-1.0)
+        v = np.stack((np.full((8,) * 3, 2.0), np.zeros((8,) * 3),
+                      np.full((8,) * 3, -1.0)))
+        p = leray_project(grid8, fft_forward(v))
+        assert p[0][0, 0, 0] == pytest.approx(2.0)
+        assert p[2][0, 0, 0] == pytest.approx(-1.0)
 
 
 class TestDealiasing:
@@ -218,55 +214,54 @@ class TestDealiasing:
         # n=8 keeps |k| <= 2, so a k=3 mode must vanish; retained modes
         # keep their (rounding-noise) coefficients bitwise.
         X, _, _ = grid8.coordinates()
-        f = fft_forward(ScalarField.physical(grid8, np.cos(3.0 * X)))
-        assert abs(f.values[3, 0, 0]) > 0.49
-        cut = dealias_23(f)
-        assert cut.values[3, 0, 0] == 0.0
-        assert cut.values[5, 0, 0] == 0.0  # k = -3 slot
-        expected = np.where(grid8.dealias_mask, f.values, 0.0)
-        assert np.array_equal(cut.values, expected)
+        f = fft_forward(np.cos(3.0 * X))
+        assert abs(f[3, 0, 0]) > 0.49
+        cut = dealias_23(grid8, f)
+        assert cut[3, 0, 0] == 0.0
+        assert cut[5, 0, 0] == 0.0  # k = -3 slot
+        expected = np.where(grid8.dealias_mask, f, 0.0)
+        assert np.array_equal(cut, expected)
 
     def test_mode_at_limit_survives(self, grid8):
         X, _, _ = grid8.coordinates()
-        f = fft_forward(ScalarField.physical(grid8, np.cos(2.0 * X)))
-        cut = dealias_23(f)
-        assert cut.values[2, 0, 0] == f.values[2, 0, 0]
-        assert abs(cut.values[2, 0, 0]) > 0.49
-        assert cut.values[6, 0, 0] == f.values[6, 0, 0]  # k = -2 slot
-        expected = np.where(grid8.dealias_mask, f.values, 0.0)
-        assert np.array_equal(cut.values, expected)
+        f = fft_forward(np.cos(2.0 * X))
+        cut = dealias_23(grid8, f)
+        assert cut[2, 0, 0] == f[2, 0, 0]
+        assert abs(cut[2, 0, 0]) > 0.49
+        assert cut[6, 0, 0] == f[6, 0, 0]  # k = -2 slot
+        expected = np.where(grid8.dealias_mask, f, 0.0)
+        assert np.array_equal(cut, expected)
 
     def test_projection_commutes_with_dealias(self, grid16, rng):
-        v = fft_forward(VectorField.physical(
-            grid16, tuple(rng.standard_normal((16,) * 3) for _ in range(3))))
-        a = dealias_23(leray_project(v))
-        b = leray_project(dealias_23(v))
-        for x, y in zip(a.arrays(), b.arrays()):
+        v = fft_forward(rng.standard_normal((3, 16, 16, 16)))
+        a = dealias_23(grid16, leray_project(grid16, v))
+        b = leray_project(grid16, dealias_23(grid16, v))
+        for x, y in zip(a, b):
             assert np.max(np.abs(x - y)) < 1e-15
 
 
 class TestIntegrals:
     def test_constant(self, grid8):
-        f = ScalarField.physical(grid8, np.full((8,) * 3, 1.0))
-        assert integrate_domain(f) == pytest.approx(TAU ** 3, rel=1e-14)
+        f = np.full((8,) * 3, 1.0)
+        assert integrate_domain(grid8, f) == pytest.approx(TAU ** 3, rel=1e-14)
 
     def test_cosine_squared(self, grid16):
         _, Y, _ = grid16.coordinates()
-        f = ScalarField.physical(grid16, np.cos(Y) ** 2)
-        assert integrate_domain(f) == pytest.approx(0.5 * TAU ** 3, rel=1e-13)
+        f = np.cos(Y) ** 2
+        assert integrate_domain(grid16, f) == pytest.approx(0.5 * TAU ** 3,
+                                                            rel=1e-13)
 
     def test_odd_mode_integrates_to_zero(self, grid16):
         X, _, _ = grid16.coordinates()
-        f = ScalarField.physical(grid16, np.sin(X))
-        assert abs(integrate_domain(f)) < 1e-13
+        f = np.sin(X)
+        assert abs(integrate_domain(grid16, f)) < 1e-13
 
     def test_max_speed(self, grid16):
         X, _, _ = grid16.coordinates()
-        v = VectorField.physical(
-            grid16, (3.0 * np.cos(X), np.zeros_like(X), np.zeros_like(X)))
+        v = np.stack((3.0 * np.cos(X), np.zeros_like(X), np.zeros_like(X)))
         assert max_speed(v) == pytest.approx(3.0, rel=1e-13)
         m = magnitude_squared(v)
-        assert np.max(m.values) == pytest.approx(9.0, rel=1e-13)
+        assert np.max(m) == pytest.approx(9.0, rel=1e-13)
 
 
 class TestPairwiseSum:
@@ -315,7 +310,7 @@ class TestWorkerConfig:
                                                   monkeypatch):
         values = rng.standard_normal((16,) * 3)
         monkeypatch.setenv("EULER_SPECTRA_THREADS", "1")
-        one = fft_forward(ScalarField.physical(grid16, values)).values
+        one = fft_forward(values)
         monkeypatch.setenv("EULER_SPECTRA_THREADS", "2")
-        two = fft_forward(ScalarField.physical(grid16, values)).values
+        two = fft_forward(values)
         assert np.array_equal(one, two)

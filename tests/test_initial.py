@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from euler_spectra.deformation import AdmissibleClass
-from euler_spectra.diagnostics import energy, helicity, enstrophy
+from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, SnapshotFormatError
 from euler_spectra.fields import (
-    VectorField,
     curl,
     divergence_free_error,
     fft_inverse,
@@ -40,20 +39,20 @@ PI3 = math.pi ** 3
 
 class TestTaylorGreen:
     def test_quadratic_invariants(self, grid32):
-        v = taylor_green(grid32)
-        assert energy(v) == pytest.approx(PI3, rel=1e-13)
-        assert abs(helicity(v)) < 1e-12
-        assert enstrophy(v) == pytest.approx(6.0 * PI3, rel=1e-13)
+        record = compute_record(grid32, 0.0, taylor_green(grid32))
+        assert record.E == pytest.approx(PI3, rel=1e-13)
+        assert abs(record.H) < 1e-12
+        assert record.Z == pytest.approx(6.0 * PI3, rel=1e-13)
 
     def test_divergence_free(self, grid32):
-        assert divergence_free_error(taylor_green(grid32)) < 1e-15
+        assert divergence_free_error(grid32, taylor_green(grid32)) < 1e-15
 
     def test_planar(self, grid16):
         v = fft_inverse(taylor_green(grid16))
-        assert np.max(np.abs(v.arrays()[2])) < 1e-15
+        assert np.max(np.abs(v[2])) < 1e-15
 
     def test_is_neither_class(self, grid32):
-        c = classify_initial(taylor_green(grid32))
+        c = classify_initial(grid32, taylor_green(grid32))
         assert c.label == AdmissibleClass.NEITHER
         # Mirror symmetry makes the extrema of the middle eigenvalue
         # exactly opposite.
@@ -62,37 +61,39 @@ class TestTaylorGreen:
 
 class TestABCFlow:
     def test_quadratic_invariants(self, grid32):
-        v = abc_flow(grid32)
-        assert energy(v) == pytest.approx(12.0 * PI3, rel=1e-13)
-        assert helicity(v) == pytest.approx(24.0 * PI3, rel=1e-13)
-        assert enstrophy(v) == pytest.approx(24.0 * PI3, rel=1e-13)
+        record = compute_record(grid32, 0.0, abc_flow(grid32))
+        assert record.E == pytest.approx(12.0 * PI3, rel=1e-13)
+        assert record.H == pytest.approx(24.0 * PI3, rel=1e-13)
+        assert record.Z == pytest.approx(24.0 * PI3, rel=1e-13)
 
     def test_curl_eigenfunction(self, grid16):
         # ABC flow satisfies curl v = v exactly (Beltrami property).
         v = abc_flow(grid16)
-        w = curl(v)
-        for a, b in zip(w.arrays(), v.arrays()):
+        w = curl(grid16, v)
+        for a, b in zip(w, v):
             assert np.max(np.abs(a - b)) < 1e-14
 
     def test_coefficient_scaling(self, grid16):
         # E = (a^2 + b^2 + c^2) * 4 pi^3 for general coefficients.
         v = abc_flow(grid16, a=2.0, b=0.5, c=1.0)
         expected = (4.0 + 0.25 + 1.0) * 4.0 * PI3
-        assert energy(v) == pytest.approx(expected, rel=1e-13)
+        assert compute_record(grid16, 0.0, v).E == pytest.approx(expected,
+                                                                 rel=1e-13)
 
     def test_is_neither_class(self, grid16):
-        assert classify_initial(abc_flow(grid16)).label == AdmissibleClass.NEITHER
+        assert (classify_initial(grid16, abc_flow(grid16)).label
+                == AdmissibleClass.NEITHER)
 
 
 class TestShearFlow:
     def test_enstrophy(self, grid16):
-        v = shear_flow(grid16)
-        assert energy(v) == pytest.approx(0.5 * 4.0 * PI3, rel=1e-13)
-        assert enstrophy(v) == pytest.approx(4.0 * PI3, rel=1e-13)
-        assert abs(helicity(v)) < 1e-13
+        record = compute_record(grid16, 0.0, shear_flow(grid16))
+        assert record.E == pytest.approx(0.5 * 4.0 * PI3, rel=1e-13)
+        assert record.Z == pytest.approx(4.0 * PI3, rel=1e-13)
+        assert abs(record.H) < 1e-13
 
     def test_middle_eigenvalue_identically_zero(self, grid16):
-        c = classify_initial(shear_flow(grid16))
+        c = classify_initial(grid16, shear_flow(grid16))
         assert c.label == AdmissibleClass.NEITHER
         assert abs(c.min_lambda2) < 1e-13
         assert abs(c.max_lambda2) < 1e-13
@@ -102,24 +103,24 @@ class TestRandomSolenoidal:
     def test_seed_reproducibility(self, grid16):
         a = random_solenoidal(grid16, seed=7)
         b = random_solenoidal(grid16, seed=7)
-        for x, y in zip(a.arrays(), b.arrays()):
+        for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_different_seeds_differ(self, grid16):
         a = random_solenoidal(grid16, seed=7)
         b = random_solenoidal(grid16, seed=8)
-        assert any(not np.array_equal(x, y)
-                   for x, y in zip(a.arrays(), b.arrays()))
+        assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_energy_normalization(self, grid16):
         v = random_solenoidal(grid16, seed=3, amplitude=2.5)
-        assert energy(v) == pytest.approx(2.5, rel=1e-12)
+        assert compute_record(grid16, 0.0, v).E == pytest.approx(2.5,
+                                                                rel=1e-12)
 
     def test_divergence_free_and_dealiased(self, grid16):
         v = random_solenoidal(grid16, seed=11)
-        assert divergence_free_error(v) < 1e-14
+        assert divergence_free_error(grid16, v) < 1e-14
         outside = ~grid16.dealias_mask
-        for comp in v.arrays():
+        for comp in v:
             assert np.max(np.abs(comp[outside])) == 0.0
 
     def test_peak_k_must_fit(self, grid16):
@@ -155,40 +156,46 @@ class TestSnapshotIO:
     def test_round_trip_bit_identical(self, grid16, tmp_path):
         v = fft_inverse(taylor_green(grid16))
         path = tmp_path / "field.bin"
-        write_snapshot(path, v, time=0.625)
-        loaded, t = load_snapshot(path)
+        write_snapshot(path, grid16, v, time=0.625)
+        loaded, t, grid = load_snapshot(path)
         assert t == 0.625
-        assert loaded.grid == grid16
-        for a, b in zip(loaded.arrays(), v.arrays()):
+        assert grid == grid16
+        for a, b in zip(loaded, v):
             assert np.array_equal(a, b)
 
     def test_spectral_input_written_as_physical(self, grid16, tmp_path):
         vhat = taylor_green(grid16)
         path = tmp_path / "field.bin"
-        write_snapshot(path, vhat, time=0.0)
-        loaded, _ = load_snapshot(path)
+        write_snapshot(path, grid16, vhat, time=0.0)
+        loaded, _, _ = load_snapshot(path)
         phys = fft_inverse(vhat)
-        for a, b in zip(loaded.arrays(), phys.arrays()):
+        for a, b in zip(loaded, phys):
             assert np.array_equal(a, b)
 
     def test_layout_is_x_fastest(self, tmp_path):
-        # The first payload value after the header must be v1 at the
-        # origin, the next one v1 at (dx, 0, 0).
+        # Each component block starts with its value at the origin,
+        # followed by its value at (dx, 0, 0): v1 right after the
+        # 40-byte header, v2 and v3 after one and two blocks of 8 n^3.
         grid = Grid(8)
+        n = grid.n
         x, y, z = grid.coordinates()
         marker = 100.0 * x + 10.0 * y + z
-        v = VectorField.physical(grid, (marker, 0.0 * marker, 0.0 * marker))
+        v = np.stack((marker, marker + 1000.0, marker + 2000.0))
         path = tmp_path / "layout.bin"
-        write_snapshot(path, v, time=0.0)
+        write_snapshot(path, grid, v, time=0.0)
         raw = path.read_bytes()
-        first_two = np.frombuffer(raw[40:56], dtype="<f8")
-        assert first_two[0] == marker[0, 0, 0]
-        assert first_two[1] == marker[1, 0, 0]
+        for c, offset in enumerate((40, 40 + 8 * n ** 3, 40 + 16 * n ** 3)):
+            first_two = np.frombuffer(raw[offset:offset + 16], dtype="<f8")
+            assert first_two[0] == v[c, 0, 0, 0]
+            assert first_two[1] == v[c, 1, 0, 0]
+        # One step along y is n values further on.
+        offset = 40 + 16 * n ** 3 + 8 * n
+        assert np.frombuffer(raw[offset:offset + 8], "<f8")[0] == v[2, 0, 1, 0]
 
     def test_truncated_file(self, grid16, tmp_path):
         v = fft_inverse(taylor_green(grid16))
         path = tmp_path / "trunc.bin"
-        write_snapshot(path, v, time=0.0)
+        write_snapshot(path, grid16, v, time=0.0)
         raw = path.read_bytes()
         path.write_bytes(raw[:-17])
         with pytest.raises(SnapshotFormatError, match="payload"):
@@ -203,7 +210,7 @@ class TestSnapshotIO:
     def test_bad_magic(self, grid16, tmp_path):
         v = fft_inverse(taylor_green(grid16))
         path = tmp_path / "magic.bin"
-        write_snapshot(path, v, time=0.0)
+        write_snapshot(path, grid16, v, time=0.0)
         raw = bytearray(path.read_bytes())
         raw[0:8] = b"NOTMAGIC"
         path.write_bytes(bytes(raw))
@@ -213,7 +220,7 @@ class TestSnapshotIO:
     def test_unsupported_version(self, grid16, tmp_path):
         v = fft_inverse(taylor_green(grid16))
         path = tmp_path / "version.bin"
-        write_snapshot(path, v, time=0.0)
+        write_snapshot(path, grid16, v, time=0.0)
         raw = bytearray(path.read_bytes())
         raw[8] = 99
         path.write_bytes(bytes(raw))
@@ -223,7 +230,7 @@ class TestSnapshotIO:
     def test_corrupted_payload_checksum(self, grid16, tmp_path):
         v = fft_inverse(taylor_green(grid16))
         path = tmp_path / "corrupt.bin"
-        write_snapshot(path, v, time=0.0)
+        write_snapshot(path, grid16, v, time=0.0)
         raw = bytearray(path.read_bytes())
         raw[40 + 1000] ^= 0xFF
         path.write_bytes(bytes(raw))

@@ -14,22 +14,17 @@ import math
 import numpy as np
 import pytest
 
-from euler_spectra.diagnostics import energy, helicity
+from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, NumericsError
-from euler_spectra.fields import (
-    VectorField,
-    divergence_free_error,
-    fft_forward,
-    fft_inverse,
-)
+from euler_spectra.fields import divergence_free_error, fft_inverse
 from euler_spectra.initial import abc_flow, shear_flow, taylor_green
-from euler_spectra.solver import SolverConfig, SolverState, rhs, run, step_rk4
+from euler_spectra.solver import SolverConfig, rhs, run
 
 from conftest import make_random_velocity
 
 
 def max_component_diff(a, b):
-    return max(np.max(np.abs(x - y)) for x, y in zip(a.arrays(), b.arrays()))
+    return max(np.max(np.abs(x - y)) for x, y in zip(a, b))
 
 
 class TestSolverConfig:
@@ -57,26 +52,22 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError):
             SolverConfig(dt=3e-3, t_final=1e-2).step_count()
 
-    def test_state_must_be_spectral(self, grid8):
-        with pytest.raises(ConfigurationError):
-            SolverState(0.0, VectorField.zeros(grid8, "physical"))
-
 
 class TestSteadySolutions:
     def test_shear_rhs_vanishes(self, grid16):
         v = shear_flow(grid16)
-        f = rhs(v)
-        assert max_component_diff(f, VectorField.zeros(grid16, "spectral")) < 1e-12
+        f = rhs(grid16, v)
+        assert max_component_diff(f, np.zeros_like(f)) < 1e-12
 
     def test_abc_rhs_vanishes(self, grid16):
         # v x omega = v x v = 0 pointwise for a Beltrami field.
         v = abc_flow(grid16)
-        f = rhs(v)
-        assert max_component_diff(f, VectorField.zeros(grid16, "spectral")) < 1e-11
+        f = rhs(grid16, v)
+        assert max_component_diff(f, np.zeros_like(f)) < 1e-11
 
     def test_abc_run_returns_initial_field(self, grid16):
         v0 = abc_flow(grid16)
-        state = run(v0, SolverConfig(dt=2e-3, t_final=0.1))
+        state = run(grid16, v0, SolverConfig(dt=2e-3, t_final=0.1))
         assert state.step_index == 50
         assert state.t == pytest.approx(0.1, abs=1e-12)
         assert max_component_diff(state.v, v0) < 1e-13
@@ -89,18 +80,19 @@ class TestViscousDecay:
         nu = 0.3
         v0 = shear_flow(grid16)
         config = SolverConfig(dt=1e-3, t_final=0.5, nu=nu)
-        state = run(v0, config)
+        state = run(grid16, v0, config)
         expected = math.exp(-nu * 0.5)
         v_end = fft_inverse(state.v)
         _, y, _ = grid16.coordinates()
-        err = np.max(np.abs(v_end.arrays()[0] - expected * np.sin(y)))
+        err = np.max(np.abs(v_end[0] - expected * np.sin(y)))
         assert err < 1e-12
-        assert np.max(np.abs(v_end.arrays()[1])) < 1e-13
+        assert np.max(np.abs(v_end[1])) < 1e-13
 
     def test_energy_decreases_under_viscosity(self, grid16):
         v0 = taylor_green(grid16)
-        state = run(v0, SolverConfig(dt=2e-3, t_final=0.1, nu=0.1))
-        assert energy(state.v) < energy(v0)
+        state = run(grid16, v0, SolverConfig(dt=2e-3, t_final=0.1, nu=0.1))
+        assert (compute_record(grid16, state.t, state.v).E
+                < compute_record(grid16, 0.0, v0).E)
 
 
 class TestConvergenceOrder:
@@ -108,10 +100,12 @@ class TestConvergenceOrder:
         # Richardson: with a dt^4 global error, err(dt) / err(dt/2) = 16.
         v0 = taylor_green(grid16)
         horizon = 0.2
-        reference = run(v0, SolverConfig(dt=horizon / 256, t_final=horizon))
+        reference = run(grid16, v0,
+                        SolverConfig(dt=horizon / 256, t_final=horizon))
         errs = []
         for steps in (8, 16):
-            state = run(v0, SolverConfig(dt=horizon / steps, t_final=horizon))
+            state = run(grid16, v0,
+                        SolverConfig(dt=horizon / steps, t_final=horizon))
             errs.append(max_component_diff(state.v, reference.v))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
@@ -120,8 +114,8 @@ class TestConvergenceOrder:
         # Inviscid dynamics is reversible: integrating forward then
         # backward (negated velocity) recovers the start to O(dt^4).
         v0 = taylor_green(grid16)
-        fwd = run(v0, SolverConfig(dt=5e-3, t_final=0.2))
-        back = run(-1.0 * fwd.v, SolverConfig(dt=5e-3, t_final=0.2))
+        fwd = run(grid16, v0, SolverConfig(dt=5e-3, t_final=0.2))
+        back = run(grid16, -1.0 * fwd.v, SolverConfig(dt=5e-3, t_final=0.2))
         recovered = -1.0 * back.v
         assert max_component_diff(recovered, v0) < 1e-9
 
@@ -129,24 +123,27 @@ class TestConvergenceOrder:
 class TestConservation:
     def test_energy_and_helicity_inviscid(self, grid16, rng):
         v0 = make_random_velocity(grid16, rng, scale=0.3)
-        e0, h0 = energy(v0), helicity(v0)
+        first = compute_record(grid16, 0.0, v0)
+        e0, h0 = first.E, first.H
         records = []
-        run(v0, SolverConfig(dt=2e-3, t_final=0.1),
-            observers=[lambda s: records.append((energy(s.v), helicity(s.v)))])
-        energies, helicities = zip(*records)
+        run(grid16, v0, SolverConfig(dt=2e-3, t_final=0.1),
+            observers=[lambda s: records.append(
+                compute_record(grid16, s.t, s.v))])
+        energies = [r.E for r in records]
+        helicities = [r.H for r in records]
         assert max(abs(e - e0) for e in energies) < 1e-12 * abs(e0)
         assert max(abs(h - h0) for h in helicities) < 1e-10 * max(abs(h0), 1.0)
 
     def test_divergence_stays_pinned(self, grid16, rng):
         v0 = make_random_velocity(grid16, rng)
-        state = run(v0, SolverConfig(dt=2e-3, t_final=0.05))
-        assert divergence_free_error(state.v) < 1e-13
+        state = run(grid16, v0, SolverConfig(dt=2e-3, t_final=0.05))
+        assert divergence_free_error(grid16, state.v) < 1e-13
 
 
 class TestRunMechanics:
     def test_zero_horizon_is_noop(self, grid16):
         v0 = taylor_green(grid16)
-        state = run(v0, SolverConfig(dt=1e-3, t_final=0.0))
+        state = run(grid16, v0, SolverConfig(dt=1e-3, t_final=0.0))
         assert state.step_index == 0
         assert state.t == 0.0
         # Entry re-projection may move coefficients by ulps, nothing more.
@@ -154,12 +151,13 @@ class TestRunMechanics:
 
     def test_physical_initial_accepted(self, grid16):
         v0 = fft_inverse(taylor_green(grid16))
-        state = run(v0, SolverConfig(dt=1e-3, t_final=0.0))
-        assert state.v.is_spectral
+        state = run(grid16, v0, SolverConfig(dt=1e-3, t_final=0.0))
+        assert state.v.dtype == np.complex128
+        assert max_component_diff(state.v, taylor_green(grid16)) < 1e-15
 
     def test_observer_cadence(self, grid16):
         seen = []
-        run(taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.05),
+        run(grid16, taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.05),
             observers=[lambda s: seen.append((s.step_index, s.t))])
         assert [i for i, _ in seen] == [0, 1, 2, 3, 4, 5]
         assert seen[-1][1] == pytest.approx(0.05, abs=1e-12)
@@ -168,7 +166,7 @@ class TestRunMechanics:
         # t is computed as step_index * dt, not accumulated, so even
         # thousands of steps stay exact to the last bit.
         times = []
-        run(shear_flow(grid16), SolverConfig(dt=1e-3, t_final=0.02),
+        run(grid16, shear_flow(grid16), SolverConfig(dt=1e-3, t_final=0.02),
             observers=[lambda s: times.append(s.t)])
         for i, t in enumerate(times):
             assert t == i * 1e-3
@@ -178,7 +176,7 @@ class TestRunMechanics:
         # A gigantic dt makes RK4 unstable within a few steps.
         v0 = taylor_green(grid16)
         with pytest.raises(NumericsError) as exc_info:
-            run(v0, SolverConfig(dt=50.0, t_final=500.0))
+            run(grid16, v0, SolverConfig(dt=50.0, t_final=500.0))
         err = exc_info.value
         assert err.step_index is not None and err.step_index >= 1
         assert err.time is not None
@@ -188,7 +186,7 @@ class TestRunMechanics:
         config = SolverConfig(dt=0.5, t_final=1.0, cfl_warning=0.05)
         with caplog.at_level(logging.WARNING, "euler_spectra.solver"):
             try:
-                run(v0, config)
+                run(grid16, v0, config)
             except NumericsError:
                 pass  # instability is fine; we only care about the log
         warnings = [r for r in caplog.records if "CFL" in r.message]
@@ -197,20 +195,21 @@ class TestRunMechanics:
     def test_no_cfl_warning_when_resolved(self, grid16, caplog):
         v0 = taylor_green(grid16)
         with caplog.at_level(logging.WARNING, "euler_spectra.solver"):
-            run(v0, SolverConfig(dt=1e-3, t_final=0.01))
+            run(grid16, v0, SolverConfig(dt=1e-3, t_final=0.01))
         assert not [r for r in caplog.records if "CFL" in r.message]
 
 
 class TestDealiasingEffect:
     def test_masked_run_keeps_band_limited(self, grid16):
-        state = run(taylor_green(grid16), SolverConfig(dt=2e-3, t_final=0.1))
+        state = run(grid16, taylor_green(grid16),
+                    SolverConfig(dt=2e-3, t_final=0.1))
         outside = ~grid16.dealias_mask
-        for comp in state.v.arrays():
+        for comp in state.v:
             assert np.max(np.abs(comp[outside])) == 0.0
 
     def test_unmasked_run_differs(self, grid16):
         config_on = SolverConfig(dt=2e-3, t_final=0.1, dealias=True)
         config_off = SolverConfig(dt=2e-3, t_final=0.1, dealias=False)
-        a = run(taylor_green(grid16), config_on)
-        b = run(taylor_green(grid16), config_off)
+        a = run(grid16, taylor_green(grid16), config_on)
+        b = run(grid16, taylor_green(grid16), config_off)
         assert max_component_diff(a.v, b.v) > 1e-12
