@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 numeric
 abort (NaN detected mid-run), 3 I/O failure (unreadable input,
-unwritable output, corrupt snapshot).  A run that aborts with code 2,
-or with code 3 after it has started, still writes ``summary.json``
-with an ``abort`` block.
+unwritable output, corrupt snapshot), 130 run interrupted (Ctrl-C,
+i.e. ``KeyboardInterrupt``).  A run that aborts with code 2 or 130, or
+with code 3 after it has started, still writes ``summary.json`` with an
+``abort`` block.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from euler_spectra.deformation import classify_admissible
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
+    classify_and_record,
     compute_record,
     identity_residuals,
 )
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130
 
 
 class _UsageError(Exception):
@@ -191,7 +194,7 @@ def cmd_run(args) -> int:
         eps_floor=cfg.eps_floor)
 
     # The latest state handed to the observers, for the abort block of
-    # an I/O failure.
+    # an I/O failure or an interrupt.
     reached = None
 
     def reached_observer(state):
@@ -240,15 +243,17 @@ def cmd_run(args) -> int:
         write_snapshot(out_dir / "final.bin", grid, final_state.v,
                        final_state.t)
         summary["run"]["steps_completed"] = final_state.step_index
-    except OSError as exc:
+    except (OSError, KeyboardInterrupt) as exc:
+        interrupted = isinstance(exc, KeyboardInterrupt)
+        message = "interrupted" if interrupted else f"I/O failure: {exc}"
         summary["run"]["aborted"] = True
         summary["run"]["abort"] = {
             "step_index": reached.step_index if reached else None,
             "time": reached.t if reached else None,
-            "message": f"I/O failure: {exc}",
+            "message": message,
         }
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        exit_code = EXIT_IO
+        print(f"error: {message}", file=sys.stderr)
+        exit_code = EXIT_INTERRUPTED if interrupted else EXIT_IO
     except NumericsError as exc:
         summary["run"]["aborted"] = True
         summary["run"]["abort"] = {
@@ -291,12 +296,14 @@ def cmd_diagnose(args) -> int:
             "snapshots must be supplied in strictly increasing time order")
 
     spectral = [fft_forward(v) for v, _, _ in loaded]
-    classification = classify_initial(grid, spectral[0])
 
     print(",".join(DiagnosticsRecord.field_names()))
+    # The first snapshot is classified from its own record's spectra.
+    classification, record = classify_and_record(grid, times[0], spectral[0])
     records = []
     for t, vh in zip(times, spectral):
-        record = compute_record(grid, t, vh, classification=classification)
+        if records:
+            record = compute_record(grid, t, vh, classification=classification)
         records.append(record)
         print(",".join(repr(float(x)) for x in record.as_tuple()))
 

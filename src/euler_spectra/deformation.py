@@ -23,7 +23,11 @@ read off from column cross products of ``S - l_iso I``, an orthonormal
 basis of its complement is completed, and the remaining 2x2 symmetric
 block is solved exactly.  Both routes are non-iterative and avoid any
 LAPACK dependency, so library eigensolvers remain available as an
-independent cross-check.
+independent cross-check.  Where products of entries would leave the
+floating-point range (tensors far from unit size, or a deviator tiny
+against the trace), the solver rescales by exact powers of two, or
+skips the division by a negligible deviator's cube, so inputs of
+ordinary size come out bit for bit as without those guards.
 """
 
 import logging
@@ -42,6 +46,14 @@ logger = logging.getLogger("euler_spectra.deformation")
 # At the crossover the trig route still carries ~eps/GAP_THRESHOLD ~ 2e-12
 # relative error, comfortably under the 1e-10 contract.
 _GAP_THRESHOLD = 1e-4
+
+# Points whose largest tensor entry lies outside this range are rescaled
+# before the eigensolve: within it, the squares and cubes of entries
+# formed by the trigonometric route stay normal floats.
+_SAFE_MIN = 2.0 ** -200
+_SAFE_MAX = 2.0 ** 200
+# Deviator scale below which _eigenvalues_trig does not divide by p^3.
+_TINY_SPREAD = 2.0 ** -300
 
 # Component order of a deformation tensor array of shape (6, n, n, n).
 _COMPONENT_NAMES = ("s11", "s12", "s13", "s22", "s23", "s33")
@@ -87,7 +99,7 @@ def velocity_gradient(grid: Grid, v: np.ndarray) -> np.ndarray:
     Returns a ``(3, 3, n, n, n)`` array with ``grad[i, j] = d v_j / d x_i``
     (row index = derivative direction).
     """
-    grad = np.empty((3,) + v.shape)
+    grad = np.empty((3, 3) + (grid.n,) * 3)
     for i in range(3):
         for j in range(3):
             grad[i, j] = fft_inverse(spectral_derivative(grid, v[j], i))
@@ -108,7 +120,7 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
     """
     v1, v2, v3 = v
     kx, ky, kz = grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z
-    tensor = np.empty((6,) + v.shape[1:])
+    tensor = np.empty((6,) + (grid.n,) * 3)
     tensor[0] = fft_inverse(1j * kx * v1)
     tensor[1] = fft_inverse(0.5j * (kx * v2 + ky * v1))
     tensor[2] = fft_inverse(0.5j * (kx * v3 + kz * v1))
@@ -143,7 +155,11 @@ def _eigenvalues_trig(s11, s12, s13, s22, s23, s33):
     det = (b11 * (b22 * b33 - s23 * s23)
            - s12 * (s12 * b33 - s23 * s13)
            + s13 * (s12 * s23 - b22 * s13))
-    p_safe = np.where(p > 0.0, p, 1.0)
+    # det / p^3 turns into 0/0 once p^3 underflows.  A deviator that
+    # small is negligible against the entries eigenvalues_sym3 lets
+    # through (largest entry >= _SAFE_MIN), so dividing by 1 instead
+    # still gives q to within O(p).
+    p_safe = np.where(p > _TINY_SPREAD, p, 1.0)
     arg = np.clip(0.5 * det / (p_safe * p_safe * p_safe), -1.0, 1.0)
     theta = np.arccos(arg) / 3.0
     l1 = 2.0 * p * np.cos(theta)
@@ -177,6 +193,12 @@ def _refine_near_degenerate(components, lam, idx):
     lam_iso = np.where(gap_hi > gap_lo, sub[:, 0], sub[:, 2])
 
     M = S - lam_iso[:, None, None] * np.eye(3)
+    # The null direction does not depend on the scale of M, which is the
+    # deviator's and can be tiny against S.  An exact power-of-two
+    # rescaling to unit size keeps the norms of the cross products below
+    # (fourth powers of the entries) out of the subnormal range.
+    _, exponent = np.frexp(np.max(np.abs(M), axis=(1, 2)))
+    M = np.ldexp(M, -exponent[:, None, None])
     c0, c1, c2 = M[:, :, 0], M[:, :, 1], M[:, :, 2]
     # For symmetric M of rank 2, any cross product of two independent
     # columns points along the null space, i.e. the isolated eigenvector.
@@ -237,6 +259,19 @@ def eigenvalues_sym3(tensor: np.ndarray) -> np.ndarray:
                 f"non-finite deformation tensor component {name} at grid "
                 f"index {tuple(int(b) for b in bad)}")
 
+    # The products below under- or overflow where a point's largest
+    # entry lies far from 1.  Such points are scaled by a power
+    # of two, which is exact, and scaled back at the end; the others,
+    # in practice all of them, are left untouched.
+    peak = np.abs(tensor[0])
+    for component in tensor[1:]:
+        np.maximum(peak, np.abs(component), out=peak)
+    rescale = (peak > _SAFE_MAX) | ((peak < _SAFE_MIN) & (peak > 0.0))
+    rescaled = bool(np.any(rescale))
+    if rescaled:
+        exponent = np.where(rescale, np.frexp(peak)[1], 0)
+        tensor = np.ldexp(tensor, -exponent)
+
     l1, l2, l3, spread = _eigenvalues_trig(*tensor)
 
     gap = np.minimum(l1 - l2, l2 - l3)
@@ -245,8 +280,10 @@ def eigenvalues_sym3(tensor: np.ndarray) -> np.ndarray:
         flat = tuple(c.ravel() for c in tensor)
         lam = np.stack([l1.ravel(), l2.ravel(), l3.ravel()], axis=1)
         _refine_near_degenerate(flat, lam, np.nonzero(needs_refine.ravel())[0])
-        return lam.T.reshape((3,) + l1.shape)
-    return np.stack((l1, l2, l3))
+        spectra = lam.T.reshape((3,) + l1.shape)
+    else:
+        spectra = np.stack((l1, l2, l3))
+    return np.ldexp(spectra, exponent) if rescaled else spectra
 
 
 def classify_admissible(spectra: np.ndarray,

@@ -102,15 +102,17 @@ def resolution_tail_fraction(grid: Grid, v: np.ndarray) -> float:
 
     A well-resolved field keeps this small; values approaching one mean
     the retained band is saturated and the run is underresolved.  Uses
-    the infinity-norm shell |k|_inf > (2/3) * (n/3) as the tail.
+    the infinity-norm shell |k|_inf > (2/3) * (n/3) as the tail.  Sums
+    run over the half spectrum with the grid's Parseval weight.
     """
-    power = sum(np.abs(c) ** 2 for c in curl(grid, v))
+    power = grid.parseval_weight * sum(np.abs(c) ** 2
+                                       for c in curl(grid, v))
     keep = grid.dealias_mask
     n = grid.n
     absf = np.abs(grid.freq)
     kinf = np.maximum(np.maximum(absf.reshape(n, 1, 1),
                                  absf.reshape(1, n, 1)),
-                      absf.reshape(1, 1, n))
+                      np.abs(grid.freq_z).reshape(1, 1, -1))
     tail = keep & (kinf > (2.0 / 3.0) * grid.dealias_limit)
     total = pairwise_sum(power[keep])
     if total <= 0.0:
@@ -158,6 +160,20 @@ class DiagnosticsRecord:
 assert tuple(f.name for f in dataclass_fields(DiagnosticsRecord)) == _CSV_FIELDS
 
 
+class _ClassifyHere:
+    """Stands in for the classification of the sample being recorded.
+
+    :func:`compute_record` classifies the spectra it has just computed
+    with ``tolerance``, keeps the outcome in ``result`` and uses it for
+    the record's epsilon ratio, so the first sample of a series needs
+    one strain eigensolve, not two.
+    """
+
+    def __init__(self, tolerance: float | None):
+        self.tolerance = tolerance
+        self.result: Classification | None = None
+
+
 def compute_record(grid: Grid, t: float, v: np.ndarray,
                    classification: Classification | None = None,
                    eps_floor: float | None = None,
@@ -167,11 +183,16 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     The epsilon-ratio infimum is only defined while the run sits in a
     one-signed class; pass the run's classification (and whether the
     sign condition still holds) to populate it, otherwise it is NaN.
+    :func:`classify_and_record` classifies the sample itself first.
     """
     v_phys = fft_inverse(v)
     omega_phys = fft_inverse(curl(grid, v))
     tensor = deformation_tensor(grid, v)
     spectra = eigenvalues_sym3(tensor)
+    if isinstance(classification, _ClassifyHere):
+        classification.result = classify_admissible(
+            spectra, classification.tolerance)
+        classification = classification.result
 
     e = 0.5 * integrate_domain(grid, magnitude_squared(v_phys))
     h = integrate_domain(grid, pointwise_dot(v_phys, omega_phys))
@@ -200,6 +221,26 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
         sup_l2m_abs=sup_l2m_abs, inf_l2m_abs=inf_l2m_abs,
         min_l2=min_l2, max_l2=max_l2,
         inf_eps=inf_eps, bkm_sup_vort=max_speed(omega_phys))
+
+
+def classify_and_record(grid: Grid, t: float, v: np.ndarray,
+                        tolerance: float | None = None,
+                        eps_floor: float | None = None):
+    """Classify the first sample of a series and record it.
+
+    Gives the same classification as
+    :func:`~euler_spectra.initial.classify_initial` and the same record
+    as :func:`compute_record` called with it, from one deformation
+    tensor and one eigensolve.
+
+    Returns
+    -------
+    (Classification, DiagnosticsRecord)
+    """
+    pending = _ClassifyHere(tolerance)
+    record = compute_record(grid, t, v, classification=pending,
+                            eps_floor=eps_floor)
+    return pending.result, record
 
 
 def identity_residuals(record: DiagnosticsRecord) -> dict:
@@ -273,7 +314,9 @@ class DiagnosticsCollector:
                               "stretching_cubic": 0.0,
                               "cubic_product": 0.0}
         self.tail_fraction_initial: float | None = None
-        self.tail_fraction_final: float | None = None
+        # Spectral velocity of the latest record; the summary's final
+        # tail fraction is computed from it once, not on every record.
+        self._last_v = None
 
         self._fh = None
         self._accumulator = EnvelopeAccumulator()
@@ -310,18 +353,17 @@ class DiagnosticsCollector:
     def __call__(self, state):
         if state.step_index % self.every != 0:
             return
-        first = not self.records
-        if first:
-            spectra = eigenvalues_sym3(deformation_tensor(self.grid, state.v))
-            self.classification = classify_admissible(
-                spectra, self.class_tolerance)
+        if not self.records:
+            self.classification, record = classify_and_record(
+                self.grid, state.t, state.v, self.class_tolerance,
+                self.eps_floor)
             self.tail_fraction_initial = resolution_tail_fraction(
                 self.grid, state.v)
-
-        record = compute_record(self.grid, state.t, state.v,
-                                classification=self.classification,
-                                eps_floor=self.eps_floor,
-                                class_valid=self._class_active())
+        else:
+            record = compute_record(self.grid, state.t, state.v,
+                                    classification=self.classification,
+                                    eps_floor=self.eps_floor,
+                                    class_valid=self._class_active())
         self._update_zero_touch(record)
         if (self.zero_touch_time is not None
                 and self.zero_touch_time == record.t):
@@ -333,7 +375,7 @@ class DiagnosticsCollector:
         for key, value in identity_residuals(record).items():
             if value > self.max_residuals[key]:
                 self.max_residuals[key] = value
-        self.tail_fraction_final = resolution_tail_fraction(self.grid, state.v)
+        self._last_v = state.v
 
         envelope_row = self._advance_envelopes(record)
         self._write_row(record, envelope_row)
@@ -385,6 +427,7 @@ class DiagnosticsCollector:
             "identity_residuals": dict(self.max_residuals),
             "resolution_health": {
                 "tail_enstrophy_fraction_initial": self.tail_fraction_initial,
-                "tail_enstrophy_fraction_final": self.tail_fraction_final,
+                "tail_enstrophy_fraction_final": resolution_tail_fraction(
+                    self.grid, self._last_v),
             },
         }

@@ -366,9 +366,9 @@ def epsilon_decay_bound(records, classification: Classification,
 def vorticity_transport_residual(grid: Grid, times, velocities):
     """Pointwise residual of the vorticity transport equation.
 
-    Given uniformly spaced ``(3, n, n, n)`` velocity snapshots on
-    ``grid`` (physical float64 or spectral complex128), computes
-    d(omega)/dt + (v . grad) omega - (omega . grad) v  with a
+    Given uniformly spaced velocity snapshots on ``grid`` (physical
+    float64 or half-spectrum complex128, see ``fields.check_velocity``),
+    computes d(omega)/dt + (v . grad) omega - (omega . grad) v  with a
     fourth-order time stencil and spectral space derivatives.
 
     Returns

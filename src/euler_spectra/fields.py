@@ -3,14 +3,20 @@
 Conventions used throughout the package:
 
 - A field is a plain ndarray whose last three axes are ``[ix, iy, iz]``.
-  Components sit on a leading axis: a vector field is ``(3, n, n, n)``,
-  the deformation tensor ``(6, n, n, n)`` and its eigenvalues
-  ``(3, n, n, n)``.
+  Components sit on a leading axis: a physical vector field is
+  ``(3, n, n, n)``, the deformation tensor ``(6, n, n, n)`` and its
+  eigenvalues ``(3, n, n, n)``.
 - The dtype gives the representation.  Physical-space values are real
-  ``float64``; spectral values are ``complex128`` DFT coefficients with
-  *forward* normalization (``scipy.fft.fftn(..., norm="forward")``), so
-  the coefficient at (0, 0, 0) equals the field mean and Parseval reads
-  ``integral(f^2) = volume * sum(|fhat|^2)``.
+  ``float64`` with space shape ``(n, n, n)``; spectral values are
+  ``complex128`` real-to-complex DFT coefficients with *forward*
+  normalization (``scipy.fft.rfftn(..., norm="forward")``) and space
+  shape ``(n, n, n//2 + 1)``: the x and y axes hold all n modes, the
+  z axis only kz = 0, ..., n/2, because the kz < 0 half of the
+  spectrum of a real field is the complex conjugate of the kz > 0 half.
+  A spectral velocity is therefore ``(3, n, n, n//2 + 1)``.
+- The coefficient at (0, 0, 0) equals the field mean.  Parseval counts
+  each interior z plane twice, once for its omitted conjugate:
+  ``integral(f^2) = volume * sum(grid.parseval_weight * |fhat|^2)``.
 - Differentiation multiplies by ``1j * k`` with the Nyquist mode zeroed
   (see :mod:`euler_spectra.grid`); the solenoidal projection uses the
   full integer wavenumbers and is exactly idempotent.  Operators that
@@ -52,14 +58,19 @@ def fft_workers() -> int:
 
 
 def check_velocity(grid: Grid, v: np.ndarray) -> None:
-    """Require a ``(3, n, n, n)`` float64 or complex128 array on ``grid``.
+    """Require a velocity on ``grid`` in either representation.
+
+    Physical velocities are float64 ``(3, n, n, n)``, spectral ones
+    complex128 half spectra ``(3, n, n, n//2 + 1)``.
 
     Raises
     ------
     ContractViolationError
         On any other shape or dtype.
     """
-    shape = (3,) + (grid.n,) * 3
+    n = grid.n
+    spectral = isinstance(v, np.ndarray) and v.dtype == np.complex128
+    shape = (3, n, n, n // 2 + 1) if spectral else (3, n, n, n)
     if not isinstance(v, np.ndarray) or v.shape != shape:
         raise ContractViolationError(
             f"velocity shape {getattr(v, 'shape', None)} does not match "
@@ -71,23 +82,25 @@ def check_velocity(grid: Grid, v: np.ndarray) -> None:
 
 
 def fft_forward(values: np.ndarray) -> np.ndarray:
-    """Physical -> spectral transform (forward-normalized).
+    """Physical -> half-spectrum transform (forward-normalized).
 
     Transforms the last three axes, so a scalar ``(n, n, n)`` or a
-    stacked ``(m, n, n, n)`` field goes through one call.
+    stacked ``(m, n, n, n)`` real field goes through one call and comes
+    back with space shape ``(n, n, n//2 + 1)``.
     """
-    return scipy.fft.fftn(values, axes=_SPACE_AXES, norm="forward",
-                          workers=fft_workers())
+    return scipy.fft.rfftn(values, axes=_SPACE_AXES, norm="forward",
+                           workers=fft_workers())
 
 
 def fft_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Spectral -> physical transform; imaginary residue is discarded.
+    """Half-spectrum -> physical transform of the last three axes.
 
-    The solver only ever holds coefficients of real fields, so the
-    imaginary part of the inverse transform is rounding noise.
+    The space shape ``(n, n, n//2 + 1)`` comes back as the real
+    ``(n, n, n)`` field.
     """
-    return scipy.fft.ifftn(coeffs, axes=_SPACE_AXES, norm="forward",
-                           workers=fft_workers()).real
+    n = coeffs.shape[-3]
+    return scipy.fft.irfftn(coeffs, s=(n, n, n), axes=_SPACE_AXES,
+                            norm="forward", workers=fft_workers())
 
 
 def spectral_derivative(grid: Grid, coeffs: np.ndarray,

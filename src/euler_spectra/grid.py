@@ -4,6 +4,11 @@ A :class:`Grid` owns every wavenumber table the spectral operators need,
 so downstream code never rebuilds (or worse, rebuilds inconsistently)
 the derivative wavenumbers, projection wavenumbers, or dealiasing mask.
 
+Spectral arrays hold the real-to-complex half spectrum: the x and y
+axes carry all n modes in FFT order, the z axis only the n//2 + 1
+modes kz = 0, 1, ..., n/2 (the layout of ``scipy.fft.rfftn``).  The
+tables below are shaped to broadcast against ``(n, n, n//2 + 1)``.
+
 Two distinct wavenumber tables coexist on purpose:
 
 ``k_deriv``
@@ -16,6 +21,10 @@ Two distinct wavenumber tables coexist on purpose:
     The full integer wavenumbers including Nyquist.  The solenoidal
     projection uses these so that it is exactly idempotent on every
     representable mode, Nyquist included.
+
+Every stored mode with 0 < kz < n/2 stands for itself and its complex
+conjugate at -k, which the half spectrum omits; ``parseval_weight``
+counts those modes twice in spectral sums.
 """
 
 import math
@@ -46,12 +55,25 @@ class Grid:
     to the (frozen) instance:
 
     - ``dx``, ``cell_volume``, ``volume``
-    - ``freq``: integer mode numbers along one axis, FFT layout
+    - ``freq``: integer mode numbers along the x or y axis, FFT layout
+      (n entries)
+    - ``freq_z``: integer mode numbers along the half-spectrum z axis,
+      the first n//2 + 1 entries of ``freq`` (0, 1, ..., n/2 - 1, -n/2)
     - ``k_deriv_x/y/z``: broadcastable derivative wavenumbers (Nyquist
       zeroed, physical units)
     - ``k_true_x/y/z``: broadcastable projection wavenumbers
-    - ``k_squared``: |k|^2 from the true wavenumbers, shape (n, n, n)
-    - ``dealias_mask``: boolean keep-mask for the 2/3-rule ball
+    - ``k_squared``, ``k_squared_safe``: |k|^2 from the true
+      wavenumbers, shape (n, n, n//2 + 1); the safe copy has 1 at k = 0
+    - ``dealias_mask``: boolean keep-mask for the 2/3-rule ball, shape
+      (n, n, n//2 + 1)
+    - ``parseval_weight``: shape (1, 1, n//2 + 1), 1 on the kz = 0 and
+      kz = n/2 planes and 2 on every other plane, so that
+      ``volume * sum(parseval_weight * |fhat|^2)`` is the integral of
+      ``f^2`` over the box
+
+    The z-axis Nyquist entry keeps the sign of the x and y tables
+    (-n/2), so every table equals the full-spectrum one restricted to
+    its first n//2 + 1 z planes.
     """
 
     n: int
@@ -77,6 +99,8 @@ class Grid:
         # Integer mode numbers in FFT layout: 0, 1, ..., n/2-1, -n/2, ..., -1
         freq = np.fft.fftfreq(n, d=1.0 / n).astype(np.float64)
         object.__setattr__(self, "freq", freq)
+        half = n // 2 + 1
+        object.__setattr__(self, "freq_z", freq[:half].copy())
 
         scale = TAU / self.length
         k_deriv = scale * freq
@@ -85,10 +109,12 @@ class Grid:
 
         object.__setattr__(self, "k_deriv_x", k_deriv.reshape(n, 1, 1))
         object.__setattr__(self, "k_deriv_y", k_deriv.reshape(1, n, 1))
-        object.__setattr__(self, "k_deriv_z", k_deriv.reshape(1, 1, n))
+        object.__setattr__(self, "k_deriv_z",
+                           k_deriv[:half].reshape(1, 1, half))
         object.__setattr__(self, "k_true_x", k_true.reshape(n, 1, 1))
         object.__setattr__(self, "k_true_y", k_true.reshape(1, n, 1))
-        object.__setattr__(self, "k_true_z", k_true.reshape(1, 1, n))
+        object.__setattr__(self, "k_true_z",
+                           k_true[:half].reshape(1, 1, half))
 
         k_squared = (self.k_true_x ** 2 + self.k_true_y ** 2
                      + self.k_true_z ** 2)
@@ -104,8 +130,13 @@ class Grid:
             "dealias_mask",
             (keep_1d.reshape(n, 1, 1)
              & keep_1d.reshape(1, n, 1)
-             & keep_1d.reshape(1, 1, n)),
+             & keep_1d[:half].reshape(1, 1, half)),
         )
+
+        # Interior z planes stand for their omitted conjugates as well.
+        weight = np.full(half, 2.0)
+        weight[0] = weight[-1] = 1.0
+        object.__setattr__(self, "parseval_weight", weight.reshape(1, 1, half))
 
     def coordinates(self):
         """Return the physical coordinate arrays (X, Y, Z), ij-indexed.
@@ -117,10 +148,13 @@ class Grid:
         return np.meshgrid(axis, axis, axis, indexing="ij")
 
     def mode_radius(self):
-        """Integer-wavenumber magnitude sqrt(kx^2+ky^2+kz^2), shape (n, n, n)."""
+        """Integer-wavenumber magnitude sqrt(kx^2+ky^2+kz^2).
+
+        Shaped ``(n, n, n//2 + 1)`` like the half spectrum.
+        """
         fx = self.freq.reshape(self.n, 1, 1)
         fy = self.freq.reshape(1, self.n, 1)
-        fz = self.freq.reshape(1, 1, self.n)
+        fz = self.freq_z.reshape(1, 1, -1)
         return np.sqrt(fx * fx + fy * fy + fz * fz)
 
     @property

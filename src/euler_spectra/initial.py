@@ -1,7 +1,8 @@
 """Initial velocity fields: classical benchmarks and random ensembles.
 
-Every generator returns a *spectral* (complex128, shape ``(3, n, n, n)``),
-solenoidally-projected, dealiased velocity, ready to hand to the solver.
+Every generator returns a *spectral* (complex128, half-spectrum shape
+``(3, n, n, n//2 + 1)``), solenoidally-projected, dealiased velocity,
+ready to hand to the solver.
 Generators are deterministic: the same arguments (and seed, where
 applicable) reproduce the same field bit for bit.
 """

@@ -80,9 +80,11 @@ def _payload_bytes(v: np.ndarray) -> bytes:
 
 
 def write_snapshot(path, grid: Grid, v: np.ndarray, time: float) -> None:
-    """Write a ``(3, n, n, n)`` velocity on ``grid``.
+    """Write a velocity on ``grid``.
 
-    Spectral (complex128) inputs are transformed to physical space first.
+    Takes a physical ``(3, n, n, n)`` or a spectral (complex128,
+    ``(3, n, n, n//2 + 1)``) velocity; spectral inputs are transformed
+    to physical space first.
 
     Raises
     ------

@@ -158,11 +158,11 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
         observers=()) -> SolverState:
     """Integrate from t = 0 to t_final, notifying observers each step.
 
-    The initial ``(3, n, n, n)`` velocity is transformed (if physical,
-    i.e. float64) and projected, the observers are called once on the
-    initial state and then after every step, and the final state is
-    returned.  Observer exceptions propagate to the caller, aborting
-    the run.
+    The initial velocity (physical ``(3, n, n, n)`` float64, which is
+    transformed first, or spectral ``(3, n, n, n//2 + 1)`` complex128)
+    is projected, the observers are called once on the initial state
+    and then after every step, and the final state is returned.
+    Observer exceptions propagate to the caller, aborting the run.
 
     The advective CFL number u_max * dt / dx is sampled at the start
     and every few dozen steps; exceeding ``config.cfl_warning`` logs a

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from euler_spectra.cli import (
+    EXIT_INTERRUPTED,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -276,6 +277,37 @@ class TestCmdRun:
         assert summary["run"]["aborted"] is True
         assert summary["run"]["abort"]["step_index"] == 2
         assert "No space left on device" in summary["run"]["abort"]["message"]
+        assert "steps_completed" not in summary["run"]
+        assert summary["class"] == "Neither"
+        assert len(list(out.glob("snapshot_*.bin"))) == 2
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3
+
+    def test_interrupt_still_writes_summary(self, tmp_path, threads_env,
+                                            monkeypatch, capsys):
+        # Ctrl-C during the third snapshot write: the run stops with
+        # exit code 130 and still leaves a summary with an abort block.
+        import euler_spectra.cli as cli_module
+        calls = []
+
+        def interrupted_write(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return write_snapshot(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "write_snapshot", interrupted_write)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, n=8, output_dir=str(out),
+                           output_every=1, snapshot_every=1,
+                           solver={"t_final": 0.005, "dt": 1e-3})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_INTERRUPTED
+        assert "interrupted" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["run"]["aborted"] is True
+        assert summary["run"]["abort"] == {
+            "step_index": 2, "time": pytest.approx(2e-3),
+            "message": "interrupted"}
         assert "steps_completed" not in summary["run"]
         assert summary["class"] == "Neither"
         assert len(list(out.glob("snapshot_*.bin"))) == 2

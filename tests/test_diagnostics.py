@@ -22,6 +22,7 @@ from euler_spectra.deformation import (
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
+    classify_and_record,
     compute_record,
     gradient_norm_squared_pointwise,
     identity_residuals,
@@ -32,6 +33,8 @@ from euler_spectra.diagnostics import (
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
     curl,
+    divergence_free_error,
+    fft_forward,
     fft_inverse,
     integrate_domain,
     magnitude_squared,
@@ -39,6 +42,7 @@ from euler_spectra.fields import (
 from euler_spectra.grid import Grid
 from euler_spectra.initial import (
     abc_flow,
+    classify_initial,
     random_solenoidal,
     shear_flow,
     taylor_green,
@@ -55,7 +59,8 @@ class TestScalarFunctionals:
         # The record integrates |v|^2 in physical space; Parseval gives
         # the same energy from the spectral coefficients.
         vhat = taylor_green(grid16)
-        parseval = 0.5 * grid16.volume * np.sum(np.abs(vhat) ** 2)
+        parseval = 0.5 * grid16.volume * np.sum(grid16.parseval_weight
+                                                * np.abs(vhat) ** 2)
         assert compute_record(grid16, 0.0, vhat).E == pytest.approx(
             parseval, rel=1e-14)
 
@@ -176,12 +181,12 @@ class TestResolutionTail:
     def test_saturated_field_has_full_tail(self, grid16):
         g = grid16
         rng = np.random.default_rng(5)
-        coeffs = np.zeros((g.n,) * 3, dtype=np.complex128)
+        coeffs = np.zeros(g.k_squared.shape, dtype=np.complex128)
         # Put power only in the outermost retained shell.
         absf = np.abs(g.freq)
         kinf = np.maximum(np.maximum(absf.reshape(g.n, 1, 1),
                                      absf.reshape(1, g.n, 1)),
-                          absf.reshape(1, 1, g.n))
+                          np.abs(g.freq_z).reshape(1, 1, -1))
         shell = g.dealias_mask & (kinf > (2.0 / 3.0) * g.dealias_limit)
         coeffs[shell] = rng.standard_normal(int(shell.sum()))
         v = np.stack((coeffs, 0.0 * coeffs, 0.0 * coeffs))
@@ -189,7 +194,42 @@ class TestResolutionTail:
 
     def test_zero_field(self, grid8):
         assert resolution_tail_fraction(
-            grid8, np.zeros((3, 8, 8, 8), dtype=np.complex128)) == 0.0
+            grid8, np.zeros((3, 8, 8, 5), dtype=np.complex128)) == 0.0
+
+    def test_matches_full_spectrum_reference(self, grid16, rng):
+        # Recompute the fraction (and the divergence error) from numpy's
+        # full complex spectrum of the same field, where every mode is
+        # stored once.  White noise is neither band-limited nor
+        # solenoidal, so both values are O(1).
+        g = grid16
+        values = rng.standard_normal((3, 16, 16, 16))
+        v = fft_forward(values)
+        full = np.fft.fftn(values, axes=(-3, -2, -1), norm="forward")
+
+        kx, ky = g.k_deriv_x, g.k_deriv_y
+        kz = g.k_deriv_x.reshape(1, 1, g.n)
+        w = 1j * np.stack((ky * full[2] - kz * full[1],
+                           kz * full[0] - kx * full[2],
+                           kx * full[1] - ky * full[0]))
+        power = np.sum(np.abs(w) ** 2, axis=0)
+        absf = np.abs(g.freq)
+        keep_1d = 3 * absf <= g.n
+        keep = (keep_1d.reshape(-1, 1, 1) & keep_1d.reshape(1, -1, 1)
+                & keep_1d.reshape(1, 1, -1))
+        kinf = np.maximum(np.maximum(absf.reshape(-1, 1, 1),
+                                     absf.reshape(1, -1, 1)),
+                          absf.reshape(1, 1, -1))
+        tail = keep & (kinf > (2.0 / 3.0) * g.dealias_limit)
+        expected = np.sum(power[tail]) / np.sum(power[keep])
+        assert 0.0 < expected < 1.0
+        assert abs(resolution_tail_fraction(g, v) - expected) < 1e-12
+
+        kx, ky = g.k_true_x, g.k_true_y
+        kz = g.k_true_x.reshape(1, 1, g.n)
+        divergence = np.abs(kx * full[0] + ky * full[1] + kz * full[2])
+        expected = np.max(divergence[keep]) / np.max(np.abs(full))
+        assert expected > 1.0
+        assert abs(divergence_free_error(g, v) - expected) < 1e-12
 
 
 class TestDiagnosticsCollector:
@@ -244,6 +284,42 @@ class TestDiagnosticsCollector:
         assert col.classification is not None
         assert col.classification.label == AdmissibleClass.NEITHER
         assert col.zero_touch_time is None
+
+    def test_first_sample_solved_once(self, grid16, monkeypatch):
+        # One eigensolve per record, the first included, and the tail
+        # fraction only for the first record and for the summary.
+        import euler_spectra.diagnostics as diagnostics_module
+        calls = {"eig": 0, "tail": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(diagnostics_module, "eigenvalues_sym3",
+                            counting("eig", eigenvalues_sym3))
+        monkeypatch.setattr(diagnostics_module, "resolution_tail_fraction",
+                            counting("tail", resolution_tail_fraction))
+        col = DiagnosticsCollector(grid16, every=1)
+        final = run(grid16, random_solenoidal(grid16, seed=2, peak_k=3.0),
+                    SolverConfig(dt=1e-2, t_final=0.03), observers=[col])
+        assert len(col.records) == 4
+        assert calls == {"eig": 4, "tail": 1}
+        health = col.summary()["resolution_health"]
+        assert calls == {"eig": 4, "tail": 2}
+        # The deferred final value is the one of the last recorded state.
+        assert health["tail_enstrophy_fraction_final"] == \
+            resolution_tail_fraction(grid16, final.v)
+
+    def test_classify_and_record_matches_two_passes(self, grid16, rng):
+        v = make_random_velocity(grid16, rng)
+        classification, record = classify_and_record(grid16, 0.5, v)
+        assert classification == classify_initial(grid16, v)
+        np.testing.assert_array_equal(
+            record.as_tuple(),
+            compute_record(grid16, 0.5, v,
+                           classification=classification).as_tuple())
 
     def test_summary_schema(self, grid16):
         col = DiagnosticsCollector(grid16, every=1)

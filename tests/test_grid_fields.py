@@ -60,9 +60,22 @@ class TestGrid:
 
     def test_dealias_mask_counts(self, grid8):
         # n=8 keeps |k| <= 2 per axis: 5 of 8 modes, 125 of 512 total.
+        # The half spectrum stores kz = 0, 1, 2 of them; weighting the
+        # kz = 1, 2 planes twice counts their omitted conjugates.
         keep = grid8.dealias_mask
-        assert keep.sum() == 5 ** 3
+        assert keep.shape == (8, 8, 5)
+        assert np.sum(grid8.parseval_weight * keep) == 5 ** 3
         assert grid8.dealias_limit == 2
+
+    def test_half_spectrum_tables(self, grid8):
+        # The z tables are the full-axis tables cut to kz = 0..n/2.
+        g = grid8
+        assert np.array_equal(g.freq_z, g.freq[:5])
+        assert g.k_deriv_z.shape == g.k_true_z.shape == (1, 1, 5)
+        assert np.array_equal(g.k_true_z.ravel(), g.k_true_x.ravel()[:5])
+        assert g.k_deriv_z[0, 0, 4] == 0.0
+        assert np.array_equal(g.parseval_weight.ravel(), [1, 2, 2, 2, 1])
+        assert g.k_squared.shape == g.mode_radius().shape == (8, 8, 5)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -107,8 +120,19 @@ class TestTransforms:
         values = rng.standard_normal((16, 16, 16))
         fhat = fft_forward(values)
         lhs = integrate_domain(grid16, values ** 2)
-        rhs = grid16.volume * np.sum(np.abs(fhat) ** 2)
+        rhs = grid16.volume * np.sum(grid16.parseval_weight
+                                     * np.abs(fhat) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_forward_is_half_of_full_spectrum(self, grid16, rng):
+        # The stored modes are exactly the kz >= 0 half of numpy's full
+        # complex transform, for scalar and stacked fields alike.
+        for shape in ((16, 16, 16), (3, 16, 16, 16)):
+            values = rng.standard_normal(shape)
+            full = np.fft.fftn(values, axes=(-3, -2, -1), norm="forward")
+            half = fft_forward(values)
+            assert half.shape == shape[:-1] + (9,)
+            assert np.max(np.abs(half - full[..., :9])) < 1e-15
 
     def test_batched_transform_matches_components(self, grid16, rng):
         # One call over a stacked (3, n, n, n) field must give exactly
@@ -125,7 +149,9 @@ class TestTransforms:
         for bad in (np.zeros((3, 8, 8, 4)),              # wrong space shape
                     np.zeros((8, 8, 8)),                 # scalar, not vector
                     np.zeros((3, 16, 16, 16)),           # another grid
-                    np.zeros((3, 8, 8, 8), np.float32)):  # wrong dtype
+                    np.zeros((3, 8, 8, 8), np.float32),  # wrong dtype
+                    np.zeros((3, 8, 8, 5)),              # half shape, real
+                    np.zeros((3, 8, 8, 8), np.complex128)):  # full spectrum
             with pytest.raises(ContractViolationError):
                 run(grid8, bad, SolverConfig(dt=1e-3, t_final=0.0))
             with pytest.raises(ContractViolationError):
