@@ -46,7 +46,11 @@ from euler_spectra.errors import (
 from euler_spectra.fields import fft_forward
 from euler_spectra.grid import Grid
 from euler_spectra.initial import classify_initial
-from euler_spectra.snapshot import load_snapshot, write_snapshot
+from euler_spectra.snapshot import (
+    load_snapshot,
+    replace_on_success,
+    write_snapshot,
+)
 from euler_spectra.solver import run as solver_run
 
 logger = logging.getLogger("euler_spectra.cli")
@@ -271,7 +275,7 @@ def cmd_run(args) -> int:
         summary.update(collector.summary())
         summary.update(_bound_summaries(collector, grid))
     try:
-        with open(out_dir / "summary.json", "w") as fh:
+        with replace_on_success(out_dir / "summary.json", "w") as fh:
             json.dump(_sanitize(summary), fh, indent=2, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
@@ -329,8 +333,7 @@ def cmd_diagnose(args) -> int:
             print("series residuals skipped: non-uniform snapshot times",
                   file=sys.stderr)
         else:
-            series_records = records
-            _, normalized = moment_balance_residual(series_records)
+            _, normalized = moment_balance_residual(records)
             print(f"moment balance dQ/dt + 4P: max normalized residual "
                   f"{float(np.max(np.abs(normalized))):.3e}", file=sys.stderr)
             raw, _ = vorticity_transport_residual(grid, times, spectral)

@@ -4,24 +4,27 @@ Format (little-endian throughout)::
 
     offset  size  field
     0       8     magic "EULSPEC1"
-    8       4     u32 format version (currently 1)
+    8       4     u32 format version (2)
     12      4     u32 grid size n
     16      8     f64 simulation time
     24      8     f64 box edge length
-    32      8     u64 FNV-1a hash of the payload bytes
+    32      8     u64 BLAKE2b-64 of bytes 0-31, then of the payload
     40      -     payload: 3 * n^3 f64 values, components v1, v2, v3,
                   each stored x-fastest (index order iz, iy, ix)
 
 In memory the velocity is a ``(3, n, n, n)`` array indexed
 ``[component, ix, iy, iz]``; the payload is that array with its three
-space axes reversed.
+space axes reversed.  The payload is always physical-space velocity.
 
-The payload is always physical-space velocity.  FNV-1a is fast, has no
-external dependencies, and detects the truncation/corruption failure
-modes that matter for checkpoint files; it is not a cryptographic hash.
+Only version 2 is written.  Version 1 files, whose checksum is FNV-1a
+over the payload alone, are still read.  Writes go through a sibling
+temporary file, so a failed write leaves the target as it was.
 """
 
+import contextlib
+import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -31,14 +34,16 @@ from euler_spectra.fields import check_velocity, fft_inverse
 from euler_spectra.grid import Grid
 
 MAGIC = b"EULSPEC1"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<8sIIddQ")
+_PREFIX = struct.Struct("<8sIIdd")  # the header before its checksum
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def _fnv1a64_python(data: bytes) -> int:
+def fnv1a64(data) -> int:
+    """FNV-1a 64-bit hash of a bytes-like object (the version 1 checksum)."""
     h = _FNV_OFFSET
     for byte in data:
         h ^= byte
@@ -46,37 +51,35 @@ def _fnv1a64_python(data: bytes) -> int:
     return h
 
 
-try:
-    import numba
+def blake2b64(prefix, payload) -> int:
+    """Version 2 checksum: 8-byte BLAKE2b of ``prefix`` then ``payload``."""
+    digest = hashlib.blake2b(digest_size=8)
+    digest.update(prefix)
+    digest.update(payload)
+    return int.from_bytes(digest.digest(), "little")
 
-    @numba.njit(cache=True)
-    def _fnv1a64_numba(data):  # pragma: no cover - thin jit wrapper
-        h = numba.uint64(0xCBF29CE484222325)
-        prime = numba.uint64(0x100000001B3)
-        for i in range(data.size):
-            h = numba.uint64(h ^ numba.uint64(data[i]))
-            h = numba.uint64(h * prime)
-        return h
 
-    def fnv1a64(data) -> int:
-        """FNV-1a 64-bit hash of a bytes-like object."""
-        arr = np.frombuffer(data, dtype=np.uint8)
-        return int(_fnv1a64_numba(arr))
+@contextlib.contextmanager
+def replace_on_success(path, mode="wb"):
+    """Open a sibling temporary file that replaces ``path`` once closed.
 
-except ImportError:  # pragma: no cover - exercised only without numba
-    def fnv1a64(data) -> int:
-        """FNV-1a 64-bit hash of a bytes-like object."""
-        return _fnv1a64_python(bytes(data))
+    If the body raises, the temporary file is removed and ``path`` is
+    left as it was.
+    """
+    temporary = os.fspath(path) + ".tmp"
+    try:
+        with open(temporary, mode) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
 
 
 # Axis order that turns [component, ix, iy, iz] into x-fastest storage;
 # it is its own inverse.
 _STORAGE_AXES = (0, 3, 2, 1)
-
-
-def _payload_bytes(v: np.ndarray) -> bytes:
-    ordered = np.transpose(v, _STORAGE_AXES)
-    return np.ascontiguousarray(ordered, dtype="<f8").tobytes()
 
 
 def write_snapshot(path, grid: Grid, v: np.ndarray, time: float) -> None:
@@ -94,16 +97,19 @@ def write_snapshot(path, grid: Grid, v: np.ndarray, time: float) -> None:
     check_velocity(grid, v)
     if np.iscomplexobj(v):
         v = fft_inverse(v)
-    payload = _payload_bytes(v)
-    header = _HEADER.pack(MAGIC, VERSION, grid.n, float(time),
-                          grid.length, fnv1a64(payload))
-    with open(path, "wb") as fh:
-        fh.write(header)
+    payload = np.ascontiguousarray(np.transpose(v, _STORAGE_AXES),
+                                   dtype="<f8")
+    prefix = _PREFIX.pack(MAGIC, VERSION, grid.n, float(time), grid.length)
+    with replace_on_success(path) as fh:
+        fh.write(prefix)
+        fh.write(blake2b64(prefix, payload).to_bytes(8, "little"))
         fh.write(payload)
 
 
 def load_snapshot(path):
     """Read a snapshot back as (physical velocity, time, grid).
+
+    Reads format versions 1 and 2.
 
     Raises
     ------
@@ -120,7 +126,7 @@ def load_snapshot(path):
     magic, version, n, time, length, checksum = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise SnapshotFormatError(f"magic: expected {MAGIC!r}, got {magic!r}")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise SnapshotFormatError(
             f"version: unsupported format version {version}")
     if n < 8 or n % 2 != 0:
@@ -130,12 +136,16 @@ def load_snapshot(path):
     if not (math.isfinite(length) and length > 0.0):
         raise SnapshotFormatError(
             f"box length: must be positive and finite, got {length}")
-    payload = raw[_HEADER.size:]
+    view = memoryview(raw)
+    payload = view[_HEADER.size:]
     expected = 3 * n ** 3 * 8
     if len(payload) != expected:
         raise SnapshotFormatError(
             f"payload: expected {expected} bytes for n={n}, got {len(payload)}")
-    actual = fnv1a64(payload)
+    if version == 1:
+        actual = fnv1a64(payload)
+    else:
+        actual = blake2b64(view[:_PREFIX.size], payload)
     if actual != checksum:
         raise SnapshotFormatError(
             f"checksum: stored {checksum:#018x} != computed {actual:#018x}")

@@ -376,8 +376,8 @@ class TestCmdDiagnose:
 
     def test_corrupt_header_values_are_io_errors(self, snapshot_dir,
                                                  tmp_path, capsys):
-        # The payload checksum does not cover the header, so a bad time
-        # or box length must be caught by the header checks themselves.
+        # A non-finite time or a non-positive or non-finite box length
+        # is named by the header checks, which run before the checksum.
         raw = Path(snapshot_dir[0]).read_bytes()
         for start, value, field in ((24, -1.0, "box length"),
                                     (24, float("inf"), "box length"),

@@ -5,11 +5,16 @@ so the assertions here double as an end-to-end check of the quadratic
 functionals.  Snapshot round trips must be bit-identical.
 """
 
+import errno
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import euler_spectra.snapshot as snapshot_module
+from euler_spectra.cli import EXIT_IO, main
 from euler_spectra.deformation import AdmissibleClass
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, SnapshotFormatError
@@ -31,7 +36,7 @@ from euler_spectra.snapshot import (
     fnv1a64,
     load_snapshot,
     write_snapshot,
-    _fnv1a64_python,
+    _HEADER,
 )
 
 PI3 = math.pi ** 3
@@ -147,9 +152,30 @@ class TestFNV1a:
         for data, want in self.VECTORS:
             assert fnv1a64(data) == want
 
-    def test_python_fallback_agrees(self, rng):
-        data = rng.integers(0, 256, size=4096, dtype=np.uint8).tobytes()
-        assert fnv1a64(data) == _fnv1a64_python(data)
+
+def _x_fastest_payload(v):
+    return np.ascontiguousarray(np.transpose(v, (0, 3, 2, 1)),
+                                dtype="<f8").tobytes()
+
+
+class _FullDisk:
+    """File stand-in that fails halfway through the payload."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if data.nbytes > 40:
+            self._fh.write(data[:data.nbytes // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
 
 
 class TestSnapshotIO:
@@ -239,3 +265,63 @@ class TestSnapshotIO:
 
     def test_magic_constant(self):
         assert MAGIC == b"EULSPEC1"
+
+    def test_version_2_header_and_checksum(self, grid16, tmp_path):
+        v = fft_inverse(taylor_green(grid16))
+        path = tmp_path / "field.bin"
+        write_snapshot(path, grid16, v, time=0.25)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, 8)[0] == 2
+        digest = hashlib.blake2b(raw[:32] + raw[40:], digest_size=8)
+        assert raw[32:40] == digest.digest()
+        assert raw[40:] == _x_fastest_payload(v)
+
+    def test_header_values_are_checksummed(self, grid16, tmp_path):
+        v = fft_inverse(taylor_green(grid16))
+        good = tmp_path / "good.bin"
+        write_snapshot(good, grid16, v, time=0.625)
+        raw = good.read_bytes()
+        time_bit = bytearray(raw)
+        time_bit[16] ^= 0x01  # lowest mantissa bit of the time
+        box_length = raw[:24] + struct.pack("<d", 7.0) + raw[32:]
+        for name, data in (("time.bin", bytes(time_bit)),
+                           ("length.bin", box_length)):
+            bad = tmp_path / name
+            bad.write_bytes(data)
+            with pytest.raises(SnapshotFormatError, match="checksum"):
+                load_snapshot(bad)
+            assert main(["classify", str(bad)]) == EXIT_IO
+
+    def test_reads_version_1(self, grid16, tmp_path):
+        v = fft_inverse(taylor_green(grid16))
+        payload = _x_fastest_payload(v)
+        header = _HEADER.pack(MAGIC, 1, grid16.n, 0.625, grid16.length,
+                              fnv1a64(payload))
+        path = tmp_path / "v1.bin"
+        path.write_bytes(header + payload)
+        loaded, t, grid = load_snapshot(path)
+        assert t == 0.625
+        assert grid == grid16
+        assert np.array_equal(loaded, v)
+
+        corrupt = bytearray(header + payload)
+        corrupt[40 + 1000] ^= 0xFF
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(SnapshotFormatError, match="checksum"):
+            load_snapshot(path)
+
+    def test_failed_write_keeps_previous_file(self, grid16, tmp_path,
+                                              monkeypatch):
+        v = fft_inverse(taylor_green(grid16))
+        path = tmp_path / "field.bin"
+        write_snapshot(path, grid16, v, time=0.625)
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module, "open",
+                          lambda *args: _FullDisk(open(*args)),
+                          raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                write_snapshot(path, grid16, 2.0 * v, time=1.25)
+        loaded, t, _ = load_snapshot(path)
+        assert t == 0.625
+        assert np.array_equal(loaded, v)
+        assert [p.name for p in tmp_path.iterdir()] == ["field.bin"]
