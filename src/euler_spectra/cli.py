@@ -12,12 +12,14 @@ import argparse
 import json
 import logging
 import math
+import platform
 import sys
 import time as _time
 from pathlib import Path
 
 import numpy as np
 
+from euler_spectra import __version__
 from euler_spectra.config import parse_config
 from euler_spectra.deformation import classify_admissible
 from euler_spectra.diagnostics import (
@@ -43,7 +45,7 @@ from euler_spectra.errors import (
     NumericsError,
     SnapshotFormatError,
 )
-from euler_spectra.fields import fft_forward
+from euler_spectra.fields import fft_forward, fft_workers
 from euler_spectra.grid import Grid
 from euler_spectra.initial import classify_initial
 from euler_spectra.snapshot import (
@@ -120,6 +122,17 @@ def _sanitize(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+def _manifest() -> dict:
+    """Versions, FFT backend and thread count that produced a run."""
+    return {
+        "euler_spectra": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "fft_backend": "numpy.fft",
+        "EULER_SPECTRA_THREADS": fft_workers(),
+    }
 
 
 def _bound_summaries(collector, grid) -> dict:
@@ -274,6 +287,7 @@ def cmd_run(args) -> int:
     if collector.records:
         summary.update(collector.summary())
         summary.update(_bound_summaries(collector, grid))
+    summary["manifest"] = _manifest()
     try:
         with replace_on_success(out_dir / "summary.json", "w") as fh:
             json.dump(_sanitize(summary), fh, indent=2, allow_nan=False)

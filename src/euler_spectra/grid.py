@@ -6,7 +6,7 @@ the derivative wavenumbers, projection wavenumbers, or dealiasing mask.
 
 Spectral arrays hold the real-to-complex half spectrum: the x and y
 axes carry all n modes in FFT order, the z axis only the n//2 + 1
-modes kz = 0, 1, ..., n/2 (the layout of ``scipy.fft.rfftn``).  The
+modes kz = 0, 1, ..., n/2 (the layout of ``numpy.fft.rfftn``).  The
 tables below are shaped to broadcast against ``(n, n, n//2 + 1)``.
 
 Two distinct wavenumber tables coexist on purpose:

@@ -28,7 +28,6 @@ from euler_spectra.fields import (
     check_velocity,
     cross_product,
     curl,
-    dealias_23,
     fft_forward,
     fft_inverse,
     leray_project,
@@ -38,8 +37,9 @@ from euler_spectra.grid import Grid
 
 logger = logging.getLogger("euler_spectra.solver")
 
-# Steps between CFL samplings during run(); each sample costs three
-# inverse transforms, so checking every step would tax small grids.
+# Steps between CFL samplings during run(); each sample costs one
+# inverse transform of the velocity, a third of the transforms of an
+# rhs evaluation, so checking every step would tax small grids.
 _CFL_CHECK_STRIDE = 25
 
 
@@ -105,14 +105,16 @@ def rhs(grid: Grid, v: np.ndarray, nu: float = 0.0,
     """Right-hand side of the momentum equation for a spectral velocity.
 
     Rotational form: transform to physical space, form v x omega, come
-    back, mask, project, and add the diffusion term.  Three batched
-    transforms (one per vector field) per evaluation.
+    back, project, and add the diffusion term.  Three batched transforms
+    (one per vector field) per evaluation.  With ``dealias`` the forward
+    transform computes only the modes the 2/3 rule keeps and zeroes the
+    rest, so the state stays band-limited and the inverse transforms
+    skip the all-zero lines of its spectrum.
     """
     v_phys = fft_inverse(v)
     omega_phys = fft_inverse(curl(grid, v))
-    nonlinear = fft_forward(cross_product(v_phys, omega_phys))
-    if dealias:
-        nonlinear = dealias_23(grid, nonlinear)
+    nonlinear = fft_forward(cross_product(v_phys, omega_phys),
+                            dealias=dealias)
     out = leray_project(grid, nonlinear)
     if nu != 0.0:
         out = out - (nu * grid.k_squared) * v

@@ -6,12 +6,17 @@ abort, 3 I/O).
 """
 
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import euler_spectra
 from euler_spectra.cli import (
     EXIT_INTERRUPTED,
     EXIT_IO,
@@ -207,6 +212,35 @@ class TestCmdRun:
         assert header[:3] == ["t", "E", "H"]
         assert header[-5:] == ["env_lower", "env_upper", "bkm_integral",
                                "class_env_lower", "class_env_upper"]
+
+    def test_summary_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EULER_SPECTRA_THREADS", "2")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, n=8, output_dir=str(out),
+                           solver={"t_final": 0.002, "dt": 1e-3})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        manifest = json.loads((out / "summary.json").read_text())["manifest"]
+        assert manifest == {
+            "euler_spectra": euler_spectra.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "fft_backend": "numpy.fft",
+            "EULER_SPECTRA_THREADS": 2,
+        }
+
+    def test_import_does_not_load_scipy(self):
+        # The transforms run on numpy.fft alone; importing scipy.fft
+        # would add a third of a second to every command.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        code = ("import sys, euler_spectra.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_output_dir_override(self, tmp_path, threads_env):
         cfg = write_config(tmp_path, n=8, output_dir=str(tmp_path / "a"),

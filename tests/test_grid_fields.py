@@ -143,6 +143,55 @@ class TestTransforms:
             assert np.array_equal(vhat[c], fft_forward(v[c]))
             assert np.array_equal(fft_inverse(vhat)[c], fft_inverse(vhat[c]))
 
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_dealiased_forward_is_masked_forward(self, n, rng):
+        grid = Grid(n)
+        values = rng.standard_normal((3, n, n, n))
+        assert np.array_equal(fft_forward(values, dealias=True),
+                              dealias_23(grid, fft_forward(values)))
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_band_limited_inverse_matches_reference(self, n, rng):
+        grid = Grid(n)
+        coeffs = dealias_23(grid, fft_forward(rng.standard_normal(
+            (3, n, n, n))))
+        ref = np.fft.irfftn(coeffs, s=(n,) * 3, axes=(-3, -2, -1),
+                            norm="forward")
+        assert np.max(np.abs(fft_inverse(coeffs) - ref)) \
+            <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_out_of_band_mode_takes_full_path(self, n, rng):
+        # One mode just outside the 2/3-rule band on each axis in turn:
+        # the pruned x pass would skip a ky or kz line, and the working
+        # copy would drop a kz plane, so only the full path matches.
+        grid = Grid(n)
+        coeffs = dealias_23(grid, fft_forward(rng.standard_normal(
+            (n, n, n))))
+        k = n // 3 + 1
+        for index in ((k, 0, 0), (-k, 1, 0), (0, k, 0), (2, -k, 1),
+                      (0, 0, k), (1, 1, k)):
+            single = coeffs.copy()
+            single[index] = 0.25 - 0.5j
+            ref = np.fft.irfftn(single, s=(n,) * 3, axes=(-3, -2, -1),
+                                norm="forward")
+            assert np.max(np.abs(fft_inverse(single) - ref)) \
+                <= 1e-15 * np.max(np.abs(ref)), index
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("operator", [curl, leray_project])
+    def test_band_blocks_match_full_path(self, n, operator, rng):
+        # Per-mode operators see only the band's blocks of band-limited
+        # input; out-of-band noise sends them down the full path, which
+        # must give the same kept modes bit for bit.
+        grid = Grid(n)
+        v = dealias_23(grid, fft_forward(rng.standard_normal((3, n, n, n))))
+        noise = fft_forward(rng.standard_normal((3, n, n, n)))
+        noisy = np.where(grid.dealias_mask, v, noise)
+        banded = operator(grid, v)
+        assert np.array_equal(banded, dealias_23(grid, operator(grid, noisy)))
+        assert not banded[..., ~grid.dealias_mask].any()
+
     def test_mismatched_shapes_rejected(self, grid8, tmp_path):
         # The velocity check shared by solver.run and write_snapshot.
         path = tmp_path / "bad.bin"
@@ -332,11 +381,16 @@ class TestWorkerConfig:
         with pytest.raises(ConfigurationError):
             fft_workers()
 
-    def test_thread_count_does_not_change_results(self, grid16, rng,
-                                                  monkeypatch):
-        values = rng.standard_normal((16,) * 3)
-        monkeypatch.setenv("EULER_SPECTRA_THREADS", "1")
-        one = fft_forward(values)
-        monkeypatch.setenv("EULER_SPECTRA_THREADS", "2")
-        two = fft_forward(values)
-        assert np.array_equal(one, two)
+    def test_thread_count_does_not_change_results(self, rng, monkeypatch):
+        for n in (16, 64):
+            grid = Grid(n)
+            values = rng.standard_normal((3, n, n, n))
+            band = dealias_23(grid, fft_forward(values))
+            results = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("EULER_SPECTRA_THREADS", threads)
+                full = fft_forward(values)
+                results.append((full, fft_forward(values, dealias=True),
+                                fft_inverse(full), fft_inverse(band)))
+            for one, two in zip(*results):
+                assert np.array_equal(one, two)
