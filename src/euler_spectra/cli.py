@@ -45,7 +45,7 @@ from euler_spectra.errors import (
     NumericsError,
     SnapshotFormatError,
 )
-from euler_spectra.fields import fft_forward, fft_workers
+from euler_spectra.fields import fft_forward
 from euler_spectra.grid import Grid
 from euler_spectra.initial import classify_initial
 from euler_spectra.snapshot import (
@@ -125,13 +125,12 @@ def _sanitize(obj):
 
 
 def _manifest() -> dict:
-    """Versions, FFT backend and thread count that produced a run."""
+    """Versions and FFT backend that produced a run."""
     return {
         "euler_spectra": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "fft_backend": "numpy.fft",
-        "EULER_SPECTRA_THREADS": fft_workers(),
     }
 
 

@@ -47,15 +47,6 @@ from euler_spectra.grid import Grid
 from euler_spectra.reductions import pairwise_sum
 
 
-def gradient_norm_squared_pointwise(grad: np.ndarray) -> np.ndarray:
-    """Pointwise |grad v|^2 = sum_ij (d_i v_j)^2 of a (3, 3, ...) gradient."""
-    total = np.zeros(grad.shape[2:], dtype=np.float64)
-    for i in range(3):
-        for j in range(3):
-            total += grad[i, j] ** 2
-    return total
-
-
 def spectra_moments(grid: Grid, spectra: np.ndarray):
     """Quadratic and product moments (Q, P) of the eigenvalue fields.
 

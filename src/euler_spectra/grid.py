@@ -25,6 +25,9 @@ Two distinct wavenumber tables coexist on purpose:
 Every stored mode with 0 < kz < n/2 stands for itself and its complex
 conjugate at -k, which the half spectrum omits; ``parseval_weight``
 counts those modes twice in spectral sums.
+
+A :class:`Band` holds the same tables cut to the modes the 2/3 rule
+keeps, |k_j| <= n//3, for a solver state stored on that band alone.
 """
 
 import math
@@ -161,3 +164,45 @@ class Grid:
     def dealias_limit(self) -> int:
         """Largest integer mode magnitude retained per axis by the 2/3 rule."""
         return self.n // 3
+
+
+class Band:
+    """The 2/3-rule band |k_j| <= m = n//3 of a grid, as a compact layout.
+
+    A band array has space shape ``(2m + 1, 2m + 1, m + 1)``: the x and
+    y axes hold the modes 0, 1, ..., m, -m, ..., -1 (FFT order with the
+    gap removed), the z axis kz = 0, ..., m.  The band never contains a
+    Nyquist mode.  The wavenumber tables are the :class:`Grid` tables
+    restricted to the band, under the same names, so the per-mode
+    operators of :mod:`euler_spectra.fields` run on a ``Band`` unchanged.
+    ``restrict`` and ``scatter`` convert to and from the half spectrum.
+    """
+
+    def __init__(self, grid: Grid):
+        n, m = grid.n, grid.n // 3
+        self.n, self.m = n, m
+        # Along x or y: the modes 0..m and -m..-1 as slices of the FFT
+        # layout, and the FFT-layout position of each band row.
+        self.halves = (slice(0, m + 1), slice(n - m, n))
+        rows = np.r_[self.halves]
+        # The band modes of a spectrum whose z axis holds kz = 0..m or more.
+        self.index = (Ellipsis, rows[:, None], rows, slice(0, m + 1))
+        self.k_deriv_x = grid.k_deriv_x[rows]
+        self.k_deriv_y = grid.k_deriv_y[:, rows]
+        self.k_deriv_z = grid.k_deriv_z[..., :m + 1]
+        self.k_true_x = grid.k_true_x[rows]
+        self.k_true_y = grid.k_true_y[:, rows]
+        self.k_true_z = grid.k_true_z[..., :m + 1]
+        self.k_squared = grid.k_squared[self.index]
+        self.k_squared_safe = grid.k_squared_safe[self.index]
+
+    def restrict(self, coeffs: np.ndarray) -> np.ndarray:
+        """The band modes of a half spectrum, as a compact array."""
+        return coeffs[self.index]
+
+    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
+        """A compact band array as a half spectrum, zero off the band."""
+        n = self.n
+        out = np.zeros(coeffs.shape[:-3] + (n, n, n // 2 + 1), coeffs.dtype)
+        out[self.index] = coeffs
+        return out

@@ -16,6 +16,14 @@ state is re-projected after each full step: the RK combination of
 projected stages is already solenoidal in exact arithmetic, so this
 only sweeps up rounding, but it pins the divergence at machine zero
 over long runs.
+
+A dealiased run from a start that is zero outside the 2/3-rule band
+stays on the band: the masked nonlinear term, the projection, the
+viscous term and the RK4 stage sums all keep it there.  ``run`` checks
+the projected start once and then takes every step of such a run on
+the compact band layout of :class:`~euler_spectra.grid.Band`, moving
+the state back to the half spectrum after each step for the observers.
+Any other run steps on the full half spectrum.
 """
 
 import logging
@@ -25,15 +33,18 @@ import numpy as np
 
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
+    band_forward,
+    band_inverse,
     check_velocity,
     cross_product,
     curl,
+    dealias_23,
     fft_forward,
     fft_inverse,
     leray_project,
     max_speed,
 )
-from euler_spectra.grid import Grid
+from euler_spectra.grid import Band, Grid
 
 logger = logging.getLogger("euler_spectra.solver")
 
@@ -100,21 +111,27 @@ class SolverState:
     step_index: int = 0
 
 
-def rhs(grid: Grid, v: np.ndarray, nu: float = 0.0,
+def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0,
         dealias: bool = True) -> np.ndarray:
     """Right-hand side of the momentum equation for a spectral velocity.
 
     Rotational form: transform to physical space, form v x omega, come
     back, project, and add the diffusion term.  Three batched transforms
-    (one per vector field) per evaluation.  With ``dealias`` the forward
-    transform computes only the modes the 2/3 rule keeps and zeroes the
-    rest, so the state stays band-limited and the inverse transforms
-    skip the all-zero lines of its spectrum.
+    (one per vector field) per evaluation.  ``grid`` is the
+    :class:`Grid` of a half-spectrum ``v``, or the :class:`Band` of a
+    compact one; on a band the forward transform computes only the kept
+    modes, which is the 2/3 rule, and ``dealias`` is not read.
     """
-    v_phys = fft_inverse(v)
-    omega_phys = fft_inverse(curl(grid, v))
-    nonlinear = fft_forward(cross_product(v_phys, omega_phys),
-                            dealias=dealias)
+    if isinstance(grid, Band):
+        v_phys = band_inverse(grid, v)
+        omega_phys = band_inverse(grid, curl(grid, v))
+        nonlinear = band_forward(grid, cross_product(v_phys, omega_phys))
+    else:
+        v_phys = fft_inverse(v)
+        omega_phys = fft_inverse(curl(grid, v))
+        nonlinear = fft_forward(cross_product(v_phys, omega_phys))
+        if dealias:
+            nonlinear = dealias_23(grid, nonlinear)
     out = leray_project(grid, nonlinear)
     if nu != 0.0:
         out = out - (nu * grid.k_squared) * v
@@ -131,9 +148,11 @@ def _check_finite(v: np.ndarray, step_index: int, t: float):
                 step_index=step_index, time=t)
 
 
-def step_rk4(grid: Grid, state: SolverState,
+def step_rk4(grid: Grid | Band, state: SolverState,
              config: SolverConfig) -> SolverState:
     """Advance one classical RK4 step and re-project the result.
+
+    ``grid`` is a :class:`Grid` or a :class:`Band`, as for :func:`rhs`.
 
     Raises
     ------
@@ -164,7 +183,9 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     transformed first, or spectral ``(3, n, n, n//2 + 1)`` complex128)
     is projected, the observers are called once on the initial state
     and then after every step, and the final state is returned.
-    Observer exceptions propagate to the caller, aborting the run.
+    Observers and the returned state hold the half spectrum, also when
+    the steps run on the band.  Observer exceptions propagate to the
+    caller, aborting the run.
 
     The advective CFL number u_max * dt / dx is sampled at the start
     and every few dozen steps; exceeding ``config.cfl_warning`` logs a
@@ -182,6 +203,17 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     v0 = leray_project(grid, initial)
     state = SolverState(0.0, v0, 0)
     _check_finite(v0, 0, 0.0)
+    # The run's one band check: see the module docstring.
+    band = None
+    if config.dealias and not v0[:, ~grid.dealias_mask].any():
+        band = Band(grid)
+
+    def advance(s: SolverState) -> SolverState:
+        if band is None:
+            return step_rk4(grid, s, config)
+        s = step_rk4(band, SolverState(s.t, band.restrict(s.v), s.step_index),
+                     config)
+        return SolverState(s.t, band.scatter(s.v), s.step_index)
 
     warned_cfl = False
 
@@ -201,7 +233,7 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     for obs in observers:
         obs(state)
     for _ in range(steps):
-        state = step_rk4(grid, state, config)
+        state = advance(state)
         if state.step_index % _CFL_CHECK_STRIDE == 0:
             check_cfl(state)
         for obs in observers:

@@ -41,3 +41,12 @@ def make_random_velocity(grid, rng, scale=1.0):
     # Damp high modes so derived quantities stay O(1) and well resolved.
     damp = np.exp(-0.5 * grid.k_squared / 9.0)
     return dealias_23(grid, leray_project(grid, vhat * damp))
+
+
+def gradient_norm_squared_pointwise(grad):
+    """Pointwise |grad v|^2 = sum_ij (d_i v_j)^2 of a (3, 3, ...) gradient."""
+    total = np.zeros(grad.shape[2:], dtype=np.float64)
+    for i in range(3):
+        for j in range(3):
+            total += grad[i, j] ** 2
+    return total

@@ -28,7 +28,6 @@ from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
     compute_record,
-    gradient_norm_squared_pointwise,
     identity_residuals,
 )
 from euler_spectra.envelopes import (
@@ -49,6 +48,8 @@ from euler_spectra.fields import (
 from euler_spectra.grid import Grid
 from euler_spectra.initial import abc_flow, random_solenoidal, taylor_green
 from euler_spectra.solver import SolverConfig, run as solver_run
+
+from conftest import gradient_norm_squared_pointwise
 
 
 def report(number, passed, detail):
@@ -349,8 +350,7 @@ def test_criterion_8_decay_bound_and_class_envelopes(grid8):
            f"one-signed envelopes match exponentials to {env_err:.1e}")
 
 
-def test_criterion_9_byte_identical_reruns(tmp_path, monkeypatch):
-    monkeypatch.setenv("EULER_SPECTRA_THREADS", "1")
+def test_criterion_9_byte_identical_reruns(tmp_path):
     config = tmp_path / "run.json"
     config.write_text("""{
         "n": 16,

@@ -181,13 +181,8 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
-@pytest.fixture
-def threads_env(monkeypatch):
-    monkeypatch.setenv("EULER_SPECTRA_THREADS", "1")
-
-
 class TestCmdRun:
-    def test_successful_run_artifacts(self, tmp_path, threads_env):
+    def test_successful_run_artifacts(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, n=8, output_dir=str(out),
                            output_every=2,
@@ -213,8 +208,7 @@ class TestCmdRun:
         assert header[-5:] == ["env_lower", "env_upper", "bkm_integral",
                                "class_env_lower", "class_env_upper"]
 
-    def test_summary_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EULER_SPECTRA_THREADS", "2")
+    def test_summary_manifest(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, n=8, output_dir=str(out),
                            solver={"t_final": 0.002, "dt": 1e-3})
@@ -225,7 +219,6 @@ class TestCmdRun:
             "numpy": np.__version__,
             "python": platform.python_version(),
             "fft_backend": "numpy.fft",
-            "EULER_SPECTRA_THREADS": 2,
         }
 
     def test_import_does_not_load_scipy(self):
@@ -242,7 +235,7 @@ class TestCmdRun:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
-    def test_output_dir_override(self, tmp_path, threads_env):
+    def test_output_dir_override(self, tmp_path):
         cfg = write_config(tmp_path, n=8, output_dir=str(tmp_path / "a"),
                            solver={"t_final": 0.002, "dt": 1e-3})
         override = tmp_path / "b"
@@ -261,7 +254,7 @@ class TestCmdRun:
         assert main(["run", "--config", str(path), "--quiet"]) == EXIT_USAGE
         assert "$.n" in capsys.readouterr().err
 
-    def test_unwritable_output_dir(self, tmp_path, threads_env):
+    def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         cfg = write_config(tmp_path, n=8,
@@ -271,7 +264,7 @@ class TestCmdRun:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_abort_exit_code_and_partial_outputs(self, tmp_path,
-                                                         threads_env, capsys):
+                                                         capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, n=8, output_dir=str(out),
                            output_every=1,
@@ -286,7 +279,7 @@ class TestCmdRun:
         lines = (out / "timeseries.csv").read_text().splitlines()
         assert len(lines) >= 2
 
-    def test_io_abort_still_writes_summary(self, tmp_path, threads_env,
+    def test_io_abort_still_writes_summary(self, tmp_path,
                                            monkeypatch, capsys):
         # The third snapshot write fails as on a full disk: the run stops
         # with exit code 3 but leaves a summary with an abort block.
@@ -317,7 +310,7 @@ class TestCmdRun:
         lines = (out / "timeseries.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
 
-    def test_interrupt_still_writes_summary(self, tmp_path, threads_env,
+    def test_interrupt_still_writes_summary(self, tmp_path,
                                             monkeypatch, capsys):
         # Ctrl-C during the third snapshot write: the run stops with
         # exit code 130 and still leaves a summary with an abort block.
@@ -355,7 +348,7 @@ class TestCmdRun:
 
 class TestCmdDiagnose:
     @pytest.fixture
-    def snapshot_dir(self, tmp_path, threads_env):
+    def snapshot_dir(self, tmp_path):
         out = tmp_path / "snapout"
         cfg = write_config(tmp_path, n=8,
                            initial={"kind": "abc"},
@@ -470,7 +463,7 @@ class TestCmdClassify:
 
 
 class TestDeterminism:
-    def test_reruns_are_byte_identical(self, tmp_path, threads_env):
+    def test_reruns_are_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         cfg = write_config(
@@ -487,20 +480,3 @@ class TestDeterminism:
         assert csv_a == csv_b
         assert (out_a / "final.bin").read_bytes() == \
             (out_b / "final.bin").read_bytes()
-
-    def test_thread_count_does_not_change_outputs(self, tmp_path,
-                                                  monkeypatch):
-        cfg = write_config(
-            tmp_path, n=16,
-            initial={"kind": "random_solenoidal", "seed": 3, "peak_k": 3.0},
-            output_every=1,
-            solver={"t_final": 0.005, "dt": 1e-3})
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("EULER_SPECTRA_THREADS", threads)
-            out = tmp_path / f"threads{threads}"
-            assert main(["run", "--config", cfg, "--quiet",
-                         "--output-dir", str(out)]) == EXIT_OK
-            outputs.append(((out / "timeseries.csv").read_bytes(),
-                            (out / "final.bin").read_bytes()))
-        assert outputs[0] == outputs[1]

@@ -24,7 +24,6 @@ from euler_spectra.diagnostics import (
     DiagnosticsRecord,
     classify_and_record,
     compute_record,
-    gradient_norm_squared_pointwise,
     identity_residuals,
     resolution_tail_fraction,
     spectra_moments,
@@ -49,7 +48,7 @@ from euler_spectra.initial import (
 )
 from euler_spectra.solver import SolverConfig, run
 
-from conftest import make_random_velocity
+from conftest import gradient_norm_squared_pointwise, make_random_velocity
 
 PI3 = math.pi ** 3
 

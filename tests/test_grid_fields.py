@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from euler_spectra.errors import ConfigurationError, ContractViolationError
-from euler_spectra.grid import Grid
+from euler_spectra.grid import Band, Grid
 from euler_spectra.fields import (
+    band_forward,
+    band_inverse,
     curl,
     dealias_23,
     divergence_free_error,
     fft_forward,
     fft_inverse,
-    fft_workers,
     integrate_domain,
     leray_project,
     magnitude_squared,
@@ -146,25 +147,26 @@ class TestTransforms:
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_dealiased_forward_is_masked_forward(self, n, rng):
         grid = Grid(n)
+        band = Band(grid)
         values = rng.standard_normal((3, n, n, n))
-        assert np.array_equal(fft_forward(values, dealias=True),
+        assert np.array_equal(band.scatter(band_forward(band, values)),
                               dealias_23(grid, fft_forward(values)))
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_band_limited_inverse_matches_reference(self, n, rng):
         grid = Grid(n)
+        band = Band(grid)
         coeffs = dealias_23(grid, fft_forward(rng.standard_normal(
             (3, n, n, n))))
         ref = np.fft.irfftn(coeffs, s=(n,) * 3, axes=(-3, -2, -1),
                             norm="forward")
-        assert np.max(np.abs(fft_inverse(coeffs) - ref)) \
-            <= 1e-15 * np.max(np.abs(ref))
+        values = band_inverse(band, band.restrict(coeffs))
+        assert np.max(np.abs(values - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_out_of_band_mode_takes_full_path(self, n, rng):
         # One mode just outside the 2/3-rule band on each axis in turn:
-        # the pruned x pass would skip a ky or kz line, and the working
-        # copy would drop a kz plane, so only the full path matches.
+        # the full inverse must carry it, on whichever axis it lies.
         grid = Grid(n)
         coeffs = dealias_23(grid, fft_forward(rng.standard_normal(
             (n, n, n))))
@@ -181,14 +183,15 @@ class TestTransforms:
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("operator", [curl, leray_project])
     def test_band_blocks_match_full_path(self, n, operator, rng):
-        # Per-mode operators see only the band's blocks of band-limited
-        # input; out-of-band noise sends them down the full path, which
-        # must give the same kept modes bit for bit.
+        # A per-mode operator on the band tables of a compact spectrum
+        # gives the kept modes of the full-layout result bit for bit,
+        # whatever the full spectrum holds outside the band.
         grid = Grid(n)
+        band = Band(grid)
         v = dealias_23(grid, fft_forward(rng.standard_normal((3, n, n, n))))
         noise = fft_forward(rng.standard_normal((3, n, n, n)))
         noisy = np.where(grid.dealias_mask, v, noise)
-        banded = operator(grid, v)
+        banded = band.scatter(operator(band, band.restrict(v)))
         assert np.array_equal(banded, dealias_23(grid, operator(grid, noisy)))
         assert not banded[..., ~grid.dealias_mask].any()
 
@@ -200,7 +203,8 @@ class TestTransforms:
                     np.zeros((3, 16, 16, 16)),           # another grid
                     np.zeros((3, 8, 8, 8), np.float32),  # wrong dtype
                     np.zeros((3, 8, 8, 5)),              # half shape, real
-                    np.zeros((3, 8, 8, 8), np.complex128)):  # full spectrum
+                    np.zeros((3, 8, 8, 8), np.complex128),   # full spectrum
+                    np.zeros((3, 5, 5, 3), np.complex128)):  # compact band
             with pytest.raises(ContractViolationError):
                 run(grid8, bad, SolverConfig(dt=1e-3, t_final=0.0))
             with pytest.raises(ContractViolationError):
@@ -362,35 +366,3 @@ class TestPairwiseSum:
     def test_multidimensional_input(self, rng):
         values = rng.standard_normal((7, 5, 3))
         assert pairwise_sum(values) == pairwise_sum(values.ravel())
-
-
-class TestWorkerConfig:
-    def test_default_single_worker(self, monkeypatch):
-        monkeypatch.delenv("EULER_SPECTRA_THREADS", raising=False)
-        assert fft_workers() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("EULER_SPECTRA_THREADS", "4")
-        assert fft_workers() == 4
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("EULER_SPECTRA_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            fft_workers()
-        monkeypatch.setenv("EULER_SPECTRA_THREADS", "0")
-        with pytest.raises(ConfigurationError):
-            fft_workers()
-
-    def test_thread_count_does_not_change_results(self, rng, monkeypatch):
-        for n in (16, 64):
-            grid = Grid(n)
-            values = rng.standard_normal((3, n, n, n))
-            band = dealias_23(grid, fft_forward(values))
-            results = []
-            for threads in ("1", "2"):
-                monkeypatch.setenv("EULER_SPECTRA_THREADS", threads)
-                full = fft_forward(values)
-                results.append((full, fft_forward(values, dealias=True),
-                                fft_inverse(full), fft_inverse(band)))
-            for one, two in zip(*results):
-                assert np.array_equal(one, two)

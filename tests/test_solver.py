@@ -17,8 +17,16 @@ import pytest
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import divergence_free_error, fft_inverse
+from euler_spectra.grid import Band, Grid
 from euler_spectra.initial import abc_flow, shear_flow, taylor_green
-from euler_spectra.solver import SolverConfig, rhs, run
+import euler_spectra.solver as solver_module
+from euler_spectra.solver import (
+    SolverConfig,
+    SolverState,
+    rhs,
+    run,
+    step_rk4,
+)
 
 from conftest import make_random_velocity
 
@@ -206,6 +214,43 @@ class TestDealiasingEffect:
         outside = ~grid16.dealias_mask
         for comp in state.v:
             assert np.max(np.abs(comp[outside])) == 0.0
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("nu", [0.0, 0.01])
+    def test_band_state_matches_full_layout(self, n, nu, rng):
+        # rhs and one RK4 step on the compact band state give the
+        # full-layout results bit for bit: the kept modes are equal and
+        # every other mode is zero in both.
+        grid = Grid(n)
+        band = Band(grid)
+        v = make_random_velocity(grid, rng)
+        compact = band.restrict(v)
+        assert np.array_equal(band.scatter(rhs(band, compact, nu)),
+                              rhs(grid, v, nu))
+        config = SolverConfig(dt=1e-3, t_final=1e-3, nu=nu)
+        full = step_rk4(grid, SolverState(0.0, v, 0), config)
+        banded = step_rk4(band, SolverState(0.0, compact, 0), config)
+        assert np.array_equal(band.scatter(banded.v), full.v)
+        assert (banded.t, banded.step_index) == (full.t, full.step_index)
+
+    def test_band_decision_follows_the_start(self, grid16, monkeypatch):
+        # A band-limited start steps on the band; a start with a mode
+        # outside it steps on the half spectrum and keeps that mode,
+        # which no masked nonlinear term reaches.
+        spaces = []
+
+        def spy(grid, state, config):
+            spaces.append(type(grid).__name__)
+            return step_rk4(grid, state, config)
+
+        monkeypatch.setattr(solver_module, "step_rk4", spy)
+        config = SolverConfig(dt=1e-3, t_final=2e-3)
+        v0 = taylor_green(grid16)
+        run(grid16, v0, config)
+        v0[1, 6, 0, 0] = v0[1, -6, 0, 0] = 0.1  # cos(6x) along y
+        state = run(grid16, v0, config)
+        assert spaces == ["Band", "Band", "Grid", "Grid"]
+        assert state.v[1, 6, 0, 0] == 0.1
 
     def test_unmasked_run_differs(self, grid16):
         config_on = SolverConfig(dt=2e-3, t_final=0.1, dealias=True)
