@@ -208,8 +208,7 @@ def quadrature_slack(records) -> np.ndarray:
     if times.size < 3:
         return np.zeros(times.size)
     h = uniform_spacing(times)
-    rates = np.array([[0.5 * r.inf_l2p - r.sup_l2m_abs,
-                       r.sup_l2p - 0.5 * r.inf_l2m_abs] for r in records])
+    rates = np.array([envelope_rates(r, None, False)[:2] for r in records])
     dd = np.abs(np.diff(rates, n=2, axis=0)).max(axis=1)
     slack = np.zeros(times.size)
     slack[2:] = (h / 12.0) * np.cumsum(dd)
@@ -399,7 +398,7 @@ def vorticity_transport_residual(grid: Grid, times, velocities):
     normalized = np.empty(times.size)
     for m in range(times.size):
         v_phys = fft_inverse(spectral[m])
-        w_phys = fft_inverse(omega_hats[m])
+        w_phys = omega_stack[m]
         dv = velocity_gradient(grid, spectral[m])
         dw = velocity_gradient(grid, omega_hats[m])
         advect = [sum(v_phys[j] * dw[j][i] for j in range(3))

@@ -23,14 +23,14 @@ Conventions used throughout the package:
   need wavenumbers take the :class:`~euler_spectra.grid.Grid` first.
 
 The transforms are three passes of one-dimensional ``numpy.fft``
-transforms over the last three axes.  A dealiased solver run whose
-state is zero outside the 2/3-rule band |k_j| <= n//3 holds that state
-on the band alone (:class:`~euler_spectra.grid.Band`):
-``band_inverse`` zero-pads it and ``band_forward`` computes only the
-kept modes.  Each band mode goes through the same arithmetic as in the
-full transforms, so the two layouts give the same values bit for bit.
-``curl`` and ``leray_project`` take a ``Band`` in place of the ``Grid``
-for a compact spectrum.
+transforms over the last three axes.  A dealiased solver run holds its
+state on the 2/3-rule band |k_j| <= n//3 alone
+(:class:`~euler_spectra.grid.Band`): ``band_inverse`` zero-pads it and
+``band_forward`` computes only the kept modes.  Each band mode goes
+through the same arithmetic as in the full transforms, so the two
+layouts give the same values bit for bit.  ``curl`` and
+``leray_project`` take a ``Band`` in place of the ``Grid`` for a
+compact spectrum.
 """
 
 import numpy as np

@@ -27,7 +27,8 @@ conjugate at -k, which the half spectrum omits; ``parseval_weight``
 counts those modes twice in spectral sums.
 
 A :class:`Band` holds the same tables cut to the modes the 2/3 rule
-keeps, |k_j| <= n//3, for a solver state stored on that band alone.
+keeps, |k_j| <= n//3, for the state of a dealiased solver run, which
+lives on that band alone.
 """
 
 import math

@@ -8,7 +8,7 @@ where P is the solenoidal projection and the cross product is evaluated
 pointwise in physical space and dealiased by the 2/3 rule before
 projection.  The rotational form conserves kinetic energy exactly in
 the spatial semidiscretization (the pressure-gradient part is removed
-by P; the aliasing residue is removed by the mask), so at nu = 0 energy
+by P; the aliasing residue by the 2/3 rule), so at nu = 0 energy
 drift measures only the time integrator.
 
 Time stepping is the classical fourth-order Runge-Kutta scheme.  The
@@ -17,13 +17,14 @@ projected stages is already solenoidal in exact arithmetic, so this
 only sweeps up rounding, but it pins the divergence at machine zero
 over long runs.
 
-A dealiased run from a start that is zero outside the 2/3-rule band
-stays on the band: the masked nonlinear term, the projection, the
-viscous term and the RK4 stage sums all keep it there.  ``run`` checks
-the projected start once and then takes every step of such a run on
-the compact band layout of :class:`~euler_spectra.grid.Band`, moving
-the state back to the half spectrum after each step for the observers.
-Any other run steps on the full half spectrum.
+A dealiased run integrates the Fourier-Galerkin system that the 2/3
+rule truncates to the band |k_j| <= n//3, which has no other modes.
+``run`` cuts the projected start to that band and takes every step on
+the compact band layout of :class:`~euler_spectra.grid.Band`, whose
+forward transform computes only the kept modes; the state goes back to
+the half spectrum after each step for the observers.  A run with
+``dealias`` off steps on the full half spectrum of the
+:class:`~euler_spectra.grid.Grid` and masks nothing.
 """
 
 import logging
@@ -38,7 +39,6 @@ from euler_spectra.fields import (
     check_velocity,
     cross_product,
     curl,
-    dealias_23,
     fft_forward,
     fft_inverse,
     leray_project,
@@ -68,8 +68,9 @@ class SolverConfig:
     nu : float
         Kinematic viscosity, >= 0; zero selects the inviscid equations.
     dealias : bool
-        Apply the 2/3-rule mask to the nonlinear term.  Disabling it is
-        only useful for demonstrating aliasing errors.
+        Integrate the 2/3-rule truncated system on the band (see the
+        module docstring).  Disabling it is only useful for
+        demonstrating aliasing errors.
     cfl_warning : float
         Advective CFL number above which run() logs a warning.
     """
@@ -111,16 +112,15 @@ class SolverState:
     step_index: int = 0
 
 
-def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0,
-        dealias: bool = True) -> np.ndarray:
+def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0) -> np.ndarray:
     """Right-hand side of the momentum equation for a spectral velocity.
 
     Rotational form: transform to physical space, form v x omega, come
     back, project, and add the diffusion term.  Three batched transforms
     (one per vector field) per evaluation.  ``grid`` is the
-    :class:`Grid` of a half-spectrum ``v``, or the :class:`Band` of a
-    compact one; on a band the forward transform computes only the kept
-    modes, which is the 2/3 rule, and ``dealias`` is not read.
+    :class:`Band` of a compact ``v``, whose forward transform computes
+    only the kept modes, which is the 2/3 rule; or the :class:`Grid` of
+    a half-spectrum one, which masks nothing.
     """
     if isinstance(grid, Band):
         v_phys = band_inverse(grid, v)
@@ -130,8 +130,6 @@ def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0,
         v_phys = fft_inverse(v)
         omega_phys = fft_inverse(curl(grid, v))
         nonlinear = fft_forward(cross_product(v_phys, omega_phys))
-        if dealias:
-            nonlinear = dealias_23(grid, nonlinear)
     out = leray_project(grid, nonlinear)
     if nu != 0.0:
         out = out - (nu * grid.k_squared) * v
@@ -160,13 +158,12 @@ def step_rk4(grid: Grid | Band, state: SolverState,
         If the updated velocity contains NaN or Inf; the exception
         records the failing step index and time.
     """
-    dt = config.dt
-    nu, dealias = config.nu, config.dealias
+    dt, nu = config.dt, config.nu
     v = state.v
-    k1 = rhs(grid, v, nu, dealias)
-    k2 = rhs(grid, v + (0.5 * dt) * k1, nu, dealias)
-    k3 = rhs(grid, v + (0.5 * dt) * k2, nu, dealias)
-    k4 = rhs(grid, v + dt * k3, nu, dealias)
+    k1 = rhs(grid, v, nu)
+    k2 = rhs(grid, v + (0.5 * dt) * k1, nu)
+    k3 = rhs(grid, v + (0.5 * dt) * k2, nu)
+    k4 = rhs(grid, v + dt * k3, nu)
     combo = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     new_v = leray_project(grid, combo)
     new_index = state.step_index + 1
@@ -181,11 +178,12 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
 
     The initial velocity (physical ``(3, n, n, n)`` float64, which is
     transformed first, or spectral ``(3, n, n, n//2 + 1)`` complex128)
-    is projected, the observers are called once on the initial state
-    and then after every step, and the final state is returned.
-    Observers and the returned state hold the half spectrum, also when
-    the steps run on the band.  Observer exceptions propagate to the
-    caller, aborting the run.
+    is projected and, when ``config.dealias`` is on, cut to the 2/3-rule
+    band; the observers are called once on that initial state and then
+    after every step, and the final state is returned.  Observers and
+    the returned state hold the half spectrum, also when the steps run
+    on the band.  Observer exceptions propagate to the caller, aborting
+    the run.
 
     The advective CFL number u_max * dt / dx is sampled at the start
     and every few dozen steps; exceeding ``config.cfl_warning`` logs a
@@ -201,12 +199,12 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     if not np.iscomplexobj(initial):
         initial = fft_forward(initial)
     v0 = leray_project(grid, initial)
-    state = SolverState(0.0, v0, 0)
     _check_finite(v0, 0, 0.0)
-    # The run's one band check: see the module docstring.
     band = None
-    if config.dealias and not v0[:, ~grid.dealias_mask].any():
+    if config.dealias:
         band = Band(grid)
+        v0[:, ~grid.dealias_mask] = 0.0  # not modes of the truncated system
+    state = SolverState(0.0, v0, 0)
 
     def advance(s: SolverState) -> SolverState:
         if band is None:

@@ -16,9 +16,15 @@ import pytest
 
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, NumericsError
-from euler_spectra.fields import divergence_free_error, fft_inverse
+from euler_spectra.fields import (
+    dealias_23,
+    divergence_free_error,
+    fft_inverse,
+    leray_project,
+)
 from euler_spectra.grid import Band, Grid
 from euler_spectra.initial import abc_flow, shear_flow, taylor_green
+from euler_spectra.snapshot import load_snapshot, write_snapshot
 import euler_spectra.solver as solver_module
 from euler_spectra.solver import (
     SolverConfig,
@@ -219,24 +225,35 @@ class TestDealiasingEffect:
     @pytest.mark.parametrize("nu", [0.0, 0.01])
     def test_band_state_matches_full_layout(self, n, nu, rng):
         # rhs and one RK4 step on the compact band state give the
-        # full-layout results bit for bit: the kept modes are equal and
-        # every other mode is zero in both.
+        # masked full-layout results bit for bit: the kept modes are
+        # equal and every other mode is zero in both.
         grid = Grid(n)
         band = Band(grid)
         v = make_random_velocity(grid, rng)
         compact = band.restrict(v)
         assert np.array_equal(band.scatter(rhs(band, compact, nu)),
-                              rhs(grid, v, nu))
-        config = SolverConfig(dt=1e-3, t_final=1e-3, nu=nu)
-        full = step_rk4(grid, SolverState(0.0, v, 0), config)
-        banded = step_rk4(band, SolverState(0.0, compact, 0), config)
-        assert np.array_equal(band.scatter(banded.v), full.v)
-        assert (banded.t, banded.step_index) == (full.t, full.step_index)
+                              dealias_23(grid, rhs(grid, v, nu)))
 
-    def test_band_decision_follows_the_start(self, grid16, monkeypatch):
-        # A band-limited start steps on the band; a start with a mode
-        # outside it steps on the half spectrum and keeps that mode,
-        # which no masked nonlinear term reaches.
+        def masked_rhs(u):
+            return dealias_23(grid, rhs(grid, u, nu))
+
+        dt = 1e-3
+        k1 = masked_rhs(v)
+        k2 = masked_rhs(v + (0.5 * dt) * k1)
+        k3 = masked_rhs(v + (0.5 * dt) * k2)
+        k4 = masked_rhs(v + dt * k3)
+        full = leray_project(
+            grid, v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        config = SolverConfig(dt=dt, t_final=dt, nu=nu)
+        banded = step_rk4(band, SolverState(0.0, compact, 0), config)
+        assert np.array_equal(band.scatter(banded.v), full)
+        assert (banded.t, banded.step_index) == (dt, 1)
+
+    @pytest.mark.parametrize("start", ["out_of_band_mode", "physical"])
+    def test_dealiased_run_steps_on_the_band(self, grid16, start,
+                                             monkeypatch, tmp_path):
+        # Every dealiased run steps on the band, whatever the start
+        # holds outside it, and returns a state that is zero there.
         spaces = []
 
         def spy(grid, state, config):
@@ -244,13 +261,16 @@ class TestDealiasingEffect:
             return step_rk4(grid, state, config)
 
         monkeypatch.setattr(solver_module, "step_rk4", spy)
-        config = SolverConfig(dt=1e-3, t_final=2e-3)
         v0 = taylor_green(grid16)
-        run(grid16, v0, config)
-        v0[1, 6, 0, 0] = v0[1, -6, 0, 0] = 0.1  # cos(6x) along y
-        state = run(grid16, v0, config)
-        assert spaces == ["Band", "Band", "Grid", "Grid"]
-        assert state.v[1, 6, 0, 0] == 0.1
+        if start == "out_of_band_mode":
+            v0[1, 6, 0, 0] = v0[1, -6, 0, 0] = 0.1  # cos(6x) along y
+        else:
+            path = tmp_path / "tg.bin"
+            write_snapshot(path, grid16, v0, 0.0)
+            v0 = load_snapshot(path)[0]  # physical; rounding off the band
+        state = run(grid16, v0, SolverConfig(dt=1e-3, t_final=2e-3))
+        assert spaces == ["Band", "Band"]
+        assert not state.v[:, ~grid16.dealias_mask].any()
 
     def test_unmasked_run_differs(self, grid16):
         config_on = SolverConfig(dt=2e-3, t_final=0.1, dealias=True)
