@@ -30,9 +30,10 @@ from euler_spectra.diagnostics import (
     identity_residuals,
 )
 from euler_spectra.envelopes import (
+    EnvelopeSeries,
+    _snapshot_fields,
     containment_check,
     epsilon_decay_bound,
-    growth_envelopes,
     lambda2_plus_exponential_bound,
     moment_balance_residual,
     quadrature_slack,
@@ -137,8 +138,12 @@ def _manifest() -> dict:
 def _bound_summaries(collector, grid) -> dict:
     records = collector.records
     classification = collector.classification
-    env = growth_envelopes(records, classification)
-    violations = containment_check(records, env)
+    # Same bits as growth_envelopes; an interrupted run may lack a last row.
+    rows = collector.envelope_rows
+    enveloped = records[:len(rows)]
+    env = EnvelopeSeries(np.array([r.t for r in enveloped]),
+                         *np.array(rows).T)
+    violations = containment_check(enveloped, env)
     slack = quadrature_slack(records)
     max_slack = float(np.max(slack)) if slack.size else 0.0
     tolerance = 1e-6 + max_slack
@@ -302,6 +307,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    """Recompute diagnostics from snapshots.  Each snapshot's curl and
+    physical velocity and vorticity are computed once and shared by its
+    record and the vorticity transport residual."""
     loaded = [load_snapshot(path) for path in args.snapshots]
     grid = loaded[0][2]
     if any(g != grid for _, _, g in loaded[1:]):
@@ -313,14 +321,19 @@ def cmd_diagnose(args) -> int:
             "snapshots must be supplied in strictly increasing time order")
 
     spectral = [fft_forward(v) for v, _, _ in loaded]
+    del loaded
+    transformed = _snapshot_fields(grid, spectral)
+    _, v_phys, omega_phys = transformed
 
     print(",".join(DiagnosticsRecord.field_names()))
     # The first snapshot is classified from its own record's spectra.
-    classification, record = classify_and_record(grid, times[0], spectral[0])
+    classification, record = classify_and_record(
+        grid, times[0], spectral[0], physical=(v_phys[0], omega_phys[0]))
     records = []
-    for t, vh in zip(times, spectral):
+    for m, (t, vh) in enumerate(zip(times, spectral)):
         if records:
-            record = compute_record(grid, t, vh, classification=classification)
+            record = compute_record(grid, t, vh, classification=classification,
+                                    physical=(v_phys[m], omega_phys[m]))
         records.append(record)
         print(",".join(repr(float(x)) for x in record.as_tuple()))
 
@@ -339,7 +352,7 @@ def cmd_diagnose(args) -> int:
         print(f"identity {label}: {verdict} (max residual {worst[key]:.3e})",
               file=sys.stderr)
 
-    if len(loaded) >= 5:
+    if len(times) >= 5:
         try:
             uniform_spacing(times)
         except ContractViolationError:
@@ -349,7 +362,8 @@ def cmd_diagnose(args) -> int:
             _, normalized = moment_balance_residual(records)
             print(f"moment balance dQ/dt + 4P: max normalized residual "
                   f"{float(np.max(np.abs(normalized))):.3e}", file=sys.stderr)
-            raw, _ = vorticity_transport_residual(grid, times, spectral)
+            raw, _ = vorticity_transport_residual(grid, times, spectral,
+                                                  transformed)
             print(f"vorticity transport: max residual "
                   f"{float(np.max(raw)):.3e}", file=sys.stderr)
     return EXIT_OK

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from euler_spectra.errors import ContractViolationError, NumericsError
-from euler_spectra.fields import fft_inverse, spectral_derivative
+from euler_spectra.fields import _inverse_owned, spectral_derivative
 from euler_spectra.grid import Grid
 
 logger = logging.getLogger("euler_spectra.deformation")
@@ -102,7 +102,8 @@ def velocity_gradient(grid: Grid, v: np.ndarray) -> np.ndarray:
     grad = np.empty((3, 3) + (grid.n,) * 3)
     for i in range(3):
         for j in range(3):
-            grad[i, j] = fft_inverse(spectral_derivative(grid, v[j], i))
+            _inverse_owned(spectral_derivative(grid, v[j], i),
+                           out=grad[i, j])
     return grad
 
 
@@ -111,8 +112,8 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
 
     Returns the ``(6, n, n, n)`` physical tensor in the order
     ``s11, s12, s13, s22, s23, s33``.  Each entry is transformed on its
-    own: on a 2-core host that measured faster than batching three
-    entries per transform, and it holds less memory at once.
+    own, into its slot: on a 2-core host that measured faster than
+    batching three entries per transform, and it holds less memory.
 
     Logs a warning when the pointwise trace is not negligible against
     the tensor magnitude, since downstream eigenvalue identities assume
@@ -121,12 +122,12 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
     v1, v2, v3 = v
     kx, ky, kz = grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z
     tensor = np.empty((6,) + (grid.n,) * 3)
-    tensor[0] = fft_inverse(1j * kx * v1)
-    tensor[1] = fft_inverse(0.5j * (kx * v2 + ky * v1))
-    tensor[2] = fft_inverse(0.5j * (kx * v3 + kz * v1))
-    tensor[3] = fft_inverse(1j * ky * v2)
-    tensor[4] = fft_inverse(0.5j * (ky * v3 + kz * v2))
-    tensor[5] = fft_inverse(1j * kz * v3)
+    _inverse_owned(1j * kx * v1, out=tensor[0])
+    _inverse_owned(0.5j * (kx * v2 + ky * v1), out=tensor[1])
+    _inverse_owned(0.5j * (kx * v3 + kz * v1), out=tensor[2])
+    _inverse_owned(1j * ky * v2, out=tensor[3])
+    _inverse_owned(0.5j * (ky * v3 + kz * v2), out=tensor[4])
+    _inverse_owned(1j * kz * v3, out=tensor[5])
 
     s11, _, _, s22, _, s33 = tensor
     trace_rms = float(np.sqrt(np.mean((s11 + s22 + s33) ** 2)))

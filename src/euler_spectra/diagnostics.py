@@ -36,6 +36,7 @@ from euler_spectra.deformation import (
 from euler_spectra.envelopes import EnvelopeAccumulator, envelope_rates
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
+    _inverse_owned,
     curl,
     fft_inverse,
     integrate_domain,
@@ -77,10 +78,12 @@ def cubic_trace_integral(grid: Grid, tensor: np.ndarray) -> float:
 
     Using the componentwise expansion keeps this quantity independent
     of the eigensolver, so comparing it against 3 P cross-checks the
-    entire eigenvalue pipeline.
+    entire eigenvalue pipeline.  Every term is a product of entries:
+    numpy evaluates ``s ** 3`` through ``pow``, which took 24 ms on an
+    n=64 field against 0.5 ms for ``s * s * s`` (2 CPUs).
     """
     s11, s12, s13, s22, s23, s33 = tensor
-    cubic = (s11 ** 3 + s22 ** 3 + s33 ** 3
+    cubic = (s11 * s11 * s11 + s22 * s22 * s22 + s33 * s33 * s33
              + 3.0 * (s12 * s12 * (s11 + s22)
                       + s13 * s13 * (s11 + s33)
                       + s23 * s23 * (s22 + s33))
@@ -168,16 +171,19 @@ class _ClassifyHere:
 def compute_record(grid: Grid, t: float, v: np.ndarray,
                    classification: Classification | None = None,
                    eps_floor: float | None = None,
-                   class_valid: bool = True) -> DiagnosticsRecord:
+                   class_valid: bool = True,
+                   physical=None) -> DiagnosticsRecord:
     """Evaluate the full diagnostics pipeline for one spectral velocity.
 
     The epsilon-ratio infimum is only defined while the run sits in a
     one-signed class; pass the run's classification (and whether the
     sign condition still holds) to populate it, otherwise it is NaN.
     :func:`classify_and_record` classifies the sample itself first.
+    ``physical`` is ``(fft_inverse(v), fft_inverse(curl(grid, v)))``
+    for a caller that holds them (``diagnose``); the record is the same.
     """
-    v_phys = fft_inverse(v)
-    omega_phys = fft_inverse(curl(grid, v))
+    v_phys, omega_phys = physical or (fft_inverse(v),
+                                      _inverse_owned(curl(grid, v)))
     tensor = deformation_tensor(grid, v)
     spectra = eigenvalues_sym3(tensor)
     if isinstance(classification, _ClassifyHere):
@@ -216,13 +222,13 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
 
 def classify_and_record(grid: Grid, t: float, v: np.ndarray,
                         tolerance: float | None = None,
-                        eps_floor: float | None = None):
+                        eps_floor: float | None = None, physical=None):
     """Classify the first sample of a series and record it.
 
     Gives the same classification as
     :func:`~euler_spectra.initial.classify_initial` and the same record
     as :func:`compute_record` called with it, from one deformation
-    tensor and one eigensolve.
+    tensor and one eigensolve; ``physical`` goes to the record.
 
     Returns
     -------
@@ -230,7 +236,7 @@ def classify_and_record(grid: Grid, t: float, v: np.ndarray,
     """
     pending = _ClassifyHere(tolerance)
     record = compute_record(grid, t, v, classification=pending,
-                            eps_floor=eps_floor)
+                            eps_floor=eps_floor, physical=physical)
     return pending.result, record
 
 

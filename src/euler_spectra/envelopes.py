@@ -362,13 +362,24 @@ def epsilon_decay_bound(records, classification: Classification,
                              satisfied_series, bool(satisfied_series.all()))
 
 
-def vorticity_transport_residual(grid: Grid, times, velocities):
+def _snapshot_fields(grid: Grid, spectral):
+    """Curls, physical velocities and physical vorticities of spectral
+    velocities, each stacked along a leading snapshot axis."""
+    omega_hats = np.stack([curl(grid, v) for v in spectral])
+    v_phys = np.stack([fft_inverse(v) for v in spectral])
+    return omega_hats, v_phys, np.stack([fft_inverse(w) for w in omega_hats])
+
+
+def vorticity_transport_residual(grid: Grid, times, velocities,
+                                 transformed=None):
     """Pointwise residual of the vorticity transport equation.
 
     Given uniformly spaced velocity snapshots on ``grid`` (physical
     float64 or half-spectrum complex128, see ``fields.check_velocity``),
     computes d(omega)/dt + (v . grad) omega - (omega . grad) v  with a
-    fourth-order time stencil and spectral space derivatives.
+    fourth-order time stencil and spectral space derivatives.  A caller
+    that holds ``_snapshot_fields(grid, velocities)`` of spectral
+    velocities (``diagnose``) passes it as ``transformed``; same result.
 
     Returns
     -------
@@ -390,14 +401,14 @@ def vorticity_transport_residual(grid: Grid, times, velocities):
 
     spectral = [v if np.iscomplexobj(v) else fft_forward(v)
                 for v in velocities]
-    omega_hats = [curl(grid, v) for v in spectral]
-    omega_stack = np.stack([fft_inverse(w) for w in omega_hats])
+    omega_hats, v_stack, omega_stack = (transformed
+                                        or _snapshot_fields(grid, spectral))
     domega_dt = derivative_4th(omega_stack, h, axis=0)
 
     raw = np.empty(times.size)
     normalized = np.empty(times.size)
     for m in range(times.size):
-        v_phys = fft_inverse(spectral[m])
+        v_phys = v_stack[m]
         w_phys = omega_stack[m]
         dv = velocity_gradient(grid, spectral[m])
         dw = velocity_gradient(grid, omega_hats[m])

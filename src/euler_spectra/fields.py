@@ -30,7 +30,8 @@ state on the 2/3-rule band |k_j| <= n//3 alone
 through the same arithmetic as in the full transforms, so the two
 layouts give the same values bit for bit.  ``curl`` and
 ``leray_project`` take a ``Band`` in place of the ``Grid`` for a
-compact spectrum.
+compact spectrum.  ``fft_inverse`` copies its input; ``_inverse_owned``
+transforms in place a spectrum the caller can spare, into ``out=``.
 """
 
 import numpy as np
@@ -86,10 +87,17 @@ def fft_inverse(coeffs: np.ndarray) -> np.ndarray:
     working copy, then ``irfft`` along z.
     """
     # In place on a copy: an out-of-place x pass measured ~1.5x slower.
-    work = np.array(coeffs, dtype=np.complex128)
+    return _inverse_owned(np.array(coeffs, dtype=np.complex128))
+
+
+def _inverse_owned(work: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """:func:`fft_inverse` that overwrites the complex128 ``work`` and
+    writes into the float64 ``out`` when it is given."""
     np.fft.ifft(work, axis=-3, norm="forward", out=work)
     np.fft.ifft(work, axis=-2, norm="forward", out=work)
-    return np.fft.irfft(work, n=coeffs.shape[-3], axis=-1, norm="forward")
+    return np.fft.irfft(work, n=work.shape[-3], axis=-1, norm="forward",
+                        out=out)
 
 
 def band_forward(band: Band, values: np.ndarray) -> np.ndarray:

@@ -26,10 +26,13 @@ from euler_spectra.cli import (
     main,
 )
 from euler_spectra.config import InitSpec, RunConfig, parse_config
+from euler_spectra.diagnostics import classify_and_record, compute_record
+from euler_spectra.envelopes import vorticity_transport_residual
 from euler_spectra.errors import ConfigurationError
+from euler_spectra.fields import fft_forward
 from euler_spectra.grid import Grid
 from euler_spectra.initial import taylor_green
-from euler_spectra.snapshot import write_snapshot
+from euler_spectra.snapshot import load_snapshot, write_snapshot
 from euler_spectra.solver import SolverConfig
 
 
@@ -371,6 +374,44 @@ class TestCmdDiagnose:
         assert "identity C3 = 3P: pass" in captured.err
         assert "moment balance" in captured.err
         assert "vorticity transport" in captured.err
+
+    @pytest.mark.parametrize("initial", [
+        {"kind": "random_solenoidal", "seed": 3},
+        # Band-limited products: the transport residual sits at rounding
+        # level, so its printed digits would show a mixed-up field.
+        {"kind": "taylor_green"},
+    ])
+    def test_matches_the_public_functions(self, tmp_path, capsys, initial):
+        # diagnose shares each snapshot's transforms between its records
+        # and the transport residual; both must come out as the public
+        # functions give them on their own.
+        out = tmp_path / "snaps"
+        cfg = write_config(tmp_path, n=16, output_dir=str(out),
+                           initial=initial, snapshot_every=1,
+                           solver={"t_final": 0.004, "dt": 1e-3})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        paths = sorted(str(p) for p in out.glob("snapshot_*.bin"))
+        assert len(paths) == 5
+        capsys.readouterr()
+        assert main(["diagnose", *paths]) == EXIT_OK
+        captured = capsys.readouterr()
+
+        loaded = [load_snapshot(p) for p in paths]
+        grid = loaded[0][2]
+        times = [t for _, t, _ in loaded]
+        classification, first = classify_and_record(
+            grid, times[0], fft_forward(loaded[0][0]))
+        records = [first] + [
+            compute_record(grid, t, fft_forward(v),
+                           classification=classification)
+            for v, t, _ in loaded[1:]]
+        rows = captured.out.strip().splitlines()[1:]
+        assert rows == [",".join(repr(float(x)) for x in r.as_tuple())
+                        for r in records]
+        raw, _ = vorticity_transport_residual(
+            grid, times, [v for v, _, _ in loaded])
+        assert (f"vorticity transport: max residual "
+                f"{float(np.max(raw)):.3e}") in captured.err.splitlines()
 
     def test_few_snapshots_skip_series_residuals(self, snapshot_dir, capsys):
         assert main(["diagnose", *snapshot_dir[:3]]) == EXIT_OK

@@ -26,7 +26,8 @@ from euler_spectra.deformation import (
 )
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ContractViolationError, NumericsError
-from euler_spectra.fields import fft_forward, fft_inverse
+from euler_spectra.fields import fft_forward, fft_inverse, spectral_derivative
+from euler_spectra.grid import Grid
 from euler_spectra.initial import abc_flow, shear_flow, taylor_green
 
 from conftest import make_random_velocity
@@ -224,6 +225,30 @@ class TestDeformationTensor:
                       - np.roll(comp, 1, axis=i)) / (2.0 * dx)
                 err = np.max(np.abs(grad[i, j] - fd))
                 assert err < dx ** 2  # |f'''| <= 1 for unit ABC modes
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_entries_equal_fft_inverse_bitwise(self, n, rng):
+        # The entries are transformed in place into their slots; each
+        # must equal fft_inverse of the same spectral entry exactly.
+        grid = Grid(n)
+        v = make_random_velocity(grid, rng)
+        v1, v2, v3 = v
+        kx, ky, kz = grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z
+        entries = (1j * kx * v1, 0.5j * (kx * v2 + ky * v1),
+                   0.5j * (kx * v3 + kz * v1), 1j * ky * v2,
+                   0.5j * (ky * v3 + kz * v2), 1j * kz * v3)
+        tensor = deformation_tensor(grid, v)
+        for k, entry in enumerate(entries):
+            kept = entry.copy()
+            assert np.array_equal(tensor[k], fft_inverse(entry))
+            assert np.array_equal(entry, kept)
+        grad = velocity_gradient(grid, v)
+        for i in range(3):
+            for j in range(3):
+                entry = spectral_derivative(grid, v[j], i)
+                kept = entry.copy()
+                assert np.array_equal(grad[i, j], fft_inverse(entry))
+                assert np.array_equal(entry, kept)
 
     def test_trace_warning_for_compressible_input(self, grid16, caplog):
         x, _, _ = grid16.coordinates()

@@ -24,6 +24,7 @@ from euler_spectra.diagnostics import (
     DiagnosticsRecord,
     classify_and_record,
     compute_record,
+    cubic_trace_integral,
     identity_residuals,
     resolution_tail_fraction,
     spectra_moments,
@@ -39,6 +40,7 @@ from euler_spectra.fields import (
     magnitude_squared,
 )
 from euler_spectra.grid import Grid
+from euler_spectra.reductions import pairwise_sum
 from euler_spectra.initial import (
     abc_flow,
     classify_initial,
@@ -122,6 +124,23 @@ class TestIntegralIdentities:
     def test_cubic_is_three_times_product(self, velocity, grid16):
         record = compute_record(grid16, 0.0, velocity)
         assert record.C3 == pytest.approx(3.0 * record.P, rel=1e-10)
+
+    def test_cubic_trace_against_eigenvalue_cubes(self, velocity, grid16):
+        # tr S^3 = l1^3 + l2^3 + l3^3, from the eigensolver instead of
+        # the component products; and the products against ``** 3``.
+        tensor = deformation_tensor(grid16, velocity)
+        c3 = cubic_trace_integral(grid16, tensor)
+        l1, l2, l3 = eigenvalues_sym3(tensor)
+        via_eigenvalues = grid16.cell_volume * pairwise_sum(
+            l1 ** 3 + l2 ** 3 + l3 ** 3)
+        assert c3 == pytest.approx(via_eigenvalues, rel=1e-12)
+        s11, s12, s13, s22, s23, s33 = tensor
+        via_pow = grid16.cell_volume * pairwise_sum(
+            s11 ** 3 + s22 ** 3 + s33 ** 3
+            + 3.0 * (s12 * s12 * (s11 + s22) + s13 * s13 * (s11 + s33)
+                     + s23 * s23 * (s22 + s33))
+            + 6.0 * s12 * s13 * s23)
+        assert c3 == pytest.approx(via_pow, rel=1e-13)
 
     def test_residuals_near_rounding(self, velocity, grid16):
         res = identity_residuals(compute_record(grid16, 0.0, velocity))
