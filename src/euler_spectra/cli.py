@@ -156,7 +156,7 @@ def _bound_summaries(collector, grid) -> dict:
         **violations,
     }
 
-    exp_bound = lambda2_plus_exponential_bound(records)
+    exp_bound = lambda2_plus_exponential_bound(enveloped, env)
 
     eps = epsilon_decay_bound(records, classification, grid.volume)
     if not eps.applicable:
@@ -307,9 +307,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    """Recompute diagnostics from snapshots.  Each snapshot's curl and
-    physical velocity and vorticity are computed once and shared by its
-    record and the vorticity transport residual."""
+    """Recompute diagnostics from snapshots.  Each snapshot's physical
+    velocity and vorticity are computed once and shared by its record
+    and the vorticity transport residual."""
     loaded = [load_snapshot(path) for path in args.snapshots]
     grid = loaded[0][2]
     if any(g != grid for _, _, g in loaded[1:]):
@@ -322,8 +322,7 @@ def cmd_diagnose(args) -> int:
 
     spectral = [fft_forward(v) for v, _, _ in loaded]
     del loaded
-    transformed = _snapshot_fields(grid, spectral)
-    _, v_phys, omega_phys = transformed
+    v_phys, omega_phys = _snapshot_fields(grid, spectral)
 
     print(",".join(DiagnosticsRecord.field_names()))
     # The first snapshot is classified from its own record's spectra.
@@ -363,7 +362,7 @@ def cmd_diagnose(args) -> int:
             print(f"moment balance dQ/dt + 4P: max normalized residual "
                   f"{float(np.max(np.abs(normalized))):.3e}", file=sys.stderr)
             raw, _ = vorticity_transport_residual(grid, times, spectral,
-                                                  transformed)
+                                                  (v_phys, omega_phys))
             print(f"vorticity transport: max residual "
                   f"{float(np.max(raw)):.3e}", file=sys.stderr)
     return EXIT_OK

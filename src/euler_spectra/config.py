@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from euler_spectra.errors import ConfigurationError
-from euler_spectra.fields import dealias_23, fft_forward, leray_project
+from euler_spectra.fields import fft_forward
 from euler_spectra.grid import Grid
 from euler_spectra.initial import (
+    _finalize,
     abc_flow,
     random_solenoidal,
     shear_flow,
@@ -80,7 +81,7 @@ class InitSpec:
             raise ConfigurationError(
                 f"snapshot grid (n={stored.n}, L={stored.length}) does not "
                 f"match configured grid (n={grid.n}, L={grid.length})")
-        return dealias_23(grid, leray_project(grid, fft_forward(v)))
+        return _finalize(grid, fft_forward(v))
 
 
 @dataclass

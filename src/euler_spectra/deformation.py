@@ -1,4 +1,4 @@
-"""Velocity gradient, deformation tensor, and its eigenvalue fields.
+"""Deformation tensor and its eigenvalue fields.
 
 The deformation (rate-of-strain) tensor is the symmetric part of the
 velocity gradient, ``S_ij = (d_i v_j + d_j v_i) / 2``.  For an
@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from euler_spectra.errors import ContractViolationError, NumericsError
-from euler_spectra.fields import _inverse_owned, spectral_derivative
+from euler_spectra.fields import _inverse_owned
 from euler_spectra.grid import Grid
 
 logger = logging.getLogger("euler_spectra.deformation")
@@ -91,20 +91,6 @@ class Classification:
     min_lambda2: float
     max_lambda2: float
     tolerance: float
-
-
-def velocity_gradient(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Physical-space gradient of a spectral vector field.
-
-    Returns a ``(3, 3, n, n, n)`` array with ``grad[i, j] = d v_j / d x_i``
-    (row index = derivative direction).
-    """
-    grad = np.empty((3, 3) + (grid.n,) * 3)
-    for i in range(3):
-        for j in range(3):
-            _inverse_owned(spectral_derivative(grid, v[j], i),
-                           out=grad[i, j])
-    return grad
 
 
 def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ solver against exact analysis:
 - an exponential upper bound driven by the positive part alone;
 - the balance residual dQ/dt + 4 P of the quadratic eigenvalue moment;
 - a decay bound for the middle-to-dominant eigenvalue ratio;
-- the pointwise residual of the vorticity transport equation.
+- the residual of the vorticity transport equation, whose transport
+  term is the curl of the 2/3-truncated v x omega.
 
 Time integrals use the trapezoid rule through a single accumulator
 class so that envelopes computed on the fly during a run and envelopes
@@ -26,10 +27,17 @@ from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
     first_zero_touching,
-    velocity_gradient,
 )
 from euler_spectra.errors import ContractViolationError
-from euler_spectra.fields import check_velocity, curl, fft_forward, fft_inverse
+from euler_spectra.fields import (
+    _inverse_owned,
+    check_velocity,
+    cross_product,
+    curl,
+    dealias_23,
+    fft_forward,
+    fft_inverse,
+)
 from euler_spectra.grid import Grid
 
 
@@ -235,18 +243,19 @@ def containment_check(records, envelopes: EnvelopeSeries) -> dict:
     }
 
 
-def lambda2_plus_exponential_bound(records, tolerance: float = 1e-6) -> dict:
+def lambda2_plus_exponential_bound(records, envelopes: EnvelopeSeries,
+                                   tolerance: float = 1e-6) -> dict:
     """Check sqrt(Z(t)) <= sqrt(Z0) * exp(integral of sup l2+).
 
+    The integral is ``envelopes.positive_integral`` at the same records.
     Returns the largest ratio of the two sides and whether it stays
     below 1 + tolerance at every sample.
     """
     records = list(records)
     if not records:
         raise ContractViolationError("no records")
-    env = growth_envelopes(records)
     sqrt_z0 = math.sqrt(max(records[0].Z, 0.0))
-    bound = sqrt_z0 * np.exp(env.positive_integral)
+    bound = sqrt_z0 * np.exp(envelopes.positive_integral)
     sqrt_z = np.sqrt(np.array([max(r.Z, 0.0) for r in records]))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(bound > 0.0, sqrt_z / bound,
@@ -363,11 +372,13 @@ def epsilon_decay_bound(records, classification: Classification,
 
 
 def _snapshot_fields(grid: Grid, spectral):
-    """Curls, physical velocities and physical vorticities of spectral
-    velocities, each stacked along a leading snapshot axis."""
-    omega_hats = np.stack([curl(grid, v) for v in spectral])
+    """Physical velocities and vorticities of spectral velocities, each
+    stacked along a leading snapshot axis."""
     v_phys = np.stack([fft_inverse(v) for v in spectral])
-    return omega_hats, v_phys, np.stack([fft_inverse(w) for w in omega_hats])
+    omega_phys = np.empty_like(v_phys)
+    for m, v in enumerate(spectral):
+        _inverse_owned(curl(grid, v), out=omega_phys[m])
+    return v_phys, omega_phys
 
 
 def vorticity_transport_residual(grid: Grid, times, velocities,
@@ -376,17 +387,19 @@ def vorticity_transport_residual(grid: Grid, times, velocities,
 
     Given uniformly spaced velocity snapshots on ``grid`` (physical
     float64 or half-spectrum complex128, see ``fields.check_velocity``),
-    computes d(omega)/dt + (v . grad) omega - (omega . grad) v  with a
-    fourth-order time stencil and spectral space derivatives.  A caller
-    that holds ``_snapshot_fields(grid, velocities)`` of spectral
-    velocities (``diagnose``) passes it as ``transformed``; same result.
+    compares the fourth-order time stencil of omega with curl(v x omega)
+    = (omega . grad) v - (v . grad) omega, the product truncated to the
+    2/3-rule band: the d(omega)/dt of the truncated system that dealiased
+    runs integrate, and that ``dealias: false`` snapshots are measured
+    against too.  A caller that holds ``_snapshot_fields(grid, velocities)``
+    of spectral velocities (``diagnose``) passes it as ``transformed``.
 
     Returns
     -------
     (ndarray, ndarray)
         Max-norm of the residual per sample, raw and normalized by the
-        largest max-norm among the equation's three terms at that
-        sample (time derivative, advection, stretching).
+        larger max-norm of the two terms at that sample (time
+        derivative, transport).
     """
     times = np.asarray(times, dtype=np.float64)
     velocities = list(velocities)
@@ -399,32 +412,18 @@ def vorticity_transport_residual(grid: Grid, times, velocities,
     for v in velocities:
         check_velocity(grid, v)
 
-    spectral = [v if np.iscomplexobj(v) else fft_forward(v)
-                for v in velocities]
-    omega_hats, v_stack, omega_stack = (transformed
-                                        or _snapshot_fields(grid, spectral))
+    v_stack, omega_stack = transformed or _snapshot_fields(
+        grid, [v if np.iscomplexobj(v) else fft_forward(v)
+               for v in velocities])
     domega_dt = derivative_4th(omega_stack, h, axis=0)
 
     raw = np.empty(times.size)
     normalized = np.empty(times.size)
     for m in range(times.size):
-        v_phys = v_stack[m]
-        w_phys = omega_stack[m]
-        dv = velocity_gradient(grid, spectral[m])
-        dw = velocity_gradient(grid, omega_hats[m])
-        advect = [sum(v_phys[j] * dw[j][i] for j in range(3))
-                  for i in range(3)]
-        stretch = [sum(w_phys[j] * dv[j][i] for j in range(3))
-                   for i in range(3)]
-        worst = 0.0
-        scale = 1e-300
-        for i in range(3):
-            res = domega_dt[m, i] + advect[i] - stretch[i]
-            worst = max(worst, float(np.max(np.abs(res))))
-            scale = max(scale,
-                        float(np.max(np.abs(domega_dt[m, i]))),
-                        float(np.max(np.abs(advect[i]))),
-                        float(np.max(np.abs(stretch[i]))))
-        raw[m] = worst
-        normalized[m] = worst / scale
+        transport = _inverse_owned(curl(grid, dealias_23(
+            grid, fft_forward(cross_product(v_stack[m], omega_stack[m])))))
+        raw[m] = float(np.max(np.abs(domega_dt[m] - transport)))
+        scale = max(float(np.max(np.abs(domega_dt[m]))),
+                    float(np.max(np.abs(transport))), 1e-300)
+        normalized[m] = raw[m] / scale
     return raw, normalized

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from euler_spectra.grid import Grid
-from euler_spectra.fields import fft_forward, leray_project, dealias_23
+from euler_spectra.fields import (
+    dealias_23,
+    fft_forward,
+    fft_inverse,
+    leray_project,
+    spectral_derivative,
+)
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +47,19 @@ def make_random_velocity(grid, rng, scale=1.0):
     # Damp high modes so derived quantities stay O(1) and well resolved.
     damp = np.exp(-0.5 * grid.k_squared / 9.0)
     return dealias_23(grid, leray_project(grid, vhat * damp))
+
+
+def velocity_gradient(grid, v):
+    """Physical-space gradient of a spectral vector field.
+
+    Returns a ``(3, 3, n, n, n)`` array with ``grad[i, j] = d v_j / d x_i``
+    (row index = derivative direction).
+    """
+    grad = np.empty((3, 3) + (grid.n,) * 3)
+    for i in range(3):
+        for j in range(3):
+            grad[i, j] = fft_inverse(spectral_derivative(grid, v[j], i))
+    return grad
 
 
 def gradient_norm_squared_pointwise(grad):

@@ -22,7 +22,6 @@ from euler_spectra.deformation import (
     Classification,
     eigenvalues_sym3,
     frobenius_squared,
-    velocity_gradient,
 )
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
@@ -49,7 +48,7 @@ from euler_spectra.grid import Grid
 from euler_spectra.initial import abc_flow, random_solenoidal, taylor_green
 from euler_spectra.solver import SolverConfig, run as solver_run
 
-from conftest import gradient_norm_squared_pointwise
+from conftest import gradient_norm_squared_pointwise, velocity_gradient
 
 
 def report(number, passed, detail):
@@ -276,7 +275,8 @@ def test_criterion_7_stretching_exponential_bound(tg32, tg64, abc32):
     passed = True
     for name, run in (("TG n=32", tg32), ("TG n=64", tg64),
                       ("ABC n=32", abc32)):
-        result = lambda2_plus_exponential_bound(run.records)
+        result = lambda2_plus_exponential_bound(
+            run.records, growth_envelopes(run.records))
         ratios[name] = result["max_ratio"]
         passed = passed and result["satisfied"] \
             and result["max_ratio"] <= 1.0 + 1e-6

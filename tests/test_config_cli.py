@@ -377,14 +377,14 @@ class TestCmdDiagnose:
 
     @pytest.mark.parametrize("initial", [
         {"kind": "random_solenoidal", "seed": 3},
-        # Band-limited products: the transport residual sits at rounding
-        # level, so its printed digits would show a mixed-up field.
         {"kind": "taylor_green"},
     ])
     def test_matches_the_public_functions(self, tmp_path, capsys, initial):
         # diagnose shares each snapshot's transforms between its records
         # and the transport residual; both must come out as the public
-        # functions give them on their own.
+        # functions give them on their own.  On both fields the transport
+        # residual sits at rounding level, so its printed digits would
+        # show a mixed-up field.
         out = tmp_path / "snaps"
         cfg = write_config(tmp_path, n=16, output_dir=str(out),
                            initial=initial, snapshot_every=1,

@@ -22,15 +22,14 @@ from euler_spectra.deformation import (
     epsilon_ratio,
     first_zero_touching,
     frobenius_squared,
-    velocity_gradient,
 )
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ContractViolationError, NumericsError
-from euler_spectra.fields import fft_forward, fft_inverse, spectral_derivative
+from euler_spectra.fields import fft_forward, fft_inverse
 from euler_spectra.grid import Grid
 from euler_spectra.initial import abc_flow, shear_flow, taylor_green
 
-from conftest import make_random_velocity
+from conftest import make_random_velocity, velocity_gradient
 
 
 def tensor_from_matrices(grid, matrices):
@@ -242,13 +241,6 @@ class TestDeformationTensor:
             kept = entry.copy()
             assert np.array_equal(tensor[k], fft_inverse(entry))
             assert np.array_equal(entry, kept)
-        grad = velocity_gradient(grid, v)
-        for i in range(3):
-            for j in range(3):
-                entry = spectral_derivative(grid, v[j], i)
-                kept = entry.copy()
-                assert np.array_equal(grad[i, j], fft_inverse(entry))
-                assert np.array_equal(entry, kept)
 
     def test_trace_warning_for_compressible_input(self, grid16, caplog):
         x, _, _ = grid16.coordinates()

@@ -17,7 +17,6 @@ from euler_spectra.deformation import (
     deformation_tensor,
     eigenvalues_sym3,
     frobenius_squared,
-    velocity_gradient,
 )
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
@@ -50,7 +49,11 @@ from euler_spectra.initial import (
 )
 from euler_spectra.solver import SolverConfig, run
 
-from conftest import gradient_norm_squared_pointwise, make_random_velocity
+from conftest import (
+    gradient_norm_squared_pointwise,
+    make_random_velocity,
+    velocity_gradient,
+)
 
 PI3 = math.pi ** 3
 

@@ -27,9 +27,12 @@ from euler_spectra.envelopes import (
     vorticity_transport_residual,
 )
 from euler_spectra.errors import ContractViolationError
-from euler_spectra.fields import fft_inverse
-from euler_spectra.initial import shear_flow, taylor_green
+from euler_spectra.fields import curl, fft_inverse
+from euler_spectra.grid import Grid
+from euler_spectra.initial import random_solenoidal, shear_flow, taylor_green
 from euler_spectra.solver import SolverConfig, run
+
+from conftest import velocity_gradient
 
 TAU = 2.0 * math.pi
 
@@ -253,7 +256,7 @@ class TestExponentialBound:
     def test_steady_series_is_tight(self):
         recs = series(np.linspace(0.0, 1.0, 11), Z=4.0, min_l2=-0.2,
                       max_l2=0.0)
-        out = lambda2_plus_exponential_bound(recs)
+        out = lambda2_plus_exponential_bound(recs, growth_envelopes(recs))
         # sup l2+ = 0 so the bound is exactly sqrt(Z0); ratio 1.
         assert out["max_ratio"] == pytest.approx(1.0, abs=1e-12)
         assert out["satisfied"]
@@ -263,7 +266,7 @@ class TestExponentialBound:
         recs = series(times, min_l2=0.0, max_l2=0.0)
         for r in recs:
             r.Z = 4.0 * math.exp(0.1 * r.t)
-        out = lambda2_plus_exponential_bound(recs)
+        out = lambda2_plus_exponential_bound(recs, growth_envelopes(recs))
         assert not out["satisfied"]
         assert out["max_ratio"] == pytest.approx(math.exp(0.05), rel=1e-10)
 
@@ -423,3 +426,39 @@ class TestTransportResidual:
         raw, _ = vorticity_transport_residual(grid16, times,
                                               [v for _, v in snaps])
         assert np.max(raw) < 1e-9
+
+    def test_random_run_sees_time_order(self, grid16):
+        # A random field fills the band, so its products leave it; the
+        # truncated transport term must still match consecutive run
+        # states to rounding and miss them when replayed backwards.
+        snaps = []
+        run(grid16, random_solenoidal(grid16, 3),
+            SolverConfig(dt=1e-3, t_final=0.004),
+            observers=[lambda state: snaps.append((state.t, state.v))])
+        times = [t for t, _ in snaps]
+        velocities = [v for _, v in snaps]
+        assert len(times) == 5
+        raw, _ = vorticity_transport_residual(grid16, times, velocities)
+        assert np.max(raw) < 1e-9
+        _, normalized = vorticity_transport_residual(grid16, times,
+                                                     velocities[::-1])
+        assert np.max(normalized) > 0.1
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_transport_term_matches_gradients(self, n):
+        # Identical copies have a zero time derivative, so the residual
+        # is the transport term alone.  Taylor-Green's products stay in
+        # the band, where it must equal (omega . grad) v - (v . grad) omega
+        # built from velocity gradients.
+        grid = Grid(n)
+        v = taylor_green(grid)
+        omega = curl(grid, v)
+        v_phys, omega_phys = fft_inverse(v), fft_inverse(omega)
+        dv, domega = velocity_gradient(grid, v), velocity_gradient(grid, omega)
+        transport = np.stack([
+            sum(omega_phys[j] * dv[j, i] - v_phys[j] * domega[j, i]
+                for j in range(3))
+            for i in range(3)])
+        raw, _ = vorticity_transport_residual(
+            grid, np.linspace(0.0, 0.4, 5), [v.copy() for _ in range(5)])
+        assert raw == pytest.approx(np.max(np.abs(transport)), rel=1e-12)
