@@ -54,7 +54,7 @@ from euler_spectra.snapshot import (
     replace_on_success,
     write_snapshot,
 )
-from euler_spectra.solver import run as solver_run
+from euler_spectra.solver import run as solver_run, step_threads
 
 logger = logging.getLogger("euler_spectra.cli")
 
@@ -125,13 +125,14 @@ def _sanitize(obj):
     return obj
 
 
-def _manifest() -> dict:
-    """Versions and FFT backend that produced a run."""
+def _manifest(solver_threads: int) -> dict:
+    """Versions, FFT backend and solver thread count that produced a run."""
     return {
         "euler_spectra": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "fft_backend": "numpy.fft",
+        "solver_threads": solver_threads,
     }
 
 
@@ -291,7 +292,7 @@ def cmd_run(args) -> int:
     if collector.records:
         summary.update(collector.summary())
         summary.update(_bound_summaries(collector, grid))
-    summary["manifest"] = _manifest()
+    summary["manifest"] = _manifest(step_threads(grid, cfg.solver))
     try:
         with replace_on_success(out_dir / "summary.json", "w") as fh:
             json.dump(_sanitize(summary), fh, indent=2, allow_nan=False)

@@ -32,6 +32,11 @@ layouts give the same values bit for bit.  ``curl`` and
 ``leray_project`` take a ``Band`` in place of the ``Grid`` for a
 compact spectrum.  ``fft_inverse`` copies its input; ``_inverse_owned``
 transforms in place a spectrum the caller can spare, into ``out=``.
+The band transforms, ``curl`` and ``cross_product`` write into
+caller-owned ``out=`` (and ``work=``) arrays when given them, which
+lets the solver reuse one set of buffers across the stages of a step
+and share them with a worker thread; the values are the same either
+way.
 """
 
 import numpy as np
@@ -100,56 +105,62 @@ def _inverse_owned(work: np.ndarray, out: np.ndarray | None = None
                         out=out)
 
 
-def band_forward(band: Band, values: np.ndarray) -> np.ndarray:
+def band_forward(band: Band, values: np.ndarray,
+                 work: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Physical -> compact band transform: only the kept modes.
 
     The passes of :func:`fft_forward`, in place on the planes
     kz <= m, with the y pass run only on the band's x rows; equals
-    ``band.restrict(fft_forward(values))`` exactly.
+    ``band.restrict(fft_forward(values))`` exactly.  ``work`` receives
+    the ``rfft`` along z (space shape ``(n, n, n//2 + 1)``) and ``out``
+    the result, when they are given.
     """
-    out = np.fft.rfft(values, axis=-1, norm="forward")[..., :band.m + 1]
-    np.fft.fft(out, axis=-3, norm="forward", out=out)
+    work = np.fft.rfft(values, axis=-1, norm="forward", out=work)
+    spectrum = work[..., :band.m + 1]
+    np.fft.fft(spectrum, axis=-3, norm="forward", out=spectrum)
     for x_rows in band.halves:
-        lines = out[..., x_rows, :, :]
+        lines = spectrum[..., x_rows, :, :]
         np.fft.fft(lines, axis=-2, norm="forward", out=lines)
-    return out[band.index]
+    if out is None:
+        return spectrum[band.index]
+    out[...] = spectrum[band.index]
+    return out
 
 
-def band_inverse(band: Band, coeffs: np.ndarray) -> np.ndarray:
+def band_inverse(band: Band, coeffs: np.ndarray,
+                 work: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Compact band -> physical transform, equal to
     ``fft_inverse(band.scatter(coeffs))`` without its all-zero lines.
 
     The band is zero-padded to the planes kz <= m, the x pass runs only
     on the band's ky lines, and ``irfft`` pads kz > m with zeros.
+    ``work`` is the complex128 zero-padding array (space shape
+    ``(n, n, m + 1)``), overwritten, and ``out`` receives the result,
+    when they are given.
     """
     n = band.n
-    work = np.zeros(coeffs.shape[:-3] + (n, n, band.m + 1), np.complex128)
+    if work is None:
+        work = np.zeros(coeffs.shape[:-3] + (n, n, band.m + 1),
+                        np.complex128)
+    else:
+        work[...] = 0.0
     work[band.index] = coeffs
     for y_rows in band.halves:
         lines = work[..., y_rows, :]
         np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
     np.fft.ifft(work, axis=-2, norm="forward", out=work)
-    return np.fft.irfft(work, n=n, axis=-1, norm="forward")
+    return np.fft.irfft(work, n=n, axis=-1, norm="forward", out=out)
 
 
-def spectral_derivative(grid: Grid, coeffs: np.ndarray,
-                        axis: int) -> np.ndarray:
-    """Differentiate along a space axis by multiplying with i*k.
-
-    The Nyquist wavenumber is zeroed (it has no sign-definite partner),
-    which keeps the operator skew-adjoint on the grid: the derivative of
-    a real field is real to rounding and integration by parts holds
-    exactly in the discrete inner product.
-    """
-    k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)[axis]
-    return (1j * k) * coeffs
-
-
-def curl(grid: Grid | Band, v: np.ndarray) -> np.ndarray:
-    """Spectral curl, componentwise i*k x vhat with Nyquist-zeroed k."""
+def curl(grid: Grid | Band, v: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Spectral curl, componentwise i*k x vhat with Nyquist-zeroed k,
+    written into ``out`` when it is given."""
     v1, v2, v3 = v
     kx, ky, kz = grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z
-    w = np.empty_like(v)
+    w = np.empty_like(v) if out is None else out
     w[0] = 1j * (ky * v3 - kz * v2)
     w[1] = 1j * (kz * v1 - kx * v3)
     w[2] = 1j * (kx * v2 - ky * v1)
@@ -202,12 +213,15 @@ def pointwise_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def cross_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise u x v of two physical vector fields."""
-    out = np.empty_like(u)
-    out[0] = u[1] * v[2] - u[2] * v[1]
-    out[1] = u[2] * v[0] - u[0] * v[2]
-    out[2] = u[0] * v[1] - u[1] * v[0]
+def cross_product(u: np.ndarray, v: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise u x v of two physical vector fields, written into
+    ``out`` when it is given."""
+    if out is None:
+        out = np.empty_like(u)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[j], v[k], out=out[i])
+        out[i] -= u[k] * v[j]
     return out
 
 

@@ -25,9 +25,20 @@ forward transform computes only the kept modes; the state goes back to
 the half spectrum after each step for the observers.  A run with
 ``dealias`` off steps on the full half spectrum of the
 :class:`~euler_spectra.grid.Grid` and masks nothing.
+
+A band step on a grid with n >= ``_THREADED_MIN_N`` shares its
+transforms with one worker thread when the process may run on two CPUs
+or more: the worker transforms v while the caller transforms omega, and
+each takes a share of v x omega and of its forward transform.  The
+thread is started by the step and joined at its end, the step's buffers
+are allocated by the calling thread, and the result is the same bit for
+bit as on one thread.  No setting selects this; :func:`step_threads`
+reports the choice.
 """
 
 import logging
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +63,13 @@ logger = logging.getLogger("euler_spectra.solver")
 # inverse transform of the velocity, a third of the transforms of an
 # rhs evaluation, so checking every step would tax small grids.
 _CFL_CHECK_STRIDE = 25
+
+# Smallest grid whose band steps share their transforms with a worker
+# thread.  On 2 CPUs a Taylor-Green step with the worker took 108-130 ms
+# against 146-185 ms without at n=64, 19-22 ms against 21-26 ms at n=32
+# (within the spread of repeated runs) and 5.8-6.8 ms against 3.0-4.6 ms
+# at n=16.
+_THREADED_MIN_N = 64
 
 
 @dataclass
@@ -112,20 +130,27 @@ class SolverState:
     step_index: int = 0
 
 
-def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0) -> np.ndarray:
+def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0,
+        workspace: "_BandWorkspace | None" = None) -> np.ndarray:
     """Right-hand side of the momentum equation for a spectral velocity.
 
-    Rotational form: transform to physical space, form v x omega, come
-    back, project, and add the diffusion term.  Three batched transforms
-    (one per vector field) per evaluation.  ``grid`` is the
-    :class:`Band` of a compact ``v``, whose forward transform computes
-    only the kept modes, which is the 2/3 rule; or the :class:`Grid` of
-    a half-spectrum one, which masks nothing.
+    Rotational form: transform v and omega = curl v to physical space,
+    form v x omega, come back, project, and add the diffusion term.
+    ``grid`` is the :class:`Band` of a compact ``v``, whose forward
+    transform computes only the kept modes, which is the 2/3 rule; or
+    the :class:`Grid` of a half-spectrum one, which masks nothing.  On
+    a band the transforms may share the work with a worker thread (see
+    the module docstring); the result is the same bit for bit.
+    ``workspace`` holds the buffers and the worker of the
+    :func:`step_rk4` call that evaluates this; a call without one makes
+    its own.
     """
     if isinstance(grid, Band):
-        v_phys = band_inverse(grid, v)
-        omega_phys = band_inverse(grid, curl(grid, v))
-        nonlinear = band_forward(grid, cross_product(v_phys, omega_phys))
+        if workspace is not None:
+            nonlinear = workspace.nonlinear(v)
+        else:
+            with _BandWorkspace(grid) as own:
+                nonlinear = own.nonlinear(v)
     else:
         v_phys = fft_inverse(v)
         omega_phys = fft_inverse(curl(grid, v))
@@ -134,6 +159,93 @@ def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0) -> np.ndarray:
     if nu != 0.0:
         out = out - (nu * grid.k_squared) * v
     return out
+
+
+class _BandWorkspace:
+    """Buffers and worker thread for the band evaluations of one step.
+
+    Every buffer is allocated here, by the calling thread, and lives as
+    long as this object: one RK4 step.  A buffer kept for a whole run
+    would sit on top of the peak of the diagnostics record, and outputs
+    allocated by the worker thread would land in a malloc arena of its
+    own; both raise the peak RSS.  The worker is a one-thread executor,
+    started here and joined on exit, when :func:`_threaded` allows it.
+    """
+
+    def __init__(self, band: Band):
+        n, m = band.n, band.m
+        compact = (3, 2 * m + 1, 2 * m + 1, m + 1)
+        self.band = band
+        self.omega = np.empty(compact, np.complex128)
+        self.spectrum = np.empty(compact, np.complex128)
+        self.padded = np.empty((2, 3, n, n, m + 1), np.complex128)
+        self.physical = np.empty((3, 3, n, n, n))  # v, omega, v x omega
+        self.rfft = np.empty((3, n, n, n // 2 + 1), np.complex128)
+        self.worker = None
+        if _threaded(n):
+            # Imported here: ~3 ms that no command without a threaded
+            # step, and no import of the package, should pay.
+            from concurrent.futures import ThreadPoolExecutor
+            self.worker = ThreadPoolExecutor(
+                1, thread_name_prefix="euler_spectra")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.worker is not None:
+            self.worker.shutdown()
+
+    def nonlinear(self, v: np.ndarray) -> np.ndarray:
+        """The band spectrum of v x omega, in a buffer of this workspace.
+
+        With a worker, it transforms v while the caller transforms
+        omega, forms v x omega on the first half of the x planes while
+        the caller forms the other half, and transforms its first
+        component while the caller transforms the other two.  Without
+        one, the caller does each job in one call.
+        """
+        band, rfft, spectrum = self.band, self.rfft, self.spectrum
+        v_phys, omega_phys, cross = self.physical
+        if self.worker is None:
+            band_inverse(band, v, self.padded[0], v_phys)
+            band_inverse(band, curl(band, v, out=self.omega),
+                         self.padded[1], omega_phys)
+            cross_product(v_phys, omega_phys, cross)
+            return band_forward(band, cross, rfft, spectrum)
+        submit, half = self.worker.submit, band.n // 2
+        done = submit(band_inverse, band, v, self.padded[0], v_phys)
+        band_inverse(band, curl(band, v, out=self.omega), self.padded[1],
+                     omega_phys)
+        done.result()
+        done = submit(cross_product, v_phys[:, :half], omega_phys[:, :half],
+                      cross[:, :half])
+        cross_product(v_phys[:, half:], omega_phys[:, half:],
+                      cross[:, half:])
+        done.result()
+        done = submit(band_forward, band, cross[:1], rfft[:1], spectrum[:1])
+        band_forward(band, cross[1:], rfft[1:], spectrum[1:])
+        done.result()
+        return spectrum
+
+
+def _threaded(n: int) -> bool:
+    """Whether band steps on an n-point grid use a worker thread."""
+    return n >= _THREADED_MIN_N and _cpu_count() >= 2
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def step_threads(grid: Grid, config: SolverConfig) -> int:
+    """Threads the steps of ``run(grid, ..., config)`` use: 2 when they
+    run on the band, n is at least ``_THREADED_MIN_N`` and the process
+    may run on two CPUs or more, else 1."""
+    return 2 if config.dealias and _threaded(grid.n) else 1
 
 
 def _check_finite(v: np.ndarray, step_index: int, t: float):
@@ -150,7 +262,11 @@ def step_rk4(grid: Grid | Band, state: SolverState,
              config: SolverConfig) -> SolverState:
     """Advance one classical RK4 step and re-project the result.
 
-    ``grid`` is a :class:`Grid` or a :class:`Band`, as for :func:`rhs`.
+    ``grid`` is a :class:`Grid` or a :class:`Band`, as for :func:`rhs`;
+    the four evaluations on a band share one set of buffers and one
+    worker thread.  The stages and the combination are formed in place,
+    in the order of ``v + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, so they
+    round as that expression does.
 
     Raises
     ------
@@ -160,12 +276,25 @@ def step_rk4(grid: Grid | Band, state: SolverState,
     """
     dt, nu = config.dt, config.nu
     v = state.v
-    k1 = rhs(grid, v, nu)
-    k2 = rhs(grid, v + (0.5 * dt) * k1, nu)
-    k3 = rhs(grid, v + (0.5 * dt) * k2, nu)
-    k4 = rhs(grid, v + dt * k3, nu)
-    combo = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new_v = leray_project(grid, combo)
+    with (_BandWorkspace(grid) if isinstance(grid, Band)
+          else nullcontext()) as workspace:
+        acc = rhs(grid, v, nu, workspace)
+        stage = np.multiply(0.5 * dt, acc)
+        np.add(v, stage, out=stage)
+        k = rhs(grid, stage, nu, workspace)
+        np.multiply(0.5 * dt, k, out=stage)
+        np.add(v, stage, out=stage)
+        np.multiply(2.0, k, out=k)
+        np.add(acc, k, out=acc)
+        k = rhs(grid, stage, nu, workspace)
+        np.multiply(dt, k, out=stage)
+        np.add(v, stage, out=stage)
+        np.multiply(2.0, k, out=k)
+        np.add(acc, k, out=acc)
+        np.add(acc, rhs(grid, stage, nu, workspace), out=acc)
+    np.multiply(dt / 6.0, acc, out=acc)
+    np.add(v, acc, out=acc)
+    new_v = leray_project(grid, acc)
     new_index = state.step_index + 1
     new_t = new_index * dt + (state.t - state.step_index * dt)
     _check_finite(new_v, new_index, new_t)

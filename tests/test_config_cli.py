@@ -11,6 +11,7 @@ import platform
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ from euler_spectra.fields import fft_forward
 from euler_spectra.grid import Grid
 from euler_spectra.initial import taylor_green
 from euler_spectra.snapshot import load_snapshot, write_snapshot
-from euler_spectra.solver import SolverConfig
+import euler_spectra.solver as solver_module
+from euler_spectra.solver import SolverConfig, step_threads
 
 
 MINIMAL = {
@@ -222,7 +224,57 @@ class TestCmdRun:
             "numpy": np.__version__,
             "python": platform.python_version(),
             "fft_backend": "numpy.fft",
+            "solver_threads": 1,
         }
+
+    def test_worker_thread_only_for_large_band_runs(self, tmp_path,
+                                                    monkeypatch):
+        # A run starts a worker thread only when it steps on the band of
+        # an n >= 64 grid and the process may run on two CPUs, and its
+        # manifest says so.
+        started = []
+        thread_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        for cpus, n, threads in [(2, 32, 1), (1, 64, 1), (2, 64, 2)]:
+            monkeypatch.setattr(solver_module, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"out_{cpus}_{n}"
+            cfg = write_config(tmp_path, n=n, output_dir=str(out),
+                               output_every=1,
+                               solver={"t_final": 0.001, "dt": 1e-3})
+            started.clear()
+            assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+            assert len(started) == threads - 1
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["manifest"]["solver_threads"] == threads
+        config = SolverConfig(dt=1e-3, t_final=1e-3, dealias=False)
+        assert step_threads(Grid(64), config) == 1
+
+    def test_import_diagnose_and_classify_start_no_thread(self, tmp_path):
+        for step in range(5):
+            write_snapshot(tmp_path / f"s{step}.bin", Grid(16),
+                           taylor_green(Grid(16)), 1e-3 * step)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        snapshots = sorted(str(p) for p in tmp_path.glob("s*.bin"))
+        code = ("import sys, threading; before = threading.active_count(); "
+                "started = []; start = threading.Thread.start; "
+                "threading.Thread.start = "
+                "lambda t: (started.append(t.name), start(t)); "
+                "from euler_spectra.cli import main; "
+                f"main(['diagnose', *{snapshots!r}]); "
+                f"main(['classify', {snapshots[0]!r}]); "
+                "print(threading.active_count() - before, started, "
+                "file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stderr.strip().splitlines()[-1] == "0 []"
 
     def test_import_does_not_load_scipy(self):
         # The transforms run on numpy.fft alone; importing scipy.fft

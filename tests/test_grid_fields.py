@@ -26,13 +26,12 @@ from euler_spectra.fields import (
     leray_project,
     magnitude_squared,
     max_speed,
-    spectral_derivative,
 )
 from euler_spectra.reductions import pairwise_sum
 from euler_spectra.snapshot import write_snapshot
 from euler_spectra.solver import SolverConfig, run
 
-from conftest import make_random_velocity
+from conftest import make_random_velocity, spectral_derivative
 
 TAU = 2.0 * math.pi
 
