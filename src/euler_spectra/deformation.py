@@ -39,6 +39,7 @@ import numpy as np
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import _inverse_owned
 from euler_spectra.grid import Grid
+from euler_spectra.workers import _split
 
 logger = logging.getLogger("euler_spectra.deformation")
 
@@ -103,26 +104,66 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
 
     Logs a warning when the pointwise trace is not negligible against
     the tensor magnitude, since downstream eigenvalue identities assume
-    a divergence-free velocity.
+    a divergence-free velocity.  A diagnostics record forms the tensor
+    with :func:`_strain_entries` instead and runs the same check on the
+    trace and Frobenius fields of its slab pass.
     """
-    v1, v2, v3 = v
-    kx, ky, kz = grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z
-    tensor = np.empty((6,) + (grid.n,) * 3)
-    _inverse_owned(1j * kx * v1, out=tensor[0])
-    _inverse_owned(0.5j * (kx * v2 + ky * v1), out=tensor[1])
-    _inverse_owned(0.5j * (kx * v3 + kz * v1), out=tensor[2])
-    _inverse_owned(1j * ky * v2, out=tensor[3])
-    _inverse_owned(0.5j * (ky * v3 + kz * v2), out=tensor[4])
-    _inverse_owned(1j * kz * v3, out=tensor[5])
+    tensor = _strain_entries(grid, v)
+    _check_trace(_trace_squared(tensor), frobenius_squared(tensor))
+    return tensor
 
+
+# (i, j) of each entry of a deformation tensor array, in component order.
+_ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _strain_entries(grid: Grid, v: np.ndarray, worker=None) -> np.ndarray:
+    """The tensor of :func:`deformation_tensor`, without its trace check.
+
+    With a worker (:mod:`euler_spectra.workers`) the entries s11, s12,
+    s13 are transformed on it and the other three on the calling
+    thread.  Each thread forms its spectral entries in complex buffers
+    allocated here, in the order of ``1j * k_i * v_i`` and
+    ``0.5j * (k_i * v_j + k_j * v_i)``, so they round as those
+    expressions do.
+    """
+    k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
+    tensor = np.empty((6,) + (grid.n,) * 3)
+    work = np.empty((2, 2) + v.shape[1:], np.complex128)
+
+    def transform(part):
+        entries, (entry, scratch) = part
+        for c in entries:
+            i, j = _ENTRY_INDEX[c]
+            if i == j:
+                np.multiply(1j * k[i], v[i], out=entry)
+            else:
+                np.multiply(k[i], v[j], out=entry)
+                np.multiply(k[j], v[i], out=scratch)
+                np.add(entry, scratch, out=entry)
+                np.multiply(0.5j, entry, out=entry)
+            _inverse_owned(entry, out=tensor[c])
+
+    _split(worker, transform, [((0, 1, 2), work[0]), ((3, 4, 5), work[1])])
+    return tensor
+
+
+def _trace_squared(tensor: np.ndarray) -> np.ndarray:
+    """Pointwise squared trace of a tensor array."""
     s11, _, _, s22, _, s33 = tensor
-    trace_rms = float(np.sqrt(np.mean((s11 + s22 + s33) ** 2)))
-    mag_rms = float(np.sqrt(np.mean(frobenius_squared(tensor))))
+    return (s11 + s22 + s33) ** 2
+
+
+def _check_trace(trace_squared: np.ndarray, frobenius: np.ndarray):
+    """Warn when the RMS trace of a deformation tensor, from its pointwise
+    squared trace and :func:`frobenius_squared`, is not negligible
+    against its RMS magnitude."""
+    trace_rms = float(np.sqrt(np.mean(trace_squared)))
+    mag_rms = float(np.sqrt(np.mean(frobenius)))
     if mag_rms > 0.0 and trace_rms > 1e-10 * mag_rms:
         logger.warning(
             "deformation tensor trace RMS %.3e exceeds 1e-10 of magnitude "
             "%.3e; velocity may not be divergence-free", trace_rms, mag_rms)
-    return tensor
 
 
 def _eigenvalues_trig(s11, s12, s13, s22, s23, s33):
@@ -239,12 +280,7 @@ def eigenvalues_sym3(tensor: np.ndarray) -> np.ndarray:
         If any tensor entry is non-finite; the message names the first
         offending grid index.
     """
-    for name, arr in zip(_COMPONENT_NAMES, tensor):
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise NumericsError(
-                f"non-finite deformation tensor component {name} at grid "
-                f"index {tuple(int(b) for b in bad)}")
+    _require_finite(tensor)
 
     # The products below under- or overflow where a point's largest
     # entry lies far from 1.  Such points are scaled by a power
@@ -271,6 +307,18 @@ def eigenvalues_sym3(tensor: np.ndarray) -> np.ndarray:
     else:
         spectra = np.stack((l1, l2, l3))
     return np.ldexp(spectra, exponent) if rescaled else spectra
+
+
+def _require_finite(tensor: np.ndarray):
+    """Raise the NumericsError of :func:`eigenvalues_sym3` if an entry of
+    ``tensor`` is not finite: it names the first component, in component
+    order, that holds one, and the first such grid index in it."""
+    for name, arr in zip(_COMPONENT_NAMES, tensor):
+        if not np.all(np.isfinite(arr)):
+            bad = np.argwhere(~np.isfinite(arr))[0]
+            raise NumericsError(
+                f"non-finite deformation tensor component {name} at grid "
+                f"index {tuple(int(b) for b in bad)}")
 
 
 def classify_admissible(spectra: np.ndarray,

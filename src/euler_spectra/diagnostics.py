@@ -18,6 +18,18 @@ consequences of incompressibility and integration by parts:
 Each is tracked as a normalized residual whose denominator is floored
 by a small multiple of the natural scale sqrt(Q) * Z, so symmetric
 initial data (where both sides vanish) does not report junk ratios.
+
+Records in slabs
+----------------
+The pointwise stages of a record (the eigensolve of the deformation
+tensor, the integrands of E, H, Z, Q, P, W and C3, and the trace check
+of the tensor) run over slabs of a few x planes, whose temporaries stay
+in cache.  Each integrand is written into an array of the whole grid
+and integrated by one pairwise sum, so a record is the same bit for bit
+as one evaluated on the whole field.  On a grid with n >= 64, when the
+process may run on two CPUs, one worker thread takes half of the slabs
+and half of the tensor's transforms: the rule of
+:mod:`euler_spectra.workers`, which band steps follow too.
 """
 
 import math
@@ -28,24 +40,27 @@ import numpy as np
 from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
+    _check_trace,
+    _require_finite,
+    _strain_entries,
+    _trace_squared,
     classify_admissible,
-    deformation_tensor,
     eigenvalues_sym3,
     epsilon_ratio,
+    frobenius_squared,
 )
 from euler_spectra.envelopes import EnvelopeAccumulator, envelope_rates
-from euler_spectra.errors import ContractViolationError
+from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
     _inverse_owned,
     curl,
-    fft_inverse,
     integrate_domain,
     magnitude_squared,
-    max_speed,
     pointwise_dot,
 )
 from euler_spectra.grid import Grid
 from euler_spectra.reductions import pairwise_sum
+from euler_spectra.workers import _slabs, _split, _worker
 
 
 def spectra_moments(grid: Grid, spectra: np.ndarray):
@@ -53,11 +68,13 @@ def spectra_moments(grid: Grid, spectra: np.ndarray):
 
     Q = integral (l1^2 + l2^2 + l3^2),  P = integral (l1 l2 l3).
     """
+    return tuple(integrate_domain(grid, density)
+                 for density in _moment_densities(spectra))
+
+
+def _moment_densities(spectra: np.ndarray):
     l1, l2, l3 = spectra
-    vol = grid.cell_volume
-    q = vol * pairwise_sum(l1 * l1 + l2 * l2 + l3 * l3)
-    p = vol * pairwise_sum(l1 * l2 * l3)
-    return q, p
+    return l1 * l1 + l2 * l2 + l3 * l3, l1 * l2 * l3
 
 
 def stretching_integral(grid: Grid, tensor: np.ndarray,
@@ -66,11 +83,14 @@ def stretching_integral(grid: Grid, tensor: np.ndarray,
 
     ``omega`` is the physical vorticity, ``tensor`` the (6, ...) strain.
     """
+    return integrate_domain(grid, _stretching_density(tensor, omega))
+
+
+def _stretching_density(tensor: np.ndarray, omega: np.ndarray):
     s11, s12, s13, s22, s23, s33 = tensor
     w1, w2, w3 = omega
-    quad = (s11 * w1 * w1 + s22 * w2 * w2 + s33 * w3 * w3
+    return (s11 * w1 * w1 + s22 * w2 * w2 + s33 * w3 * w3
             + 2.0 * (s12 * w1 * w2 + s13 * w1 * w3 + s23 * w2 * w3))
-    return grid.cell_volume * pairwise_sum(quad)
 
 
 def cubic_trace_integral(grid: Grid, tensor: np.ndarray) -> float:
@@ -82,13 +102,16 @@ def cubic_trace_integral(grid: Grid, tensor: np.ndarray) -> float:
     numpy evaluates ``s ** 3`` through ``pow``, which took 24 ms on an
     n=64 field against 0.5 ms for ``s * s * s`` (2 CPUs).
     """
+    return integrate_domain(grid, _cubic_trace_density(tensor))
+
+
+def _cubic_trace_density(tensor: np.ndarray):
     s11, s12, s13, s22, s23, s33 = tensor
-    cubic = (s11 * s11 * s11 + s22 * s22 * s22 + s33 * s33 * s33
-             + 3.0 * (s12 * s12 * (s11 + s22)
-                      + s13 * s13 * (s11 + s33)
-                      + s23 * s23 * (s22 + s33))
-             + 6.0 * s12 * s13 * s23)
-    return grid.cell_volume * pairwise_sum(cubic)
+    return (s11 * s11 * s11 + s22 * s22 * s22 + s33 * s33 * s33
+            + 3.0 * (s12 * s12 * (s11 + s22)
+                     + s13 * s13 * (s11 + s33)
+                     + s23 * s23 * (s22 + s33))
+            + 6.0 * s12 * s13 * s23)
 
 
 def resolution_tail_fraction(grid: Grid, v: np.ndarray) -> float:
@@ -181,22 +204,27 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     :func:`classify_and_record` classifies the sample itself first.
     ``physical`` is ``(fft_inverse(v), fft_inverse(curl(grid, v)))``
     for a caller that holds them (``diagnose``); the record is the same.
+
+    Every pointwise stage, from the eigensolve to the integrands, runs
+    over slabs of x planes (:func:`_pointwise_pass`); each integral is
+    then one :func:`pairwise_sum` over the whole grid, so the record is
+    the same bit for bit as one evaluated on the whole field.  On a grid
+    where :mod:`euler_spectra.workers` allows it, one worker thread takes
+    half of the slabs and half of the deformation-tensor transforms.
     """
-    v_phys, omega_phys = physical or (fft_inverse(v),
-                                      _inverse_owned(curl(grid, v)))
-    tensor = deformation_tensor(grid, v)
-    spectra = eigenvalues_sym3(tensor)
+    with _worker(grid.n) as worker:
+        v_phys, omega_phys = physical or _physical_fields(grid, v, worker)
+        spectra, densities = _pointwise_pass(
+            _strain_entries(grid, v, worker), v_phys, omega_phys, worker)
+    e, h, z, q, p, w, c3 = (integrate_domain(grid, density)
+                            for density in densities[:7])
+    _check_trace(densities[7], densities[8])
+    bkm_sup_vort = float(np.sqrt(np.max(densities[2])))  # max_speed(omega)
+    del densities  # before the epsilon ratio's arrays of the whole grid
     if isinstance(classification, _ClassifyHere):
         classification.result = classify_admissible(
             spectra, classification.tolerance)
         classification = classification.result
-
-    e = 0.5 * integrate_domain(grid, magnitude_squared(v_phys))
-    h = integrate_domain(grid, pointwise_dot(v_phys, omega_phys))
-    z = integrate_domain(grid, magnitude_squared(omega_phys))
-    q, p = spectra_moments(grid, spectra)
-    w = stretching_integral(grid, tensor, omega_phys)
-    c3 = cubic_trace_integral(grid, tensor)
 
     min_l2 = float(np.min(spectra[1]))
     max_l2 = float(np.max(spectra[1]))
@@ -213,11 +241,57 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
             inf_eps = float(np.nanmin(ratio))
 
     return DiagnosticsRecord(
-        t=float(t), E=e, H=h, Z=z, Q=q, P=p, W=w, C3=c3,
+        t=float(t), E=0.5 * e, H=h, Z=z, Q=q, P=p, W=w, C3=c3,
         sup_l2p=sup_l2p, inf_l2p=inf_l2p,
         sup_l2m_abs=sup_l2m_abs, inf_l2m_abs=inf_l2m_abs,
         min_l2=min_l2, max_l2=max_l2,
-        inf_eps=inf_eps, bkm_sup_vort=max_speed(omega_phys))
+        inf_eps=inf_eps, bkm_sup_vort=bkm_sup_vort)
+
+
+def _physical_fields(grid: Grid, v: np.ndarray, worker):
+    """``fft_inverse(v)`` and ``fft_inverse(curl(grid, v))``, the first
+    on ``worker`` when there is one."""
+    spectral = (np.array(v, dtype=np.complex128), curl(grid, v))
+    out = np.empty((2, 3) + (grid.n,) * 3)
+    _split(worker, lambda k: _inverse_owned(spectral[k], out=out[k]), (0, 1))
+    return out
+
+
+def _pointwise_pass(tensor: np.ndarray, v_phys: np.ndarray,
+                    omega_phys: np.ndarray, worker):
+    """The eigenvalue fields and the pointwise integrands of a record.
+
+    Returns ``spectra``, as ``eigenvalues_sym3(tensor)`` gives it, and
+    the ``(9, n, n, n)`` integrand fields of E (without its 1/2), H, Z,
+    Q, P, W and C3, then the squared trace and :func:`frobenius_squared`
+    of the tensor.  Each slab of x planes
+    (:func:`euler_spectra.workers._slabs`) is solved on its own; the eigensolver, its refinement and its range guards act
+    point by point, so the slabs give the values the whole field does.
+    The slabs alternate between ``worker`` and the calling thread.
+    """
+    spectra = np.empty((3,) + tensor.shape[1:])
+    densities = np.empty((9,) + tensor.shape[1:])
+
+    def solve(x):
+        s, u, w = tensor[:, x], v_phys[:, x], omega_phys[:, x]
+        spectra[:, x] = eigenvalues_sym3(s)
+        out = densities[:, x]
+        out[0] = magnitude_squared(u)
+        out[1] = pointwise_dot(u, w)
+        out[2] = magnitude_squared(w)
+        out[3], out[4] = _moment_densities(spectra[:, x])
+        out[5] = _stretching_density(s, w)
+        out[6] = _cubic_trace_density(s)
+        out[7] = _trace_squared(s)
+        out[8] = frobenius_squared(s)
+
+    try:
+        _split(worker, solve, _slabs(tensor.shape[1]))
+    except NumericsError:
+        # A slab names its own first bad entry; report the whole field's.
+        _require_finite(tensor)
+        raise
+    return spectra, densities
 
 
 def classify_and_record(grid: Grid, t: float, v: np.ndarray,

@@ -13,6 +13,10 @@ solver against exact analysis:
 - the residual of the vorticity transport equation, whose transport
   term is the curl of the 2/3-truncated v x omega.
 
+The per-snapshot transforms of ``diagnose`` (``_snapshot_fields`` and
+the transport residual) share a worker thread by the rule of
+:mod:`euler_spectra.workers`.
+
 Time integrals use the trapezoid rule through a single accumulator
 class so that envelopes computed on the fly during a run and envelopes
 recomputed afterwards from the same records agree bit for bit.
@@ -30,15 +34,15 @@ from euler_spectra.deformation import (
 )
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
+    _curl_component,
     _inverse_owned,
     check_velocity,
     cross_product,
     curl,
-    dealias_23,
     fft_forward,
-    fft_inverse,
 )
 from euler_spectra.grid import Grid
+from euler_spectra.workers import _slabs, _split, _worker
 
 
 def derivative_4th(values, spacing: float, axis: int = 0) -> np.ndarray:
@@ -373,11 +377,25 @@ def epsilon_decay_bound(records, classification: Classification,
 
 def _snapshot_fields(grid: Grid, spectral):
     """Physical velocities and vorticities of spectral velocities, each
-    stacked along a leading snapshot axis."""
-    v_phys = np.stack([fft_inverse(v) for v in spectral])
-    omega_phys = np.empty_like(v_phys)
-    for m, v in enumerate(spectral):
-        _inverse_owned(curl(grid, v), out=omega_phys[m])
+    stacked along a leading snapshot axis.
+
+    The snapshots are transformed one by one, alternately on a worker
+    thread where :mod:`euler_spectra.workers` allows one, and each
+    thread works in a complex buffer allocated here.
+    """
+    shape = (len(spectral), 3) + (grid.n,) * 3
+    v_phys, omega_phys = np.empty(shape), np.empty(shape)
+    work = np.empty((2, 3) + spectral[0].shape[1:], np.complex128)
+
+    def transform(part):
+        m, buffer = part
+        buffer[...] = spectral[m]
+        _inverse_owned(buffer, out=v_phys[m])
+        _inverse_owned(curl(grid, spectral[m], out=buffer), out=omega_phys[m])
+
+    with _worker(grid.n) as worker:
+        _split(worker, transform,
+               [(m, work[m % 2]) for m in range(len(spectral))])
     return v_phys, omega_phys
 
 
@@ -393,6 +411,11 @@ def vorticity_transport_residual(grid: Grid, times, velocities,
     runs integrate, and that ``dealias: false`` snapshots are measured
     against too.  A caller that holds ``_snapshot_fields(grid, velocities)``
     of spectral velocities (``diagnose``) passes it as ``transformed``.
+
+    The transport term is formed snapshot by snapshot, then compared
+    with the stencil slab by slab of x planes; on a grid where
+    :mod:`euler_spectra.workers` allows it, both are split with a worker
+    thread.  The maxima are those of the whole field, bit for bit.
 
     Returns
     -------
@@ -415,15 +438,44 @@ def vorticity_transport_residual(grid: Grid, times, velocities,
     v_stack, omega_stack = transformed or _snapshot_fields(
         grid, [v if np.iscomplexobj(v) else fft_forward(v)
                for v in velocities])
-    domega_dt = derivative_4th(omega_stack, h, axis=0)
+    outside_band = ~grid.dealias_mask
+    transport = np.empty_like(omega_stack)
+    slabs = _slabs(grid.n)
+    # Per sample and slab: max |d(omega)/dt - transport|, max |d(omega)/dt|
+    # and max |transport|.  A maximum over slab maxima is the maximum.
+    peaks = np.empty((3, times.size, len(slabs)))
 
-    raw = np.empty(times.size)
-    normalized = np.empty(times.size)
-    for m in range(times.size):
-        transport = _inverse_owned(curl(grid, dealias_23(
-            grid, fft_forward(cross_product(v_stack[m], omega_stack[m])))))
-        raw[m] = float(np.max(np.abs(domega_dt[m] - transport)))
-        scale = max(float(np.max(np.abs(domega_dt[m]))),
-                    float(np.max(np.abs(transport))), 1e-300)
-        normalized[m] = raw[m] / scale
+    def transport_term(part):
+        # curl of the 2/3-truncated v x omega, one component at a time.
+        m, spectrum, component = part
+        cross_product(v_stack[m], omega_stack[m], transport[m])
+        fft_forward(transport[m], out=spectrum)
+        np.copyto(spectrum, 0.0, where=outside_band)  # dealias_23
+        for i in range(3):
+            _inverse_owned(_curl_component(grid, spectrum, i, component),
+                           out=transport[m, i])
+
+    def compare(part):
+        index, x = part
+        domega_dt = derivative_4th(omega_stack[:, :, x], h, axis=0)
+        for m, (d, term) in enumerate(zip(domega_dt, transport[:, :, x])):
+            peaks[1, m, index] = np.max(np.abs(d))
+            peaks[2, m, index] = np.max(np.abs(term))
+            np.subtract(d, term, out=d)
+            peaks[0, m, index] = np.max(np.abs(d, out=d))
+
+    with _worker(grid.n) as worker:
+        # A spectrum of v x omega and a curl component for each thread.
+        lanes = 1 if worker is None else 2
+        spectra = np.empty((lanes, 3) + grid.k_squared.shape, np.complex128)
+        components = np.empty((lanes,) + grid.k_squared.shape, np.complex128)
+        _split(worker, transport_term,
+               [(m, spectra[m % lanes], components[m % lanes])
+                for m in range(times.size)])
+        del spectra, components
+        _split(worker, compare, list(enumerate(slabs)))
+    raw = np.max(peaks[0], axis=1)
+    normalized = np.array([
+        r / max(float(d), float(t), 1e-300)
+        for r, d, t in zip(raw, *np.max(peaks[1:], axis=2))])
     return raw, normalized

@@ -32,11 +32,11 @@ layouts give the same values bit for bit.  ``curl`` and
 ``leray_project`` take a ``Band`` in place of the ``Grid`` for a
 compact spectrum.  ``fft_inverse`` copies its input; ``_inverse_owned``
 transforms in place a spectrum the caller can spare, into ``out=``.
-The band transforms, ``curl`` and ``cross_product`` write into
-caller-owned ``out=`` (and ``work=``) arrays when given them, which
-lets the solver reuse one set of buffers across the stages of a step
-and share them with a worker thread; the values are the same either
-way.
+``fft_forward``, the band transforms, ``curl`` and ``cross_product``
+write into caller-owned ``out=`` (and ``work=``) arrays when given them,
+which lets the solver and the diagnostics reuse one set of buffers
+across the stages of a step or the snapshots of a series and share
+them with a worker thread; the values are the same either way.
 """
 
 import numpy as np
@@ -70,15 +70,16 @@ def check_velocity(grid: Grid, v: np.ndarray) -> None:
             f"(spectral), got {v.dtype}")
 
 
-def fft_forward(values: np.ndarray) -> np.ndarray:
+def fft_forward(values: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Physical -> half-spectrum transform (forward-normalized).
 
     Transforms the last three axes, so a scalar ``(n, n, n)`` or a
     stacked ``(m, n, n, n)`` real field comes back with space shape
     ``(n, n, n//2 + 1)``: ``rfft`` along z, then ``fft`` along x, then
-    along y.
+    along y.  The result is written into ``out`` when it is given.
     """
-    out = np.fft.rfft(values, axis=-1, norm="forward")
+    out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
     # x before y: numpy.fft.rfftn runs y first, which rounds differently.
     np.fft.fft(out, axis=-3, norm="forward", out=out)
     return np.fft.fft(out, axis=-2, norm="forward", out=out)
@@ -158,13 +159,20 @@ def curl(grid: Grid | Band, v: np.ndarray,
          out: np.ndarray | None = None) -> np.ndarray:
     """Spectral curl, componentwise i*k x vhat with Nyquist-zeroed k,
     written into ``out`` when it is given."""
-    v1, v2, v3 = v
-    kx, ky, kz = grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z
     w = np.empty_like(v) if out is None else out
-    w[0] = 1j * (ky * v3 - kz * v2)
-    w[1] = 1j * (kz * v1 - kx * v3)
-    w[2] = 1j * (kx * v2 - ky * v1)
+    for i in range(3):
+        _curl_component(grid, v, i, w[i])
     return w
+
+
+def _curl_component(grid: Grid | Band, v: np.ndarray, i: int,
+                    out: np.ndarray) -> np.ndarray:
+    """Component i of :func:`curl`, ``1j * (k_j v_l - k_l v_j)`` with
+    (i, j, l) a cyclic order of (0, 1, 2), written into ``out``."""
+    k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
+    j, l = (i + 1) % 3, (i + 2) % 3
+    out[...] = 1j * (k[j] * v[l] - k[l] * v[j])
+    return out
 
 
 def leray_project(grid: Grid | Band, v: np.ndarray) -> np.ndarray:

@@ -26,18 +26,18 @@ the half spectrum after each step for the observers.  A run with
 ``dealias`` off steps on the full half spectrum of the
 :class:`~euler_spectra.grid.Grid` and masks nothing.
 
-A band step on a grid with n >= ``_THREADED_MIN_N`` shares its
-transforms with one worker thread when the process may run on two CPUs
-or more: the worker transforms v while the caller transforms omega, and
-each takes a share of v x omega and of its forward transform.  The
-thread is started by the step and joined at its end, the step's buffers
-are allocated by the calling thread, and the result is the same bit for
-bit as on one thread.  No setting selects this; :func:`step_threads`
-reports the choice.
+A band step shares its transforms with one worker thread when
+:mod:`euler_spectra.workers` allows one (n >= 64 and two CPUs or
+more, the rule that diagnostics records follow too): the worker
+transforms v while the caller transforms omega, and each takes a share
+of v x omega and of its forward transform.  The thread is started by
+the step and joined at its end, the step's buffers are allocated by the
+calling thread, and the result is the same bit for bit as on one
+thread.  No setting selects this; :func:`step_threads` reports the
+choice.
 """
 
 import logging
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -56,6 +56,7 @@ from euler_spectra.fields import (
     max_speed,
 )
 from euler_spectra.grid import Band, Grid
+from euler_spectra.workers import _threaded, _worker
 
 logger = logging.getLogger("euler_spectra.solver")
 
@@ -63,13 +64,6 @@ logger = logging.getLogger("euler_spectra.solver")
 # inverse transform of the velocity, a third of the transforms of an
 # rhs evaluation, so checking every step would tax small grids.
 _CFL_CHECK_STRIDE = 25
-
-# Smallest grid whose band steps share their transforms with a worker
-# thread.  On 2 CPUs a Taylor-Green step with the worker took 108-130 ms
-# against 146-185 ms without at n=64, 19-22 ms against 21-26 ms at n=32
-# (within the spread of repeated runs) and 5.8-6.8 ms against 3.0-4.6 ms
-# at n=16.
-_THREADED_MIN_N = 64
 
 
 @dataclass
@@ -168,8 +162,9 @@ class _BandWorkspace:
     long as this object: one RK4 step.  A buffer kept for a whole run
     would sit on top of the peak of the diagnostics record, and outputs
     allocated by the worker thread would land in a malloc arena of its
-    own; both raise the peak RSS.  The worker is a one-thread executor,
-    started here and joined on exit, when :func:`_threaded` allows it.
+    own; both raise the peak RSS.  The worker is a one-thread executor
+    (:func:`euler_spectra.workers._worker`), made here and joined on
+    exit.
     """
 
     def __init__(self, band: Band):
@@ -181,20 +176,14 @@ class _BandWorkspace:
         self.padded = np.empty((2, 3, n, n, m + 1), np.complex128)
         self.physical = np.empty((3, 3, n, n, n))  # v, omega, v x omega
         self.rfft = np.empty((3, n, n, n // 2 + 1), np.complex128)
-        self.worker = None
-        if _threaded(n):
-            # Imported here: ~3 ms that no command without a threaded
-            # step, and no import of the package, should pay.
-            from concurrent.futures import ThreadPoolExecutor
-            self.worker = ThreadPoolExecutor(
-                1, thread_name_prefix="euler_spectra")
+        self._pool = _worker(n)
+        self.worker = self._pool.__enter__()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        if self.worker is not None:
-            self.worker.shutdown()
+        self._pool.__exit__(*exc_info)
 
     def nonlinear(self, v: np.ndarray) -> np.ndarray:
         """The band spectrum of v x omega, in a buffer of this workspace.
@@ -229,22 +218,10 @@ class _BandWorkspace:
         return spectrum
 
 
-def _threaded(n: int) -> bool:
-    """Whether band steps on an n-point grid use a worker thread."""
-    return n >= _THREADED_MIN_N and _cpu_count() >= 2
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
-
-
 def step_threads(grid: Grid, config: SolverConfig) -> int:
     """Threads the steps of ``run(grid, ..., config)`` use: 2 when they
-    run on the band, n is at least ``_THREADED_MIN_N`` and the process
-    may run on two CPUs or more, else 1."""
+    run on the band and :mod:`euler_spectra.workers` allows a worker
+    (n >= 64, two CPUs or more), else 1."""
     return 2 if config.dealias and _threaded(grid.n) else 1
 
 

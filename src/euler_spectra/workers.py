@@ -1,0 +1,92 @@
+"""When work on a grid shares one worker thread, and how it is split.
+
+A band step (:mod:`euler_spectra.solver`), a diagnostics record
+(:mod:`euler_spectra.diagnostics`) and the per-snapshot transforms of
+``diagnose`` (:mod:`euler_spectra.envelopes`) hand part of their work to
+one worker thread on a grid with n >= ``_THREADED_MIN_N`` when the
+process may run on two CPUs or more.  The decision is made here alone;
+no setting selects it.  The work handed over is numpy transforms and
+ufuncs, which release the interpreter lock.
+
+The worker is a one-thread executor.  Its thread starts at the first
+job handed to it, never at import, and the caller joins it when the
+step, record or call ends.  Arrays a worker writes into are allocated
+by the calling thread: arrays a worker allocates land in a malloc arena
+of its own and raise the peak RSS.
+"""
+
+import os
+from contextlib import nullcontext
+
+# Smallest grid whose work shares a worker thread.  On 2 CPUs a
+# Taylor-Green step with the worker took 108-130 ms against 146-185 ms
+# without at n=64, 19-22 ms against 21-26 ms at n=32 (within the spread
+# of repeated runs) and 5.8-6.8 ms against 3.0-4.6 ms at n=16.  A record
+# over slabs was about even on one thread or two at n=32.
+_THREADED_MIN_N = 64
+
+
+# A slab of pointwise work (a record's eigensolve and integrands, the
+# time derivative of ``diagnose``) holds at least _SLAB_PLANES x planes
+# and at least _SLAB_POINTS points: small enough that its temporaries
+# stay in cache, large enough that numpy's cost per call does not
+# dominate.  Records timed interleaved in one process on 2 CPUs, against
+# the whole-field evaluation: at n=64 slabs of 4, 8 and 16 planes took
+# 89, 84 and 85 ms against 162 ms; at n=32 (one thread) 24.2, 23.3 and
+# 21.6 ms against 21.7 ms; at n=128 slabs of 4 and 8 planes took 749
+# and 767 ms.
+_SLAB_PLANES = 8
+_SLAB_POINTS = 16384
+
+
+def _slabs(n: int) -> list:
+    """The x slabs of an n-point grid, as slices of the x axis."""
+    planes = max(_SLAB_PLANES, _SLAB_POINTS // (n * n))
+    return [slice(start, start + planes) for start in range(0, n, planes)]
+
+
+def _threaded(n: int) -> bool:
+    """Whether work on an n-point grid uses a worker thread."""
+    return n >= _THREADED_MIN_N and _cpu_count() >= 2
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _worker(n: int):
+    """A context manager that gives a one-thread executor for work on an
+    n-point grid, or None when :func:`_threaded` says no, and joins the
+    thread on exit."""
+    if not _threaded(n):
+        return nullcontext()
+    # Imported here: ~3 ms that no command without threaded work, and no
+    # import of the package, should pay.
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="euler_spectra")
+
+
+def _each(job, parts):
+    for part in parts:
+        job(part)
+
+
+def _split(worker, job, parts):
+    """Call ``job(part)`` for every part of the sequence ``parts``.
+
+    With a worker, it takes ``parts[0::2]`` and the calling thread
+    ``parts[1::2]``; without one, the calling thread takes them all, in
+    order.  Returns when every call has returned; an exception raised on
+    either thread propagates.
+    """
+    if worker is None:
+        _each(job, parts)
+        return
+    done = worker.submit(_each, job, parts[0::2])
+    try:
+        _each(job, parts[1::2])
+    finally:
+        done.result()

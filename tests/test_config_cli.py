@@ -32,10 +32,10 @@ from euler_spectra.envelopes import vorticity_transport_residual
 from euler_spectra.errors import ConfigurationError
 from euler_spectra.fields import fft_forward
 from euler_spectra.grid import Grid
-from euler_spectra.initial import taylor_green
+from euler_spectra.initial import random_solenoidal, taylor_green
 from euler_spectra.snapshot import load_snapshot, write_snapshot
-import euler_spectra.solver as solver_module
 from euler_spectra.solver import SolverConfig, step_threads
+import euler_spectra.workers as workers_module
 
 
 MINIMAL = {
@@ -229,9 +229,9 @@ class TestCmdRun:
 
     def test_worker_thread_only_for_large_band_runs(self, tmp_path,
                                                     monkeypatch):
-        # A run starts a worker thread only when it steps on the band of
-        # an n >= 64 grid and the process may run on two CPUs, and its
-        # manifest says so.
+        # A run starts worker threads only on an n >= 64 grid when the
+        # process may run on two CPUs: one for each band step and one
+        # for each diagnostics record.  The manifest counts the step's.
         started = []
         thread_start = threading.Thread.start
 
@@ -240,15 +240,17 @@ class TestCmdRun:
             thread_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", spy)
-        for cpus, n, threads in [(2, 32, 1), (1, 64, 1), (2, 64, 2)]:
-            monkeypatch.setattr(solver_module, "_cpu_count", lambda: cpus)
+        # One step and two records.
+        for cpus, n, threads, starts in [(2, 32, 1, 0), (1, 64, 1, 0),
+                                         (2, 64, 2, 3)]:
+            monkeypatch.setattr(workers_module, "_cpu_count", lambda: cpus)
             out = tmp_path / f"out_{cpus}_{n}"
             cfg = write_config(tmp_path, n=n, output_dir=str(out),
                                output_every=1,
                                solver={"t_final": 0.001, "dt": 1e-3})
             started.clear()
             assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
-            assert len(started) == threads - 1
+            assert len(started) == starts
             summary = json.loads((out / "summary.json").read_text())
             assert summary["manifest"]["solver_threads"] == threads
         config = SolverConfig(dt=1e-3, t_final=1e-3, dealias=False)
@@ -464,6 +466,36 @@ class TestCmdDiagnose:
             grid, times, [v for v, _, _ in loaded])
         assert (f"vorticity transport: max residual "
                 f"{float(np.max(raw)):.3e}") in captured.err.splitlines()
+
+    def test_same_output_on_one_thread_or_two(self, tmp_path, capsys,
+                                              monkeypatch):
+        # On n=64 snapshots, the records and the per-snapshot transforms
+        # of diagnose share their work with a worker thread when two CPUs
+        # are available; the output must be the same bytes.
+        grid = Grid(64)
+        v = random_solenoidal(grid, seed=1)
+        paths = []
+        for m in range(5):
+            paths.append(str(tmp_path / f"s{m}.bin"))
+            write_snapshot(paths[-1], grid, v * (1.0 + 0.01 * m), 1e-3 * m)
+        started = []
+        thread_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers_module, "_cpu_count", lambda: cpus)
+            started.clear()
+            assert main(["diagnose", *paths]) == EXIT_OK
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err, len(started)))
+        assert outputs[0][:2] == outputs[1][:2]
+        # The snapshot transforms, five records and the transport residual.
+        assert (outputs[0][2], outputs[1][2]) == (0, 7)
 
     def test_few_snapshots_skip_series_residuals(self, snapshot_dir, capsys):
         assert main(["diagnose", *snapshot_dir[:3]]) == EXIT_OK

@@ -7,6 +7,7 @@ anything the generators produce — including freshly randomized fields.
 """
 
 import csv
+import logging
 import math
 
 import numpy as np
@@ -14,13 +15,16 @@ import pytest
 
 from euler_spectra.deformation import (
     AdmissibleClass,
+    Classification,
     deformation_tensor,
     eigenvalues_sym3,
+    epsilon_ratio,
     frobenius_squared,
 )
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
+    _pointwise_pass,
     classify_and_record,
     compute_record,
     cubic_trace_integral,
@@ -29,7 +33,7 @@ from euler_spectra.diagnostics import (
     spectra_moments,
     stretching_integral,
 )
-from euler_spectra.errors import ContractViolationError
+from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
     curl,
     divergence_free_error,
@@ -37,6 +41,8 @@ from euler_spectra.fields import (
     fft_inverse,
     integrate_domain,
     magnitude_squared,
+    max_speed,
+    pointwise_dot,
 )
 from euler_spectra.grid import Grid
 from euler_spectra.reductions import pairwise_sum
@@ -48,6 +54,7 @@ from euler_spectra.initial import (
     taylor_green,
 )
 from euler_spectra.solver import SolverConfig, run
+import euler_spectra.workers as workers_module
 
 from conftest import (
     gradient_norm_squared_pointwise,
@@ -193,6 +200,96 @@ class TestComputeRecord:
             "min_l2", "max_l2", "inf_eps", "bkm_sup_vort")
 
 
+def whole_field_record(grid, t, v, classification=None):
+    """The record of compute_record, from the public functions applied
+    to the whole field: the reference for its slab pass."""
+    v_phys, omega_phys = fft_inverse(v), fft_inverse(curl(grid, v))
+    tensor = deformation_tensor(grid, v)
+    spectra = eigenvalues_sym3(tensor)
+    q, p = spectra_moments(grid, spectra)
+    min_l2, max_l2 = float(np.min(spectra[1])), float(np.max(spectra[1]))
+    inf_eps = math.nan
+    if classification is not None:
+        ratio, excluded = epsilon_ratio(spectra, classification)
+        if excluded < ratio.size:
+            inf_eps = float(np.nanmin(ratio))
+    return DiagnosticsRecord(
+        t, 0.5 * integrate_domain(grid, magnitude_squared(v_phys)),
+        integrate_domain(grid, pointwise_dot(v_phys, omega_phys)),
+        integrate_domain(grid, magnitude_squared(omega_phys)), q, p,
+        stretching_integral(grid, tensor, omega_phys),
+        cubic_trace_integral(grid, tensor), max(max_l2, 0.0),
+        max(min_l2, 0.0), max(-min_l2, 0.0), max(-max_l2, 0.0), min_l2,
+        max_l2, inf_eps, max_speed(omega_phys))
+
+
+def use_threads(monkeypatch, threads):
+    """Force records and diagnose onto one thread or onto two, also on
+    grids below the size that uses a worker."""
+    monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
+    monkeypatch.setattr(workers_module, "_THREADED_MIN_N", 8)
+
+
+class TestSlabRecord:
+    # compute_record solves and integrates slab by slab, on one thread
+    # or two; it must give the record of the whole field bit for bit.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_matches_whole_field(self, n, threads, monkeypatch):
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+        random = make_random_velocity(grid, rng)
+        fields = {
+            "random": random,
+            # Near-degenerate points take the deflation refinement.
+            "abc": abc_flow(grid),
+            # Entries below 2**-200 take the power-of-two rescaling.
+            "tiny": random * 2.0 ** -220,
+        }
+        use_threads(monkeypatch, threads)
+        for name, v in fields.items():
+            for label in (None, AdmissibleClass.APLUS,
+                          AdmissibleClass.AMINUS):
+                classification = label and Classification(label, 0.0, 0.0,
+                                                          0.0)
+                record = compute_record(grid, 0.5, v,
+                                        classification=classification)
+                expected = whole_field_record(grid, 0.5, v, classification)
+                assert np.array_equal(record.as_tuple(), expected.as_tuple(),
+                                      equal_nan=True), (name, label)
+                assert math.isfinite(record.inf_eps) == (label is not None)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_entry_named_as_on_whole_field(self, rng, threads,
+                                                      monkeypatch):
+        # The first slab holds a NaN in s12; a later one holds the NaN
+        # in s11 that the whole-field check names first.
+        grid = Grid(64)
+        tensor = deformation_tensor(grid, make_random_velocity(grid, rng))
+        tensor[0, 61, 2, 5] = np.nan
+        tensor[1, 1, 4, 3] = np.nan
+        with pytest.raises(NumericsError) as whole:
+            eigenvalues_sym3(tensor)
+        use_threads(monkeypatch, threads)
+        physical = np.zeros((3,) + tensor.shape[1:])
+        with workers_module._worker(grid.n) as worker:
+            with pytest.raises(NumericsError) as slabbed:
+                _pointwise_pass(tensor, physical, physical, worker)
+        assert str(slabbed.value) == str(whole.value)
+        assert "component s11 at grid index (61, 2, 5)" in str(whole.value)
+
+    def test_trace_warning_from_the_slab_pass(self, grid16, caplog):
+        x, _, _ = grid16.coordinates()
+        v = fft_forward(np.stack(
+            (np.sin(x), np.zeros_like(x), np.zeros_like(x))))
+        with caplog.at_level(logging.WARNING, "euler_spectra.deformation"):
+            deformation_tensor(grid16, v)
+            compute_record(grid16, 0.0, v)
+        first, second = caplog.records
+        assert "trace" in first.message
+        assert second.message == first.message
+
+
 class TestResolutionTail:
     def test_band_limited_field_has_empty_tail(self, grid32):
         # All spectral content of the ABC flow sits at |k| = 1, far
@@ -307,28 +404,31 @@ class TestDiagnosticsCollector:
         assert col.zero_touch_time is None
 
     def test_first_sample_solved_once(self, grid16, monkeypatch):
-        # One eigensolve per record, the first included, and the tail
-        # fraction only for the first record and for the summary.
+        # One eigensolve of each grid point per record, the first
+        # included (a record solves its tensor slab by slab), and the
+        # tail fraction only for the first record and for the summary.
         import euler_spectra.diagnostics as diagnostics_module
         calls = {"eig": 0, "tail": 0}
 
-        def counting(key, fn):
+        def counting(key, fn, weight=lambda *args: 1):
             def wrapped(*args, **kwargs):
-                calls[key] += 1
+                calls[key] += weight(*args)
                 return fn(*args, **kwargs)
             return wrapped
 
         monkeypatch.setattr(diagnostics_module, "eigenvalues_sym3",
-                            counting("eig", eigenvalues_sym3))
+                            counting("eig", eigenvalues_sym3,
+                                     lambda tensor: tensor[0].size))
         monkeypatch.setattr(diagnostics_module, "resolution_tail_fraction",
                             counting("tail", resolution_tail_fraction))
         col = DiagnosticsCollector(grid16, every=1)
         final = run(grid16, random_solenoidal(grid16, seed=2, peak_k=3.0),
                     SolverConfig(dt=1e-2, t_final=0.03), observers=[col])
         assert len(col.records) == 4
-        assert calls == {"eig": 4, "tail": 1}
+        points = 4 * 16 ** 3
+        assert calls == {"eig": points, "tail": 1}
         health = col.summary()["resolution_health"]
-        assert calls == {"eig": 4, "tail": 2}
+        assert calls == {"eig": points, "tail": 2}
         # The deferred final value is the one of the last recorded state.
         assert health["tail_enstrophy_fraction_final"] == \
             resolution_tail_fraction(grid16, final.v)

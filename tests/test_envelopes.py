@@ -27,12 +27,19 @@ from euler_spectra.envelopes import (
     vorticity_transport_residual,
 )
 from euler_spectra.errors import ContractViolationError
-from euler_spectra.fields import curl, fft_inverse
+from euler_spectra.fields import (
+    cross_product,
+    curl,
+    dealias_23,
+    fft_forward,
+    fft_inverse,
+)
 from euler_spectra.grid import Grid
 from euler_spectra.initial import random_solenoidal, shear_flow, taylor_green
 from euler_spectra.solver import SolverConfig, run
+import euler_spectra.workers as workers_module
 
-from conftest import velocity_gradient
+from conftest import make_random_velocity, velocity_gradient
 
 TAU = 2.0 * math.pi
 
@@ -443,6 +450,31 @@ class TestTransportResidual:
         _, normalized = vorticity_transport_residual(grid16, times,
                                                      velocities[::-1])
         assert np.max(normalized) > 0.1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_whole_field(self, n, threads, monkeypatch):
+        # The residual is formed snapshot by snapshot and compared slab
+        # by slab, on one thread or two; it must equal the whole-field
+        # evaluation bit for bit.
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+        velocities = [make_random_velocity(grid, rng) for _ in range(5)]
+        times = np.linspace(0.0, 0.4, 5)
+        omega = np.stack([fft_inverse(curl(grid, v)) for v in velocities])
+        domega_dt = derivative_4th(omega, 0.1, axis=0)
+        raw, normalized = [], []
+        for m, v in enumerate(velocities):
+            transport = fft_inverse(curl(grid, dealias_23(grid, fft_forward(
+                cross_product(fft_inverse(v), omega[m])))))
+            raw.append(np.max(np.abs(domega_dt[m] - transport)))
+            normalized.append(raw[-1] / max(np.max(np.abs(domega_dt[m])),
+                                            np.max(np.abs(transport)), 1e-300))
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
+        monkeypatch.setattr(workers_module, "_THREADED_MIN_N", 8)
+        got = vorticity_transport_residual(grid, times, velocities)
+        assert np.array_equal(got[0], raw)
+        assert np.array_equal(got[1], normalized)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_transport_term_matches_gradients(self, n):

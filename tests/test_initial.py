@@ -20,8 +20,11 @@ from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, SnapshotFormatError
 from euler_spectra.fields import (
     curl,
+    dealias_23,
     divergence_free_error,
+    fft_forward,
     fft_inverse,
+    leray_project,
 )
 from euler_spectra.grid import Grid
 from euler_spectra.initial import (
@@ -55,6 +58,17 @@ class TestTaylorGreen:
     def test_planar(self, grid16):
         v = fft_inverse(taylor_green(grid16))
         assert np.max(np.abs(v[2])) < 1e-15
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_equals_meshgrid_construction(self, n):
+        # Built from broadcast 1-D coordinates, the field is the one the
+        # dense meshgrids of Grid.coordinates give, bit for bit.
+        grid = Grid(n)
+        x, y, z = grid.coordinates()
+        u = np.stack((np.sin(x) * np.cos(y) * np.cos(z),
+                      -np.cos(x) * np.sin(y) * np.cos(z), np.zeros_like(x)))
+        expected = dealias_23(grid, leray_project(grid, fft_forward(u)))
+        assert np.array_equal(taylor_green(grid), expected)
 
     def test_is_neither_class(self, grid32):
         c = classify_initial(grid32, taylor_green(grid32))

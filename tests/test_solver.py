@@ -33,6 +33,7 @@ from euler_spectra.solver import (
     run,
     step_rk4,
 )
+import euler_spectra.workers as workers_module
 
 from conftest import make_random_velocity
 
@@ -245,7 +246,7 @@ class TestDealiasingEffect:
             grid, v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         config = SolverConfig(dt=dt, t_final=dt, nu=nu)
         for threaded in (False, True):
-            monkeypatch.setattr(solver_module, "_threaded",
+            monkeypatch.setattr(workers_module, "_threaded",
                                 lambda n, threaded=threaded: threaded)
             assert np.array_equal(band.scatter(rhs(band, compact, nu)), k1)
             banded = step_rk4(band, SolverState(0.0, compact, 0), config)
