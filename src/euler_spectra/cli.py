@@ -206,7 +206,9 @@ def cmd_run(args) -> int:
         return EXIT_IO
 
     grid = Grid(cfg.n)
-    initial = cfg.initial.build(grid)
+    # In a list that the run pops, so that no reference outlives the
+    # start of the run.
+    initial = [cfg.initial.build(grid)]
 
     collector = DiagnosticsCollector(
         grid,
@@ -261,7 +263,7 @@ def cmd_run(args) -> int:
     }
     exit_code = EXIT_OK
     try:
-        final_state = solver_run(grid, initial, cfg.solver, observers)
+        final_state = solver_run(grid, initial.pop(), cfg.solver, observers)
         write_snapshot(out_dir / "final.bin", grid, final_state.v,
                        final_state.t)
         summary["run"]["steps_completed"] = final_state.step_index

@@ -106,10 +106,11 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
     the tensor magnitude, since downstream eigenvalue identities assume
     a divergence-free velocity.  A diagnostics record forms the tensor
     with :func:`_strain_entries` instead and runs the same check on the
-    trace and Frobenius fields of its slab pass.
+    trace and Frobenius fields it fills slab by slab.
     """
     tensor = _strain_entries(grid, v)
-    _check_trace(_trace_squared(tensor), frobenius_squared(tensor))
+    _check_trace(np.mean(_trace_squared(tensor)),
+                 np.mean(frobenius_squared(tensor)))
     return tensor
 
 
@@ -154,12 +155,13 @@ def _trace_squared(tensor: np.ndarray) -> np.ndarray:
     return (s11 + s22 + s33) ** 2
 
 
-def _check_trace(trace_squared: np.ndarray, frobenius: np.ndarray):
-    """Warn when the RMS trace of a deformation tensor, from its pointwise
-    squared trace and :func:`frobenius_squared`, is not negligible
-    against its RMS magnitude."""
-    trace_rms = float(np.sqrt(np.mean(trace_squared)))
-    mag_rms = float(np.sqrt(np.mean(frobenius)))
+def _check_trace(trace_mean_square, frobenius_mean):
+    """Warn when the RMS trace of a deformation tensor, from the
+    ``np.mean`` of its pointwise squared trace and of
+    :func:`frobenius_squared`, is not negligible against its RMS
+    magnitude."""
+    trace_rms = float(np.sqrt(trace_mean_square))
+    mag_rms = float(np.sqrt(frobenius_mean))
     if mag_rms > 0.0 and trace_rms > 1e-10 * mag_rms:
         logger.warning(
             "deformation tensor trace RMS %.3e exceeds 1e-10 of magnitude "

@@ -24,11 +24,12 @@ Records in slabs
 The pointwise stages of a record (the eigensolve of the deformation
 tensor, the integrands of E, H, Z, Q, P, W and C3, and the trace check
 of the tensor) run over slabs of a few x planes, whose temporaries stay
-in cache.  Each integrand is written into an array of the whole grid
-and integrated by one pairwise sum, so a record is the same bit for bit
-as one evaluated on the whole field.  On a grid with n >= 64, when the
-process may run on two CPUs, one worker thread takes half of the slabs
-and half of the tensor's transforms: the rule of
+in cache.  The integrands share one array of the whole grid: each is
+written into it slab by slab and integrated by one pairwise sum before
+the next, so a record is the same bit for bit as one evaluated on the
+whole field and holds one integrand at a time.  On a grid with
+n >= 64, when the process may run on two CPUs, one worker thread takes
+half of the slabs and half of the tensor's transforms: the rule of
 :mod:`euler_spectra.workers`, which band steps follow too.
 """
 
@@ -68,13 +69,18 @@ def spectra_moments(grid: Grid, spectra: np.ndarray):
 
     Q = integral (l1^2 + l2^2 + l3^2),  P = integral (l1 l2 l3).
     """
-    return tuple(integrate_domain(grid, density)
-                 for density in _moment_densities(spectra))
+    return (integrate_domain(grid, _quadratic_density(spectra)),
+            integrate_domain(grid, _product_density(spectra)))
 
 
-def _moment_densities(spectra: np.ndarray):
+def _quadratic_density(spectra: np.ndarray):
     l1, l2, l3 = spectra
-    return l1 * l1 + l2 * l2 + l3 * l3, l1 * l2 * l3
+    return l1 * l1 + l2 * l2 + l3 * l3
+
+
+def _product_density(spectra: np.ndarray):
+    l1, l2, l3 = spectra
+    return l1 * l2 * l3
 
 
 def stretching_integral(grid: Grid, tensor: np.ndarray,
@@ -205,22 +211,46 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     ``physical`` is ``(fft_inverse(v), fft_inverse(curl(grid, v)))``
     for a caller that holds them (``diagnose``); the record is the same.
 
-    Every pointwise stage, from the eigensolve to the integrands, runs
-    over slabs of x planes (:func:`_pointwise_pass`); each integral is
-    then one :func:`pairwise_sum` over the whole grid, so the record is
-    the same bit for bit as one evaluated on the whole field.  On a grid
-    where :mod:`euler_spectra.workers` allows it, one worker thread takes
-    half of the slabs and half of the deformation-tensor transforms.
+    The eigensolve runs over slabs of x planes
+    (:func:`_slab_eigenvalues`).  Then each integrand is filled slab by
+    slab into one array of the whole grid and integrated by one
+    :func:`pairwise_sum` before the next is filled, so the record is the
+    same bit for bit as one evaluated on the whole field.  A physical
+    velocity formed here is released after E and H, before the
+    deformation tensor is formed.  On a grid where
+    :mod:`euler_spectra.workers` allows it, one worker thread takes half
+    of the slabs and half of the transforms.
     """
     with _worker(grid.n) as worker:
+        density = np.empty((grid.n,) * 3)
+        slabs = _slabs(grid.n)
+
+        def fill(form, *arrays):
+            """``density`` filled with ``form(*arrays)``, slab by slab."""
+            def job(x):
+                density[x] = form(*(a[:, x] for a in arrays))
+            _split(worker, job, slabs)
+            return density
+
+        def integral(form, *arrays):
+            return integrate_domain(grid, fill(form, *arrays))
+
         v_phys, omega_phys = physical or _physical_fields(grid, v, worker)
-        spectra, densities = _pointwise_pass(
-            _strain_entries(grid, v, worker), v_phys, omega_phys, worker)
-    e, h, z, q, p, w, c3 = (integrate_domain(grid, density)
-                            for density in densities[:7])
-    _check_trace(densities[7], densities[8])
-    bkm_sup_vort = float(np.sqrt(np.max(densities[2])))  # max_speed(omega)
-    del densities  # before the epsilon ratio's arrays of the whole grid
+        e = integral(magnitude_squared, v_phys)
+        h = integral(pointwise_dot, v_phys, omega_phys)
+        del v_phys  # a v formed here goes before the tensor is formed
+        tensor = _strain_entries(grid, v, worker)
+        spectra = _slab_eigenvalues(tensor, worker)
+        z = integral(magnitude_squared, omega_phys)
+        bkm_sup_vort = float(np.sqrt(np.max(density)))  # max_speed(omega)
+        q = integral(_quadratic_density, spectra)
+        p = integral(_product_density, spectra)
+        w = integral(_stretching_density, tensor, omega_phys)
+        c3 = integral(_cubic_trace_density, tensor)
+        trace_mean_square = np.mean(fill(_trace_squared, tensor))
+        _check_trace(trace_mean_square,
+                     np.mean(fill(frobenius_squared, tensor)))
+    del density, tensor, omega_phys  # before the epsilon ratio's arrays
     if isinstance(classification, _ClassifyHere):
         classification.result = classify_admissible(
             spectra, classification.tolerance)
@@ -250,40 +280,27 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
 
 def _physical_fields(grid: Grid, v: np.ndarray, worker):
     """``fft_inverse(v)`` and ``fft_inverse(curl(grid, v))``, the first
-    on ``worker`` when there is one."""
+    on ``worker`` when there is one, in two arrays, so that the record
+    can release the first one alone."""
     spectral = (np.array(v, dtype=np.complex128), curl(grid, v))
-    out = np.empty((2, 3) + (grid.n,) * 3)
+    out = [np.empty((3,) + (grid.n,) * 3) for _ in spectral]
     _split(worker, lambda k: _inverse_owned(spectral[k], out=out[k]), (0, 1))
     return out
 
 
-def _pointwise_pass(tensor: np.ndarray, v_phys: np.ndarray,
-                    omega_phys: np.ndarray, worker):
-    """The eigenvalue fields and the pointwise integrands of a record.
+def _slab_eigenvalues(tensor: np.ndarray, worker) -> np.ndarray:
+    """``eigenvalues_sym3(tensor)``, solved slab by slab.
 
-    Returns ``spectra``, as ``eigenvalues_sym3(tensor)`` gives it, and
-    the ``(9, n, n, n)`` integrand fields of E (without its 1/2), H, Z,
-    Q, P, W and C3, then the squared trace and :func:`frobenius_squared`
-    of the tensor.  Each slab of x planes
-    (:func:`euler_spectra.workers._slabs`) is solved on its own; the eigensolver, its refinement and its range guards act
-    point by point, so the slabs give the values the whole field does.
-    The slabs alternate between ``worker`` and the calling thread.
+    Each slab of x planes (:func:`euler_spectra.workers._slabs`) is
+    solved on its own; the eigensolver, its refinement and its range
+    guards act point by point, so the slabs give the values the whole
+    field does.  The slabs alternate between ``worker`` and the calling
+    thread.
     """
     spectra = np.empty((3,) + tensor.shape[1:])
-    densities = np.empty((9,) + tensor.shape[1:])
 
     def solve(x):
-        s, u, w = tensor[:, x], v_phys[:, x], omega_phys[:, x]
-        spectra[:, x] = eigenvalues_sym3(s)
-        out = densities[:, x]
-        out[0] = magnitude_squared(u)
-        out[1] = pointwise_dot(u, w)
-        out[2] = magnitude_squared(w)
-        out[3], out[4] = _moment_densities(spectra[:, x])
-        out[5] = _stretching_density(s, w)
-        out[6] = _cubic_trace_density(s)
-        out[7] = _trace_squared(s)
-        out[8] = frobenius_squared(s)
+        spectra[:, x] = eigenvalues_sym3(tensor[:, x])
 
     try:
         _split(worker, solve, _slabs(tensor.shape[1]))
@@ -291,7 +308,7 @@ def _pointwise_pass(tensor: np.ndarray, v_phys: np.ndarray,
         # A slab names its own first bad entry; report the whole field's.
         _require_finite(tensor)
         raise
-    return spectra, densities
+    return spectra
 
 
 def classify_and_record(grid: Grid, t: float, v: np.ndarray,

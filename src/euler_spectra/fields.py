@@ -32,11 +32,13 @@ layouts give the same values bit for bit.  ``curl`` and
 ``leray_project`` take a ``Band`` in place of the ``Grid`` for a
 compact spectrum.  ``fft_inverse`` copies its input; ``_inverse_owned``
 transforms in place a spectrum the caller can spare, into ``out=``.
-``fft_forward``, the band transforms, ``curl`` and ``cross_product``
-write into caller-owned ``out=`` (and ``work=``) arrays when given them,
-which lets the solver and the diagnostics reuse one set of buffers
-across the stages of a step or the snapshots of a series and share
-them with a worker thread; the values are the same either way.
+``fft_forward``, ``curl`` and ``cross_product`` write into caller-owned
+``out=`` arrays when given them, which lets the solver and the
+diagnostics reuse one set of buffers across the stages of a step or the
+snapshots of a series and share them with a worker thread; the values
+are the same either way.  A band step runs the passes of the band
+transforms itself, one x-slab at a time between the x passes
+(:mod:`euler_spectra.solver`).
 """
 
 import numpy as np
@@ -106,53 +108,40 @@ def _inverse_owned(work: np.ndarray, out: np.ndarray | None = None
                         out=out)
 
 
-def band_forward(band: Band, values: np.ndarray,
-                 work: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def band_forward(band: Band, values: np.ndarray) -> np.ndarray:
     """Physical -> compact band transform: only the kept modes.
 
     The passes of :func:`fft_forward`, in place on the planes
     kz <= m, with the y pass run only on the band's x rows; equals
-    ``band.restrict(fft_forward(values))`` exactly.  ``work`` receives
-    the ``rfft`` along z (space shape ``(n, n, n//2 + 1)``) and ``out``
-    the result, when they are given.
+    ``band.restrict(fft_forward(values))`` exactly.  A band step runs
+    the same passes on its own buffers (``solver._BandWorkspace``).
     """
-    work = np.fft.rfft(values, axis=-1, norm="forward", out=work)
+    work = np.fft.rfft(values, axis=-1, norm="forward")
     spectrum = work[..., :band.m + 1]
     np.fft.fft(spectrum, axis=-3, norm="forward", out=spectrum)
     for x_rows in band.halves:
         lines = spectrum[..., x_rows, :, :]
         np.fft.fft(lines, axis=-2, norm="forward", out=lines)
-    if out is None:
-        return spectrum[band.index]
-    out[...] = spectrum[band.index]
-    return out
+    return spectrum[band.index]
 
 
-def band_inverse(band: Band, coeffs: np.ndarray,
-                 work: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def band_inverse(band: Band, coeffs: np.ndarray) -> np.ndarray:
     """Compact band -> physical transform, equal to
     ``fft_inverse(band.scatter(coeffs))`` without its all-zero lines.
 
     The band is zero-padded to the planes kz <= m, the x pass runs only
-    on the band's ky lines, and ``irfft`` pads kz > m with zeros.
-    ``work`` is the complex128 zero-padding array (space shape
-    ``(n, n, m + 1)``), overwritten, and ``out`` receives the result,
-    when they are given.
+    on the band's ky lines, and ``irfft`` pads kz > m with zeros.  A
+    band step runs the same passes on its own buffers
+    (``solver._BandWorkspace``).
     """
     n = band.n
-    if work is None:
-        work = np.zeros(coeffs.shape[:-3] + (n, n, band.m + 1),
-                        np.complex128)
-    else:
-        work[...] = 0.0
+    work = np.zeros(coeffs.shape[:-3] + (n, n, band.m + 1), np.complex128)
     work[band.index] = coeffs
     for y_rows in band.halves:
         lines = work[..., y_rows, :]
         np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
     np.fft.ifft(work, axis=-2, norm="forward", out=work)
-    return np.fft.irfft(work, n=n, axis=-1, norm="forward", out=out)
+    return np.fft.irfft(work, n=n, axis=-1, norm="forward")
 
 
 def curl(grid: Grid | Band, v: np.ndarray,

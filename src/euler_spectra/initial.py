@@ -32,6 +32,23 @@ def _finalize(grid: Grid, vhat: np.ndarray) -> np.ndarray:
     return dealias_23(grid, leray_project(grid, vhat))
 
 
+def _axes(grid: Grid):
+    """The coordinates x, y, z as 1-D axes that broadcast to the grid.
+
+    Every term built from them has the values the meshgrids of
+    ``Grid.coordinates`` give, without three dense arrays of them (50 MB
+    less at n=128).
+    """
+    axis = np.arange(grid.n, dtype=np.float64) * grid.dx
+    return axis[:, None, None], axis[None, :, None], axis[None, None, :]
+
+
+def _stack(grid: Grid, components) -> np.ndarray:
+    """The physical vector field of three broadcast components."""
+    shape = (grid.n,) * 3
+    return np.stack([np.broadcast_to(u, shape) for u in components])
+
+
 def taylor_green(grid: Grid) -> np.ndarray:
     """Taylor-Green vortex.
 
@@ -39,15 +56,10 @@ def taylor_green(grid: Grid) -> np.ndarray:
     mirror-symmetric, and exactly divergence-free; the classical
     stretching benchmark.
     """
-    # Coordinates broadcast from 1-D axes: the same values as the
-    # meshgrids of Grid.coordinates, without three dense arrays of them
-    # (50 MB less at n=128).
-    axis = np.arange(grid.n, dtype=np.float64) * grid.dx
-    x, y, z = axis[:, None, None], axis[None, :, None], axis[None, None, :]
+    x, y, z = _axes(grid)
     u1 = np.sin(x) * np.cos(y) * np.cos(z)
     u2 = -np.cos(x) * np.sin(y) * np.cos(z)
-    u3 = np.zeros_like(u1)
-    return _finalize(grid, fft_forward(np.stack((u1, u2, u3))))
+    return _finalize(grid, fft_forward(_stack(grid, (u1, u2, 0.0))))
 
 
 def abc_flow(grid: Grid, a: float = 1.0, b: float = 1.0,
@@ -59,20 +71,17 @@ def abc_flow(grid: Grid, a: float = 1.0, b: float = 1.0,
     the inviscid equations — ideal for conservation and steadiness
     checks.
     """
-    x, y, z = grid.coordinates()
+    x, y, z = _axes(grid)
     u1 = a * np.sin(z) + c * np.cos(y)
     u2 = b * np.sin(x) + a * np.cos(z)
     u3 = c * np.sin(y) + b * np.cos(x)
-    return _finalize(grid, fft_forward(np.stack((u1, u2, u3))))
+    return _finalize(grid, fft_forward(_stack(grid, (u1, u2, u3))))
 
 
 def shear_flow(grid: Grid) -> np.ndarray:
     """Plane shear v = (sin y, 0, 0): unidirectional, zero middle eigenvalue."""
-    _, y, _ = grid.coordinates()
-    u1 = np.sin(y)
-    u2 = np.zeros_like(u1)
-    u3 = np.zeros_like(u1)
-    return _finalize(grid, fft_forward(np.stack((u1, u2, u3))))
+    _, y, _ = _axes(grid)
+    return _finalize(grid, fft_forward(_stack(grid, (np.sin(y), 0.0, 0.0))))
 
 
 def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,

@@ -14,9 +14,10 @@ def pairwise_sum(values) -> float:
     """Sum an array in a fixed pairwise order.
 
     The input is flattened in C order, zero-padded to the next power of
-    two, and repeatedly folded in half; the result is bit-reproducible
-    for a given input regardless of BLAS/SIMD configuration, and carries
-    the usual O(log n) pairwise error growth.
+    two, and repeatedly folded in half, in place on one working copy;
+    the result is bit-reproducible for a given input regardless of
+    BLAS/SIMD configuration, and carries the usual O(log n) pairwise
+    error growth.
 
     Parameters
     ----------
@@ -40,5 +41,5 @@ def pairwise_sum(values) -> float:
         a = a.copy()
     while a.size > 1:
         half = a.size // 2
-        a = a[:half] + a[half:]
+        a = np.add(a[:half], a[half:], out=a[:half])
     return float(a[0])

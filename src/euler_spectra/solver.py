@@ -26,15 +26,18 @@ the half spectrum after each step for the observers.  A run with
 ``dealias`` off steps on the full half spectrum of the
 :class:`~euler_spectra.grid.Grid` and masks nothing.
 
-A band step shares its transforms with one worker thread when
+A band step forms v, omega and v x omega in physical space one x-slab
+at a time, between the x pass of the inverse transforms and the x pass
+of the forward one, so it holds no physical vector field of the whole
+grid.  It shares its transforms with one worker thread when
 :mod:`euler_spectra.workers` allows one (n >= 64 and two CPUs or
 more, the rule that diagnostics records follow too): the worker
-transforms v while the caller transforms omega, and each takes a share
-of v x omega and of its forward transform.  The thread is started by
-the step and joined at its end, the step's buffers are allocated by the
-calling thread, and the result is the same bit for bit as on one
-thread.  No setting selects this; :func:`step_threads` reports the
-choice.
+transforms v along x while the caller transforms omega, and the two
+take the slabs in turn and halves of the forward passes.  The thread is
+started by the step and joined at its end, the step's buffers are
+allocated by the calling thread, and the result is the same bit for bit
+as on one thread.  No setting selects this; :func:`step_threads`
+reports the choice.
 """
 
 import logging
@@ -45,8 +48,6 @@ import numpy as np
 
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
-    band_forward,
-    band_inverse,
     check_velocity,
     cross_product,
     curl,
@@ -56,7 +57,7 @@ from euler_spectra.fields import (
     max_speed,
 )
 from euler_spectra.grid import Band, Grid
-from euler_spectra.workers import _threaded, _worker
+from euler_spectra.workers import _slabs, _split, _threaded, _worker
 
 logger = logging.getLogger("euler_spectra.solver")
 
@@ -162,7 +163,9 @@ class _BandWorkspace:
     long as this object: one RK4 step.  A buffer kept for a whole run
     would sit on top of the peak of the diagnostics record, and outputs
     allocated by the worker thread would land in a malloc arena of its
-    own; both raise the peak RSS.  The worker is a one-thread executor
+    own; both raise the peak RSS.  The physical fields v, omega and
+    v x omega exist one x-slab at a time, in one slab buffer per thread.
+    The worker is a one-thread executor
     (:func:`euler_spectra.workers._worker`), made here and joined on
     exit.
     """
@@ -174,10 +177,17 @@ class _BandWorkspace:
         self.omega = np.empty(compact, np.complex128)
         self.spectrum = np.empty(compact, np.complex128)
         self.padded = np.empty((2, 3, n, n, m + 1), np.complex128)
-        self.physical = np.empty((3, 3, n, n, n))  # v, omega, v x omega
         self.rfft = np.empty((3, n, n, n // 2 + 1), np.complex128)
         self._pool = _worker(n)
         self.worker = self._pool.__enter__()
+        slabs = _slabs(n)
+        planes = len(range(n)[slabs[0]])
+        # v, omega and v x omega of a slab, one buffer per thread; the
+        # slabs alternate between the threads as _split hands them out.
+        buffers = [np.empty((3, 3, planes, n, n))
+                   for _ in range(1 if self.worker is None else 2)]
+        self.slabs = [(x, buffers[i % len(buffers)][:, :, :len(range(n)[x])])
+                      for i, x in enumerate(slabs)]
 
     def __enter__(self):
         return self
@@ -188,34 +198,51 @@ class _BandWorkspace:
     def nonlinear(self, v: np.ndarray) -> np.ndarray:
         """The band spectrum of v x omega, in a buffer of this workspace.
 
-        With a worker, it transforms v while the caller transforms
-        omega, forms v x omega on the first half of the x planes while
-        the caller forms the other half, and transforms its first
-        component while the caller transforms the other two.  Without
-        one, the caller does each job in one call.
+        The passes of :func:`~euler_spectra.fields.band_inverse` and
+        :func:`~euler_spectra.fields.band_forward`, on the same lines:
+        v and omega are zero-padded and transformed along x, each field
+        on a thread of its own; then each x-slab is transformed along y
+        and z, multiplied and transformed back along z into the
+        ``rfft`` buffer; then the x and the y passes of the forward
+        transform run by halves.  The slabs alternate between the
+        worker and the caller.  Every line goes through the arithmetic
+        of the whole-field transforms, so the result is the same bit
+        for bit on one thread or two.
         """
-        band, rfft, spectrum = self.band, self.rfft, self.spectrum
-        v_phys, omega_phys, cross = self.physical
-        if self.worker is None:
-            band_inverse(band, v, self.padded[0], v_phys)
-            band_inverse(band, curl(band, v, out=self.omega),
-                         self.padded[1], omega_phys)
-            cross_product(v_phys, omega_phys, cross)
-            return band_forward(band, cross, rfft, spectrum)
-        submit, half = self.worker.submit, band.n // 2
-        done = submit(band_inverse, band, v, self.padded[0], v_phys)
-        band_inverse(band, curl(band, v, out=self.omega), self.padded[1],
-                     omega_phys)
-        done.result()
-        done = submit(cross_product, v_phys[:, :half], omega_phys[:, :half],
-                      cross[:, :half])
-        cross_product(v_phys[:, half:], omega_phys[:, half:],
-                      cross[:, half:])
-        done.result()
-        done = submit(band_forward, band, cross[:1], rfft[:1], spectrum[:1])
-        band_forward(band, cross[1:], rfft[1:], spectrum[1:])
-        done.result()
-        return spectrum
+        band, padded, rfft, n = self.band, self.padded, self.rfft, self.band.n
+
+        def pad_and_inverse_x(k):
+            work = padded[k]
+            work[...] = 0.0
+            work[band.index] = v if k == 0 else curl(band, v, out=self.omega)
+            for y_rows in band.halves:
+                lines = work[..., y_rows, :]
+                np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
+
+        def slab(part):
+            x, fields = part  # v, omega, v x omega on the slab
+            lines = padded[:, :, x]
+            np.fft.ifft(lines, axis=-2, norm="forward", out=lines)
+            np.fft.irfft(lines, n=n, axis=-1, norm="forward", out=fields[:2])
+            cross_product(fields[0], fields[1], fields[2])
+            np.fft.rfft(fields[2], axis=-1, norm="forward", out=rfft[:, x])
+
+        spectrum = rfft[..., :band.m + 1]
+
+        def forward_x(y_rows):
+            lines = spectrum[..., y_rows, :]
+            np.fft.fft(lines, axis=-3, norm="forward", out=lines)
+
+        def forward_y(x_rows):
+            lines = spectrum[..., x_rows, :, :]
+            np.fft.fft(lines, axis=-2, norm="forward", out=lines)
+
+        _split(self.worker, pad_and_inverse_x, (0, 1))
+        _split(self.worker, slab, self.slabs)
+        _split(self.worker, forward_x, (slice(0, n // 2), slice(n // 2, n)))
+        _split(self.worker, forward_y, band.halves)
+        self.spectrum[...] = spectrum[band.index]
+        return self.spectrum
 
 
 def step_threads(grid: Grid, config: SolverConfig) -> int:
@@ -289,7 +316,9 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     after every step, and the final state is returned.  Observers and
     the returned state hold the half spectrum, also when the steps run
     on the band.  Observer exceptions propagate to the caller, aborting
-    the run.
+    the run.  The run keeps no reference to ``initial`` or to the start
+    state once it has stepped past it, so a caller that hands over its
+    only reference frees them.
 
     The advective CFL number u_max * dt / dx is sampled at the start
     and every few dozen steps; exceeding ``config.cfl_warning`` logs a
@@ -305,12 +334,14 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     if not np.iscomplexobj(initial):
         initial = fft_forward(initial)
     v0 = leray_project(grid, initial)
+    del initial
     _check_finite(v0, 0, 0.0)
     band = None
     if config.dealias:
         band = Band(grid)
         v0[:, ~grid.dealias_mask] = 0.0  # not modes of the truncated system
     state = SolverState(0.0, v0, 0)
+    del v0  # the start goes with the state that holds it
 
     def advance(s: SolverState) -> SolverState:
         if band is None:

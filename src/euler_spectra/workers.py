@@ -27,7 +27,8 @@ _THREADED_MIN_N = 64
 
 
 # A slab of pointwise work (a record's eigensolve and integrands, the
-# time derivative of ``diagnose``) holds at least _SLAB_PLANES x planes
+# physical fields of a band step, the time derivative of ``diagnose``)
+# holds at least _SLAB_PLANES x planes
 # and at least _SLAB_POINTS points: small enough that its temporaries
 # stay in cache, large enough that numpy's cost per call does not
 # dominate.  Records timed interleaved in one process on 2 CPUs, against

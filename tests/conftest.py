@@ -5,6 +5,8 @@ session-scoped.  Random data always comes from `default_rng` with a fixed
 seed so failures reproduce bit-for-bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,17 @@ def gradient_norm_squared_pointwise(grad):
         for j in range(3):
             total += grad[i, j] ** 2
     return total
+
+
+def traced_peak_fields(grid, job):
+    """The ``tracemalloc`` peak of ``job()`` above the memory traced
+    before it, in whole-grid float64 fields of ``grid``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        job()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / (8 * grid.n ** 3)

@@ -365,3 +365,14 @@ class TestPairwiseSum:
     def test_multidimensional_input(self, rng):
         values = rng.standard_normal((7, 5, 3))
         assert pairwise_sum(values) == pairwise_sum(values.ravel())
+
+    @pytest.mark.parametrize("size", [1, 3, 1000, 2 ** 18])
+    def test_in_place_fold_matches_fresh_arrays(self, rng, size):
+        # Folding in place on one working copy gives the bits of a fold
+        # that makes a new array at every halving.
+        values = rng.standard_normal(size) * np.logspace(-8, 8, size)
+        a = np.zeros(1 << int(np.ceil(np.log2(size))))
+        a[:size] = values
+        while a.size > 1:
+            a = a[:a.size // 2] + a[a.size // 2:]
+        assert pairwise_sum(values) == float(a[0])

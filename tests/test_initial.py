@@ -103,6 +103,17 @@ class TestABCFlow:
         assert (classify_initial(grid16, abc_flow(grid16)).label
                 == AdmissibleClass.NEITHER)
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_equals_meshgrid_construction(self, n):
+        grid = Grid(n)
+        x, y, z = grid.coordinates()
+        a, b, c = 2.0, 0.5, 1.0
+        u = np.stack((a * np.sin(z) + c * np.cos(y),
+                      b * np.sin(x) + a * np.cos(z),
+                      c * np.sin(y) + b * np.cos(x)))
+        expected = dealias_23(grid, leray_project(grid, fft_forward(u)))
+        assert np.array_equal(abc_flow(grid, a, b, c), expected)
+
 
 class TestShearFlow:
     def test_enstrophy(self, grid16):
@@ -116,6 +127,14 @@ class TestShearFlow:
         assert c.label == AdmissibleClass.NEITHER
         assert abs(c.min_lambda2) < 1e-13
         assert abs(c.max_lambda2) < 1e-13
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_equals_meshgrid_construction(self, n):
+        grid = Grid(n)
+        _, y, _ = grid.coordinates()
+        u = np.stack((np.sin(y), np.zeros_like(y), np.zeros_like(y)))
+        expected = dealias_23(grid, leray_project(grid, fft_forward(u)))
+        assert np.array_equal(shear_flow(grid), expected)
 
 
 class TestRandomSolenoidal:
