@@ -42,7 +42,13 @@ from euler_spectra.fields import (
     fft_forward,
 )
 from euler_spectra.grid import Grid
-from euler_spectra.workers import _slabs, _split, _worker
+from euler_spectra.workers import (
+    _lanes,
+    _slabs,
+    _split,
+    _split_lanes,
+    _worker,
+)
 
 
 def derivative_4th(values, spacing: float, axis: int = 0) -> np.ndarray:
@@ -385,17 +391,17 @@ def _snapshot_fields(grid: Grid, spectral):
     """
     shape = (len(spectral), 3) + (grid.n,) * 3
     v_phys, omega_phys = np.empty(shape), np.empty(shape)
-    work = np.empty((2, 3) + spectral[0].shape[1:], np.complex128)
 
-    def transform(part):
-        m, buffer = part
+    def transform(m, lane):
+        buffer = work[lane]
         buffer[...] = spectral[m]
         _inverse_owned(buffer, out=v_phys[m])
         _inverse_owned(curl(grid, spectral[m], out=buffer), out=omega_phys[m])
 
     with _worker(grid.n) as worker:
-        _split(worker, transform,
-               [(m, work[m % 2]) for m in range(len(spectral))])
+        work = np.empty((_lanes(worker), 3) + spectral[0].shape[1:],
+                        np.complex128)
+        _split_lanes(worker, transform, range(len(spectral)))
     return v_phys, omega_phys
 
 
@@ -445,9 +451,9 @@ def vorticity_transport_residual(grid: Grid, times, velocities,
     # and max |transport|.  A maximum over slab maxima is the maximum.
     peaks = np.empty((3, times.size, len(slabs)))
 
-    def transport_term(part):
+    def transport_term(m, lane):
         # curl of the 2/3-truncated v x omega, one component at a time.
-        m, spectrum, component = part
+        spectrum, component = spectra[lane], components[lane]
         cross_product(v_stack[m], omega_stack[m], transport[m])
         fft_forward(transport[m], out=spectrum)
         np.copyto(spectrum, 0.0, where=outside_band)  # dealias_23
@@ -466,12 +472,10 @@ def vorticity_transport_residual(grid: Grid, times, velocities,
 
     with _worker(grid.n) as worker:
         # A spectrum of v x omega and a curl component for each thread.
-        lanes = 1 if worker is None else 2
+        lanes = _lanes(worker)
         spectra = np.empty((lanes, 3) + grid.k_squared.shape, np.complex128)
         components = np.empty((lanes,) + grid.k_squared.shape, np.complex128)
-        _split(worker, transport_term,
-               [(m, spectra[m % lanes], components[m % lanes])
-                for m in range(times.size)])
+        _split_lanes(worker, transport_term, range(times.size))
         del spectra, components
         _split(worker, compare, list(enumerate(slabs)))
     raw = np.max(peaks[0], axis=1)

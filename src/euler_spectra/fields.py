@@ -36,9 +36,12 @@ transforms in place a spectrum the caller can spare, into ``out=``.
 ``out=`` arrays when given them, which lets the solver and the
 diagnostics reuse one set of buffers across the stages of a step or the
 snapshots of a series and share them with a worker thread; the values
-are the same either way.  A band step runs the passes of the band
-transforms itself, one x-slab at a time between the x passes
-(:mod:`euler_spectra.solver`).
+are the same either way.  The band transforms are built from pass
+helpers (``_band_pad_inverse_x``, ``_inverse_yz``, ``_forward_z``,
+``_band_forward_x``, ``_band_forward_y``) that a band step calls
+itself, one x-slab at a time between the x passes
+(:mod:`euler_spectra.solver`), so the band transforms and the step run
+the same passes on the same lines.
 """
 
 import numpy as np
@@ -81,10 +84,18 @@ def fft_forward(values: np.ndarray,
     ``(n, n, n//2 + 1)``: ``rfft`` along z, then ``fft`` along x, then
     along y.  The result is written into ``out`` when it is given.
     """
-    out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    out = _forward_z(values, out)
     # x before y: numpy.fft.rfftn runs y first, which rounds differently.
     np.fft.fft(out, axis=-3, norm="forward", out=out)
     return np.fft.fft(out, axis=-2, norm="forward", out=out)
+
+
+def _forward_z(values: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The first pass of a forward transform: ``rfft`` along z, into
+    ``out`` when it is given.  On an x-slab it gives that slab of the
+    pass over the whole field."""
+    return np.fft.rfft(values, axis=-1, norm="forward", out=out)
 
 
 def fft_inverse(coeffs: np.ndarray) -> np.ndarray:
@@ -103,9 +114,17 @@ def _inverse_owned(work: np.ndarray, out: np.ndarray | None = None
     """:func:`fft_inverse` that overwrites the complex128 ``work`` and
     writes into the float64 ``out`` when it is given."""
     np.fft.ifft(work, axis=-3, norm="forward", out=work)
+    return _inverse_yz(work, work.shape[-3], out)
+
+
+def _inverse_yz(work: np.ndarray, n: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The last passes of an inverse transform whose x pass is done:
+    ``ifft`` along y in place on the complex128 ``work``, then
+    ``irfft`` along z to n points, into ``out`` when it is given.  On an
+    x-slab of ``work`` they give that slab of the whole transform."""
     np.fft.ifft(work, axis=-2, norm="forward", out=work)
-    return np.fft.irfft(work, n=work.shape[-3], axis=-1, norm="forward",
-                        out=out)
+    return np.fft.irfft(work, n=n, axis=-1, norm="forward", out=out)
 
 
 def band_forward(band: Band, values: np.ndarray) -> np.ndarray:
@@ -113,16 +132,30 @@ def band_forward(band: Band, values: np.ndarray) -> np.ndarray:
 
     The passes of :func:`fft_forward`, in place on the planes
     kz <= m, with the y pass run only on the band's x rows; equals
-    ``band.restrict(fft_forward(values))`` exactly.  A band step runs
-    the same passes on its own buffers (``solver._BandWorkspace``).
+    ``band.restrict(fft_forward(values))`` exactly.
     """
-    work = np.fft.rfft(values, axis=-1, norm="forward")
-    spectrum = work[..., :band.m + 1]
-    np.fft.fft(spectrum, axis=-3, norm="forward", out=spectrum)
+    work = _forward_z(values)
+    _band_forward_x(band, work)
     for x_rows in band.halves:
-        lines = spectrum[..., x_rows, :, :]
-        np.fft.fft(lines, axis=-2, norm="forward", out=lines)
-    return spectrum[band.index]
+        _band_forward_y(band, work, x_rows)
+    return work[band.index]
+
+
+def _band_forward_x(band: Band, work: np.ndarray,
+                    y_rows: slice = slice(None)) -> None:
+    """The x pass of :func:`band_forward`, in place on the ``rfft``
+    along z ``work`` (space shape ``(n, n, n//2 + 1)``): ``fft`` along
+    x of the lines in the y rows ``y_rows`` and the planes kz <= m."""
+    lines = work[..., y_rows, :band.m + 1]
+    np.fft.fft(lines, axis=-3, norm="forward", out=lines)
+
+
+def _band_forward_y(band: Band, work: np.ndarray, x_rows: slice) -> None:
+    """The y pass of :func:`band_forward` on ``work`` for ``x_rows``,
+    one of ``band.halves``: ``fft`` along y of those x rows on the
+    planes kz <= m, in place."""
+    lines = work[..., x_rows, :, :band.m + 1]
+    np.fft.fft(lines, axis=-2, norm="forward", out=lines)
 
 
 def band_inverse(band: Band, coeffs: np.ndarray) -> np.ndarray:
@@ -130,18 +163,25 @@ def band_inverse(band: Band, coeffs: np.ndarray) -> np.ndarray:
     ``fft_inverse(band.scatter(coeffs))`` without its all-zero lines.
 
     The band is zero-padded to the planes kz <= m, the x pass runs only
-    on the band's ky lines, and ``irfft`` pads kz > m with zeros.  A
-    band step runs the same passes on its own buffers
-    (``solver._BandWorkspace``).
+    on the band's ky lines, and ``irfft`` pads kz > m with zeros.
     """
     n = band.n
-    work = np.zeros(coeffs.shape[:-3] + (n, n, band.m + 1), np.complex128)
+    work = np.empty(coeffs.shape[:-3] + (n, n, band.m + 1), np.complex128)
+    _band_pad_inverse_x(band, coeffs, work)
+    return _inverse_yz(work, n)
+
+
+def _band_pad_inverse_x(band: Band, coeffs: np.ndarray,
+                        work: np.ndarray) -> None:
+    """The first pass of :func:`band_inverse`: zero-pad the compact
+    ``coeffs`` into the complex128 ``work`` (space shape
+    ``(n, n, m + 1)``) and ``ifft`` along x the band's ky lines, in
+    place."""
+    work[...] = 0.0
     work[band.index] = coeffs
     for y_rows in band.halves:
         lines = work[..., y_rows, :]
         np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
-    np.fft.ifft(work, axis=-2, norm="forward", out=work)
-    return np.fft.irfft(work, n=n, axis=-1, norm="forward")
 
 
 def curl(grid: Grid | Band, v: np.ndarray,

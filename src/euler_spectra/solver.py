@@ -48,6 +48,11 @@ import numpy as np
 
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
+    _band_forward_x,
+    _band_forward_y,
+    _band_pad_inverse_x,
+    _forward_z,
+    _inverse_yz,
     check_velocity,
     cross_product,
     curl,
@@ -57,7 +62,14 @@ from euler_spectra.fields import (
     max_speed,
 )
 from euler_spectra.grid import Band, Grid
-from euler_spectra.workers import _slabs, _split, _threaded, _worker
+from euler_spectra.workers import (
+    _lanes,
+    _slabs,
+    _split,
+    _split_lanes,
+    _threaded,
+    _worker,
+)
 
 logger = logging.getLogger("euler_spectra.solver")
 
@@ -180,14 +192,10 @@ class _BandWorkspace:
         self.rfft = np.empty((3, n, n, n // 2 + 1), np.complex128)
         self._pool = _worker(n)
         self.worker = self._pool.__enter__()
-        slabs = _slabs(n)
-        planes = len(range(n)[slabs[0]])
-        # v, omega and v x omega of a slab, one buffer per thread; the
-        # slabs alternate between the threads as _split hands them out.
-        buffers = [np.empty((3, 3, planes, n, n))
-                   for _ in range(1 if self.worker is None else 2)]
-        self.slabs = [(x, buffers[i % len(buffers)][:, :, :len(range(n)[x])])
-                      for i, x in enumerate(slabs)]
+        self.slabs = _slabs(n)
+        # v, omega and v x omega of a slab, one buffer per thread.
+        planes = self.slabs[0].stop
+        self.slab_fields = np.empty((_lanes(self.worker), 3, 3, planes, n, n))
 
     def __enter__(self):
         return self
@@ -198,50 +206,37 @@ class _BandWorkspace:
     def nonlinear(self, v: np.ndarray) -> np.ndarray:
         """The band spectrum of v x omega, in a buffer of this workspace.
 
-        The passes of :func:`~euler_spectra.fields.band_inverse` and
-        :func:`~euler_spectra.fields.band_forward`, on the same lines:
-        v and omega are zero-padded and transformed along x, each field
-        on a thread of its own; then each x-slab is transformed along y
-        and z, multiplied and transformed back along z into the
-        ``rfft`` buffer; then the x and the y passes of the forward
-        transform run by halves.  The slabs alternate between the
-        worker and the caller.  Every line goes through the arithmetic
-        of the whole-field transforms, so the result is the same bit
-        for bit on one thread or two.
+        The pass helpers of :func:`~euler_spectra.fields.band_inverse`
+        and :func:`~euler_spectra.fields.band_forward`: v and omega are
+        zero-padded and transformed along x, each field on a thread of
+        its own; then each x-slab is transformed along y and z,
+        multiplied and transformed back along z into the ``rfft``
+        buffer; then the x and the y passes of the forward transform
+        run by halves.  The slabs alternate between the worker and the
+        caller.  Every line goes through the arithmetic of the
+        whole-field transforms, so the result is the same bit for bit on
+        one thread or two.
         """
         band, padded, rfft, n = self.band, self.padded, self.rfft, self.band.n
 
-        def pad_and_inverse_x(k):
-            work = padded[k]
-            work[...] = 0.0
-            work[band.index] = v if k == 0 else curl(band, v, out=self.omega)
-            for y_rows in band.halves:
-                lines = work[..., y_rows, :]
-                np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
+        def inverse_x(k):
+            _band_pad_inverse_x(
+                band, v if k == 0 else curl(band, v, out=self.omega),
+                padded[k])
 
-        def slab(part):
-            x, fields = part  # v, omega, v x omega on the slab
-            lines = padded[:, :, x]
-            np.fft.ifft(lines, axis=-2, norm="forward", out=lines)
-            np.fft.irfft(lines, n=n, axis=-1, norm="forward", out=fields[:2])
+        def slab(x, lane):
+            fields = self.slab_fields[lane]  # v, omega, v x omega
+            _inverse_yz(padded[:, :, x], n, out=fields[:2])
             cross_product(fields[0], fields[1], fields[2])
-            np.fft.rfft(fields[2], axis=-1, norm="forward", out=rfft[:, x])
+            _forward_z(fields[2], out=rfft[:, x])
 
-        spectrum = rfft[..., :band.m + 1]
-
-        def forward_x(y_rows):
-            lines = spectrum[..., y_rows, :]
-            np.fft.fft(lines, axis=-3, norm="forward", out=lines)
-
-        def forward_y(x_rows):
-            lines = spectrum[..., x_rows, :, :]
-            np.fft.fft(lines, axis=-2, norm="forward", out=lines)
-
-        _split(self.worker, pad_and_inverse_x, (0, 1))
-        _split(self.worker, slab, self.slabs)
-        _split(self.worker, forward_x, (slice(0, n // 2), slice(n // 2, n)))
-        _split(self.worker, forward_y, band.halves)
-        self.spectrum[...] = spectrum[band.index]
+        _split(self.worker, inverse_x, (0, 1))
+        _split_lanes(self.worker, slab, self.slabs)
+        _split(self.worker, lambda y_rows: _band_forward_x(band, rfft, y_rows),
+               (slice(0, n // 2), slice(n // 2, n)))
+        _split(self.worker, lambda x_rows: _band_forward_y(band, rfft, x_rows),
+               band.halves)
+        self.spectrum[...] = rfft[band.index]
         return self.spectrum
 
 

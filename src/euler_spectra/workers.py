@@ -41,8 +41,10 @@ _SLAB_POINTS = 16384
 
 
 def _slabs(n: int) -> list:
-    """The x slabs of an n-point grid, as slices of the x axis."""
-    planes = max(_SLAB_PLANES, _SLAB_POINTS // (n * n))
+    """The x slabs of an n-point grid, as slices of the x axis.  For the
+    grids a :class:`~euler_spectra.grid.Grid` allows (powers of two) the
+    slabs are equal."""
+    planes = min(n, max(_SLAB_PLANES, _SLAB_POINTS // (n * n)))
     return [slice(start, start + planes) for start in range(0, n, planes)]
 
 
@@ -70,24 +72,38 @@ def _worker(n: int):
     return ThreadPoolExecutor(1, thread_name_prefix="euler_spectra")
 
 
-def _each(job, parts):
+def _lanes(worker) -> int:
+    """The threads :func:`_split_lanes` runs jobs on: 2 with a worker,
+    else 1."""
+    return 1 if worker is None else 2
+
+
+def _each(job, parts, lane):
     for part in parts:
-        job(part)
+        job(part, lane)
+
+
+def _split_lanes(worker, job, parts):
+    """Call ``job(part, lane)`` for every part of the sequence ``parts``.
+
+    ``lane`` is the thread that runs the call: 0 for the calling thread,
+    1 for the worker.  With a worker, it takes ``parts[0::2]`` and the
+    calling thread ``parts[1::2]``; without one, the calling thread
+    takes them all, in order.  A job that writes into one of
+    ``_lanes(worker)`` buffers picks it by ``lane``.  Returns when every
+    call has returned; an exception raised on either thread propagates.
+    """
+    if worker is None:
+        _each(job, parts, 0)
+        return
+    done = worker.submit(_each, job, parts[0::2], 1)
+    try:
+        _each(job, parts[1::2], 0)
+    finally:
+        done.result()
 
 
 def _split(worker, job, parts):
-    """Call ``job(part)`` for every part of the sequence ``parts``.
-
-    With a worker, it takes ``parts[0::2]`` and the calling thread
-    ``parts[1::2]``; without one, the calling thread takes them all, in
-    order.  Returns when every call has returned; an exception raised on
-    either thread propagates.
-    """
-    if worker is None:
-        _each(job, parts)
-        return
-    done = worker.submit(_each, job, parts[0::2])
-    try:
-        _each(job, parts[1::2])
-    finally:
-        done.result()
+    """Call ``job(part)`` for every part of ``parts``, split between the
+    threads as :func:`_split_lanes` splits them."""
+    _split_lanes(worker, lambda part, lane: job(part), parts)

@@ -86,13 +86,17 @@ def gradient_norm_squared_pointwise(grad):
 
 def traced_peak_fields(grid, job):
     """The ``tracemalloc`` peak of ``job()`` above the memory traced
-    before it, in whole-grid float64 fields of ``grid``."""
-    tracemalloc.start()
+    before it, in whole-grid float64 fields of ``grid``.  A trace that
+    was running before the call keeps running after it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         job()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
-        tracemalloc.stop()
+        if not was_tracing:
+            tracemalloc.stop()
     return (peak - before) / (8 * grid.n ** 3)
