@@ -30,16 +30,20 @@ state on the 2/3-rule band |k_j| <= n//3 alone
 through the same arithmetic as in the full transforms, so the two
 layouts give the same values bit for bit.  ``curl`` and
 ``leray_project`` take a ``Band`` in place of the ``Grid`` for a
-compact spectrum.  ``fft_inverse`` copies its input; ``_inverse_owned``
+compact spectrum, and ``leray_project`` a ``BandHalf`` for one x half
+of it.  ``fft_inverse`` copies its input; ``_inverse_owned``
 transforms in place a spectrum the caller can spare, into ``out=``.
-``fft_forward``, ``curl`` and ``cross_product`` write into caller-owned
-``out=`` arrays when given them, which lets the solver and the
-diagnostics reuse one set of buffers across the stages of a step or the
-snapshots of a series and share them with a worker thread; the values
-are the same either way.  The band transforms are built from pass
-helpers (``_band_pad_inverse_x``, ``_inverse_yz``, ``_forward_z``,
-``_band_forward_x``, ``_band_forward_y``) that a band step calls
-itself, one x-slab at a time between the x passes
+``fft_forward``, ``curl``, ``leray_project`` and ``cross_product``
+write into caller-owned ``out=`` arrays when given them, and the last
+two (and ``_curl_component``) take their temporaries from a
+caller-owned ``work=`` array too.
+That lets the solver and the diagnostics reuse one set of buffers
+across the stages of a step or the snapshots of a series and share
+them with a worker thread; the values are the same either way.  The
+band transforms are built from pass helpers (``_band_pad_inverse_x``,
+``_inverse_yz``, ``_band_forward_z``, ``_band_forward_x``,
+``_band_forward_y``) that a band step calls itself, by component, by
+x-slab between the x passes and by x half
 (:mod:`euler_spectra.solver`), so the band transforms and the step run
 the same passes on the same lines.
 """
@@ -47,7 +51,7 @@ the same passes on the same lines.
 import numpy as np
 
 from euler_spectra.errors import ContractViolationError
-from euler_spectra.grid import Band, Grid
+from euler_spectra.grid import Band, BandHalf, Grid
 from euler_spectra.reductions import pairwise_sum
 
 
@@ -130,32 +134,50 @@ def _inverse_yz(work: np.ndarray, n: int,
 def band_forward(band: Band, values: np.ndarray) -> np.ndarray:
     """Physical -> compact band transform: only the kept modes.
 
-    The passes of :func:`fft_forward`, in place on the planes
-    kz <= m, with the y pass run only on the band's x rows; equals
+    The passes of :func:`fft_forward` on the planes kz <= m, with the y
+    pass run only on the band's x rows; equals
     ``band.restrict(fft_forward(values))`` exactly.
     """
-    work = _forward_z(values)
-    _band_forward_x(band, work)
-    for x_rows in band.halves:
-        _band_forward_y(band, work, x_rows)
-    return work[band.index]
+    n, m = band.n, band.m
+    lead = values.shape[:-3]
+    work = np.empty(lead + (n, n, m + 1), np.complex128)
+    _band_forward_z(band, values, work)
+    _band_forward_x(work)
+    out = np.empty(lead + (2 * m + 1, 2 * m + 1, m + 1), np.complex128)
+    for half in band.x_halves:
+        _band_forward_y(band, work, half, out[..., half.rows, :, :])
+    return out
 
 
-def _band_forward_x(band: Band, work: np.ndarray,
-                    y_rows: slice = slice(None)) -> None:
-    """The x pass of :func:`band_forward`, in place on the ``rfft``
-    along z ``work`` (space shape ``(n, n, n//2 + 1)``): ``fft`` along
-    x of the lines in the y rows ``y_rows`` and the planes kz <= m."""
-    lines = work[..., y_rows, :band.m + 1]
+def _band_forward_z(band: Band, values: np.ndarray, out: np.ndarray,
+                    work: np.ndarray | None = None) -> None:
+    """The first pass of :func:`band_forward`: ``rfft`` along z of the
+    real ``values``, whose planes kz <= m go into the complex128 ``out``
+    (space shape ``(n, n, m + 1)``).  The whole ``rfft`` goes through
+    ``work`` when it is given.  On an x-slab it gives that slab of the
+    pass over the whole field."""
+    out[...] = _forward_z(values, work)[..., :band.m + 1]
+
+
+def _band_forward_x(work: np.ndarray, y_rows: slice = slice(None)) -> None:
+    """The x pass of :func:`band_forward`, in place on ``work`` (space
+    shape ``(n, n, m + 1)``, the planes kz <= m of the ``rfft`` along
+    z): ``fft`` along x of the lines in the y rows ``y_rows``."""
+    lines = work[..., y_rows, :]
     np.fft.fft(lines, axis=-3, norm="forward", out=lines)
 
 
-def _band_forward_y(band: Band, work: np.ndarray, x_rows: slice) -> None:
-    """The y pass of :func:`band_forward` on ``work`` for ``x_rows``,
-    one of ``band.halves``: ``fft`` along y of those x rows on the
-    planes kz <= m, in place."""
-    lines = work[..., x_rows, :, :band.m + 1]
+def _band_forward_y(band: Band, work: np.ndarray, half: BandHalf,
+                    out: np.ndarray) -> None:
+    """The y pass of :func:`band_forward` for one of ``band.x_halves``:
+    ``fft`` along y of the half's x rows of ``work``, in place, then
+    the band modes of those rows into ``out``, the half's rows of a
+    compact array."""
+    lines = work[..., half.fft_rows, :, :]
     np.fft.fft(lines, axis=-2, norm="forward", out=lines)
+    m = band.m
+    out[..., :m + 1, :] = lines[..., band.halves[0], :]
+    out[..., m + 1:, :] = lines[..., band.halves[1], :]
 
 
 def band_inverse(band: Band, coeffs: np.ndarray) -> np.ndarray:
@@ -195,28 +217,44 @@ def curl(grid: Grid | Band, v: np.ndarray,
 
 
 def _curl_component(grid: Grid | Band, v: np.ndarray, i: int,
-                    out: np.ndarray) -> np.ndarray:
+                    out: np.ndarray,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Component i of :func:`curl`, ``1j * (k_j v_l - k_l v_j)`` with
-    (i, j, l) a cyclic order of (0, 1, 2), written into ``out``."""
+    (i, j, l) a cyclic order of (0, 1, 2), written into ``out``.
+    ``work``, a complex128 array of ``out``'s shape, holds the
+    subtracted product when it is given."""
     k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
     j, l = (i + 1) % 3, (i + 2) % 3
-    out[...] = 1j * (k[j] * v[l] - k[l] * v[j])
-    return out
+    np.multiply(k[j], v[l], out=out)
+    np.subtract(out, np.multiply(k[l], v[j], out=work), out=out)
+    return np.multiply(1j, out, out=out)
 
 
-def leray_project(grid: Grid | Band, v: np.ndarray) -> np.ndarray:
+def leray_project(grid: Grid | Band | BandHalf, v: np.ndarray,
+                  out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Remove the gradient part: vhat -> vhat - k (k . vhat) / |k|^2.
 
     Uses the full integer wavenumbers (Nyquist included), so the image
     is divergence-free at the rounding level and a second application
     moves coefficients by at most a few ulps.  The mean (k = 0) mode
-    is untouched.
+    is untouched.  The result is written into ``out`` when it is given,
+    which may be ``v`` itself.  ``work``, a complex128 array of shape
+    ``(2,) + v.shape[1:]``, holds the temporaries when it is given.
     """
     k = (grid.k_true_x, grid.k_true_y, grid.k_true_z)
-    coef = (k[0] * v[0] + k[1] * v[1] + k[2] * v[2]) / grid.k_squared_safe
-    out = v.copy()
+    if out is None:
+        out = np.empty_like(v)
+    if work is None:
+        work = np.empty((2,) + v.shape[1:], np.complex128)
+    coef, term = work
+    # The rounding order of (k0 v0 + k1 v1 + k2 v2) / |k|^2.
+    np.multiply(k[0], v[0], out=coef)
+    np.add(coef, np.multiply(k[1], v[1], out=term), out=coef)
+    np.add(coef, np.multiply(k[2], v[2], out=term), out=coef)
+    np.divide(coef, grid.k_squared_safe, out=coef)
     for i in range(3):
-        out[i] -= k[i] * coef
+        np.subtract(v[i], np.multiply(k[i], coef, out=term), out=out[i])
     return out
 
 
@@ -251,14 +289,16 @@ def pointwise_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def cross_product(u: np.ndarray, v: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Pointwise u x v of two physical vector fields, written into
-    ``out`` when it is given."""
+    ``out`` when it is given.  ``work``, a float64 array of one
+    component's shape, holds the subtracted products when it is given."""
     if out is None:
         out = np.empty_like(u)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(u[j], v[k], out=out[i])
-        out[i] -= u[k] * v[j]
+        out[i] -= np.multiply(u[k], v[j], out=work)
     return out
 
 

@@ -28,7 +28,8 @@ counts those modes twice in spectral sums.
 
 A :class:`Band` holds the same tables cut to the modes the 2/3 rule
 keeps, |k_j| <= n//3, for the state of a dealiased solver run, which
-lives on that band alone.
+lives on that band alone; a :class:`BandHalf` holds the projection
+tables of one x half of the band, for work split by x rows.
 """
 
 import math
@@ -177,6 +178,7 @@ class Band:
     restricted to the band, under the same names, so the per-mode
     operators of :mod:`euler_spectra.fields` run on a ``Band`` unchanged.
     ``restrict`` and ``scatter`` convert to and from the half spectrum.
+    ``x_halves`` cuts the band into the x rows of the two ``halves``.
     """
 
     def __init__(self, grid: Grid):
@@ -196,6 +198,9 @@ class Band:
         self.k_true_z = grid.k_true_z[..., :m + 1]
         self.k_squared = grid.k_squared[self.index]
         self.k_squared_safe = grid.k_squared_safe[self.index]
+        self.x_halves = (BandHalf(self, self.halves[0], slice(0, m + 1)),
+                         BandHalf(self, self.halves[1],
+                                  slice(m + 1, 2 * m + 1)))
 
     def restrict(self, coeffs: np.ndarray) -> np.ndarray:
         """The band modes of a half spectrum, as a compact array."""
@@ -207,3 +212,22 @@ class Band:
         out = np.zeros(coeffs.shape[:-3] + (n, n, n // 2 + 1), coeffs.dtype)
         out[self.index] = coeffs
         return out
+
+
+class BandHalf:
+    """The band modes whose kx lies in one of :attr:`Band.halves`.
+
+    ``fft_rows`` are its x rows in the FFT layout and ``rows`` the same
+    rows of a compact band array.  The projection tables ``k_true_x/y/z``,
+    ``k_squared`` and ``k_squared_safe`` are the :class:`Band` tables cut
+    to those rows, so :func:`~euler_spectra.fields.leray_project` runs on
+    the half ``coeffs[:, rows]`` of a compact spectrum unchanged.
+    """
+
+    def __init__(self, band: Band, fft_rows: slice, rows: slice):
+        self.fft_rows, self.rows = fft_rows, rows
+        self.k_true_x = band.k_true_x[rows]
+        self.k_true_y = band.k_true_y
+        self.k_true_z = band.k_true_z
+        self.k_squared = band.k_squared[rows]
+        self.k_squared_safe = band.k_squared_safe[rows]

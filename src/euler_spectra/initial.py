@@ -17,7 +17,6 @@ from euler_spectra.deformation import (
 )
 from euler_spectra.errors import ConfigurationError
 from euler_spectra.fields import (
-    dealias_23,
     fft_forward,
     fft_inverse,
     integrate_domain,
@@ -28,8 +27,14 @@ from euler_spectra.grid import Grid
 
 
 def _finalize(grid: Grid, vhat: np.ndarray) -> np.ndarray:
-    """Project and dealias a freshly built spectral field."""
-    return dealias_23(grid, leray_project(grid, vhat))
+    """Project and dealias a freshly built spectral field, in place.
+
+    The values of ``dealias_23(grid, leray_project(grid, vhat))`` without
+    a second or third spectrum alive at once.
+    """
+    leray_project(grid, vhat, out=vhat)
+    np.copyto(vhat, 0.0, where=~grid.dealias_mask)
+    return vhat
 
 
 def _axes(grid: Grid):
@@ -111,8 +116,7 @@ def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,
             f"amplitude must be positive, got {amplitude}")
 
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
-    vhat = fft_forward(noise)
+    vhat = fft_forward(rng.standard_normal((3, grid.n, grid.n, grid.n)))
 
     kmag = grid.mode_radius()
     with np.errstate(divide="ignore"):
@@ -120,7 +124,7 @@ def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,
             kmag > 0.0,
             kmag ** slope * np.exp(-((kmag / peak_k) ** 2)),
             0.0)
-    shaped = _finalize(grid, vhat * envelope)
+    shaped = _finalize(grid, np.multiply(vhat, envelope, out=vhat))
 
     energy = 0.5 * integrate_domain(grid,
                                     magnitude_squared(fft_inverse(shaped)))
@@ -128,7 +132,8 @@ def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,
         raise ConfigurationError(
             "random field degenerated to zero energy; check the spectrum "
             "parameters")
-    return shaped * float(np.sqrt(amplitude / energy))
+    shaped *= float(np.sqrt(amplitude / energy))
+    return shaped
 
 
 def classify_initial(grid: Grid, v: np.ndarray,

@@ -29,18 +29,22 @@ the half spectrum after each step for the observers.  A run with
 A band step forms v, omega and v x omega in physical space one x-slab
 at a time, between the x pass of the inverse transforms and the x pass
 of the forward one, so it holds no physical vector field of the whole
-grid.  It shares its transforms with one worker thread when
-:mod:`euler_spectra.workers` allows one (n >= 64 and two CPUs or
-more, the rule that diagnostics records follow too): the worker
-transforms v along x while the caller transforms omega, and the two
-take the slabs in turn and halves of the forward passes.  The thread is
-started by the step and joined at its end, the step's buffers are
-allocated by the calling thread, and the result is the same bit for bit
+grid.  It shares every phase of its evaluations with one worker thread
+when :mod:`euler_spectra.workers` allows one (n >= 64 and two CPUs or
+more, the rule that diagnostics records follow too): the inverse x
+pass by component, the slabs in turn, the forward x pass by y halves,
+and by x halves of the band the y pass, the projection, the viscous
+term, the RK4 stage arithmetic and the final projection.  The thread
+is started by the step and joined at its end.  The step's buffers are
+views of one block that the calling thread allocates per step, which
+from the second step on glibc serves from pages it has already mapped
+(see :class:`_BandWorkspace`), and the result is the same bit for bit
 as on one thread.  No setting selects this; :func:`step_threads`
 reports the choice.
 """
 
 import logging
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -50,8 +54,9 @@ from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
     _band_forward_x,
     _band_forward_y,
+    _band_forward_z,
     _band_pad_inverse_x,
-    _forward_z,
+    _curl_component,
     _inverse_yz,
     check_velocity,
     cross_product,
@@ -138,7 +143,8 @@ class SolverState:
 
 
 def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0,
-        workspace: "_BandWorkspace | None" = None) -> np.ndarray:
+        workspace: "_BandWorkspace | None" = None,
+        out: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side of the momentum equation for a spectral velocity.
 
     Rotational form: transform v and omega = curl v to physical space,
@@ -146,56 +152,93 @@ def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0,
     ``grid`` is the :class:`Band` of a compact ``v``, whose forward
     transform computes only the kept modes, which is the 2/3 rule; or
     the :class:`Grid` of a half-spectrum one, which masks nothing.  On
-    a band the transforms may share the work with a worker thread (see
-    the module docstring); the result is the same bit for bit.
-    ``workspace`` holds the buffers and the worker of the
-    :func:`step_rk4` call that evaluates this; a call without one makes
-    its own.
+    a band the work may be shared with a worker thread (see the module
+    docstring); the result is the same bit for bit.  ``workspace``
+    holds the buffers and the worker of the :func:`step_rk4` call that
+    evaluates this; a band call without one makes its own.  The result
+    is written into ``out`` when it is given.
     """
     if isinstance(grid, Band):
-        if workspace is not None:
-            nonlinear = workspace.nonlinear(v)
-        else:
+        if workspace is None:
             with _BandWorkspace(grid) as own:
-                nonlinear = own.nonlinear(v)
-    else:
-        v_phys = fft_inverse(v)
-        omega_phys = fft_inverse(curl(grid, v))
-        nonlinear = fft_forward(cross_product(v_phys, omega_phys))
-    out = leray_project(grid, nonlinear)
+                return rhs(grid, v, nu, own, out)
+        return workspace.evaluate(v, nu, np.empty_like(v) if out is None
+                                  else out)
+    v_phys = fft_inverse(v)
+    omega_phys = fft_inverse(curl(grid, v))
+    nonlinear = fft_forward(cross_product(v_phys, omega_phys))
+    out = leray_project(grid, nonlinear, out=out)
     if nu != 0.0:
-        out = out - (nu * grid.k_squared) * v
+        out -= (nu * grid.k_squared) * v
     return out
+
+
+# The inverse x pass of a band evaluation by component, as (field,
+# component) with v as field 0 and omega as field 1.  The threads take
+# these parts in turn, so in this order each gets both fields, and the
+# worker the two omega parts (an omega part also forms its curl
+# component): at n=64 that phase took 6.4-7.3 ms per evaluation, and
+# 8.1-8.2 ms with the two omega parts on the calling thread.
+_INVERSE_PARTS = ((1, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2))
+
+
+def _carve(*specs) -> list:
+    """Arrays of the given ``(shape, dtype)`` specs, as views of one new
+    ``np.empty`` block that share no byte, each starting at a multiple
+    of 64 bytes into it."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+             for shape, dtype in specs]
+    starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])
+    block = np.empty(starts[-1], np.uint8)
+    return [block[start:start + size].view(dtype).reshape(shape)
+            for (shape, dtype), start, size in zip(specs, starts, sizes)]
 
 
 class _BandWorkspace:
     """Buffers and worker thread for the band evaluations of one step.
 
-    Every buffer is allocated here, by the calling thread, and lives as
-    long as this object: one RK4 step.  A buffer kept for a whole run
-    would sit on top of the peak of the diagnostics record, and outputs
-    allocated by the worker thread would land in a malloc arena of its
-    own; both raise the peak RSS.  The physical fields v, omega and
-    v x omega exist one x-slab at a time, in one slab buffer per thread.
-    The worker is a one-thread executor
-    (:func:`euler_spectra.workers._worker`), made here and joined on
-    exit.
+    Every buffer is a view of one ``np.empty`` block
+    (:func:`_carve`), allocated by the calling thread, that lives as long
+    as this object: one RK4 step.  One block, because glibc gives a
+    freed block above its mmap threshold back to the OS and then raises
+    the threshold to that block's size (up to 32 MB): from the second
+    step on the block comes from the heap, whose pages stay mapped, where
+    a dozen buffers of a few megabytes would each be mapped and faulted
+    in again every step.  The block is not kept for a whole run: it
+    would sit on top of the peak of the diagnostics record, which reuses
+    the freed memory instead.  Nothing is allocated by the worker thread,
+    whose arrays would land in a malloc arena of its own.
+
+    The buffers: ``padded``, v and omega zero-padded to the planes
+    kz <= m, whose v half also takes the forward passes; ``acc``, ``k``
+    and ``stage`` of :func:`step_rk4`, where ``k`` also holds omega's
+    compact components during the inverse pass of every evaluation
+    (the step never needs its old value then); and per thread ("lane",
+    :func:`euler_spectra.workers._split_lanes`) the temporary of a curl
+    component, the physical v, omega and v x omega of a slab, the
+    products of ``cross_product``, the ``rfft`` along z of a slab, and
+    the temporaries of ``leray_project`` on an x half.  The worker is a
+    one-thread executor (:func:`euler_spectra.workers._worker`), made
+    here and joined on exit.
     """
 
     def __init__(self, band: Band):
         n, m = band.n, band.m
-        compact = (3, 2 * m + 1, 2 * m + 1, m + 1)
         self.band = band
-        self.omega = np.empty(compact, np.complex128)
-        self.spectrum = np.empty(compact, np.complex128)
-        self.padded = np.empty((2, 3, n, n, m + 1), np.complex128)
-        self.rfft = np.empty((3, n, n, n // 2 + 1), np.complex128)
         self._pool = _worker(n)
         self.worker = self._pool.__enter__()
         self.slabs = _slabs(n)
-        # v, omega and v x omega of a slab, one buffer per thread.
-        planes = self.slabs[0].stop
-        self.slab_fields = np.empty((_lanes(self.worker), 3, 3, planes, n, n))
+        lanes, planes = _lanes(self.worker), self.slabs[0].stop
+        compact = (3, 2 * m + 1, 2 * m + 1, m + 1)
+        c, f = np.complex128, np.float64
+        (self.padded, self.acc, self.k, self.stage, self.curl_work,
+         self.slab_fields, self.slab_products, self.slab_spectra,
+         self.half_work) = _carve(
+            ((2, 3, n, n, m + 1), c), (compact, c), (compact, c),
+            (compact, c), ((lanes,) + compact[1:], c),
+            ((lanes, 3, 3, planes, n, n), f), ((lanes, planes, n, n), f),
+            ((lanes, 3, planes, n, n // 2 + 1), c),
+            ((lanes, 2, m + 1, 2 * m + 1, m + 1), c))
 
     def __enter__(self):
         return self
@@ -203,41 +246,67 @@ class _BandWorkspace:
     def __exit__(self, *exc_info):
         self._pool.__exit__(*exc_info)
 
-    def nonlinear(self, v: np.ndarray) -> np.ndarray:
-        """The band spectrum of v x omega, in a buffer of this workspace.
+    def by_halves(self, job):
+        """Call ``job(rows, half, work)`` for each ``half`` of
+        ``band.x_halves``, split between the threads: ``rows`` are the
+        half's rows of a compact array, ``work`` the thread's
+        ``leray_project`` temporaries cut to them."""
+        def part(half, lane):
+            rows = half.rows
+            job(rows, half, self.half_work[lane][:, :rows.stop - rows.start])
+
+        _split_lanes(self.worker, part, self.band.x_halves)
+
+    def evaluate(self, u: np.ndarray, nu: float,
+                 out: np.ndarray) -> np.ndarray:
+        """``rhs(band, u, nu)`` into ``out``, which may be ``k``.
 
         The pass helpers of :func:`~euler_spectra.fields.band_inverse`
-        and :func:`~euler_spectra.fields.band_forward`: v and omega are
-        zero-padded and transformed along x, each field on a thread of
-        its own; then each x-slab is transformed along y and z,
-        multiplied and transformed back along z into the ``rfft``
-        buffer; then the x and the y passes of the forward transform
-        run by halves.  The slabs alternate between the worker and the
-        caller.  Every line goes through the arithmetic of the
-        whole-field transforms, so the result is the same bit for bit on
-        one thread or two.
+        and :func:`~euler_spectra.fields.band_forward`, each phase split
+        between the threads: each component of v and of omega (whose
+        curl component the same thread forms) is zero-padded and
+        transformed along x; each x-slab is transformed along y and z,
+        multiplied, and transformed back along z into the planes
+        kz <= m of v's padded buffer, which the slab has consumed; the x
+        pass runs by y halves; and each x half of the band runs the y
+        pass, the gather of its band modes into ``out``, the projection
+        and the viscous term.  Every line goes through the arithmetic of
+        the whole-field transforms and operators, so the result is the
+        same bit for bit on one thread or two.
         """
-        band, padded, rfft, n = self.band, self.padded, self.rfft, self.band.n
+        band, padded, omega, n = self.band, self.padded, self.k, self.band.n
 
-        def inverse_x(k):
-            _band_pad_inverse_x(
-                band, v if k == 0 else curl(band, v, out=self.omega),
-                padded[k])
+        def inverse_x(part, lane):
+            field, i = part
+            coeffs = (u[i] if field == 0 else _curl_component(
+                band, u, i, omega[i], work=self.curl_work[lane]))
+            _band_pad_inverse_x(band, coeffs, padded[field, i])
 
         def slab(x, lane):
             fields = self.slab_fields[lane]  # v, omega, v x omega
             _inverse_yz(padded[:, :, x], n, out=fields[:2])
-            cross_product(fields[0], fields[1], fields[2])
-            _forward_z(fields[2], out=rfft[:, x])
+            cross_product(fields[0], fields[1], fields[2],
+                          work=self.slab_products[lane])
+            _band_forward_z(band, fields[2], padded[0, :, x],
+                            work=self.slab_spectra[lane])
 
-        _split(self.worker, inverse_x, (0, 1))
+        def half_tail(rows, half, work):
+            part = out[:, rows]
+            _band_forward_y(band, padded[0], half, part)
+            leray_project(half, part, out=part, work=work)
+            if nu != 0.0:
+                # nu |k|^2 as complex, as numpy casts it for the product.
+                np.multiply(nu, half.k_squared, out=work[0])
+                for i in range(3):
+                    np.multiply(work[0], u[i, rows], out=work[1])
+                    np.subtract(part[i], work[1], out=part[i])
+
+        _split_lanes(self.worker, inverse_x, _INVERSE_PARTS)
         _split_lanes(self.worker, slab, self.slabs)
-        _split(self.worker, lambda y_rows: _band_forward_x(band, rfft, y_rows),
+        _split(self.worker, lambda y_rows: _band_forward_x(padded[0], y_rows),
                (slice(0, n // 2), slice(n // 2, n)))
-        _split(self.worker, lambda x_rows: _band_forward_y(band, rfft, x_rows),
-               band.halves)
-        self.spectrum[...] = rfft[band.index]
-        return self.spectrum
+        self.by_halves(half_tail)
+        return out
 
 
 def step_threads(grid: Grid, config: SolverConfig) -> int:
@@ -263,9 +332,11 @@ def step_rk4(grid: Grid | Band, state: SolverState,
 
     ``grid`` is a :class:`Grid` or a :class:`Band`, as for :func:`rhs`;
     the four evaluations on a band share one set of buffers and one
-    worker thread.  The stages and the combination are formed in place,
-    in the order of ``v + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, so they
-    round as that expression does.
+    worker thread, and the stage arithmetic and the final projection
+    run by x halves of the band on both threads.  The stages and the
+    combination are formed in place, in the order of
+    ``v + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, so they round as that
+    expression does.
 
     Raises
     ------
@@ -275,25 +346,45 @@ def step_rk4(grid: Grid | Band, state: SolverState,
     """
     dt, nu = config.dt, config.nu
     v = state.v
+    new_v = np.empty_like(v)
     with (_BandWorkspace(grid) if isinstance(grid, Band)
           else nullcontext()) as workspace:
-        acc = rhs(grid, v, nu, workspace)
-        stage = np.multiply(0.5 * dt, acc)
-        np.add(v, stage, out=stage)
-        k = rhs(grid, stage, nu, workspace)
-        np.multiply(0.5 * dt, k, out=stage)
-        np.add(v, stage, out=stage)
-        np.multiply(2.0, k, out=k)
-        np.add(acc, k, out=acc)
-        k = rhs(grid, stage, nu, workspace)
-        np.multiply(dt, k, out=stage)
-        np.add(v, stage, out=stage)
-        np.multiply(2.0, k, out=k)
-        np.add(acc, k, out=acc)
-        np.add(acc, rhs(grid, stage, nu, workspace), out=acc)
-    np.multiply(dt / 6.0, acc, out=acc)
-    np.add(v, acc, out=acc)
-    new_v = leray_project(grid, acc)
+        if workspace is None:
+            acc, k, stage = (np.empty_like(v) for _ in range(3))
+
+            def by_parts(job):
+                job(slice(None), grid, None)
+        else:
+            acc, k, stage = workspace.acc, workspace.k, workspace.stage
+            by_parts = workspace.by_halves
+
+        def next_stage(scale, weight=None):
+            """The next stage v + scale * k_s on the given rows, then
+            acc += weight * k_s; k_1 is acc itself (no weight)."""
+            source = acc if weight is None else k
+
+            def job(x, tables, work):
+                np.multiply(scale, source[:, x], out=stage[:, x])
+                np.add(v[:, x], stage[:, x], out=stage[:, x])
+                if weight is not None:
+                    np.multiply(weight, k[:, x], out=k[:, x])
+                    np.add(acc[:, x], k[:, x], out=acc[:, x])
+            return job
+
+        def combine(x, tables, work):
+            np.add(acc[:, x], k[:, x], out=acc[:, x])
+            np.multiply(dt / 6.0, acc[:, x], out=acc[:, x])
+            np.add(v[:, x], acc[:, x], out=acc[:, x])
+            leray_project(tables, acc[:, x], out=new_v[:, x], work=work)
+
+        rhs(grid, v, nu, workspace, out=acc)
+        by_parts(next_stage(0.5 * dt))
+        rhs(grid, stage, nu, workspace, out=k)
+        by_parts(next_stage(0.5 * dt, 2.0))
+        rhs(grid, stage, nu, workspace, out=k)
+        by_parts(next_stage(dt, 2.0))
+        rhs(grid, stage, nu, workspace, out=k)
+        by_parts(combine)
     new_index = state.step_index + 1
     new_t = new_index * dt + (state.t - state.step_index * dt)
     _check_finite(new_v, new_index, new_t)

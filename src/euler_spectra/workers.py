@@ -22,7 +22,12 @@ from contextlib import nullcontext
 # Taylor-Green step with the worker took 108-130 ms against 146-185 ms
 # without at n=64, 19-22 ms against 21-26 ms at n=32 (within the spread
 # of repeated runs) and 5.8-6.8 ms against 3.0-4.6 ms at n=16.  A record
-# over slabs was about even on one thread or two at n=32.
+# over slabs was about even on one thread or two at n=32.  Re-measured
+# once the band step shared every phase with the worker (random field,
+# 40 interleaved reps in one process, 2 CPUs of a loaded shared host,
+# two runs): at n=32 a step took 24.3 and 24.6 ms on one thread against
+# 33.6 and 29.3 ms on two, and a record 17.0 and 17.4 ms against 23.5
+# and 21.1 ms, so n=32 stays on one thread.
 _THREADED_MIN_N = 64
 
 

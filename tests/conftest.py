@@ -50,6 +50,14 @@ def make_random_velocity(grid, rng, scale=1.0):
     return dealias_23(grid, leray_project(grid, vhat * damp))
 
 
+def leray_reference(grid, v):
+    """The solenoidal projection as one expression, in the rounding
+    order that ``leray_project`` keeps with its buffers."""
+    k = (grid.k_true_x, grid.k_true_y, grid.k_true_z)
+    coef = (k[0] * v[0] + k[1] * v[1] + k[2] * v[2]) / grid.k_squared_safe
+    return np.stack([v[i] - k[i] * coef for i in range(3)])
+
+
 def spectral_derivative(grid, coeffs, axis):
     """Differentiate along a space axis by multiplying with i*k.
 

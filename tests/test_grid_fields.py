@@ -31,7 +31,11 @@ from euler_spectra.reductions import pairwise_sum
 from euler_spectra.snapshot import write_snapshot
 from euler_spectra.solver import SolverConfig, run
 
-from conftest import make_random_velocity, spectral_derivative
+from conftest import (
+    leray_reference,
+    make_random_velocity,
+    spectral_derivative,
+)
 
 TAU = 2.0 * math.pi
 
@@ -278,6 +282,26 @@ class TestLerayProjection:
         p = leray_project(grid16, v)
         for a, b in zip(v, p):
             assert np.max(np.abs(a - b)) < 1e-15
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_buffers_keep_the_values(self, n, rng):
+        # Into out=, in place, with caller-owned temporaries, and on an
+        # x half of a compact spectrum: the values of the expression.
+        grid = Grid(n)
+        band = Band(grid)
+        v = fft_forward(rng.standard_normal((3, n, n, n)))
+        expected = leray_reference(grid, v)
+        assert np.array_equal(leray_project(grid, v), expected)
+        work = np.empty((2,) + v.shape[1:], np.complex128)
+        same = v.copy()
+        assert leray_project(grid, same, out=same, work=work) is same
+        assert np.array_equal(same, expected)
+        compact = band.restrict(v)
+        halves = np.empty_like(compact)
+        for half in band.x_halves:
+            leray_project(half, compact[:, half.rows],
+                          out=halves[:, half.rows])
+        assert np.array_equal(halves, band.restrict(expected))
 
     def test_preserves_mean_flow(self, grid8):
         v = np.stack((np.full((8,) * 3, 2.0), np.zeros((8,) * 3),

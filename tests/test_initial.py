@@ -13,8 +13,10 @@ import struct
 import numpy as np
 import pytest
 
+import euler_spectra.initial as initial_module
 import euler_spectra.snapshot as snapshot_module
 from euler_spectra.cli import EXIT_IO, main
+from euler_spectra.config import InitSpec
 from euler_spectra.deformation import AdmissibleClass
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, SnapshotFormatError
@@ -41,6 +43,8 @@ from euler_spectra.snapshot import (
     write_snapshot,
     _HEADER,
 )
+
+from conftest import leray_reference
 
 PI3 = math.pi ** 3
 
@@ -171,6 +175,21 @@ class TestRandomSolenoidal:
     def test_amplitude_must_be_positive(self, grid16):
         with pytest.raises(ConfigurationError, match="amplitude"):
             random_solenoidal(grid16, seed=1, amplitude=0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kind",
+                         ["taylor_green", "abc", "shear", "random_solenoidal"])
+def test_in_place_finalize_matches_composition(kind, n, monkeypatch):
+    # Projecting and cutting the built spectrum in place gives the
+    # values of the out-of-place projection and dealias_23 it replaced.
+    grid = Grid(n)
+    spec = InitSpec(kind, a=2.0, b=0.5, seed=5)
+    built = spec.build(grid)
+    monkeypatch.setattr(initial_module, "_finalize",
+                        lambda grid, vhat: dealias_23(
+                            grid, leray_reference(grid, vhat)))
+    assert np.array_equal(built, spec.build(grid))
 
 
 class TestFNV1a:

@@ -8,6 +8,7 @@ Oracles:
 - global error on a fixed horizon must shrink 16x when dt halves.
 """
 
+import itertools
 import logging
 import math
 import weakref
@@ -276,8 +277,9 @@ class TestDealiasingEffect:
     def test_peak_memory_of_one_band_step(self, rng, monkeypatch):
         # v, omega and v x omega exist one x-slab at a time.  One
         # thread, so that the peak does not depend on the host: it
-        # measured 14.6 fields of the grid against 22.5 while a step
-        # held the three physical vector fields whole.
+        # measured 10.2 fields of the grid with the step's buffers in one
+        # block, 14.6 before, and 22.5 while a step held the three
+        # physical vector fields whole.
         grid = Grid(64)
         band = Band(grid)
         state = SolverState(0.0, band.restrict(make_random_velocity(grid,
@@ -286,6 +288,25 @@ class TestDealiasingEffect:
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         assert traced_peak_fields(
             grid, lambda: step_rk4(band, state, config)) < 17.0
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_band_workspace_is_one_block(self, threaded, monkeypatch):
+        # Every buffer of a step is a view of one allocation, which
+        # glibc can serve from heap pages a previous step mapped, and
+        # no two buffers share a byte.
+        monkeypatch.setattr(workers_module, "_threaded",
+                            lambda n: threaded)
+        with solver_module._BandWorkspace(Band(Grid(16))) as space:
+            buffers = [value for value in vars(space).values()
+                       if isinstance(value, np.ndarray)]
+            assert space.slab_fields.shape[0] == (2 if threaded else 1)
+        block = buffers[0].base
+        assert block is not None and block.ndim == 1
+        for buffer in buffers:
+            assert buffer.base is block
+            assert np.shares_memory(buffer, block)
+        for a, b in itertools.combinations(buffers, 2):
+            assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("start", ["out_of_band_mode", "physical"])
     def test_dealiased_run_steps_on_the_band(self, grid16, start,

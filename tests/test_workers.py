@@ -2,6 +2,7 @@
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 
@@ -39,3 +40,35 @@ def test_slabs_are_equal_and_cover_the_grid(n):
     planes = slabs[0].stop
     assert all(x.stop - x.start == planes for x in slabs)
     assert [i for x in slabs for i in range(n)[x]] == list(range(n))
+
+
+@pytest.mark.parametrize("count", [1, 6, 7])
+@pytest.mark.parametrize("with_worker", [False, True])
+def test_every_part_runs_once(count, with_worker):
+    calls = []
+    with ThreadPoolExecutor(1) if with_worker else nullcontext() as worker:
+        _split_lanes(worker, lambda part, lane: calls.append(part),
+                     range(count))
+    assert sorted(calls) == list(range(count))
+
+
+@pytest.mark.parametrize("failing_lane", [0, 1])
+def test_exception_on_either_lane_propagates(failing_lane):
+    # The lane that raises stops at its first part; the other lane runs
+    # all of its parts (the worker's are parts[0::2]) before the
+    # exception leaves _split_lanes.
+    calls = []
+
+    def job(part, lane):
+        calls.append((part, lane))
+        if lane == failing_lane:
+            raise RuntimeError(f"part {part} on lane {lane}")
+
+    parts = range(7)
+    with ThreadPoolExecutor(1) as worker:
+        with pytest.raises(RuntimeError, match=f"on lane {failing_lane}"):
+            _split_lanes(worker, job, parts)
+    other = parts[1::2] if failing_lane == 1 else parts[0::2]
+    assert sorted(p for p, lane in calls if lane != failing_lane) == list(
+        other)
+    assert len([p for p, lane in calls if lane == failing_lane]) == 1
