@@ -31,14 +31,13 @@ from euler_spectra.diagnostics import (
 )
 from euler_spectra.envelopes import (
     EnvelopeSeries,
-    _snapshot_fields,
+    _SnapshotPass,
     containment_check,
     epsilon_decay_bound,
     lambda2_plus_exponential_bound,
     moment_balance_residual,
     quadrature_slack,
     uniform_spacing,
-    vorticity_transport_residual,
 )
 from euler_spectra.errors import (
     ConfigurationError,
@@ -55,6 +54,7 @@ from euler_spectra.snapshot import (
     write_snapshot,
 )
 from euler_spectra.solver import run as solver_run, step_threads
+from euler_spectra.workers import _worker
 
 logger = logging.getLogger("euler_spectra.cli")
 
@@ -310,34 +310,61 @@ def cmd_run(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    """Recompute diagnostics from snapshots.  Each snapshot's physical
-    velocity and vorticity are computed once and shared by its record
-    and the vorticity transport residual."""
-    loaded = [load_snapshot(path) for path in args.snapshots]
-    grid = loaded[0][2]
-    if any(g != grid for _, _, g in loaded[1:]):
+    """Recompute diagnostics from snapshots, in one pass over them.
+
+    Every snapshot is loaded, checked and transformed first, and only
+    its spectrum is kept, so that a corrupt, mixed-grid or unsorted
+    input fails before any row is printed.  Then one snapshot at a
+    time: its physical velocity and vorticity are formed once, its
+    record is computed from them and printed, and, when the series
+    takes the series residuals (five or more uniformly spaced
+    snapshots), its vorticity transport term is formed from them in
+    place of its spectrum, which is then released.  The transforms and
+    the records share one worker thread (:mod:`euler_spectra.workers`).
+    """
+    spectra, times, grid, mixed = [], [], None, False
+    for path in args.snapshots:
+        v, t, g = load_snapshot(path)
+        spectra.append(fft_forward(v))
+        del v  # before the next load
+        times.append(t)
+        if grid is None:
+            grid = g
+        mixed = mixed or g != grid
+    if mixed:
         raise ContractViolationError(
             "snapshots mix different grids; diagnose needs one resolution")
-    times = [t for _, t, _ in loaded]
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise ContractViolationError(
             "snapshots must be supplied in strictly increasing time order")
-
-    spectral = [fft_forward(v) for v, _, _ in loaded]
-    del loaded
-    v_phys, omega_phys = _snapshot_fields(grid, spectral)
+    spacing = None
+    if len(times) >= 5:
+        try:
+            spacing = uniform_spacing(times)
+        except ContractViolationError:
+            pass
 
     print(",".join(DiagnosticsRecord.field_names()))
-    # The first snapshot is classified from its own record's spectra.
-    classification, record = classify_and_record(
-        grid, times[0], spectral[0], physical=(v_phys[0], omega_phys[0]))
     records = []
-    for m, (t, vh) in enumerate(zip(times, spectral)):
-        if records:
-            record = compute_record(grid, t, vh, classification=classification,
-                                    physical=(v_phys[m], omega_phys[m]))
-        records.append(record)
-        print(",".join(repr(float(x)) for x in record.as_tuple()))
+    with _worker(grid.n) as worker:
+        snapshots = _SnapshotPass(grid, worker, transport=spacing is not None)
+        for m, t in enumerate(times):
+            physical = snapshots.fields(spectra[m])
+            if records:
+                record = compute_record(
+                    grid, t, spectra[m], classification=classification,
+                    physical=physical, worker=worker)
+            else:
+                # Classified from its own record's spectra.
+                classification, record = classify_and_record(
+                    grid, t, spectra[m], physical=physical, worker=worker)
+            records.append(record)
+            print(",".join(repr(float(x)) for x in record.as_tuple()))
+            if spacing is not None:
+                snapshots.add_transport(spectra[m])
+            spectra[m] = None
+        if spacing is not None:
+            transport, _ = snapshots.residual(spacing)
 
     worst = {"enstrophy_moment": 0.0, "stretching_cubic": 0.0,
              "cubic_product": 0.0}
@@ -355,19 +382,15 @@ def cmd_diagnose(args) -> int:
               file=sys.stderr)
 
     if len(times) >= 5:
-        try:
-            uniform_spacing(times)
-        except ContractViolationError:
+        if spacing is None:
             print("series residuals skipped: non-uniform snapshot times",
                   file=sys.stderr)
         else:
             _, normalized = moment_balance_residual(records)
             print(f"moment balance dQ/dt + 4P: max normalized residual "
                   f"{float(np.max(np.abs(normalized))):.3e}", file=sys.stderr)
-            raw, _ = vorticity_transport_residual(grid, times, spectral,
-                                                  (v_phys, omega_phys))
             print(f"vorticity transport: max residual "
-                  f"{float(np.max(raw)):.3e}", file=sys.stderr)
+                  f"{float(np.max(transport)):.3e}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import _inverse_owned
 from euler_spectra.grid import Grid
-from euler_spectra.workers import _split
+from euler_spectra.workers import _lanes, _split_lanes
 
 logger = logging.getLogger("euler_spectra.deformation")
 
@@ -130,10 +130,10 @@ def _strain_entries(grid: Grid, v: np.ndarray, worker=None) -> np.ndarray:
     """
     k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
     tensor = np.empty((6,) + (grid.n,) * 3)
-    work = np.empty((2, 2) + v.shape[1:], np.complex128)
+    work = np.empty((_lanes(worker), 2) + v.shape[1:], np.complex128)
 
-    def transform(part):
-        entries, (entry, scratch) = part
+    def transform(entries, lane):
+        entry, scratch = work[lane]
         for c in entries:
             i, j = _ENTRY_INDEX[c]
             if i == j:
@@ -145,7 +145,7 @@ def _strain_entries(grid: Grid, v: np.ndarray, worker=None) -> np.ndarray:
                 np.multiply(0.5j, entry, out=entry)
             _inverse_owned(entry, out=tensor[c])
 
-    _split(worker, transform, [((0, 1, 2), work[0]), ((3, 4, 5), work[1])])
+    _split_lanes(worker, transform, [(0, 1, 2), (3, 4, 5)])
     return tensor
 
 

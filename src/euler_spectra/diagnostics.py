@@ -34,6 +34,7 @@ half of the slabs and half of the tensor's transforms: the rule of
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -60,7 +61,7 @@ from euler_spectra.fields import (
     pointwise_dot,
 )
 from euler_spectra.grid import Grid
-from euler_spectra.reductions import pairwise_sum
+from euler_spectra.reductions import _pairwise_sum_owned, pairwise_sum
 from euler_spectra.workers import _slabs, _split, _worker
 
 
@@ -201,7 +202,7 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
                    classification: Classification | None = None,
                    eps_floor: float | None = None,
                    class_valid: bool = True,
-                   physical=None) -> DiagnosticsRecord:
+                   physical=None, worker=None) -> DiagnosticsRecord:
     """Evaluate the full diagnostics pipeline for one spectral velocity.
 
     The epsilon-ratio infimum is only defined while the run sits in a
@@ -210,18 +211,23 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     :func:`classify_and_record` classifies the sample itself first.
     ``physical`` is ``(fft_inverse(v), fft_inverse(curl(grid, v)))``
     for a caller that holds them (``diagnose``); the record is the same.
+    ``worker`` is the worker of :func:`euler_spectra.workers._worker`
+    held open by a caller whose records share it (``diagnose``); by
+    default the record opens its own, which gives no thread exactly
+    where the caller's gives none.
 
     The eigensolve runs over slabs of x planes
     (:func:`_slab_eigenvalues`).  Then each integrand is filled slab by
-    slab into one array of the whole grid and integrated by one
-    :func:`pairwise_sum` before the next is filled, so the record is the
-    same bit for bit as one evaluated on the whole field.  A physical
-    velocity formed here is released after E and H, before the
-    deformation tensor is formed.  On a grid where
+    slab into one array of the whole grid and integrated by one pairwise
+    sum, which folds that array in place, before the next is filled, so
+    the record is the same bit for bit as one evaluated on the whole
+    field.  A physical velocity formed here is released after E and H,
+    before the deformation tensor is formed.  On a grid where
     :mod:`euler_spectra.workers` allows it, one worker thread takes half
     of the slabs and half of the transforms.
     """
-    with _worker(grid.n) as worker:
+    with (nullcontext(worker) if worker is not None
+          else _worker(grid.n)) as worker:
         density = np.empty((grid.n,) * 3)
         slabs = _slabs(grid.n)
 
@@ -232,8 +238,12 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
             _split(worker, job, slabs)
             return density
 
+        def integrate(density):
+            """``integrate_domain(grid, density)``, folding ``density``."""
+            return grid.cell_volume * _pairwise_sum_owned(density)
+
         def integral(form, *arrays):
-            return integrate_domain(grid, fill(form, *arrays))
+            return integrate(fill(form, *arrays))
 
         v_phys, omega_phys = physical or _physical_fields(grid, v, worker)
         e = integral(magnitude_squared, v_phys)
@@ -241,8 +251,9 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
         del v_phys  # a v formed here goes before the tensor is formed
         tensor = _strain_entries(grid, v, worker)
         spectra = _slab_eigenvalues(tensor, worker)
-        z = integral(magnitude_squared, omega_phys)
+        fill(magnitude_squared, omega_phys)
         bkm_sup_vort = float(np.sqrt(np.max(density)))  # max_speed(omega)
+        z = integrate(density)
         q = integral(_quadratic_density, spectra)
         p = integral(_product_density, spectra)
         w = integral(_stretching_density, tensor, omega_phys)
@@ -313,13 +324,15 @@ def _slab_eigenvalues(tensor: np.ndarray, worker) -> np.ndarray:
 
 def classify_and_record(grid: Grid, t: float, v: np.ndarray,
                         tolerance: float | None = None,
-                        eps_floor: float | None = None, physical=None):
+                        eps_floor: float | None = None, physical=None,
+                        worker=None):
     """Classify the first sample of a series and record it.
 
     Gives the same classification as
     :func:`~euler_spectra.initial.classify_initial` and the same record
     as :func:`compute_record` called with it, from one deformation
-    tensor and one eigensolve; ``physical`` goes to the record.
+    tensor and one eigensolve; ``physical`` and ``worker`` go to the
+    record.
 
     Returns
     -------
@@ -327,7 +340,8 @@ def classify_and_record(grid: Grid, t: float, v: np.ndarray,
     """
     pending = _ClassifyHere(tolerance)
     record = compute_record(grid, t, v, classification=pending,
-                            eps_floor=eps_floor, physical=physical)
+                            eps_floor=eps_floor, physical=physical,
+                            worker=worker)
     return pending.result, record
 
 

@@ -13,8 +13,10 @@ solver against exact analysis:
 - the residual of the vorticity transport equation, whose transport
   term is the curl of the 2/3-truncated v x omega.
 
-The per-snapshot transforms of ``diagnose`` (``_snapshot_fields`` and
-the transport residual) share a worker thread by the rule of
+``diagnose`` and the transport residual share one pass over the
+snapshots (``_SnapshotPass``): each snapshot's physical fields are
+formed once, for its record and its transport term, and the pass splits
+its transforms with a worker thread by the rule of
 :mod:`euler_spectra.workers`.
 
 Time integrals use the trapezoid rule through a single accumulator
@@ -38,7 +40,6 @@ from euler_spectra.fields import (
     _inverse_owned,
     check_velocity,
     cross_product,
-    curl,
     fft_forward,
 )
 from euler_spectra.grid import Grid
@@ -381,32 +382,121 @@ def epsilon_decay_bound(records, classification: Classification,
                              satisfied_series, bool(satisfied_series.all()))
 
 
-def _snapshot_fields(grid: Grid, spectral):
-    """Physical velocities and vorticities of spectral velocities, each
-    stacked along a leading snapshot axis.
+# The order of the (field, component) transforms of a snapshot, field 0
+# for v and 1 for omega, so that each thread takes v and omega parts.
+_FIELD_PARTS = ((1, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2))
 
-    The snapshots are transformed one by one, alternately on a worker
-    thread where :mod:`euler_spectra.workers` allows one, and each
-    thread works in a complex buffer allocated here.
+
+class _SnapshotPass:
+    """The physical fields and transport terms of a series of spectral
+    velocities, formed one snapshot at a time.
+
+    :meth:`fields` transforms the next snapshot's v into one buffer that
+    every snapshot reuses and its omega into a new row of the omega
+    series (into one reused row when the series takes no transport
+    term).  :meth:`add_transport` writes the curl of the 2/3-truncated
+    v x omega of the fields formed last into a new row of the transport
+    series, and :meth:`residual` compares the fourth-order time stencil
+    of the omega rows with the transport rows, slab by slab of x planes.
+    The rows are allocated one at a time, so that a caller that releases
+    each snapshot's spectrum once its rows exist (``diagnose``) holds
+    the spectra and the rows of the whole series at no point.
+
+    Each phase is split with ``worker`` (:func:`euler_spectra.workers._worker`,
+    held open by the caller) by lane: the transforms by component, the
+    cross product by x slab, the comparison by slab and component.
+    Every buffer of grid size is allocated by the calling thread: per
+    thread, a spectral component with the temporary of a curl component,
+    and the products of a slab's cross product.
     """
-    shape = (len(spectral), 3) + (grid.n,) * 3
-    v_phys, omega_phys = np.empty(shape), np.empty(shape)
 
-    def transform(m, lane):
-        buffer = work[lane]
-        buffer[...] = spectral[m]
-        _inverse_owned(buffer, out=v_phys[m])
-        _inverse_owned(curl(grid, spectral[m], out=buffer), out=omega_phys[m])
+    def __init__(self, grid: Grid, worker, transport=True):
+        n = grid.n
+        self.grid, self.worker, self.slabs = grid, worker, _slabs(n)
+        self.field = (3,) + (n,) * 3
+        self.v = np.empty(self.field)
+        self.omega = [] if transport else [np.empty(self.field)]
+        self.transport = [] if transport else None
+        self.outside_band = ~grid.dealias_mask
+        lanes = _lanes(worker)
+        self.spectral_work = np.empty((lanes, 2) + grid.k_squared.shape,
+                                      np.complex128)
+        self.slab_work = np.empty((lanes, self.slabs[0].stop, n, n))
 
-    with _worker(grid.n) as worker:
-        work = np.empty((_lanes(worker), 3) + spectral[0].shape[1:],
-                        np.complex128)
-        _split_lanes(worker, transform, range(len(spectral)))
-    return v_phys, omega_phys
+    def fields(self, vhat: np.ndarray):
+        """``(fft_inverse(vhat), fft_inverse(curl(grid, vhat)))`` of the
+        next snapshot, in the pass's buffers."""
+        grid, v = self.grid, self.v
+        if self.transport is not None:
+            self.omega.append(np.empty(self.field))
+        omega = self.omega[-1]
+
+        def transform(part, lane):
+            field, i = part
+            component, work = self.spectral_work[lane]
+            if field == 0:
+                component[...] = vhat[i]
+                _inverse_owned(component, out=v[i])
+            else:
+                _curl_component(grid, vhat, i, component, work=work)
+                _inverse_owned(component, out=omega[i])
+
+        _split_lanes(self.worker, transform, _FIELD_PARTS)
+        return v, omega
+
+    def add_transport(self, spectrum: np.ndarray) -> None:
+        """The transport row of the snapshot :meth:`fields` formed last.
+        The complex128 half spectrum ``spectrum`` (a vector's) is
+        overwritten with that of the 2/3-truncated v x omega."""
+        grid, v, omega = self.grid, self.v, self.omega[-1]
+        term = np.empty(self.field)
+        self.transport.append(term)
+
+        def product(x, lane):
+            cross_product(v[:, x], omega[:, x], term[:, x],
+                          work=self.slab_work[lane])
+
+        def forward(i, lane):
+            fft_forward(term[i], out=spectrum[i])
+            np.copyto(spectrum[i], 0.0, where=self.outside_band)  # dealias_23
+
+        def curl_component(i, lane):
+            component, work = self.spectral_work[lane]
+            _curl_component(grid, spectrum, i, component, work=work)
+            _inverse_owned(component, out=term[i])
+
+        _split_lanes(self.worker, product, self.slabs)
+        _split_lanes(self.worker, forward, range(3))
+        _split_lanes(self.worker, curl_component, range(3))
+
+    def residual(self, spacing: float):
+        """The returns of :func:`vorticity_transport_residual` for the
+        rows formed so far, sampled ``spacing`` apart."""
+        omega, transport = self.omega, self.transport
+        parts = [(x, i) for x in self.slabs for i in range(3)]
+        # Per sample and part: max |d(omega)/dt - transport|,
+        # max |d(omega)/dt| and max |transport|.  A maximum over the
+        # parts' maxima is the maximum.
+        peaks = np.empty((3, len(omega), len(parts)))
+
+        def compare(part):
+            index, (x, i) = part
+            domega_dt = derivative_4th([w[i, x] for w in omega], spacing)
+            for m, (d, term) in enumerate(zip(domega_dt, transport)):
+                peaks[1, m, index] = np.max(np.abs(d))
+                peaks[2, m, index] = np.max(np.abs(term[i, x]))
+                np.subtract(d, term[i, x], out=d)
+                peaks[0, m, index] = np.max(np.abs(d, out=d))
+
+        _split(self.worker, compare, list(enumerate(parts)))
+        raw = np.max(peaks[0], axis=1)
+        normalized = np.array([
+            r / max(float(d), float(t), 1e-300)
+            for r, d, t in zip(raw, *np.max(peaks[1:], axis=2))])
+        return raw, normalized
 
 
-def vorticity_transport_residual(grid: Grid, times, velocities,
-                                 transformed=None):
+def vorticity_transport_residual(grid: Grid, times, velocities):
     """Pointwise residual of the vorticity transport equation.
 
     Given uniformly spaced velocity snapshots on ``grid`` (physical
@@ -415,13 +505,14 @@ def vorticity_transport_residual(grid: Grid, times, velocities,
     = (omega . grad) v - (v . grad) omega, the product truncated to the
     2/3-rule band: the d(omega)/dt of the truncated system that dealiased
     runs integrate, and that ``dealias: false`` snapshots are measured
-    against too.  A caller that holds ``_snapshot_fields(grid, velocities)``
-    of spectral velocities (``diagnose``) passes it as ``transformed``.
+    against too.
 
-    The transport term is formed snapshot by snapshot, then compared
-    with the stencil slab by slab of x planes; on a grid where
-    :mod:`euler_spectra.workers` allows it, both are split with a worker
-    thread.  The maxima are those of the whole field, bit for bit.
+    The fields and the transport term are formed snapshot by snapshot,
+    then compared with the stencil slab by slab of x planes, by the
+    pass that ``diagnose`` runs over its snapshots; on a grid where
+    :mod:`euler_spectra.workers` allows it, each phase is split with a
+    worker thread.  The maxima are those of the whole field, bit for
+    bit.
 
     Returns
     -------
@@ -441,45 +532,14 @@ def vorticity_transport_residual(grid: Grid, times, velocities,
     for v in velocities:
         check_velocity(grid, v)
 
-    v_stack, omega_stack = transformed or _snapshot_fields(
-        grid, [v if np.iscomplexobj(v) else fft_forward(v)
-               for v in velocities])
-    outside_band = ~grid.dealias_mask
-    transport = np.empty_like(omega_stack)
-    slabs = _slabs(grid.n)
-    # Per sample and slab: max |d(omega)/dt - transport|, max |d(omega)/dt|
-    # and max |transport|.  A maximum over slab maxima is the maximum.
-    peaks = np.empty((3, times.size, len(slabs)))
-
-    def transport_term(m, lane):
-        # curl of the 2/3-truncated v x omega, one component at a time.
-        spectrum, component = spectra[lane], components[lane]
-        cross_product(v_stack[m], omega_stack[m], transport[m])
-        fft_forward(transport[m], out=spectrum)
-        np.copyto(spectrum, 0.0, where=outside_band)  # dealias_23
-        for i in range(3):
-            _inverse_owned(_curl_component(grid, spectrum, i, component),
-                           out=transport[m, i])
-
-    def compare(part):
-        index, x = part
-        domega_dt = derivative_4th(omega_stack[:, :, x], h, axis=0)
-        for m, (d, term) in enumerate(zip(domega_dt, transport[:, :, x])):
-            peaks[1, m, index] = np.max(np.abs(d))
-            peaks[2, m, index] = np.max(np.abs(term))
-            np.subtract(d, term, out=d)
-            peaks[0, m, index] = np.max(np.abs(d, out=d))
-
+    spectrum = np.empty((3,) + grid.k_squared.shape, np.complex128)
     with _worker(grid.n) as worker:
-        # A spectrum of v x omega and a curl component for each thread.
-        lanes = _lanes(worker)
-        spectra = np.empty((lanes, 3) + grid.k_squared.shape, np.complex128)
-        components = np.empty((lanes,) + grid.k_squared.shape, np.complex128)
-        _split_lanes(worker, transport_term, range(times.size))
-        del spectra, components
-        _split(worker, compare, list(enumerate(slabs)))
-    raw = np.max(peaks[0], axis=1)
-    normalized = np.array([
-        r / max(float(d), float(t), 1e-300)
-        for r, d, t in zip(raw, *np.max(peaks[1:], axis=2))])
-    return raw, normalized
+        snapshots = _SnapshotPass(grid, worker)
+        for v in velocities:
+            if np.iscomplexobj(v):
+                spectrum[...] = v
+            else:
+                fft_forward(v, out=spectrum)
+            snapshots.fields(spectrum)
+            snapshots.add_transport(spectrum)
+        return snapshots.residual(h)

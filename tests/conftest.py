@@ -17,6 +17,8 @@ from euler_spectra.fields import (
     fft_inverse,
     leray_project,
 )
+from euler_spectra.initial import random_solenoidal
+from euler_spectra.snapshot import write_snapshot
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +39,21 @@ def grid32():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture(scope="session")
+def snapshot_series64(tmp_path_factory):
+    """Paths of five snapshots of a random n=64 field, uniformly spaced
+    1e-3 apart in time, the m-th scaled by 1 + 0.01 m: a series that
+    ``diagnose`` takes the series residuals of.  Tests only read them."""
+    grid = Grid(64)
+    v = random_solenoidal(grid, seed=1)
+    out = tmp_path_factory.mktemp("series64")
+    paths = []
+    for m in range(5):
+        paths.append(str(out / f"s{m}.bin"))
+        write_snapshot(paths[-1], grid, v * (1.0 + 0.01 * m), 1e-3 * m)
+    return paths
 
 
 def make_random_velocity(grid, rng, scale=1.0):

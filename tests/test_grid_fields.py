@@ -15,6 +15,7 @@ import pytest
 from euler_spectra.errors import ConfigurationError, ContractViolationError
 from euler_spectra.grid import Band, Grid
 from euler_spectra.fields import (
+    _band_pad_inverse_x,
     band_forward,
     band_inverse,
     curl,
@@ -27,7 +28,7 @@ from euler_spectra.fields import (
     magnitude_squared,
     max_speed,
 )
-from euler_spectra.reductions import pairwise_sum
+from euler_spectra.reductions import _pairwise_sum_owned, pairwise_sum
 from euler_spectra.snapshot import write_snapshot
 from euler_spectra.solver import SolverConfig, run
 
@@ -165,6 +166,25 @@ class TestTransforms:
                             norm="forward")
         values = band_inverse(band, band.restrict(coeffs))
         assert np.max(np.abs(values - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_band_pad_zeroes_only_off_the_band(self, n, lead, rng):
+        # The pad zeroes the rows outside the band and copies the band
+        # in by blocks; a buffer that held NaN must come out as the
+        # whole-buffer zeroing and fancy-index scatter leave it.
+        band = Band(Grid(n))
+        m = band.m
+        shape = lead + (2 * m + 1, 2 * m + 1, m + 1)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = np.zeros(lead + (n, n, m + 1), np.complex128)
+        expected[band.index] = coeffs
+        for y_rows in band.halves:
+            lines = expected[..., y_rows, :]
+            np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
+        work = np.full(expected.shape, np.nan, np.complex128)
+        _band_pad_inverse_x(band, coeffs, work)
+        assert work.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_out_of_band_mode_takes_full_path(self, n, rng):
@@ -389,6 +409,16 @@ class TestPairwiseSum:
     def test_multidimensional_input(self, rng):
         values = rng.standard_normal((7, 5, 3))
         assert pairwise_sum(values) == pairwise_sum(values.ravel())
+
+    @pytest.mark.parametrize("size", [1, 3, 1000, 2 ** 18, 64 ** 3])
+    def test_owned_fold_matches(self, rng, size):
+        # A record's integrand is scratch, so its sum folds it in place;
+        # the bits must be those of the sum of a copy.
+        values = rng.standard_normal(size) * np.logspace(-8, 8, size)
+        scratch = values.copy()
+        assert _pairwise_sum_owned(scratch) == pairwise_sum(values)
+        if size > 1 and size & (size - 1) == 0:  # folded in place
+            assert not np.array_equal(scratch, values)
 
     @pytest.mark.parametrize("size", [1, 3, 1000, 2 ** 18])
     def test_in_place_fold_matches_fresh_arrays(self, rng, size):
