@@ -231,7 +231,7 @@ def cmd_run(args) -> int:
             if state.step_index % cfg.snapshot_every == 0:
                 write_snapshot(
                     out_dir / f"snapshot_{state.step_index:08d}.bin",
-                    grid, state.v, state.t)
+                    grid, state.physical(), state.t)
         observers.append(snapshot_observer)
 
     total_steps = cfg.solver.step_count()

@@ -37,8 +37,12 @@ from enum import Enum
 import numpy as np
 
 from euler_spectra.errors import ContractViolationError, NumericsError
-from euler_spectra.fields import _inverse_owned
-from euler_spectra.grid import Grid
+from euler_spectra.fields import (
+    _band_inverse_into,
+    _band_pads,
+    _inverse_owned,
+)
+from euler_spectra.grid import Band, Grid
 from euler_spectra.workers import _lanes, _split_lanes
 
 logger = logging.getLogger("euler_spectra.deformation")
@@ -118,7 +122,8 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
 _ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _strain_entries(grid: Grid, v: np.ndarray, worker=None) -> np.ndarray:
+def _strain_entries(grid: Grid | Band, v: np.ndarray,
+                    worker=None) -> np.ndarray:
     """The tensor of :func:`deformation_tensor`, without its trace check.
 
     With a worker (:mod:`euler_spectra.workers`) the entries s11, s12,
@@ -126,11 +131,17 @@ def _strain_entries(grid: Grid, v: np.ndarray, worker=None) -> np.ndarray:
     thread.  Each thread forms its spectral entries in complex buffers
     allocated here, in the order of ``1j * k_i * v_i`` and
     ``0.5j * (k_i * v_j + k_j * v_i)``, so they round as those
-    expressions do.
+    expressions do.  ``grid`` is the :class:`Band` of a compact ``v``
+    (a dealiased run's state), whose entries are formed on the band and
+    transformed by the passes of
+    :func:`~euler_spectra.fields.band_inverse` through one padded
+    component per thread, allocated here too; the tensor is the same as
+    on the half spectrum of ``v``.
     """
     k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
     tensor = np.empty((6,) + (grid.n,) * 3)
     work = np.empty((_lanes(worker), 2) + v.shape[1:], np.complex128)
+    pads = _band_pads(grid, worker) if isinstance(grid, Band) else None
 
     def transform(entries, lane):
         entry, scratch = work[lane]
@@ -143,7 +154,10 @@ def _strain_entries(grid: Grid, v: np.ndarray, worker=None) -> np.ndarray:
                 np.multiply(k[j], v[i], out=scratch)
                 np.add(entry, scratch, out=entry)
                 np.multiply(0.5j, entry, out=entry)
-            _inverse_owned(entry, out=tensor[c])
+            if pads is None:
+                _inverse_owned(entry, out=tensor[c])
+            else:
+                _band_inverse_into(grid, entry, tensor[c], pads[lane])
 
     _split_lanes(worker, transform, [(0, 1, 2), (3, 4, 5)])
     return tensor

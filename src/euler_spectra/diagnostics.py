@@ -31,6 +31,12 @@ whole field and holds one integrand at a time.  On a grid with
 n >= 64, when the process may run on two CPUs, one worker thread takes
 half of the slabs and half of the tensor's transforms: the rule of
 :mod:`euler_spectra.workers`, which band steps follow too.
+
+A record of a dealiased run's state takes the compact band array as it
+is: it forms the curl and the tensor entries on the band and transforms
+them with the passes of :func:`~euler_spectra.fields.band_inverse`,
+which skip the lines outside the band and give the values the half
+spectrum gives.
 """
 
 import math
@@ -54,15 +60,17 @@ from euler_spectra.deformation import (
 from euler_spectra.envelopes import EnvelopeAccumulator, envelope_rates
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
+    _band_inverse_into,
+    _band_pads,
     _inverse_owned,
     curl,
     integrate_domain,
     magnitude_squared,
     pointwise_dot,
 )
-from euler_spectra.grid import Grid
+from euler_spectra.grid import Band, Grid
 from euler_spectra.reductions import _pairwise_sum_owned, pairwise_sum
-from euler_spectra.workers import _slabs, _split, _worker
+from euler_spectra.workers import _slabs, _split, _split_lanes, _worker
 
 
 def spectra_moments(grid: Grid, spectra: np.ndarray):
@@ -202,7 +210,8 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
                    classification: Classification | None = None,
                    eps_floor: float | None = None,
                    class_valid: bool = True,
-                   physical=None, worker=None) -> DiagnosticsRecord:
+                   physical=None, worker=None,
+                   band: Band | None = None) -> DiagnosticsRecord:
     """Evaluate the full diagnostics pipeline for one spectral velocity.
 
     The epsilon-ratio infimum is only defined while the run sits in a
@@ -214,7 +223,9 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     ``worker`` is the worker of :func:`euler_spectra.workers._worker`
     held open by a caller whose records share it (``diagnose``); by
     default the record opens its own, which gives no thread exactly
-    where the caller's gives none.
+    where the caller's gives none.  ``band`` is the :class:`Band` of a
+    compact ``v``, the state of a dealiased run; the record is the same
+    as on ``band.scatter(v)``.
 
     The eigensolve runs over slabs of x planes
     (:func:`_slab_eigenvalues`).  Then each integrand is filled slab by
@@ -226,6 +237,7 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     :mod:`euler_spectra.workers` allows it, one worker thread takes half
     of the slabs and half of the transforms.
     """
+    spectral = grid if band is None else band
     with (nullcontext(worker) if worker is not None
           else _worker(grid.n)) as worker:
         density = np.empty((grid.n,) * 3)
@@ -245,11 +257,11 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
         def integral(form, *arrays):
             return integrate(fill(form, *arrays))
 
-        v_phys, omega_phys = physical or _physical_fields(grid, v, worker)
+        v_phys, omega_phys = physical or _physical_fields(spectral, v, worker)
         e = integral(magnitude_squared, v_phys)
         h = integral(pointwise_dot, v_phys, omega_phys)
         del v_phys  # a v formed here goes before the tensor is formed
-        tensor = _strain_entries(grid, v, worker)
+        tensor = _strain_entries(spectral, v, worker)
         spectra = _slab_eigenvalues(tensor, worker)
         fill(magnitude_squared, omega_phys)
         bkm_sup_vort = float(np.sqrt(np.max(density)))  # max_speed(omega)
@@ -289,13 +301,23 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
         inf_eps=inf_eps, bkm_sup_vort=bkm_sup_vort)
 
 
-def _physical_fields(grid: Grid, v: np.ndarray, worker):
+def _physical_fields(grid: Grid | Band, v: np.ndarray, worker):
     """``fft_inverse(v)`` and ``fft_inverse(curl(grid, v))``, the first
     on ``worker`` when there is one, in two arrays, so that the record
-    can release the first one alone."""
-    spectral = (np.array(v, dtype=np.complex128), curl(grid, v))
-    out = [np.empty((3,) + (grid.n,) * 3) for _ in spectral]
-    _split(worker, lambda k: _inverse_owned(spectral[k], out=out[k]), (0, 1))
+    can release the first one alone.  On a :class:`Band` ``v`` is
+    compact, and each thread transforms its field component by component
+    through a padded component of its own (see :func:`_strain_entries`)."""
+    n = grid.n
+    out = [np.empty((3, n, n, n)) for _ in range(2)]
+    if isinstance(grid, Band):
+        pads = _band_pads(grid, worker)
+        spectral = (v, curl(grid, v))
+        _split_lanes(worker, lambda k, lane: _band_inverse_into(
+            grid, spectral[k], out[k], pads[lane]), (0, 1))
+    else:
+        spectral = (np.array(v, dtype=np.complex128), curl(grid, v))
+        _split(worker, lambda k: _inverse_owned(spectral[k], out=out[k]),
+               (0, 1))
     return out
 
 
@@ -325,14 +347,14 @@ def _slab_eigenvalues(tensor: np.ndarray, worker) -> np.ndarray:
 def classify_and_record(grid: Grid, t: float, v: np.ndarray,
                         tolerance: float | None = None,
                         eps_floor: float | None = None, physical=None,
-                        worker=None):
+                        worker=None, band: Band | None = None):
     """Classify the first sample of a series and record it.
 
     Gives the same classification as
     :func:`~euler_spectra.initial.classify_initial` and the same record
     as :func:`compute_record` called with it, from one deformation
-    tensor and one eigensolve; ``physical`` and ``worker`` go to the
-    record.
+    tensor and one eigensolve; ``physical``, ``worker`` and ``band`` go
+    to the record.
 
     Returns
     -------
@@ -341,7 +363,7 @@ def classify_and_record(grid: Grid, t: float, v: np.ndarray,
     pending = _ClassifyHere(tolerance)
     record = compute_record(grid, t, v, classification=pending,
                             eps_floor=eps_floor, physical=physical,
-                            worker=worker)
+                            worker=worker, band=band)
     return pending.result, record
 
 
@@ -374,6 +396,10 @@ def _format_row(values) -> str:
 
 class DiagnosticsCollector:
     """Run observer that records diagnostics and streams them to CSV.
+
+    It takes the states of :func:`euler_spectra.solver.run` as they
+    come, and records a state on the band (a dealiased run's) on the
+    band.
 
     Parameters
     ----------
@@ -416,9 +442,9 @@ class DiagnosticsCollector:
                               "stretching_cubic": 0.0,
                               "cubic_product": 0.0}
         self.tail_fraction_initial: float | None = None
-        # Spectral velocity of the latest record; the summary's final
-        # tail fraction is computed from it once, not on every record.
-        self._last_v = None
+        # Solver state of the latest record; the summary's final tail
+        # fraction is computed from it once, not on every record.
+        self._last_state = None
 
         self._fh = None
         self._accumulator = EnvelopeAccumulator()
@@ -458,14 +484,15 @@ class DiagnosticsCollector:
         if not self.records:
             self.classification, record = classify_and_record(
                 self.grid, state.t, state.v, self.class_tolerance,
-                self.eps_floor)
+                self.eps_floor, band=state.band)
             self.tail_fraction_initial = resolution_tail_fraction(
-                self.grid, state.v)
+                self.grid, state.half_spectrum())
         else:
             record = compute_record(self.grid, state.t, state.v,
                                     classification=self.classification,
                                     eps_floor=self.eps_floor,
-                                    class_valid=self._class_active())
+                                    class_valid=self._class_active(),
+                                    band=state.band)
         self._update_zero_touch(record)
         if (self.zero_touch_time is not None
                 and self.zero_touch_time == record.t):
@@ -477,7 +504,7 @@ class DiagnosticsCollector:
         for key, value in identity_residuals(record).items():
             if value > self.max_residuals[key]:
                 self.max_residuals[key] = value
-        self._last_v = state.v
+        self._last_state = state
 
         envelope_row = self._advance_envelopes(record)
         self._write_row(record, envelope_row)
@@ -530,6 +557,6 @@ class DiagnosticsCollector:
             "resolution_health": {
                 "tail_enstrophy_fraction_initial": self.tail_fraction_initial,
                 "tail_enstrophy_fraction_final": resolution_tail_fraction(
-                    self.grid, self._last_v),
+                    self.grid, self._last_state.half_spectrum()),
             },
         }

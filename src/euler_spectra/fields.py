@@ -53,6 +53,7 @@ import numpy as np
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.grid import Band, BandHalf, Grid
 from euler_spectra.reductions import pairwise_sum
+from euler_spectra.workers import _lanes
 
 
 def check_velocity(grid: Grid, v: np.ndarray) -> None:
@@ -184,13 +185,37 @@ def band_inverse(band: Band, coeffs: np.ndarray) -> np.ndarray:
     """Compact band -> physical transform, equal to
     ``fft_inverse(band.scatter(coeffs))`` without its all-zero lines.
 
-    The band is zero-padded to the planes kz <= m, the x pass runs only
-    on the band's ky lines, and ``irfft`` pads kz > m with zeros.
+    One component at a time, the band is zero-padded to the planes
+    kz <= m, the x pass runs only on the band's ky lines, and ``irfft``
+    pads kz > m with zeros.
     """
     n = band.n
-    work = np.empty(coeffs.shape[:-3] + (n, n, band.m + 1), np.complex128)
-    _band_pad_inverse_x(band, coeffs, work)
-    return _inverse_yz(work, n)
+    return _band_inverse_into(
+        band, coeffs, np.empty(coeffs.shape[:-3] + (n, n, n)),
+        np.empty((n, n, band.m + 1), np.complex128))
+
+
+def _band_inverse_into(band: Band, coeffs: np.ndarray, out: np.ndarray,
+                       pad: np.ndarray) -> np.ndarray:
+    """:func:`band_inverse` of the compact ``coeffs``, written into the
+    float64 ``out`` one component at a time through ``pad``, a complex128
+    array of one component's padded shape ``(n, n, m + 1)``, which it
+    overwrites.  Each line goes through the same passes whichever
+    components are transformed together, so the values do not depend on
+    it."""
+    for component in np.ndindex(coeffs.shape[:-3]):
+        _band_pad_inverse_x(band, coeffs[component], pad)
+        _inverse_yz(pad, band.n, out=out[component])
+    return out
+
+
+def _band_pads(band: Band, worker) -> np.ndarray:
+    """One padded component ``(n, n, m + 1)`` for
+    :func:`_band_inverse_into` per thread of ``worker``
+    (:func:`euler_spectra.workers._lanes`), allocated by the calling
+    thread."""
+    n = band.n
+    return np.empty((_lanes(worker), n, n, band.m + 1), np.complex128)
 
 
 def _band_pad_inverse_x(band: Band, coeffs: np.ndarray,

@@ -34,7 +34,7 @@ from euler_spectra.fields import fft_forward
 from euler_spectra.grid import Grid
 from euler_spectra.initial import random_solenoidal, taylor_green
 from euler_spectra.snapshot import load_snapshot, write_snapshot
-from euler_spectra.solver import SolverConfig, step_threads
+from euler_spectra.solver import SolverConfig, run as solver_run, step_threads
 import euler_spectra.workers as workers_module
 
 from conftest import traced_peak_fields
@@ -293,6 +293,35 @@ class TestCmdRun:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_snapshots_have_the_half_spectrum_bytes(self, tmp_path,
+                                                    dealias):
+        # A dealiased run writes its snapshots from the state on the
+        # band; they have the bytes of write_snapshot on the half
+        # spectrum, and so does final.bin.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, output_dir=str(out), snapshot_every=1,
+                           initial={"kind": "random_solenoidal", "seed": 3},
+                           solver={"t_final": 0.003, "dt": 1e-3,
+                                   "dealias": dealias})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        config = parse_config(Path(cfg).read_text())
+        grid = Grid(config.n)
+        reference = tmp_path / "reference.bin"
+        on_band = []
+
+        def compare(state):
+            on_band.append(state.band is not None)
+            write_snapshot(reference, grid, state.half_spectrum(), state.t)
+            written = out / f"snapshot_{state.step_index:08d}.bin"
+            assert written.read_bytes() == reference.read_bytes()
+
+        final = solver_run(grid, config.initial.build(grid), config.solver,
+                           [compare])
+        assert on_band == [dealias] * 4
+        write_snapshot(reference, grid, final.v, final.t)
+        assert (out / "final.bin").read_bytes() == reference.read_bytes()
 
     def test_output_dir_override(self, tmp_path):
         cfg = write_config(tmp_path, n=8, output_dir=str(tmp_path / "a"),

@@ -16,6 +16,7 @@ import pytest
 from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
+    _strain_entries,
     deformation_tensor,
     eigenvalues_sym3,
     epsilon_ratio,
@@ -24,6 +25,7 @@ from euler_spectra.deformation import (
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
+    _physical_fields,
     _slab_eigenvalues,
     classify_and_record,
     compute_record,
@@ -44,7 +46,7 @@ from euler_spectra.fields import (
     max_speed,
     pointwise_dot,
 )
-from euler_spectra.grid import Grid
+from euler_spectra.grid import Band, Grid
 from euler_spectra.reductions import pairwise_sum
 from euler_spectra.initial import (
     abc_flow,
@@ -53,7 +55,7 @@ from euler_spectra.initial import (
     shear_flow,
     taylor_green,
 )
-from euler_spectra.solver import SolverConfig, run
+from euler_spectra.solver import SolverConfig, SolverState, run
 import euler_spectra.workers as workers_module
 
 from conftest import (
@@ -362,6 +364,65 @@ class TestResolutionTail:
         assert abs(divergence_free_error(g, v) - expected) < 1e-12
 
 
+class TestBandRecord:
+    # A dealiased run's observers get its state on the band, and a
+    # record transforms the band as it is; it must give the record of
+    # the half spectrum bit for bit.
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("field", ["taylor_green", "random"])
+    def test_matches_half_spectrum(self, n, field, monkeypatch):
+        grid = Grid(n)
+        band = Band(grid)
+        start = (taylor_green(grid) if field == "taylor_green"
+                 else random_solenoidal(grid, seed=n))
+        compact = band.restrict(start)
+        half = band.scatter(compact)
+        # n=64 shares its work with the worker, whatever this host has.
+        monkeypatch.setattr(workers_module, "_threaded", lambda n: n >= 64)
+        with workers_module._worker(n) as worker:
+            assert (worker is not None) == (n == 64)
+            for on_band, on_half in zip(
+                    _physical_fields(band, compact, worker),
+                    _physical_fields(grid, half, worker)):
+                assert np.array_equal(on_band, on_half)
+            assert np.array_equal(_strain_entries(band, compact, worker),
+                                  _strain_entries(grid, half, worker))
+        classification, record = classify_and_record(grid, 0.5, compact,
+                                                     band=band)
+        assert classification == classify_and_record(grid, 0.5, half)[0]
+        assert np.array_equal(record.as_tuple(),
+                              compute_record(grid, 0.5, half).as_tuple(),
+                              equal_nan=True)
+        for label in (AdmissibleClass.APLUS, AdmissibleClass.AMINUS):
+            given = Classification(label, 0.0, 0.0, 0.0)
+            record = compute_record(grid, 0.5, compact,
+                                    classification=given, band=band)
+            expected = compute_record(grid, 0.5, half, classification=given)
+            assert np.array_equal(record.as_tuple(), expected.as_tuple(),
+                                  equal_nan=True)
+            if field == "random":
+                assert math.isfinite(record.inf_eps)
+
+    def test_collector_records_the_band(self, grid16):
+        # A collector fed a dealiased run's band states writes the rows
+        # and the summary of one fed their half spectra.
+        states = []
+        run(grid16, random_solenoidal(grid16, seed=3),
+            SolverConfig(dt=1e-3, t_final=3e-3), observers=[states.append])
+        assert all(state.band is not None for state in states)
+        on_band, on_half = (DiagnosticsCollector(grid16) for _ in range(2))
+        for state in states:
+            on_band(state)
+            on_half(SolverState(state.t, state.half_spectrum(),
+                                state.step_index))
+        assert np.array_equal([r.as_tuple() for r in on_band.records],
+                              [r.as_tuple() for r in on_half.records],
+                              equal_nan=True)
+        assert np.array_equal(on_band.envelope_rows, on_half.envelope_rows,
+                              equal_nan=True)
+        assert on_band.summary() == on_half.summary()
+
+
 class TestDiagnosticsCollector:
     def test_cadence_and_initial_sample(self, grid16):
         col = DiagnosticsCollector(grid16, every=3)
@@ -476,14 +537,8 @@ class TestDiagnosticsCollector:
         # minimum dips below -tolerance at the third sample.
         col = DiagnosticsCollector(grid16, every=1, class_tolerance=1e-3)
 
-        class FakeState:
-            def __init__(self, t, step_index, v):
-                self.t = t
-                self.step_index = step_index
-                self.v = v
-
         base = abc_flow(grid16)
-        col(FakeState(0.0, 0, base))
+        col(SolverState(0.0, base, 0))
         # ABC classifies as Neither, so fake the classification instead.
         from euler_spectra.deformation import Classification
         col.classification = Classification(

@@ -425,7 +425,7 @@ class TestTransportResidual:
 
         def taker(state):
             if state.step_index % 5 == 0:
-                snaps.append((state.t, state.v))
+                snaps.append((state.t, state.half_spectrum()))
 
         run(grid16, abc_flow(grid16), SolverConfig(dt=1e-2, t_final=0.2),
             observers=[taker])
@@ -441,7 +441,8 @@ class TestTransportResidual:
         snaps = []
         run(grid16, random_solenoidal(grid16, 3),
             SolverConfig(dt=1e-3, t_final=0.004),
-            observers=[lambda state: snaps.append((state.t, state.v))])
+            observers=[lambda state: snaps.append((state.t,
+                                                   state.half_spectrum()))])
         times = [t for t, _ in snaps]
         velocities = [v for _, v in snaps]
         assert len(times) == 5

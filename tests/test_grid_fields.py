@@ -166,6 +166,11 @@ class TestTransforms:
                             norm="forward")
         values = band_inverse(band, band.restrict(coeffs))
         assert np.max(np.abs(values - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # The same bytes as the half spectrum's transform, one component
+        # or three at a time.
+        assert np.array_equal(values, fft_inverse(coeffs))
+        assert np.array_equal(band_inverse(band, band.restrict(coeffs[1])),
+                              values[1])
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("lead", [(), (3,)])

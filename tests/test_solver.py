@@ -23,9 +23,15 @@ from euler_spectra.fields import (
     divergence_free_error,
     fft_inverse,
     leray_project,
+    max_speed,
 )
 from euler_spectra.grid import Band, Grid
-from euler_spectra.initial import abc_flow, shear_flow, taylor_green
+from euler_spectra.initial import (
+    abc_flow,
+    random_solenoidal,
+    shear_flow,
+    taylor_green,
+)
 from euler_spectra.snapshot import load_snapshot, write_snapshot
 import euler_spectra.solver as solver_module
 from euler_spectra.solver import (
@@ -145,7 +151,7 @@ class TestConservation:
         records = []
         run(grid16, v0, SolverConfig(dt=2e-3, t_final=0.1),
             observers=[lambda s: records.append(
-                compute_record(grid16, s.t, s.v))])
+                compute_record(grid16, s.t, s.half_spectrum()))])
         energies = [r.E for r in records]
         helicities = [r.H for r in records]
         assert max(abs(e - e0) for e in energies) < 1e-12 * abs(e0)
@@ -206,6 +212,65 @@ class TestRunMechanics:
             observers=[observer])
         assert alive[0][0] is False
         assert alive[2] == (False, False)
+
+    def test_dealiased_observers_get_the_band(self, grid16, monkeypatch):
+        # Between steps a dealiased run holds its state on the band and
+        # hands it to the observers as it is; it scatters only the half
+        # spectrum it returns.
+        seen, scattered = [], []
+        scatter = Band.scatter
+
+        def counting(band, coeffs):
+            scattered.append(coeffs.shape)
+            return scatter(band, coeffs)
+
+        monkeypatch.setattr(Band, "scatter", counting)
+        final = run(grid16, taylor_green(grid16),
+                    SolverConfig(dt=1e-2, t_final=0.03),
+                    observers=[seen.append])
+        m = grid16.n // 3
+        assert scattered == [(3, 2 * m + 1, 2 * m + 1, m + 1)]
+        assert [state.step_index for state in seen] == [0, 1, 2, 3]
+        for state in seen:
+            assert isinstance(state.band, Band)
+            assert state.v.shape == (3, 2 * m + 1, 2 * m + 1, m + 1)
+        assert final.band is None
+        assert final.v.shape == (3, 16, 16, 9)
+        assert np.array_equal(final.v, seen[-1].band.scatter(seen[-1].v))
+        assert (final.t, final.step_index) == (seen[-1].t, 3)
+
+    def test_unmasked_observers_get_the_half_spectrum(self, grid16):
+        seen = []
+        final = run(grid16, taylor_green(grid16),
+                    SolverConfig(dt=1e-2, t_final=0.03, dealias=False),
+                    observers=[seen.append])
+        for state in seen + [final]:
+            assert state.band is None
+            assert state.v.shape == (3, 16, 16, 9)
+            assert state.half_spectrum() is state.v
+        assert np.array_equal(final.v, seen[-1].v)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_cfl_sample_is_the_half_spectrum_one(self, grid16, dealias,
+                                                 monkeypatch):
+        # A band state's CFL sample transforms the band; it reads the
+        # velocity of the half spectrum.
+        sampled, states = [], []
+
+        def spy(v):
+            sampled.append(v)
+            return max_speed(v)
+
+        monkeypatch.setattr(solver_module, "_CFL_CHECK_STRIDE", 1)
+        monkeypatch.setattr(solver_module, "max_speed", spy)
+        run(grid16, random_solenoidal(grid16, seed=3),
+            SolverConfig(dt=1e-3, t_final=3e-3, dealias=dealias),
+            observers=[states.append])
+        assert len(sampled) == len(states) == 4
+        for v, state in zip(sampled, states):
+            assert (state.band is not None) == dealias
+            assert np.array_equal(v, fft_inverse(state.half_spectrum()))
+            assert np.array_equal(v, state.physical())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_step(self, grid16):
