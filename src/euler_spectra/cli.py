@@ -353,11 +353,13 @@ def cmd_diagnose(args) -> int:
             if records:
                 record = compute_record(
                     grid, t, spectra[m], classification=classification,
-                    physical=physical, worker=worker)
+                    physical=physical, worker=worker,
+                    work=snapshots.spectral_work)
             else:
                 # Classified from its own record's spectra.
                 classification, record = classify_and_record(
-                    grid, t, spectra[m], physical=physical, worker=worker)
+                    grid, t, spectra[m], physical=physical, worker=worker,
+                    work=snapshots.spectral_work)
             records.append(record)
             print(",".join(repr(float(x)) for x in record.as_tuple()))
             if spacing is not None:

@@ -37,13 +37,9 @@ from enum import Enum
 import numpy as np
 
 from euler_spectra.errors import ContractViolationError, NumericsError
-from euler_spectra.fields import (
-    _band_inverse_into,
-    _band_pads,
-    _inverse_owned,
-)
+from euler_spectra.fields import _inverse_component
 from euler_spectra.grid import Band, Grid
-from euler_spectra.workers import _lanes, _split_lanes
+from euler_spectra.workers import _split_lanes
 
 logger = logging.getLogger("euler_spectra.deformation")
 
@@ -112,7 +108,9 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
     with :func:`_strain_entries` instead and runs the same check on the
     trace and Frobenius fields it fills slab by slab.
     """
-    tensor = _strain_entries(grid, v)
+    tensor = np.empty((6,) + (grid.n,) * 3)
+    _strain_entries(grid, v, None, tensor,
+                    np.empty((1, 2) + v.shape[1:], np.complex128), None)
     _check_trace(np.mean(_trace_squared(tensor)),
                  np.mean(frobenius_squared(tensor)))
     return tensor
@@ -122,26 +120,27 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
 _ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _strain_entries(grid: Grid | Band, v: np.ndarray,
-                    worker=None) -> np.ndarray:
-    """The tensor of :func:`deformation_tensor`, without its trace check.
+def _strain_entries(grid: Grid | Band, v: np.ndarray, worker,
+                    tensor: np.ndarray, work: np.ndarray,
+                    pads: np.ndarray | None) -> None:
+    """The tensor of :func:`deformation_tensor` into ``tensor``, without
+    its trace check.
 
     With a worker (:mod:`euler_spectra.workers`) the entries s11, s12,
     s13 are transformed on it and the other three on the calling
-    thread.  Each thread forms its spectral entries in complex buffers
-    allocated here, in the order of ``1j * k_i * v_i`` and
+    thread.  Each thread (lane) forms its spectral entries in
+    ``work[lane][0]``, with ``work[lane][1]`` for the second product,
+    in the order of ``1j * k_i * v_i`` and
     ``0.5j * (k_i * v_j + k_j * v_i)``, so they round as those
     expressions do.  ``grid`` is the :class:`Band` of a compact ``v``
     (a dealiased run's state), whose entries are formed on the band and
     transformed by the passes of
-    :func:`~euler_spectra.fields.band_inverse` through one padded
-    component per thread, allocated here too; the tensor is the same as
-    on the half spectrum of ``v``.
+    :func:`~euler_spectra.fields.band_inverse` through ``pads[lane]``;
+    the tensor is the same as on the half spectrum of ``v``.  Every
+    buffer is the caller's, so ``tensor`` may hold anything the record
+    no longer needs.
     """
     k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
-    tensor = np.empty((6,) + (grid.n,) * 3)
-    work = np.empty((_lanes(worker), 2) + v.shape[1:], np.complex128)
-    pads = _band_pads(grid, worker) if isinstance(grid, Band) else None
 
     def transform(entries, lane):
         entry, scratch = work[lane]
@@ -154,13 +153,10 @@ def _strain_entries(grid: Grid | Band, v: np.ndarray,
                 np.multiply(k[j], v[i], out=scratch)
                 np.add(entry, scratch, out=entry)
                 np.multiply(0.5j, entry, out=entry)
-            if pads is None:
-                _inverse_owned(entry, out=tensor[c])
-            else:
-                _band_inverse_into(grid, entry, tensor[c], pads[lane])
+            _inverse_component(grid, entry, tensor[c],
+                               None if pads is None else pads[lane])
 
     _split_lanes(worker, transform, [(0, 1, 2), (3, 4, 5)])
-    return tensor
 
 
 def _trace_squared(tensor: np.ndarray) -> np.ndarray:
@@ -365,14 +361,16 @@ def classify_admissible(spectra: np.ndarray,
 
 
 def epsilon_ratio(spectra: np.ndarray, classification: Classification,
-                  floor: float | None = None):
+                  floor: float | None = None,
+                  out: np.ndarray | None = None):
     """Pointwise ratio |l2| / l where l is the dominant eigenvalue.
 
     For an ``APlus`` field the denominator is ``l1``, for ``AMinus`` it
     is ``-l3``; in both cases the denominator is positive away from
     zeros of the tensor.  Points with denominator at or below ``floor``
     (default ``1e-12`` of the RMS of l1) are excluded: their ratio is
-    set to NaN and they are tallied in the returned count.
+    set to NaN and they are tallied in the returned count.  The ratio
+    is written into the float64 ``out`` when it is given.
 
     Returns
     -------
@@ -391,9 +389,11 @@ def epsilon_ratio(spectra: np.ndarray, classification: Classification,
     else:
         denom = -spectra[2]
     defined = denom > floor
-    ratio = np.full(denom.shape, np.nan, dtype=np.float64)
-    np.divide(np.abs(spectra[1]), denom, out=ratio, where=defined)
-    excluded = int(np.count_nonzero(~defined))
+    ratio = np.abs(spectra[1], out=out)
+    np.divide(ratio, denom, out=ratio, where=defined)
+    undefined = np.logical_not(defined, out=defined)
+    np.copyto(ratio, np.nan, where=undefined)
+    excluded = int(np.count_nonzero(undefined))
     return ratio, excluded
 
 

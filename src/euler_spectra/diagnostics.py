@@ -32,6 +32,14 @@ n >= 64, when the process may run on two CPUs, one worker thread takes
 half of the slabs and half of the tensor's transforms: the rule of
 :mod:`euler_spectra.workers`, which band steps follow too.
 
+Every buffer of grid size of a record is a view of one block that the
+record allocates and frees (``_RecordBlock``), so glibc maps it and
+gives it back whole instead of leaving a dozen freed arrays on the
+heap.  Regions are reused once dead: v sits in the first half of the
+tensor's region, the eigenvalues take its place once every integral of
+the tensor is taken, and the integrand shares a region with the
+transform buffers.
+
 A record of a dealiased run's state takes the compact band array as it
 is: it forms the curl and the tensor entries on the band and transforms
 them with the passes of :func:`~euler_spectra.fields.band_inverse`,
@@ -60,9 +68,7 @@ from euler_spectra.deformation import (
 from euler_spectra.envelopes import EnvelopeAccumulator, envelope_rates
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
-    _band_inverse_into,
-    _band_pads,
-    _inverse_owned,
+    _physical_fields,
     curl,
     integrate_domain,
     magnitude_squared,
@@ -70,7 +76,14 @@ from euler_spectra.fields import (
 )
 from euler_spectra.grid import Band, Grid
 from euler_spectra.reductions import _pairwise_sum_owned, pairwise_sum
-from euler_spectra.workers import _slabs, _split, _split_lanes, _worker
+from euler_spectra.workers import (
+    _carve,
+    _carved_size,
+    _lanes,
+    _slabs,
+    _split,
+    _worker,
+)
 
 
 def spectra_moments(grid: Grid, spectra: np.ndarray):
@@ -129,27 +142,37 @@ def _cubic_trace_density(tensor: np.ndarray):
             + 6.0 * s12 * s13 * s23)
 
 
-def resolution_tail_fraction(grid: Grid, v: np.ndarray) -> float:
+def resolution_tail_fraction(grid: Grid, v: np.ndarray,
+                             band: Band | None = None) -> float:
     """Fraction of enstrophy carried by the outer third of retained modes.
 
     A well-resolved field keeps this small; values approaching one mean
     the retained band is saturated and the run is underresolved.  Uses
     the infinity-norm shell |k|_inf > (2/3) * (n/3) as the tail.  Sums
-    run over the half spectrum with the grid's Parseval weight.
+    run over the half spectrum with the grid's Parseval weight.  ``band``
+    is the :class:`Band` of a compact ``v``, the state of a dealiased
+    run: the compact layout holds the kept modes in the C order of the
+    half spectrum, and the weight is 1 at kz = 0 and 2 on the other band
+    planes there too, so the sums are the same bits as on
+    ``band.scatter(v)``, without the scatter.
     """
-    power = grid.parseval_weight * sum(np.abs(c) ** 2
-                                       for c in curl(grid, v))
-    keep = grid.dealias_mask
     n = grid.n
     absf = np.abs(grid.freq)
     kinf = np.maximum(np.maximum(absf.reshape(n, 1, 1),
                                  absf.reshape(1, n, 1)),
                       np.abs(grid.freq_z).reshape(1, 1, -1))
-    tail = keep & (kinf > (2.0 / 3.0) * grid.dealias_limit)
-    total = pairwise_sum(power[keep])
+    in_tail = grid.dealias_mask & (kinf > (2.0 / 3.0) * grid.dealias_limit)
+    space = grid if band is None else band
+    weight = grid.parseval_weight[..., :v.shape[-1]]
+    power = weight * sum(np.abs(c) ** 2 for c in curl(space, v))
+    if band is None:
+        kept, tail = power[grid.dealias_mask], power[in_tail]
+    else:
+        kept, tail = power, power[band.restrict(in_tail)]
+    total = pairwise_sum(kept)
     if total <= 0.0:
         return 0.0
-    return pairwise_sum(power[tail]) / total
+    return pairwise_sum(tail) / total
 
 
 _CSV_FIELDS = ("t", "E", "H", "Z", "Q", "P", "W", "C3",
@@ -206,12 +229,59 @@ class _ClassifyHere:
         self.result: Classification | None = None
 
 
+class _RecordBlock:
+    """The buffers of grid size of one :func:`compute_record` call, as
+    views of one block that the calling thread allocates
+    (:func:`euler_spectra.workers._carve`) and that goes when the record
+    returns.  Each region is reused once what it held is dead:
+
+    - ``tensor``, the six entries of the deformation tensor.  Its first
+      half, ``v``, holds the record's physical velocity until E and H
+      are integrated, and then the eigenvalues, once every integral of
+      the tensor is taken.
+    - ``omega``, the physical vorticity, or None when the caller holds
+      the physical fields (``own_fields`` false, as in ``diagnose``).
+    - a region that the integrand ``density``, dead while fields are
+      transformed, shares with the buffers of each thread ("lane",
+      :func:`euler_spectra.workers._split_lanes`), dead while integrands
+      are filled: ``work``, a spectral component and its scratch, and
+      on a :class:`Band` ``pads``, a padded component (None on a
+      :class:`Grid`).  A caller that holds such ``work`` buffers lends
+      them instead (``diagnose``).
+
+    So a record holds 9 fields of the grid, 6 with the caller's
+    physical fields, plus the larger of one field and its lane buffers.
+    """
+
+    def __init__(self, space: Grid | Band, lanes: int, own_fields: bool,
+                 work: np.ndarray | None = None):
+        n, f, c = space.n, np.float64, np.complex128
+        field = (n, n, n)
+        lane_specs = []
+        if work is None:
+            lane_specs.append(((lanes, 2) + space.k_squared.shape, c))
+        if isinstance(space, Band):
+            lane_specs.append(((lanes, n, n, space.m + 1), c))
+        shared = max(_carved_size(*lane_specs), _carved_size((field, f)))
+        regions = [((6,) + field, f), ((shared,), np.uint8)]
+        if own_fields:
+            regions.append(((3,) + field, f))
+        self.tensor, shared, *omega = _carve(*regions)
+        self.omega = omega[0] if omega else None
+        self.v = self.tensor[:3]
+        (self.density,) = _carve((field, f), block=shared)
+        lane_buffers = _carve(*lane_specs, block=shared)
+        self.work = lane_buffers.pop(0) if work is None else work
+        self.pads = lane_buffers[0] if lane_buffers else None
+
+
 def compute_record(grid: Grid, t: float, v: np.ndarray,
                    classification: Classification | None = None,
                    eps_floor: float | None = None,
                    class_valid: bool = True,
                    physical=None, worker=None,
-                   band: Band | None = None) -> DiagnosticsRecord:
+                   band: Band | None = None,
+                   work: np.ndarray | None = None) -> DiagnosticsRecord:
     """Evaluate the full diagnostics pipeline for one spectral velocity.
 
     The epsilon-ratio infimum is only defined while the run sits in a
@@ -225,22 +295,31 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     default the record opens its own, which gives no thread exactly
     where the caller's gives none.  ``band`` is the :class:`Band` of a
     compact ``v``, the state of a dealiased run; the record is the same
-    as on ``band.scatter(v)``.
+    as on ``band.scatter(v)``.  ``work`` is a complex128 array
+    ``(lanes, 2) + v.shape[1:]``, one spectral component and its scratch
+    per thread of ``worker``, that a caller lends the record
+    (``diagnose``'s pass, between its transforms).
 
-    The eigensolve runs over slabs of x planes
-    (:func:`_slab_eigenvalues`).  Then each integrand is filled slab by
-    slab into one array of the whole grid and integrated by one pairwise
-    sum, which folds that array in place, before the next is filled, so
-    the record is the same bit for bit as one evaluated on the whole
-    field.  A physical velocity formed here is released after E and H,
-    before the deformation tensor is formed.  On a grid where
-    :mod:`euler_spectra.workers` allows it, one worker thread takes half
-    of the slabs and half of the transforms.
+    Every buffer of grid size is a view of one block that lives for the
+    call (:class:`_RecordBlock`), apart from the eigensolver's slab
+    temporaries.  The record forms v and omega, integrates E and H,
+    forms the deformation tensor over v, integrates Z (and takes
+    ``bkm_sup_vort``), W, C3 and the trace check, then solves for the
+    eigenvalues slab by slab over the first half of the tensor
+    (:func:`_slab_eigenvalues`) and integrates Q and P.  Each integrand
+    is filled slab by slab into one array of the whole grid and
+    integrated by one pairwise sum, which folds that array in place,
+    before the next is filled, so the record is the same bit for bit as
+    one evaluated on the whole field, in any order of the integrals.  On
+    a grid where :mod:`euler_spectra.workers` allows it, one worker
+    thread takes half of the slabs and half of the transforms.
     """
     spectral = grid if band is None else band
     with (nullcontext(worker) if worker is not None
           else _worker(grid.n)) as worker:
-        density = np.empty((grid.n,) * 3)
+        block = _RecordBlock(spectral, _lanes(worker), physical is None,
+                             work)
+        density, tensor = block.density, block.tensor
         slabs = _slabs(grid.n)
 
         def fill(form, *arrays):
@@ -257,23 +336,25 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
         def integral(form, *arrays):
             return integrate(fill(form, *arrays))
 
-        v_phys, omega_phys = physical or _physical_fields(spectral, v, worker)
+        if physical is None:
+            physical = block.v, block.omega
+            _physical_fields(spectral, v, physical, worker, block.work,
+                             block.pads)
+        v_phys, omega_phys = physical
         e = integral(magnitude_squared, v_phys)
         h = integral(pointwise_dot, v_phys, omega_phys)
-        del v_phys  # a v formed here goes before the tensor is formed
-        tensor = _strain_entries(spectral, v, worker)
-        spectra = _slab_eigenvalues(tensor, worker)
+        _strain_entries(spectral, v, worker, tensor, block.work, block.pads)
         fill(magnitude_squared, omega_phys)
         bkm_sup_vort = float(np.sqrt(np.max(density)))  # max_speed(omega)
         z = integrate(density)
-        q = integral(_quadratic_density, spectra)
-        p = integral(_product_density, spectra)
         w = integral(_stretching_density, tensor, omega_phys)
         c3 = integral(_cubic_trace_density, tensor)
         trace_mean_square = np.mean(fill(_trace_squared, tensor))
         _check_trace(trace_mean_square,
                      np.mean(fill(frobenius_squared, tensor)))
-    del density, tensor, omega_phys  # before the epsilon ratio's arrays
+        spectra = _slab_eigenvalues(tensor, worker, out=tensor[:3])
+        q = integral(_quadratic_density, spectra)
+        p = integral(_product_density, spectra)
     if isinstance(classification, _ClassifyHere):
         classification.result = classify_admissible(
             spectra, classification.tolerance)
@@ -289,7 +370,8 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     inf_eps = math.nan
     if (classification is not None and class_valid
             and classification.label != AdmissibleClass.NEITHER):
-        ratio, excluded = epsilon_ratio(spectra, classification, eps_floor)
+        ratio, excluded = epsilon_ratio(spectra, classification, eps_floor,
+                                        out=density)
         if excluded < ratio.size:
             inf_eps = float(np.nanmin(ratio))
 
@@ -301,39 +383,22 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
         inf_eps=inf_eps, bkm_sup_vort=bkm_sup_vort)
 
 
-def _physical_fields(grid: Grid | Band, v: np.ndarray, worker):
-    """``fft_inverse(v)`` and ``fft_inverse(curl(grid, v))``, the first
-    on ``worker`` when there is one, in two arrays, so that the record
-    can release the first one alone.  On a :class:`Band` ``v`` is
-    compact, and each thread transforms its field component by component
-    through a padded component of its own (see :func:`_strain_entries`)."""
-    n = grid.n
-    out = [np.empty((3, n, n, n)) for _ in range(2)]
-    if isinstance(grid, Band):
-        pads = _band_pads(grid, worker)
-        spectral = (v, curl(grid, v))
-        _split_lanes(worker, lambda k, lane: _band_inverse_into(
-            grid, spectral[k], out[k], pads[lane]), (0, 1))
-    else:
-        spectral = (np.array(v, dtype=np.complex128), curl(grid, v))
-        _split(worker, lambda k: _inverse_owned(spectral[k], out=out[k]),
-               (0, 1))
-    return out
-
-
-def _slab_eigenvalues(tensor: np.ndarray, worker) -> np.ndarray:
-    """``eigenvalues_sym3(tensor)``, solved slab by slab.
+def _slab_eigenvalues(tensor: np.ndarray, worker,
+                      out: np.ndarray) -> np.ndarray:
+    """``eigenvalues_sym3(tensor)``, solved slab by slab, into the
+    float64 ``out`` of shape ``(3,) + tensor.shape[1:]``.
 
     Each slab of x planes (:func:`euler_spectra.workers._slabs`) is
     solved on its own; the eigensolver, its refinement and its range
     guards act point by point, so the slabs give the values the whole
     field does.  The slabs alternate between ``worker`` and the calling
-    thread.
+    thread.  ``out`` may be ``tensor[:3]``: a slab's eigenvalues are
+    written once they are solved, over entries that no other slab
+    reads, and a slab that has been solved held no non-finite entry, so
+    the error below still names the first one of the whole field.
     """
-    spectra = np.empty((3,) + tensor.shape[1:])
-
     def solve(x):
-        spectra[:, x] = eigenvalues_sym3(tensor[:, x])
+        out[:, x] = eigenvalues_sym3(tensor[:, x])
 
     try:
         _split(worker, solve, _slabs(tensor.shape[1]))
@@ -341,20 +406,20 @@ def _slab_eigenvalues(tensor: np.ndarray, worker) -> np.ndarray:
         # A slab names its own first bad entry; report the whole field's.
         _require_finite(tensor)
         raise
-    return spectra
+    return out
 
 
 def classify_and_record(grid: Grid, t: float, v: np.ndarray,
                         tolerance: float | None = None,
                         eps_floor: float | None = None, physical=None,
-                        worker=None, band: Band | None = None):
+                        worker=None, band: Band | None = None, work=None):
     """Classify the first sample of a series and record it.
 
     Gives the same classification as
     :func:`~euler_spectra.initial.classify_initial` and the same record
     as :func:`compute_record` called with it, from one deformation
-    tensor and one eigensolve; ``physical``, ``worker`` and ``band`` go
-    to the record.
+    tensor and one eigensolve; ``physical``, ``worker``, ``band`` and
+    ``work`` go to the record.
 
     Returns
     -------
@@ -363,7 +428,7 @@ def classify_and_record(grid: Grid, t: float, v: np.ndarray,
     pending = _ClassifyHere(tolerance)
     record = compute_record(grid, t, v, classification=pending,
                             eps_floor=eps_floor, physical=physical,
-                            worker=worker, band=band)
+                            worker=worker, band=band, work=work)
     return pending.result, record
 
 
@@ -486,7 +551,7 @@ class DiagnosticsCollector:
                 self.grid, state.t, state.v, self.class_tolerance,
                 self.eps_floor, band=state.band)
             self.tail_fraction_initial = resolution_tail_fraction(
-                self.grid, state.half_spectrum())
+                self.grid, state.v, state.band)
         else:
             record = compute_record(self.grid, state.t, state.v,
                                     classification=self.classification,
@@ -557,6 +622,6 @@ class DiagnosticsCollector:
             "resolution_health": {
                 "tail_enstrophy_fraction_initial": self.tail_fraction_initial,
                 "tail_enstrophy_fraction_final": resolution_tail_fraction(
-                    self.grid, self._last_state.half_spectrum()),
+                    self.grid, self._last_state.v, self._last_state.band),
             },
         }

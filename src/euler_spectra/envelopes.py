@@ -38,6 +38,7 @@ from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
     _curl_component,
     _inverse_owned,
+    _physical_fields,
     check_velocity,
     cross_product,
     fft_forward,
@@ -382,11 +383,6 @@ def epsilon_decay_bound(records, classification: Classification,
                              satisfied_series, bool(satisfied_series.all()))
 
 
-# The order of the (field, component) transforms of a snapshot, field 0
-# for v and 1 for omega, so that each thread takes v and omega parts.
-_FIELD_PARTS = ((1, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2))
-
-
 class _SnapshotPass:
     """The physical fields and transport terms of a series of spectral
     velocities, formed one snapshot at a time.
@@ -406,8 +402,9 @@ class _SnapshotPass:
     held open by the caller) by lane: the transforms by component, the
     cross product by x slab, the comparison by slab and component.
     Every buffer of grid size is allocated by the calling thread: per
-    thread, a spectral component with the temporary of a curl component,
-    and the products of a slab's cross product.
+    thread, a spectral component with the temporary of a curl component
+    (``spectral_work``, which ``diagnose`` lends to its records), and
+    the products of a slab's cross product.
     """
 
     def __init__(self, grid: Grid, worker, transport=True):
@@ -426,23 +423,12 @@ class _SnapshotPass:
     def fields(self, vhat: np.ndarray):
         """``(fft_inverse(vhat), fft_inverse(curl(grid, vhat)))`` of the
         next snapshot, in the pass's buffers."""
-        grid, v = self.grid, self.v
         if self.transport is not None:
             self.omega.append(np.empty(self.field))
-        omega = self.omega[-1]
-
-        def transform(part, lane):
-            field, i = part
-            component, work = self.spectral_work[lane]
-            if field == 0:
-                component[...] = vhat[i]
-                _inverse_owned(component, out=v[i])
-            else:
-                _curl_component(grid, vhat, i, component, work=work)
-                _inverse_owned(component, out=omega[i])
-
-        _split_lanes(self.worker, transform, _FIELD_PARTS)
-        return v, omega
+        fields = self.v, self.omega[-1]
+        _physical_fields(self.grid, vhat, fields, self.worker,
+                         self.spectral_work, None)
+        return fields
 
     def add_transport(self, spectrum: np.ndarray) -> None:
         """The transport row of the snapshot :meth:`fields` formed last.

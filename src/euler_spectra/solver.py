@@ -47,7 +47,6 @@ reports the choice.
 """
 
 import logging
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -55,6 +54,7 @@ import numpy as np
 
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
+    _FIELD_PARTS,
     _band_forward_x,
     _band_forward_y,
     _band_forward_z,
@@ -72,6 +72,7 @@ from euler_spectra.fields import (
 )
 from euler_spectra.grid import Band, Grid
 from euler_spectra.workers import (
+    _carve,
     _lanes,
     _slabs,
     _split,
@@ -85,8 +86,8 @@ logger = logging.getLogger("euler_spectra.solver")
 # Steps between CFL samplings during run(); each sample costs one
 # inverse transform of the velocity, a third of the transforms of an
 # rhs evaluation, so checking every step would tax small grids.  On a
-# dealiased run the sample transforms the band (band_inverse: 8.2 ms at
-# n=64 on 2 CPUs, against 11.7 ms for fft_inverse of the half spectrum).
+# dealiased run the sample transforms the band (band_inverse), which
+# skips the lines outside it.
 _CFL_CHECK_STRIDE = 25
 
 
@@ -199,41 +200,25 @@ def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0,
     return out
 
 
-# The inverse x pass of a band evaluation by component, as (field,
-# component) with v as field 0 and omega as field 1.  The threads take
-# these parts in turn, so in this order each gets both fields, and the
-# worker the two omega parts (an omega part also forms its curl
-# component): at n=64 that phase took 6.4-7.3 ms per evaluation, and
-# 8.1-8.2 ms with the two omega parts on the calling thread.
-_INVERSE_PARTS = ((1, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2))
-
-
-def _carve(*specs) -> list:
-    """Arrays of the given ``(shape, dtype)`` specs, as views of one new
-    ``np.empty`` block that share no byte, each starting at a multiple
-    of 64 bytes into it."""
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize
-             for shape, dtype in specs]
-    starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])
-    block = np.empty(starts[-1], np.uint8)
-    return [block[start:start + size].view(dtype).reshape(shape)
-            for (shape, dtype), start, size in zip(specs, starts, sizes)]
-
-
 class _BandWorkspace:
     """Buffers and worker thread for the band evaluations of one step.
 
     Every buffer is a view of one ``np.empty`` block
-    (:func:`_carve`), allocated by the calling thread, that lives as long
-    as this object: one RK4 step.  One block, because glibc gives a
-    freed block above its mmap threshold back to the OS and then raises
-    the threshold to that block's size (up to 32 MB): from the second
-    step on the block comes from the heap, whose pages stay mapped, where
-    a dozen buffers of a few megabytes would each be mapped and faulted
-    in again every step.  The block is not kept for a whole run: it
-    would sit on top of the peak of the diagnostics record, which reuses
-    the freed memory instead.  Nothing is allocated by the worker thread,
-    whose arrays would land in a malloc arena of its own.
+    (:func:`euler_spectra.workers._carve`), allocated by the calling
+    thread, that lives as long as this object: one RK4 step.  One block,
+    because glibc gives a freed block above its mmap threshold back to
+    the OS and then raises the threshold to that block's size (up to
+    32 MB): from the second step on the block comes from the heap, whose
+    pages stay mapped, where a dozen buffers of a few megabytes would
+    each be mapped and faulted in again every step.  The block is not
+    kept for a whole run, and records do not share it: a diagnostics
+    record carves a block of its own for its duration
+    (:func:`euler_spectra.diagnostics.compute_record`), and a block that
+    is never freed would keep glibc's mmap threshold low, so that every
+    other array of grid size (a record's compact curl, a snapshot's
+    physical field) would be mapped and faulted in again.  Nothing is
+    allocated by the worker thread, whose arrays would land in a malloc
+    arena of its own.
 
     The buffers: ``padded``, v and omega zero-padded to the planes
     kz <= m, whose v half also takes the forward passes; ``acc``, ``k``
@@ -327,7 +312,7 @@ class _BandWorkspace:
                     np.multiply(work[0], u[i, rows], out=work[1])
                     np.subtract(part[i], work[1], out=part[i])
 
-        _split_lanes(self.worker, inverse_x, _INVERSE_PARTS)
+        _split_lanes(self.worker, inverse_x, _FIELD_PARTS)
         _split_lanes(self.worker, slab, self.slabs)
         _split(self.worker, lambda y_rows: _band_forward_x(padded[0], y_rows),
                (slice(0, n // 2), slice(n // 2, n)))

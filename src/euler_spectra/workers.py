@@ -1,4 +1,5 @@
-"""When work on a grid shares one worker thread, and how it is split.
+"""When work on a grid shares one worker thread, how it is split, and
+the blocks its buffers are carved from.
 
 A band step (:mod:`euler_spectra.solver`), a diagnostics record
 (:mod:`euler_spectra.diagnostics`) and the per-snapshot transforms of
@@ -14,21 +15,23 @@ step, record or call ends; ``diagnose`` holds one worker for its whole
 pass over the snapshots, and its records use that one.  Arrays a worker
 writes into are allocated by the calling thread: arrays a worker
 allocates land in a malloc arena of its own and raise the peak RSS.
+A band step and a diagnostics record each take all their buffers of
+grid size as views of one block (:func:`_carve`), which lives as long
+as the step or the record: one allocation, which glibc can serve from
+pages it has already mapped, where a dozen arrays would each be mapped
+and faulted in again.
 """
 
+import math
 import os
 from contextlib import nullcontext
 
-# Smallest grid whose work shares a worker thread.  On 2 CPUs a
-# Taylor-Green step with the worker took 108-130 ms against 146-185 ms
-# without at n=64, 19-22 ms against 21-26 ms at n=32 (within the spread
-# of repeated runs) and 5.8-6.8 ms against 3.0-4.6 ms at n=16.  A record
-# over slabs was about even on one thread or two at n=32.  Re-measured
-# once the band step shared every phase with the worker (random field,
-# 40 interleaved reps in one process, 2 CPUs of a loaded shared host,
-# two runs): at n=32 a step took 24.3 and 24.6 ms on one thread against
-# 33.6 and 29.3 ms on two, and a record 17.0 and 17.4 ms against 23.5
-# and 21.1 ms, so n=32 stays on one thread.
+import numpy as np
+
+# Smallest grid whose work shares a worker thread.  Below it a step and
+# a record ran slower on two threads than on one on a 2-CPU host: the
+# hand-offs cost more than the transforms they share (CHANGES.md and
+# the BENCH_*.json files hold the timings).
 _THREADED_MIN_N = 64
 
 
@@ -113,3 +116,24 @@ def _split(worker, job, parts):
     """Call ``job(part)`` for every part of ``parts``, split between the
     threads as :func:`_split_lanes` splits them."""
     _split_lanes(worker, lambda part, lane: job(part), parts)
+
+
+def _carve(*specs, block=None) -> list:
+    """Arrays of the given ``(shape, dtype)`` specs, as views of one
+    uint8 ``block`` that share no byte, each starting at a multiple of
+    64 bytes into it.  By default the block is a new ``np.empty`` of
+    ``_carved_size(*specs)`` bytes, allocated by the calling thread."""
+    if block is None:
+        block = np.empty(_carved_size(*specs), np.uint8)
+    start, views = 0, []
+    for shape, dtype in specs:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        views.append(block[start:start + size].view(dtype).reshape(shape))
+        start += -(-size // 64) * 64
+    return views
+
+
+def _carved_size(*specs) -> int:
+    """The bytes :func:`_carve` takes for ``specs``."""
+    return sum(-(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+               for shape, dtype in specs)

@@ -7,6 +7,7 @@ anything the generators produce — including freshly randomized fields.
 """
 
 import csv
+import itertools
 import logging
 import math
 
@@ -25,7 +26,7 @@ from euler_spectra.deformation import (
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
-    _physical_fields,
+    _RecordBlock,
     _slab_eigenvalues,
     classify_and_record,
     compute_record,
@@ -36,7 +37,10 @@ from euler_spectra.diagnostics import (
     stretching_integral,
 )
 from euler_spectra.errors import ContractViolationError, NumericsError
+from euler_spectra.envelopes import _SnapshotPass
 from euler_spectra.fields import (
+    _physical_fields,
+    band_inverse,
     curl,
     divergence_free_error,
     fft_forward,
@@ -266,7 +270,8 @@ class TestSlabRecord:
     def test_non_finite_entry_named_as_on_whole_field(self, rng, threads,
                                                       monkeypatch):
         # The first slab holds a NaN in s12; a later one holds the NaN
-        # in s11 that the whole-field check names first.
+        # in s11 that the whole-field check names first.  The slabs
+        # write their eigenvalues over the tensor, as in a record.
         grid = Grid(64)
         tensor = deformation_tensor(grid, make_random_velocity(grid, rng))
         tensor[0, 61, 2, 5] = np.nan
@@ -276,21 +281,37 @@ class TestSlabRecord:
         use_threads(monkeypatch, threads)
         with workers_module._worker(grid.n) as worker:
             with pytest.raises(NumericsError) as slabbed:
-                _slab_eigenvalues(tensor, worker)
+                _slab_eigenvalues(tensor, worker, out=tensor[:3])
         assert str(slabbed.value) == str(whole.value)
         assert "component s11 at grid index (61, 2, 5)" in str(whole.value)
 
     def test_peak_memory_of_one_record(self, monkeypatch):
-        # The integrands share one array of the whole grid, and the
-        # record's own v goes before the tensor is formed.  One thread,
-        # so that the peak does not depend on the host: it measured
-        # 15.3 fields of the grid against 26.3 while a record held all
-        # nine integrands at once.
+        # The record's buffers are one block: the tensor, whose first
+        # half holds v and then the eigenvalues, omega, and one region
+        # shared by the integrand and the transform buffers.  One
+        # thread, so that the peak does not depend on the host: it
+        # measured 13.3 fields of the grid, against 15.3 while the
+        # record allocated its arrays one by one and 26.3 while it held
+        # all nine integrands at once.
         grid = Grid(64)
         v = make_random_velocity(grid, np.random.default_rng(64))
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         assert traced_peak_fields(
-            grid, lambda: compute_record(grid, 0.5, v)) < 17.0
+            grid, lambda: compute_record(grid, 0.5, v)) < 14.0
+
+    def test_peak_memory_of_one_band_record(self, monkeypatch):
+        # A dealiased run's record: its lane buffers are compact
+        # components and one padded component, smaller than those of
+        # the half spectrum.  One thread; it measured 12.6 fields of the
+        # grid, against 15.3 while the record allocated its arrays one
+        # by one.
+        grid = Grid(64)
+        band = Band(grid)
+        v = band.restrict(make_random_velocity(grid,
+                                               np.random.default_rng(64)))
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
+        assert traced_peak_fields(
+            grid, lambda: compute_record(grid, 0.5, v, band=band)) < 13.0
 
     def test_trace_warning_from_the_slab_pass(self, grid16, caplog):
         x, _, _ = grid16.coordinates()
@@ -304,7 +325,131 @@ class TestSlabRecord:
         assert second.message == first.message
 
 
+class TestRecordBlock:
+    # Every buffer of grid size of a record is a view of one block, in
+    # regions that are reused only once what they held is dead.
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("own_fields", [True, False])
+    @pytest.mark.parametrize("layout", ["band", "half"])
+    def test_is_one_block(self, layout, own_fields, threaded):
+        grid = Grid(16)
+        space = Band(grid) if layout == "band" else grid
+        block = _RecordBlock(space, 2 if threaded else 1, own_fields)
+        buffers = {name: value for name, value in vars(block).items()
+                   if isinstance(value, np.ndarray)}
+        assert (block.omega is None) != own_fields
+        assert (block.pads is None) == (layout == "half")
+        assert block.work.shape[:2] == (2 if threaded else 1, 2)
+        root = block.tensor.base
+        assert root is not None and root.ndim == 1
+        for buffer in buffers.values():
+            assert buffer.base is root
+        # Live at once: the tensor, omega and the lane buffers while the
+        # tensor is formed; v (the tensor's first half, later the
+        # eigenvalues), omega and the integrand while integrands are.
+        live = [name for name in ("tensor", "omega", "work", "pads")
+                if name in buffers]
+        for a, b in itertools.combinations(live, 2):
+            assert not np.shares_memory(buffers[a], buffers[b]), (a, b)
+        for name in ("tensor", "omega"):
+            if name in buffers:
+                assert not np.shares_memory(block.density, buffers[name])
+        assert np.shares_memory(block.v, block.tensor)
+        assert np.shares_memory(block.density, block.work)
+
+    def test_lent_work_is_not_carved(self, grid16):
+        work = np.empty((2, 2) + grid16.k_squared.shape, np.complex128)
+        block = _RecordBlock(grid16, 2, False, work)
+        assert block.work is work and block.pads is None
+        assert block.tensor.base.nbytes == 7 * 8 * 16 ** 3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("layout", ["band", "half"])
+    def test_one_grid_size_allocation_per_record(self, layout, threads,
+                                                 monkeypatch):
+        # np.empty runs once per record, for its block, whatever the
+        # layout and the threads.
+        grid = Grid(32)
+        band = Band(grid)
+        v = band.restrict(make_random_velocity(grid,
+                                               np.random.default_rng(3)))
+        kwargs = {"band": band} if layout == "band" else {}
+        if layout == "half":
+            v = band.scatter(v)
+        use_threads(monkeypatch, threads)
+        sizes = []
+        empty = np.empty
+
+        def counting(shape, *args, **kwargs):
+            array = empty(shape, *args, **kwargs)
+            if array.nbytes >= 8 * grid.n ** 3:
+                sizes.append(array.nbytes)
+            return array
+
+        monkeypatch.setattr(np, "empty", counting)
+        compute_record(grid, 0.5, v, **kwargs)
+        assert len(sizes) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("layout, given", [
+        ("band", "none"), ("band", "physical"), ("half", "none"),
+        ("half", "physical"), ("half", "physical+work")])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_whole_field(self, n, layout, given, threads,
+                                 monkeypatch):
+        # The block's reuse order changes which integral is taken first,
+        # never a value: on the band and on the half spectrum, with the
+        # physical fields of a caller or without, and with the lane
+        # buffers that diagnose lends.
+        grid = Grid(n)
+        band = Band(grid)
+        use_threads(monkeypatch, threads)
+        for start in (random_solenoidal(grid, seed=n), abc_flow(grid)):
+            compact = band.restrict(start)
+            half = band.scatter(compact)
+            v = compact if layout == "band" else half
+            for label in (None, AdmissibleClass.APLUS):
+                classification = label and Classification(label, 0.0, 0.0,
+                                                          0.0)
+                expected = whole_field_record(grid, 0.5, half,
+                                              classification)
+                with workers_module._worker(n) as worker:
+                    kwargs = {"worker": worker}
+                    if layout == "band":
+                        kwargs["band"] = band
+                    if given != "none" and layout == "band":
+                        kwargs["physical"] = (
+                            band_inverse(band, v),
+                            band_inverse(band, curl(band, v)))
+                    elif given != "none":
+                        snapshots = _SnapshotPass(grid, worker,
+                                                  transport=False)
+                        kwargs["physical"] = snapshots.fields(v)
+                        if given == "physical+work":
+                            kwargs["work"] = snapshots.spectral_work
+                    record = compute_record(grid, 0.5, v,
+                                            classification=classification,
+                                            **kwargs)
+                assert np.array_equal(record.as_tuple(),
+                                      expected.as_tuple(), equal_nan=True)
+
+
 class TestResolutionTail:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("field", ["taylor_green", "random"])
+    def test_band_state_gives_the_same_bits(self, n, field):
+        # The compact layout holds the kept modes in the C order of the
+        # masked half spectrum, with the same Parseval weights, so both
+        # pairwise sums are the same bits.
+        grid = Grid(n)
+        band = Band(grid)
+        start = (taylor_green(grid) if field == "taylor_green"
+                 else random_solenoidal(grid, seed=n))
+        compact = band.restrict(start)
+        on_band = resolution_tail_fraction(grid, compact, band)
+        assert on_band == resolution_tail_fraction(grid,
+                                                   band.scatter(compact))
+        assert on_band > 0.0 or field == "taylor_green"
     def test_band_limited_field_has_empty_tail(self, grid32):
         # All spectral content of the ABC flow sits at |k| = 1, far
         # inside the tail shell; only transform noise remains out there.
@@ -364,6 +509,18 @@ class TestResolutionTail:
         assert abs(divergence_free_error(g, v) - expected) < 1e-12
 
 
+def record_transforms(space, v, worker):
+    """The physical v and omega and the deformation tensor that a record
+    forms, each in buffers of its own record block."""
+    lanes = workers_module._lanes(worker)
+    block = _RecordBlock(space, lanes, own_fields=True)
+    _physical_fields(space, v, (block.v, block.omega), worker, block.work,
+                     block.pads)
+    tensor = _RecordBlock(space, lanes, own_fields=False)
+    _strain_entries(space, v, worker, tensor.tensor, tensor.work, tensor.pads)
+    return block.v, block.omega, tensor.tensor
+
+
 class TestBandRecord:
     # A dealiased run's observers get its state on the band, and a
     # record transforms the band as it is; it must give the record of
@@ -382,11 +539,9 @@ class TestBandRecord:
         with workers_module._worker(n) as worker:
             assert (worker is not None) == (n == 64)
             for on_band, on_half in zip(
-                    _physical_fields(band, compact, worker),
-                    _physical_fields(grid, half, worker)):
+                    record_transforms(band, compact, worker),
+                    record_transforms(grid, half, worker)):
                 assert np.array_equal(on_band, on_half)
-            assert np.array_equal(_strain_entries(band, compact, worker),
-                                  _strain_entries(grid, half, worker))
         classification, record = classify_and_record(grid, 0.5, compact,
                                                      band=band)
         assert classification == classify_and_record(grid, 0.5, half)[0]
