@@ -133,7 +133,7 @@ def _strain_entries(grid: Grid | Band, v: np.ndarray, worker,
     in the order of ``1j * k_i * v_i`` and
     ``0.5j * (k_i * v_j + k_j * v_i)``, so they round as those
     expressions do.  ``grid`` is the :class:`Band` of a compact ``v``
-    (a dealiased run's state), whose entries are formed on the band and
+    (a run's state), whose entries are formed on the band and
     transformed by the passes of
     :func:`~euler_spectra.fields.band_inverse` through ``pads[lane]``;
     the tensor is the same as on the half spectrum of ``v``.  Every

@@ -40,7 +40,7 @@ tensor's region, the eigenvalues take its place once every integral of
 the tensor is taken, and the integrand shares a region with the
 transform buffers.
 
-A record of a dealiased run's state takes the compact band array as it
+A record of a run's state takes the compact band array as it
 is: it forms the curl and the tensor entries on the band and transforms
 them with the passes of :func:`~euler_spectra.fields.band_inverse`,
 which skip the lines outside the band and give the values the half
@@ -127,8 +127,8 @@ def cubic_trace_integral(grid: Grid, tensor: np.ndarray) -> float:
     Using the componentwise expansion keeps this quantity independent
     of the eigensolver, so comparing it against 3 P cross-checks the
     entire eigenvalue pipeline.  Every term is a product of entries:
-    numpy evaluates ``s ** 3`` through ``pow``, which took 24 ms on an
-    n=64 field against 0.5 ms for ``s * s * s`` (2 CPUs).
+    numpy evaluates ``s ** 3`` through ``pow``, many times slower than
+    ``s * s * s``.
     """
     return integrate_domain(grid, _cubic_trace_density(tensor))
 
@@ -150,29 +150,28 @@ def resolution_tail_fraction(grid: Grid, v: np.ndarray,
     the retained band is saturated and the run is underresolved.  Uses
     the infinity-norm shell |k|_inf > (2/3) * (n/3) as the tail.  Sums
     run over the half spectrum with the grid's Parseval weight.  ``band``
-    is the :class:`Band` of a compact ``v``, the state of a dealiased
-    run: the compact layout holds the kept modes in the C order of the
-    half spectrum, and the weight is 1 at kz = 0 and 2 on the other band
-    planes there too, so the sums are the same bits as on
-    ``band.scatter(v)``, without the scatter.
+    is the :class:`Band` of a compact ``v``, the state of a run: the
+    compact layout holds its modes in the C order of the half spectrum,
+    and the weight is 1 at kz = 0 and 2 on the other band planes there
+    too, so the sums over the band's modes of the 2/3-rule ball and of
+    its tail are the same bits as on ``band.scatter(v)``, without the
+    scatter.
     """
     n = grid.n
     absf = np.abs(grid.freq)
     kinf = np.maximum(np.maximum(absf.reshape(n, 1, 1),
                                  absf.reshape(1, n, 1)),
                       np.abs(grid.freq_z).reshape(1, 1, -1))
-    in_tail = grid.dealias_mask & (kinf > (2.0 / 3.0) * grid.dealias_limit)
-    space = grid if band is None else band
+    space, kept = grid, grid.dealias_mask
+    in_tail = kept & (kinf > (2.0 / 3.0) * grid.dealias_limit)
+    if band is not None:
+        space, kept, in_tail = band, band.restrict(kept), band.restrict(in_tail)
     weight = grid.parseval_weight[..., :v.shape[-1]]
     power = weight * sum(np.abs(c) ** 2 for c in curl(space, v))
-    if band is None:
-        kept, tail = power[grid.dealias_mask], power[in_tail]
-    else:
-        kept, tail = power, power[band.restrict(in_tail)]
-    total = pairwise_sum(kept)
+    total = pairwise_sum(power[kept])
     if total <= 0.0:
         return 0.0
-    return pairwise_sum(tail) / total
+    return pairwise_sum(power[in_tail]) / total
 
 
 _CSV_FIELDS = ("t", "E", "H", "Z", "Q", "P", "W", "C3",
@@ -294,7 +293,7 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     held open by a caller whose records share it (``diagnose``); by
     default the record opens its own, which gives no thread exactly
     where the caller's gives none.  ``band`` is the :class:`Band` of a
-    compact ``v``, the state of a dealiased run; the record is the same
+    compact ``v``, the state of a run; the record is the same
     as on ``band.scatter(v)``.  ``work`` is a complex128 array
     ``(lanes, 2) + v.shape[1:]``, one spectral component and its scratch
     per thread of ``worker``, that a caller lends the record
@@ -463,8 +462,8 @@ class DiagnosticsCollector:
     """Run observer that records diagnostics and streams them to CSV.
 
     It takes the states of :func:`euler_spectra.solver.run` as they
-    come, and records a state on the band (a dealiased run's) on the
-    band.
+    come, and records each one as it is, on its band or on the half
+    spectrum.
 
     Parameters
     ----------

@@ -23,9 +23,9 @@ Conventions used throughout the package:
   need wavenumbers take the :class:`~euler_spectra.grid.Grid` first.
 
 The transforms are three passes of one-dimensional ``numpy.fft``
-transforms over the last three axes.  A dealiased solver run holds its
-state on the 2/3-rule band |k_j| <= n//3 alone
-(:class:`~euler_spectra.grid.Band`): ``band_inverse`` zero-pads it and
+transforms over the last three axes.  A solver run holds its state on
+a band |k_j| <= m alone (:class:`~euler_spectra.grid.Band`), the
+2/3-rule band m = n//3 when dealiased: ``band_inverse`` zero-pads it and
 ``band_forward`` computes only the kept modes.  Each band mode goes
 through the same arithmetic as in the full transforms, so the two
 layouts give the same values bit for bit.  ``curl`` and
@@ -217,10 +217,8 @@ def _band_pad_inverse_x(band: Band, coeffs: np.ndarray,
     ``coeffs`` into the complex128 ``work`` (space shape
     ``(n, n, m + 1)``) and ``ifft`` along x the band's ky lines, in
     place.  Only the rows outside the band are zeroed, and the band goes
-    in as four blocks of slices: at n=64 that took 83-88 us per
-    component against 123-127 us for zeroing all of ``work`` and
-    scattering the band by ``band.index`` (2 CPUs), with the same
-    bytes."""
+    in as four blocks of slices, which measured faster than zeroing all
+    of ``work`` and scattering the band by ``band.index``."""
     gap = slice(band.m + 1, band.n - band.m)
     work[..., gap, :, :] = 0.0
     for x in band.x_halves:
@@ -249,10 +247,8 @@ def _inverse_component(space: Grid | Band, coeffs: np.ndarray,
 # (field, component) with v as field 0 and omega as field 1.  The
 # threads of :func:`euler_spectra.workers._split_lanes` take these parts
 # in turn, so in this order each gets both fields, and the worker the
-# two omega parts (an omega part also forms its curl component): at n=64
-# the inverse x pass of a band step took 6.4-7.3 ms per evaluation in
-# this order, and 8.1-8.2 ms with the two omega parts on the calling
-# thread.
+# two omega parts (an omega part also forms its curl component), which
+# measured faster than the omega parts on the calling thread.
 _FIELD_PARTS = ((1, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2))
 
 

@@ -26,10 +26,12 @@ Every stored mode with 0 < kz < n/2 stands for itself and its complex
 conjugate at -k, which the half spectrum omits; ``parseval_weight``
 counts those modes twice in spectral sums.
 
-A :class:`Band` holds the same tables cut to the modes the 2/3 rule
-keeps, |k_j| <= n//3, for the state of a dealiased solver run, which
-lives on that band alone; a :class:`BandHalf` holds the projection
-tables of one x half of the band, for work split by x rows.
+A :class:`Band` holds the same tables cut to the modes |k_j| <= m, for
+the state of a solver run, which lives on that band alone: the modes
+the 2/3 rule keeps (m = n//3) on a dealiased run, every mode but the
+Nyquist planes (m = n//2 - 1) on the others.  A :class:`BandHalf` holds
+the projection tables of one x half of the band, for work split by x
+rows.
 """
 
 import math
@@ -169,11 +171,13 @@ class Grid:
 
 
 class Band:
-    """The 2/3-rule band |k_j| <= m = n//3 of a grid, as a compact layout.
+    """The band |k_j| <= m of a grid, as a compact layout.
 
-    A band array has space shape ``(2m + 1, 2m + 1, m + 1)``: the x and
-    y axes hold the modes 0, 1, ..., m, -m, ..., -1 (FFT order with the
-    gap removed), the z axis kz = 0, ..., m.  The band never contains a
+    ``m`` defaults to n//3, the 2/3-rule band; it may be at most
+    n//2 - 1, the band of every mode but the Nyquist planes.  A band
+    array has space shape ``(2m + 1, 2m + 1, m + 1)``: the x and y axes
+    hold the modes 0, 1, ..., m, -m, ..., -1 (FFT order with the gap
+    removed), the z axis kz = 0, ..., m.  The band never contains a
     Nyquist mode.  The wavenumber tables are the :class:`Grid` tables
     restricted to the band, under the same names, so the per-mode
     operators of :mod:`euler_spectra.fields` run on a ``Band`` unchanged.
@@ -181,8 +185,8 @@ class Band:
     ``x_halves`` cuts the band into the x rows of the two ``halves``.
     """
 
-    def __init__(self, grid: Grid):
-        n, m = grid.n, grid.n // 3
+    def __init__(self, grid: Grid, m: int | None = None):
+        n, m = grid.n, grid.n // 3 if m is None else m
         self.n, self.m = n, m
         # Along x or y: the modes 0..m and -m..-1 as slices of the FFT
         # layout, and the FFT-layout position of each band row.

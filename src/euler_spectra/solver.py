@@ -5,11 +5,11 @@ The momentum equation is advanced in rotational form,
     dv/dt = P[ v x omega ] - nu * |k|^2 * v ,
 
 where P is the solenoidal projection and the cross product is evaluated
-pointwise in physical space and dealiased by the 2/3 rule before
-projection.  The rotational form conserves kinetic energy exactly in
-the spatial semidiscretization (the pressure-gradient part is removed
-by P; the aliasing residue by the 2/3 rule), so at nu = 0 energy
-drift measures only the time integrator.
+pointwise in physical space and truncated to the run's band before
+projection.  On the 2/3-rule band the rotational form conserves kinetic
+energy exactly in the spatial semidiscretization (the pressure-gradient
+part is removed by P; the aliasing residue by the truncation), so at
+nu = 0 energy drift measures only the time integrator.
 
 Time stepping is the classical fourth-order Runge-Kutta scheme.  The
 state is re-projected after each full step: the RK combination of
@@ -17,17 +17,19 @@ projected stages is already solenoidal in exact arithmetic, so this
 only sweeps up rounding, but it pins the divergence at machine zero
 over long runs.
 
-A dealiased run integrates the Fourier-Galerkin system that the 2/3
-rule truncates to the band |k_j| <= n//3, which has no other modes.
-``run`` cuts the projected start to that band and keeps the state on the
-compact band layout of :class:`~euler_spectra.grid.Band`, whose forward
-transform computes only the kept modes, from the start to the end of
+Every run integrates the Fourier-Galerkin system of a band
+|k_j| <= m (:class:`~euler_spectra.grid.Band`), which has no other
+modes.  A dealiased run takes m = n//3, the band the 2/3 rule keeps.
+A run with ``dealias`` off takes m = n//2 - 1, every mode but the
+Nyquist planes: its products alias, which such a run exists to show,
+but no mode of its state loses its derivative, so its deformation
+tensor stays trace-free.  ``run`` cuts the projected start to the band
+and keeps the state on the compact band layout, whose forward
+transform computes only the band modes, from the start to the end of
 the run: every step runs on it, and the observers get it as it is
 (:class:`SolverState` names its band), so a record, a CFL sample or a
 snapshot transforms the band and skips the lines outside it.  Only the
-returned state is scattered back to the half spectrum.  A run with
-``dealias`` off steps on the full half spectrum of the
-:class:`~euler_spectra.grid.Grid` and masks nothing.
+returned state is scattered back to the half spectrum.
 
 A band step forms v, omega and v x omega in physical space one x-slab
 at a time, between the x pass of the inverse transforms and the x pass
@@ -47,7 +49,6 @@ reports the choice.
 """
 
 import logging
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,6 @@ from euler_spectra.fields import (
     band_inverse,
     check_velocity,
     cross_product,
-    curl,
     fft_forward,
     fft_inverse,
     leray_project,
@@ -85,9 +85,9 @@ logger = logging.getLogger("euler_spectra.solver")
 
 # Steps between CFL samplings during run(); each sample costs one
 # inverse transform of the velocity, a third of the transforms of an
-# rhs evaluation, so checking every step would tax small grids.  On a
-# dealiased run the sample transforms the band (band_inverse), which
-# skips the lines outside it.
+# rhs evaluation, so checking every step would tax small grids.  The
+# sample transforms the band (band_inverse), which skips the lines
+# outside it.
 _CFL_CHECK_STRIDE = 25
 
 
@@ -105,9 +105,9 @@ class SolverConfig:
     nu : float
         Kinematic viscosity, >= 0; zero selects the inviscid equations.
     dealias : bool
-        Integrate the 2/3-rule truncated system on the band (see the
-        module docstring).  Disabling it is only useful for
-        demonstrating aliasing errors.
+        On, step on the 2/3-rule band, whose products do not alias;
+        off, on the Nyquist-free band (see the module docstring), which
+        is only useful for demonstrating aliasing errors.
     cfl_warning : float
         Advective CFL number above which run() logs a warning.
     """
@@ -147,7 +147,7 @@ class SolverState:
     ``band`` is None when ``v`` is a half spectrum
     ``(3, n, n, n//2 + 1)``, and the :class:`Band` of ``v`` when it is a
     compact band array ``(3, 2m + 1, 2m + 1, m + 1)``, the state of a
-    dealiased run between its steps.
+    run between its steps.
     """
 
     t: float
@@ -169,35 +169,26 @@ class SolverState:
         return band_inverse(self.band, self.v)
 
 
-def rhs(grid: Grid | Band, v: np.ndarray, nu: float = 0.0,
+def rhs(band: Band, v: np.ndarray, nu: float = 0.0,
         workspace: "_BandWorkspace | None" = None,
         out: np.ndarray | None = None) -> np.ndarray:
-    """Right-hand side of the momentum equation for a spectral velocity.
+    """Right-hand side of the momentum equation for a compact velocity.
 
     Rotational form: transform v and omega = curl v to physical space,
     form v x omega, come back, project, and add the diffusion term.
-    ``grid`` is the :class:`Band` of a compact ``v``, whose forward
-    transform computes only the kept modes, which is the 2/3 rule; or
-    the :class:`Grid` of a half-spectrum one, which masks nothing.  On
-    a band the work may be shared with a worker thread (see the module
+    ``band`` is the :class:`Band` of ``v``, whose forward transform
+    computes only its modes, which truncates the product to the band.
+    The work may be shared with a worker thread (see the module
     docstring); the result is the same bit for bit.  ``workspace``
     holds the buffers and the worker of the :func:`step_rk4` call that
-    evaluates this; a band call without one makes its own.  The result
-    is written into ``out`` when it is given.
+    evaluates this; a call without one makes its own.  The result is
+    written into ``out`` when it is given.
     """
-    if isinstance(grid, Band):
-        if workspace is None:
-            with _BandWorkspace(grid) as own:
-                return rhs(grid, v, nu, own, out)
-        return workspace.evaluate(v, nu, np.empty_like(v) if out is None
-                                  else out)
-    v_phys = fft_inverse(v)
-    omega_phys = fft_inverse(curl(grid, v))
-    nonlinear = fft_forward(cross_product(v_phys, omega_phys))
-    out = leray_project(grid, nonlinear, out=out)
-    if nu != 0.0:
-        out -= (nu * grid.k_squared) * v
-    return out
+    if workspace is None:
+        with _BandWorkspace(band) as own:
+            return rhs(band, v, nu, own, out)
+    return workspace.evaluate(v, nu, np.empty_like(v) if out is None
+                              else out)
 
 
 class _BandWorkspace:
@@ -321,10 +312,10 @@ class _BandWorkspace:
 
 
 def step_threads(grid: Grid, config: SolverConfig) -> int:
-    """Threads the steps of ``run(grid, ..., config)`` use: 2 when they
-    run on the band and :mod:`euler_spectra.workers` allows a worker
-    (n >= 64, two CPUs or more), else 1."""
-    return 2 if config.dealias and _threaded(grid.n) else 1
+    """Threads the steps of ``run(grid, ..., config)`` use: 2 when
+    :mod:`euler_spectra.workers` allows a worker (n >= 64, two CPUs or
+    more), else 1."""
+    return 2 if _threaded(grid.n) else 1
 
 
 def _check_finite(v: np.ndarray, step_index: int, t: float):
@@ -337,19 +328,17 @@ def _check_finite(v: np.ndarray, step_index: int, t: float):
                 step_index=step_index, time=t)
 
 
-def step_rk4(grid: Grid | Band, state: SolverState,
+def step_rk4(band: Band, state: SolverState,
              config: SolverConfig) -> SolverState:
     """Advance one classical RK4 step and re-project the result.
 
-    ``grid`` is a :class:`Grid` or a :class:`Band`, as for :func:`rhs`;
-    the four evaluations on a band share one set of buffers and one
-    worker thread, and the stage arithmetic and the final projection
-    run by x halves of the band on both threads.  The stages and the
-    combination are formed in place, in the order of
+    ``band`` is the :class:`Band` of ``state.v``, as for :func:`rhs`;
+    the four evaluations share one set of buffers and one worker
+    thread, and the stage arithmetic and the final projection run by x
+    halves of the band on both threads.  The stages and the combination
+    are formed in place, in the order of
     ``v + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, so they round as that
-    expression does.
-
-    The new state names ``grid`` as its band when ``grid`` is one.
+    expression does.  The new state names ``band``.
 
     Raises
     ------
@@ -360,16 +349,8 @@ def step_rk4(grid: Grid | Band, state: SolverState,
     dt, nu = config.dt, config.nu
     v = state.v
     new_v = np.empty_like(v)
-    with (_BandWorkspace(grid) if isinstance(grid, Band)
-          else nullcontext()) as workspace:
-        if workspace is None:
-            acc, k, stage = (np.empty_like(v) for _ in range(3))
-
-            def by_parts(job):
-                job(slice(None), grid, None)
-        else:
-            acc, k, stage = workspace.acc, workspace.k, workspace.stage
-            by_parts = workspace.by_halves
+    with _BandWorkspace(band) as workspace:
+        acc, k, stage = workspace.acc, workspace.k, workspace.stage
 
         def next_stage(scale, weight=None):
             """The next stage v + scale * k_s on the given rows, then
@@ -390,19 +371,18 @@ def step_rk4(grid: Grid | Band, state: SolverState,
             np.add(v[:, x], acc[:, x], out=acc[:, x])
             leray_project(tables, acc[:, x], out=new_v[:, x], work=work)
 
-        rhs(grid, v, nu, workspace, out=acc)
-        by_parts(next_stage(0.5 * dt))
-        rhs(grid, stage, nu, workspace, out=k)
-        by_parts(next_stage(0.5 * dt, 2.0))
-        rhs(grid, stage, nu, workspace, out=k)
-        by_parts(next_stage(dt, 2.0))
-        rhs(grid, stage, nu, workspace, out=k)
-        by_parts(combine)
+        rhs(band, v, nu, workspace, out=acc)
+        workspace.by_halves(next_stage(0.5 * dt))
+        rhs(band, stage, nu, workspace, out=k)
+        workspace.by_halves(next_stage(0.5 * dt, 2.0))
+        rhs(band, stage, nu, workspace, out=k)
+        workspace.by_halves(next_stage(dt, 2.0))
+        rhs(band, stage, nu, workspace, out=k)
+        workspace.by_halves(combine)
     new_index = state.step_index + 1
     new_t = new_index * dt + (state.t - state.step_index * dt)
     _check_finite(new_v, new_index, new_t)
-    return SolverState(new_t, new_v, new_index,
-                       grid if isinstance(grid, Band) else None)
+    return SolverState(new_t, new_v, new_index, band)
 
 
 def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
@@ -411,14 +391,14 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
 
     The initial velocity (physical ``(3, n, n, n)`` float64, which is
     transformed first, or spectral ``(3, n, n, n//2 + 1)`` complex128)
-    is projected and, when ``config.dealias`` is on, cut to the 2/3-rule
-    band; the observers are called once on that initial state and then
-    after every step, and the final state is returned.  On a dealiased
-    run the observers get the state on the band (``state.band`` set,
-    ``state.v`` compact; :meth:`SolverState.half_spectrum` and
-    :meth:`SolverState.physical` convert it), and with ``dealias`` off
-    the half spectrum.  The returned state always holds the half
-    spectrum, zero outside the band on a dealiased run.  Observer
+    is projected and cut to the run's band: the 2/3-rule band when
+    ``config.dealias`` is on, the Nyquist-free one when it is off (see
+    the module docstring).  The observers are called once on that
+    initial state and then after every step, and the final state is
+    returned.  The observers get the state on the band (``state.band``
+    set, ``state.v`` compact; :meth:`SolverState.half_spectrum` and
+    :meth:`SolverState.physical` convert it).  The returned state holds
+    the half spectrum, zero outside the band.  Observer
     exceptions propagate to the caller, aborting the run.  The run
     keeps no reference to ``initial`` or to the start state once it has
     stepped past it, so a caller that hands over its only reference
@@ -440,11 +420,9 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     v0 = leray_project(grid, initial)
     del initial
     _check_finite(v0, 0, 0.0)
-    band = Band(grid) if config.dealias else None
-    if band is not None:
-        v0 = band.restrict(v0)  # only the modes of the truncated system
-    state = SolverState(0.0, v0, 0, band)
-    del v0  # the start goes with the state that holds it
+    band = Band(grid, grid.n // 3 if config.dealias else grid.n // 2 - 1)
+    state = SolverState(0.0, band.restrict(v0), 0, band)
+    del v0  # the state holds the start's band modes alone
 
     warned_cfl = False
 
@@ -464,7 +442,7 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     for obs in observers:
         obs(state)
     for _ in range(steps):
-        state = step_rk4(grid if band is None else band, state, config)
+        state = step_rk4(band, state, config)
         if state.step_index % _CFL_CHECK_STRIDE == 0:
             check_cfl(state)
         for obs in observers:

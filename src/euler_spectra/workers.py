@@ -37,14 +37,10 @@ _THREADED_MIN_N = 64
 
 # A slab of pointwise work (a record's eigensolve and integrands, the
 # physical fields of a band step, the time derivative of ``diagnose``)
-# holds at least _SLAB_PLANES x planes
-# and at least _SLAB_POINTS points: small enough that its temporaries
-# stay in cache, large enough that numpy's cost per call does not
-# dominate.  Records timed interleaved in one process on 2 CPUs, against
-# the whole-field evaluation: at n=64 slabs of 4, 8 and 16 planes took
-# 89, 84 and 85 ms against 162 ms; at n=32 (one thread) 24.2, 23.3 and
-# 21.6 ms against 21.7 ms; at n=128 slabs of 4 and 8 planes took 749
-# and 767 ms.
+# holds at least _SLAB_PLANES x planes and at least _SLAB_POINTS
+# points: small enough that its temporaries stay in cache, large enough
+# that numpy's cost per call does not dominate (CHANGES.md and the
+# BENCH_*.json files hold the timings).
 _SLAB_PLANES = 8
 _SLAB_POINTS = 16384
 

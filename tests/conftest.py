@@ -12,6 +12,8 @@ import pytest
 
 from euler_spectra.grid import Grid
 from euler_spectra.fields import (
+    cross_product,
+    curl,
     dealias_23,
     fft_forward,
     fft_inverse,
@@ -56,15 +58,32 @@ def snapshot_series64(tmp_path_factory):
     return paths
 
 
-def make_random_velocity(grid, rng, scale=1.0):
-    """Random smooth divergence-free dealiased velocity in spectral space."""
+def make_random_velocity(grid, rng, scale=1.0, band=None):
+    """Random smooth divergence-free velocity in spectral space, zero
+    outside ``band`` (a :class:`Band`), or dealiased when it is None."""
     comps = tuple(
         scale * rng.standard_normal((grid.n,) * 3) for _ in range(3)
     )
     vhat = fft_forward(np.stack(comps))
     # Damp high modes so derived quantities stay O(1) and well resolved.
     damp = np.exp(-0.5 * grid.k_squared / 9.0)
-    return dealias_23(grid, leray_project(grid, vhat * damp))
+    vhat = leray_project(grid, vhat * damp)
+    if band is None:
+        return dealias_23(grid, vhat)
+    return band.scatter(band.restrict(vhat))
+
+
+def rhs_reference(grid, v, nu=0.0):
+    """The momentum right-hand side P[v x omega] - nu |k|^2 v on the
+    whole half spectrum of ``grid``, with nothing masked: the solver's
+    band ``rhs`` gives its band modes.  Its product puts energy on the
+    Nyquist planes, which no band holds."""
+    v_phys = fft_inverse(v)
+    omega_phys = fft_inverse(curl(grid, v))
+    out = leray_project(grid, fft_forward(cross_product(v_phys, omega_phys)))
+    if nu != 0.0:
+        out -= (nu * grid.k_squared) * v
+    return out
 
 
 def leray_reference(grid, v):

@@ -6,6 +6,7 @@ abort, 3 I/O).
 """
 
 import json
+import logging
 import os
 import platform
 import struct
@@ -242,21 +243,25 @@ class TestCmdRun:
             thread_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", spy)
-        # One step and two records.
-        for cpus, n, threads, starts in [(2, 32, 1, 0), (1, 64, 1, 0),
-                                         (2, 64, 2, 3)]:
+        # One step and two records.  With dealias off the step runs on
+        # the Nyquist-free band, on two threads alike.
+        for cpus, n, threads, starts, dealias in [
+                (2, 32, 1, 0, True), (1, 64, 1, 0, True),
+                (2, 64, 2, 3, True), (2, 64, 2, 3, False)]:
             monkeypatch.setattr(workers_module, "_cpu_count", lambda: cpus)
-            out = tmp_path / f"out_{cpus}_{n}"
+            out = tmp_path / f"out_{cpus}_{n}_{dealias}"
             cfg = write_config(tmp_path, n=n, output_dir=str(out),
                                output_every=1,
-                               solver={"t_final": 0.001, "dt": 1e-3})
+                               solver={"t_final": 0.001, "dt": 1e-3,
+                                       "dealias": dealias})
             started.clear()
             assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
             assert len(started) == starts
             summary = json.loads((out / "summary.json").read_text())
             assert summary["manifest"]["solver_threads"] == threads
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
         config = SolverConfig(dt=1e-3, t_final=1e-3, dealias=False)
-        assert step_threads(Grid(64), config) == 1
+        assert step_threads(Grid(64), config) == 2
 
     def test_import_diagnose_and_classify_start_no_thread(self, tmp_path):
         for step in range(5):
@@ -297,9 +302,9 @@ class TestCmdRun:
     @pytest.mark.parametrize("dealias", [True, False])
     def test_snapshots_have_the_half_spectrum_bytes(self, tmp_path,
                                                     dealias):
-        # A dealiased run writes its snapshots from the state on the
-        # band; they have the bytes of write_snapshot on the half
-        # spectrum, and so does final.bin.
+        # A run writes its snapshots from the state on its band, the
+        # Nyquist-free one with dealias off; they have the bytes of
+        # write_snapshot on the half spectrum, and so does final.bin.
         out = tmp_path / "out"
         cfg = write_config(tmp_path, output_dir=str(out), snapshot_every=1,
                            initial={"kind": "random_solenoidal", "seed": 3},
@@ -319,9 +324,43 @@ class TestCmdRun:
 
         final = solver_run(grid, config.initial.build(grid), config.solver,
                            [compare])
-        assert on_band == [dealias] * 4
+        assert on_band == [True] * 4
         write_snapshot(reference, grid, final.v, final.t)
         assert (out / "final.bin").read_bytes() == reference.read_bytes()
+
+    def unmasked_identity_run(self, tmp_path, dealias=False):
+        """The summary of a run of a random n=16 field with a record
+        every ten steps.  With dealias off it steps on the band without
+        the Nyquist planes, whose modes every derivative zeroes, so the
+        deformation tensor of its state has no trace."""
+        out = tmp_path / f"out_{dealias}"
+        cfg = write_config(tmp_path, n=16, output_dir=str(out),
+                           output_every=10,
+                           initial={"kind": "random_solenoidal", "seed": 1},
+                           solver={"t_final": 0.05, "dt": 1e-3,
+                                   "dealias": dealias})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        return json.loads((out / "summary.json").read_text())
+
+    def test_unmasked_run_logs_no_trace_warning(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, "euler_spectra"):
+            summary = self.unmasked_identity_run(tmp_path)
+        assert summary["run"]["steps_completed"] == 50
+        assert not [r for r in caplog.records if "trace RMS" in r.message]
+
+    def test_unmasked_run_keeps_the_identities_of_the_trace(self,
+                                                          tmp_path):
+        # The identities that integration by parts gives hold to
+        # rounding.  W = -(4/3) C3 also needs an alias-free cubic
+        # product, so it keeps the aliasing error that such a run
+        # exists to show, against rounding on the dealiased run.
+        unmasked = self.unmasked_identity_run(tmp_path)["identity_residuals"]
+        dealiased = self.unmasked_identity_run(
+            tmp_path, dealias=True)["identity_residuals"]
+        assert unmasked["enstrophy_moment"] <= 1e-12
+        assert unmasked["cubic_product"] <= 1e-12
+        assert dealiased["stretching_cubic"] <= 1e-12
+        assert unmasked["stretching_cubic"] > 1e-2
 
     def test_output_dir_override(self, tmp_path):
         cfg = write_config(tmp_path, n=8, output_dir=str(tmp_path / "a"),

@@ -450,6 +450,22 @@ class TestResolutionTail:
         assert on_band == resolution_tail_fraction(grid,
                                                    band.scatter(compact))
         assert on_band > 0.0 or field == "taylor_green"
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_any_band_measures_the_two_thirds_ball(self, n, rng):
+        # On the 2/3-rule band and on the Nyquist-free band of a
+        # dealias: false run, which also holds modes outside the 2/3
+        # ball, the fraction is that of the band state's half spectrum.
+        grid = Grid(n)
+        v = fft_forward(rng.standard_normal((3, n, n, n)))
+        for m in (n // 3, n // 2 - 1):
+            band = Band(grid, m)
+            compact = band.restrict(v)
+            on_band = resolution_tail_fraction(grid, compact, band)
+            assert on_band == resolution_tail_fraction(
+                grid, band.scatter(compact))
+            assert 0.0 < on_band < 1.0
+
     def test_band_limited_field_has_empty_tail(self, grid32):
         # All spectral content of the ABC flow sits at |k| = 1, far
         # inside the tail shell; only transform noise remains out there.

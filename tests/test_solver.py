@@ -19,7 +19,7 @@ import pytest
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
-    dealias_23,
+    band_inverse,
     divergence_free_error,
     fft_inverse,
     leray_project,
@@ -43,7 +43,7 @@ from euler_spectra.solver import (
 )
 import euler_spectra.workers as workers_module
 
-from conftest import make_random_velocity, traced_peak_fields
+from conftest import make_random_velocity, rhs_reference, traced_peak_fields
 
 
 def max_component_diff(a, b):
@@ -79,13 +79,13 @@ class TestSolverConfig:
 class TestSteadySolutions:
     def test_shear_rhs_vanishes(self, grid16):
         v = shear_flow(grid16)
-        f = rhs(grid16, v)
+        f = rhs_reference(grid16, v)
         assert max_component_diff(f, np.zeros_like(f)) < 1e-12
 
     def test_abc_rhs_vanishes(self, grid16):
         # v x omega = v x v = 0 pointwise for a Beltrami field.
         v = abc_flow(grid16)
-        f = rhs(grid16, v)
+        f = rhs_reference(grid16, v)
         assert max_component_diff(f, np.zeros_like(f)) < 1e-11
 
     def test_abc_run_returns_initial_field(self, grid16):
@@ -239,16 +239,24 @@ class TestRunMechanics:
         assert np.array_equal(final.v, seen[-1].band.scatter(seen[-1].v))
         assert (final.t, final.step_index) == (seen[-1].t, 3)
 
-    def test_unmasked_observers_get_the_half_spectrum(self, grid16):
+    def test_unmasked_observers_get_the_nyquist_free_band(self, grid16):
+        # With dealias off the state lives on the band of every mode but
+        # the Nyquist planes, m = n/2 - 1; only the returned state is
+        # the half spectrum.
         seen = []
         final = run(grid16, taylor_green(grid16),
                     SolverConfig(dt=1e-2, t_final=0.03, dealias=False),
                     observers=[seen.append])
-        for state in seen + [final]:
-            assert state.band is None
-            assert state.v.shape == (3, 16, 16, 9)
-            assert state.half_spectrum() is state.v
-        assert np.array_equal(final.v, seen[-1].v)
+        assert [state.step_index for state in seen] == [0, 1, 2, 3]
+        for state in seen:
+            assert isinstance(state.band, Band) and state.band.m == 7
+            assert state.v.shape == (3, 15, 15, 8)
+        assert final.band is None
+        assert final.v.shape == (3, 16, 16, 9)
+        assert final.half_spectrum() is final.v
+        assert np.array_equal(final.v, seen[-1].half_spectrum())
+        assert not final.v[:, 8].any() and not final.v[:, :, 8].any()
+        assert not final.v[..., 8].any()
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_cfl_sample_is_the_half_spectrum_one(self, grid16, dealias,
@@ -268,7 +276,7 @@ class TestRunMechanics:
             observers=[states.append])
         assert len(sampled) == len(states) == 4
         for v, state in zip(sampled, states):
-            assert (state.band is not None) == dealias
+            assert state.band.m == (5 if dealias else 7)
             assert np.array_equal(v, fft_inverse(state.half_spectrum()))
             assert np.array_equal(v, state.physical())
 
@@ -311,33 +319,41 @@ class TestDealiasingEffect:
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("nu", [0.0, 0.01])
     def test_band_state_matches_full_layout(self, n, nu, rng, monkeypatch):
-        # rhs and one RK4 step on the compact band state give the
-        # masked full-layout results bit for bit: the kept modes are
-        # equal and every other mode is zero in both.  That holds on
-        # one thread and with the worker, whatever this host has.
+        # On both bands a run steps on, the 2/3-rule band and the
+        # Nyquist-free band of dealias: false, rhs and one RK4 step on
+        # the compact state give the full-layout reference cut to the
+        # band bit for bit: the band modes are equal, every other mode
+        # is zero in both, and on the Nyquist-free band that cut drops
+        # only the Nyquist planes.  That holds on one thread and with
+        # the worker, whatever this host has.
         grid = Grid(n)
-        band = Band(grid)
-        v = make_random_velocity(grid, rng)
-        compact = band.restrict(v)
-
-        def masked_rhs(u):
-            return dealias_23(grid, rhs(grid, u, nu))
-
         dt = 1e-3
-        k1 = masked_rhs(v)
-        k2 = masked_rhs(v + (0.5 * dt) * k1)
-        k3 = masked_rhs(v + (0.5 * dt) * k2)
-        k4 = masked_rhs(v + dt * k3)
-        full = leray_project(
-            grid, v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         config = SolverConfig(dt=dt, t_final=dt, nu=nu)
-        for threaded in (False, True):
-            monkeypatch.setattr(workers_module, "_threaded",
-                                lambda n, threaded=threaded: threaded)
-            assert np.array_equal(band.scatter(rhs(band, compact, nu)), k1)
-            banded = step_rk4(band, SolverState(0.0, compact, 0), config)
-            assert np.array_equal(band.scatter(banded.v), full)
-            assert (banded.t, banded.step_index) == (dt, 1)
+        for m in (n // 3, n // 2 - 1):
+            band = Band(grid, m)
+            v = make_random_velocity(grid, rng, band=band)
+            compact = band.restrict(v)
+
+            def cut_rhs(u):
+                return band.scatter(band.restrict(rhs_reference(grid, u, nu)))
+
+            k1 = cut_rhs(v)
+            k2 = cut_rhs(v + (0.5 * dt) * k1)
+            k3 = cut_rhs(v + (0.5 * dt) * k2)
+            k4 = cut_rhs(v + dt * k3)
+            full = leray_project(
+                grid, v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            assert np.array_equal(band_inverse(band, compact),
+                                  fft_inverse(v))
+            for threaded in (False, True):
+                monkeypatch.setattr(workers_module, "_threaded",
+                                    lambda n, threaded=threaded: threaded)
+                assert np.array_equal(
+                    band.scatter(rhs(band, compact, nu)), k1)
+                banded = step_rk4(band, SolverState(0.0, compact, 0),
+                                  config)
+                assert np.array_equal(band.scatter(banded.v), full)
+                assert (banded.t, banded.step_index) == (dt, 1)
 
     def test_peak_memory_of_one_band_step(self, rng, monkeypatch):
         # v, omega and v x omega exist one x-slab at a time.  One
