@@ -9,6 +9,7 @@ with code 3 after it has started, still writes ``summary.json`` with an
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -47,7 +48,6 @@ from euler_spectra.errors import (
 )
 from euler_spectra.fields import fft_forward
 from euler_spectra.grid import Grid
-from euler_spectra.initial import classify_initial
 from euler_spectra.snapshot import (
     load_snapshot,
     replace_on_success,
@@ -264,7 +264,7 @@ def cmd_run(args) -> int:
     exit_code = EXIT_OK
     try:
         final_state = solver_run(grid, initial.pop(), cfg.solver, observers)
-        write_snapshot(out_dir / "final.bin", grid, final_state.v,
+        write_snapshot(out_dir / "final.bin", grid, final_state.physical(),
                        final_state.t)
         summary["run"]["steps_completed"] = final_state.step_index
     except (OSError, KeyboardInterrupt) as exc:
@@ -294,7 +294,7 @@ def cmd_run(args) -> int:
     if collector.records:
         summary.update(collector.summary())
         summary.update(_bound_summaries(collector, grid))
-    summary["manifest"] = _manifest(step_threads(grid, cfg.solver))
+    summary["manifest"] = _manifest(step_threads(grid))
     try:
         with replace_on_success(out_dir / "summary.json", "w") as fh:
             json.dump(_sanitize(summary), fh, indent=2, allow_nan=False)
@@ -411,13 +411,17 @@ def cmd_classify(args) -> int:
             return EXIT_IO
         cfg = parse_config(text)
         grid = Grid(cfg.n)
-        classification = classify_initial(grid, cfg.initial.build(grid))
+        # The state a run starts from, classified as its first record.
+        start = solver_run(grid, cfg.initial.build(grid),
+                           dataclasses.replace(cfg.solver, t_final=0.0))
+        classification, _ = classify_and_record(
+            grid, start.t, start.v, cfg.class_tolerance, band=start.band)
     else:
-        v, _, grid = load_snapshot(args.snapshot)
+        v, t, grid = load_snapshot(args.snapshot)
         if args.spectra:
             classification = classify_admissible(v)
         else:
-            classification = classify_initial(grid, fft_forward(v))
+            classification, _ = classify_and_record(grid, t, fft_forward(v))
 
     print(f"class: {classification.label.value}")
     print(f"min_lambda2: {classification.min_lambda2!r}")

@@ -99,8 +99,8 @@ def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
 
     Returns the ``(6, n, n, n)`` physical tensor in the order
     ``s11, s12, s13, s22, s23, s33``.  Each entry is transformed on its
-    own, into its slot: on a 2-core host that measured faster than
-    batching three entries per transform, and it holds less memory.
+    own, into its slot, which measured faster than batching three
+    entries per transform and holds less memory.
 
     Logs a warning when the pointwise trace is not negligible against
     the tensor magnitude, since downstream eigenvalue identities assume

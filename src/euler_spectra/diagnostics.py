@@ -414,11 +414,10 @@ def classify_and_record(grid: Grid, t: float, v: np.ndarray,
                         worker=None, band: Band | None = None, work=None):
     """Classify the first sample of a series and record it.
 
-    Gives the same classification as
-    :func:`~euler_spectra.initial.classify_initial` and the same record
-    as :func:`compute_record` called with it, from one deformation
-    tensor and one eigensolve; ``physical``, ``worker``, ``band`` and
-    ``work`` go to the record.
+    Gives the classification of the record's eigenvalues with
+    ``tolerance`` and the record :func:`compute_record` gives with it,
+    from one deformation tensor and one eigensolve; ``physical``,
+    ``worker``, ``band`` and ``work`` go to the record.
 
     Returns
     -------
@@ -462,8 +461,7 @@ class DiagnosticsCollector:
     """Run observer that records diagnostics and streams them to CSV.
 
     It takes the states of :func:`euler_spectra.solver.run` as they
-    come, and records each one as it is, on its band or on the half
-    spectrum.
+    come, and records each one as it is, on its band.
 
     Parameters
     ----------

@@ -25,29 +25,29 @@ Conventions used throughout the package:
 The transforms are three passes of one-dimensional ``numpy.fft``
 transforms over the last three axes.  A solver run holds its state on
 a band |k_j| <= m alone (:class:`~euler_spectra.grid.Band`), the
-2/3-rule band m = n//3 when dealiased: ``band_inverse`` zero-pads it and
-``band_forward`` computes only the kept modes.  Each band mode goes
-through the same arithmetic as in the full transforms, so the two
-layouts give the same values bit for bit.  ``curl`` and
+2/3-rule band m = n//3 when dealiased: ``band_inverse`` zero-pads it,
+and the band forward passes compute only the kept modes.  Each band
+mode goes through the same arithmetic as in the full transforms, so the
+two layouts give the same values bit for bit.  ``curl`` and
 ``leray_project`` take a ``Band`` in place of the ``Grid`` for a
 compact spectrum, and ``leray_project`` a ``BandHalf`` for one x half
 of it.  ``fft_inverse`` copies its input; ``_inverse_owned``
 transforms in place a spectrum the caller can spare, into ``out=``.
-``fft_forward``, ``curl``, ``leray_project`` and ``cross_product``
-write into caller-owned ``out=`` arrays when given them, and the last
-two (and ``_curl_component``) take their temporaries from a
-caller-owned ``work=`` array too.
+``fft_forward``, ``leray_project`` and ``cross_product`` write into
+caller-owned ``out=`` arrays when given them, and the last two (and
+``_curl_component``) take their temporaries from a caller-owned
+``work=`` array too.
 That lets the solver and the diagnostics reuse one set of buffers
 across the stages of a step or the snapshots of a series and share
 them with a worker thread; the values are the same either way.  The
-band transforms are built from pass helpers (``_band_pad_inverse_x``,
-``_inverse_yz``, ``_band_forward_z``, ``_band_forward_x``,
-``_band_forward_y``) that a band step calls itself, by component, by
-x-slab between the x passes and by x half
-(:mod:`euler_spectra.solver`), so the band transforms and the step run
-the same passes on the same lines.  ``_physical_fields`` forms the
-physical v and omega of a spectrum by component through per-thread
-buffers of the caller, for a diagnostics record and for ``diagnose``.
+band transforms are pass helpers: ``band_inverse`` runs
+``_band_pad_inverse_x`` and ``_inverse_yz``, and a band step
+(:mod:`euler_spectra.solver`) runs those and the forward passes
+``_band_forward_z``, ``_band_forward_x`` and ``_band_forward_y``
+itself, by component, by x-slab between the x passes and by x half.
+``_physical_fields`` forms the physical v and omega of a spectrum by
+component through per-thread buffers of the caller, for a diagnostics
+record and for ``diagnose``.
 """
 
 import numpy as np
@@ -112,7 +112,7 @@ def fft_inverse(coeffs: np.ndarray) -> np.ndarray:
     ``(n, n, n)`` field: ``ifft`` along x, then along y, in place on one
     working copy, then ``irfft`` along z.
     """
-    # In place on a copy: an out-of-place x pass measured ~1.5x slower.
+    # In place on a copy: an out-of-place x pass measured slower.
     return _inverse_owned(np.array(coeffs, dtype=np.complex128))
 
 
@@ -134,48 +134,31 @@ def _inverse_yz(work: np.ndarray, n: int,
     return np.fft.irfft(work, n=n, axis=-1, norm="forward", out=out)
 
 
-def band_forward(band: Band, values: np.ndarray) -> np.ndarray:
-    """Physical -> compact band transform: only the kept modes.
-
-    The passes of :func:`fft_forward` on the planes kz <= m, with the y
-    pass run only on the band's x rows; equals
-    ``band.restrict(fft_forward(values))`` exactly.
-    """
-    n, m = band.n, band.m
-    lead = values.shape[:-3]
-    work = np.empty(lead + (n, n, m + 1), np.complex128)
-    _band_forward_z(band, values, work)
-    _band_forward_x(work)
-    out = np.empty(lead + (2 * m + 1, 2 * m + 1, m + 1), np.complex128)
-    for half in band.x_halves:
-        _band_forward_y(band, work, half, out[..., half.rows, :, :])
-    return out
-
-
 def _band_forward_z(band: Band, values: np.ndarray, out: np.ndarray,
                     work: np.ndarray | None = None) -> None:
-    """The first pass of :func:`band_forward`: ``rfft`` along z of the
-    real ``values``, whose planes kz <= m go into the complex128 ``out``
+    """The first band forward pass: ``rfft`` along z of the real
+    ``values``, whose planes kz <= m go into the complex128 ``out``
     (space shape ``(n, n, m + 1)``).  The whole ``rfft`` goes through
     ``work`` when it is given.  On an x-slab it gives that slab of the
     pass over the whole field."""
     out[...] = _forward_z(values, work)[..., :band.m + 1]
 
 
-def _band_forward_x(work: np.ndarray, y_rows: slice = slice(None)) -> None:
-    """The x pass of :func:`band_forward`, in place on ``work`` (space
-    shape ``(n, n, m + 1)``, the planes kz <= m of the ``rfft`` along
-    z): ``fft`` along x of the lines in the y rows ``y_rows``."""
+def _band_forward_x(work: np.ndarray, y_rows: slice) -> None:
+    """The band forward x pass, in place on ``work`` (space shape
+    ``(n, n, m + 1)``, the planes kz <= m of the ``rfft`` along z):
+    ``fft`` along x of the lines in the y rows ``y_rows``."""
     lines = work[..., y_rows, :]
     np.fft.fft(lines, axis=-3, norm="forward", out=lines)
 
 
 def _band_forward_y(band: Band, work: np.ndarray, half: BandHalf,
                     out: np.ndarray) -> None:
-    """The y pass of :func:`band_forward` for one of ``band.x_halves``:
-    ``fft`` along y of the half's x rows of ``work``, in place, then
-    the band modes of those rows into ``out``, the half's rows of a
-    compact array."""
+    """The band forward y pass for one of ``band.x_halves``: ``fft``
+    along y of the half's x rows of ``work``, in place, then the band
+    modes of those rows into ``out``, the half's rows of a compact
+    array.  After the z and x passes, the band modes equal those of
+    :func:`fft_forward`."""
     lines = work[..., half.fft_rows, :, :]
     np.fft.fft(lines, axis=-2, norm="forward", out=lines)
     m = band.m
@@ -275,11 +258,9 @@ def _physical_fields(space: Grid | Band, v: np.ndarray, out, worker,
     _split_lanes(worker, transform, _FIELD_PARTS)
 
 
-def curl(grid: Grid | Band, v: np.ndarray,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """Spectral curl, componentwise i*k x vhat with Nyquist-zeroed k,
-    written into ``out`` when it is given."""
-    w = np.empty_like(v) if out is None else out
+def curl(grid: Grid | Band, v: np.ndarray) -> np.ndarray:
+    """Spectral curl, componentwise i*k x vhat with Nyquist-zeroed k."""
+    w = np.empty_like(v)
     for i in range(3):
         _curl_component(grid, v, i, w[i])
     return w

@@ -148,8 +148,8 @@ class Grid:
     def coordinates(self):
         """Return the physical coordinate arrays (X, Y, Z), ij-indexed.
 
-        Built on demand; generators are the only consumers and keeping
-        three dense (n, n, n) arrays cached would waste memory.
+        Built on demand: keeping three dense (n, n, n) arrays cached
+        would waste memory.
         """
         axis = np.arange(self.n, dtype=np.float64) * self.dx
         return np.meshgrid(axis, axis, axis, indexing="ij")

@@ -9,12 +9,6 @@ applicable) reproduce the same field bit for bit.
 
 import numpy as np
 
-from euler_spectra.deformation import (
-    Classification,
-    classify_admissible,
-    deformation_tensor,
-    eigenvalues_sym3,
-)
 from euler_spectra.errors import ConfigurationError
 from euler_spectra.fields import (
     fft_forward,
@@ -135,13 +129,3 @@ def random_solenoidal(grid: Grid, seed: int, peak_k: float = 4.0,
     shaped *= float(np.sqrt(amplitude / energy))
     return shaped
 
-
-def classify_initial(grid: Grid, v: np.ndarray,
-                     tolerance: float | None = None) -> Classification:
-    """Classify a spectral velocity by the sign of the middle eigenvalue.
-
-    Convenience pipeline: deformation tensor -> eigenvalues -> sign
-    classification, in one call.
-    """
-    spectra = eigenvalues_sym3(deformation_tensor(grid, v))
-    return classify_admissible(spectra, tolerance)

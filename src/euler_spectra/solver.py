@@ -26,10 +26,10 @@ but no mode of its state loses its derivative, so its deformation
 tensor stays trace-free.  ``run`` cuts the projected start to the band
 and keeps the state on the compact band layout, whose forward
 transform computes only the band modes, from the start to the end of
-the run: every step runs on it, and the observers get it as it is
-(:class:`SolverState` names its band), so a record, a CFL sample or a
-snapshot transforms the band and skips the lines outside it.  Only the
-returned state is scattered back to the half spectrum.
+the run: every step runs on it, the observers get it as it is
+(:class:`SolverState` names its band), and ``run`` returns the last of
+them, so a record, a CFL sample or a snapshot transforms the band and
+skips the lines outside it.
 
 A band step forms v, omega and v x omega in physical space one x-slab
 at a time, between the x pass of the inverse transforms and the x pass
@@ -66,7 +66,6 @@ from euler_spectra.fields import (
     check_velocity,
     cross_product,
     fft_forward,
-    fft_inverse,
     leray_project,
     max_speed,
 )
@@ -101,7 +100,8 @@ class SolverConfig:
         Time step, > 0.
     t_final : float
         End time, >= 0 and an integer multiple of dt (a zero makes
-        run() a no-op that returns the projected initial state).
+        run() a no-op that returns the projected initial state on its
+        band).
     nu : float
         Kinematic viscosity, >= 0; zero selects the inviscid equations.
     dealias : bool
@@ -144,28 +144,24 @@ class SolverConfig:
 class SolverState:
     """Solver state: spectral velocity plus clock and step counter.
 
-    ``band`` is None when ``v`` is a half spectrum
-    ``(3, n, n, n//2 + 1)``, and the :class:`Band` of ``v`` when it is a
-    compact band array ``(3, 2m + 1, 2m + 1, m + 1)``, the state of a
-    run between its steps.
+    ``v`` is the compact band array ``(3, 2m + 1, 2m + 1, m + 1)`` of
+    the :class:`Band` ``band``.
     """
 
     t: float
     v: np.ndarray
-    step_index: int = 0
-    band: Band | None = None
+    step_index: int
+    band: Band
 
     def half_spectrum(self) -> np.ndarray:
-        """``v`` as a half spectrum: ``v`` itself, or a new scatter of
-        the band, zero outside it."""
-        return self.v if self.band is None else self.band.scatter(self.v)
+        """``v`` as a half spectrum: a new scatter of the band, zero
+        outside it."""
+        return self.band.scatter(self.v)
 
     def physical(self) -> np.ndarray:
-        """The physical velocity ``(3, n, n, n)``: ``fft_inverse`` of
-        the half spectrum, or ``band_inverse`` of the band, which gives
-        the same values without the lines outside the band."""
-        if self.band is None:
-            return fft_inverse(self.v)
+        """The physical velocity ``(3, n, n, n)``: ``band_inverse`` of
+        the band, the values of ``fft_inverse`` of the half spectrum
+        without the lines outside the band."""
         return band_inverse(self.band, self.v)
 
 
@@ -264,17 +260,17 @@ class _BandWorkspace:
         """``rhs(band, u, nu)`` into ``out``, which may be ``k``.
 
         The pass helpers of :func:`~euler_spectra.fields.band_inverse`
-        and :func:`~euler_spectra.fields.band_forward`, each phase split
-        between the threads: each component of v and of omega (whose
-        curl component the same thread forms) is zero-padded and
-        transformed along x; each x-slab is transformed along y and z,
-        multiplied, and transformed back along z into the planes
-        kz <= m of v's padded buffer, which the slab has consumed; the x
-        pass runs by y halves; and each x half of the band runs the y
-        pass, the gather of its band modes into ``out``, the projection
-        and the viscous term.  Every line goes through the arithmetic of
-        the whole-field transforms and operators, so the result is the
-        same bit for bit on one thread or two.
+        and the band forward passes of :mod:`euler_spectra.fields`, each
+        phase split between the threads: each component of v and of
+        omega (whose curl component the same thread forms) is
+        zero-padded and transformed along x; each x-slab is transformed
+        along y and z, multiplied, and transformed back along z into the
+        planes kz <= m of v's padded buffer, which the slab has
+        consumed; the x pass runs by y halves; and each x half of the
+        band runs the y pass, the gather of its band modes into ``out``,
+        the projection and the viscous term.  Every line goes through
+        the arithmetic of the whole-field transforms and operators, so
+        the result is the same bit for bit on one thread or two.
         """
         band, padded, omega, n = self.band, self.padded, self.k, self.band.n
 
@@ -311,8 +307,8 @@ class _BandWorkspace:
         return out
 
 
-def step_threads(grid: Grid, config: SolverConfig) -> int:
-    """Threads the steps of ``run(grid, ..., config)`` use: 2 when
+def step_threads(grid: Grid) -> int:
+    """Threads the steps of ``run(grid, ...)`` use: 2 when
     :mod:`euler_spectra.workers` allows a worker (n >= 64, two CPUs or
     more), else 1."""
     return 2 if _threaded(grid.n) else 1
@@ -394,15 +390,13 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     is projected and cut to the run's band: the 2/3-rule band when
     ``config.dealias`` is on, the Nyquist-free one when it is off (see
     the module docstring).  The observers are called once on that
-    initial state and then after every step, and the final state is
-    returned.  The observers get the state on the band (``state.band``
-    set, ``state.v`` compact; :meth:`SolverState.half_spectrum` and
-    :meth:`SolverState.physical` convert it).  The returned state holds
-    the half spectrum, zero outside the band.  Observer
-    exceptions propagate to the caller, aborting the run.  The run
-    keeps no reference to ``initial`` or to the start state once it has
-    stepped past it, so a caller that hands over its only reference
-    frees them.
+    initial state and then after every step, and the last state they
+    saw is returned.  Every state is on the band (``state.v`` compact;
+    :meth:`SolverState.half_spectrum` and :meth:`SolverState.physical`
+    convert it).  Observer exceptions propagate to the caller, aborting
+    the run.  The run keeps no reference to ``initial`` or to the start
+    state once it has stepped past it, so a caller that hands over its
+    only reference frees them.
 
     The advective CFL number u_max * dt / dx is sampled at the start
     and every few dozen steps; exceeding ``config.cfl_warning`` logs a
@@ -447,4 +441,4 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
             check_cfl(state)
         for obs in observers:
             obs(state)
-    return SolverState(state.t, state.half_spectrum(), state.step_index)
+    return state

@@ -260,8 +260,7 @@ class TestCmdRun:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["manifest"]["solver_threads"] == threads
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
-        config = SolverConfig(dt=1e-3, t_final=1e-3, dealias=False)
-        assert step_threads(Grid(64), config) == 2
+        assert step_threads(Grid(64)) == 2
 
     def test_import_diagnose_and_classify_start_no_thread(self, tmp_path):
         for step in range(5):
@@ -325,7 +324,7 @@ class TestCmdRun:
         final = solver_run(grid, config.initial.build(grid), config.solver,
                            [compare])
         assert on_band == [True] * 4
-        write_snapshot(reference, grid, final.v, final.t)
+        write_snapshot(reference, grid, final.half_spectrum(), final.t)
         assert (out / "final.bin").read_bytes() == reference.read_bytes()
 
     def unmasked_identity_run(self, tmp_path, dealias=False):
@@ -678,6 +677,33 @@ class TestCmdClassify:
         out = capsys.readouterr().out
         assert "class: Neither" in out
         assert "min_lambda2:" in out and "max_lambda2:" in out
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"initial": {"kind": "random_solenoidal", "seed": 1}},
+        {"initial": {"kind": "random_solenoidal", "seed": 1},
+         "solver": {"t_final": 0.01, "dealias": False}},
+        {"initial": {"kind": "random_solenoidal", "seed": 2},
+         "class_tolerance": 0.05},
+    ], ids=["taylor_green", "random", "random_unmasked", "tolerance"])
+    def test_config_reports_what_the_run_reports(self, tmp_path, capsys,
+                                                 overrides):
+        # classify --config classifies the state the run starts from,
+        # with the run's class tolerance, through the run's record.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, output_dir=str(out), **overrides)
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        assert main(["classify", "--config", cfg]) == EXIT_OK
+        extrema = summary["lambda2_initial"]
+        assert capsys.readouterr().out == (
+            f"class: {summary['class']}\n"
+            f"min_lambda2: {extrema['min']!r}\n"
+            f"max_lambda2: {extrema['max']!r}\n"
+            f"tolerance: {summary['class_tolerance']!r}\n")
+        if "class_tolerance" in overrides:
+            assert summary["class_tolerance"] == 0.05
 
     def test_from_snapshot(self, tmp_path, grid16, capsys):
         path = tmp_path / "snap.bin"

@@ -10,6 +10,7 @@ import csv
 import itertools
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
     _strain_entries,
+    classify_admissible,
     deformation_tensor,
     eigenvalues_sym3,
     epsilon_ratio,
@@ -54,7 +56,6 @@ from euler_spectra.grid import Band, Grid
 from euler_spectra.reductions import pairwise_sum
 from euler_spectra.initial import (
     abc_flow,
-    classify_initial,
     random_solenoidal,
     shear_flow,
     taylor_green,
@@ -576,7 +577,8 @@ class TestBandRecord:
 
     def test_collector_records_the_band(self, grid16):
         # A collector fed a dealiased run's band states writes the rows
-        # and the summary of one fed their half spectra.
+        # and the summary of one fed their half spectra (states without
+        # a band, which a record takes on the grid).
         states = []
         run(grid16, random_solenoidal(grid16, seed=3),
             SolverConfig(dt=1e-3, t_final=3e-3), observers=[states.append])
@@ -584,8 +586,8 @@ class TestBandRecord:
         on_band, on_half = (DiagnosticsCollector(grid16) for _ in range(2))
         for state in states:
             on_band(state)
-            on_half(SolverState(state.t, state.half_spectrum(),
-                                state.step_index))
+            on_half(SimpleNamespace(t=state.t, v=state.half_spectrum(),
+                                    step_index=state.step_index, band=None))
         assert np.array_equal([r.as_tuple() for r in on_band.records],
                               [r.as_tuple() for r in on_half.records],
                               equal_nan=True)
@@ -675,12 +677,13 @@ class TestDiagnosticsCollector:
         assert calls == {"eig": points, "tail": 2}
         # The deferred final value is the one of the last recorded state.
         assert health["tail_enstrophy_fraction_final"] == \
-            resolution_tail_fraction(grid16, final.v)
+            resolution_tail_fraction(grid16, final.half_spectrum())
 
     def test_classify_and_record_matches_two_passes(self, grid16, rng):
         v = make_random_velocity(grid16, rng)
         classification, record = classify_and_record(grid16, 0.5, v)
-        assert classification == classify_initial(grid16, v)
+        assert classification == classify_admissible(
+            eigenvalues_sym3(deformation_tensor(grid16, v)))
         np.testing.assert_array_equal(
             record.as_tuple(),
             compute_record(grid16, 0.5, v,
@@ -708,8 +711,8 @@ class TestDiagnosticsCollector:
         # minimum dips below -tolerance at the third sample.
         col = DiagnosticsCollector(grid16, every=1, class_tolerance=1e-3)
 
-        base = abc_flow(grid16)
-        col(SolverState(0.0, base, 0))
+        band = Band(grid16)
+        col(SolverState(0.0, band.restrict(abc_flow(grid16)), 0, band))
         # ABC classifies as Neither, so fake the classification instead.
         from euler_spectra.deformation import Classification
         col.classification = Classification(

@@ -16,7 +16,6 @@ from euler_spectra.errors import ConfigurationError, ContractViolationError
 from euler_spectra.grid import Band, Grid
 from euler_spectra.fields import (
     _band_pad_inverse_x,
-    band_forward,
     band_inverse,
     curl,
     dealias_23,
@@ -147,14 +146,6 @@ class TestTransforms:
         for c in range(3):
             assert np.array_equal(vhat[c], fft_forward(v[c]))
             assert np.array_equal(fft_inverse(vhat)[c], fft_inverse(vhat[c]))
-
-    @pytest.mark.parametrize("n", [8, 16, 64])
-    def test_dealiased_forward_is_masked_forward(self, n, rng):
-        grid = Grid(n)
-        band = Band(grid)
-        values = rng.standard_normal((3, n, n, n))
-        assert np.array_equal(band.scatter(band_forward(band, values)),
-                              dealias_23(grid, fft_forward(values)))
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_band_limited_inverse_matches_reference(self, n, rng):

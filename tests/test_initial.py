@@ -18,7 +18,7 @@ import euler_spectra.snapshot as snapshot_module
 from euler_spectra.cli import EXIT_IO, main
 from euler_spectra.config import InitSpec
 from euler_spectra.deformation import AdmissibleClass
-from euler_spectra.diagnostics import compute_record
+from euler_spectra.diagnostics import classify_and_record, compute_record
 from euler_spectra.errors import ConfigurationError, SnapshotFormatError
 from euler_spectra.fields import (
     curl,
@@ -31,7 +31,6 @@ from euler_spectra.fields import (
 from euler_spectra.grid import Grid
 from euler_spectra.initial import (
     abc_flow,
-    classify_initial,
     random_solenoidal,
     shear_flow,
     taylor_green,
@@ -47,6 +46,11 @@ from euler_spectra.snapshot import (
 from conftest import leray_reference
 
 PI3 = math.pi ** 3
+
+
+def classify(grid, v):
+    """The sign class of ``v``, as the first record of a run gives it."""
+    return classify_and_record(grid, 0.0, v)[0]
 
 
 class TestTaylorGreen:
@@ -75,7 +79,7 @@ class TestTaylorGreen:
         assert np.array_equal(taylor_green(grid), expected)
 
     def test_is_neither_class(self, grid32):
-        c = classify_initial(grid32, taylor_green(grid32))
+        c = classify(grid32, taylor_green(grid32))
         assert c.label == AdmissibleClass.NEITHER
         # Mirror symmetry makes the extrema of the middle eigenvalue
         # exactly opposite.
@@ -104,7 +108,7 @@ class TestABCFlow:
                                                                  rel=1e-13)
 
     def test_is_neither_class(self, grid16):
-        assert (classify_initial(grid16, abc_flow(grid16)).label
+        assert (classify(grid16, abc_flow(grid16)).label
                 == AdmissibleClass.NEITHER)
 
     @pytest.mark.parametrize("n", [16, 64])
@@ -127,7 +131,7 @@ class TestShearFlow:
         assert abs(record.H) < 1e-13
 
     def test_middle_eigenvalue_identically_zero(self, grid16):
-        c = classify_initial(grid16, shear_flow(grid16))
+        c = classify(grid16, shear_flow(grid16))
         assert c.label == AdmissibleClass.NEITHER
         assert abs(c.min_lambda2) < 1e-13
         assert abs(c.max_lambda2) < 1e-13

@@ -93,7 +93,7 @@ class TestSteadySolutions:
         state = run(grid16, v0, SolverConfig(dt=2e-3, t_final=0.1))
         assert state.step_index == 50
         assert state.t == pytest.approx(0.1, abs=1e-12)
-        assert max_component_diff(state.v, v0) < 1e-13
+        assert max_component_diff(state.half_spectrum(), v0) < 1e-13
 
 
 class TestViscousDecay:
@@ -105,7 +105,7 @@ class TestViscousDecay:
         config = SolverConfig(dt=1e-3, t_final=0.5, nu=nu)
         state = run(grid16, v0, config)
         expected = math.exp(-nu * 0.5)
-        v_end = fft_inverse(state.v)
+        v_end = fft_inverse(state.half_spectrum())
         _, y, _ = grid16.coordinates()
         err = np.max(np.abs(v_end[0] - expected * np.sin(y)))
         assert err < 1e-12
@@ -114,7 +114,7 @@ class TestViscousDecay:
     def test_energy_decreases_under_viscosity(self, grid16):
         v0 = taylor_green(grid16)
         state = run(grid16, v0, SolverConfig(dt=2e-3, t_final=0.1, nu=0.1))
-        assert (compute_record(grid16, state.t, state.v).E
+        assert (compute_record(grid16, state.t, state.half_spectrum()).E
                 < compute_record(grid16, 0.0, v0).E)
 
 
@@ -138,8 +138,9 @@ class TestConvergenceOrder:
         # backward (negated velocity) recovers the start to O(dt^4).
         v0 = taylor_green(grid16)
         fwd = run(grid16, v0, SolverConfig(dt=5e-3, t_final=0.2))
-        back = run(grid16, -1.0 * fwd.v, SolverConfig(dt=5e-3, t_final=0.2))
-        recovered = -1.0 * back.v
+        back = run(grid16, -1.0 * fwd.half_spectrum(),
+                   SolverConfig(dt=5e-3, t_final=0.2))
+        recovered = -1.0 * back.half_spectrum()
         assert max_component_diff(recovered, v0) < 1e-9
 
 
@@ -160,7 +161,7 @@ class TestConservation:
     def test_divergence_stays_pinned(self, grid16, rng):
         v0 = make_random_velocity(grid16, rng)
         state = run(grid16, v0, SolverConfig(dt=2e-3, t_final=0.05))
-        assert divergence_free_error(grid16, state.v) < 1e-13
+        assert divergence_free_error(grid16, state.half_spectrum()) < 1e-13
 
 
 class TestRunMechanics:
@@ -170,13 +171,14 @@ class TestRunMechanics:
         assert state.step_index == 0
         assert state.t == 0.0
         # Entry re-projection may move coefficients by ulps, nothing more.
-        assert max_component_diff(state.v, v0) < 1e-16
+        assert max_component_diff(state.half_spectrum(), v0) < 1e-16
 
     def test_physical_initial_accepted(self, grid16):
         v0 = fft_inverse(taylor_green(grid16))
         state = run(grid16, v0, SolverConfig(dt=1e-3, t_final=0.0))
         assert state.v.dtype == np.complex128
-        assert max_component_diff(state.v, taylor_green(grid16)) < 1e-15
+        assert max_component_diff(state.half_spectrum(),
+                                  taylor_green(grid16)) < 1e-15
 
     def test_observer_cadence(self, grid16):
         seen = []
@@ -214,9 +216,9 @@ class TestRunMechanics:
         assert alive[2] == (False, False)
 
     def test_dealiased_observers_get_the_band(self, grid16, monkeypatch):
-        # Between steps a dealiased run holds its state on the band and
-        # hands it to the observers as it is; it scatters only the half
-        # spectrum it returns.
+        # A dealiased run holds its state on the band, hands it to the
+        # observers as it is and returns the last of them; it scatters
+        # nothing.
         seen, scattered = [], []
         scatter = Band.scatter
 
@@ -229,20 +231,17 @@ class TestRunMechanics:
                     SolverConfig(dt=1e-2, t_final=0.03),
                     observers=[seen.append])
         m = grid16.n // 3
-        assert scattered == [(3, 2 * m + 1, 2 * m + 1, m + 1)]
+        assert scattered == []
         assert [state.step_index for state in seen] == [0, 1, 2, 3]
         for state in seen:
             assert isinstance(state.band, Band)
             assert state.v.shape == (3, 2 * m + 1, 2 * m + 1, m + 1)
-        assert final.band is None
-        assert final.v.shape == (3, 16, 16, 9)
-        assert np.array_equal(final.v, seen[-1].band.scatter(seen[-1].v))
+        assert final is seen[-1]
         assert (final.t, final.step_index) == (seen[-1].t, 3)
 
     def test_unmasked_observers_get_the_nyquist_free_band(self, grid16):
         # With dealias off the state lives on the band of every mode but
-        # the Nyquist planes, m = n/2 - 1; only the returned state is
-        # the half spectrum.
+        # the Nyquist planes, m = n/2 - 1, to the returned state.
         seen = []
         final = run(grid16, taylor_green(grid16),
                     SolverConfig(dt=1e-2, t_final=0.03, dealias=False),
@@ -251,12 +250,11 @@ class TestRunMechanics:
         for state in seen:
             assert isinstance(state.band, Band) and state.band.m == 7
             assert state.v.shape == (3, 15, 15, 8)
-        assert final.band is None
-        assert final.v.shape == (3, 16, 16, 9)
-        assert final.half_spectrum() is final.v
-        assert np.array_equal(final.v, seen[-1].half_spectrum())
-        assert not final.v[:, 8].any() and not final.v[:, :, 8].any()
-        assert not final.v[..., 8].any()
+        assert final is seen[-1]
+        half = final.half_spectrum()
+        assert half.shape == (3, 16, 16, 9)
+        assert not half[:, 8].any() and not half[:, :, 8].any()
+        assert not half[..., 8].any()
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_cfl_sample_is_the_half_spectrum_one(self, grid16, dealias,
@@ -313,7 +311,7 @@ class TestDealiasingEffect:
         state = run(grid16, taylor_green(grid16),
                     SolverConfig(dt=2e-3, t_final=0.1))
         outside = ~grid16.dealias_mask
-        for comp in state.v:
+        for comp in state.half_spectrum():
             assert np.max(np.abs(comp[outside])) == 0.0
 
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -350,7 +348,7 @@ class TestDealiasingEffect:
                                     lambda n, threaded=threaded: threaded)
                 assert np.array_equal(
                     band.scatter(rhs(band, compact, nu)), k1)
-                banded = step_rk4(band, SolverState(0.0, compact, 0),
+                banded = step_rk4(band, SolverState(0.0, compact, 0, band),
                                   config)
                 assert np.array_equal(band.scatter(banded.v), full)
                 assert (banded.t, banded.step_index) == (dt, 1)
@@ -364,7 +362,8 @@ class TestDealiasingEffect:
         grid = Grid(64)
         band = Band(grid)
         state = SolverState(0.0, band.restrict(make_random_velocity(grid,
-                                                                    rng)), 0)
+                                                                    rng)),
+                            0, band)
         config = SolverConfig(dt=1e-3, t_final=1e-3)
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         assert traced_peak_fields(
@@ -410,11 +409,12 @@ class TestDealiasingEffect:
             v0 = load_snapshot(path)[0]  # physical; rounding off the band
         state = run(grid16, v0, SolverConfig(dt=1e-3, t_final=2e-3))
         assert spaces == ["Band", "Band"]
-        assert not state.v[:, ~grid16.dealias_mask].any()
+        assert not state.half_spectrum()[:, ~grid16.dealias_mask].any()
 
     def test_unmasked_run_differs(self, grid16):
         config_on = SolverConfig(dt=2e-3, t_final=0.1, dealias=True)
         config_off = SolverConfig(dt=2e-3, t_final=0.1, dealias=False)
         a = run(grid16, taylor_green(grid16), config_on)
         b = run(grid16, taylor_green(grid16), config_off)
-        assert max_component_diff(a.v, b.v) > 1e-12
+        assert max_component_diff(a.half_spectrum(),
+                                  b.half_spectrum()) > 1e-12
