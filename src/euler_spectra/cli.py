@@ -26,9 +26,8 @@ from euler_spectra.deformation import classify_admissible
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
+    _format_row,
     classify_and_record,
-    compute_record,
-    identity_residuals,
 )
 from euler_spectra.envelopes import (
     EnvelopeSeries,
@@ -211,7 +210,6 @@ def cmd_run(args) -> int:
     initial = [cfg.initial.build(grid)]
 
     collector = DiagnosticsCollector(
-        grid,
         every=cfg.output_every,
         csv_path=out_dir / "timeseries.csv",
         class_tolerance=cfg.class_tolerance,
@@ -316,10 +314,11 @@ def cmd_diagnose(args) -> int:
     its spectrum is kept, so that a corrupt, mixed-grid or unsorted
     input fails before any row is printed.  Then one snapshot at a
     time: its physical velocity and vorticity are formed once, its
-    record is computed from them and printed, and, when the series
-    takes the series residuals (five or more uniformly spaced
-    snapshots), its vorticity transport term is formed from them in
-    place of its spectrum, which is then released.  The transforms and
+    record is computed from them under a run's series rules
+    (:class:`~euler_spectra.diagnostics.DiagnosticsCollector`) and
+    printed, and, when the series takes the series residuals (five or
+    more uniformly spaced snapshots), its vorticity transport term is
+    formed from them in place of its spectrum, which is then released.  The transforms and
     the records share one worker thread (:mod:`euler_spectra.workers`).
     """
     spectra, times, grid, mixed = [], [], None, False
@@ -345,34 +344,22 @@ def cmd_diagnose(args) -> int:
             pass
 
     print(",".join(DiagnosticsRecord.field_names()))
-    records = []
+    series = DiagnosticsCollector()
     with _worker(grid.n) as worker:
         snapshots = _SnapshotPass(grid, worker, transport=spacing is not None)
         for m, t in enumerate(times):
-            physical = snapshots.fields(spectra[m])
-            if records:
-                record = compute_record(
-                    grid, t, spectra[m], classification=classification,
-                    physical=physical, worker=worker,
-                    work=snapshots.spectral_work)
-            else:
-                # Classified from its own record's spectra.
-                classification, record = classify_and_record(
-                    grid, t, spectra[m], physical=physical, worker=worker,
-                    work=snapshots.spectral_work)
-            records.append(record)
-            print(",".join(repr(float(x)) for x in record.as_tuple()))
+            record = series.record(grid, t, spectra[m],
+                                   physical=snapshots.fields(spectra[m]),
+                                   worker=worker,
+                                   work=snapshots.spectral_work)
+            print(_format_row(record.as_tuple()))
             if spacing is not None:
                 snapshots.add_transport(spectra[m])
             spectra[m] = None
         if spacing is not None:
             transport, _ = snapshots.residual(spacing)
 
-    worst = {"enstrophy_moment": 0.0, "stretching_cubic": 0.0,
-             "cubic_product": 0.0}
-    for record in records:
-        for key, value in identity_residuals(record).items():
-            worst[key] = max(worst[key], value)
+    worst = series.max_residuals
     names = {"enstrophy_moment": "Z = 2Q",
              "stretching_cubic": "W = -(4/3) C3",
              "cubic_product": "C3 = 3P"}
@@ -388,7 +375,7 @@ def cmd_diagnose(args) -> int:
             print("series residuals skipped: non-uniform snapshot times",
                   file=sys.stderr)
         else:
-            _, normalized = moment_balance_residual(records)
+            _, normalized = moment_balance_residual(series.records)
             print(f"moment balance dQ/dt + 4P: max normalized residual "
                   f"{float(np.max(np.abs(normalized))):.3e}", file=sys.stderr)
             print(f"vorticity transport: max residual "
@@ -415,7 +402,7 @@ def cmd_classify(args) -> int:
         start = solver_run(grid, cfg.initial.build(grid),
                            dataclasses.replace(cfg.solver, t_final=0.0))
         classification, _ = classify_and_record(
-            grid, start.t, start.v, cfg.class_tolerance, band=start.band)
+            start.band, start.t, start.v, cfg.class_tolerance)
     else:
         v, t, grid = load_snapshot(args.snapshot)
         if args.spectra:

@@ -33,18 +33,13 @@ half of the slabs and half of the tensor's transforms: the rule of
 :mod:`euler_spectra.workers`, which band steps follow too.
 
 Every buffer of grid size of a record is a view of one block that the
-record allocates and frees (``_RecordBlock``), so glibc maps it and
-gives it back whole instead of leaving a dozen freed arrays on the
-heap.  Regions are reused once dead: v sits in the first half of the
-tensor's region, the eigenvalues take its place once every integral of
-the tensor is taken, and the integrand shares a region with the
-transform buffers.
+record allocates and frees (:class:`_RecordBlock`).
 
-A record of a run's state takes the compact band array as it
-is: it forms the curl and the tensor entries on the band and transforms
-them with the passes of :func:`~euler_spectra.fields.band_inverse`,
-which skip the lines outside the band and give the values the half
-spectrum gives.
+A record takes the :class:`Grid` or the :class:`Band` of its spectrum
+first; on a band (a run's state) it transforms with the passes of
+:func:`~euler_spectra.fields.band_inverse`, which give the values of
+the half spectrum.  :class:`DiagnosticsCollector` keeps the rules of a
+series of records, for ``run`` and ``diagnose`` alike.
 """
 
 import math
@@ -63,6 +58,7 @@ from euler_spectra.deformation import (
     classify_admissible,
     eigenvalues_sym3,
     epsilon_ratio,
+    first_zero_touching,
     frobenius_squared,
 )
 from euler_spectra.envelopes import EnvelopeAccumulator, envelope_rates
@@ -142,31 +138,26 @@ def _cubic_trace_density(tensor: np.ndarray):
             + 6.0 * s12 * s13 * s23)
 
 
-def resolution_tail_fraction(grid: Grid, v: np.ndarray,
-                             band: Band | None = None) -> float:
+def resolution_tail_fraction(space: Band, v: np.ndarray) -> float:
     """Fraction of enstrophy carried by the outer third of retained modes.
 
     A well-resolved field keeps this small; values approaching one mean
     the retained band is saturated and the run is underresolved.  Uses
-    the infinity-norm shell |k|_inf > (2/3) * (n/3) as the tail.  Sums
-    run over the half spectrum with the grid's Parseval weight.  ``band``
-    is the :class:`Band` of a compact ``v``, the state of a run: the
-    compact layout holds its modes in the C order of the half spectrum,
-    and the weight is 1 at kz = 0 and 2 on the other band planes there
-    too, so the sums over the band's modes of the 2/3-rule ball and of
-    its tail are the same bits as on ``band.scatter(v)``, without the
-    scatter.
+    the infinity-norm shell |k|_inf > (2/3) * (n/3) of the 2/3-rule
+    ball |k|_inf <= n/3 as the tail.  ``v`` is the compact array of the
+    :class:`Band` ``space``, a run's state.  Sums run over the band's
+    modes in the C order of the half spectrum, with its Parseval weight
+    (1 at kz = 0, 2 on the other band planes), so they are the same bits
+    as on ``space.scatter(v)``.
     """
-    n = grid.n
-    absf = np.abs(grid.freq)
-    kinf = np.maximum(np.maximum(absf.reshape(n, 1, 1),
-                                 absf.reshape(1, n, 1)),
-                      np.abs(grid.freq_z).reshape(1, 1, -1))
-    space, kept = grid, grid.dealias_mask
-    in_tail = kept & (kinf > (2.0 / 3.0) * grid.dealias_limit)
-    if band is not None:
-        space, kept, in_tail = band, band.restrict(kept), band.restrict(in_tail)
-    weight = grid.parseval_weight[..., :v.shape[-1]]
+    limit, m = space.n // 3, space.m
+    modes = np.abs(np.r_[:m + 1, -m:0])
+    kinf = np.maximum(np.maximum.outer(modes, modes)[..., None],
+                      np.arange(m + 1))
+    kept = kinf <= limit
+    in_tail = kept & (kinf > (2.0 / 3.0) * limit)
+    weight = np.full(m + 1, 2.0)
+    weight[0] = 1.0
     power = weight * sum(np.abs(c) ** 2 for c in curl(space, v))
     total = pairwise_sum(power[kept])
     if total <= 0.0:
@@ -274,27 +265,27 @@ class _RecordBlock:
         self.pads = lane_buffers[0] if lane_buffers else None
 
 
-def compute_record(grid: Grid, t: float, v: np.ndarray,
+def compute_record(space: Grid | Band, t: float, v: np.ndarray,
                    classification: Classification | None = None,
                    eps_floor: float | None = None,
                    class_valid: bool = True,
                    physical=None, worker=None,
-                   band: Band | None = None,
                    work: np.ndarray | None = None) -> DiagnosticsRecord:
     """Evaluate the full diagnostics pipeline for one spectral velocity.
 
-    The epsilon-ratio infimum is only defined while the run sits in a
-    one-signed class; pass the run's classification (and whether the
-    sign condition still holds) to populate it, otherwise it is NaN.
+    ``space`` is the :class:`Grid` of a half spectrum ``v`` or the
+    :class:`Band` of a compact one, a run's state; a band's record is
+    the same as the grid's on ``band.scatter(v)``.  The epsilon-ratio
+    infimum is only defined while the run sits in a one-signed class;
+    pass the run's classification (and whether the sign condition still
+    holds) to populate it, otherwise it is NaN.
     :func:`classify_and_record` classifies the sample itself first.
     ``physical`` is ``(fft_inverse(v), fft_inverse(curl(grid, v)))``
     for a caller that holds them (``diagnose``); the record is the same.
     ``worker`` is the worker of :func:`euler_spectra.workers._worker`
     held open by a caller whose records share it (``diagnose``); by
     default the record opens its own, which gives no thread exactly
-    where the caller's gives none.  ``band`` is the :class:`Band` of a
-    compact ``v``, the state of a run; the record is the same
-    as on ``band.scatter(v)``.  ``work`` is a complex128 array
+    where the caller's gives none.  ``work`` is a complex128 array
     ``(lanes, 2) + v.shape[1:]``, one spectral component and its scratch
     per thread of ``worker``, that a caller lends the record
     (``diagnose``'s pass, between its transforms).
@@ -313,13 +304,11 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
     a grid where :mod:`euler_spectra.workers` allows it, one worker
     thread takes half of the slabs and half of the transforms.
     """
-    spectral = grid if band is None else band
     with (nullcontext(worker) if worker is not None
-          else _worker(grid.n)) as worker:
-        block = _RecordBlock(spectral, _lanes(worker), physical is None,
-                             work)
+          else _worker(space.n)) as worker:
+        block = _RecordBlock(space, _lanes(worker), physical is None, work)
         density, tensor = block.density, block.tensor
-        slabs = _slabs(grid.n)
+        slabs = _slabs(space.n)
 
         def fill(form, *arrays):
             """``density`` filled with ``form(*arrays)``, slab by slab."""
@@ -330,19 +319,19 @@ def compute_record(grid: Grid, t: float, v: np.ndarray,
 
         def integrate(density):
             """``integrate_domain(grid, density)``, folding ``density``."""
-            return grid.cell_volume * _pairwise_sum_owned(density)
+            return space.cell_volume * _pairwise_sum_owned(density)
 
         def integral(form, *arrays):
             return integrate(fill(form, *arrays))
 
         if physical is None:
             physical = block.v, block.omega
-            _physical_fields(spectral, v, physical, worker, block.work,
+            _physical_fields(space, v, physical, worker, block.work,
                              block.pads)
         v_phys, omega_phys = physical
         e = integral(magnitude_squared, v_phys)
         h = integral(pointwise_dot, v_phys, omega_phys)
-        _strain_entries(spectral, v, worker, tensor, block.work, block.pads)
+        _strain_entries(space, v, worker, tensor, block.work, block.pads)
         fill(magnitude_squared, omega_phys)
         bkm_sup_vort = float(np.sqrt(np.max(density)))  # max_speed(omega)
         z = integrate(density)
@@ -408,25 +397,25 @@ def _slab_eigenvalues(tensor: np.ndarray, worker,
     return out
 
 
-def classify_and_record(grid: Grid, t: float, v: np.ndarray,
+def classify_and_record(space: Grid | Band, t: float, v: np.ndarray,
                         tolerance: float | None = None,
                         eps_floor: float | None = None, physical=None,
-                        worker=None, band: Band | None = None, work=None):
+                        worker=None, work=None):
     """Classify the first sample of a series and record it.
 
     Gives the classification of the record's eigenvalues with
-    ``tolerance`` and the record :func:`compute_record` gives with it,
-    from one deformation tensor and one eigensolve; ``physical``,
-    ``worker``, ``band`` and ``work`` go to the record.
+    ``tolerance`` and the record :func:`compute_record` gives with it
+    on ``space``, from one deformation tensor and one eigensolve;
+    ``physical``, ``worker`` and ``work`` go to the record.
 
     Returns
     -------
     (Classification, DiagnosticsRecord)
     """
     pending = _ClassifyHere(tolerance)
-    record = compute_record(grid, t, v, classification=pending,
+    record = compute_record(space, t, v, classification=pending,
                             eps_floor=eps_floor, physical=physical,
-                            worker=worker, band=band, work=work)
+                            worker=worker, work=work)
     return pending.result, record
 
 
@@ -458,15 +447,16 @@ def _format_row(values) -> str:
 
 
 class DiagnosticsCollector:
-    """Run observer that records diagnostics and streams them to CSV.
+    """A series of diagnostics records, streamed to CSV as a run observer.
 
-    It takes the states of :func:`euler_spectra.solver.run` as they
-    come, and records each one as it is, on its band.
+    :meth:`record` keeps the series rules: the first sample fixes the
+    sign class, the epsilon ratio counts only while it holds, and the
+    worst identity residuals are kept.  As an observer, the collector
+    records the states of :func:`euler_spectra.solver.run` on their band
+    and adds the tail fraction, the envelopes and the CSV row.
 
     Parameters
     ----------
-    grid : Grid
-        Grid of the run's velocity.
     every : int
         Record cadence in steps (>= 1); step 0 is always recorded.
     csv_path : str or Path, optional
@@ -486,12 +476,11 @@ class DiagnosticsCollector:
     same left-to-right accumulation (see euler_spectra.envelopes).
     """
 
-    def __init__(self, grid: Grid, every: int = 1, csv_path=None,
+    def __init__(self, every: int = 1, csv_path=None,
                  class_tolerance: float | None = None,
                  eps_floor: float | None = None):
         if every < 1:
             raise ContractViolationError(f"cadence must be >= 1, got {every}")
-        self.grid = grid
         self.every = int(every)
         self.csv_path = csv_path
         self.class_tolerance = class_tolerance
@@ -520,14 +509,10 @@ class DiagnosticsCollector:
                 and self.zero_touch_time is None)
 
     def _update_zero_touch(self, record: DiagnosticsRecord):
-        if not self._class_active():
-            return
-        label = self.classification.label
-        tol = self.classification.tolerance
-        if label == AdmissibleClass.APLUS and record.min_l2 < -tol:
-            self.zero_touch_time = record.t
-        elif label == AdmissibleClass.AMINUS and record.max_l2 > tol:
-            self.zero_touch_time = record.t
+        if self._class_active():
+            self.zero_touch_time = first_zero_touching(
+                [(record.t, record.min_l2, record.max_l2)],
+                self.classification)
 
     # -- envelope accumulation ------------------------------------------
 
@@ -538,38 +523,43 @@ class DiagnosticsCollector:
         self.envelope_rows.append(row)
         return row
 
-    # -- observer entry point -------------------------------------------
+    # -- series entry points --------------------------------------------
 
-    def __call__(self, state):
-        if state.step_index % self.every != 0:
-            return
+    def record(self, space: Grid | Band, t: float, v: np.ndarray,
+               physical=None, worker=None, work=None) -> DiagnosticsRecord:
+        """Add the record of ``v`` on ``space`` to the series; the
+        keywords go to :func:`compute_record`."""
         if not self.records:
             self.classification, record = classify_and_record(
-                self.grid, state.t, state.v, self.class_tolerance,
-                self.eps_floor, band=state.band)
-            self.tail_fraction_initial = resolution_tail_fraction(
-                self.grid, state.v, state.band)
+                space, t, v, self.class_tolerance, self.eps_floor,
+                physical=physical, worker=worker, work=work)
         else:
-            record = compute_record(self.grid, state.t, state.v,
+            record = compute_record(space, t, v,
                                     classification=self.classification,
                                     eps_floor=self.eps_floor,
                                     class_valid=self._class_active(),
-                                    band=state.band)
+                                    physical=physical, worker=worker,
+                                    work=work)
         self._update_zero_touch(record)
-        if (self.zero_touch_time is not None
-                and self.zero_touch_time == record.t):
+        if self.zero_touch_time == record.t:
             # The sample that broke the sign condition: its epsilon is
             # already meaningless.
             record.inf_eps = math.nan
         self.records.append(record)
-
         for key, value in identity_residuals(record).items():
             if value > self.max_residuals[key]:
                 self.max_residuals[key] = value
-        self._last_state = state
+        return record
 
-        envelope_row = self._advance_envelopes(record)
-        self._write_row(record, envelope_row)
+    def __call__(self, state):
+        if state.step_index % self.every != 0:
+            return
+        record = self.record(state.band, state.t, state.v)
+        if len(self.records) == 1:
+            self.tail_fraction_initial = resolution_tail_fraction(
+                state.band, state.v)
+        self._last_state = state
+        self._write_row(record, self._advance_envelopes(record))
 
     # -- CSV ---------------------------------------------------------------
 
@@ -619,6 +609,6 @@ class DiagnosticsCollector:
             "resolution_health": {
                 "tail_enstrophy_fraction_initial": self.tail_fraction_initial,
                 "tail_enstrophy_fraction_final": resolution_tail_fraction(
-                    self.grid, self._last_state.v, self._last_state.band),
+                    self._last_state.band, self._last_state.v),
             },
         }

@@ -179,15 +179,16 @@ class Band:
     hold the modes 0, 1, ..., m, -m, ..., -1 (FFT order with the gap
     removed), the z axis kz = 0, ..., m.  The band never contains a
     Nyquist mode.  The wavenumber tables are the :class:`Grid` tables
-    restricted to the band, under the same names, so the per-mode
-    operators of :mod:`euler_spectra.fields` run on a ``Band`` unchanged.
+    restricted to the band, under the same names (``n`` and
+    ``cell_volume`` too), so the per-mode operators and the records run
+    on a ``Band`` unchanged.
     ``restrict`` and ``scatter`` convert to and from the half spectrum.
     ``x_halves`` cuts the band into the x rows of the two ``halves``.
     """
 
     def __init__(self, grid: Grid, m: int | None = None):
         n, m = grid.n, grid.n // 3 if m is None else m
-        self.n, self.m = n, m
+        self.n, self.m, self.cell_volume = n, m, grid.cell_volume
         # Along x or y: the modes 0..m and -m..-1 as slices of the FFT
         # layout, and the FFT-layout position of each band row.
         self.halves = (slice(0, m + 1), slice(n - m, n))

@@ -153,11 +153,6 @@ class SolverState:
     step_index: int
     band: Band
 
-    def half_spectrum(self) -> np.ndarray:
-        """``v`` as a half spectrum: a new scatter of the band, zero
-        outside it."""
-        return self.band.scatter(self.v)
-
     def physical(self) -> np.ndarray:
         """The physical velocity ``(3, n, n, n)``: ``band_inverse`` of
         the band, the values of ``fft_inverse`` of the half spectrum
@@ -392,11 +387,10 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     the module docstring).  The observers are called once on that
     initial state and then after every step, and the last state they
     saw is returned.  Every state is on the band (``state.v`` compact;
-    :meth:`SolverState.half_spectrum` and :meth:`SolverState.physical`
-    convert it).  Observer exceptions propagate to the caller, aborting
-    the run.  The run keeps no reference to ``initial`` or to the start
-    state once it has stepped past it, so a caller that hands over its
-    only reference frees them.
+    :meth:`SolverState.physical` transforms it).  Observer exceptions
+    propagate to the caller, aborting the run.  The run keeps no
+    reference to ``initial`` or to the start state once it has stepped
+    past it, so a caller that hands over its only reference frees them.
 
     The advective CFL number u_max * dt / dx is sampled at the start
     and every few dozen steps; exceeding ``config.cfl_warning`` logs a

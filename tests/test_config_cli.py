@@ -317,14 +317,15 @@ class TestCmdRun:
 
         def compare(state):
             on_band.append(state.band is not None)
-            write_snapshot(reference, grid, state.half_spectrum(), state.t)
+            write_snapshot(reference, grid, state.band.scatter(state.v),
+                           state.t)
             written = out / f"snapshot_{state.step_index:08d}.bin"
             assert written.read_bytes() == reference.read_bytes()
 
         final = solver_run(grid, config.initial.build(grid), config.solver,
                            [compare])
         assert on_band == [True] * 4
-        write_snapshot(reference, grid, final.half_spectrum(), final.t)
+        write_snapshot(reference, grid, final.band.scatter(final.v), final.t)
         assert (out / "final.bin").read_bytes() == reference.read_bytes()
 
     def unmasked_identity_run(self, tmp_path, dealias=False):

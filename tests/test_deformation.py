@@ -8,7 +8,6 @@ never calls it.
 """
 
 import logging
-import math
 
 import numpy as np
 import pytest

@@ -10,7 +10,6 @@ import csv
 import itertools
 import logging
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,7 +311,7 @@ class TestSlabRecord:
                                                np.random.default_rng(64)))
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         assert traced_peak_fields(
-            grid, lambda: compute_record(grid, 0.5, v, band=band)) < 13.0
+            grid, lambda: compute_record(band, 0.5, v)) < 13.0
 
     def test_trace_warning_from_the_slab_pass(self, grid16, caplog):
         x, _, _ = grid16.coordinates()
@@ -374,7 +373,7 @@ class TestRecordBlock:
         band = Band(grid)
         v = band.restrict(make_random_velocity(grid,
                                                np.random.default_rng(3)))
-        kwargs = {"band": band} if layout == "band" else {}
+        space = band if layout == "band" else grid
         if layout == "half":
             v = band.scatter(v)
         use_threads(monkeypatch, threads)
@@ -388,7 +387,7 @@ class TestRecordBlock:
             return array
 
         monkeypatch.setattr(np, "empty", counting)
-        compute_record(grid, 0.5, v, **kwargs)
+        compute_record(space, 0.5, v)
         assert len(sizes) == 1
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -408,7 +407,7 @@ class TestRecordBlock:
         for start in (random_solenoidal(grid, seed=n), abc_flow(grid)):
             compact = band.restrict(start)
             half = band.scatter(compact)
-            v = compact if layout == "band" else half
+            space, v = (band, compact) if layout == "band" else (grid, half)
             for label in (None, AdmissibleClass.APLUS):
                 classification = label and Classification(label, 0.0, 0.0,
                                                           0.0)
@@ -416,8 +415,6 @@ class TestRecordBlock:
                                               classification)
                 with workers_module._worker(n) as worker:
                     kwargs = {"worker": worker}
-                    if layout == "band":
-                        kwargs["band"] = band
                     if given != "none" and layout == "band":
                         kwargs["physical"] = (
                             band_inverse(band, v),
@@ -428,11 +425,34 @@ class TestRecordBlock:
                         kwargs["physical"] = snapshots.fields(v)
                         if given == "physical+work":
                             kwargs["work"] = snapshots.spectral_work
-                    record = compute_record(grid, 0.5, v,
+                    record = compute_record(space, 0.5, v,
                                             classification=classification,
                                             **kwargs)
                 assert np.array_equal(record.as_tuple(),
                                       expected.as_tuple(), equal_nan=True)
+
+
+def half_spectrum_tail_fraction(grid, v):
+    """``resolution_tail_fraction`` on the half spectrum ``v`` of
+    ``grid``: the sums over the 2/3-rule ball and its tail shell, with
+    the grid's Parseval weight."""
+    n = grid.n
+    absf = np.abs(grid.freq)
+    kinf = np.maximum(np.maximum(absf.reshape(n, 1, 1),
+                                 absf.reshape(1, n, 1)),
+                      np.abs(grid.freq_z).reshape(1, 1, -1))
+    kept = grid.dealias_mask
+    in_tail = kept & (kinf > (2.0 / 3.0) * grid.dealias_limit)
+    power = grid.parseval_weight * sum(np.abs(c) ** 2 for c in curl(grid, v))
+    total = pairwise_sum(power[kept])
+    return 0.0 if total <= 0.0 else pairwise_sum(power[in_tail]) / total
+
+
+def band_tail_fraction(grid, v):
+    """``resolution_tail_fraction`` of the half spectrum ``v`` cut to
+    the 2/3-rule band, which holds every mode the fraction sums."""
+    band = Band(grid)
+    return resolution_tail_fraction(band, band.restrict(v))
 
 
 class TestResolutionTail:
@@ -447,9 +467,9 @@ class TestResolutionTail:
         start = (taylor_green(grid) if field == "taylor_green"
                  else random_solenoidal(grid, seed=n))
         compact = band.restrict(start)
-        on_band = resolution_tail_fraction(grid, compact, band)
-        assert on_band == resolution_tail_fraction(grid,
-                                                   band.scatter(compact))
+        on_band = resolution_tail_fraction(band, compact)
+        assert on_band == half_spectrum_tail_fraction(grid,
+                                                      band.scatter(compact))
         assert on_band > 0.0 or field == "taylor_green"
 
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -462,15 +482,15 @@ class TestResolutionTail:
         for m in (n // 3, n // 2 - 1):
             band = Band(grid, m)
             compact = band.restrict(v)
-            on_band = resolution_tail_fraction(grid, compact, band)
-            assert on_band == resolution_tail_fraction(
+            on_band = resolution_tail_fraction(band, compact)
+            assert on_band == half_spectrum_tail_fraction(
                 grid, band.scatter(compact))
             assert 0.0 < on_band < 1.0
 
     def test_band_limited_field_has_empty_tail(self, grid32):
         # All spectral content of the ABC flow sits at |k| = 1, far
         # inside the tail shell; only transform noise remains out there.
-        assert resolution_tail_fraction(grid32, abc_flow(grid32)) < 1e-28
+        assert band_tail_fraction(grid32, abc_flow(grid32)) < 1e-28
 
     def test_saturated_field_has_full_tail(self, grid16):
         g = grid16
@@ -484,10 +504,10 @@ class TestResolutionTail:
         shell = g.dealias_mask & (kinf > (2.0 / 3.0) * g.dealias_limit)
         coeffs[shell] = rng.standard_normal(int(shell.sum()))
         v = np.stack((coeffs, 0.0 * coeffs, 0.0 * coeffs))
-        assert resolution_tail_fraction(g, v) == pytest.approx(1.0)
+        assert band_tail_fraction(g, v) == pytest.approx(1.0)
 
     def test_zero_field(self, grid8):
-        assert resolution_tail_fraction(
+        assert band_tail_fraction(
             grid8, np.zeros((3, 8, 8, 5), dtype=np.complex128)) == 0.0
 
     def test_matches_full_spectrum_reference(self, grid16, rng):
@@ -516,7 +536,7 @@ class TestResolutionTail:
         tail = keep & (kinf > (2.0 / 3.0) * g.dealias_limit)
         expected = np.sum(power[tail]) / np.sum(power[keep])
         assert 0.0 < expected < 1.0
-        assert abs(resolution_tail_fraction(g, v) - expected) < 1e-12
+        assert abs(band_tail_fraction(g, v) - expected) < 1e-12
 
         kx, ky = g.k_true_x, g.k_true_y
         kz = g.k_true_x.reshape(1, 1, g.n)
@@ -559,16 +579,15 @@ class TestBandRecord:
                     record_transforms(band, compact, worker),
                     record_transforms(grid, half, worker)):
                 assert np.array_equal(on_band, on_half)
-        classification, record = classify_and_record(grid, 0.5, compact,
-                                                     band=band)
+        classification, record = classify_and_record(band, 0.5, compact)
         assert classification == classify_and_record(grid, 0.5, half)[0]
         assert np.array_equal(record.as_tuple(),
                               compute_record(grid, 0.5, half).as_tuple(),
                               equal_nan=True)
         for label in (AdmissibleClass.APLUS, AdmissibleClass.AMINUS):
             given = Classification(label, 0.0, 0.0, 0.0)
-            record = compute_record(grid, 0.5, compact,
-                                    classification=given, band=band)
+            record = compute_record(band, 0.5, compact,
+                                    classification=given)
             expected = compute_record(grid, 0.5, half, classification=given)
             assert np.array_equal(record.as_tuple(), expected.as_tuple(),
                                   equal_nan=True)
@@ -576,40 +595,37 @@ class TestBandRecord:
                 assert math.isfinite(record.inf_eps)
 
     def test_collector_records_the_band(self, grid16):
-        # A collector fed a dealiased run's band states writes the rows
-        # and the summary of one fed their half spectra (states without
-        # a band, which a record takes on the grid).
+        # A collector fed a dealiased run's band states keeps the series
+        # of one that records their half spectra on the grid.
         states = []
         run(grid16, random_solenoidal(grid16, seed=3),
             SolverConfig(dt=1e-3, t_final=3e-3), observers=[states.append])
-        assert all(state.band is not None for state in states)
-        on_band, on_half = (DiagnosticsCollector(grid16) for _ in range(2))
+        on_band, on_half = DiagnosticsCollector(), DiagnosticsCollector()
         for state in states:
             on_band(state)
-            on_half(SimpleNamespace(t=state.t, v=state.half_spectrum(),
-                                    step_index=state.step_index, band=None))
+            on_half.record(grid16, state.t, state.band.scatter(state.v))
         assert np.array_equal([r.as_tuple() for r in on_band.records],
                               [r.as_tuple() for r in on_half.records],
                               equal_nan=True)
-        assert np.array_equal(on_band.envelope_rows, on_half.envelope_rows,
-                              equal_nan=True)
-        assert on_band.summary() == on_half.summary()
+        assert on_band.classification == on_half.classification
+        assert on_band.zero_touch_time == on_half.zero_touch_time
+        assert on_band.max_residuals == on_half.max_residuals
 
 
 class TestDiagnosticsCollector:
     def test_cadence_and_initial_sample(self, grid16):
-        col = DiagnosticsCollector(grid16, every=3)
+        col = DiagnosticsCollector(every=3)
         run(grid16, taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.1),
             observers=[col])
         assert [round(r.t / 1e-2) for r in col.records] == [0, 3, 6, 9]
 
     def test_rejects_bad_cadence(self):
         with pytest.raises(ContractViolationError):
-            DiagnosticsCollector(Grid(8), every=0)
+            DiagnosticsCollector(every=0)
 
     def test_csv_layout_and_roundtrip(self, grid16, tmp_path):
         path = tmp_path / "series.csv"
-        with DiagnosticsCollector(grid16, every=2, csv_path=path) as col:
+        with DiagnosticsCollector(every=2, csv_path=path) as col:
             run(grid16, taylor_green(grid16),
                 SolverConfig(dt=5e-3, t_final=0.02),
                 observers=[col])
@@ -628,7 +644,7 @@ class TestDiagnosticsCollector:
 
     def test_csv_flushed_incrementally(self, grid16, tmp_path):
         path = tmp_path / "series.csv"
-        col = DiagnosticsCollector(grid16, every=1, csv_path=path)
+        col = DiagnosticsCollector(every=1, csv_path=path)
         lines_seen = []
 
         def spy(state):
@@ -642,7 +658,7 @@ class TestDiagnosticsCollector:
         assert lines_seen == [2, 3, 4, 5]
 
     def test_classification_happens_once(self, grid16):
-        col = DiagnosticsCollector(grid16, every=1)
+        col = DiagnosticsCollector(every=1)
         run(grid16, taylor_green(grid16), SolverConfig(dt=1e-2, t_final=0.02),
             observers=[col])
         assert col.classification is not None
@@ -667,7 +683,7 @@ class TestDiagnosticsCollector:
                                      lambda tensor: tensor[0].size))
         monkeypatch.setattr(diagnostics_module, "resolution_tail_fraction",
                             counting("tail", resolution_tail_fraction))
-        col = DiagnosticsCollector(grid16, every=1)
+        col = DiagnosticsCollector(every=1)
         final = run(grid16, random_solenoidal(grid16, seed=2, peak_k=3.0),
                     SolverConfig(dt=1e-2, t_final=0.03), observers=[col])
         assert len(col.records) == 4
@@ -677,7 +693,7 @@ class TestDiagnosticsCollector:
         assert calls == {"eig": points, "tail": 2}
         # The deferred final value is the one of the last recorded state.
         assert health["tail_enstrophy_fraction_final"] == \
-            resolution_tail_fraction(grid16, final.half_spectrum())
+            resolution_tail_fraction(final.band, final.v)
 
     def test_classify_and_record_matches_two_passes(self, grid16, rng):
         v = make_random_velocity(grid16, rng)
@@ -690,7 +706,7 @@ class TestDiagnosticsCollector:
                            classification=classification).as_tuple())
 
     def test_summary_schema(self, grid16):
-        col = DiagnosticsCollector(grid16, every=1)
+        col = DiagnosticsCollector(every=1)
         run(grid16, abc_flow(grid16), SolverConfig(dt=1e-2, t_final=0.02),
             observers=[col])
         s = col.summary()
@@ -704,12 +720,28 @@ class TestDiagnosticsCollector:
 
     def test_summary_requires_records(self):
         with pytest.raises(ContractViolationError):
-            DiagnosticsCollector(Grid(8)).summary()
+            DiagnosticsCollector().summary()
+
+    def test_sign_break_ends_the_epsilon_ratio(self, grid16, rng):
+        # Once the first sample has fixed a one-signed class, the record
+        # that breaks the sign condition and every later one carry no
+        # epsilon ratio, on either layout.
+        v = make_random_velocity(grid16, rng)
+        col = DiagnosticsCollector()
+        col.record(grid16, 0.0, v)
+        col.classification = Classification(
+            AdmissibleClass.APLUS, 0.1, 0.2, 1e-3)
+        assert math.isfinite(compute_record(
+            grid16, 0.1, v, classification=col.classification).inf_eps)
+        band = Band(grid16)
+        assert math.isnan(col.record(grid16, 0.1, v).inf_eps)
+        assert math.isnan(col.record(band, 0.2, band.restrict(v)).inf_eps)
+        assert col.zero_touch_time == 0.1
 
     def test_zero_touch_detection(self, grid16):
         # Feed the collector a synthetic positive-class history whose
         # minimum dips below -tolerance at the third sample.
-        col = DiagnosticsCollector(grid16, every=1, class_tolerance=1e-3)
+        col = DiagnosticsCollector(every=1, class_tolerance=1e-3)
 
         band = Band(grid16)
         col(SolverState(0.0, band.restrict(abc_flow(grid16)), 0, band))

@@ -188,7 +188,7 @@ class TestGrowthEnvelopes:
         assert np.all(np.isfinite(env.upper))
 
     def test_shear_run_envelopes_flat(self, grid16):
-        col = DiagnosticsCollector(grid16, every=2)
+        col = DiagnosticsCollector(every=2)
         run(grid16, shear_flow(grid16), SolverConfig(dt=5e-3, t_final=0.05),
             observers=[col])
         env = growth_envelopes(col.records, col.classification)
@@ -197,7 +197,7 @@ class TestGrowthEnvelopes:
         assert np.max(np.abs(env.upper - z0)) < 1e-10 * z0
 
     def test_streaming_matches_batch_bitwise(self, grid16):
-        col = DiagnosticsCollector(grid16, every=2)
+        col = DiagnosticsCollector(every=2)
         run(grid16, taylor_green(grid16), SolverConfig(dt=5e-3, t_final=0.05),
             observers=[col])
         env = growth_envelopes(col.records, col.classification)
@@ -425,7 +425,7 @@ class TestTransportResidual:
 
         def taker(state):
             if state.step_index % 5 == 0:
-                snaps.append((state.t, state.half_spectrum()))
+                snaps.append((state.t, state.band.scatter(state.v)))
 
         run(grid16, abc_flow(grid16), SolverConfig(dt=1e-2, t_final=0.2),
             observers=[taker])
@@ -441,8 +441,8 @@ class TestTransportResidual:
         snaps = []
         run(grid16, random_solenoidal(grid16, 3),
             SolverConfig(dt=1e-3, t_final=0.004),
-            observers=[lambda state: snaps.append((state.t,
-                                                   state.half_spectrum()))])
+            observers=[lambda state: snaps.append(
+                (state.t, state.band.scatter(state.v)))])
         times = [t for t, _ in snaps]
         velocities = [v for _, v in snaps]
         assert len(times) == 5
