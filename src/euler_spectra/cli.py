@@ -318,8 +318,10 @@ def cmd_diagnose(args) -> int:
     (:class:`~euler_spectra.diagnostics.DiagnosticsCollector`) and
     printed, and, when the series takes the series residuals (five or
     more uniformly spaced snapshots), its vorticity transport term is
-    formed from them in place of its spectrum, which is then released.  The transforms and
-    the records share one worker thread (:mod:`euler_spectra.workers`).
+    formed from them in place of its spectrum, which is then released,
+    and kept as a compact spectrum on the 2/3-rule band until the
+    residual transforms it back slab by slab.  The transforms and the
+    records share one worker thread (:mod:`euler_spectra.workers`).
     """
     spectra, times, grid, mixed = [], [], None, False
     for path in args.snapshots:

@@ -17,7 +17,10 @@ solver against exact analysis:
 snapshots (``_SnapshotPass``): each snapshot's physical fields are
 formed once, for its record and its transport term, and the pass splits
 its transforms with a worker thread by the rule of
-:mod:`euler_spectra.workers`.
+:mod:`euler_spectra.workers`.  The transport term is band-limited by
+construction, so the pass keeps it as its compact spectrum on the
+2/3-rule band and transforms it back slab by slab only where it is
+compared, through the band passes of :mod:`euler_spectra.fields`.
 
 Time integrals use the trapezoid rule through a single accumulator
 class so that envelopes computed on the fly during a run and envelopes
@@ -36,15 +39,21 @@ from euler_spectra.deformation import (
 )
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
+    _band_forward_x,
+    _band_forward_y,
+    _band_pad_inverse_x,
+    _cross_component,
     _curl_component,
-    _inverse_owned,
+    _forward_z,
+    _inverse_yz,
     _physical_fields,
     check_velocity,
-    cross_product,
     fft_forward,
 )
-from euler_spectra.grid import Grid
+from euler_spectra.grid import Band, Grid
 from euler_spectra.workers import (
+    _carve,
+    _carved_size,
     _lanes,
     _slabs,
     _split,
@@ -390,35 +399,41 @@ class _SnapshotPass:
     :meth:`fields` transforms the next snapshot's v into one buffer that
     every snapshot reuses and its omega into a new row of the omega
     series (into one reused row when the series takes no transport
-    term).  :meth:`add_transport` writes the curl of the 2/3-truncated
-    v x omega of the fields formed last into a new row of the transport
-    series, and :meth:`residual` compares the fourth-order time stencil
-    of the omega rows with the transport rows, slab by slab of x planes.
-    The rows are allocated one at a time, so that a caller that releases
-    each snapshot's spectrum once its rows exist (``diagnose``) holds
-    the spectra and the rows of the whole series at no point.
+    term).  :meth:`add_transport` forms the curl of the 2/3-truncated
+    v x omega of the fields formed last on the 2/3-rule
+    :class:`~euler_spectra.grid.Band` and keeps only its compact
+    spectrum, a new row of the transport series, and :meth:`residual`
+    compares the fourth-order time stencil of the omega rows with the
+    transport rows, transformed back slab by slab of x planes.  The rows
+    are allocated one at a time, so that a caller that releases each
+    snapshot's spectrum once its rows exist (``diagnose``) holds the
+    spectra and the rows of the whole series at no point.
 
     Each phase is split with ``worker`` (:func:`euler_spectra.workers._worker`,
-    held open by the caller) by lane: the transforms by component, the
-    cross product by x slab, the comparison by slab and component.
-    Every buffer of grid size is allocated by the calling thread: per
-    thread, a spectral component with the temporary of a curl component
-    (``spectral_work``, which ``diagnose`` lends to its records), and
-    the products of a slab's cross product.
+    held open by the caller) by lane: the transforms by component, row,
+    y half or x half, the cross product by x slab and component, the
+    comparison by slab.  Every buffer of grid size is allocated by the
+    calling thread, and all but the rows are views of one block
+    (:func:`euler_spectra.workers._carve`): the physical v, and per
+    thread a spectral component with the temporary of a curl component
+    (``spectral_work``, which ``diagnose`` lends to its records).
+    :meth:`add_transport` takes its slab products, its compact product
+    and its curl temporaries from ``spectral_work``, which it leaves
+    idle, and :meth:`residual` its padded rows and slab buffers from the
+    whole block, so neither adds an array of grid size but the row.
     """
 
     def __init__(self, grid: Grid, worker, transport=True):
         n = grid.n
         self.grid, self.worker, self.slabs = grid, worker, _slabs(n)
+        self.band = Band(grid)
         self.field = (3,) + (n,) * 3
-        self.v = np.empty(self.field)
+        specs = ((self.field, np.float64),
+                 ((_lanes(worker), 2) + grid.k_squared.shape, np.complex128))
+        self.block = np.empty(_carved_size(*specs), np.uint8)
+        self.v, self.spectral_work = _carve(*specs, block=self.block)
         self.omega = [] if transport else [np.empty(self.field)]
         self.transport = [] if transport else None
-        self.outside_band = ~grid.dealias_mask
-        lanes = _lanes(worker)
-        self.spectral_work = np.empty((lanes, 2) + grid.k_squared.shape,
-                                      np.complex128)
-        self.slab_work = np.empty((lanes, self.slabs[0].stop, n, n))
 
     def fields(self, vhat: np.ndarray):
         """``(fft_inverse(vhat), fft_inverse(curl(grid, vhat)))`` of the
@@ -431,54 +446,99 @@ class _SnapshotPass:
         return fields
 
     def add_transport(self, spectrum: np.ndarray) -> None:
-        """The transport row of the snapshot :meth:`fields` formed last.
+        """The transport row of the snapshot :meth:`fields` formed last:
+        the compact band spectrum ``(3, 2m + 1, 2m + 1, m + 1)`` of
+        ``curl(band, band.restrict(fft_forward(v x omega)))``.
+
         The complex128 half spectrum ``spectrum`` (a vector's) is
-        overwritten with that of the 2/3-truncated v x omega."""
-        grid, v, omega = self.grid, self.v, self.omega[-1]
-        term = np.empty(self.field)
-        self.transport.append(term)
+        overwritten: each x-slab of each component of v x omega is
+        transformed along z into it, as a band step does, and the band
+        forward x and y passes run on its planes kz <= m and gather the
+        band modes.  Each band mode goes through the arithmetic of
+        :func:`fft_forward`, and the 2/3-rule band holds exactly the
+        modes that ``dealias_23`` keeps."""
+        band, n, worker = self.band, self.grid.n, self.worker
+        v, omega = self.v, self.omega[-1]
+        lanes, compact = len(self.spectral_work), band.k_squared.shape
+        row = np.empty((3,) + compact, np.complex128)
+        self.transport.append(row)
+        # The slab products are dead before the band modes are gathered.
+        region = self.spectral_work.reshape(-1).view(np.uint8)
+        (products,) = _carve(
+            ((lanes, 2, self.slabs[0].stop, n, n), np.float64), block=region)
+        product, curl_work = _carve(
+            ((3,) + compact, np.complex128),
+            ((lanes,) + compact, np.complex128), block=region)
+        low = spectrum[..., :band.m + 1]  # the planes kz <= m
 
-        def product(x, lane):
-            cross_product(v[:, x], omega[:, x], term[:, x],
-                          work=self.slab_work[lane])
-
-        def forward(i, lane):
-            fft_forward(term[i], out=spectrum[i])
-            np.copyto(spectrum[i], 0.0, where=self.outside_band)  # dealias_23
+        def slab(part, lane):
+            x, i = part
+            out, work = products[lane]
+            _cross_component(v[:, x], omega[:, x], i, out, work=work)
+            _forward_z(out, out=spectrum[i, x])
 
         def curl_component(i, lane):
-            component, work = self.spectral_work[lane]
-            _curl_component(grid, spectrum, i, component, work=work)
-            _inverse_owned(component, out=term[i])
+            _curl_component(band, product, i, row[i], work=curl_work[lane])
 
-        _split_lanes(self.worker, product, self.slabs)
-        _split_lanes(self.worker, forward, range(3))
-        _split_lanes(self.worker, curl_component, range(3))
+        _split_lanes(worker, slab,
+                     [(x, i) for x in self.slabs for i in range(3)])
+        _split(worker, lambda y_rows: _band_forward_x(low, y_rows),
+               (slice(0, n // 2), slice(n // 2, n)))
+        _split(worker, lambda half: _band_forward_y(
+            band, low, half, product[:, half.rows]), band.x_halves)
+        _split_lanes(worker, curl_component, range(3))
 
     def residual(self, spacing: float):
         """The returns of :func:`vorticity_transport_residual` for the
-        rows formed so far, sampled ``spacing`` apart."""
+        rows formed so far, sampled ``spacing`` apart.
+
+        Component by component, each transport row is zero-padded and
+        transformed along x (``_band_pad_inverse_x``), and then each
+        x-slab of the padded rows is transformed along y and z
+        (``_inverse_yz``) into a slab buffer of its thread and compared
+        with the stencil of the omega rows on that slab: the passes of
+        ``band_inverse``, whose values are those of ``fft_inverse`` of
+        the scattered row.  The padded rows are views of the pass's
+        block, as many as it holds; a longer series is taken in groups
+        of that many rows, each with the stencil formed again."""
+        band, n, worker = self.band, self.grid.n, self.worker
         omega, transport = self.omega, self.transport
-        parts = [(x, i) for x in self.slabs for i in range(3)]
-        # Per sample and part: max |d(omega)/dt - transport|,
+        slab_spec = ((len(self.spectral_work), self.slabs[0].stop, n, n),
+                     np.float64)
+        pad = (n, n, band.m + 1)
+        count = ((self.block.size - _carved_size(slab_spec))
+                 // _carved_size((pad, np.complex128)))
+        slab_out, pads = _carve(slab_spec, ((count,) + pad, np.complex128),
+                                block=self.block)
+        # Per sample, component and slab: max |d(omega)/dt - transport|,
         # max |d(omega)/dt| and max |transport|.  A maximum over the
         # parts' maxima is the maximum.
-        peaks = np.empty((3, len(omega), len(parts)))
+        peaks = np.empty((3, len(omega), 3, len(self.slabs)))
 
-        def compare(part):
-            index, (x, i) = part
-            domega_dt = derivative_4th([w[i, x] for w in omega], spacing)
-            for m, (d, term) in enumerate(zip(domega_dt, transport)):
-                peaks[1, m, index] = np.max(np.abs(d))
-                peaks[2, m, index] = np.max(np.abs(term[i, x]))
-                np.subtract(d, term[i, x], out=d)
-                peaks[0, m, index] = np.max(np.abs(d, out=d))
+        def compare(i, rows):
+            def job(part, lane):
+                s, x = part
+                domega_dt = derivative_4th([w[i, x] for w in omega], spacing)
+                for pad, r in zip(pads, rows):
+                    d = domega_dt[r]
+                    term = _inverse_yz(pad[x], n, out=slab_out[lane])
+                    peaks[1, r, i, s] = np.max(np.abs(d))
+                    peaks[2, r, i, s] = np.max(np.abs(term))
+                    np.subtract(d, term, out=d)
+                    peaks[0, r, i, s] = np.max(np.abs(d, out=d))
+            return job
 
-        _split(self.worker, compare, list(enumerate(parts)))
-        raw = np.max(peaks[0], axis=1)
+        for i in range(3):
+            for first in range(0, len(transport), count):
+                rows = range(first, min(first + count, len(transport)))
+                _split(worker, lambda r: _band_pad_inverse_x(
+                    band, transport[r][i], pads[r - first]), rows)
+                _split_lanes(worker, compare(i, rows),
+                             list(enumerate(self.slabs)))
+        raw, *terms = np.max(peaks.reshape(3, len(omega), -1), axis=2)
         normalized = np.array([
             r / max(float(d), float(t), 1e-300)
-            for r, d, t in zip(raw, *np.max(peaks[1:], axis=2))])
+            for r, d, t in zip(raw, *terms)])
         return raw, normalized
 
 
@@ -494,11 +554,11 @@ def vorticity_transport_residual(grid: Grid, times, velocities):
     against too.
 
     The fields and the transport term are formed snapshot by snapshot,
-    then compared with the stencil slab by slab of x planes, by the
-    pass that ``diagnose`` runs over its snapshots; on a grid where
-    :mod:`euler_spectra.workers` allows it, each phase is split with a
-    worker thread.  The maxima are those of the whole field, bit for
-    bit.
+    the term on the 2/3-rule band alone, then compared with the stencil
+    slab by slab of x planes, by the pass that ``diagnose`` runs over
+    its snapshots; on a grid where :mod:`euler_spectra.workers` allows
+    it, each phase is split with a worker thread.  The maxima are those
+    of the whole field, bit for bit.
 
     Returns
     -------

@@ -346,10 +346,20 @@ def cross_product(u: np.ndarray, v: np.ndarray,
     component's shape, holds the subtracted products when it is given."""
     if out is None:
         out = np.empty_like(u)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(u[j], v[k], out=out[i])
-        out[i] -= np.multiply(u[k], v[j], out=work)
+    for i in range(3):
+        _cross_component(u, v, i, out[i], work=work)
     return out
+
+
+def _cross_component(u: np.ndarray, v: np.ndarray, i: int, out: np.ndarray,
+                     work: np.ndarray | None = None) -> np.ndarray:
+    """Component i of :func:`cross_product`, ``u_j v_l - u_l v_j`` with
+    (i, j, l) a cyclic order of (0, 1, 2), written into ``out``.
+    ``work``, a float64 array of ``out``'s shape, holds the subtracted
+    product when it is given."""
+    j, l = (i + 1) % 3, (i + 2) % 3
+    np.multiply(u[j], v[l], out=out)
+    return np.subtract(out, np.multiply(u[l], v[j], out=work), out=out)
 
 
 def magnitude_squared(v: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ A band step and a diagnostics record each take all their buffers of
 grid size as views of one block (:func:`_carve`), which lives as long
 as the step or the record: one allocation, which glibc can serve from
 pages it has already mapped, where a dozen arrays would each be mapped
-and faulted in again.
+and faulted in again.  ``diagnose`` holds one block for its whole pass,
+and carves the scratch of its transport terms out of it.
 """
 
 import math
@@ -36,20 +37,24 @@ _THREADED_MIN_N = 64
 
 
 # A slab of pointwise work (a record's eigensolve and integrands, the
-# physical fields of a band step, the time derivative of ``diagnose``)
-# holds at least _SLAB_PLANES x planes and at least _SLAB_POINTS
-# points: small enough that its temporaries stay in cache, large enough
-# that numpy's cost per call does not dominate (CHANGES.md and the
-# BENCH_*.json files hold the timings).
+# physical fields of a band step, the transport term and the time
+# derivative of ``diagnose``) aims at _SLAB_PLANES x planes or more and
+# _SLAB_POINTS points or more: small enough that its temporaries stay
+# in cache, large enough that numpy's cost per call does not dominate
+# (CHANGES.md and the BENCH_*.json files hold the timings).  On a grid
+# whose n that target does not divide, a slab holds fewer (_slabs).
 _SLAB_PLANES = 8
 _SLAB_POINTS = 16384
 
 
 def _slabs(n: int) -> list:
-    """The x slabs of an n-point grid, as slices of the x axis.  For the
-    grids a :class:`~euler_spectra.grid.Grid` allows (powers of two) the
-    slabs are equal."""
-    planes = min(n, max(_SLAB_PLANES, _SLAB_POINTS // (n * n)))
+    """The x slabs of an n-point grid, as slices of the x axis.  Every
+    slab holds the same number of planes, the largest divisor of n that
+    is not above the target of the limits above, so that a buffer of one
+    slab fits every slab on any grid a :class:`~euler_spectra.grid.Grid`
+    allows."""
+    target = min(n, max(_SLAB_PLANES, _SLAB_POINTS // (n * n)))
+    planes = max(d for d in range(1, target + 1) if n % d == 0)
     return [slice(start, start + planes) for start in range(0, n, planes)]
 
 

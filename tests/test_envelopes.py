@@ -15,6 +15,7 @@ from euler_spectra.deformation import AdmissibleClass, Classification
 from euler_spectra.diagnostics import DiagnosticsCollector, DiagnosticsRecord
 from euler_spectra.envelopes import (
     EnvelopeAccumulator,
+    _SnapshotPass,
     containment_check,
     derivative_4th,
     envelope_rates,
@@ -34,12 +35,16 @@ from euler_spectra.fields import (
     fft_forward,
     fft_inverse,
 )
-from euler_spectra.grid import Grid
+from euler_spectra.grid import Band, Grid
 from euler_spectra.initial import random_solenoidal, shear_flow, taylor_green
 from euler_spectra.solver import SolverConfig, run
 import euler_spectra.workers as workers_module
 
-from conftest import make_random_velocity, velocity_gradient
+from conftest import (
+    make_random_velocity,
+    traced_peak_fields,
+    velocity_gradient,
+)
 
 TAU = 2.0 * math.pi
 
@@ -453,29 +458,62 @@ class TestTransportResidual:
         assert np.max(normalized) > 0.1
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 26, 64])
     def test_matches_whole_field(self, n, threads, monkeypatch):
-        # The residual is formed snapshot by snapshot and compared slab
-        # by slab, on one thread or two; it must equal the whole-field
-        # evaluation bit for bit.
+        # The residual is formed snapshot by snapshot on the band and
+        # compared slab by slab, on one thread or two; it must equal the
+        # whole-field evaluation bit for bit.  Seven snapshots put the
+        # central stencil on samples past the middle one, and at n=16 on
+        # one thread they take the padded rows in two groups.
         grid = Grid(n)
         rng = np.random.default_rng(n)
-        velocities = [make_random_velocity(grid, rng) for _ in range(5)]
-        times = np.linspace(0.0, 0.4, 5)
-        omega = np.stack([fft_inverse(curl(grid, v)) for v in velocities])
-        domega_dt = derivative_4th(omega, 0.1, axis=0)
-        raw, normalized = [], []
-        for m, v in enumerate(velocities):
-            transport = fft_inverse(curl(grid, dealias_23(grid, fft_forward(
-                cross_product(fft_inverse(v), omega[m])))))
-            raw.append(np.max(np.abs(domega_dt[m] - transport)))
-            normalized.append(raw[-1] / max(np.max(np.abs(domega_dt[m])),
-                                            np.max(np.abs(transport)), 1e-300))
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
         monkeypatch.setattr(workers_module, "_THREADED_MIN_N", 8)
-        got = vorticity_transport_residual(grid, times, velocities)
-        assert np.array_equal(got[0], raw)
-        assert np.array_equal(got[1], normalized)
+        for count in (5, 7):
+            velocities = [make_random_velocity(grid, rng) for _ in range(count)]
+            times = np.linspace(0.0, 0.1 * (count - 1), count)
+            omega = np.stack([fft_inverse(curl(grid, v)) for v in velocities])
+            domega_dt = derivative_4th(omega, 0.1, axis=0)
+            raw, normalized = [], []
+            for m, v in enumerate(velocities):
+                transport = fft_inverse(curl(grid, dealias_23(
+                    grid, fft_forward(cross_product(fft_inverse(v),
+                                                    omega[m])))))
+                raw.append(np.max(np.abs(domega_dt[m] - transport)))
+                normalized.append(raw[-1] / max(
+                    np.max(np.abs(domega_dt[m])), np.max(np.abs(transport)),
+                    1e-300))
+            got = vorticity_transport_residual(grid, times, velocities)
+            assert np.array_equal(got[0], raw)
+            assert np.array_equal(got[1], normalized)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_stay_on_the_band(self, threads, monkeypatch):
+        # Each transport row is the compact 2/3-rule band spectrum of the
+        # term, and forming it allocates nothing else of grid size: the
+        # row is 0.93 fields at n=64, and numpy's ufunc buffers (8192
+        # elements per thread) take up to 0.13 more.  A padded component
+        # would add 0.69.  The comparison takes its padded rows from the
+        # pass's block; a physical row would be 3 fields.
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
+        grid = Grid(64)
+        band = Band(grid)
+        rng = np.random.default_rng(7)
+        with workers_module._worker(grid.n) as worker:
+            snapshots = _SnapshotPass(grid, worker)
+            for _ in range(7):
+                spectrum = make_random_velocity(grid, rng)
+                snapshots.fields(spectrum)
+                peak = traced_peak_fields(
+                    grid, lambda: snapshots.add_transport(spectrum))
+                assert peak < 1.2
+            assert all(row.dtype == np.complex128
+                       and row.shape == (3,) + band.k_squared.shape
+                       for row in snapshots.transport)
+            if threads == 1:
+                peak = traced_peak_fields(grid,
+                                          lambda: snapshots.residual(0.1))
+                assert peak < 3.0
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_transport_term_matches_gradients(self, n):

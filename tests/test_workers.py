@@ -34,12 +34,21 @@ def test_each_lane_is_one_thread(with_worker):
     assert len(set.union(*threads.values())) == _lanes(worker)
 
 
-@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("n", [8, 10, 16, 26, 32, 42, 50, 64, 96, 128])
 def test_slabs_are_equal_and_cover_the_grid(n):
     slabs = _slabs(n)
     planes = slabs[0].stop
     assert all(x.stop - x.start == planes for x in slabs)
+    assert slabs[-1].stop == n
     assert [i for x in slabs for i in range(n)[x]] == list(range(n))
+
+
+@pytest.mark.parametrize("n, planes", [
+    (8, 8), (16, 16), (32, 16), (64, 8), (128, 8),  # powers of two
+    (26, 13), (42, 7), (50, 5),  # the largest divisor below the target
+])
+def test_slab_planes(n, planes):
+    assert _slabs(n)[0].stop == planes
 
 
 @pytest.mark.parametrize("count", [1, 6, 7])
