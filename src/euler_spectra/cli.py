@@ -30,10 +30,10 @@ from euler_spectra.diagnostics import (
     classify_and_record,
 )
 from euler_spectra.envelopes import (
-    EnvelopeSeries,
     _SnapshotPass,
     containment_check,
     epsilon_decay_bound,
+    growth_envelopes,
     lambda2_plus_exponential_bound,
     moment_balance_residual,
     quadrature_slack,
@@ -138,12 +138,8 @@ def _manifest(solver_threads: int) -> dict:
 def _bound_summaries(collector, grid) -> dict:
     records = collector.records
     classification = collector.classification
-    # Same bits as growth_envelopes; an interrupted run may lack a last row.
-    rows = collector.envelope_rows
-    enveloped = records[:len(rows)]
-    env = EnvelopeSeries(np.array([r.t for r in enveloped]),
-                         *np.array(rows).T)
-    violations = containment_check(enveloped, env)
+    env = growth_envelopes(records, classification)
+    violations = containment_check(records, env)
     slack = quadrature_slack(records)
     max_slack = float(np.max(slack)) if slack.size else 0.0
     tolerance = 1e-6 + max_slack
@@ -156,7 +152,7 @@ def _bound_summaries(collector, grid) -> dict:
         **violations,
     }
 
-    exp_bound = lambda2_plus_exponential_bound(enveloped, env)
+    exp_bound = lambda2_plus_exponential_bound(records, env)
 
     eps = epsilon_decay_bound(records, classification, grid.volume)
     if not eps.applicable:
@@ -313,15 +309,11 @@ def cmd_diagnose(args) -> int:
     Every snapshot is loaded, checked and transformed first, and only
     its spectrum is kept, so that a corrupt, mixed-grid or unsorted
     input fails before any row is printed.  Then one snapshot at a
-    time: its physical velocity and vorticity are formed once, its
-    record is computed from them under a run's series rules
-    (:class:`~euler_spectra.diagnostics.DiagnosticsCollector`) and
-    printed, and, when the series takes the series residuals (five or
-    more uniformly spaced snapshots), its vorticity transport term is
-    formed from them in place of its spectrum, which is then released,
-    and kept as a compact spectrum on the 2/3-rule band until the
-    residual transforms it back slab by slab.  The transforms and the
-    records share one worker thread (:mod:`euler_spectra.workers`).
+    time, through an :class:`~euler_spectra.envelopes._SnapshotPass`:
+    its physical fields are formed once, its record is computed from
+    them under a run's series rules and printed, and, when the series
+    takes the series residuals (five or more uniformly spaced
+    snapshots), its transport term is formed in place of its spectrum.
     """
     spectra, times, grid, mixed = [], [], None, False
     for path in args.snapshots:

@@ -13,8 +13,8 @@ A run document looks like::
       "eps_floor": null
     }
 
-Only ``n``, ``initial.kind`` and ``solver.t_final`` are required; the
-solver defaults are dt = 1e-3, nu = 0, dealias = true.  Unknown keys
+The key tables below give each key's JSON type, default and minimum;
+``n``, ``initial.kind`` and ``solver.t_final`` are required.  Unknown keys
 anywhere are rejected — a typo should fail loudly, not silently run
 with defaults.  Error messages carry the JSON path of the offending
 entry (e.g. ``$.solver.dt``).
@@ -38,8 +38,38 @@ from euler_spectra.initial import (
 from euler_spectra.snapshot import load_snapshot
 from euler_spectra.solver import SolverConfig
 
-_INIT_KINDS = ("taylor_green", "abc", "shear", "random_solenoidal",
-               "from_file")
+_REQUIRED = object()  # the default of a key that must be present
+_TYPES = {"number": (int, float), "integer": int, "string": str,
+          "boolean": bool}
+
+# Key -> (JSON type, default, minimum), in the order the keys are read.
+# A key whose default is None may be null.  The keys of "$.initial"
+# besides "kind" depend on the kind.
+_INITIAL_KEYS = {
+    "taylor_green": {},
+    "abc": {"a": ("number", 1.0, None), "b": ("number", 1.0, None),
+            "c": ("number", 1.0, None)},
+    "shear": {},
+    "random_solenoidal": {"seed": ("integer", 0, 0),
+                          "peak_k": ("number", 4.0, None),
+                          "slope": ("number", 2.0, None),
+                          "amplitude": ("number", 1.0, None)},
+    "from_file": {"path": ("string", _REQUIRED, None)},
+}
+_SOLVER_KEYS = {
+    "dt": ("number", 1e-3, None),
+    "t_final": ("number", _REQUIRED, None),
+    "nu": ("number", 0.0, None),
+    "dealias": ("boolean", True, None),
+    "cfl_warning": ("number", 0.5, None),
+}
+_RUN_KEYS = {
+    "output_dir": ("string", "out", None),
+    "output_every": ("integer", 10, 1),
+    "snapshot_every": ("integer", 0, 0),
+    "class_tolerance": ("number", None, 0.0),
+    "eps_floor": ("number", None, 0.0),
+}
 
 
 @dataclass
@@ -57,10 +87,10 @@ class InitSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _INIT_KINDS:
+        if self.kind not in _INITIAL_KEYS:
             raise ConfigurationError(
                 f"unknown initial kind {self.kind!r}; choose one of "
-                f"{', '.join(_INIT_KINDS)}")
+                f"{', '.join(_INITIAL_KEYS)}")
         if self.kind == "from_file" and not self.path:
             raise ConfigurationError(
                 "initial kind 'from_file' needs a 'path'")
@@ -126,74 +156,50 @@ class _Section:
         self.path = path
         self.seen = set()
 
-    def _fetch(self, key, required):
+    def get(self, key, kind, default=_REQUIRED, minimum=None):
+        """The value of ``key``, of JSON type ``kind`` (a number is a
+        float) and not below ``minimum``, or ``default`` when absent; a
+        key of kind "object" gives its :class:`_Section`."""
         self.seen.add(key)
         if key not in self.data:
-            if required:
+            if default is _REQUIRED:
                 raise ConfigurationError(
                     f"{self.path}.{key}: required key is missing")
-            return None, False
-        return self.data[key], True
-
-    def number(self, key, required=False, default=None, minimum=None,
-               allow_null=False):
-        value, present = self._fetch(key, required)
-        if not present:
             return default
-        if value is None and allow_null:
+        value = self.data[key]
+        if kind == "object":
+            return _Section(value, f"{self.path}.{key}")
+        if value is None and default is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"{self.path}.{key}: expected a number, got {_type_name(value)}")
-        value = float(value)
+        if (isinstance(value, bool) != (kind == "boolean")
+                or not isinstance(value, _TYPES[kind])):
+            article = "an" if kind == "integer" else "a"
+            raise ConfigurationError(f"{self.path}.{key}: expected {article} "
+                                     f"{kind}, got {_type_name(value)}")
+        if kind == "number":
+            value = float(value)
         if minimum is not None and value < minimum:
             raise ConfigurationError(
                 f"{self.path}.{key}: must be >= {minimum}, got {value}")
         return value
 
-    def integer(self, key, required=False, default=None, minimum=None):
-        value, present = self._fetch(key, required)
-        if not present:
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(
-                f"{self.path}.{key}: expected an integer, got "
-                f"{_type_name(value)}")
-        if minimum is not None and value < minimum:
-            raise ConfigurationError(
-                f"{self.path}.{key}: must be >= {minimum}, got {value}")
-        return int(value)
-
-    def string(self, key, required=False, default=None):
-        value, present = self._fetch(key, required)
-        if not present:
-            return default
-        if not isinstance(value, str):
-            raise ConfigurationError(
-                f"{self.path}.{key}: expected a string, got {_type_name(value)}")
-        return value
-
-    def boolean(self, key, required=False, default=None):
-        value, present = self._fetch(key, required)
-        if not present:
-            return default
-        if not isinstance(value, bool):
-            raise ConfigurationError(
-                f"{self.path}.{key}: expected a boolean, got "
-                f"{_type_name(value)}")
-        return value
-
-    def section(self, key, required=False):
-        value, present = self._fetch(key, required)
-        if not present:
-            return None
-        return _Section(value, f"{self.path}.{key}")
-
-    def reject_unknown(self):
+    def read(self, table) -> dict:
+        """The values of the keys of ``table``; then any other key that
+        was not read is rejected."""
+        values = {key: self.get(key, *spec) for key, spec in table.items()}
         unknown = sorted(set(self.data) - self.seen)
         if unknown:
             raise ConfigurationError(
                 f"{self.path}.{unknown[0]}: unknown key")
+        return values
+
+
+def _build(cls, path: str, /, **kwargs):
+    """``cls(**kwargs)``, whose ConfigurationError names ``path``."""
+    try:
+        return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -212,58 +218,15 @@ def parse_config(text: str) -> RunConfig:
             from None
 
     root = _Section(doc, "$")
-    n = root.integer("n", required=True, minimum=8)
+    n = root.get("n", "integer", minimum=8)
     if n not in (8, 16, 32, 64, 128):
         raise ConfigurationError(
             f"$.n: must be a power of two in [8, 128], got {n}")
-
-    init_sec = root.section("initial", required=True)
-    kind = init_sec.string("kind", required=True)
-    init_kwargs = {"kind": kind}
-    if kind == "abc":
-        init_kwargs["a"] = init_sec.number("a", default=1.0)
-        init_kwargs["b"] = init_sec.number("b", default=1.0)
-        init_kwargs["c"] = init_sec.number("c", default=1.0)
-    elif kind == "random_solenoidal":
-        init_kwargs["seed"] = init_sec.integer("seed", default=0, minimum=0)
-        init_kwargs["peak_k"] = init_sec.number("peak_k", default=4.0)
-        init_kwargs["slope"] = init_sec.number("slope", default=2.0)
-        init_kwargs["amplitude"] = init_sec.number("amplitude", default=1.0)
-    elif kind == "from_file":
-        init_kwargs["path"] = init_sec.string("path", required=True)
-    init_sec.reject_unknown()
-    try:
-        initial = InitSpec(**init_kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"$.initial: {exc}") from None
-
-    solver_sec = root.section("solver", required=True)
-    dt = solver_sec.number("dt", default=1e-3)
-    t_final = solver_sec.number("t_final", required=True)
-    nu = solver_sec.number("nu", default=0.0)
-    dealias = solver_sec.boolean("dealias", default=True)
-    cfl_warning = solver_sec.number("cfl_warning", default=0.5)
-    solver_sec.reject_unknown()
-    try:
-        solver = SolverConfig(dt=dt, t_final=t_final, nu=nu, dealias=dealias,
-                              cfl_warning=cfl_warning)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"$.solver: {exc}") from None
-
-    output_dir = root.string("output_dir", default="out")
-    output_every = root.integer("output_every", default=10, minimum=1)
-    snapshot_every = root.integer("snapshot_every", default=0, minimum=0)
-    class_tolerance = root.number("class_tolerance", default=None,
-                                  minimum=0.0, allow_null=True)
-    eps_floor = root.number("eps_floor", default=None, minimum=0.0,
-                            allow_null=True)
-    root.reject_unknown()
-
-    try:
-        return RunConfig(n=n, initial=initial, solver=solver,
-                         output_dir=output_dir, output_every=output_every,
-                         snapshot_every=snapshot_every,
-                         class_tolerance=class_tolerance,
-                         eps_floor=eps_floor)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"$: {exc}") from None
+    init = root.get("initial", "object")
+    kind = init.get("kind", "string")
+    initial = _build(InitSpec, "$.initial", kind=kind,
+                     **init.read(_INITIAL_KEYS.get(kind, {})))
+    solver = _build(SolverConfig, "$.solver",
+                    **root.get("solver", "object").read(_SOLVER_KEYS))
+    return _build(RunConfig, "$", n=n, initial=initial, solver=solver,
+                  **root.read(_RUN_KEYS))

@@ -19,27 +19,13 @@ Each is tracked as a normalized residual whose denominator is floored
 by a small multiple of the natural scale sqrt(Q) * Z, so symmetric
 initial data (where both sides vanish) does not report junk ratios.
 
-Records in slabs
-----------------
-The pointwise stages of a record (the eigensolve of the deformation
-tensor, the integrands of E, H, Z, Q, P, W and C3, and the trace check
-of the tensor) run over slabs of a few x planes, whose temporaries stay
-in cache.  The integrands share one array of the whole grid: each is
-written into it slab by slab and integrated by one pairwise sum before
-the next, so a record is the same bit for bit as one evaluated on the
-whole field and holds one integrand at a time.  On a grid with
-n >= 64, when the process may run on two CPUs, one worker thread takes
-half of the slabs and half of the tensor's transforms: the rule of
-:mod:`euler_spectra.workers`, which band steps follow too.
-
-Every buffer of grid size of a record is a view of one block that the
-record allocates and frees (:class:`_RecordBlock`).
-
-A record takes the :class:`Grid` or the :class:`Band` of its spectrum
-first; on a band (a run's state) it transforms with the passes of
-:func:`~euler_spectra.fields.band_inverse`, which give the values of
-the half spectrum.  :class:`DiagnosticsCollector` keeps the rules of a
-series of records, for ``run`` and ``diagnose`` alike.
+A record (:func:`compute_record`) runs its pointwise stages over slabs
+of a few x planes, shared with a worker thread where
+:mod:`euler_spectra.workers` allows one, and is the same bit for bit as
+one evaluated on the whole field, on the :class:`Grid` of a half
+spectrum or the :class:`Band` of a run's state.
+:class:`DiagnosticsCollector` keeps the rules of a series of records,
+for ``run`` and ``diagnose`` alike.
 """
 
 import math
@@ -66,7 +52,6 @@ from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
     _physical_fields,
     curl,
-    integrate_domain,
     magnitude_squared,
     pointwise_dot,
 )
@@ -82,15 +67,6 @@ from euler_spectra.workers import (
 )
 
 
-def spectra_moments(grid: Grid, spectra: np.ndarray):
-    """Quadratic and product moments (Q, P) of the eigenvalue fields.
-
-    Q = integral (l1^2 + l2^2 + l3^2),  P = integral (l1 l2 l3).
-    """
-    return (integrate_domain(grid, _quadratic_density(spectra)),
-            integrate_domain(grid, _product_density(spectra)))
-
-
 def _quadratic_density(spectra: np.ndarray):
     l1, l2, l3 = spectra
     return l1 * l1 + l2 * l2 + l3 * l3
@@ -101,15 +77,6 @@ def _product_density(spectra: np.ndarray):
     return l1 * l2 * l3
 
 
-def stretching_integral(grid: Grid, tensor: np.ndarray,
-                        omega: np.ndarray) -> float:
-    """Vortex-stretching integral W = integral omega . S omega.
-
-    ``omega`` is the physical vorticity, ``tensor`` the (6, ...) strain.
-    """
-    return integrate_domain(grid, _stretching_density(tensor, omega))
-
-
 def _stretching_density(tensor: np.ndarray, omega: np.ndarray):
     s11, s12, s13, s22, s23, s33 = tensor
     w1, w2, w3 = omega
@@ -117,19 +84,10 @@ def _stretching_density(tensor: np.ndarray, omega: np.ndarray):
             + 2.0 * (s12 * w1 * w2 + s13 * w1 * w3 + s23 * w2 * w3))
 
 
-def cubic_trace_integral(grid: Grid, tensor: np.ndarray) -> float:
-    """Integral of tr(S^3), evaluated from components (not eigenvalues).
-
-    Using the componentwise expansion keeps this quantity independent
-    of the eigensolver, so comparing it against 3 P cross-checks the
-    entire eigenvalue pipeline.  Every term is a product of entries:
-    numpy evaluates ``s ** 3`` through ``pow``, many times slower than
-    ``s * s * s``.
-    """
-    return integrate_domain(grid, _cubic_trace_density(tensor))
-
-
 def _cubic_trace_density(tensor: np.ndarray):
+    """tr(S^3) from the entries of S, not from its eigenvalues, so that
+    C3 = 3 P checks the eigensolver; ``s * s * s`` because numpy takes
+    ``s ** 3`` through the many times slower ``pow``."""
     s11, s12, s13, s22, s23, s33 = tensor
     return (s11 * s11 * s11 + s22 * s22 * s22 + s33 * s33 * s33
             + 3.0 * (s12 * s12 * (s11 + s22)
@@ -165,10 +123,6 @@ def resolution_tail_fraction(space: Band, v: np.ndarray) -> float:
     return pairwise_sum(power[in_tail]) / total
 
 
-_CSV_FIELDS = ("t", "E", "H", "Z", "Q", "P", "W", "C3",
-               "sup_l2p", "inf_l2p", "sup_l2m_abs", "inf_l2m_abs",
-               "min_l2", "max_l2", "inf_eps", "bkm_sup_vort")
-
 _ENVELOPE_FIELDS = ("env_lower", "env_upper", "bkm_integral",
                     "class_env_lower", "class_env_upper")
 
@@ -202,7 +156,7 @@ class DiagnosticsRecord:
         return tuple(getattr(self, name) for name in _CSV_FIELDS)
 
 
-assert tuple(f.name for f in dataclass_fields(DiagnosticsRecord)) == _CSV_FIELDS
+_CSV_FIELDS = tuple(f.name for f in dataclass_fields(DiagnosticsRecord))
 
 
 class _ClassifyHere:
@@ -221,9 +175,9 @@ class _ClassifyHere:
 
 class _RecordBlock:
     """The buffers of grid size of one :func:`compute_record` call, as
-    views of one block that the calling thread allocates
-    (:func:`euler_spectra.workers._carve`) and that goes when the record
-    returns.  Each region is reused once what it held is dead:
+    views of one block that lives for the call, by the rules of
+    :mod:`euler_spectra.workers`.  Each region is reused once what it
+    held is dead:
 
     - ``tensor``, the six entries of the deformation tensor.  Its first
       half, ``v``, holds the record's physical velocity until E and H
@@ -467,13 +421,6 @@ class DiagnosticsCollector:
         sample; default lets the classifier pick its own.
     eps_floor : float, optional
         Denominator floor for the epsilon ratio.
-
-    Notes
-    -----
-    The envelope columns integrate the middle-eigenvalue extrema with
-    the trapezoid rule as records arrive, so the collector's running
-    values agree bit for bit with a batch recomputation that uses the
-    same left-to-right accumulation (see euler_spectra.envelopes).
     """
 
     def __init__(self, every: int = 1, csv_path=None,
@@ -499,9 +446,6 @@ class DiagnosticsCollector:
 
         self._fh = None
         self._accumulator = EnvelopeAccumulator()
-        self.envelope_rows: list[tuple] = []
-
-    # -- classification bookkeeping -------------------------------------
 
     def _class_active(self) -> bool:
         return (self.classification is not None
@@ -514,16 +458,10 @@ class DiagnosticsCollector:
                 [(record.t, record.min_l2, record.max_l2)],
                 self.classification)
 
-    # -- envelope accumulation ------------------------------------------
-
     def _advance_envelopes(self, record: DiagnosticsRecord):
         label = self.classification.label if self.classification else None
         rates = envelope_rates(record, label, self._class_active())
-        row = self._accumulator.push(record, rates)
-        self.envelope_rows.append(row)
-        return row
-
-    # -- series entry points --------------------------------------------
+        return self._accumulator.push(record, rates)
 
     def record(self, space: Grid | Band, t: float, v: np.ndarray,
                physical=None, worker=None, work=None) -> DiagnosticsRecord:
@@ -555,13 +493,11 @@ class DiagnosticsCollector:
         if state.step_index % self.every != 0:
             return
         record = self.record(state.band, state.t, state.v)
+        self._last_state = state
         if len(self.records) == 1:
             self.tail_fraction_initial = resolution_tail_fraction(
                 state.band, state.v)
-        self._last_state = state
         self._write_row(record, self._advance_envelopes(record))
-
-    # -- CSV ---------------------------------------------------------------
 
     def _write_row(self, record, envelope_row):
         if self.csv_path is None:
@@ -583,8 +519,6 @@ class DiagnosticsCollector:
     def __exit__(self, *exc_info):
         self.close()
         return False
-
-    # -- summary -------------------------------------------------------
 
     def summary(self) -> dict:
         """Aggregate verdicts for the run so far (see cli for the schema)."""

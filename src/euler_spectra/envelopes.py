@@ -14,13 +14,7 @@ solver against exact analysis:
   term is the curl of the 2/3-truncated v x omega.
 
 ``diagnose`` and the transport residual share one pass over the
-snapshots (``_SnapshotPass``): each snapshot's physical fields are
-formed once, for its record and its transport term, and the pass splits
-its transforms with a worker thread by the rule of
-:mod:`euler_spectra.workers`.  The transport term is band-limited by
-construction, so the pass keeps it as its compact spectrum on the
-2/3-rule band and transforms it back slab by slab only where it is
-compared, through the band passes of :mod:`euler_spectra.fields`.
+snapshots (``_SnapshotPass``).
 
 Time integrals use the trapezoid rule through a single accumulator
 class so that envelopes computed on the fly during a run and envelopes
@@ -399,28 +393,21 @@ class _SnapshotPass:
     :meth:`fields` transforms the next snapshot's v into one buffer that
     every snapshot reuses and its omega into a new row of the omega
     series (into one reused row when the series takes no transport
-    term).  :meth:`add_transport` forms the curl of the 2/3-truncated
-    v x omega of the fields formed last on the 2/3-rule
-    :class:`~euler_spectra.grid.Band` and keeps only its compact
-    spectrum, a new row of the transport series, and :meth:`residual`
-    compares the fourth-order time stencil of the omega rows with the
-    transport rows, transformed back slab by slab of x planes.  The rows
-    are allocated one at a time, so that a caller that releases each
-    snapshot's spectrum once its rows exist (``diagnose``) holds the
+    term).  :meth:`add_transport` keeps the transport term of the fields
+    formed last as a new row, its compact spectrum on the 2/3-rule
+    :class:`~euler_spectra.grid.Band`, and :meth:`residual` compares the
+    fourth-order time stencil of the omega rows with the transport rows.
+    The rows are allocated one at a time, so that a caller that releases
+    each snapshot's spectrum once its rows exist (``diagnose``) holds the
     spectra and the rows of the whole series at no point.
 
-    Each phase is split with ``worker`` (:func:`euler_spectra.workers._worker`,
-    held open by the caller) by lane: the transforms by component, row,
-    y half or x half, the cross product by x slab and component, the
-    comparison by slab.  Every buffer of grid size is allocated by the
-    calling thread, and all but the rows are views of one block
-    (:func:`euler_spectra.workers._carve`): the physical v, and per
-    thread a spectral component with the temporary of a curl component
+    Each phase is split with ``worker``, held open by the caller.  All
+    buffers but the rows are views of one block, by the rules of
+    :mod:`euler_spectra.workers`: the physical v, and per thread a
+    spectral component with the temporary of a curl component
     (``spectral_work``, which ``diagnose`` lends to its records).
-    :meth:`add_transport` takes its slab products, its compact product
-    and its curl temporaries from ``spectral_work``, which it leaves
-    idle, and :meth:`residual` its padded rows and slab buffers from the
-    whole block, so neither adds an array of grid size but the row.
+    :meth:`add_transport` carves its scratch out of ``spectral_work``,
+    and :meth:`residual` out of the whole block.
     """
 
     def __init__(self, grid: Grid, worker, transport=True):
@@ -553,12 +540,9 @@ def vorticity_transport_residual(grid: Grid, times, velocities):
     runs integrate, and that ``dealias: false`` snapshots are measured
     against too.
 
-    The fields and the transport term are formed snapshot by snapshot,
-    the term on the 2/3-rule band alone, then compared with the stencil
-    slab by slab of x planes, by the pass that ``diagnose`` runs over
-    its snapshots; on a grid where :mod:`euler_spectra.workers` allows
-    it, each phase is split with a worker thread.  The maxima are those
-    of the whole field, bit for bit.
+    It runs the pass that ``diagnose`` runs over its snapshots
+    (``_SnapshotPass``); the maxima are those of the whole field, bit
+    for bit.
 
     Returns
     -------

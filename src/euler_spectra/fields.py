@@ -14,13 +14,12 @@ Conventions used throughout the package:
   z axis only kz = 0, ..., n/2, because the kz < 0 half of the
   spectrum of a real field is the complex conjugate of the kz > 0 half.
   A spectral velocity is therefore ``(3, n, n, n//2 + 1)``.
-- The coefficient at (0, 0, 0) equals the field mean.  Parseval counts
-  each interior z plane twice, once for its omitted conjugate:
-  ``integral(f^2) = volume * sum(grid.parseval_weight * |fhat|^2)``.
-- Differentiation multiplies by ``1j * k`` with the Nyquist mode zeroed
-  (see :mod:`euler_spectra.grid`); the solenoidal projection uses the
-  full integer wavenumbers and is exactly idempotent.  Operators that
-  need wavenumbers take the :class:`~euler_spectra.grid.Grid` first.
+- The coefficient at (0, 0, 0) equals the field mean, and
+  ``grid.parseval_weight`` counts each omitted conjugate in spectral
+  sums.  Differentiation and the solenoidal projection use the two
+  wavenumber tables of :mod:`euler_spectra.grid`.  Operators that need
+  wavenumbers take the :class:`~euler_spectra.grid.Grid` first, or a
+  :class:`~euler_spectra.grid.Band` for a compact spectrum.
 
 The transforms are three passes of one-dimensional ``numpy.fft``
 transforms over the last three axes.  A solver run holds its state on
@@ -28,26 +27,11 @@ a band |k_j| <= m alone (:class:`~euler_spectra.grid.Band`), the
 2/3-rule band m = n//3 when dealiased: ``band_inverse`` zero-pads it,
 and the band forward passes compute only the kept modes.  Each band
 mode goes through the same arithmetic as in the full transforms, so the
-two layouts give the same values bit for bit.  ``curl`` and
-``leray_project`` take a ``Band`` in place of the ``Grid`` for a
-compact spectrum, and ``leray_project`` a ``BandHalf`` for one x half
-of it.  ``fft_inverse`` copies its input; ``_inverse_owned``
-transforms in place a spectrum the caller can spare, into ``out=``.
-``fft_forward``, ``leray_project`` and ``cross_product`` write into
-caller-owned ``out=`` arrays when given them, and the last two (and
-``_curl_component``) take their temporaries from a caller-owned
-``work=`` array too.
-That lets the solver and the diagnostics reuse one set of buffers
-across the stages of a step or the snapshots of a series and share
-them with a worker thread; the values are the same either way.  The
-band transforms are pass helpers: ``band_inverse`` runs
-``_band_pad_inverse_x`` and ``_inverse_yz``, and a band step
-(:mod:`euler_spectra.solver`) runs those and the forward passes
-``_band_forward_z``, ``_band_forward_x`` and ``_band_forward_y``
-itself, by component, by x-slab between the x passes and by x half.
-``_physical_fields`` forms the physical v and omega of a spectrum by
-component through per-thread buffers of the caller, for a diagnostics
-record and for ``diagnose``.
+two layouts give the same values bit for bit.  A function given
+``out=`` or ``work=`` arrays writes into them or takes its temporaries
+from them, so that the solver and the diagnostics reuse one set of
+buffers and share them with a worker thread; the values are the same
+either way.
 """
 
 import numpy as np

@@ -4,10 +4,8 @@ A :class:`Grid` owns every wavenumber table the spectral operators need,
 so downstream code never rebuilds (or worse, rebuilds inconsistently)
 the derivative wavenumbers, projection wavenumbers, or dealiasing mask.
 
-Spectral arrays hold the real-to-complex half spectrum: the x and y
-axes carry all n modes in FFT order, the z axis only the n//2 + 1
-modes kz = 0, 1, ..., n/2 (the layout of ``numpy.fft.rfftn``).  The
-tables below are shaped to broadcast against ``(n, n, n//2 + 1)``.
+The tables broadcast against the half spectrum ``(n, n, n//2 + 1)``
+(see :mod:`euler_spectra.fields`).
 
 Two distinct wavenumber tables coexist on purpose:
 
@@ -21,10 +19,6 @@ Two distinct wavenumber tables coexist on purpose:
     The full integer wavenumbers including Nyquist.  The solenoidal
     projection uses these so that it is exactly idempotent on every
     representable mode, Nyquist included.
-
-Every stored mode with 0 < kz < n/2 stands for itself and its complex
-conjugate at -k, which the half spectrum omits; ``parseval_weight``
-counts those modes twice in spectral sums.
 
 A :class:`Band` holds the same tables cut to the modes |k_j| <= m, for
 the state of a solver run, which lives on that band alone: the modes

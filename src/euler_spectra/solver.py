@@ -35,17 +35,9 @@ A band step forms v, omega and v x omega in physical space one x-slab
 at a time, between the x pass of the inverse transforms and the x pass
 of the forward one, so it holds no physical vector field of the whole
 grid.  It shares every phase of its evaluations with one worker thread
-when :mod:`euler_spectra.workers` allows one (n >= 64 and two CPUs or
-more, the rule that diagnostics records follow too): the inverse x
-pass by component, the slabs in turn, the forward x pass by y halves,
-and by x halves of the band the y pass, the projection, the viscous
-term, the RK4 stage arithmetic and the final projection.  The thread
-is started by the step and joined at its end.  The step's buffers are
-views of one block that the calling thread allocates per step, which
-from the second step on glibc serves from pages it has already mapped
-(see :class:`_BandWorkspace`), and the result is the same bit for bit
-as on one thread.  No setting selects this; :func:`step_threads`
-reports the choice.
+when :mod:`euler_spectra.workers` allows one, and its buffers follow
+that module's memory rules; the result is the same bit for bit as on
+one thread, and :func:`step_threads` reports the choice.
 """
 
 import logging
@@ -185,23 +177,8 @@ def rhs(band: Band, v: np.ndarray, nu: float = 0.0,
 class _BandWorkspace:
     """Buffers and worker thread for the band evaluations of one step.
 
-    Every buffer is a view of one ``np.empty`` block
-    (:func:`euler_spectra.workers._carve`), allocated by the calling
-    thread, that lives as long as this object: one RK4 step.  One block,
-    because glibc gives a freed block above its mmap threshold back to
-    the OS and then raises the threshold to that block's size (up to
-    32 MB): from the second step on the block comes from the heap, whose
-    pages stay mapped, where a dozen buffers of a few megabytes would
-    each be mapped and faulted in again every step.  The block is not
-    kept for a whole run, and records do not share it: a diagnostics
-    record carves a block of its own for its duration
-    (:func:`euler_spectra.diagnostics.compute_record`), and a block that
-    is never freed would keep glibc's mmap threshold low, so that every
-    other array of grid size (a record's compact curl, a snapshot's
-    physical field) would be mapped and faulted in again.  Nothing is
-    allocated by the worker thread, whose arrays would land in a malloc
-    arena of its own.
-
+    Every buffer is a view of one block that lives as long as this
+    object, one RK4 step, by the rules of :mod:`euler_spectra.workers`.
     The buffers: ``padded``, v and omega zero-padded to the planes
     kz <= m, whose v half also takes the forward passes; ``acc``, ``k``
     and ``stage`` of :func:`step_rk4`, where ``k`` also holds omega's
@@ -210,9 +187,8 @@ class _BandWorkspace:
     :func:`euler_spectra.workers._split_lanes`) the temporary of a curl
     component, the physical v, omega and v x omega of a slab, the
     products of ``cross_product``, the ``rfft`` along z of a slab, and
-    the temporaries of ``leray_project`` on an x half.  The worker is a
-    one-thread executor (:func:`euler_spectra.workers._worker`), made
-    here and joined on exit.
+    the temporaries of ``leray_project`` on an x half.  The worker is
+    made here and joined on exit.
     """
 
     def __init__(self, band: Band):
@@ -304,8 +280,7 @@ class _BandWorkspace:
 
 def step_threads(grid: Grid) -> int:
     """Threads the steps of ``run(grid, ...)`` use: 2 when
-    :mod:`euler_spectra.workers` allows a worker (n >= 64, two CPUs or
-    more), else 1."""
+    :mod:`euler_spectra.workers` allows a worker, else 1."""
     return 2 if _threaded(grid.n) else 1
 
 

@@ -12,15 +12,26 @@ ufuncs, which release the interpreter lock.
 The worker is a one-thread executor.  Its thread starts at the first
 job handed to it, never at import, and the caller joins it when the
 step, record or call ends; ``diagnose`` holds one worker for its whole
-pass over the snapshots, and its records use that one.  Arrays a worker
-writes into are allocated by the calling thread: arrays a worker
-allocates land in a malloc arena of its own and raise the peak RSS.
-A band step and a diagnostics record each take all their buffers of
-grid size as views of one block (:func:`_carve`), which lives as long
-as the step or the record: one allocation, which glibc can serve from
-pages it has already mapped, where a dozen arrays would each be mapped
-and faulted in again.  ``diagnose`` holds one block for its whole pass,
-and carves the scratch of its transport terms out of it.
+pass over the snapshots, and its records use that one.
+
+Two rules keep glibc's malloc from raising the peak RSS or faulting
+pages in again, and every module that hands work to a worker follows
+them:
+
+- The calling thread allocates the arrays a worker writes into, because
+  arrays a worker allocates land in a malloc arena of its own.  One
+  exception is left: ``_SnapshotPass.residual`` forms its time stencil
+  with ``derivative_4th``, which allocates per part, on both threads.
+- A band step, a diagnostics record and ``diagnose``'s pass take their
+  scratch buffers of grid size as views of one block (:func:`_carve`).
+  glibc gives a freed block above its mmap threshold back to the OS and
+  raises the threshold to that block's size (up to 32 MB), so from the
+  second step on a step's block comes from pages that stay mapped,
+  where a dozen arrays would each be mapped and faulted in again.  A
+  step's block lives for one step and a record carves its own, because
+  a block that is never freed would keep the threshold low and every
+  other array of grid size would be mapped again.  ``diagnose`` holds
+  one block for its whole pass.
 """
 
 import math

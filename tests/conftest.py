@@ -10,6 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from euler_spectra.diagnostics import (
+    _cubic_trace_density,
+    _product_density,
+    _quadratic_density,
+    _stretching_density,
+)
 from euler_spectra.grid import Grid
 from euler_spectra.fields import (
     cross_product,
@@ -17,6 +23,7 @@ from euler_spectra.fields import (
     dealias_23,
     fft_forward,
     fft_inverse,
+    integrate_domain,
     leray_project,
 )
 from euler_spectra.initial import random_solenoidal
@@ -126,6 +133,24 @@ def gradient_norm_squared_pointwise(grad):
         for j in range(3):
             total += grad[i, j] ** 2
     return total
+
+
+def spectra_moments(grid, spectra):
+    """Quadratic and product moments (Q, P) of the eigenvalue fields:
+    Q = integral (l1^2 + l2^2 + l3^2),  P = integral (l1 l2 l3)."""
+    return (integrate_domain(grid, _quadratic_density(spectra)),
+            integrate_domain(grid, _product_density(spectra)))
+
+
+def stretching_integral(grid, tensor, omega):
+    """Vortex-stretching integral W = integral omega . S omega of the
+    physical vorticity ``omega`` and the (6, ...) strain ``tensor``."""
+    return integrate_domain(grid, _stretching_density(tensor, omega))
+
+
+def cubic_trace_integral(grid, tensor):
+    """Integral of tr(S^3), from the entries of the strain ``tensor``."""
+    return integrate_domain(grid, _cubic_trace_density(tensor))
 
 
 def traced_peak_fields(grid, job):

@@ -4,10 +4,12 @@
 and attribute path, and reports a name it cannot resolve as an absent
 layer, which ``perfbench/selftest.py`` counts as a failure.  This test
 resolves every name the way the tracer does, so that deleting or
-renaming a traced function fails here too.
+renaming a traced function fails here too; and it runs the self-test,
+which also holds the call counts of a traced run and diagnose exact.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +17,8 @@ import pytest
 
 import euler_spectra.cli  # noqa: F401  (the tracer wraps after this import)
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -40,3 +43,12 @@ def test_traced_name_resolves(layer):
     # The owner's own namespace, as the tracer reads it: an inherited
     # __init__ or __call__ is not the package's code.
     assert callable(vars(owner).get(attr)), f"{layer}: {attr_path} is gone"
+
+
+def test_benchmark_selftest_passes():
+    # The exact call counts of a traced n=16 run and diagnose, which the
+    # benchmark relies on, are checked only by its self-test.
+    result = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                            cwd=ROOT, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr

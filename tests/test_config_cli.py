@@ -155,6 +155,177 @@ class TestParseConfig:
         assert cfg.class_tolerance == 1e-8
 
 
+_ABSENT = object()
+
+# The initial object that a key of "$.initial" is set in.
+_INITIAL_BASES = {
+    "kind": {"kind": "taylor_green"},
+    "a": {"kind": "abc"}, "b": {"kind": "abc"}, "c": {"kind": "abc"},
+    "seed": {"kind": "random_solenoidal"},
+    "peak_k": {"kind": "random_solenoidal"},
+    "slope": {"kind": "random_solenoidal"},
+    "amplitude": {"kind": "random_solenoidal"},
+    "path": {"kind": "from_file", "path": "ic.bin"},
+}
+
+
+def config_with(path, key, value):
+    """MINIMAL with ``key`` of the section at ``path`` set to ``value``,
+    or removed when ``value`` is _ABSENT; a key of "$.initial" is set in
+    an initial object of a kind that reads it."""
+    doc = json.loads(json.dumps(MINIMAL))
+    if path == "$.initial":
+        doc["initial"] = dict(_INITIAL_BASES[key])
+    section = {"$": doc, "$.solver": doc["solver"],
+               "$.initial": doc["initial"]}[path]
+    if value is _ABSENT:
+        del section[key]
+    else:
+        section[key] = value
+    return json.dumps(doc)
+
+
+# Every key of every section, with the JSON type it must have.
+_TYPED_KEYS = [
+    ("$", "n", "integer"), ("$", "output_dir", "string"),
+    ("$", "output_every", "integer"), ("$", "snapshot_every", "integer"),
+    ("$", "class_tolerance", "number"), ("$", "eps_floor", "number"),
+    ("$.solver", "dt", "number"), ("$.solver", "t_final", "number"),
+    ("$.solver", "nu", "number"), ("$.solver", "dealias", "boolean"),
+    ("$.solver", "cfl_warning", "number"),
+    ("$.initial", "kind", "string"), ("$.initial", "a", "number"),
+    ("$.initial", "b", "number"), ("$.initial", "c", "number"),
+    ("$.initial", "seed", "integer"), ("$.initial", "peak_k", "number"),
+    ("$.initial", "slope", "number"), ("$.initial", "amplitude", "number"),
+    ("$.initial", "path", "string"),
+]
+_WRONG_VALUES = [(None, "null"), (True, "boolean"), ("x", "string"),
+                 (1, "integer"), (1.5, "number"), ([], "array")]
+_ACCEPTED = {"integer": ("integer",), "number": ("integer", "number"),
+             "string": ("string",), "boolean": ("boolean",)}
+_NULLABLE = ("class_tolerance", "eps_floor")
+
+
+def _wrong_type_cases():
+    for path, key, kind in _TYPED_KEYS:
+        for value, got in _WRONG_VALUES:
+            if got in _ACCEPTED[kind] or (value is None and key in _NULLABLE):
+                continue
+            article = "an" if kind == "integer" else "a"
+            yield (f"{path}.{key}={got}", config_with(path, key, value),
+                   f"{path}.{key}: expected {article} {kind}, got {got}")
+
+
+_KINDS = "taylor_green, abc, shear, random_solenoidal, from_file"
+_CONFIG_ERRORS = [
+    *_wrong_type_cases(),
+    # A missing required key.
+    ("missing $.n", config_with("$", "n", _ABSENT),
+     "$.n: required key is missing"),
+    ("missing $.initial", config_with("$", "initial", _ABSENT),
+     "$.initial: required key is missing"),
+    ("missing $.solver", config_with("$", "solver", _ABSENT),
+     "$.solver: required key is missing"),
+    ("missing $.solver.t_final", config_with("$.solver", "t_final", _ABSENT),
+     "$.solver.t_final: required key is missing"),
+    ("missing $.initial.kind", config_with("$.initial", "kind", _ABSENT),
+     "$.initial.kind: required key is missing"),
+    ("missing $.initial.path", config_with("$.initial", "path", _ABSENT),
+     "$.initial.path: required key is missing"),
+    # A value below its minimum, or otherwise out of range.
+    ("$.n=4", config_with("$", "n", 4), "$.n: must be >= 8, got 4"),
+    ("$.n=24", config_with("$", "n", 24),
+     "$.n: must be a power of two in [8, 128], got 24"),
+    ("$.n=256", config_with("$", "n", 256),
+     "$.n: must be a power of two in [8, 128], got 256"),
+    ("$.output_every=0", config_with("$", "output_every", 0),
+     "$.output_every: must be >= 1, got 0"),
+    ("$.snapshot_every=-1", config_with("$", "snapshot_every", -1),
+     "$.snapshot_every: must be >= 0, got -1"),
+    ("$.class_tolerance=-1", config_with("$", "class_tolerance", -1),
+     "$.class_tolerance: must be >= 0.0, got -1.0"),
+    ("$.eps_floor=-0.5", config_with("$", "eps_floor", -0.5),
+     "$.eps_floor: must be >= 0.0, got -0.5"),
+    ("$.initial.seed=-1", config_with("$.initial", "seed", -1),
+     "$.initial.seed: must be >= 0, got -1"),
+    ("$.initial.path=''", config_with("$.initial", "path", ""),
+     "$.initial: initial kind 'from_file' needs a 'path'"),
+    ("$.solver.dt=0", config_with("$.solver", "dt", 0),
+     "$.solver: dt must be positive, got 0.0"),
+    ("$.solver.t_final=-1", config_with("$.solver", "t_final", -1),
+     "$.solver: t_final must be >= 0, got -1.0"),
+    ("$.solver.nu=-0.1", config_with("$.solver", "nu", -0.1),
+     "$.solver: nu must be >= 0, got -0.1"),
+    ("$.solver.cfl_warning=0", config_with("$.solver", "cfl_warning", 0),
+     "$.solver: cfl_warning must be positive, got 0.0"),
+    # An unknown key; the first in sorted order is named.
+    ("unknown in $", config_with("$", "viscosity", 0.1),
+     "$.viscosity: unknown key"),
+    ("two unknown in $", config_text(zeta=1, alpha=1),
+     "$.alpha: unknown key"),
+    ("unknown in $.solver", config_with("$.solver", "viscocity", 0.1),
+     "$.solver.viscocity: unknown key"),
+    ("unknown in $.initial",
+     config_text(initial={"kind": "taylor_green", "seed": 1}),
+     "$.initial.seed: unknown key"),
+    ("abc key for shear", config_text(initial={"kind": "shear", "a": 2.0}),
+     "$.initial.a: unknown key"),
+    ("random key for abc", config_text(initial={"kind": "abc", "seed": 1}),
+     "$.initial.seed: unknown key"),
+    ("abc key for from_file",
+     config_text(initial={"kind": "from_file", "path": "ic.bin", "a": 1}),
+     "$.initial.a: unknown key"),
+    # An unknown kind.
+    ("unknown kind", config_text(initial={"kind": "vortex_ring"}),
+     f"$.initial: unknown initial kind 'vortex_ring'; choose one of "
+     f"{_KINDS}"),
+    ("unknown kind with a key",
+     config_text(initial={"kind": "vortex_ring", "a": 1.0}),
+     "$.initial.a: unknown key"),
+    # A section that is not an object.
+    ("$.initial array", config_with("$", "initial", []),
+     "$.initial: expected an object, got array"),
+    ("$.initial string", config_with("$", "initial", "abc"),
+     "$.initial: expected an object, got string"),
+    ("$.solver null", config_with("$", "solver", None),
+     "$.solver: expected an object, got null"),
+    ("$.solver number", config_with("$", "solver", 0.01),
+     "$.solver: expected an object, got number"),
+    ("$ array", "[]", "$: expected an object, got array"),
+    ("$ null", "null", "$: expected an object, got null"),
+    ("not JSON", "{not json",
+     "configuration is not valid JSON: Expecting property name enclosed "
+     "in double quotes: line 1 column 2 (char 1)"),
+    # Precedence: n, then $.initial, then $.solver, then the rest of $;
+    # in a section, its keys before its unknown keys.
+    ("n before initial", json.dumps({"n": "16", "initial": 5}),
+     "$.n: expected an integer, got string"),
+    ("initial before solver",
+     json.dumps({"n": 16, "initial": {"kind": "vortex_ring"}}),
+     f"$.initial: unknown initial kind 'vortex_ring'; choose one of "
+     f"{_KINDS}"),
+    ("solver before the rest of $",
+     config_text(solver={"t_final": 0.01, "dt": -1.0}, output_every=0,
+                 viscosity=1),
+     "$.solver: dt must be positive, got -1.0"),
+    ("keys before unknown keys",
+     config_text(solver={"t_final": 0.01, "dt": "x", "viscocity": 1}),
+     "$.solver.dt: expected a number, got string"),
+    ("kind keys before unknown keys",
+     config_text(initial={"kind": "abc", "b": [], "alpha": 1}),
+     "$.initial.b: expected a number, got array"),
+]
+
+
+@pytest.mark.parametrize("text, message",
+                         [case[1:] for case in _CONFIG_ERRORS],
+                         ids=[case[0] for case in _CONFIG_ERRORS])
+def test_configuration_error_message(text, message):
+    with pytest.raises(ConfigurationError) as raised:
+        parse_config(text)
+    assert str(raised.value) == message
+
+
 class TestInitSpecBuild:
     def test_generator_dispatch(self, grid16):
         spec = InitSpec(kind="taylor_green")
@@ -467,6 +638,38 @@ class TestCmdRun:
         assert len(list(out.glob("snapshot_*.bin"))) == 2
         lines = (out / "timeseries.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
+
+    def test_interrupt_in_the_first_record_still_writes_summary(
+            self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C while the first record's tail fraction is taken: the
+        # record is in the series, but has no CSV row.
+        import euler_spectra.diagnostics as diagnostics_module
+        calls = []
+        tail_fraction = diagnostics_module.resolution_tail_fraction
+
+        def interrupted_tail_fraction(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return tail_fraction(*args)
+
+        monkeypatch.setattr(diagnostics_module, "resolution_tail_fraction",
+                            interrupted_tail_fraction)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, n=8, output_dir=str(out),
+                           output_every=1)
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_INTERRUPTED
+        assert "interrupted" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["run"]["aborted"] is True
+        assert summary["run"]["abort"] == {
+            "step_index": 0, "time": 0.0, "message": "interrupted"}
+        assert summary["class"] == "Neither"
+        assert summary["envelope_containment"]["satisfied"] is True
+        health = summary["resolution_health"]
+        assert health["tail_enstrophy_fraction_initial"] is None
+        assert health["tail_enstrophy_fraction_final"] == tail_fraction(
+            *calls[0])
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -31,11 +31,8 @@ from euler_spectra.diagnostics import (
     _slab_eigenvalues,
     classify_and_record,
     compute_record,
-    cubic_trace_integral,
     identity_residuals,
     resolution_tail_fraction,
-    spectra_moments,
-    stretching_integral,
 )
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.envelopes import _SnapshotPass
@@ -63,8 +60,11 @@ from euler_spectra.solver import SolverConfig, SolverState, run
 import euler_spectra.workers as workers_module
 
 from conftest import (
+    cubic_trace_integral,
     gradient_norm_squared_pointwise,
     make_random_velocity,
+    spectra_moments,
+    stretching_integral,
     traced_peak_fields,
     velocity_gradient,
 )

@@ -201,12 +201,17 @@ class TestGrowthEnvelopes:
         assert np.max(np.abs(env.lower - z0)) < 1e-10 * z0
         assert np.max(np.abs(env.upper - z0)) < 1e-10 * z0
 
-    def test_streaming_matches_batch_bitwise(self, grid16):
-        col = DiagnosticsCollector(every=2)
-        run(grid16, taylor_green(grid16), SolverConfig(dt=5e-3, t_final=0.05),
-            observers=[col])
+    def test_streaming_matches_batch_bitwise(self, grid16, tmp_path):
+        csv_path = tmp_path / "timeseries.csv"
+        with DiagnosticsCollector(every=2, csv_path=csv_path) as col:
+            run(grid16, taylor_green(grid16),
+                SolverConfig(dt=5e-3, t_final=0.05), observers=[col])
         env = growth_envelopes(col.records, col.classification)
-        streamed = np.array(col.envelope_rows)
+        # The CSV's last five columns; repr round-trips a float exactly.
+        rows = csv_path.read_text().splitlines()[1:]
+        assert len(rows) == len(col.records)
+        streamed = np.array([[float(x) for x in row.split(",")[-5:]]
+                             for row in rows])
         batch = np.column_stack([env.lower, env.upper,
                                  env.positive_integral,
                                  env.class_lower, env.class_upper])
