@@ -21,6 +21,7 @@ entry (e.g. ``$.solver.dt``).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,23 @@ def _type_name(value) -> str:
             type(None): "null"}.get(type(value), type(value).__name__)
 
 
+def _finite(value, path: str) -> float:
+    """The JSON number ``value`` as a float, which must be finite: a
+    NaN or an infinity, which ``json.loads`` reads from ``NaN``,
+    ``Infinity`` or a number such as ``1e999``, and an integer beyond
+    the float range are rejected."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        got = (f"an integer of {len(str(abs(value)))} digits"
+               if isinstance(value, int) else json.dumps(value))
+        raise ConfigurationError(
+            f"{path}: expected a finite number, got {got}")
+    return number
+
+
 class _Section:
     """One JSON object being picked apart, with path-aware accessors."""
 
@@ -177,7 +195,7 @@ class _Section:
             raise ConfigurationError(f"{self.path}.{key}: expected {article} "
                                      f"{kind}, got {_type_name(value)}")
         if kind == "number":
-            value = float(value)
+            value = _finite(value, f"{self.path}.{key}")
         if minimum is not None and value < minimum:
             raise ConfigurationError(
                 f"{self.path}.{key}: must be >= {minimum}, got {value}")
@@ -213,7 +231,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal of > 4300 digits
         raise ConfigurationError(f"configuration is not valid JSON: {exc}") \
             from None
 

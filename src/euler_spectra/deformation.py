@@ -37,7 +37,11 @@ from enum import Enum
 import numpy as np
 
 from euler_spectra.errors import ContractViolationError, NumericsError
-from euler_spectra.fields import _inverse_component
+from euler_spectra.fields import (
+    _form_buffers,
+    _inverse_component,
+    magnitude_squared,
+)
 from euler_spectra.grid import Band, Grid
 from euler_spectra.workers import _split_lanes
 
@@ -60,16 +64,24 @@ _TINY_SPREAD = 2.0 ** -300
 _COMPONENT_NAMES = ("s11", "s12", "s13", "s22", "s23", "s33")
 
 
-def frobenius_squared(tensor: np.ndarray) -> np.ndarray:
-    """Pointwise sum of squared entries (off-diagonals counted twice)."""
+def frobenius_squared(tensor: np.ndarray, out: np.ndarray | None = None,
+                      work: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise sum of squared entries (off-diagonals counted twice),
+    ``s11 * s11 + s22 * s22 + s33 * s33 + 2.0 * (s12 * s12 + s13 * s13
+    + s23 * s23)``, into ``out`` through ``work[:2]``
+    (:func:`~euler_spectra.fields._form_buffers`)."""
     s11, s12, s13, s22, s23, s33 = tensor
-    return (s11 * s11 + s22 * s22 + s33 * s33
-            + 2.0 * (s12 * s12 + s13 * s13 + s23 * s23))
+    out, (a, b) = _form_buffers(s11.shape, out, work, 2)
+    np.multiply(2.0, magnitude_squared((s12, s13, s23), out, (a,)), out=out)
+    return np.add(magnitude_squared((s11, s22, s33), a, (b,)), out, out=out)
 
 
-def _lambda1_rms(spectra: np.ndarray) -> float:
-    """Root mean square of the largest eigenvalue over the grid."""
-    return float(np.sqrt(np.mean(spectra[0] ** 2)))
+def _lambda1_rms(spectra: np.ndarray, work: np.ndarray | None = None
+                 ) -> float:
+    """Root mean square of the largest eigenvalue over the grid; the
+    squares go into the float64 ``work`` of an eigenvalue field's shape
+    when it is given."""
+    return float(np.sqrt(np.mean(np.square(spectra[0], out=work))))
 
 
 class AdmissibleClass(str, Enum):
@@ -159,10 +171,15 @@ def _strain_entries(grid: Grid | Band, v: np.ndarray, worker,
     _split_lanes(worker, transform, [(0, 1, 2), (3, 4, 5)])
 
 
-def _trace_squared(tensor: np.ndarray) -> np.ndarray:
-    """Pointwise squared trace of a tensor array."""
+def _trace_squared(tensor: np.ndarray, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise squared trace ``(s11 + s22 + s33) ** 2`` of a tensor
+    array, into ``out``; it takes no ``work``."""
     s11, _, _, s22, _, s33 = tensor
-    return (s11 + s22 + s33) ** 2
+    out = np.empty(s11.shape) if out is None else out
+    np.add(s11, s22, out=out)
+    np.add(out, s33, out=out)
+    return np.square(out, out=out)
 
 
 def _check_trace(trace_mean_square, frobenius_mean):
@@ -178,46 +195,101 @@ def _check_trace(trace_mean_square, frobenius_mean):
             "%.3e; velocity may not be divergence-free", trace_rms, mag_rms)
 
 
-def _eigenvalues_trig(s11, s12, s13, s22, s23, s33):
+def _eigenvalues_trig(s11, s12, s13, s22, s23, s33, work):
     """Trigonometric closed form for the ordered eigenvalues.
 
-    Returns (l1, l2, l3, spread) with l1 >= l2 >= l3, where spread is
-    the deviator scale 2p used for relative gap tests.  Points with a
-    zero deviator come out exactly (q, q, q).
+    Leaves l1 >= l2 >= l3 in ``work[3]``, ``work[5]`` and ``work[4]``,
+    and in ``work[2]`` the deviator scale 2p used for relative gap tests;
+    ``work`` is six float64 arrays of an entry's shape, which no entry
+    may share.  Every expression is formed with ``out=`` in the order
+    written out in the comments, so it rounds as that expression does;
+    b11 is formed twice, which gives the same bits.  Points with a zero
+    deviator come out exactly (q, q, q).
     """
-    q = (s11 + s22 + s33) / 3.0
-    b11 = s11 - q
-    b22 = s22 - q
-    b33 = s33 - q
-    p2 = (b11 * b11 + b22 * b22 + b33 * b33
-          + 2.0 * (s12 * s12 + s13 * s13 + s23 * s23)) / 6.0
-    p = np.sqrt(p2)
-    det = (b11 * (b22 * b33 - s23 * s23)
-           - s12 * (s12 * b33 - s23 * s13)
-           + s13 * (s12 * s23 - b22 * s13))
+    q, b11, b22, b33, acc, tmp = work
+    # q = (s11 + s22 + s33) / 3.0
+    np.add(s11, s22, out=q)
+    np.add(q, s33, out=q)
+    np.divide(q, 3.0, out=q)
+    np.subtract(s11, q, out=b11)
+    np.subtract(s22, q, out=b22)
+    np.subtract(s33, q, out=b33)
+    # det = (b11 * (b22 * b33 - s23 * s23) - s12 * (s12 * b33 - s23 * s13)
+    #        + s13 * (s12 * s23 - b22 * s13)), into acc
+    np.multiply(b22, b33, out=acc)
+    np.subtract(acc, np.multiply(s23, s23, out=tmp), out=acc)
+    np.multiply(b11, acc, out=acc)
+    np.multiply(s12, b33, out=b11)
+    np.subtract(b11, np.multiply(s23, s13, out=tmp), out=b11)
+    np.subtract(acc, np.multiply(s12, b11, out=b11), out=acc)
+    np.multiply(s12, s23, out=b11)
+    np.subtract(b11, np.multiply(b22, s13, out=tmp), out=b11)
+    np.add(acc, np.multiply(s13, b11, out=b11), out=acc)
+    # p = sqrt((b11 * b11 + b22 * b22 + b33 * b33
+    #           + 2.0 * (s12 * s12 + s13 * s13 + s23 * s23)) / 6.0), in b11
+    p = b11
+    np.subtract(s11, q, out=p)
+    np.multiply(p, p, out=p)
+    np.add(p, np.multiply(b22, b22, out=b22), out=p)
+    np.add(p, np.multiply(b33, b33, out=b33), out=p)
+    np.multiply(s12, s12, out=b22)
+    np.add(b22, np.multiply(s13, s13, out=b33), out=b22)
+    np.add(b22, np.multiply(s23, s23, out=b33), out=b22)
+    np.add(p, np.multiply(2.0, b22, out=b22), out=p)
+    np.divide(p, 6.0, out=p)
+    np.sqrt(p, out=p)
     # det / p^3 turns into 0/0 once p^3 underflows.  A deviator that
     # small is negligible against the entries eigenvalues_sym3 lets
     # through (largest entry >= _SAFE_MIN), so dividing by 1 instead
     # still gives q to within O(p).
-    p_safe = np.where(p > _TINY_SPREAD, p, 1.0)
-    arg = np.clip(0.5 * det / (p_safe * p_safe * p_safe), -1.0, 1.0)
-    theta = np.arccos(arg) / 3.0
-    l1 = 2.0 * p * np.cos(theta)
-    l3 = 2.0 * p * np.cos(theta + 2.0 * np.pi / 3.0)
-    l2 = -(l1 + l3)
-    return q + l1, q + l2, q + l3, 2.0 * p
+    # p_safe = where(p > _TINY_SPREAD, p, 1.0), in b22;
+    # theta = arccos(clip(0.5 * det / (p_safe * p_safe * p_safe), -1, 1))
+    #         / 3.0, in acc
+    p_safe, cube = b22, b33
+    np.copyto(p_safe, 1.0)
+    np.copyto(p_safe, p, where=np.greater(p, _TINY_SPREAD,
+                                          out=_masks(tmp, 1)[0]))
+    np.multiply(p_safe, p_safe, out=cube)
+    np.multiply(cube, p_safe, out=cube)
+    theta = acc
+    np.multiply(0.5, theta, out=theta)
+    np.divide(theta, cube, out=theta)
+    np.clip(theta, -1.0, 1.0, out=theta)
+    np.arccos(theta, out=theta)
+    np.divide(theta, 3.0, out=theta)
+    # spread = 2.0 * p, in b22; l1 = q + 2.0 * p * cos(theta), in b33;
+    # l3 = q + 2.0 * p * cos(theta + 2.0 * np.pi / 3.0), in acc;
+    # l2 = q + -(l1 + l3) of the unshifted l1 and l3, in tmp
+    spread, l1, l3, l2 = b22, b33, acc, tmp
+    np.multiply(2.0, p, out=spread)
+    np.multiply(spread, np.cos(theta, out=l1), out=l1)
+    np.add(theta, 2.0 * np.pi / 3.0, out=l3)
+    np.multiply(spread, np.cos(l3, out=l3), out=l3)
+    np.negative(np.add(l1, l3, out=l2), out=l2)
+    for value in (l1, l2, l3):
+        np.add(q, value, out=value)
 
 
-def _refine_near_degenerate(components, lam, idx):
-    """Recompute eigenvalues at flat indices idx by closed-form deflation.
+def _masks(buffer: np.ndarray, count: int) -> list:
+    """``count`` boolean arrays of the float64 ``buffer``'s shape, as
+    views of its bytes: a float64 holds eight.  The last axis of
+    ``buffer`` must be contiguous."""
+    size = buffer.shape[-1]
+    raw = buffer.view(np.bool_)
+    return [raw[..., i * size:(i + 1) * size] for i in range(count)]
 
-    components : six flat arrays (s11, s12, s13, s22, s23, s33)
-    lam : (N, 3) eigenvalue table, modified in place at rows idx
+
+def _refine_near_degenerate(components, lam):
+    """Eigenvalues of flagged points, recomputed by closed-form deflation.
+
+    components : the six entries (s11, s12, s13, s22, s23, s33) of the m
+        flagged points, as flat arrays
+    lam : (m, 3) table of their trigonometric eigenvalues l1, l2, l3
+
+    Returns the (m, 3) table of the recomputed l1 >= l2 >= l3.
     """
-    m = idx.size
-    if m == 0:
-        return
-    s11, s12, s13, s22, s23, s33 = (c[idx] for c in components)
+    m = lam.shape[0]
+    s11, s12, s13, s22, s23, s33 = components
     S = np.empty((m, 3, 3), dtype=np.float64)
     S[:, 0, 0] = s11
     S[:, 1, 1] = s22
@@ -226,11 +298,10 @@ def _refine_near_degenerate(components, lam, idx):
     S[:, 0, 2] = S[:, 2, 0] = s13
     S[:, 1, 2] = S[:, 2, 1] = s23
 
-    sub = lam[idx]
-    gap_hi = sub[:, 0] - sub[:, 1]
-    gap_lo = sub[:, 1] - sub[:, 2]
+    gap_hi = lam[:, 0] - lam[:, 1]
+    gap_lo = lam[:, 1] - lam[:, 2]
     # The isolated eigenvalue sits across the *larger* gap from the pair.
-    lam_iso = np.where(gap_hi > gap_lo, sub[:, 0], sub[:, 2])
+    lam_iso = np.where(gap_hi > gap_lo, lam[:, 0], lam[:, 2])
 
     M = S - lam_iso[:, None, None] * np.eye(3)
     # The null direction does not depend on the scale of M, which is the
@@ -273,18 +344,24 @@ def _refine_near_degenerate(components, lam, idx):
 
     out = np.stack([lam_iso, mid + disc, mid - disc], axis=1)
     out.sort(axis=1)
-    lam[idx] = out[:, ::-1]
+    return out[:, ::-1]
 
 
-def eigenvalues_sym3(tensor: np.ndarray) -> np.ndarray:
+def eigenvalues_sym3(tensor: np.ndarray, out: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """Ordered eigenvalue fields of a symmetric tensor field.
 
     Takes a ``(6, ...)`` tensor array (component order as in
     :func:`deformation_tensor`) and returns the ``(3, ...)`` array of
-    ``l1 >= l2 >= l3``.  Dual-route evaluation: trigonometric closed
-    form everywhere, with a closed-form deflation pass on points whose
-    smallest eigenvalue gap is below ``1e-4`` of the local spread (see
-    module docstring).
+    ``l1 >= l2 >= l3``, written into the float64 ``out`` when it is
+    given, which may be ``tensor[:3]``.  Dual-route evaluation:
+    trigonometric closed form everywhere, with a closed-form deflation
+    pass on points whose smallest eigenvalue gap is below ``1e-4`` of
+    the local spread (see module docstring).  ``work``, a float64 array
+    ``(6,) + tensor.shape[1:]`` whose last axis is contiguous, holds
+    every temporary of the trigonometric route, the range guard and the
+    gap test; without it one is allocated.  Only the rescaling and the
+    deflation allocate, on the points they act on.
 
     Raises
     ------
@@ -292,33 +369,61 @@ def eigenvalues_sym3(tensor: np.ndarray) -> np.ndarray:
         If any tensor entry is non-finite; the message names the first
         offending grid index.
     """
-    _require_finite(tensor)
+    shape = tensor.shape[1:]
+    if out is None:
+        out = np.empty((3,) + shape)
+    if work is None:
+        work = np.empty((6,) + shape)
 
     # The products below under- or overflow where a point's largest
     # entry lies far from 1.  Such points are scaled by a power
     # of two, which is exact, and scaled back at the end; the others,
-    # in practice all of them, are left untouched.
-    peak = np.abs(tensor[0])
+    # in practice all of them, are left untouched.  A non-finite entry
+    # makes the largest one non-finite.
+    peak, scratch = work[0], work[1]
+    np.abs(tensor[0], out=peak)
     for component in tensor[1:]:
-        np.maximum(peak, np.abs(component), out=peak)
-    rescale = (peak > _SAFE_MAX) | ((peak < _SAFE_MIN) & (peak > 0.0))
+        np.maximum(peak, np.abs(component, out=scratch), out=peak)
+    if not np.isfinite(np.max(peak, initial=0.0)):
+        _require_finite(tensor)
+    # rescale = (peak > _SAFE_MAX) | ((peak < _SAFE_MIN) & (peak > 0.0))
+    rescale, small, nonzero = _masks(scratch, 3)
+    np.greater(peak, _SAFE_MAX, out=rescale)
+    np.logical_and(np.less(peak, _SAFE_MIN, out=small),
+                   np.greater(peak, 0.0, out=nonzero), out=small)
+    np.logical_or(rescale, small, out=rescale)
     rescaled = bool(np.any(rescale))
     if rescaled:
         exponent = np.where(rescale, np.frexp(peak)[1], 0)
         tensor = np.ldexp(tensor, -exponent)
 
-    l1, l2, l3, spread = _eigenvalues_trig(*tensor)
-
-    gap = np.minimum(l1 - l2, l2 - l3)
-    needs_refine = (gap < _GAP_THRESHOLD * spread) & (spread > 0.0)
+    _eigenvalues_trig(*tensor, work)
+    spread, l1, l3, l2 = work[2:]
+    # needs_refine = (gap < _GAP_THRESHOLD * spread) & (spread > 0.0),
+    # gap = minimum(l1 - l2, l2 - l3)
+    gap = work[1]
+    np.minimum(np.subtract(l1, l2, out=gap),
+               np.subtract(l2, l3, out=work[0]), out=gap)
+    needs_refine, positive = _masks(work[0], 2)
+    np.greater(spread, 0.0, out=positive)
+    np.less(gap, np.multiply(_GAP_THRESHOLD, spread, out=spread),
+            out=needs_refine)
+    np.logical_and(needs_refine, positive, out=needs_refine)
+    refined = None
     if np.any(needs_refine):
-        flat = tuple(c.ravel() for c in tensor)
-        lam = np.stack([l1.ravel(), l2.ravel(), l3.ravel()], axis=1)
-        _refine_near_degenerate(flat, lam, np.nonzero(needs_refine.ravel())[0])
-        spectra = lam.T.reshape((3,) + l1.shape)
-    else:
-        spectra = np.stack((l1, l2, l3))
-    return np.ldexp(spectra, exponent) if rescaled else spectra
+        # Read before ``out``, which may share the entries, is written.
+        points = np.nonzero(needs_refine)
+        refined = _refine_near_degenerate(
+            [c[points] for c in tensor],
+            np.stack([l1[points], l2[points], l3[points]], axis=1))
+    for target, value in zip(out, (l1, l2, l3)):
+        np.copyto(target, value)
+    if refined is not None:
+        for target, value in zip(out, refined.T):
+            target[points] = value
+    if rescaled:
+        np.ldexp(out, exponent, out=out)
+    return out
 
 
 def _require_finite(tensor: np.ndarray):
@@ -334,7 +439,8 @@ def _require_finite(tensor: np.ndarray):
 
 
 def classify_admissible(spectra: np.ndarray,
-                        tolerance: float | None = None) -> Classification:
+                        tolerance: float | None = None,
+                        work: np.ndarray | None = None) -> Classification:
     """Classify the grid by the sign of the middle eigenvalue.
 
     ``spectra`` is the ``(3, ...)`` array of ordered eigenvalues.
@@ -342,10 +448,11 @@ def classify_admissible(spectra: np.ndarray,
     requires ``max l2 < -tolerance``; anything else is ``Neither``.
     The default tolerance is ``1e-10`` of the RMS of the largest
     eigenvalue, so zero fields and rounding noise classify as Neither
-    rather than flapping between classes.
+    rather than flapping between classes; that RMS is formed in the
+    float64 ``work`` of an eigenvalue field's shape when it is given.
     """
     if tolerance is None:
-        tolerance = 1e-10 * _lambda1_rms(spectra)
+        tolerance = 1e-10 * _lambda1_rms(spectra, work)
     tolerance = float(tolerance)
     if tolerance < 0.0:
         raise ContractViolationError("classification tolerance must be >= 0")
@@ -370,7 +477,8 @@ def epsilon_ratio(spectra: np.ndarray, classification: Classification,
     zeros of the tensor.  Points with denominator at or below ``floor``
     (default ``1e-12`` of the RMS of l1) are excluded: their ratio is
     set to NaN and they are tallied in the returned count.  The ratio
-    is written into the float64 ``out`` when it is given.
+    is written into the float64 ``out`` when it is given, which the
+    default floor also takes as scratch.
 
     Returns
     -------
@@ -382,7 +490,7 @@ def epsilon_ratio(spectra: np.ndarray, classification: Classification,
         raise ContractViolationError(
             "epsilon ratio is only defined for one-signed middle eigenvalue")
     if floor is None:
-        floor = 1e-12 * _lambda1_rms(spectra)
+        floor = 1e-12 * _lambda1_rms(spectra, out)
     floor = float(floor)
     if classification.label == AdmissibleClass.APLUS:
         denom = spectra[0]

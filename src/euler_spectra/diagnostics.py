@@ -50,6 +50,7 @@ from euler_spectra.deformation import (
 from euler_spectra.envelopes import EnvelopeAccumulator, envelope_rates
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
+    _form_buffers,
     _physical_fields,
     curl,
     magnitude_squared,
@@ -62,38 +63,67 @@ from euler_spectra.workers import (
     _carved_size,
     _lanes,
     _slabs,
-    _split,
+    _split_lanes,
     _worker,
 )
 
 
-def _quadratic_density(spectra: np.ndarray):
+# The integrand forms of a record, each with the ``out`` and ``work``
+# of :func:`euler_spectra.fields._form_buffers`.
+
+def _product_density(spectra: np.ndarray, out=None, work=None):
+    """``l1 * l2 * l3``; it takes no ``work``."""
     l1, l2, l3 = spectra
-    return l1 * l1 + l2 * l2 + l3 * l3
+    out = np.empty(l1.shape) if out is None else out
+    np.multiply(l1, l2, out=out)
+    return np.multiply(out, l3, out=out)
 
 
-def _product_density(spectra: np.ndarray):
-    l1, l2, l3 = spectra
-    return l1 * l2 * l3
-
-
-def _stretching_density(tensor: np.ndarray, omega: np.ndarray):
+def _stretching_density(tensor: np.ndarray, omega: np.ndarray, out=None,
+                        work=None):
+    """``s11 * w1 * w1 + s22 * w2 * w2 + s33 * w3 * w3 + 2.0 * (s12 * w1
+    * w2 + s13 * w1 * w3 + s23 * w2 * w3)``, through ``work[:2]``."""
     s11, s12, s13, s22, s23, s33 = tensor
     w1, w2, w3 = omega
-    return (s11 * w1 * w1 + s22 * w2 * w2 + s33 * w3 * w3
-            + 2.0 * (s12 * w1 * w2 + s13 * w1 * w3 + s23 * w2 * w3))
+    out, (a, b) = _form_buffers(s11.shape, out, work, 2)
+    np.multiply(s12, w1, out=out)
+    np.multiply(out, w2, out=out)
+    for s, wi, wj in ((s13, w1, w3), (s23, w2, w3)):
+        np.multiply(s, wi, out=a)
+        np.add(out, np.multiply(a, wj, out=a), out=out)
+    np.multiply(2.0, out, out=out)
+    np.multiply(s11, w1, out=a)
+    np.multiply(a, w1, out=a)
+    for s, wi in ((s22, w2), (s33, w3)):
+        np.multiply(s, wi, out=b)
+        np.add(a, np.multiply(b, wi, out=b), out=a)
+    return np.add(a, out, out=out)
 
 
-def _cubic_trace_density(tensor: np.ndarray):
+def _cubic_trace_density(tensor: np.ndarray, out=None, work=None):
     """tr(S^3) from the entries of S, not from its eigenvalues, so that
-    C3 = 3 P checks the eigensolver; ``s * s * s`` because numpy takes
-    ``s ** 3`` through the many times slower ``pow``."""
+    C3 = 3 P checks the eigensolver: ``s11 * s11 * s11 + s22 * s22 * s22
+    + s33 * s33 * s33 + 3.0 * (s12 * s12 * (s11 + s22) + s13 * s13 * (s11
+    + s33) + s23 * s23 * (s22 + s33)) + 6.0 * s12 * s13 * s23``, through
+    ``work[:2]``; ``s * s * s`` because numpy takes ``s ** 3`` through
+    the many times slower ``pow``."""
     s11, s12, s13, s22, s23, s33 = tensor
-    return (s11 * s11 * s11 + s22 * s22 * s22 + s33 * s33 * s33
-            + 3.0 * (s12 * s12 * (s11 + s22)
-                     + s13 * s13 * (s11 + s33)
-                     + s23 * s23 * (s22 + s33))
-            + 6.0 * s12 * s13 * s23)
+    out, (a, b) = _form_buffers(s11.shape, out, work, 2)
+    np.multiply(s12, s12, out=out)
+    np.multiply(out, np.add(s11, s22, out=a), out=out)
+    for s, si, sj in ((s13, s11, s33), (s23, s22, s33)):
+        np.multiply(s, s, out=a)
+        np.add(out, np.multiply(a, np.add(si, sj, out=b), out=a), out=out)
+    np.multiply(3.0, out, out=out)
+    np.multiply(s11, s11, out=a)
+    np.multiply(a, s11, out=a)
+    for s in (s22, s33):
+        np.multiply(s, s, out=b)
+        np.add(a, np.multiply(b, s, out=b), out=a)
+    np.add(a, out, out=out)
+    np.multiply(6.0, s12, out=a)
+    np.multiply(a, s13, out=a)
+    return np.add(out, np.multiply(a, s23, out=a), out=out)
 
 
 def resolution_tail_fraction(space: Band, v: np.ndarray) -> float:
@@ -174,8 +204,8 @@ class _ClassifyHere:
 
 
 class _RecordBlock:
-    """The buffers of grid size of one :func:`compute_record` call, as
-    views of one block that lives for the call, by the rules of
+    """The buffers of one :func:`compute_record` call, as views of one
+    block that lives for the call, by the rules of
     :mod:`euler_spectra.workers`.  Each region is reused once what it
     held is dead:
 
@@ -185,35 +215,42 @@ class _RecordBlock:
       the tensor is taken.
     - ``omega``, the physical vorticity, or None when the caller holds
       the physical fields (``own_fields`` false, as in ``diagnose``).
-    - a region that the integrand ``density``, dead while fields are
-      transformed, shares with the buffers of each thread ("lane",
-      :func:`euler_spectra.workers._split_lanes`), dead while integrands
-      are filled: ``work``, a spectral component and its scratch, and
-      on a :class:`Band` ``pads``, a padded component (None on a
-      :class:`Grid`).  A caller that holds such ``work`` buffers lends
-      them instead (``diagnose``).
+    - a region whose parts are live in turn, one set of buffers per
+      thread ("lane", :func:`euler_spectra.workers._split_lanes`) in
+      each: while fields are transformed, ``work``, a spectral component
+      and its scratch, and on a :class:`Band` ``pads``, a padded
+      component (None on a :class:`Grid`), or no ``work`` where the
+      caller lends its own (``diagnose``); while integrands are filled,
+      the integrand ``density`` and ``scratch``, the two slabs an
+      integrand form takes as ``work``; and during the eigensolve
+      ``eig_work``, the six slabs of :func:`eigenvalues_sym3`.
 
     So a record holds 9 fields of the grid, 6 with the caller's
-    physical fields, plus the larger of one field and its lane buffers.
+    physical fields, plus the largest of the three sets of that region.
     """
 
     def __init__(self, space: Grid | Band, lanes: int, own_fields: bool,
                  work: np.ndarray | None = None):
         n, f, c = space.n, np.float64, np.complex128
         field = (n, n, n)
+        slab = (lanes, _slabs(n)[0].stop, n, n)
         lane_specs = []
         if work is None:
             lane_specs.append(((lanes, 2) + space.k_squared.shape, c))
         if isinstance(space, Band):
             lane_specs.append(((lanes, n, n, space.m + 1), c))
-        shared = max(_carved_size(*lane_specs), _carved_size((field, f)))
+        fill_specs = ((field, f), (slab[:1] + (2,) + slab[1:], f))
+        eig_spec = (slab[:1] + (6,) + slab[1:], f)
+        shared = max(_carved_size(*lane_specs), _carved_size(*fill_specs),
+                     _carved_size(eig_spec))
         regions = [((6,) + field, f), ((shared,), np.uint8)]
         if own_fields:
             regions.append(((3,) + field, f))
         self.tensor, shared, *omega = _carve(*regions)
         self.omega = omega[0] if omega else None
         self.v = self.tensor[:3]
-        (self.density,) = _carve((field, f), block=shared)
+        self.density, self.scratch = _carve(*fill_specs, block=shared)
+        (self.eig_work,) = _carve(eig_spec, block=shared)
         lane_buffers = _carve(*lane_specs, block=shared)
         self.work = lane_buffers.pop(0) if work is None else work
         self.pads = lane_buffers[0] if lane_buffers else None
@@ -244,9 +281,9 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
     per thread of ``worker``, that a caller lends the record
     (``diagnose``'s pass, between its transforms).
 
-    Every buffer of grid size is a view of one block that lives for the
-    call (:class:`_RecordBlock`), apart from the eigensolver's slab
-    temporaries.  The record forms v and omega, integrates E and H,
+    Every buffer of grid or slab size is a view of one block that lives
+    for the call (:class:`_RecordBlock`).  The record forms v and omega,
+    integrates E and H,
     forms the deformation tensor over v, integrates Z (and takes
     ``bkm_sup_vort``), W, C3 and the trace check, then solves for the
     eigenvalues slab by slab over the first half of the tensor
@@ -266,9 +303,10 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
 
         def fill(form, *arrays):
             """``density`` filled with ``form(*arrays)``, slab by slab."""
-            def job(x):
-                density[x] = form(*(a[:, x] for a in arrays))
-            _split(worker, job, slabs)
+            def job(x, lane):
+                form(*(a[:, x] for a in arrays), out=density[x],
+                     work=block.scratch[lane])
+            _split_lanes(worker, job, slabs)
             return density
 
         def integrate(density):
@@ -294,12 +332,13 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
         trace_mean_square = np.mean(fill(_trace_squared, tensor))
         _check_trace(trace_mean_square,
                      np.mean(fill(frobenius_squared, tensor)))
-        spectra = _slab_eigenvalues(tensor, worker, out=tensor[:3])
-        q = integral(_quadratic_density, spectra)
+        spectra = _slab_eigenvalues(tensor, worker, out=tensor[:3],
+                                    work=block.eig_work)
+        q = integral(magnitude_squared, spectra)
         p = integral(_product_density, spectra)
     if isinstance(classification, _ClassifyHere):
         classification.result = classify_admissible(
-            spectra, classification.tolerance)
+            spectra, classification.tolerance, work=density)
         classification = classification.result
 
     min_l2 = float(np.min(spectra[1]))
@@ -325,8 +364,8 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
         inf_eps=inf_eps, bkm_sup_vort=bkm_sup_vort)
 
 
-def _slab_eigenvalues(tensor: np.ndarray, worker,
-                      out: np.ndarray) -> np.ndarray:
+def _slab_eigenvalues(tensor: np.ndarray, worker, out: np.ndarray,
+                      work: np.ndarray | None = None) -> np.ndarray:
     """``eigenvalues_sym3(tensor)``, solved slab by slab, into the
     float64 ``out`` of shape ``(3,) + tensor.shape[1:]``.
 
@@ -334,16 +373,19 @@ def _slab_eigenvalues(tensor: np.ndarray, worker,
     solved on its own; the eigensolver, its refinement and its range
     guards act point by point, so the slabs give the values the whole
     field does.  The slabs alternate between ``worker`` and the calling
-    thread.  ``out`` may be ``tensor[:3]``: a slab's eigenvalues are
-    written once they are solved, over entries that no other slab
-    reads, and a slab that has been solved held no non-finite entry, so
-    the error below still names the first one of the whole field.
+    thread, each taking its temporaries from ``work[lane]``, six slabs
+    of the thread's (lane's), when it is given.  ``out`` may be
+    ``tensor[:3]``: a slab's eigenvalues are written once they are
+    solved, over entries that no other slab reads, and a slab that has
+    been solved held no non-finite entry, so the error below still
+    names the first one of the whole field.
     """
-    def solve(x):
-        out[:, x] = eigenvalues_sym3(tensor[:, x])
+    def solve(x, lane):
+        eigenvalues_sym3(tensor[:, x], out=out[:, x],
+                         work=None if work is None else work[lane])
 
     try:
-        _split(worker, solve, _slabs(tensor.shape[1]))
+        _split_lanes(worker, solve, _slabs(tensor.shape[1]))
     except NumericsError:
         # A slab names its own first bad entry; report the whole field's.
         _require_finite(tensor)

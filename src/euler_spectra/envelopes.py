@@ -56,32 +56,59 @@ from euler_spectra.workers import (
 )
 
 
-def derivative_4th(values, spacing: float, axis: int = 0) -> np.ndarray:
+def derivative_4th(values, spacing: float, axis: int = 0,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Fourth-order finite-difference time derivative of a sampled series.
 
     Centered five-point stencil in the interior, one-sided five-point
     stencils at the two samples on each end.  Needs at least five
-    samples along the chosen axis.
+    samples along the chosen axis.  The result is written into the
+    float64 ``out`` of ``values``' shape when it is given.
     """
-    y = np.asarray(values, dtype=np.float64)
-    if y.shape[axis] < 5:
+    y = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
+    if y.shape[0] < 5:
         raise ContractViolationError(
-            f"need >= 5 samples for a 4th-order derivative, got {y.shape[axis]}")
+            f"need >= 5 samples for a 4th-order derivative, got {y.shape[0]}")
     if not spacing > 0.0:
         raise ContractViolationError(f"spacing must be positive, got {spacing}")
-    y = np.moveaxis(y, axis, 0)
-    d = np.empty_like(y)
-    w = 1.0 / (12.0 * spacing)
-    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) * w
-    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2]
-            + 16.0 * y[3] - 3.0 * y[4]) * w
-    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2]
-            - 6.0 * y[3] + y[4]) * w
-    d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3]
-             + 6.0 * y[-4] - y[-5]) * w
-    d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3]
-             - 16.0 * y[-4] + 3.0 * y[-5]) * w
+    d = np.moveaxis(np.empty(np.shape(values)) if out is None else out,
+                    axis, 0)
+    count = len(y)
+    work = np.empty((count - 4,) + y.shape[1:])
+    for k in (0, 1, count - 2, count - 1):
+        _derivative_sample(y, k, spacing, d[k, ...], work[0, ...])
+    # The interior at once: the centred stencil of the five windows
+    # y[j:count - 4 + j] gives every interior sample.
+    _derivative_sample([y[j:count - 4 + j] for j in range(5)], 2, spacing,
+                       d[2:-2], work)
     return np.moveaxis(d, 0, axis)
+
+
+def _derivative_sample(samples, k: int, spacing: float, out: np.ndarray,
+                       work: np.ndarray) -> np.ndarray:
+    """Sample ``k`` of :func:`derivative_4th` of the sequence of
+    equal-shape float64 arrays ``samples``, into ``out`` through
+    ``work``, of a sample's shape.  Each stencil is summed term by term
+    in the order below, ``(-25.0 * y[0] + 48.0 * y[1] - ...) * w`` at
+    the first sample, so it rounds as that expression does: a
+    difference is the sum of the negated term, bit for bit."""
+    last = len(samples) - 1
+    if k == 0:
+        terms = zip(range(5), (-25.0, 48.0, -36.0, 16.0, -3.0))
+    elif k == 1:
+        terms = zip(range(5), (-3.0, -10.0, 18.0, -6.0, 1.0))
+    elif k == last - 1:
+        terms = zip(range(last, last - 5, -1), (3.0, 10.0, -18.0, 6.0, -1.0))
+    elif k == last:
+        terms = zip(range(last, last - 5, -1),
+                    (25.0, -48.0, 36.0, -16.0, 3.0))
+    else:
+        terms = zip((k - 2, k - 1, k + 1, k + 2), (1.0, -8.0, 8.0, -1.0))
+    (first, weight), *rest = terms
+    np.multiply(weight, samples[first], out=out)
+    for j, weight in rest:
+        np.add(out, np.multiply(weight, samples[j], out=work), out=out)
+    return np.multiply(out, 1.0 / (12.0 * spacing), out=out)
 
 
 def uniform_spacing(times) -> float:
@@ -483,14 +510,16 @@ class _SnapshotPass:
         transformed along x (``_band_pad_inverse_x``), and then each
         x-slab of the padded rows is transformed along y and z
         (``_inverse_yz``) into a slab buffer of its thread and compared
-        with the stencil of the omega rows on that slab: the passes of
+        with the stencil of the omega rows at that sample on that slab,
+        formed in another (``_derivative_sample``), with a third for
+        their temporaries: the passes of
         ``band_inverse``, whose values are those of ``fft_inverse`` of
-        the scattered row.  The padded rows are views of the pass's
-        block, as many as it holds; a longer series is taken in groups
-        of that many rows, each with the stencil formed again."""
+        the scattered row, and the values of ``derivative_4th``.  The
+        padded rows are views of the pass's block, as many as it holds;
+        a longer series is taken in groups of that many rows."""
         band, n, worker = self.band, self.grid.n, self.worker
         omega, transport = self.omega, self.transport
-        slab_spec = ((len(self.spectral_work), self.slabs[0].stop, n, n),
+        slab_spec = ((len(self.spectral_work), 3, self.slabs[0].stop, n, n),
                      np.float64)
         pad = (n, n, band.m + 1)
         count = ((self.block.size - _carved_size(slab_spec))
@@ -505,12 +534,13 @@ class _SnapshotPass:
         def compare(i, rows):
             def job(part, lane):
                 s, x = part
-                domega_dt = derivative_4th([w[i, x] for w in omega], spacing)
+                samples = [w[i, x] for w in omega]
+                d, term, scratch = slab_out[lane]
                 for pad, r in zip(pads, rows):
-                    d = domega_dt[r]
-                    term = _inverse_yz(pad[x], n, out=slab_out[lane])
-                    peaks[1, r, i, s] = np.max(np.abs(d))
-                    peaks[2, r, i, s] = np.max(np.abs(term))
+                    _derivative_sample(samples, r, spacing, d, scratch)
+                    _inverse_yz(pad[x], n, out=term)
+                    peaks[1, r, i, s] = np.max(np.abs(d, out=scratch))
+                    peaks[2, r, i, s] = np.max(np.abs(term, out=scratch))
                     np.subtract(d, term, out=d)
                     peaks[0, r, i, s] = np.max(np.abs(d, out=d))
             return job

@@ -317,38 +317,46 @@ def integrate_domain(grid: Grid, values: np.ndarray) -> float:
     return grid.cell_volume * pairwise_sum(values)
 
 
-def pointwise_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise u . v of two physical vector fields."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _form_buffers(shape, out, work, count):
+    """The float64 ``out`` and ``work`` of a pointwise form of fields of
+    ``shape``: the caller's, or new ones, ``work`` holding ``count``
+    scratch arrays.  A form fills ``out`` with ``out=`` ufuncs in the
+    order of the expression it states, so it rounds as that does."""
+    if out is None:
+        out = np.empty(shape)
+    if work is None:
+        work = np.empty((count,) + shape)
+    return out, work
 
 
-def cross_product(u: np.ndarray, v: np.ndarray,
+def pointwise_dot(u: np.ndarray, v: np.ndarray,
                   out: np.ndarray | None = None,
                   work: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise u x v of two physical vector fields, written into
-    ``out`` when it is given.  ``work``, a float64 array of one
-    component's shape, holds the subtracted products when it is given."""
-    if out is None:
-        out = np.empty_like(u)
-    for i in range(3):
-        _cross_component(u, v, i, out[i], work=work)
-    return out
+    """Pointwise ``u[0] * v[0] + u[1] * v[1] + u[2] * v[2]`` of two
+    physical vector fields (or of three fields each), into ``out``
+    through ``work[0]`` (:func:`_form_buffers`)."""
+    out, work = _form_buffers(np.shape(u[0]), out, work, 1)
+    np.multiply(u[0], v[0], out=out)
+    np.add(out, np.multiply(u[1], v[1], out=work[0]), out=out)
+    return np.add(out, np.multiply(u[2], v[2], out=work[0]), out=out)
 
 
 def _cross_component(u: np.ndarray, v: np.ndarray, i: int, out: np.ndarray,
                      work: np.ndarray | None = None) -> np.ndarray:
-    """Component i of :func:`cross_product`, ``u_j v_l - u_l v_j`` with
-    (i, j, l) a cyclic order of (0, 1, 2), written into ``out``.
-    ``work``, a float64 array of ``out``'s shape, holds the subtracted
-    product when it is given."""
+    """Component i of the pointwise cross product u x v of two physical
+    vector fields, ``u_j v_l - u_l v_j`` with (i, j, l) a cyclic order of
+    (0, 1, 2), written into ``out``.  ``work``, a float64 array of
+    ``out``'s shape, holds the subtracted product when it is given."""
     j, l = (i + 1) % 3, (i + 2) % 3
     np.multiply(u[j], v[l], out=out)
     return np.subtract(out, np.multiply(u[l], v[j], out=work), out=out)
 
 
-def magnitude_squared(v: np.ndarray) -> np.ndarray:
-    """Pointwise |v|^2 of a physical vector field."""
-    return pointwise_dot(v, v)
+def magnitude_squared(v: np.ndarray, out: np.ndarray | None = None,
+                      work: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise |v|^2 of a physical vector field, as
+    ``pointwise_dot(v, v, out, work)``."""
+    return pointwise_dot(v, v, out, work)
 
 
 def max_speed(v: np.ndarray) -> float:

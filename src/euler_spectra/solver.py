@@ -52,11 +52,11 @@ from euler_spectra.fields import (
     _band_forward_y,
     _band_forward_z,
     _band_pad_inverse_x,
+    _cross_component,
     _curl_component,
     _inverse_yz,
     band_inverse,
     check_velocity,
-    cross_product,
     fft_forward,
     leray_project,
     max_speed,
@@ -185,10 +185,10 @@ class _BandWorkspace:
     compact components during the inverse pass of every evaluation
     (the step never needs its old value then); and per thread ("lane",
     :func:`euler_spectra.workers._split_lanes`) the temporary of a curl
-    component, the physical v, omega and v x omega of a slab, the
-    products of ``cross_product``, the ``rfft`` along z of a slab, and
-    the temporaries of ``leray_project`` on an x half.  The worker is
-    made here and joined on exit.
+    component, the physical v and omega of a slab, a component of their
+    cross product and its subtracted product, the ``rfft`` along z of
+    that component, and the temporaries of ``leray_project`` on an x
+    half.  The worker is made here and joined on exit.
     """
 
     def __init__(self, band: Band):
@@ -205,8 +205,8 @@ class _BandWorkspace:
          self.half_work) = _carve(
             ((2, 3, n, n, m + 1), c), (compact, c), (compact, c),
             (compact, c), ((lanes,) + compact[1:], c),
-            ((lanes, 3, 3, planes, n, n), f), ((lanes, planes, n, n), f),
-            ((lanes, 3, planes, n, n // 2 + 1), c),
+            ((lanes, 2, 3, planes, n, n), f), ((lanes, 2, planes, n, n), f),
+            ((lanes, planes, n, n // 2 + 1), c),
             ((lanes, 2, m + 1, 2 * m + 1, m + 1), c))
 
     def __enter__(self):
@@ -235,11 +235,12 @@ class _BandWorkspace:
         phase split between the threads: each component of v and of
         omega (whose curl component the same thread forms) is
         zero-padded and transformed along x; each x-slab is transformed
-        along y and z, multiplied, and transformed back along z into the
-        planes kz <= m of v's padded buffer, which the slab has
-        consumed; the x pass runs by y halves; and each x half of the
-        band runs the y pass, the gather of its band modes into ``out``,
-        the projection and the viscous term.  Every line goes through
+        along y and z, and each component of its v x omega is formed and
+        transformed back along z into the planes kz <= m of v's padded
+        buffer, which the slab has consumed; the x pass runs by y
+        halves; and each x half of the band runs the y pass, the gather
+        of its band modes into ``out``, the projection and the viscous
+        term.  Every line goes through
         the arithmetic of the whole-field transforms and operators, so
         the result is the same bit for bit on one thread or two.
         """
@@ -252,12 +253,13 @@ class _BandWorkspace:
             _band_pad_inverse_x(band, coeffs, padded[field, i])
 
         def slab(x, lane):
-            fields = self.slab_fields[lane]  # v, omega, v x omega
-            _inverse_yz(padded[:, :, x], n, out=fields[:2])
-            cross_product(fields[0], fields[1], fields[2],
-                          work=self.slab_products[lane])
-            _band_forward_z(band, fields[2], padded[0, :, x],
-                            work=self.slab_spectra[lane])
+            v_slab, omega_slab = self.slab_fields[lane]
+            product, work = self.slab_products[lane]
+            _inverse_yz(padded[:, :, x], n, out=self.slab_fields[lane])
+            for i in range(3):
+                _cross_component(v_slab, omega_slab, i, product, work=work)
+                _band_forward_z(band, product, padded[0, i, x],
+                                work=self.slab_spectra[lane])
 
         def half_tail(rows, half, work):
             part = out[:, rows]

@@ -19,11 +19,10 @@ pages in again, and every module that hands work to a worker follows
 them:
 
 - The calling thread allocates the arrays a worker writes into, because
-  arrays a worker allocates land in a malloc arena of its own.  One
-  exception is left: ``_SnapshotPass.residual`` forms its time stencil
-  with ``derivative_4th``, which allocates per part, on both threads.
+  arrays a worker allocates land in a malloc arena of its own.
 - A band step, a diagnostics record and ``diagnose``'s pass take their
-  scratch buffers of grid size as views of one block (:func:`_carve`).
+  scratch buffers of grid or slab size as views of one block
+  (:func:`_carve`).
   glibc gives a freed block above its mmap threshold back to the OS and
   raises the threshold to that block's size (up to 32 MB), so from the
   second step on a step's block comes from pages that stay mapped,

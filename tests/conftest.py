@@ -10,21 +10,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from euler_spectra.deformation import (
+    _GAP_THRESHOLD,
+    _SAFE_MAX,
+    _SAFE_MIN,
+    _TINY_SPREAD,
+    _refine_near_degenerate,
+    _require_finite,
+)
 from euler_spectra.diagnostics import (
     _cubic_trace_density,
     _product_density,
-    _quadratic_density,
     _stretching_density,
 )
 from euler_spectra.grid import Grid
 from euler_spectra.fields import (
-    cross_product,
     curl,
     dealias_23,
     fft_forward,
     fft_inverse,
     integrate_domain,
     leray_project,
+    magnitude_squared,
 )
 from euler_spectra.initial import random_solenoidal
 from euler_spectra.snapshot import write_snapshot
@@ -78,6 +85,14 @@ def make_random_velocity(grid, rng, scale=1.0, band=None):
     if band is None:
         return dealias_23(grid, vhat)
     return band.scatter(band.restrict(vhat))
+
+
+def cross_product(u, v):
+    """Pointwise u x v of two physical vector fields, component i being
+    ``u_j v_l - u_l v_j`` with (i, j, l) a cyclic order of (0, 1, 2), as
+    the solver's slabs round it."""
+    return np.stack([u[(i + 1) % 3] * v[(i + 2) % 3]
+                     - u[(i + 2) % 3] * v[(i + 1) % 3] for i in range(3)])
 
 
 def rhs_reference(grid, v, nu=0.0):
@@ -138,7 +153,7 @@ def gradient_norm_squared_pointwise(grad):
 def spectra_moments(grid, spectra):
     """Quadratic and product moments (Q, P) of the eigenvalue fields:
     Q = integral (l1^2 + l2^2 + l3^2),  P = integral (l1 l2 l3)."""
-    return (integrate_domain(grid, _quadratic_density(spectra)),
+    return (integrate_domain(grid, magnitude_squared(spectra)),
             integrate_domain(grid, _product_density(spectra)))
 
 
@@ -169,3 +184,68 @@ def traced_peak_fields(grid, job):
         if not was_tracing:
             tracemalloc.stop()
     return (peak - before) / (8 * grid.n ** 3)
+
+
+def eigenvalues_trig_reference(s11, s12, s13, s22, s23, s33):
+    """The trigonometric route of ``eigenvalues_sym3`` as the expressions
+    that its ``out=`` forms round like: (l1, l2, l3, spread)."""
+    q = (s11 + s22 + s33) / 3.0
+    b11 = s11 - q
+    b22 = s22 - q
+    b33 = s33 - q
+    p2 = (b11 * b11 + b22 * b22 + b33 * b33
+          + 2.0 * (s12 * s12 + s13 * s13 + s23 * s23)) / 6.0
+    p = np.sqrt(p2)
+    det = (b11 * (b22 * b33 - s23 * s23)
+           - s12 * (s12 * b33 - s23 * s13)
+           + s13 * (s12 * s23 - b22 * s13))
+    p_safe = np.where(p > _TINY_SPREAD, p, 1.0)
+    arg = np.clip(0.5 * det / (p_safe * p_safe * p_safe), -1.0, 1.0)
+    theta = np.arccos(arg) / 3.0
+    l1 = 2.0 * p * np.cos(theta)
+    l3 = 2.0 * p * np.cos(theta + 2.0 * np.pi / 3.0)
+    l2 = -(l1 + l3)
+    return q + l1, q + l2, q + l3, 2.0 * p
+
+
+def eigenvalues_reference(tensor):
+    """``eigenvalues_sym3`` as whole-array expressions that allocate
+    their temporaries: the range guard, the trigonometric route, the gap
+    test and the deflation of the flagged points."""
+    _require_finite(tensor)
+    peak = np.abs(tensor[0])
+    for component in tensor[1:]:
+        np.maximum(peak, np.abs(component), out=peak)
+    rescale = (peak > _SAFE_MAX) | ((peak < _SAFE_MIN) & (peak > 0.0))
+    rescaled = bool(np.any(rescale))
+    if rescaled:
+        exponent = np.where(rescale, np.frexp(peak)[1], 0)
+        tensor = np.ldexp(tensor, -exponent)
+    l1, l2, l3, spread = eigenvalues_trig_reference(*tensor)
+    gap = np.minimum(l1 - l2, l2 - l3)
+    needs_refine = (gap < _GAP_THRESHOLD * spread) & (spread > 0.0)
+    lam = np.stack([l1.ravel(), l2.ravel(), l3.ravel()], axis=1)
+    idx = np.nonzero(needs_refine.ravel())[0]
+    if idx.size:
+        flat = [c.ravel() for c in tensor]
+        lam[idx] = _refine_near_degenerate([c[idx] for c in flat], lam[idx])
+    spectra = lam.T.reshape((3,) + l1.shape)
+    return np.ldexp(spectra, exponent) if rescaled else spectra
+
+
+def derivative_4th_reference(values, spacing, axis=0):
+    """``envelopes.derivative_4th`` as the whole-array expressions its
+    per-sample stencils round like."""
+    y = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
+    d = np.empty_like(y)
+    w = 1.0 / (12.0 * spacing)
+    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) * w
+    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2]
+            + 16.0 * y[3] - 3.0 * y[4]) * w
+    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2]
+            - 6.0 * y[3] + y[4]) * w
+    d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3]
+             + 6.0 * y[-4] - y[-5]) * w
+    d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3]
+             - 16.0 * y[-4] + 3.0 * y[-5]) * w
+    return np.moveaxis(d, 0, axis)

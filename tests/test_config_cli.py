@@ -216,9 +216,30 @@ def _wrong_type_cases():
                    f"{path}.{key}: expected {article} {kind}, got {got}")
 
 
+# JSON texts of numbers that are not finite floats, with how the error
+# names them: json.loads reads NaN, Infinity and an exponent beyond the
+# float range as non-finite floats, and keeps a long integer exact.
+_NON_FINITE = [("NaN", "NaN"), ("Infinity", "Infinity"),
+               ("-Infinity", "-Infinity"), ("1e999", "Infinity"),
+               ("-1e999", "-Infinity"),
+               ("1" + "0" * 400, "an integer of 401 digits"),
+               ("-1" + "0" * 400, "an integer of 401 digits")]
+
+
+def _non_finite_cases():
+    for path, key, kind in _TYPED_KEYS:
+        if kind != "number":
+            continue
+        for text, got in _NON_FINITE:
+            yield (f"{path}.{key}={text[:12]}",
+                   config_with(path, key, 0.125).replace("0.125", text),
+                   f"{path}.{key}: expected a finite number, got {got}")
+
+
 _KINDS = "taylor_green, abc, shear, random_solenoidal, from_file"
 _CONFIG_ERRORS = [
     *_wrong_type_cases(),
+    *_non_finite_cases(),
     # A missing required key.
     ("missing $.n", config_with("$", "n", _ABSENT),
      "$.n: required key is missing"),
@@ -296,6 +317,11 @@ _CONFIG_ERRORS = [
     ("not JSON", "{not json",
      "configuration is not valid JSON: Expecting property name enclosed "
      "in double quotes: line 1 column 2 (char 1)"),
+    ("integer beyond the digit limit",
+     config_text(n=16).replace("16", "1" + "0" * 5000),
+     "configuration is not valid JSON: Exceeds the limit (4300 digits) "
+     "for integer string conversion: value has 5001 digits; use "
+     "sys.set_int_max_str_digits() to increase the limit"),
     # Precedence: n, then $.initial, then $.solver, then the rest of $;
     # in a section, its keys before its unknown keys.
     ("n before initial", json.dumps({"n": "16", "initial": 5}),
@@ -551,6 +577,17 @@ class TestCmdRun:
         path.write_text(config_text(n=24))
         assert main(["run", "--config", str(path), "--quiet"]) == EXIT_USAGE
         assert "$.n" in capsys.readouterr().err
+
+    def test_number_beyond_float_range_is_usage_error(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(config_text(solver={"t_final": 0.01, "nu": 0.125})
+                        .replace("0.125", "1" + "0" * 400))
+        assert main(["run", "--config", str(path), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert ("$.solver.nu: expected a finite number, got an integer of "
+                "401 digits") in err
+        assert "Traceback" not in err
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -18,6 +18,7 @@ from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
     _strain_entries,
+    _trace_squared,
     classify_admissible,
     deformation_tensor,
     eigenvalues_sym3,
@@ -28,7 +29,10 @@ from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
     _RecordBlock,
+    _cubic_trace_density,
+    _product_density,
     _slab_eigenvalues,
+    _stretching_density,
     classify_and_record,
     compute_record,
     identity_residuals,
@@ -56,7 +60,7 @@ from euler_spectra.initial import (
     shear_flow,
     taylor_green,
 )
-from euler_spectra.solver import SolverConfig, SolverState, run
+from euler_spectra.solver import SolverConfig, SolverState, run, step_rk4
 import euler_spectra.workers as workers_module
 
 from conftest import (
@@ -288,30 +292,55 @@ class TestSlabRecord:
     def test_peak_memory_of_one_record(self, monkeypatch):
         # The record's buffers are one block: the tensor, whose first
         # half holds v and then the eigenvalues, omega, and one region
-        # shared by the integrand and the transform buffers.  One
-        # thread, so that the peak does not depend on the host: it
-        # measured 13.3 fields of the grid, against 15.3 while the
-        # record allocated its arrays one by one and 26.3 while it held
-        # all nine integrands at once.
+        # shared in turn by the transform buffers, the integrand with
+        # its scratch, and the eigensolver's scratch.  One thread, so
+        # that the peak does not depend on the host: it measured 11.13
+        # fields of the grid, against 13.3 while the eigensolver and the
+        # integrands allocated slab temporaries, 15.3 while the record
+        # allocated its arrays one by one and 26.3 while it held all
+        # nine integrands at once.
         grid = Grid(64)
         v = make_random_velocity(grid, np.random.default_rng(64))
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         assert traced_peak_fields(
-            grid, lambda: compute_record(grid, 0.5, v)) < 14.0
+            grid, lambda: compute_record(grid, 0.5, v)) < 11.4
 
     def test_peak_memory_of_one_band_record(self, monkeypatch):
         # A dealiased run's record: its lane buffers are compact
         # components and one padded component, smaller than those of
-        # the half spectrum.  One thread; it measured 12.6 fields of the
-        # grid, against 15.3 while the record allocated its arrays one
-        # by one.
+        # the half spectrum.  One thread; it measured 10.44 fields of
+        # the grid, against 12.6 while the eigensolver and the
+        # integrands allocated slab temporaries and 15.3 while the
+        # record allocated its arrays one by one.
         grid = Grid(64)
         band = Band(grid)
         v = band.restrict(make_random_velocity(grid,
                                                np.random.default_rng(64)))
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         assert traced_peak_fields(
-            grid, lambda: compute_record(band, 0.5, v)) < 13.0
+            grid, lambda: compute_record(band, 0.5, v)) < 10.7
+
+    def test_peak_memory_of_one_band_record_on_two_lanes(self, monkeypatch):
+        # The first record of a run, which also classifies, on two
+        # threads: every temporary of slab size comes from the block, so
+        # the record stays within half a field of a two-thread step.  It
+        # measured 11.75-11.96 fields of the grid (the most on the first
+        # call of a process) against 11.49-11.62 for the step, and 16.0
+        # against 12.5 while the eigensolver and the integrands
+        # allocated slab temporaries on both threads.
+        grid = Grid(64)
+        band = Band(grid)
+        v = band.restrict(make_random_velocity(grid,
+                                               np.random.default_rng(64)))
+        state = SolverState(0.0, v, 0, band)
+        config = SolverConfig(dt=1e-3, t_final=1e-3)
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
+        record = traced_peak_fields(
+            grid, lambda: classify_and_record(band, 0.5, v))
+        step = traced_peak_fields(
+            grid, lambda: step_rk4(band, state, config))
+        assert record < 12.05
+        assert record <= step + 0.5
 
     def test_trace_warning_from_the_slab_pass(self, grid16, caplog):
         x, _, _ = grid16.coordinates()
@@ -323,6 +352,50 @@ class TestSlabRecord:
         first, second = caplog.records
         assert "trace" in first.message
         assert second.message == first.message
+
+
+# Each integrand form of a record, the expression whose rounding its
+# out= ufuncs keep, and the kinds of argument it takes: a tensor (6),
+# a vector (3) or eigenvalues (3).
+_FORMS = [
+    (_product_density, lambda l1, l2, l3: l1 * l2 * l3, (3,)),
+    (_stretching_density,
+     lambda s11, s12, s13, s22, s23, s33, w1, w2, w3: (
+         s11 * w1 * w1 + s22 * w2 * w2 + s33 * w3 * w3
+         + 2.0 * (s12 * w1 * w2 + s13 * w1 * w3 + s23 * w2 * w3)), (6, 3)),
+    (_cubic_trace_density,
+     lambda s11, s12, s13, s22, s23, s33: (
+         s11 * s11 * s11 + s22 * s22 * s22 + s33 * s33 * s33
+         + 3.0 * (s12 * s12 * (s11 + s22) + s13 * s13 * (s11 + s33)
+                  + s23 * s23 * (s22 + s33))
+         + 6.0 * s12 * s13 * s23), (6,)),
+    (_trace_squared,
+     lambda s11, s12, s13, s22, s23, s33: (s11 + s22 + s33) ** 2, (6,)),
+    (frobenius_squared,
+     lambda s11, s12, s13, s22, s23, s33: (
+         s11 * s11 + s22 * s22 + s33 * s33
+         + 2.0 * (s12 * s12 + s13 * s13 + s23 * s23)), (6,)),
+    (pointwise_dot,
+     lambda u1, u2, u3, v1, v2, v3: u1 * v1 + u2 * v2 + u3 * v3, (3, 3)),
+    (magnitude_squared, lambda v1, v2, v3: v1 * v1 + v2 * v2 + v3 * v3,
+     (3,)),
+]
+
+
+@pytest.mark.parametrize("form, expression, kinds", _FORMS,
+                         ids=[form[0].__name__ for form in _FORMS])
+def test_integrand_form_rounds_as_its_expression(form, expression, kinds,
+                                                 rng):
+    # Entries of mixed magnitude, so that a change of rounding order
+    # shows.  With out= and work=, as a record fills a slab of its
+    # integrand, or allocating its own.
+    args = [rng.standard_normal((k, 4, 5, 6))
+            * 10.0 ** rng.integers(-4, 5, (k, 4, 5, 6)) for k in kinds]
+    expected = expression(*(c for a in args for c in a))
+    out, work = np.empty((4, 5, 6)), np.empty((2, 4, 5, 6))
+    assert form(*args, out=out, work=work) is out
+    assert np.array_equal(out, expected)
+    assert np.array_equal(form(*args), expected)
 
 
 class TestRecordBlock:
@@ -346,22 +419,51 @@ class TestRecordBlock:
             assert buffer.base is root
         # Live at once: the tensor, omega and the lane buffers while the
         # tensor is formed; v (the tensor's first half, later the
-        # eigenvalues), omega and the integrand while integrands are.
-        live = [name for name in ("tensor", "omega", "work", "pads")
-                if name in buffers]
-        for a, b in itertools.combinations(live, 2):
-            assert not np.shares_memory(buffers[a], buffers[b]), (a, b)
-        for name in ("tensor", "omega"):
-            if name in buffers:
-                assert not np.shares_memory(block.density, buffers[name])
+        # eigenvalues), omega, the integrand and its scratch while
+        # integrands are; the tensor and the eigensolver's scratch
+        # during the eigensolve.
+        for group in (("tensor", "omega", "work", "pads"),
+                      ("tensor", "omega", "density", "scratch"),
+                      ("tensor", "omega", "eig_work")):
+            live = [name for name in group if name in buffers]
+            for a, b in itertools.combinations(live, 2):
+                assert not np.shares_memory(buffers[a], buffers[b]), (a, b)
         assert np.shares_memory(block.v, block.tensor)
         assert np.shares_memory(block.density, block.work)
+        assert np.shares_memory(block.density, block.eig_work)
+        lanes = 2 if threaded else 1
+        assert block.scratch.shape == (lanes, 2, 16, 16, 16)
+        assert block.eig_work.shape == (lanes, 6, 16, 16, 16)
 
     def test_lent_work_is_not_carved(self, grid16):
         work = np.empty((2, 2) + grid16.k_squared.shape, np.complex128)
         block = _RecordBlock(grid16, 2, False, work)
         assert block.work is work and block.pads is None
-        assert block.tensor.base.nbytes == 7 * 8 * 16 ** 3
+        # The tensor, and the eigensolver's six slabs on each of two
+        # lanes, where n=16 has one slab of 16 planes.
+        assert block.tensor.base.nbytes == (6 + 2 * 6) * 8 * 16 ** 3
+
+    @pytest.mark.parametrize("layout, lanes, own_fields, shared", [
+        # The lane buffers: compact components (43, 43, 22) and padded
+        # ones (64, 64, 22), complex.
+        ("band", 1, True, 2 * 43 * 43 * 22 * 16 + 64 * 64 * 22 * 16),
+        ("band", 2, True, 2 * (2 * 43 * 43 * 22 * 16 + 64 * 64 * 22 * 16)),
+        # Half-spectrum components (64, 64, 33), complex.
+        ("half", 1, True, 2 * 64 * 64 * 33 * 16),
+        # diagnose lends its work: the integrand and two slabs of 8
+        # planes per lane, or six slabs per lane for the eigensolver,
+        # whichever is larger.
+        ("half", 1, False, (1 + 2 / 8) * 8 * 64 ** 3),
+        ("half", 2, False, (1 + 4 / 8) * 8 * 64 ** 3),
+    ])
+    def test_block_size(self, layout, lanes, own_fields, shared):
+        grid = Grid(64)
+        space = Band(grid) if layout == "band" else grid
+        work = None if own_fields else np.empty(
+            (lanes, 2) + grid.k_squared.shape, np.complex128)
+        block = _RecordBlock(space, lanes, own_fields, work)
+        fields = 9 if own_fields else 6
+        assert block.tensor.base.nbytes == fields * 8 * 64 ** 3 + shared
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("layout", ["band", "half"])

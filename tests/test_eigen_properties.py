@@ -6,13 +6,20 @@ against ``numpy.linalg.eigvalsh`` with the package's 1e-10 contract:
 the largest deviation, relative to the largest eigenvalue magnitude,
 stays below 1e-10.  A separate family sweeps eigenvalue pairs through
 the gap threshold at which the solver switches from the trigonometric
-formula to deflation.  Runs are derandomized, so they reproduce.
+formula to deflation.  The kernel is also held bit for bit to the
+allocating expressions of ``conftest.eigenvalues_reference`` on random,
+near-degenerate, zero-deviator and 2^+-250-scaled tensors.  Runs are
+derandomized, so they reproduce.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from euler_spectra.deformation import _GAP_THRESHOLD, eigenvalues_sym3
+from euler_spectra.errors import NumericsError
+
+from conftest import eigenvalues_reference
 
 settings.register_profile("eigen", max_examples=300, deadline=None,
                           derandomize=True, database=None)
@@ -143,3 +150,71 @@ def test_power_of_two_scaling_is_exact(matrix, k):
     assert np.all(np.isfinite(ours))
     assert_spectra_close(np.ldexp(ours, -k), spectrum(matrix),
                          scale_of(matrix))
+
+
+def pack(matrices):
+    """The (6, k) tensor array of k symmetric matrices."""
+    m = np.asarray(matrices, dtype=np.float64).reshape(-1, 3, 3)
+    return np.array([m[:, 0, 0], m[:, 0, 1], m[:, 0, 2],
+                     m[:, 1, 1], m[:, 1, 2], m[:, 2, 2]])
+
+
+def near_degenerate(a, c, log_gap, q):
+    """A matrix whose top pair, a and a - gap, lies a gap below 1e-4 of
+    the spread apart, turned by the rotation of quaternion q."""
+    spread = max(abs(a - c), 1e-3)
+    values = np.array([a, a - _GAP_THRESHOLD * 10.0 ** log_gap * spread, c])
+    r = rotation(q)
+    matrix = r @ np.diag(values) @ r.T
+    return 0.5 * (matrix + matrix.T)
+
+
+unit = st.floats(min_value=-10.0, max_value=10.0)
+batches = {
+    "random": st.lists(symmetric, min_size=1, max_size=8),
+    "near_degenerate": st.lists(
+        st.builds(near_degenerate, unit, unit,
+                  st.floats(min_value=-12.0, max_value=-0.01), quaternions),
+        min_size=1, max_size=8),
+    "zero_deviator": st.lists(unit.map(lambda q: q * np.eye(3)),
+                              min_size=1, max_size=8),
+    "scaled": st.tuples(st.lists(symmetric, min_size=1, max_size=8),
+                        st.sampled_from([-250, 250])).map(
+        lambda pair: np.ldexp(np.asarray(pair[0]), pair[1])),
+}
+
+
+@PROFILE
+@given(st.sampled_from(sorted(batches)).flatmap(
+    lambda kind: st.tuples(st.just(kind), batches[kind])))
+def test_bitwise_equal_to_allocating_reference(case):
+    # The out= kernel rounds every expression as the allocating one did,
+    # with its own scratch or the caller's, and with the eigenvalues
+    # written over the tensor's first half.
+    kind, matrices = case
+    tensor = pack(matrices)
+    expected = eigenvalues_reference(tensor.copy())
+    assert np.array_equal(eigenvalues_sym3(tensor.copy()), expected), kind
+    work = np.empty((6,) + tensor.shape[1:])
+    assert np.array_equal(eigenvalues_sym3(tensor.copy(), work=work),
+                          expected), kind
+    for scratch in (None, work):
+        aliased = tensor.copy()
+        got = eigenvalues_sym3(aliased, out=aliased[:3], work=scratch)
+        assert np.shares_memory(got, aliased)
+        assert np.array_equal(aliased[:3], expected), kind
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("component, index", [(0, (0, 0)), (4, (2, 3)),
+                                              (5, (1, 1))])
+def test_non_finite_entry_reported_as_by_reference(bad, component, index):
+    tensor = np.random.default_rng(5).standard_normal((6, 3, 4))
+    tensor[component][index] = bad
+    with pytest.raises(NumericsError) as reference:
+        eigenvalues_reference(tensor.copy())
+    for work in (None, np.empty((6, 3, 4))):
+        aliased = tensor.copy()
+        with pytest.raises(NumericsError) as ours:
+            eigenvalues_sym3(aliased, out=aliased[:3], work=work)
+        assert str(ours.value) == str(reference.value)

@@ -29,7 +29,6 @@ from euler_spectra.envelopes import (
 )
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
-    cross_product,
     curl,
     dealias_23,
     fft_forward,
@@ -41,6 +40,8 @@ from euler_spectra.solver import SolverConfig, run
 import euler_spectra.workers as workers_module
 
 from conftest import (
+    cross_product,
+    derivative_4th_reference,
     make_random_velocity,
     traced_peak_fields,
     velocity_gradient,
@@ -84,6 +85,18 @@ class TestDerivative4th:
             errs.append(np.max(np.abs(d - 3.0 * np.cos(3.0 * t))))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
+
+    @pytest.mark.parametrize("shape, axis", [
+        ((5,), 0), ((11,), 0), ((9, 4), 0), ((4, 9), 1), ((3, 7, 2), 1)])
+    def test_matches_expressions_bitwise(self, shape, axis, rng):
+        # Each sample's stencil is summed term by term in place, in the
+        # order of the whole-array expressions, into ``out`` or not.
+        y = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        expected = derivative_4th_reference(y, 0.1, axis=axis)
+        out = np.empty(shape)
+        assert np.array_equal(derivative_4th(y, 0.1, axis=axis), expected)
+        assert derivative_4th(y, 0.1, axis=axis, out=out) is not None
+        assert np.array_equal(out, expected)
 
     def test_axis_argument(self, rng):
         y = rng.standard_normal((9, 4))
@@ -389,6 +402,22 @@ class TestEpsilonDecayBound:
         assert "ratio" in out.reason
 
 
+def whole_field_residual(grid, velocities, spacing):
+    """The returns of ``vorticity_transport_residual`` for spectral
+    ``velocities`` sampled ``spacing`` apart, from whole-field arrays and
+    the expressions of ``derivative_4th_reference``."""
+    omega = np.stack([fft_inverse(curl(grid, v)) for v in velocities])
+    domega_dt = derivative_4th_reference(omega, spacing)
+    raw, normalized = [], []
+    for m, v in enumerate(velocities):
+        transport = fft_inverse(curl(grid, dealias_23(
+            grid, fft_forward(cross_product(fft_inverse(v), omega[m])))))
+        raw.append(np.max(np.abs(domega_dt[m] - transport)))
+        normalized.append(raw[-1] / max(
+            np.max(np.abs(domega_dt[m])), np.max(np.abs(transport)), 1e-300))
+    return raw, normalized
+
+
 class TestTransportResidual:
     def test_steady_field_near_zero(self, grid16):
         # A repeated single-mode field has exactly zero transport terms;
@@ -477,20 +506,36 @@ class TestTransportResidual:
         for count in (5, 7):
             velocities = [make_random_velocity(grid, rng) for _ in range(count)]
             times = np.linspace(0.0, 0.1 * (count - 1), count)
-            omega = np.stack([fft_inverse(curl(grid, v)) for v in velocities])
-            domega_dt = derivative_4th(omega, 0.1, axis=0)
-            raw, normalized = [], []
-            for m, v in enumerate(velocities):
-                transport = fft_inverse(curl(grid, dealias_23(
-                    grid, fft_forward(cross_product(fft_inverse(v),
-                                                    omega[m])))))
-                raw.append(np.max(np.abs(domega_dt[m] - transport)))
-                normalized.append(raw[-1] / max(
-                    np.max(np.abs(domega_dt[m])), np.max(np.abs(transport)),
-                    1e-300))
+            raw, normalized = whole_field_residual(grid, velocities, 0.1)
             got = vorticity_transport_residual(grid, times, velocities)
             assert np.array_equal(got[0], raw)
             assert np.array_equal(got[1], normalized)
+
+    def test_comparison_allocates_no_slab(self, monkeypatch):
+        # The comparison forms each sample's stencil, the transport term
+        # and their temporaries in three slabs per thread carved from
+        # the pass's block.  Over seven n=64 rows on two threads it
+        # allocates 0.01 fields of the grid, against 5.0 while
+        # derivative_4th stacked the omega rows and allocated its
+        # stencil per part; the maxima are still those of the
+        # whole-field expressions.
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
+        grid = Grid(64)
+        rng = np.random.default_rng(11)
+        velocities = [make_random_velocity(grid, rng) for _ in range(7)]
+        got = []
+        with workers_module._worker(grid.n) as worker:
+            snapshots = _SnapshotPass(grid, worker)
+            for v in velocities:
+                spectrum = v.copy()
+                snapshots.fields(spectrum)
+                snapshots.add_transport(spectrum)
+            peak = traced_peak_fields(
+                grid, lambda: got.extend(snapshots.residual(0.1)))
+        assert peak < 0.5
+        raw, normalized = whole_field_residual(grid, velocities, 0.1)
+        assert np.array_equal(got[0], raw)
+        assert np.array_equal(got[1], normalized)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rows_stay_on_the_band(self, threads, monkeypatch):

@@ -356,21 +356,36 @@ class TestDealiasingEffect:
                 assert np.array_equal(band.scatter(banded.v), full)
                 assert (banded.t, banded.step_index) == (dt, 1)
 
-    def test_peak_memory_of_one_band_step(self, rng, monkeypatch):
-        # v, omega and v x omega exist one x-slab at a time.  One
-        # thread, so that the peak does not depend on the host: it
-        # measured 10.2 fields of the grid with the step's buffers in one
-        # block, 14.6 before, and 22.5 while a step held the three
-        # physical vector fields whole.
+    @staticmethod
+    def step_peak(rng, monkeypatch, cpus):
+        """The traced peak of one n=64 band step on ``cpus`` CPUs, in
+        fields of the grid."""
         grid = Grid(64)
         band = Band(grid)
         state = SolverState(0.0, band.restrict(make_random_velocity(grid,
                                                                     rng)),
                             0, band)
         config = SolverConfig(dt=1e-3, t_final=1e-3)
-        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
-        assert traced_peak_fields(
-            grid, lambda: step_rk4(band, state, config)) < 17.0
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: cpus)
+        return traced_peak_fields(
+            grid, lambda: step_rk4(band, state, config))
+
+    def test_peak_memory_of_one_band_step(self, rng, monkeypatch):
+        # v and omega exist one x-slab at a time, and v x omega one
+        # component of a slab at a time.  One thread, so that the peak
+        # does not depend on the host: it measured 9.73 fields of the
+        # grid, against 10.2 while a slab held v x omega whole and its
+        # rfft along z, 14.6 before the step's buffers were one block,
+        # and 22.5 while a step held the three physical vector fields
+        # whole.
+        assert self.step_peak(rng, monkeypatch, 1) < 10.0
+
+    def test_peak_memory_of_one_band_step_on_two_lanes(self, rng,
+                                                       monkeypatch):
+        # Each thread holds its own slab buffers: 11.49-11.62 fields of
+        # the grid (the most on the first call of a process), against
+        # 12.5 while a slab held v x omega whole and its rfft along z.
+        assert self.step_peak(rng, monkeypatch, 2) < 11.75
 
     @pytest.mark.parametrize("threaded", [False, True])
     def test_band_workspace_is_one_block(self, threaded, monkeypatch):
