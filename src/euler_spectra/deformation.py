@@ -247,8 +247,7 @@ def _eigenvalues_trig(s11, s12, s13, s22, s23, s33, work):
     #         / 3.0, in acc
     p_safe, cube = b22, b33
     np.copyto(p_safe, 1.0)
-    np.copyto(p_safe, p, where=np.greater(p, _TINY_SPREAD,
-                                          out=_masks(tmp, 1)[0]))
+    np.copyto(p_safe, p, where=p > _TINY_SPREAD)
     np.multiply(p_safe, p_safe, out=cube)
     np.multiply(cube, p_safe, out=cube)
     theta = acc
@@ -268,15 +267,6 @@ def _eigenvalues_trig(s11, s12, s13, s22, s23, s33, work):
     np.negative(np.add(l1, l3, out=l2), out=l2)
     for value in (l1, l2, l3):
         np.add(q, value, out=value)
-
-
-def _masks(buffer: np.ndarray, count: int) -> list:
-    """``count`` boolean arrays of the float64 ``buffer``'s shape, as
-    views of its bytes: a float64 holds eight.  The last axis of
-    ``buffer`` must be contiguous."""
-    size = buffer.shape[-1]
-    raw = buffer.view(np.bool_)
-    return [raw[..., i * size:(i + 1) * size] for i in range(count)]
 
 
 def _refine_near_degenerate(components, lam):
@@ -358,10 +348,11 @@ def eigenvalues_sym3(tensor: np.ndarray, out: np.ndarray | None = None,
     trigonometric closed form everywhere, with a closed-form deflation
     pass on points whose smallest eigenvalue gap is below ``1e-4`` of
     the local spread (see module docstring).  ``work``, a float64 array
-    ``(6,) + tensor.shape[1:]`` whose last axis is contiguous, holds
-    every temporary of the trigonometric route, the range guard and the
-    gap test; without it one is allocated.  Only the rescaling and the
-    deflation allocate, on the points they act on.
+    ``(6,) + tensor.shape[1:]``, holds every float temporary of the
+    trigonometric route, the range guard and the gap test; without it
+    one is allocated.  Besides the boolean masks of those tests, only
+    the rescaling and the deflation allocate, on the points they act
+    on.
 
     Raises
     ------
@@ -386,12 +377,7 @@ def eigenvalues_sym3(tensor: np.ndarray, out: np.ndarray | None = None,
         np.maximum(peak, np.abs(component, out=scratch), out=peak)
     if not np.isfinite(np.max(peak, initial=0.0)):
         _require_finite(tensor)
-    # rescale = (peak > _SAFE_MAX) | ((peak < _SAFE_MIN) & (peak > 0.0))
-    rescale, small, nonzero = _masks(scratch, 3)
-    np.greater(peak, _SAFE_MAX, out=rescale)
-    np.logical_and(np.less(peak, _SAFE_MIN, out=small),
-                   np.greater(peak, 0.0, out=nonzero), out=small)
-    np.logical_or(rescale, small, out=rescale)
+    rescale = (peak > _SAFE_MAX) | ((peak < _SAFE_MIN) & (peak > 0.0))
     rescaled = bool(np.any(rescale))
     if rescaled:
         exponent = np.where(rescale, np.frexp(peak)[1], 0)
@@ -399,16 +385,12 @@ def eigenvalues_sym3(tensor: np.ndarray, out: np.ndarray | None = None,
 
     _eigenvalues_trig(*tensor, work)
     spread, l1, l3, l2 = work[2:]
-    # needs_refine = (gap < _GAP_THRESHOLD * spread) & (spread > 0.0),
     # gap = minimum(l1 - l2, l2 - l3)
     gap = work[1]
     np.minimum(np.subtract(l1, l2, out=gap),
                np.subtract(l2, l3, out=work[0]), out=gap)
-    needs_refine, positive = _masks(work[0], 2)
-    np.greater(spread, 0.0, out=positive)
-    np.less(gap, np.multiply(_GAP_THRESHOLD, spread, out=spread),
-            out=needs_refine)
-    np.logical_and(needs_refine, positive, out=needs_refine)
+    needs_refine = ((gap < np.multiply(_GAP_THRESHOLD, spread, out=work[0]))
+                    & (spread > 0.0))
     refined = None
     if np.any(needs_refine):
         # Read before ``out``, which may share the entries, is written.

@@ -281,11 +281,11 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
     per thread of ``worker``, that a caller lends the record
     (``diagnose``'s pass, between its transforms).
 
-    Every buffer of grid or slab size is a view of one block that lives
-    for the call (:class:`_RecordBlock`).  The record forms v and omega,
-    integrates E and H,
-    forms the deformation tensor over v, integrates Z (and takes
-    ``bkm_sup_vort``), W, C3 and the trace check, then solves for the
+    Every float buffer of grid or slab size is a view of one block that
+    lives for the call (:class:`_RecordBlock`).  The record forms v and
+    omega, integrates E and H, forms the deformation tensor over v,
+    integrates Z (and takes ``bkm_sup_vort``), W, C3 and the trace
+    check, then solves for the
     eigenvalues slab by slab over the first half of the tensor
     (:func:`_slab_eigenvalues`) and integrates Q and P.  Each integrand
     is filled slab by slab into one array of the whole grid and

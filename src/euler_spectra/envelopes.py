@@ -56,31 +56,31 @@ from euler_spectra.workers import (
 )
 
 
-def derivative_4th(values, spacing: float, axis: int = 0,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def derivative_4th(values, spacing: float, axis: int = 0) -> np.ndarray:
     """Fourth-order finite-difference time derivative of a sampled series.
 
     Centered five-point stencil in the interior, one-sided five-point
     stencils at the two samples on each end.  Needs at least five
-    samples along the chosen axis.  The result is written into the
-    float64 ``out`` of ``values``' shape when it is given.
+    samples along the chosen axis.
     """
-    y = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
-    if y.shape[0] < 5:
+    y = np.asarray(values, dtype=np.float64)
+    if y.shape[axis] < 5:
         raise ContractViolationError(
-            f"need >= 5 samples for a 4th-order derivative, got {y.shape[0]}")
+            f"need >= 5 samples for a 4th-order derivative, got {y.shape[axis]}")
     if not spacing > 0.0:
         raise ContractViolationError(f"spacing must be positive, got {spacing}")
-    d = np.moveaxis(np.empty(np.shape(values)) if out is None else out,
-                    axis, 0)
-    count = len(y)
-    work = np.empty((count - 4,) + y.shape[1:])
-    for k in (0, 1, count - 2, count - 1):
-        _derivative_sample(y, k, spacing, d[k, ...], work[0, ...])
-    # The interior at once: the centred stencil of the five windows
-    # y[j:count - 4 + j] gives every interior sample.
-    _derivative_sample([y[j:count - 4 + j] for j in range(5)], 2, spacing,
-                       d[2:-2], work)
+    y = np.moveaxis(y, axis, 0)
+    d = np.empty_like(y)
+    w = 1.0 / (12.0 * spacing)
+    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) * w
+    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2]
+            + 16.0 * y[3] - 3.0 * y[4]) * w
+    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2]
+            - 6.0 * y[3] + y[4]) * w
+    d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3]
+             + 6.0 * y[-4] - y[-5]) * w
+    d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3]
+             - 16.0 * y[-4] + 3.0 * y[-5]) * w
     return np.moveaxis(d, 0, axis)
 
 

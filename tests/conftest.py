@@ -168,6 +168,16 @@ def cubic_trace_integral(grid, tensor):
     return integrate_domain(grid, _cubic_trace_density(tensor))
 
 
+# What each thread of a record or a step allocates beyond the block it
+# carves, in fields of an n=64 grid: numpy's FFTs copy the lines of a
+# slab (about 0.15 field for an in-place ``ifft`` along y and an
+# ``irfft`` along z of a compact slab), and the eigensolver's boolean
+# masks of a slab take 1/64 field each.  Two threads may hold theirs at
+# once, so a two-thread peak is bounded by its block plus twice this, in
+# any interleaving of their allocations.
+UNCARVED_PER_THREAD = 0.25
+
+
 def traced_peak_fields(grid, job):
     """The ``tracemalloc`` peak of ``job()`` above the memory traced
     before it, in whole-grid float64 fields of ``grid``.  A trace that
@@ -232,20 +242,3 @@ def eigenvalues_reference(tensor):
     spectra = lam.T.reshape((3,) + l1.shape)
     return np.ldexp(spectra, exponent) if rescaled else spectra
 
-
-def derivative_4th_reference(values, spacing, axis=0):
-    """``envelopes.derivative_4th`` as the whole-array expressions its
-    per-sample stencils round like."""
-    y = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
-    d = np.empty_like(y)
-    w = 1.0 / (12.0 * spacing)
-    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) * w
-    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2]
-            + 16.0 * y[3] - 3.0 * y[4]) * w
-    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2]
-            - 6.0 * y[3] + y[4]) * w
-    d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3]
-             + 6.0 * y[-4] - y[-5]) * w
-    d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3]
-             - 16.0 * y[-4] + 3.0 * y[-5]) * w
-    return np.moveaxis(d, 0, axis)

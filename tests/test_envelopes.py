@@ -16,6 +16,7 @@ from euler_spectra.diagnostics import DiagnosticsCollector, DiagnosticsRecord
 from euler_spectra.envelopes import (
     EnvelopeAccumulator,
     _SnapshotPass,
+    _derivative_sample,
     containment_check,
     derivative_4th,
     envelope_rates,
@@ -41,7 +42,6 @@ import euler_spectra.workers as workers_module
 
 from conftest import (
     cross_product,
-    derivative_4th_reference,
     make_random_velocity,
     traced_peak_fields,
     velocity_gradient,
@@ -86,17 +86,17 @@ class TestDerivative4th:
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
 
-    @pytest.mark.parametrize("shape, axis", [
-        ((5,), 0), ((11,), 0), ((9, 4), 0), ((4, 9), 1), ((3, 7, 2), 1)])
-    def test_matches_expressions_bitwise(self, shape, axis, rng):
-        # Each sample's stencil is summed term by term in place, in the
-        # order of the whole-array expressions, into ``out`` or not.
+    @pytest.mark.parametrize("shape", [(5,), (6, 3), (11, 4, 2)])
+    def test_one_sample_matches_bitwise(self, shape, rng):
+        # A sample's stencil summed term by term in place, as
+        # ``_SnapshotPass.residual`` forms it, rounds as the whole-array
+        # expressions: every sample, both ends and the interior.
         y = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
-        expected = derivative_4th_reference(y, 0.1, axis=axis)
-        out = np.empty(shape)
-        assert np.array_equal(derivative_4th(y, 0.1, axis=axis), expected)
-        assert derivative_4th(y, 0.1, axis=axis, out=out) is not None
-        assert np.array_equal(out, expected)
+        expected = derivative_4th(y, 0.1)
+        out, work = np.empty(shape[1:]), np.empty(shape[1:])
+        for k in range(shape[0]):
+            assert _derivative_sample(list(y), k, 0.1, out, work) is out
+            assert np.array_equal(out, expected[k]), k
 
     def test_axis_argument(self, rng):
         y = rng.standard_normal((9, 4))
@@ -405,9 +405,9 @@ class TestEpsilonDecayBound:
 def whole_field_residual(grid, velocities, spacing):
     """The returns of ``vorticity_transport_residual`` for spectral
     ``velocities`` sampled ``spacing`` apart, from whole-field arrays and
-    the expressions of ``derivative_4th_reference``."""
+    ``derivative_4th`` of the whole omega series."""
     omega = np.stack([fft_inverse(curl(grid, v)) for v in velocities])
-    domega_dt = derivative_4th_reference(omega, spacing)
+    domega_dt = derivative_4th(omega, spacing)
     raw, normalized = [], []
     for m, v in enumerate(velocities):
         transport = fft_inverse(curl(grid, dealias_23(
