@@ -53,7 +53,6 @@ from euler_spectra.snapshot import (
     write_snapshot,
 )
 from euler_spectra.solver import run as solver_run, step_threads
-from euler_spectra.workers import _worker
 
 logger = logging.getLogger("euler_spectra.cli")
 
@@ -339,19 +338,17 @@ def cmd_diagnose(args) -> int:
 
     print(",".join(DiagnosticsRecord.field_names()))
     series = DiagnosticsCollector()
-    with _worker(grid.n) as worker:
-        snapshots = _SnapshotPass(grid, worker, transport=spacing is not None)
-        for m, t in enumerate(times):
-            record = series.record(grid, t, spectra[m],
-                                   physical=snapshots.fields(spectra[m]),
-                                   worker=worker,
-                                   work=snapshots.spectral_work)
-            print(_format_row(record.as_tuple()))
-            if spacing is not None:
-                snapshots.add_transport(spectra[m])
-            spectra[m] = None
+    snapshots = _SnapshotPass(grid, transport=spacing is not None)
+    for m, t in enumerate(times):
+        record = series.record(grid, t, spectra[m],
+                               physical=snapshots.fields(spectra[m]),
+                               work=snapshots.spectral_work)
+        print(_format_row(record.as_tuple()))
         if spacing is not None:
-            transport, _ = snapshots.residual(spacing)
+            snapshots.add_transport(spectra[m])
+        spectra[m] = None
+    if spacing is not None:
+        transport, _ = snapshots.residual(spacing)
 
     worst = series.max_residuals
     names = {"enstrophy_moment": "Z = 2Q",

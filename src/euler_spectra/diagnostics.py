@@ -29,7 +29,6 @@ for ``run`` and ``diagnose`` alike.
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -258,9 +257,7 @@ class _RecordBlock:
 
 def compute_record(space: Grid | Band, t: float, v: np.ndarray,
                    classification: Classification | None = None,
-                   eps_floor: float | None = None,
-                   class_valid: bool = True,
-                   physical=None, worker=None,
+                   eps_floor: float | None = None, physical=None,
                    work: np.ndarray | None = None) -> DiagnosticsRecord:
     """Evaluate the full diagnostics pipeline for one spectral velocity.
 
@@ -268,18 +265,14 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
     :class:`Band` of a compact one, a run's state; a band's record is
     the same as the grid's on ``band.scatter(v)``.  The epsilon-ratio
     infimum is only defined while the run sits in a one-signed class;
-    pass the run's classification (and whether the sign condition still
-    holds) to populate it, otherwise it is NaN.
+    pass the run's classification while its sign condition holds to
+    populate it, otherwise it is NaN.
     :func:`classify_and_record` classifies the sample itself first.
     ``physical`` is ``(fft_inverse(v), fft_inverse(curl(grid, v)))``
     for a caller that holds them (``diagnose``); the record is the same.
-    ``worker`` is the worker of :func:`euler_spectra.workers._worker`
-    held open by a caller whose records share it (``diagnose``); by
-    default the record opens its own, which gives no thread exactly
-    where the caller's gives none.  ``work`` is a complex128 array
-    ``(lanes, 2) + v.shape[1:]``, one spectral component and its scratch
-    per thread of ``worker``, that a caller lends the record
-    (``diagnose``'s pass, between its transforms).
+    ``work`` is a complex128 array ``(lanes, 2) + v.shape[1:]``, one
+    spectral component and its scratch per thread, that a caller lends
+    the record (``diagnose``'s pass, between its transforms).
 
     Every float buffer of grid or slab size is a view of one block that
     lives for the call (:class:`_RecordBlock`).  The record forms v and
@@ -292,50 +285,49 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
     integrated by one pairwise sum, which folds that array in place,
     before the next is filled, so the record is the same bit for bit as
     one evaluated on the whole field, in any order of the integrals.  On
-    a grid where :mod:`euler_spectra.workers` allows it, one worker
+    a grid where :mod:`euler_spectra.workers` allows it, the worker
     thread takes half of the slabs and half of the transforms.
     """
-    with (nullcontext(worker) if worker is not None
-          else _worker(space.n)) as worker:
-        block = _RecordBlock(space, _lanes(worker), physical is None, work)
-        density, tensor = block.density, block.tensor
-        slabs = _slabs(space.n)
+    worker = _worker(space.n)
+    block = _RecordBlock(space, _lanes(worker), physical is None, work)
+    density, tensor = block.density, block.tensor
+    slabs = _slabs(space.n)
 
-        def fill(form, *arrays):
-            """``density`` filled with ``form(*arrays)``, slab by slab."""
-            def job(x, lane):
-                form(*(a[:, x] for a in arrays), out=density[x],
-                     work=block.scratch[lane])
-            _split_lanes(worker, job, slabs)
-            return density
+    def fill(form, *arrays):
+        """``density`` filled with ``form(*arrays)``, slab by slab."""
+        def job(x, lane):
+            form(*(a[:, x] for a in arrays), out=density[x],
+                 work=block.scratch[lane])
+        _split_lanes(worker, job, slabs)
+        return density
 
-        def integrate(density):
-            """``integrate_domain(grid, density)``, folding ``density``."""
-            return space.cell_volume * _pairwise_sum_owned(density)
+    def integrate(density):
+        """``integrate_domain(grid, density)``, folding ``density``."""
+        return space.cell_volume * _pairwise_sum_owned(density)
 
-        def integral(form, *arrays):
-            return integrate(fill(form, *arrays))
+    def integral(form, *arrays):
+        return integrate(fill(form, *arrays))
 
-        if physical is None:
-            physical = block.v, block.omega
-            _physical_fields(space, v, physical, worker, block.work,
-                             block.pads)
-        v_phys, omega_phys = physical
-        e = integral(magnitude_squared, v_phys)
-        h = integral(pointwise_dot, v_phys, omega_phys)
-        _strain_entries(space, v, worker, tensor, block.work, block.pads)
-        fill(magnitude_squared, omega_phys)
-        bkm_sup_vort = float(np.sqrt(np.max(density)))  # max_speed(omega)
-        z = integrate(density)
-        w = integral(_stretching_density, tensor, omega_phys)
-        c3 = integral(_cubic_trace_density, tensor)
-        trace_mean_square = np.mean(fill(_trace_squared, tensor))
-        _check_trace(trace_mean_square,
-                     np.mean(fill(frobenius_squared, tensor)))
-        spectra = _slab_eigenvalues(tensor, worker, out=tensor[:3],
-                                    work=block.eig_work)
-        q = integral(magnitude_squared, spectra)
-        p = integral(_product_density, spectra)
+    if physical is None:
+        physical = block.v, block.omega
+        _physical_fields(space, v, physical, worker, block.work,
+                         block.pads)
+    v_phys, omega_phys = physical
+    e = integral(magnitude_squared, v_phys)
+    h = integral(pointwise_dot, v_phys, omega_phys)
+    _strain_entries(space, v, worker, tensor, block.work, block.pads)
+    fill(magnitude_squared, omega_phys)
+    bkm_sup_vort = float(np.sqrt(np.max(density)))  # max_speed(omega)
+    z = integrate(density)
+    w = integral(_stretching_density, tensor, omega_phys)
+    c3 = integral(_cubic_trace_density, tensor)
+    trace_mean_square = np.mean(fill(_trace_squared, tensor))
+    _check_trace(trace_mean_square,
+                 np.mean(fill(frobenius_squared, tensor)))
+    spectra = _slab_eigenvalues(tensor, worker, out=tensor[:3],
+                                work=block.eig_work)
+    q = integral(magnitude_squared, spectra)
+    p = integral(_product_density, spectra)
     if isinstance(classification, _ClassifyHere):
         classification.result = classify_admissible(
             spectra, classification.tolerance, work=density)
@@ -349,7 +341,7 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
     inf_l2m_abs = max(-max_l2, 0.0)
 
     inf_eps = math.nan
-    if (classification is not None and class_valid
+    if (classification is not None
             and classification.label != AdmissibleClass.NEITHER):
         ratio, excluded = epsilon_ratio(spectra, classification, eps_floor,
                                         out=density)
@@ -396,13 +388,13 @@ def _slab_eigenvalues(tensor: np.ndarray, worker, out: np.ndarray,
 def classify_and_record(space: Grid | Band, t: float, v: np.ndarray,
                         tolerance: float | None = None,
                         eps_floor: float | None = None, physical=None,
-                        worker=None, work=None):
+                        work=None):
     """Classify the first sample of a series and record it.
 
     Gives the classification of the record's eigenvalues with
     ``tolerance`` and the record :func:`compute_record` gives with it
     on ``space``, from one deformation tensor and one eigensolve;
-    ``physical``, ``worker`` and ``work`` go to the record.
+    ``physical`` and ``work`` go to the record.
 
     Returns
     -------
@@ -411,7 +403,7 @@ def classify_and_record(space: Grid | Band, t: float, v: np.ndarray,
     pending = _ClassifyHere(tolerance)
     record = compute_record(space, t, v, classification=pending,
                             eps_floor=eps_floor, physical=physical,
-                            worker=worker, work=work)
+                            work=work)
     return pending.result, record
 
 
@@ -506,20 +498,18 @@ class DiagnosticsCollector:
         return self._accumulator.push(record, rates)
 
     def record(self, space: Grid | Band, t: float, v: np.ndarray,
-               physical=None, worker=None, work=None) -> DiagnosticsRecord:
+               physical=None, work=None) -> DiagnosticsRecord:
         """Add the record of ``v`` on ``space`` to the series; the
         keywords go to :func:`compute_record`."""
         if not self.records:
             self.classification, record = classify_and_record(
                 space, t, v, self.class_tolerance, self.eps_floor,
-                physical=physical, worker=worker, work=work)
+                physical=physical, work=work)
         else:
-            record = compute_record(space, t, v,
-                                    classification=self.classification,
+            active = self.classification if self._class_active() else None
+            record = compute_record(space, t, v, classification=active,
                                     eps_floor=self.eps_floor,
-                                    class_valid=self._class_active(),
-                                    physical=physical, worker=worker,
-                                    work=work)
+                                    physical=physical, work=work)
         self._update_zero_touch(record)
         if self.zero_touch_time == record.t:
             # The sample that broke the sign condition: its epsilon is

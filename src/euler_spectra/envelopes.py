@@ -428,8 +428,8 @@ class _SnapshotPass:
     each snapshot's spectrum once its rows exist (``diagnose``) holds the
     spectra and the rows of the whole series at no point.
 
-    Each phase is split with ``worker``, held open by the caller.  All
-    buffers but the rows are views of one block, by the rules of
+    Each phase is split with the worker thread.  All buffers but the
+    rows are views of one block, by the rules of
     :mod:`euler_spectra.workers`: the physical v, and per thread a
     spectral component with the temporary of a curl component
     (``spectral_work``, which ``diagnose`` lends to its records).
@@ -437,13 +437,14 @@ class _SnapshotPass:
     and :meth:`residual` out of the whole block.
     """
 
-    def __init__(self, grid: Grid, worker, transport=True):
+    def __init__(self, grid: Grid, transport=True):
         n = grid.n
-        self.grid, self.worker, self.slabs = grid, worker, _slabs(n)
+        self.grid, self.worker, self.slabs = grid, _worker(n), _slabs(n)
         self.band = Band(grid)
         self.field = (3,) + (n,) * 3
         specs = ((self.field, np.float64),
-                 ((_lanes(worker), 2) + grid.k_squared.shape, np.complex128))
+                 ((_lanes(self.worker), 2) + grid.k_squared.shape,
+                  np.complex128))
         self.block = np.empty(_carved_size(*specs), np.uint8)
         self.v, self.spectral_work = _carve(*specs, block=self.block)
         self.omega = [] if transport else [np.empty(self.field)]
@@ -593,13 +594,12 @@ def vorticity_transport_residual(grid: Grid, times, velocities):
         check_velocity(grid, v)
 
     spectrum = np.empty((3,) + grid.k_squared.shape, np.complex128)
-    with _worker(grid.n) as worker:
-        snapshots = _SnapshotPass(grid, worker)
-        for v in velocities:
-            if np.iscomplexobj(v):
-                spectrum[...] = v
-            else:
-                fft_forward(v, out=spectrum)
-            snapshots.fields(spectrum)
-            snapshots.add_transport(spectrum)
-        return snapshots.residual(h)
+    snapshots = _SnapshotPass(grid)
+    for v in velocities:
+        if np.iscomplexobj(v):
+            spectrum[...] = v
+        else:
+            fft_forward(v, out=spectrum)
+        snapshots.fields(spectrum)
+        snapshots.add_transport(spectrum)
+    return snapshots.residual(h)

@@ -34,7 +34,7 @@ skips the lines outside it.
 A band step forms v, omega and v x omega in physical space one x-slab
 at a time, between the x pass of the inverse transforms and the x pass
 of the forward one, so it holds no physical vector field of the whole
-grid.  It shares every phase of its evaluations with one worker thread
+grid.  It shares every phase of its evaluations with the worker thread
 when :mod:`euler_spectra.workers` allows one, and its buffers follow
 that module's memory rules; the result is the same bit for bit as on
 one thread, and :func:`step_threads` reports the choice.
@@ -121,15 +121,17 @@ class SolverConfig:
         if not self.cfl_warning > 0.0:
             raise ConfigurationError(
                 f"cfl_warning must be positive, got {self.cfl_warning}")
+        self.step_count()
 
     def step_count(self) -> int:
-        """Number of steps to reach t_final, validating divisibility."""
-        steps = int(round(self.t_final / self.dt))
+        """Number of steps to reach t_final, validating divisibility;
+        a count beyond the float range is infinite and fails the test."""
+        steps = np.rint(self.t_final / self.dt)
         if abs(steps * self.dt - self.t_final) > 1e-9 * max(self.dt, 1.0):
             raise ConfigurationError(
                 f"t_final={self.t_final} is not an integer multiple of "
                 f"dt={self.dt}")
-        return steps
+        return int(steps)
 
 
 @dataclass
@@ -161,21 +163,20 @@ def rhs(band: Band, v: np.ndarray, nu: float = 0.0,
     form v x omega, come back, project, and add the diffusion term.
     ``band`` is the :class:`Band` of ``v``, whose forward transform
     computes only its modes, which truncates the product to the band.
-    The work may be shared with a worker thread (see the module
+    The work may be shared with the worker thread (see the module
     docstring); the result is the same bit for bit.  ``workspace``
-    holds the buffers and the worker of the :func:`step_rk4` call that
-    evaluates this; a call without one makes its own.  The result is
-    written into ``out`` when it is given.
+    holds the buffers of the :func:`step_rk4` call that evaluates this;
+    a call without one makes its own.  The result is written into
+    ``out`` when it is given.
     """
     if workspace is None:
-        with _BandWorkspace(band) as own:
-            return rhs(band, v, nu, own, out)
+        workspace = _BandWorkspace(band)
     return workspace.evaluate(v, nu, np.empty_like(v) if out is None
                               else out)
 
 
 class _BandWorkspace:
-    """Buffers and worker thread for the band evaluations of one step.
+    """Buffers for the band evaluations of one step.
 
     Every buffer is a view of one block that lives as long as this
     object, one RK4 step, by the rules of :mod:`euler_spectra.workers`.
@@ -188,14 +189,13 @@ class _BandWorkspace:
     component, the physical v and omega of a slab, a component of their
     cross product and its subtracted product, the ``rfft`` along z of
     that component, and the temporaries of ``leray_project`` on an x
-    half.  The worker is made here and joined on exit.
+    half.
     """
 
     def __init__(self, band: Band):
         n, m = band.n, band.m
         self.band = band
-        self._pool = _worker(n)
-        self.worker = self._pool.__enter__()
+        self.worker = _worker(n)
         self.slabs = _slabs(n)
         lanes, planes = _lanes(self.worker), self.slabs[0].stop
         compact = (3, 2 * m + 1, 2 * m + 1, m + 1)
@@ -208,12 +208,6 @@ class _BandWorkspace:
             ((lanes, 2, 3, planes, n, n), f), ((lanes, 2, planes, n, n), f),
             ((lanes, planes, n, n // 2 + 1), c),
             ((lanes, 2, m + 1, 2 * m + 1, m + 1), c))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._pool.__exit__(*exc_info)
 
     def by_halves(self, job):
         """Call ``job(rows, half, work)`` for each ``half`` of
@@ -287,26 +281,27 @@ def step_threads(grid: Grid) -> int:
 
 
 def _check_finite(v: np.ndarray, step_index: int, t: float):
+    """Raise a NumericsError naming the first non-finite component of
+    ``v``, the projected start at step 0 or the state after a step."""
     for label, arr in zip("123", v):
         if not np.all(np.isfinite(arr)):
-            raise NumericsError(
-                f"non-finite velocity component v{label} after step "
-                f"{step_index} (t={t:.6g}); last good state was step "
-                f"{step_index - 1}",
-                step_index=step_index, time=t)
+            message = (f"non-finite initial velocity component v{label}"
+                       if step_index == 0 else
+                       f"non-finite velocity component v{label} after step "
+                       f"{step_index} (t={t:.6g}); last good state was "
+                       f"step {step_index - 1}")
+            raise NumericsError(message, step_index=step_index, time=t)
 
 
-def step_rk4(band: Band, state: SolverState,
-             config: SolverConfig) -> SolverState:
+def step_rk4(state: SolverState, config: SolverConfig) -> SolverState:
     """Advance one classical RK4 step and re-project the result.
 
-    ``band`` is the :class:`Band` of ``state.v``, as for :func:`rhs`;
-    the four evaluations share one set of buffers and one worker
-    thread, and the stage arithmetic and the final projection run by x
-    halves of the band on both threads.  The stages and the combination
-    are formed in place, in the order of
+    The four evaluations on ``state.band`` share one set of buffers,
+    and the stage arithmetic and the final projection run by x halves
+    of the band on both threads.  The stages and the combination are
+    formed in place, in the order of
     ``v + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, so they round as that
-    expression does.  The new state names ``band``.
+    expression does.  The new state names the same band.
 
     Raises
     ------
@@ -315,38 +310,38 @@ def step_rk4(band: Band, state: SolverState,
         records the failing step index and time.
     """
     dt, nu = config.dt, config.nu
-    v = state.v
+    v, band = state.v, state.band
     new_v = np.empty_like(v)
-    with _BandWorkspace(band) as workspace:
-        acc, k, stage = workspace.acc, workspace.k, workspace.stage
+    workspace = _BandWorkspace(band)
+    acc, k, stage = workspace.acc, workspace.k, workspace.stage
 
-        def next_stage(scale, weight=None):
-            """The next stage v + scale * k_s on the given rows, then
-            acc += weight * k_s; k_1 is acc itself (no weight)."""
-            source = acc if weight is None else k
+    def next_stage(scale, weight=None):
+        """The next stage v + scale * k_s on the given rows, then
+        acc += weight * k_s; k_1 is acc itself (no weight)."""
+        source = acc if weight is None else k
 
-            def job(x, tables, work):
-                np.multiply(scale, source[:, x], out=stage[:, x])
-                np.add(v[:, x], stage[:, x], out=stage[:, x])
-                if weight is not None:
-                    np.multiply(weight, k[:, x], out=k[:, x])
-                    np.add(acc[:, x], k[:, x], out=acc[:, x])
-            return job
+        def job(x, tables, work):
+            np.multiply(scale, source[:, x], out=stage[:, x])
+            np.add(v[:, x], stage[:, x], out=stage[:, x])
+            if weight is not None:
+                np.multiply(weight, k[:, x], out=k[:, x])
+                np.add(acc[:, x], k[:, x], out=acc[:, x])
+        return job
 
-        def combine(x, tables, work):
-            np.add(acc[:, x], k[:, x], out=acc[:, x])
-            np.multiply(dt / 6.0, acc[:, x], out=acc[:, x])
-            np.add(v[:, x], acc[:, x], out=acc[:, x])
-            leray_project(tables, acc[:, x], out=new_v[:, x], work=work)
+    def combine(x, tables, work):
+        np.add(acc[:, x], k[:, x], out=acc[:, x])
+        np.multiply(dt / 6.0, acc[:, x], out=acc[:, x])
+        np.add(v[:, x], acc[:, x], out=acc[:, x])
+        leray_project(tables, acc[:, x], out=new_v[:, x], work=work)
 
-        rhs(band, v, nu, workspace, out=acc)
-        workspace.by_halves(next_stage(0.5 * dt))
-        rhs(band, stage, nu, workspace, out=k)
-        workspace.by_halves(next_stage(0.5 * dt, 2.0))
-        rhs(band, stage, nu, workspace, out=k)
-        workspace.by_halves(next_stage(dt, 2.0))
-        rhs(band, stage, nu, workspace, out=k)
-        workspace.by_halves(combine)
+    rhs(band, v, nu, workspace, out=acc)
+    workspace.by_halves(next_stage(0.5 * dt))
+    rhs(band, stage, nu, workspace, out=k)
+    workspace.by_halves(next_stage(0.5 * dt, 2.0))
+    rhs(band, stage, nu, workspace, out=k)
+    workspace.by_halves(next_stage(dt, 2.0))
+    rhs(band, stage, nu, workspace, out=k)
+    workspace.by_halves(combine)
     new_index = state.step_index + 1
     new_t = new_index * dt + (state.t - state.step_index * dt)
     _check_finite(new_v, new_index, new_t)
@@ -407,7 +402,7 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     for obs in observers:
         obs(state)
     for _ in range(steps):
-        state = step_rk4(band, state, config)
+        state = step_rk4(state, config)
         if state.step_index % _CFL_CHECK_STRIDE == 0:
             check_cfl(state)
         for obs in observers:

@@ -9,10 +9,11 @@ process may run on two CPUs or more.  The decision is made here alone;
 no setting selects it.  The work handed over is numpy transforms and
 ufuncs, which release the interpreter lock.
 
-The worker is a one-thread executor.  Its thread starts at the first
-job handed to it, never at import, and the caller joins it when the
-step, record or call ends; ``diagnose`` holds one worker for its whole
-pass over the snapshots, and its records use that one.
+The process has one worker, a one-thread executor that
+:func:`_worker` makes on the first call that needs it; its thread starts
+at the first job handed to it, never at import.  Steps, records and
+``diagnose`` ask :func:`_worker` for it and never shut it down: it idles
+between jobs, and Python joins it at exit.
 
 Two rules keep glibc's malloc from raising the peak RSS or faulting
 pages in again, and every module that hands work to a worker follows
@@ -33,9 +34,9 @@ them:
   one block for its whole pass.
 """
 
+import functools
 import math
 import os
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -81,11 +82,13 @@ def _cpu_count() -> int:
 
 
 def _worker(n: int):
-    """A context manager that gives a one-thread executor for work on an
-    n-point grid, or None when :func:`_threaded` says no, and joins the
-    thread on exit."""
-    if not _threaded(n):
-        return nullcontext()
+    """The process's one-thread executor for work on an n-point grid, or
+    None when :func:`_threaded` says no."""
+    return _executor() if _threaded(n) else None
+
+
+@functools.cache
+def _executor():
     # Imported here: ~3 ms that no command without threaded work, and no
     # import of the package, should pay.
     from concurrent.futures import ThreadPoolExecutor

@@ -5,6 +5,7 @@ session-scoped.  Random data always comes from `default_rng` with a fixed
 seed so failures reproduce bit-for-bit.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,7 @@ from euler_spectra.fields import (
 )
 from euler_spectra.initial import random_solenoidal
 from euler_spectra.snapshot import write_snapshot
+import euler_spectra.workers as workers_module
 
 
 @pytest.fixture(scope="session")
@@ -176,6 +178,13 @@ def cubic_trace_integral(grid, tensor):
 # once, so a two-thread peak is bounded by its block plus twice this, in
 # any interleaving of their allocations.
 UNCARVED_PER_THREAD = 0.25
+
+
+def fresh_worker(monkeypatch):
+    """Make the process's worker afresh at its next use, as in a new
+    process, for the rest of the test."""
+    monkeypatch.setattr(workers_module, "_executor", functools.cache(
+        workers_module._executor.__wrapped__))
 
 
 def traced_peak_fields(grid, job):

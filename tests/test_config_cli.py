@@ -38,7 +38,7 @@ from euler_spectra.snapshot import load_snapshot, write_snapshot
 from euler_spectra.solver import SolverConfig, run as solver_run, step_threads
 import euler_spectra.workers as workers_module
 
-from conftest import traced_peak_fields
+from conftest import fresh_worker, traced_peak_fields
 
 
 MINIMAL = {
@@ -279,6 +279,11 @@ _CONFIG_ERRORS = [
      "$.solver: nu must be >= 0, got -0.1"),
     ("$.solver.cfl_warning=0", config_with("$.solver", "cfl_warning", 0),
      "$.solver: cfl_warning must be positive, got 0.0"),
+    ("$.solver.t_final off the step",
+     config_text(solver={"t_final": 1.0, "dt": 0.3}),
+     "$.solver: t_final=1.0 is not an integer multiple of dt=0.3"),
+    ("$.solver.dt too small to count", config_with("$.solver", "dt", 1e-320),
+     "$.solver: t_final=0.01 is not an integer multiple of dt=1e-320"),
     # An unknown key; the first in sorted order is named.
     ("unknown in $", config_with("$", "viscosity", 0.1),
      "$.viscosity: unknown key"),
@@ -386,6 +391,23 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The names of the threads started from here on, with the
+    process's worker made afresh at its next use, as in a new process;
+    :func:`fresh_worker` makes it afresh again."""
+    started = []
+    thread_start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    fresh_worker(monkeypatch)
+    return started
+
+
 class TestCmdRun:
     def test_successful_run_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -428,32 +450,30 @@ class TestCmdRun:
         }
 
     def test_worker_thread_only_for_large_band_runs(self, tmp_path,
-                                                    monkeypatch):
-        # A run starts worker threads only on an n >= 64 grid when the
-        # process may run on two CPUs: one for each band step and one
-        # for each diagnostics record.  The manifest counts the step's.
-        started = []
-        thread_start = threading.Thread.start
-
-        def spy(thread):
-            started.append(thread.name)
-            thread_start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", spy)
-        # One step and two records.  With dealias off the step runs on
-        # the Nyquist-free band, on two threads alike.
+                                                    monkeypatch,
+                                                    thread_starts):
+        # A process starts one worker thread at most, and only for an
+        # n >= 64 grid when it may run on two CPUs: every band step and
+        # diagnostics record of its runs shares it, and so does a later
+        # diagnose.  The manifest counts the step's threads.
+        # Two steps and three records.  With dealias off the steps run
+        # on the Nyquist-free band, on two threads alike.
         for cpus, n, threads, starts, dealias in [
                 (2, 32, 1, 0, True), (1, 64, 1, 0, True),
-                (2, 64, 2, 3, True), (2, 64, 2, 3, False)]:
+                (2, 64, 2, 1, True), (2, 64, 2, 1, False)]:
             monkeypatch.setattr(workers_module, "_cpu_count", lambda: cpus)
+            fresh_worker(monkeypatch)
             out = tmp_path / f"out_{cpus}_{n}_{dealias}"
             cfg = write_config(tmp_path, n=n, output_dir=str(out),
-                               output_every=1,
-                               solver={"t_final": 0.001, "dt": 1e-3,
+                               output_every=1, snapshot_every=1,
+                               solver={"t_final": 0.002, "dt": 1e-3,
                                        "dealias": dealias})
-            started.clear()
+            thread_starts.clear()
             assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
-            assert len(started) == starts
+            assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+            assert main(["diagnose", *map(str, sorted(
+                out.glob("snapshot_*.bin")))]) == EXIT_OK
+            assert thread_starts == ["euler_spectra_0"] * starts
             summary = json.loads((out / "summary.json").read_text())
             assert summary["manifest"]["solver_threads"] == threads
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
@@ -578,6 +598,24 @@ class TestCmdRun:
         assert main(["run", "--config", str(path), "--quiet"]) == EXIT_USAGE
         assert "$.n" in capsys.readouterr().err
 
+    def test_horizon_off_the_step_is_caught_by_the_parser(self, tmp_path,
+                                                          capsys):
+        # t_final must be a whole number of steps: the parser says so
+        # (test_configuration_error_message), before run makes its
+        # output directory or classify builds the field.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, n=8, output_dir=str(out),
+                           solver={"t_final": 1.0, "dt": 0.3})
+        message = ("$.solver: t_final=1.0 is not an integer multiple of "
+                   "dt=0.3")
+        for argv in (["run", "--config", cfg, "--quiet"],
+                     ["classify", "--config", cfg]):
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+        assert not out.exists()
+
     def test_number_beyond_float_range_is_usage_error(self, tmp_path,
                                                       capsys):
         path = tmp_path / "huge.json"
@@ -613,6 +651,26 @@ class TestCmdRun:
         # The CSV retains every record up to the failure.
         lines = (out / "timeseries.csv").read_text().splitlines()
         assert len(lines) >= 2
+
+    def test_non_finite_start_names_the_initial_velocity(self, tmp_path,
+                                                         capsys):
+        # A start that holds a NaN aborts before the first step, and the
+        # message names the initial velocity, not a step.
+        grid = Grid(8)
+        v = taylor_green(grid)
+        v[0, 1, 2, 3] = np.nan
+        write_snapshot(tmp_path / "ic.bin", grid, v, 0.0)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, n=8, output_dir=str(out),
+                           initial={"kind": "from_file",
+                                    "path": str(tmp_path / "ic.bin")},
+                           solver={"t_final": 0.002, "dt": 1e-3})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_NUMERIC
+        message = "non-finite initial velocity component v1"
+        assert capsys.readouterr().err == f"error: numeric abort: {message}\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["run"]["abort"] == {
+            "step_index": 0, "time": 0.0, "message": message}
 
     def test_io_abort_still_writes_summary(self, tmp_path,
                                            monkeypatch, capsys):
@@ -810,30 +868,22 @@ class TestCmdDiagnose:
             assert 0.1 < residual < 1.0
 
     def test_same_output_on_one_thread_or_two(self, snapshot_series64,
-                                              capsys, monkeypatch):
+                                              capsys, monkeypatch,
+                                              thread_starts):
         # On n=64 snapshots, the records and the per-snapshot transforms
-        # of diagnose share their work with a worker thread when two CPUs
-        # are available; the output must be the same bytes.
-        paths = snapshot_series64
-        started = []
-        thread_start = threading.Thread.start
-
-        def spy(thread):
-            started.append(thread.name)
-            thread_start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", spy)
+        # of diagnose share their work with the worker thread when two
+        # CPUs are available; the output must be the same bytes.  The
+        # first threaded pass starts the process's worker, and a second
+        # pass uses it again.
         outputs = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 2):
             monkeypatch.setattr(workers_module, "_cpu_count", lambda: cpus)
-            started.clear()
-            assert main(["diagnose", *paths]) == EXIT_OK
+            thread_starts.clear()
+            assert main(["diagnose", *snapshot_series64]) == EXIT_OK
             captured = capsys.readouterr()
-            outputs.append((captured.out, captured.err, len(started)))
-        assert outputs[0][:2] == outputs[1][:2]
-        # One worker for the whole pass: the snapshot transforms, the
-        # five records and the transport residual.
-        assert (outputs[0][2], outputs[1][2]) == (0, 1)
+            outputs.append((captured.out, captured.err, len(thread_starts)))
+        assert outputs[0][:2] == outputs[1][:2] == outputs[2][:2]
+        assert [starts for _, _, starts in outputs] == [0, 1, 0]
 
     def test_peak_memory(self, snapshot_series64, capsys, monkeypatch):
         # diagnose keeps only the spectra of the loaded snapshots and

@@ -66,6 +66,7 @@ import euler_spectra.workers as workers_module
 from conftest import (
     UNCARVED_PER_THREAD,
     cubic_trace_integral,
+    fresh_worker,
     gradient_norm_squared_pointwise,
     make_random_velocity,
     spectra_moments,
@@ -284,11 +285,30 @@ class TestSlabRecord:
         with pytest.raises(NumericsError) as whole:
             eigenvalues_sym3(tensor)
         use_threads(monkeypatch, threads)
-        with workers_module._worker(grid.n) as worker:
-            with pytest.raises(NumericsError) as slabbed:
-                _slab_eigenvalues(tensor, worker, out=tensor[:3])
+        with pytest.raises(NumericsError) as slabbed:
+            _slab_eigenvalues(tensor, workers_module._worker(grid.n),
+                              out=tensor[:3])
         assert str(slabbed.value) == str(whole.value)
         assert "component s11 at grid index (61, 2, 5)" in str(whole.value)
+
+    def test_record_after_an_error_on_the_worker(self, rng, monkeypatch):
+        # A non-finite entry in a slab of the worker's lane (slab 0)
+        # raises there; the process keeps its worker, and the next
+        # record gives the bytes of a record on a new worker.
+        grid = Grid(64)
+        band = Band(grid)
+        v = band.restrict(make_random_velocity(grid, rng))
+        fresh_worker(monkeypatch)
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
+        expected = np.array(compute_record(band, 0.5, v).as_tuple())
+        worker = workers_module._worker(grid.n)
+        tensor = deformation_tensor(grid, band.scatter(v))
+        tensor[2, 3, 4, 5] = np.inf
+        with pytest.raises(NumericsError, match=r"s13 at grid index \(3, "):
+            _slab_eigenvalues(tensor, worker, out=tensor[:3])
+        assert workers_module._worker(grid.n) is worker
+        record = np.array(compute_record(band, 0.5, v).as_tuple())
+        assert record.tobytes() == expected.tobytes()
 
     def test_peak_memory_of_one_record(self, monkeypatch):
         # The record's buffers are one block: the tensor, whose first
@@ -344,7 +364,7 @@ class TestSlabRecord:
         block = _RecordBlock(band, 2, True).tensor.base.nbytes
         peaks = []
         for job in (lambda: classify_and_record(band, 0.5, v),
-                    lambda: step_rk4(band, state, config)):
+                    lambda: step_rk4(state, config)):
             job()
             peaks.append(max(traced_peak_fields(grid, job)
                              for _ in range(3)))
@@ -525,21 +545,18 @@ class TestRecordBlock:
                                                           0.0)
                 expected = whole_field_record(grid, 0.5, half,
                                               classification)
-                with workers_module._worker(n) as worker:
-                    kwargs = {"worker": worker}
-                    if given != "none" and layout == "band":
-                        kwargs["physical"] = (
-                            band_inverse(band, v),
-                            band_inverse(band, curl(band, v)))
-                    elif given != "none":
-                        snapshots = _SnapshotPass(grid, worker,
-                                                  transport=False)
-                        kwargs["physical"] = snapshots.fields(v)
-                        if given == "physical+work":
-                            kwargs["work"] = snapshots.spectral_work
-                    record = compute_record(space, 0.5, v,
-                                            classification=classification,
-                                            **kwargs)
+                kwargs = {}
+                if given != "none" and layout == "band":
+                    kwargs["physical"] = (band_inverse(band, v),
+                                          band_inverse(band, curl(band, v)))
+                elif given != "none":
+                    snapshots = _SnapshotPass(grid, transport=False)
+                    kwargs["physical"] = snapshots.fields(v)
+                    if given == "physical+work":
+                        kwargs["work"] = snapshots.spectral_work
+                record = compute_record(space, 0.5, v,
+                                        classification=classification,
+                                        **kwargs)
                 assert np.array_equal(record.as_tuple(),
                                       expected.as_tuple(), equal_nan=True)
 
@@ -685,12 +702,11 @@ class TestBandRecord:
         half = band.scatter(compact)
         # n=64 shares its work with the worker, whatever this host has.
         monkeypatch.setattr(workers_module, "_threaded", lambda n: n >= 64)
-        with workers_module._worker(n) as worker:
-            assert (worker is not None) == (n == 64)
-            for on_band, on_half in zip(
-                    record_transforms(band, compact, worker),
-                    record_transforms(grid, half, worker)):
-                assert np.array_equal(on_band, on_half)
+        worker = workers_module._worker(n)
+        assert (worker is not None) == (n == 64)
+        for on_band, on_half in zip(record_transforms(band, compact, worker),
+                                    record_transforms(grid, half, worker)):
+            assert np.array_equal(on_band, on_half)
         classification, record = classify_and_record(band, 0.5, compact)
         assert classification == classify_and_record(grid, 0.5, half)[0]
         assert np.array_equal(record.as_tuple(),

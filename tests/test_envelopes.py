@@ -524,14 +524,13 @@ class TestTransportResidual:
         rng = np.random.default_rng(11)
         velocities = [make_random_velocity(grid, rng) for _ in range(7)]
         got = []
-        with workers_module._worker(grid.n) as worker:
-            snapshots = _SnapshotPass(grid, worker)
-            for v in velocities:
-                spectrum = v.copy()
-                snapshots.fields(spectrum)
-                snapshots.add_transport(spectrum)
-            peak = traced_peak_fields(
-                grid, lambda: got.extend(snapshots.residual(0.1)))
+        snapshots = _SnapshotPass(grid)
+        for v in velocities:
+            spectrum = v.copy()
+            snapshots.fields(spectrum)
+            snapshots.add_transport(spectrum)
+        peak = traced_peak_fields(
+            grid, lambda: got.extend(snapshots.residual(0.1)))
         assert peak < 0.5
         raw, normalized = whole_field_residual(grid, velocities, 0.1)
         assert np.array_equal(got[0], raw)
@@ -549,21 +548,19 @@ class TestTransportResidual:
         grid = Grid(64)
         band = Band(grid)
         rng = np.random.default_rng(7)
-        with workers_module._worker(grid.n) as worker:
-            snapshots = _SnapshotPass(grid, worker)
-            for _ in range(7):
-                spectrum = make_random_velocity(grid, rng)
-                snapshots.fields(spectrum)
-                peak = traced_peak_fields(
-                    grid, lambda: snapshots.add_transport(spectrum))
-                assert peak < 1.2
-            assert all(row.dtype == np.complex128
-                       and row.shape == (3,) + band.k_squared.shape
-                       for row in snapshots.transport)
-            if threads == 1:
-                peak = traced_peak_fields(grid,
-                                          lambda: snapshots.residual(0.1))
-                assert peak < 3.0
+        snapshots = _SnapshotPass(grid)
+        for _ in range(7):
+            spectrum = make_random_velocity(grid, rng)
+            snapshots.fields(spectrum)
+            peak = traced_peak_fields(
+                grid, lambda: snapshots.add_transport(spectrum))
+            assert peak < 1.2
+        assert all(row.dtype == np.complex128
+                   and row.shape == (3,) + band.k_squared.shape
+                   for row in snapshots.transport)
+        if threads == 1:
+            peak = traced_peak_fields(grid, lambda: snapshots.residual(0.1))
+            assert peak < 3.0
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_transport_term_matches_gradients(self, n):

@@ -356,8 +356,7 @@ class TestDealiasingEffect:
                                     lambda n, threaded=threaded: threaded)
                 assert np.array_equal(
                     band.scatter(rhs(band, compact, nu)), k1)
-                banded = step_rk4(band, SolverState(0.0, compact, 0, band),
-                                  config)
+                banded = step_rk4(SolverState(0.0, compact, 0, band), config)
                 assert np.array_equal(band.scatter(banded.v), full)
                 assert (banded.t, banded.step_index) == (dt, 1)
 
@@ -373,11 +372,10 @@ class TestDealiasingEffect:
                             0, band)
         config = SolverConfig(dt=1e-3, t_final=1e-3)
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: cpus)
-        with solver_module._BandWorkspace(band) as space:
-            carved = space.padded.base.nbytes + state.v.nbytes
-        peaks = [traced_peak_fields(
-            grid, lambda: step_rk4(band, state, config))
-            for _ in range(calls)]
+        carved = (solver_module._BandWorkspace(band).padded.base.nbytes
+                  + state.v.nbytes)
+        peaks = [traced_peak_fields(grid, lambda: step_rk4(state, config))
+                 for _ in range(calls)]
         return peaks, carved / (8 * grid.n ** 3)
 
     def test_peak_memory_of_one_band_step(self, rng, monkeypatch):
@@ -408,10 +406,10 @@ class TestDealiasingEffect:
         # no two buffers share a byte.
         monkeypatch.setattr(workers_module, "_threaded",
                             lambda n: threaded)
-        with solver_module._BandWorkspace(Band(Grid(16))) as space:
-            buffers = [value for value in vars(space).values()
-                       if isinstance(value, np.ndarray)]
-            assert space.slab_fields.shape[0] == (2 if threaded else 1)
+        space = solver_module._BandWorkspace(Band(Grid(16)))
+        buffers = [value for value in vars(space).values()
+                   if isinstance(value, np.ndarray)]
+        assert space.slab_fields.shape[0] == (2 if threaded else 1)
         block = buffers[0].base
         assert block is not None and block.ndim == 1
         for buffer in buffers:
@@ -427,9 +425,9 @@ class TestDealiasingEffect:
         # holds outside it, and returns a state that is zero there.
         spaces = []
 
-        def spy(grid, state, config):
-            spaces.append(type(grid).__name__)
-            return step_rk4(grid, state, config)
+        def spy(state, config):
+            spaces.append(type(state.band).__name__)
+            return step_rk4(state, config)
 
         monkeypatch.setattr(solver_module, "step_rk4", spy)
         v0 = taylor_green(grid16)

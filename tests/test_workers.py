@@ -6,7 +6,10 @@ from contextlib import nullcontext
 
 import pytest
 
-from euler_spectra.workers import _lanes, _slabs, _split_lanes
+import euler_spectra.workers as workers_module
+from euler_spectra.workers import _lanes, _slabs, _split_lanes, _worker
+
+from conftest import fresh_worker
 
 
 @pytest.mark.parametrize("with_worker", [False, True])
@@ -81,3 +84,20 @@ def test_exception_on_either_lane_propagates(failing_lane):
     assert sorted(p for p, lane in calls if lane != failing_lane) == list(
         other)
     assert len([p for p, lane in calls if lane == failing_lane]) == 1
+
+
+def test_one_worker_per_process(monkeypatch):
+    # The process's one executor, made at the first call that needs it,
+    # for every grid that shares its work; None where none does.
+    fresh_worker(monkeypatch)
+    monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
+    assert _worker(64) is None
+    monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
+    assert _worker(32) is None
+    worker = _worker(64)
+    assert isinstance(worker, ThreadPoolExecutor)
+    assert worker._max_workers == 1
+    assert _worker(64) is worker and _worker(128) is worker
+    monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
+    assert _worker(64) is None
+
