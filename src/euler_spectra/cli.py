@@ -28,6 +28,7 @@ from euler_spectra.diagnostics import (
     DiagnosticsRecord,
     _format_row,
     classify_and_record,
+    record_scratch_size,
 )
 from euler_spectra.envelopes import (
     _SnapshotPass,
@@ -310,9 +311,10 @@ def cmd_diagnose(args) -> int:
     input fails before any row is printed.  Then one snapshot at a
     time, through an :class:`~euler_spectra.envelopes._SnapshotPass`:
     its physical fields are formed once, its record is computed from
-    them under a run's series rules and printed, and, when the series
-    takes the series residuals (five or more uniformly spaced
-    snapshots), its transport term is formed in place of its spectrum.
+    them under a run's series rules, in scratch the pass lends it, and
+    printed, and, when the series takes the series residuals (five or
+    more uniformly spaced snapshots), its transport term is formed in
+    place of its spectrum.
     """
     spectra, times, grid, mixed = [], [], None, False
     for path in args.snapshots:
@@ -323,6 +325,7 @@ def cmd_diagnose(args) -> int:
         if grid is None:
             grid = g
         mixed = mixed or g != grid
+        del g  # a second copy of the kept grid's tables
     if mixed:
         raise ContractViolationError(
             "snapshots mix different grids; diagnose needs one resolution")
@@ -338,11 +341,12 @@ def cmd_diagnose(args) -> int:
 
     print(",".join(DiagnosticsRecord.field_names()))
     series = DiagnosticsCollector()
-    snapshots = _SnapshotPass(grid, transport=spacing is not None)
+    snapshots = _SnapshotPass(grid, transport=spacing is not None,
+                              lend=record_scratch_size(grid))
     for m, t in enumerate(times):
         record = series.record(grid, t, spectra[m],
                                physical=snapshots.fields(spectra[m]),
-                               work=snapshots.spectral_work)
+                               work=snapshots.work)
         print(_format_row(record.as_tuple()))
         if spacing is not None:
             snapshots.add_transport(spectra[m])

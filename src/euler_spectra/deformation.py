@@ -38,6 +38,7 @@ import numpy as np
 
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
+    _combine_product,
     _form_buffers,
     _inverse_component,
     magnitude_squared,
@@ -140,11 +141,15 @@ def _strain_entries(grid: Grid | Band, v: np.ndarray, worker,
 
     With a worker (:mod:`euler_spectra.workers`) the entries s11, s12,
     s13 are transformed on it and the other three on the calling
-    thread.  Each thread (lane) forms its spectral entries in
-    ``work[lane][0]``, with ``work[lane][1]`` for the second product,
-    in the order of ``1j * k_i * v_i`` and
-    ``0.5j * (k_i * v_j + k_j * v_i)``, so they round as those
-    expressions do.  ``grid`` is the :class:`Band` of a compact ``v``
+    thread.  Each thread (lane) takes the pair ``work[lane]``, as in
+    :func:`~euler_spectra.fields._physical_fields`: it forms its
+    spectral entries in the first, with the second product of an
+    off-diagonal entry formed in the second, a component or fewer of
+    its x planes, one slab at a time
+    (:func:`~euler_spectra.fields._combine_product`), in the order of
+    ``1j * k_i * v_i`` and ``0.5j * (k_i * v_j + k_j * v_i)``, so they
+    round as those expressions do.  ``grid`` is the :class:`Band` of a
+    compact ``v``
     (a run's state), whose entries are formed on the band and
     transformed by the passes of
     :func:`~euler_spectra.fields.band_inverse` through ``pads[lane]``;
@@ -162,8 +167,7 @@ def _strain_entries(grid: Grid | Band, v: np.ndarray, worker,
                 np.multiply(1j * k[i], v[i], out=entry)
             else:
                 np.multiply(k[i], v[j], out=entry)
-                np.multiply(k[j], v[i], out=scratch)
-                np.add(entry, scratch, out=entry)
+                _combine_product(np.add, entry, k[j], v[i], scratch)
                 np.multiply(0.5j, entry, out=entry)
             _inverse_component(grid, entry, tensor[c],
                                None if pads is None else pads[lane])

@@ -50,6 +50,7 @@ from euler_spectra.envelopes import EnvelopeAccumulator, envelope_rates
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
     _form_buffers,
+    _lane_specs,
     _physical_fields,
     curl,
     magnitude_squared,
@@ -214,45 +215,73 @@ class _RecordBlock:
       the tensor is taken.
     - ``omega``, the physical vorticity, or None when the caller holds
       the physical fields (``own_fields`` false, as in ``diagnose``).
-    - a region whose parts are live in turn, one set of buffers per
-      thread ("lane", :func:`euler_spectra.workers._split_lanes`) in
-      each: while fields are transformed, ``work``, a spectral component
-      and its scratch, and on a :class:`Band` ``pads``, a padded
-      component (None on a :class:`Grid`), or no ``work`` where the
-      caller lends its own (``diagnose``); while integrands are filled,
+    - a region of :meth:`scratch_size` bytes whose parts are live in
+      turn, one set of buffers per thread ("lane",
+      :func:`euler_spectra.workers._split_lanes`) in each: while fields
+      are transformed, ``work``, a spectral component and the scratch
+      of its second product (x-slab rows on a :class:`Grid`, a
+      component's rows on a :class:`Band`), and on a band ``pads``, a
+      padded component (None on a grid); while integrands are filled,
       the integrand ``density`` and ``scratch``, the two slabs an
       integrand form takes as ``work``; and during the eigensolve
-      ``eig_work``, the six slabs of :func:`eigenvalues_sym3`.
+      ``eig_work``, the six slabs of :func:`eigenvalues_sym3`.  A caller
+      that lends ``work``, bytes of at least that size (``diagnose``'s
+      pass, between its transforms), holds the region, and the record's
+      block is the tensor alone: E and H are integrated before the
+      tensor's entries are transformed, and every later integrand after
+      it.
 
-    So a record holds 9 fields of the grid, 6 with the caller's
-    physical fields, plus the largest of the three sets of that region.
+    So a record holds 9 fields of the grid plus that region, or 6 with
+    the caller's physical fields and region.
     """
 
     def __init__(self, space: Grid | Band, lanes: int, own_fields: bool,
                  work: np.ndarray | None = None):
-        n, f, c = space.n, np.float64, np.complex128
-        field = (n, n, n)
-        slab = (lanes, _slabs(n)[0].stop, n, n)
-        lane_specs = []
+        n = space.n
+        regions = [((6, n, n, n), np.float64)]
         if work is None:
-            lane_specs.append(((lanes, 2) + space.k_squared.shape, c))
-        if isinstance(space, Band):
-            lane_specs.append(((lanes, n, n, space.m + 1), c))
-        fill_specs = ((field, f), (slab[:1] + (2,) + slab[1:], f))
-        eig_spec = (slab[:1] + (6,) + slab[1:], f)
-        shared = max(_carved_size(*lane_specs), _carved_size(*fill_specs),
-                     _carved_size(eig_spec))
-        regions = [((6,) + field, f), ((shared,), np.uint8)]
+            regions.append(((self.scratch_size(space, lanes),), np.uint8))
         if own_fields:
-            regions.append(((3,) + field, f))
-        self.tensor, shared, *omega = _carve(*regions)
-        self.omega = omega[0] if omega else None
+            regions.append(((3, n, n, n), np.float64))
+        self.tensor, *rest = _carve(*regions)
+        shared = rest.pop(0) if work is None else work
+        self.omega = rest[0] if own_fields else None
         self.v = self.tensor[:3]
+        lane_specs, fill_specs, eig_spec = self._specs(space, lanes)
         self.density, self.scratch = _carve(*fill_specs, block=shared)
         (self.eig_work,) = _carve(eig_spec, block=shared)
-        lane_buffers = _carve(*lane_specs, block=shared)
-        self.work = lane_buffers.pop(0) if work is None else work
-        self.pads = lane_buffers[0] if lane_buffers else None
+        components, scratches, *pads = _carve(*lane_specs, block=shared)
+        self.work = list(zip(components, scratches))
+        self.pads = pads[0] if pads else None
+
+    @staticmethod
+    def _specs(space: Grid | Band, lanes: int):
+        """The specs of the shared region's three sets: the lane
+        buffers, the integrand with its scratch, and the eigensolver's
+        scratch."""
+        n, f = space.n, np.float64
+        planes = _slabs(n)[0].stop
+        if isinstance(space, Band):
+            lane_specs = _lane_specs(space, lanes, len(space.k_squared)) + (
+                ((lanes, n, n, space.m + 1), np.complex128),)
+        else:
+            lane_specs = _lane_specs(space, lanes, planes)
+        fill_specs = (((n, n, n), f), ((lanes, 2, planes, n, n), f))
+        eig_spec = ((lanes, 6, planes, n, n), f)
+        return lane_specs, fill_specs, eig_spec
+
+    @classmethod
+    def scratch_size(cls, space: Grid | Band, lanes: int) -> int:
+        """The bytes of the region that a record's three sets share."""
+        lane_specs, fill_specs, eig_spec = cls._specs(space, lanes)
+        return max(_carved_size(*lane_specs), _carved_size(*fill_specs),
+                   _carved_size(eig_spec))
+
+
+def record_scratch_size(space: Grid | Band) -> int:
+    """The bytes of ``work`` that a caller lends :func:`compute_record`
+    on ``space`` (:meth:`_RecordBlock.scratch_size`)."""
+    return _RecordBlock.scratch_size(space, _lanes(_worker(space.n)))
 
 
 def compute_record(space: Grid | Band, t: float, v: np.ndarray,
@@ -270,17 +299,17 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
     :func:`classify_and_record` classifies the sample itself first.
     ``physical`` is ``(fft_inverse(v), fft_inverse(curl(grid, v)))``
     for a caller that holds them (``diagnose``); the record is the same.
-    ``work`` is a complex128 array ``(lanes, 2) + v.shape[1:]``, one
-    spectral component and its scratch per thread, that a caller lends
-    the record (``diagnose``'s pass, between its transforms).
+    ``work`` is a uint8 array of at least :func:`record_scratch_size`
+    bytes that a caller lends the record (``diagnose``'s pass, between
+    its transforms); the record carves its scratch out of it.
 
-    Every float buffer of grid or slab size is a view of one block that
-    lives for the call (:class:`_RecordBlock`).  The record forms v and
-    omega, integrates E and H, forms the deformation tensor over v,
-    integrates Z (and takes ``bkm_sup_vort``), W, C3 and the trace
-    check, then solves for the
-    eigenvalues slab by slab over the first half of the tensor
-    (:func:`_slab_eigenvalues`) and integrates Q and P.  Each integrand
+    Every other float buffer of grid or slab size is a view of one block
+    that lives for the call (:class:`_RecordBlock`).  The record forms
+    v and omega, integrates E and H, forms the deformation tensor over
+    v, integrates Z (and takes ``bkm_sup_vort``), W, C3 and the trace
+    check, then solves for the eigenvalues slab by slab over the first
+    half of the tensor (:func:`_slab_eigenvalues`) and integrates Q and
+    P.  Each integrand
     is filled slab by slab into one array of the whole grid and
     integrated by one pairwise sum, which folds that array in place,
     before the next is filled, so the record is the same bit for bit as

@@ -40,6 +40,7 @@ from euler_spectra.fields import (
     _curl_component,
     _forward_z,
     _inverse_yz,
+    _lane_specs,
     _physical_fields,
     check_velocity,
     fft_forward,
@@ -430,23 +431,41 @@ class _SnapshotPass:
 
     Each phase is split with the worker thread.  All buffers but the
     rows are views of one block, by the rules of
-    :mod:`euler_spectra.workers`: the physical v, and per thread a
-    spectral component with the temporary of a curl component
-    (``spectral_work``, which ``diagnose`` lends to its records).
-    :meth:`add_transport` carves its scratch out of ``spectral_work``,
-    and :meth:`residual` out of the whole block.
+    :mod:`euler_spectra.workers`: the physical v, and ``work``, a region
+    whose parts are live in turn.  While :meth:`fields` transforms, it
+    holds per thread a spectral component and x-slab rows of one for
+    the second product of a curl component (``spectral_work``); between
+    the transforms a caller may lend it to a borrower that needs at
+    most ``lend`` bytes (``diagnose``'s records); :meth:`add_transport`
+    carves its scratch out of it, and :meth:`residual` its slab buffers
+    and at least one padded row out of the whole block.
     """
 
-    def __init__(self, grid: Grid, transport=True):
+    def __init__(self, grid: Grid, transport=True, lend: int = 0):
         n = grid.n
         self.grid, self.worker, self.slabs = grid, _worker(n), _slabs(n)
         self.band = Band(grid)
         self.field = (3,) + (n,) * 3
-        specs = ((self.field, np.float64),
-                 ((_lanes(self.worker), 2) + grid.k_squared.shape,
-                  np.complex128))
-        self.block = np.empty(_carved_size(*specs), np.uint8)
-        self.v, self.spectral_work = _carve(*specs, block=self.block)
+        lanes, planes = _lanes(self.worker), self.slabs[0].stop
+        f, c = np.float64, np.complex128
+        compact = self.band.k_squared.shape
+        lane_specs = _lane_specs(grid, lanes, planes)
+        # add_transport's two carves, and residual's.
+        self.product_spec = ((lanes, 2, planes, n, n), f)
+        self.band_specs = (((3,) + compact, c),
+                           ((lanes, planes) + compact[1:], c))
+        self.slab_spec = ((lanes, 3, planes, n, n), f)
+        self.pad_spec = ((n, n, self.band.m + 1), c)
+        fields = _carved_size((self.field, f))
+        region = max(_carved_size(*lane_specs), lend,
+                     _carved_size(self.product_spec),
+                     _carved_size(*self.band_specs),
+                     _carved_size(self.slab_spec, self.pad_spec) - fields)
+        self.block = np.empty(fields + _carved_size(((region,), np.uint8)),
+                              np.uint8)
+        self.v, self.work = _carve((self.field, f), ((region,), np.uint8),
+                                   block=self.block)
+        self.spectral_work = list(zip(*_carve(*lane_specs, block=self.work)))
         self.omega = [] if transport else [np.empty(self.field)]
         self.transport = [] if transport else None
 
@@ -474,16 +493,11 @@ class _SnapshotPass:
         modes that ``dealias_23`` keeps."""
         band, n, worker = self.band, self.grid.n, self.worker
         v, omega = self.v, self.omega[-1]
-        lanes, compact = len(self.spectral_work), band.k_squared.shape
-        row = np.empty((3,) + compact, np.complex128)
+        row = np.empty((3,) + band.k_squared.shape, np.complex128)
         self.transport.append(row)
         # The slab products are dead before the band modes are gathered.
-        region = self.spectral_work.reshape(-1).view(np.uint8)
-        (products,) = _carve(
-            ((lanes, 2, self.slabs[0].stop, n, n), np.float64), block=region)
-        product, curl_work = _carve(
-            ((3,) + compact, np.complex128),
-            ((lanes,) + compact, np.complex128), block=region)
+        (products,) = _carve(self.product_spec, block=self.work)
+        product, curl_work = _carve(*self.band_specs, block=self.work)
         low = spectrum[..., :band.m + 1]  # the planes kz <= m
 
         def slab(part, lane):
@@ -520,12 +534,10 @@ class _SnapshotPass:
         a longer series is taken in groups of that many rows."""
         band, n, worker = self.band, self.grid.n, self.worker
         omega, transport = self.omega, self.transport
-        slab_spec = ((len(self.spectral_work), 3, self.slabs[0].stop, n, n),
-                     np.float64)
-        pad = (n, n, band.m + 1)
-        count = ((self.block.size - _carved_size(slab_spec))
-                 // _carved_size((pad, np.complex128)))
-        slab_out, pads = _carve(slab_spec, ((count,) + pad, np.complex128),
+        pad, c = self.pad_spec
+        count = ((self.block.size - _carved_size(self.slab_spec))
+                 // _carved_size(self.pad_spec))
+        slab_out, pads = _carve(self.slab_spec, ((count,) + pad, c),
                                 block=self.block)
         # Per sample, component and slab: max |d(omega)/dt - transport|,
         # max |d(omega)/dt| and max |transport|.  A maximum over the

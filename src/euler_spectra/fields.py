@@ -219,16 +219,28 @@ def _inverse_component(space: Grid | Band, coeffs: np.ndarray,
 _FIELD_PARTS = ((1, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2))
 
 
+def _lane_specs(space: Grid | Band, lanes: int, rows: int) -> tuple:
+    """The ``(shape, dtype)`` specs (:func:`euler_spectra.workers._carve`)
+    of the lane buffers of :func:`_physical_fields` and of
+    ``deformation._strain_entries`` on ``space``, for ``lanes`` threads:
+    the spectral components, and their scratches of ``rows`` x planes of
+    a component (:func:`_combine_product`)."""
+    shape = space.k_squared.shape
+    return (((lanes,) + shape, np.complex128),
+            ((lanes, rows) + shape[1:], np.complex128))
+
+
 def _physical_fields(space: Grid | Band, v: np.ndarray, out, worker,
-                     work: np.ndarray, pads: np.ndarray | None) -> None:
+                     work, pads: np.ndarray | None) -> None:
     """``fft_inverse(v)`` and ``fft_inverse(curl(space, v))`` into the
     two float64 vector fields of ``out``, by component (``_FIELD_PARTS``)
     split with ``worker``.  ``v`` is a half spectrum on a :class:`Grid`
-    and compact on a :class:`Band`.  Each thread (lane) forms its
-    spectral component in ``work[lane][0]``, with the temporary of a
-    curl component in ``work[lane][1]``, and on a band transforms it
-    through ``pads[lane]`` (:func:`_inverse_component`); the values are
-    those of the whole-field transforms."""
+    and compact on a :class:`Band`.  Each thread (lane) takes the pair
+    ``work[lane]``: it forms its spectral component in the first, with
+    the second as the scratch of a curl component's product
+    (:func:`_curl_component`), and on a band transforms it through
+    ``pads[lane]`` (:func:`_inverse_component`); the values are those of
+    the whole-field transforms."""
     def transform(part, lane):
         field, i = part
         component, scratch = work[lane]
@@ -255,13 +267,31 @@ def _curl_component(grid: Grid | Band, v: np.ndarray, i: int,
                     work: np.ndarray | None = None) -> np.ndarray:
     """Component i of :func:`curl`, ``1j * (k_j v_l - k_l v_j)`` with
     (i, j, l) a cyclic order of (0, 1, 2), written into ``out``.
-    ``work``, a complex128 array of ``out``'s shape, holds the
-    subtracted product when it is given."""
+    ``work`` holds the subtracted product when it is given
+    (:func:`_combine_product`)."""
     k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
     j, l = (i + 1) % 3, (i + 2) % 3
     np.multiply(k[j], v[l], out=out)
-    np.subtract(out, np.multiply(k[l], v[j], out=work), out=out)
+    _combine_product(np.subtract, out, k[l], v[j], work)
     return np.multiply(1j, out, out=out)
+
+
+def _combine_product(ufunc, out: np.ndarray, k: np.ndarray,
+                     coeffs: np.ndarray,
+                     work: np.ndarray | None = None) -> None:
+    """``ufunc(out, k * coeffs, out=out)`` for a spectral component
+    ``coeffs`` and a wavenumber table ``k`` that broadcasts against it.
+    The product is formed into the complex128 ``work``, a component of
+    ``out``'s shape or fewer of its rows (x planes), one x-slab of that
+    many rows at a time, or into a new array when ``work`` is None.  The
+    operations are elementwise, so any slab gives the same bits."""
+    rows = len(out) if work is None else len(work)
+    for start in range(0, len(out), rows):
+        x = slice(start, min(start + rows, len(out)))
+        product = np.multiply(
+            k[x] if len(k) > 1 else k, coeffs[x],
+            out=None if work is None else work[:x.stop - start])
+        ufunc(out[x], product, out=out[x])
 
 
 def leray_project(grid: Grid | Band | BandHalf, v: np.ndarray,

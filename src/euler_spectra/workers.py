@@ -31,7 +31,8 @@ them:
   step's block lives for one step and a record carves its own, because
   a block that is never freed would keep the threshold low and every
   other array of grid size would be mapped again.  ``diagnose`` holds
-  one block for its whole pass.
+  one block for its whole pass, and lends its records their scratch
+  from it, so that their blocks hold only the tensor.
 """
 
 import functools

@@ -171,12 +171,14 @@ def cubic_trace_integral(grid, tensor):
 
 
 # What each thread of a record or a step allocates beyond the block it
-# carves, in fields of an n=64 grid: numpy's FFTs copy the lines of a
-# slab (about 0.15 field for an in-place ``ifft`` along y and an
-# ``irfft`` along z of a compact slab), and the eigensolver's boolean
-# masks of a slab take 1/64 field each.  Two threads may hold theirs at
-# once, so a two-thread peak is bounded by its block plus twice this, in
-# any interleaving of their allocations.
+# carves, in fields of an n=64 grid: numpy's casting buffers where a
+# float64 wavenumber table multiplies a complex128 component (0.12 field
+# on a band, 0.05 on the half spectrum, for a slab or a whole
+# component), and the eigensolver's boolean masks of a slab (0.06).  The
+# FFT passes allocate under 0.001 field once ``numpy.fft`` is imported;
+# its import on a process's first transform takes 0.085.  Two threads
+# may hold theirs at once, so a two-thread peak is bounded by its block
+# plus twice this, in any interleaving of their allocations.
 UNCARVED_PER_THREAD = 0.25
 
 

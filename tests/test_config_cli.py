@@ -38,7 +38,7 @@ from euler_spectra.snapshot import load_snapshot, write_snapshot
 from euler_spectra.solver import SolverConfig, run as solver_run, step_threads
 import euler_spectra.workers as workers_module
 
-from conftest import fresh_worker, traced_peak_fields
+from conftest import UNCARVED_PER_THREAD, fresh_worker, traced_peak_fields
 
 
 MINIMAL = {
@@ -889,15 +889,35 @@ class TestCmdDiagnose:
         # diagnose keeps only the spectra of the loaded snapshots and
         # forms each one's v and omega when its record needs them; the
         # omega rows and the compact transport rows grow as the spectra
-        # are released.  One thread, so that the peak does not depend
-        # on the host: it measured 38.7 fields of the grid, against 46.8
-        # when each transport row was a physical field of 3.
+        # are released.  Its records carve their scratch out of the
+        # pass's lane region, whose curl products take a slab, and the
+        # Grid of the last load is released.  One thread, so that the
+        # peak does not depend on the host: it measured 33.57 fields of
+        # the grid, against 36.73 with a scratch region of each record's
+        # own, whole-component product scratch and the stale Grid, and
+        # 46.8 when each transport row was a physical field of 3.
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         codes = []
         peak = traced_peak_fields(Grid(64), lambda: codes.append(
             main(["diagnose", *snapshot_series64])))
         assert codes == [EXIT_OK]
-        assert peak < 41.0
+        assert peak < 34.0
+
+    def test_peak_memory_on_two_lanes(self, snapshot_series64, capsys,
+                                      monkeypatch):
+        # The same on two threads, whose lane buffers make the pass's
+        # lane region 2.3 fields, against 4.1 with whole-component
+        # product scratch.  It measured 34.67-34.75 fields, against
+        # 39.08-39.17 before; a two-thread peak also holds what numpy's
+        # FFTs allocate on both threads, which varies from call to call
+        # (UNCARVED_PER_THREAD).
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
+        codes = []
+        job = lambda: codes.append(main(["diagnose", *snapshot_series64]))
+        job()
+        peak = traced_peak_fields(Grid(64), job)
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert peak < 34.75 + 2 * UNCARVED_PER_THREAD
 
     @pytest.mark.parametrize("last", ["corrupt", "other grid"])
     def test_every_snapshot_checked_before_any_record(self, tmp_path,
@@ -1020,6 +1040,24 @@ class TestCmdClassify:
         write_snapshot(path, grid16, taylor_green(grid16), time=0.0)
         assert main(["classify", str(path)]) == EXIT_OK
         assert "class: Neither" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cpus, bound", [
+        (1, 18.0), (2, 18.65 + 2 * UNCARVED_PER_THREAD)])
+    def test_snapshot_peak_memory(self, snapshot_series64, capsys,
+                                  monkeypatch, cpus, bound):
+        # classify <snapshot> holds the loaded field, its spectrum and a
+        # Grid record with a block of its own, whose curl and strain
+        # products take a slab of scratch per thread, not a spectral
+        # component.  It measured 17.52 fields of the grid on one thread
+        # and 18.61-18.64 on two, against 18.33 and 20.42-20.46 with
+        # whole-component product scratch.
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: cpus)
+        codes = []
+        job = lambda: codes.append(main(["classify", snapshot_series64[0]]))
+        job()
+        peak = traced_peak_fields(Grid(64), job)
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert peak < bound
 
     def test_zero_field_snapshot(self, tmp_path, grid8, capsys):
         path = tmp_path / "zero.bin"

@@ -8,6 +8,7 @@ never calls it.
 """
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from euler_spectra.deformation import (
     AdmissibleClass,
     Classification,
+    _strain_entries,
     classify_admissible,
     deformation_tensor,
     eigenvalues_sym3,
@@ -25,7 +27,7 @@ from euler_spectra.deformation import (
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import fft_forward, fft_inverse
-from euler_spectra.grid import Grid
+from euler_spectra.grid import Band, Grid
 from euler_spectra.initial import abc_flow, shear_flow, taylor_green
 
 from conftest import make_random_velocity, velocity_gradient
@@ -182,6 +184,37 @@ class TestEigenvalueInvariants:
 
 
 class TestDeformationTensor:
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("layout", ["grid", "band"])
+    def test_strain_entries_with_slab_scratch(self, layout, lanes):
+        # An off-diagonal entry's second product is formed one x-slab of
+        # the scratch's rows at a time, the last slab shorter where the
+        # rows do not divide the component's (a band's 2m+1 = 21 rows at
+        # n=32); every scratch gives the tensor of whole-component
+        # scratch, on one thread or two.
+        grid = Grid(32)
+        band = Band(grid)
+        v = make_random_velocity(grid, np.random.default_rng(32))
+        space, v = (band, band.restrict(v)) if layout == "band" else (grid,
+                                                                       v)
+        shape, c = v.shape[1:], np.complex128
+        pads = (np.empty((lanes, 32, 32, band.m + 1), c)
+                if layout == "band" else None)
+        with ThreadPoolExecutor(1) as pool:
+            worker = pool if lanes == 2 else None
+            expected = np.empty((6, 32, 32, 32))
+            _strain_entries(space, v, worker, expected,
+                            np.empty((lanes, 2) + shape, c), pads)
+            if layout == "grid":
+                assert (expected.tobytes()
+                        == deformation_tensor(grid, v).tobytes())
+            for rows in (1, 5, 8, len(v[0])):
+                tensor = np.empty_like(expected)
+                work = [(np.empty(shape, c), np.empty((rows,) + shape[1:], c))
+                        for _ in range(lanes)]
+                _strain_entries(space, v, worker, tensor, work, pads)
+                assert tensor.tobytes() == expected.tobytes(), rows
+
     def test_shear_flow_components(self, grid16):
         # v = (sin y, 0, 0): the only nonzero entry is s12 = cos(y)/2.
         v = shear_flow(grid16)

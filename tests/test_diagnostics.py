@@ -36,6 +36,7 @@ from euler_spectra.diagnostics import (
     classify_and_record,
     compute_record,
     identity_residuals,
+    record_scratch_size,
     resolution_tail_fraction,
 )
 from euler_spectra.errors import ContractViolationError, NumericsError
@@ -437,12 +438,16 @@ class TestRecordBlock:
     def test_is_one_block(self, layout, own_fields, threaded):
         grid = Grid(16)
         space = Band(grid) if layout == "band" else grid
-        block = _RecordBlock(space, 2 if threaded else 1, own_fields)
+        lanes = 2 if threaded else 1
+        block = _RecordBlock(space, lanes, own_fields)
         buffers = {name: value for name, value in vars(block).items()
                    if isinstance(value, np.ndarray)}
+        assert len(block.work) == lanes
+        for lane, (component, scratch) in enumerate(block.work):
+            buffers[f"component{lane}"] = component
+            buffers[f"product{lane}"] = scratch
         assert (block.omega is None) != own_fields
         assert (block.pads is None) == (layout == "half")
-        assert block.work.shape[:2] == (2 if threaded else 1, 2)
         root = block.tensor.base
         assert root is not None and root.ndim == 1
         for buffer in buffers.values():
@@ -452,45 +457,55 @@ class TestRecordBlock:
         # eigenvalues), omega, the integrand and its scratch while
         # integrands are; the tensor and the eigensolver's scratch
         # during the eigensolve.
-        for group in (("tensor", "omega", "work", "pads"),
+        for group in (("tensor", "omega", "pads", "component0",
+                       "product0", "component1", "product1"),
                       ("tensor", "omega", "density", "scratch"),
                       ("tensor", "omega", "eig_work")):
             live = [name for name in group if name in buffers]
             for a, b in itertools.combinations(live, 2):
                 assert not np.shares_memory(buffers[a], buffers[b]), (a, b)
         assert np.shares_memory(block.v, block.tensor)
-        assert np.shares_memory(block.density, block.work)
+        assert np.shares_memory(block.density, block.work[0][0])
         assert np.shares_memory(block.density, block.eig_work)
-        lanes = 2 if threaded else 1
         assert block.scratch.shape == (lanes, 2, 16, 16, 16)
         assert block.eig_work.shape == (lanes, 6, 16, 16, 16)
+        # A grid's product scratch is a slab, a band's a whole component.
+        component, scratch = block.work[0]
+        rows = 16 if layout == "half" else len(component)
+        assert scratch.shape == (rows,) + component.shape[1:]
 
-    def test_lent_work_is_not_carved(self, grid16):
-        work = np.empty((2, 2) + grid16.k_squared.shape, np.complex128)
+    def test_lent_work_is_carved(self, grid16):
+        # A lent region holds the record's scratch: the lane buffers,
+        # the integrand with its slabs and the eigensolver's slabs are
+        # views of it, and the record's own block is the tensor alone.
+        work = np.empty(_RecordBlock.scratch_size(grid16, 2), np.uint8)
         block = _RecordBlock(grid16, 2, False, work)
-        assert block.work is work and block.pads is None
-        # The tensor, and the eigensolver's six slabs on each of two
-        # lanes, where n=16 has one slab of 16 planes.
-        assert block.tensor.base.nbytes == (6 + 2 * 6) * 8 * 16 ** 3
+        assert block.pads is None and block.omega is None
+        for buffer in (block.density, block.scratch, block.eig_work,
+                       *(b for pair in block.work for b in pair)):
+            assert buffer.base is work
+        assert block.tensor.base.nbytes == 6 * 8 * 16 ** 3
 
     @pytest.mark.parametrize("layout, lanes, own_fields, shared", [
-        # The lane buffers: compact components (43, 43, 22) and padded
-        # ones (64, 64, 22), complex.
-        ("band", 1, True, 2 * 43 * 43 * 22 * 16 + 64 * 64 * 22 * 16),
+        # The lane buffers: compact components (43, 43, 22), each with a
+        # scratch of all its rows, and padded ones (64, 64, 22), complex;
+        # each array starts at a multiple of 64 bytes.
+        ("band", 1, True, 2 * (43 * 43 * 22 * 16 + 32) + 64 * 64 * 22 * 16),
         ("band", 2, True, 2 * (2 * 43 * 43 * 22 * 16 + 64 * 64 * 22 * 16)),
-        # Half-spectrum components (64, 64, 33), complex.
-        ("half", 1, True, 2 * 64 * 64 * 33 * 16),
-        # diagnose lends its work: the integrand and two slabs of 8
-        # planes per lane, or six slabs per lane for the eigensolver,
-        # whichever is larger.
-        ("half", 1, False, (1 + 2 / 8) * 8 * 64 ** 3),
-        ("half", 2, False, (1 + 4 / 8) * 8 * 64 ** 3),
+        # Half-spectrum components (64, 64, 33), complex, each with a
+        # scratch of one slab of 8 planes, or the integrand and two
+        # float64 slabs per lane, whichever is larger.
+        ("half", 1, True, (1 + 2 / 8) * 8 * 64 ** 3),
+        ("half", 2, True, 2 * (1 + 1 / 8) * 64 * 64 * 33 * 16),
+        # diagnose lends the region: the tensor alone.
+        ("half", 1, False, 0),
+        ("half", 2, False, 0),
     ])
     def test_block_size(self, layout, lanes, own_fields, shared):
         grid = Grid(64)
         space = Band(grid) if layout == "band" else grid
         work = None if own_fields else np.empty(
-            (lanes, 2) + grid.k_squared.shape, np.complex128)
+            _RecordBlock.scratch_size(space, lanes), np.uint8)
         block = _RecordBlock(space, lanes, own_fields, work)
         fields = 9 if own_fields else 6
         assert block.tensor.base.nbytes == fields * 8 * 64 ** 3 + shared
@@ -526,13 +541,15 @@ class TestRecordBlock:
     @pytest.mark.parametrize("layout, given", [
         ("band", "none"), ("band", "physical"), ("half", "none"),
         ("half", "physical"), ("half", "physical+work")])
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 26, 64])
     def test_matches_whole_field(self, n, layout, given, threads,
                                  monkeypatch):
         # The block's reuse order changes which integral is taken first,
         # never a value: on the band and on the half spectrum, with the
-        # physical fields of a caller or without, and with the lane
-        # buffers that diagnose lends.
+        # physical fields of a caller or without, and with the scratch
+        # that diagnose's pass lends, which held other values before
+        # (NaN bytes here), as with a block of the record's own.  At
+        # n=26 the slabs are 13 planes.
         grid = Grid(n)
         band = Band(grid)
         use_threads(monkeypatch, threads)
@@ -550,15 +567,23 @@ class TestRecordBlock:
                     kwargs["physical"] = (band_inverse(band, v),
                                           band_inverse(band, curl(band, v)))
                 elif given != "none":
-                    snapshots = _SnapshotPass(grid, transport=False)
+                    snapshots = _SnapshotPass(
+                        grid, transport=False, lend=record_scratch_size(grid))
                     kwargs["physical"] = snapshots.fields(v)
                     if given == "physical+work":
-                        kwargs["work"] = snapshots.spectral_work
+                        snapshots.work.fill(0xFF)
+                        kwargs["work"] = snapshots.work
                 record = compute_record(space, 0.5, v,
                                         classification=classification,
                                         **kwargs)
                 assert np.array_equal(record.as_tuple(),
                                       expected.as_tuple(), equal_nan=True)
+                if "work" in kwargs:
+                    own = compute_record(space, 0.5, v,
+                                         classification=classification,
+                                         physical=kwargs["physical"])
+                    assert (np.array(record.as_tuple()).tobytes()
+                            == np.array(own.as_tuple()).tobytes())
 
 
 def half_spectrum_tail_fraction(grid, v):

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from euler_spectra.deformation import AdmissibleClass, Classification
-from euler_spectra.diagnostics import DiagnosticsCollector, DiagnosticsRecord
+from euler_spectra.diagnostics import (
+    DiagnosticsCollector,
+    DiagnosticsRecord,
+    record_scratch_size,
+)
 from euler_spectra.envelopes import (
     EnvelopeAccumulator,
     _SnapshotPass,
@@ -38,6 +42,7 @@ from euler_spectra.fields import (
 from euler_spectra.grid import Band, Grid
 from euler_spectra.initial import random_solenoidal, shear_flow, taylor_green
 from euler_spectra.solver import SolverConfig, run
+import euler_spectra.envelopes as envelopes_module
 import euler_spectra.workers as workers_module
 
 from conftest import (
@@ -510,6 +515,44 @@ class TestTransportResidual:
             got = vorticity_transport_residual(grid, times, velocities)
             assert np.array_equal(got[0], raw)
             assert np.array_equal(got[1], normalized)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [8, 10, 16, 26, 64])
+    def test_every_group_takes_a_padded_row(self, n, threads, monkeypatch):
+        # The pass sizes its lane region so that its block holds the
+        # comparison's slab buffers and at least one padded row beside
+        # v, also when the region is sized for what diagnose lends its
+        # records; a series longer than the rows it holds is taken in
+        # groups, which give the bits of the whole series.
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
+        monkeypatch.setattr(workers_module, "_THREADED_MIN_N", 8)
+        carves = []
+
+        def spy(*specs, block=None):
+            carves.append(specs)
+            return workers_module._carve(*specs, block=block)
+
+        monkeypatch.setattr(envelopes_module, "_carve", spy)
+        for count in (5, 7):
+            velocities = [make_random_velocity(grid, rng)
+                          for _ in range(count)]
+            times = np.linspace(0.0, 0.1 * (count - 1), count)
+            raw, normalized = vorticity_transport_residual(grid, times,
+                                                           velocities)
+            for lend in (0, record_scratch_size(grid)):
+                snapshots = _SnapshotPass(grid, lend=lend)
+                for v in velocities:
+                    spectrum = v.copy()
+                    snapshots.fields(spectrum)
+                    snapshots.add_transport(spectrum)
+                carves.clear()
+                got = snapshots.residual(uniform_spacing(times))
+                ((_, (pads, _)),) = carves
+                assert pads[0] >= 1
+                assert np.array_equal(got[0], raw)
+                assert np.array_equal(got[1], normalized)
 
     def test_comparison_allocates_no_slab(self, monkeypatch):
         # The comparison forms each sample's stencil, the transport term

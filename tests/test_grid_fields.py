@@ -16,6 +16,7 @@ from euler_spectra.errors import ConfigurationError, ContractViolationError
 from euler_spectra.grid import Band, Grid
 from euler_spectra.fields import (
     _band_pad_inverse_x,
+    _curl_component,
     band_inverse,
     curl,
     dealias_23,
@@ -232,6 +233,29 @@ class TestTransforms:
 
 
 class TestDerivatives:
+    @pytest.mark.parametrize("layout", ["grid", "band"])
+    def test_curl_component_with_slab_scratch(self, layout):
+        # The subtracted product is formed one x-slab of the scratch's
+        # rows at a time, the last slab shorter where the rows do not
+        # divide the component's (a band's 2m+1 = 21 rows at n=32); every
+        # scratch gives the bits of the whole-component expression.
+        grid = Grid(32)
+        band = Band(grid)
+        v = make_random_velocity(grid, np.random.default_rng(32))
+        space, v = (band, band.restrict(v)) if layout == "band" else (grid,
+                                                                       v)
+        k = (space.k_deriv_x, space.k_deriv_y, space.k_deriv_z)
+        rows = len(v[0])
+        for i in range(3):
+            j, l = (i + 1) % 3, (i + 2) % 3
+            expected = 1j * (k[j] * v[l] - k[l] * v[j])
+            assert curl(space, v)[i].tobytes() == expected.tobytes()
+            for scratch_rows in (1, 5, 8, rows):
+                out = np.empty_like(v[i])
+                work = np.empty((scratch_rows,) + v.shape[2:], np.complex128)
+                _curl_component(space, v, i, out, work=work)
+                assert out.tobytes() == expected.tobytes(), scratch_rows
+
     def test_single_mode(self, grid16):
         _, _, Z = grid16.coordinates()
         f = fft_forward(np.sin(4.0 * Z))
