@@ -171,9 +171,9 @@ def cubic_trace_integral(grid, tensor):
 
 
 # What each thread of a record or a step allocates beyond the block it
-# carves, in fields of an n=64 grid: numpy's casting buffers where a
-# float64 wavenumber table multiplies a complex128 component (0.12 field
-# on a band, 0.05 on the half spectrum, for a slab or a whole
+# carves, in fields of an n=64 grid: numpy's ufunc buffers where a
+# broadcast wavenumber table multiplies a spectral component (up to 0.13
+# field on a band and 0.06 on the half spectrum, for a slab or a whole
 # component), and the eigensolver's boolean masks of a slab (0.06).  The
 # FFT passes allocate under 0.001 field once ``numpy.fft`` is imported;
 # its import on a process's first transform takes 0.085.  Two threads
