@@ -325,7 +325,6 @@ def cmd_diagnose(args) -> int:
         if grid is None:
             grid = g
         mixed = mixed or g != grid
-    del g  # the last load's copy of the kept grid's tables
     if mixed:
         raise ContractViolationError(
             "snapshots mix different grids; diagnose needs one resolution")

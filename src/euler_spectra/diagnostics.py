@@ -262,7 +262,8 @@ class _RecordBlock:
         n, f = space.n, np.float64
         planes = _slabs(n)[0].stop
         if isinstance(space, Band):
-            lane_specs = _lane_specs(space, lanes, len(space.k_squared)) + (
+            rows = space.spectral_shape[0]
+            lane_specs = _lane_specs(space, lanes, rows) + (
                 ((lanes, n, n, space.m + 1), np.complex128),)
         else:
             lane_specs = _lane_specs(space, lanes, planes)
@@ -346,7 +347,7 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
     h = integral(pointwise_dot, v_phys, omega_phys)
     _strain_entries(space, v, worker, tensor, block.work, block.pads)
     fill(magnitude_squared, omega_phys)
-    bkm_sup_vort = float(np.sqrt(np.max(density)))  # max_speed(omega)
+    bkm_sup_vort = float(np.sqrt(np.max(density)))  # max |omega|
     z = integrate(density)
     w = integral(_stretching_density, tensor, omega_phys)
     c3 = integral(_cubic_trace_density, tensor)
@@ -503,9 +504,13 @@ class DiagnosticsCollector:
                               "stretching_cubic": 0.0,
                               "cubic_product": 0.0}
         self.tail_fraction_initial: float | None = None
-        # Solver state of the latest record; the summary's final tail
-        # fraction is computed from it once, not on every record.
+        # The summary's final tail fraction is that of the latest
+        # record's solver state.  The collector holds the state until
+        # the first step that is not a record step, and then its tail
+        # fraction alone, so that it keeps no state the run has stepped
+        # past and takes no fraction that a later record makes stale.
         self._last_state = None
+        self._tail_fraction_final: float | None = None
 
         self._fh = None
         self._accumulator = EnvelopeAccumulator()
@@ -552,6 +557,10 @@ class DiagnosticsCollector:
 
     def __call__(self, state):
         if state.step_index % self.every != 0:
+            if self._last_state is not None:
+                self._tail_fraction_final = resolution_tail_fraction(
+                    self._last_state.band, self._last_state.v)
+                self._last_state = None
             return
         record = self.record(state.band, state.t, state.v)
         self._last_state = state
@@ -581,6 +590,12 @@ class DiagnosticsCollector:
         self.close()
         return False
 
+    def _tail_fraction(self) -> float:
+        state = self._last_state
+        if state is None:
+            return self._tail_fraction_final
+        return resolution_tail_fraction(state.band, state.v)
+
     def summary(self) -> dict:
         """Aggregate verdicts for the run so far (see cli for the schema)."""
         if not self.records:
@@ -603,7 +618,6 @@ class DiagnosticsCollector:
             "identity_residuals": dict(self.max_residuals),
             "resolution_health": {
                 "tail_enstrophy_fraction_initial": self.tail_fraction_initial,
-                "tail_enstrophy_fraction_final": resolution_tail_fraction(
-                    self._last_state.band, self._last_state.v),
+                "tail_enstrophy_fraction_final": self._tail_fraction(),
             },
         }

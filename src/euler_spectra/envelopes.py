@@ -448,7 +448,7 @@ class _SnapshotPass:
         self.field = (3,) + (n,) * 3
         lanes, planes = _lanes(self.worker), self.slabs[0].stop
         f, c = np.float64, np.complex128
-        compact = self.band.k_squared.shape
+        compact = self.band.spectral_shape
         lane_specs = _lane_specs(grid, lanes, planes)
         # add_transport's two carves, and residual's.
         self.product_spec = ((lanes, 2, planes, n, n), f)
@@ -493,7 +493,7 @@ class _SnapshotPass:
         modes that ``dealias_23`` keeps."""
         band, n, worker = self.band, self.grid.n, self.worker
         v, omega = self.v, self.omega[-1]
-        row = np.empty((3,) + band.k_squared.shape, np.complex128)
+        row = np.empty((3,) + band.spectral_shape, np.complex128)
         self.transport.append(row)
         # The slab products are dead before the band modes are gathered.
         (products,) = _carve(self.product_spec, block=self.work)
@@ -605,7 +605,7 @@ def vorticity_transport_residual(grid: Grid, times, velocities):
     for v in velocities:
         check_velocity(grid, v)
 
-    spectrum = np.empty((3,) + grid.k_squared.shape, np.complex128)
+    spectrum = np.empty((3,) + grid.spectral_shape, np.complex128)
     snapshots = _SnapshotPass(grid)
     for v in velocities:
         if np.iscomplexobj(v):

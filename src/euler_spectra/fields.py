@@ -39,7 +39,7 @@ import numpy as np
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.grid import Band, BandHalf, Grid
 from euler_spectra.reductions import pairwise_sum
-from euler_spectra.workers import _split_lanes
+from euler_spectra.workers import _slabs, _split_lanes
 
 
 def check_velocity(grid: Grid, v: np.ndarray) -> None:
@@ -225,7 +225,7 @@ def _lane_specs(space: Grid | Band, lanes: int, rows: int) -> tuple:
     ``deformation._strain_entries`` on ``space``, for ``lanes`` threads:
     the spectral components, and their scratches of ``rows`` x planes of
     a component (:func:`_combine_product`)."""
-    shape = space.k_squared.shape
+    shape = space.spectral_shape
     return (((lanes,) + shape, np.complex128),
             ((lanes, rows) + shape[1:], np.complex128))
 
@@ -389,6 +389,34 @@ def magnitude_squared(v: np.ndarray, out: np.ndarray | None = None,
     return pointwise_dot(v, v, out, work)
 
 
-def max_speed(v: np.ndarray) -> float:
-    """Maximum pointwise magnitude |v| of a physical vector field."""
-    return float(np.sqrt(np.max(magnitude_squared(v))))
+def _max_speed_specs(band: Band) -> tuple:
+    """The ``(shape, dtype)`` specs (:func:`euler_spectra.workers._carve`)
+    of the buffers ``pad`` and ``slab`` of :func:`_band_max_speed` on
+    ``band``."""
+    n, planes = band.n, _slabs(band.n)[0].stop
+    return (((3, n, n, band.m + 1), np.complex128),
+            ((5, planes, n, n), np.float64))
+
+
+def _band_max_speed(band: Band, coeffs: np.ndarray, pad: np.ndarray,
+                    slab: np.ndarray) -> float:
+    """The largest pointwise |v| of ``band_inverse(band, coeffs)``, the
+    physical field of a compact velocity, without that field: the three components are zero-padded
+    and transformed along x into the complex128 ``pad``
+    (:func:`_band_pad_inverse_x`); then each x-slab of
+    :func:`euler_spectra.workers._slabs` is transformed along y and z
+    into the first three of the float64 ``slab``, and its |v|^2 formed
+    into the fourth through the fifth (:func:`_max_speed_specs` gives
+    their shapes).  The passes are those of :func:`band_inverse`, and a
+    maximum over the slab maxima is the maximum, so the value is that of
+    ``sqrt(max(magnitude_squared(band_inverse(band, coeffs))))`` bit for
+    bit."""
+    n = band.n
+    _band_pad_inverse_x(band, coeffs, pad)
+    v, square, work = slab[:3], slab[3], slab[4:]
+    slabs = _slabs(n)
+    peaks = np.empty(len(slabs))
+    for s, x in enumerate(slabs):
+        _inverse_yz(pad[:, x], n, out=v)
+        peaks[s] = np.max(magnitude_squared(v, out=square, work=work))
+    return float(np.sqrt(np.max(peaks)))

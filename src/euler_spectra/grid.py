@@ -20,7 +20,10 @@ Two distinct wavenumber tables coexist on purpose:
     projection uses these so that it is exactly idempotent on every
     representable mode, Nyquist included.
 
-A :class:`Band` holds the same tables cut to the modes |k_j| <= m, for
+A :class:`Grid` keeps only the one-dimensional tables, which broadcast;
+the tables of the whole half spectrum (|k|^2, the 2/3-rule mask) are
+built when read, for the few callers that need them once.  A
+:class:`Band` holds the same tables cut to the modes |k_j| <= m, for
 the state of a solver run, which lives on that band alone: the modes
 the 2/3 rule keeps (m = n//3) on a dealiased run, every mode but the
 Nyquist planes (m = n//2 - 1) on the others.  A :class:`BandHalf` holds
@@ -52,8 +55,8 @@ class Grid:
 
     Notes
     -----
-    Derived tables are computed once in ``__post_init__`` and attached
-    to the (frozen) instance:
+    The one-dimensional tables are computed once in ``__post_init__``
+    and attached to the (frozen) instance:
 
     - ``dx``, ``cell_volume``, ``volume``
     - ``freq``: integer mode numbers along the x or y axis, FFT layout
@@ -63,14 +66,19 @@ class Grid:
     - ``k_deriv_x/y/z``: broadcastable derivative wavenumbers (Nyquist
       zeroed, physical units)
     - ``k_true_x/y/z``: broadcastable projection wavenumbers
-    - ``k_squared``, ``k_squared_safe``: |k|^2 from the true
-      wavenumbers, shape (n, n, n//2 + 1); the safe copy has 1 at k = 0
-    - ``dealias_mask``: boolean keep-mask for the 2/3-rule ball, shape
-      (n, n, n//2 + 1)
     - ``parseval_weight``: shape (1, 1, n//2 + 1), 1 on the kz = 0 and
       kz = n/2 planes and 2 on every other plane, so that
       ``volume * sum(parseval_weight * |fhat|^2)`` is the integral of
       ``f^2`` over the box
+
+    The tables of the half spectrum, shape ``spectral_shape`` =
+    (n, n, n//2 + 1), are properties built on every read, as
+    ``coordinates()`` and ``mode_radius()`` are, so that no grid holds
+    one through a run or a ``diagnose``:
+
+    - ``k_squared``, ``k_squared_safe``: |k|^2 from the true
+      wavenumbers; the safe one has 1 at k = 0
+    - ``dealias_mask``: boolean keep-mask for the 2/3-rule ball
 
     The z-axis Nyquist entry keeps the sign of the x and y tables
     (-n/2), so every table equals the full-spectrum one restricted to
@@ -117,27 +125,36 @@ class Grid:
         object.__setattr__(self, "k_true_z",
                            k_true[:half].reshape(1, 1, half))
 
-        k_squared = (self.k_true_x ** 2 + self.k_true_y ** 2
-                     + self.k_true_z ** 2)
-        object.__setattr__(self, "k_squared", k_squared)
-        k_squared_safe = k_squared.copy()
-        k_squared_safe[0, 0, 0] = 1.0
-        object.__setattr__(self, "k_squared_safe", k_squared_safe)
-
-        # 2/3-rule: keep modes with 3*|k_j| <= n on every axis.
-        keep_1d = 3 * np.abs(freq) <= n
-        object.__setattr__(
-            self,
-            "dealias_mask",
-            (keep_1d.reshape(n, 1, 1)
-             & keep_1d.reshape(1, n, 1)
-             & keep_1d[:half].reshape(1, 1, half)),
-        )
-
         # Interior z planes stand for their omitted conjugates as well.
         weight = np.full(half, 2.0)
         weight[0] = weight[-1] = 1.0
         object.__setattr__(self, "parseval_weight", weight.reshape(1, 1, half))
+
+    @property
+    def spectral_shape(self) -> tuple:
+        """The space shape of a half spectrum, ``(n, n, n//2 + 1)``."""
+        return (self.n, self.n, self.n // 2 + 1)
+
+    @property
+    def k_squared(self) -> np.ndarray:
+        """|k|^2 from the true wavenumbers, shaped like the half
+        spectrum; built on read (see the class notes)."""
+        return _k_squared(self.k_true_x, self.k_true_y, self.k_true_z)
+
+    @property
+    def k_squared_safe(self) -> np.ndarray:
+        """:attr:`k_squared` with 1 at k = 0, built on read."""
+        return _safe(self.k_squared)
+
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        """Boolean keep-mask of the 2/3-rule ball (3|k_j| <= n on every
+        axis), shaped like the half spectrum; built on read."""
+        n, half = self.n, self.n // 2 + 1
+        keep_1d = 3 * np.abs(self.freq) <= n
+        return (keep_1d.reshape(n, 1, 1)
+                & keep_1d.reshape(1, n, 1)
+                & keep_1d[:half].reshape(1, 1, half))
 
     def coordinates(self):
         """Return the physical coordinate arrays (X, Y, Z), ij-indexed.
@@ -172,10 +189,15 @@ class Band:
     array has space shape ``(2m + 1, 2m + 1, m + 1)``: the x and y axes
     hold the modes 0, 1, ..., m, -m, ..., -1 (FFT order with the gap
     removed), the z axis kz = 0, ..., m.  The band never contains a
-    Nyquist mode.  The wavenumber tables are the :class:`Grid` tables
-    restricted to the band, under the same names (``n`` and
-    ``cell_volume`` too), so the per-mode operators and the records run
-    on a ``Band`` unchanged.
+    Nyquist mode; ``spectral_shape`` is that space shape.  The
+    wavenumber tables are the :class:`Grid` tables restricted to the
+    band, under the same names (``n`` and ``cell_volume`` too), so the
+    per-mode operators and the records run on a ``Band`` unchanged.
+    The one-dimensional ones are cut from the grid's; the band holds
+    its ``k_squared`` and ``k_squared_safe`` itself, formed from its own
+    ``k_true_x/y/z`` by the grid's expression, so they are the grid's
+    tables cut to the band bit for bit without the grid ever forming
+    its own.
     ``restrict`` and ``scatter`` convert to and from the half spectrum.
     ``x_halves`` cuts the band into the x rows of the two ``halves``.
     """
@@ -195,8 +217,10 @@ class Band:
         self.k_true_x = grid.k_true_x[rows]
         self.k_true_y = grid.k_true_y[:, rows]
         self.k_true_z = grid.k_true_z[..., :m + 1]
-        self.k_squared = grid.k_squared[self.index]
-        self.k_squared_safe = grid.k_squared_safe[self.index]
+        self.spectral_shape = (2 * m + 1, 2 * m + 1, m + 1)
+        self.k_squared = _k_squared(self.k_true_x, self.k_true_y,
+                                    self.k_true_z)
+        self.k_squared_safe = _safe(self.k_squared.copy())
         self.x_halves = (BandHalf(self, self.halves[0], slice(0, m + 1)),
                          BandHalf(self, self.halves[1],
                                   slice(m + 1, 2 * m + 1)))
@@ -230,3 +254,16 @@ class BandHalf:
         self.k_true_z = band.k_true_z
         self.k_squared = band.k_squared[rows]
         self.k_squared_safe = band.k_squared_safe[rows]
+
+
+def _k_squared(kx: np.ndarray, ky: np.ndarray, kz: np.ndarray) -> np.ndarray:
+    """|k|^2 of broadcastable wavenumber tables, ``kx**2 + ky**2 + kz**2``
+    in that order, so that a cut of the tables gives the same bits as
+    the cut of the whole table."""
+    return kx ** 2 + ky ** 2 + kz ** 2
+
+
+def _safe(k_squared: np.ndarray) -> np.ndarray:
+    """``k_squared`` with 1 at k = 0, in place."""
+    k_squared[0, 0, 0] = 1.0
+    return k_squared

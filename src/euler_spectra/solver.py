@@ -51,15 +51,16 @@ from euler_spectra.fields import (
     _band_forward_x,
     _band_forward_y,
     _band_forward_z,
+    _band_max_speed,
     _band_pad_inverse_x,
     _cross_component,
     _curl_component,
     _inverse_yz,
+    _max_speed_specs,
     band_inverse,
     check_velocity,
     fft_forward,
     leray_project,
-    max_speed,
 )
 from euler_spectra.grid import Band, Grid
 from euler_spectra.workers import (
@@ -77,8 +78,8 @@ logger = logging.getLogger("euler_spectra.solver")
 # Steps between CFL samplings during run(); each sample costs one
 # inverse transform of the velocity, a third of the transforms of an
 # rhs evaluation, so checking every step would tax small grids.  The
-# sample transforms the band (band_inverse), which skips the lines
-# outside it.
+# sample transforms the band one x-slab at a time (_band_max_speed), so
+# it holds no physical field of the whole grid.
 _CFL_CHECK_STRIDE = 25
 
 
@@ -385,12 +386,14 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     del v0  # the state holds the start's band modes alone
 
     warned_cfl = False
+    sample_specs = _max_speed_specs(band)
 
     def check_cfl(s: SolverState):
         nonlocal warned_cfl
         if warned_cfl:
             return
-        cfl = max_speed(s.physical()) * config.dt / grid.dx
+        speed = _band_max_speed(band, s.v, *_carve(*sample_specs))
+        cfl = speed * config.dt / grid.dx
         if cfl > config.cfl_warning:
             logger.warning(
                 "advective CFL number %.3f exceeds %.3f at t=%.6g; "

@@ -33,6 +33,12 @@ them:
   other array of grid size would be mapped again.  ``diagnose`` holds
   one block for its whole pass, and lends its records their scratch
   from it, so that their blocks hold only the tensor.
+- Work just before a block above the mmap threshold frees little of
+  grid size into the heap.  The block is mapped afresh rather than
+  served from the freed heap pages, which stay resident under it, so
+  the peak would be that garbage plus the block.  The start CFL sample
+  of a run, just before its first record, holds no physical field for
+  this reason (:func:`euler_spectra.fields._band_max_speed`).
 """
 
 import functools

@@ -170,6 +170,11 @@ def cubic_trace_integral(grid, tensor):
     return integrate_domain(grid, _cubic_trace_density(tensor))
 
 
+def max_speed(v):
+    """Maximum pointwise magnitude |v| of a physical vector field."""
+    return float(np.sqrt(np.max(magnitude_squared(v))))
+
+
 # What each thread of a record or a step allocates beyond the block it
 # carves, in fields of an n=64 grid: numpy's ufunc buffers where a
 # broadcast wavenumber table multiplies a spectral component (up to 0.13

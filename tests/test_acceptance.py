@@ -42,13 +42,16 @@ from euler_spectra.fields import (
     fft_inverse,
     integrate_domain,
     magnitude_squared,
-    max_speed,
 )
 from euler_spectra.grid import Grid
 from euler_spectra.initial import abc_flow, random_solenoidal, taylor_green
 from euler_spectra.solver import SolverConfig, run as solver_run
 
-from conftest import gradient_norm_squared_pointwise, velocity_gradient
+from conftest import (
+    gradient_norm_squared_pointwise,
+    max_speed,
+    velocity_gradient,
+)
 
 
 def report(number, passed, detail):

@@ -10,6 +10,7 @@ import csv
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +51,6 @@ from euler_spectra.fields import (
     fft_inverse,
     integrate_domain,
     magnitude_squared,
-    max_speed,
     pointwise_dot,
 )
 from euler_spectra.grid import Band, Grid
@@ -70,6 +70,7 @@ from conftest import (
     fresh_worker,
     gradient_norm_squared_pointwise,
     make_random_velocity,
+    max_speed,
     spectra_moments,
     stretching_integral,
     traced_peak_fields,
@@ -870,6 +871,43 @@ class TestDiagnosticsCollector:
         assert set(s["identity_residuals"]) == {
             "enstrophy_moment", "stretching_cubic", "cubic_product"}
         assert s["resolution_health"]["tail_enstrophy_fraction_final"] < 1e-28
+
+    def test_final_tail_fraction_after_a_step_past_the_last_record(
+            self, grid16):
+        # Steps 0, 2 and 4 are recorded and the run ends on step 5: the
+        # collector has let go of the step-4 state and kept its tail
+        # fraction for the summary.
+        col, states = DiagnosticsCollector(every=2), []
+        run(grid16, random_solenoidal(grid16, seed=2),
+            SolverConfig(dt=1e-3, t_final=5e-3),
+            observers=[col, states.append])
+        assert [r.t for r in col.records] == [s.t for s in states[::2]]
+        assert col._last_state is None
+        last = states[4]
+        assert col.summary()["resolution_health"][
+            "tail_enstrophy_fraction_final"] == resolution_tail_fraction(
+                last.band, last.v)
+
+    def test_holds_no_state_the_run_stepped_past(self):
+        # Between two records the collector holds the run's current
+        # state at most: the traced memory after each step, the
+        # collector's call included, is that after the first record.
+        # It read 0.93 fields of the grid more at the steps after a
+        # record while the collector kept the recorded state.
+        grid, traced = Grid(64), []
+
+        def probe(state):
+            traced.append(tracemalloc.get_traced_memory()[0])
+
+        def job():
+            run(grid, random_solenoidal(grid, seed=1),
+                SolverConfig(dt=1e-3, t_final=4e-3),
+                observers=[DiagnosticsCollector(every=2), probe])
+
+        traced_peak_fields(grid, job)
+        field = 8 * grid.n ** 3
+        assert len(traced) == 5
+        assert all(abs(t - traced[0]) < 0.05 * field for t in traced[1:])
 
     def test_summary_requires_records(self):
         with pytest.raises(ContractViolationError):

@@ -26,7 +26,6 @@ from euler_spectra.fields import (
     integrate_domain,
     leray_project,
     magnitude_squared,
-    max_speed,
 )
 from euler_spectra.reductions import _pairwise_sum_owned, pairwise_sum
 from euler_spectra.snapshot import write_snapshot
@@ -35,6 +34,7 @@ from euler_spectra.solver import SolverConfig, run
 from conftest import (
     leray_reference,
     make_random_velocity,
+    max_speed,
     spectral_derivative,
 )
 
@@ -81,6 +81,32 @@ class TestGrid:
         assert g.k_deriv_z[0, 0, 4] == 0.0
         assert np.array_equal(g.parseval_weight.ravel(), [1, 2, 2, 2, 1])
         assert g.k_squared.shape == g.mode_radius().shape == (8, 8, 5)
+
+    def test_holds_no_half_spectrum_table(self):
+        # The tables of the whole half spectrum are built when read, so
+        # that a grid costs no memory through a run or a diagnose.
+        grid = Grid(64)
+        assert grid.spectral_shape == (64, 64, 33)
+        held = [value for value in vars(grid).values()
+                if isinstance(value, np.ndarray)]
+        assert held and all(value.size <= 64 for value in held)
+        assert grid.k_squared.shape == grid.dealias_mask.shape == (64, 64, 33)
+        assert grid.k_squared_safe[0, 0, 0] == 1.0
+        assert grid.k_squared[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("n", [16, 26, 64, 74])
+    @pytest.mark.parametrize("nyquist_free", [False, True])
+    def test_band_tables_are_the_grid_tables_cut(self, n, nyquist_free):
+        # A band forms its |k|^2 tables from its own wavenumbers; they
+        # are the grid's tables cut to the band, bit for bit.
+        grid = Grid(n)
+        band = Band(grid, n // 2 - 1 if nyquist_free else None)
+        m = band.m
+        assert band.spectral_shape == (2 * m + 1, 2 * m + 1, m + 1)
+        for name in ("k_squared", "k_squared_safe"):
+            table, cut = getattr(band, name), getattr(grid, name)[band.index]
+            assert table.shape == cut.shape == band.spectral_shape
+            assert table.tobytes() == cut.tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -19,11 +19,12 @@ import pytest
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
+    _band_max_speed,
+    _max_speed_specs,
     band_inverse,
     divergence_free_error,
     fft_inverse,
     leray_project,
-    max_speed,
 )
 from euler_spectra.grid import Band, Grid
 from euler_spectra.initial import (
@@ -46,6 +47,7 @@ import euler_spectra.workers as workers_module
 from conftest import (
     UNCARVED_PER_THREAD,
     make_random_velocity,
+    max_speed,
     rhs_reference,
     traced_peak_fields,
 )
@@ -263,27 +265,49 @@ class TestRunMechanics:
         assert not half[..., 8].any()
 
     @pytest.mark.parametrize("dealias", [True, False])
-    def test_cfl_sample_is_the_half_spectrum_one(self, grid16, dealias,
-                                                 monkeypatch):
-        # A band state's CFL sample transforms the band; it reads the
-        # velocity of the half spectrum.
-        sampled, states = [], []
+    def test_cfl_sample_is_the_half_spectrum_one(self, dealias, monkeypatch):
+        # A band state's CFL sample transforms the band one x-slab at a
+        # time; it reads the speed of the half spectrum's velocity bit
+        # for bit, on grids of one x-slab (16), of two slabs of 13
+        # planes (26) and of eight slabs (64).
+        sampled = []
+        band_max_speed = solver_module._band_max_speed
 
-        def spy(v):
-            sampled.append(v)
-            return max_speed(v)
+        def spy(band, coeffs, *buffers):
+            speed = band_max_speed(band, coeffs, *buffers)
+            sampled.append((coeffs, speed))
+            return speed
 
         monkeypatch.setattr(solver_module, "_CFL_CHECK_STRIDE", 1)
-        monkeypatch.setattr(solver_module, "max_speed", spy)
-        run(grid16, random_solenoidal(grid16, seed=3),
-            SolverConfig(dt=1e-3, t_final=3e-3, dealias=dealias),
-            observers=[states.append])
-        assert len(sampled) == len(states) == 4
-        for v, state in zip(sampled, states):
-            assert state.band.m == (5 if dealias else 7)
-            half = state.band.scatter(state.v)
-            assert np.array_equal(v, fft_inverse(half))
-            assert np.array_equal(v, state.physical())
+        monkeypatch.setattr(solver_module, "_band_max_speed", spy)
+        for n in (16, 26, 64):
+            grid, states = Grid(n), []
+            sampled.clear()
+            run(grid, random_solenoidal(grid, seed=3),
+                SolverConfig(dt=1e-3, t_final=3e-3, dealias=dealias),
+                observers=[states.append])
+            assert len(sampled) == len(states) == 4
+            for (coeffs, speed), state in zip(sampled, states):
+                assert state.band.m == (n // 3 if dealias else n // 2 - 1)
+                assert coeffs is state.v
+                half = state.band.scatter(state.v)
+                assert speed == max_speed(fft_inverse(half))
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_peak_memory_of_the_cfl_sample(self, dealias):
+        # The sample holds its carved block, a padded vector and the
+        # buffers of one x-slab, and no physical field of the grid.  It
+        # measured 2.69 fields of the n=64 grid on the 2/3-rule band and
+        # 3.63 on the Nyquist-free one (blocks of 2.69 and 3.63),
+        # against 5.00 while it took max_speed of the physical velocity.
+        grid = Grid(64)
+        band = Band(grid, None if dealias else 31)
+        v = band.restrict(random_solenoidal(grid, seed=1))
+        specs = _max_speed_specs(band)
+        block = workers_module._carved_size(*specs) / (8 * 64 ** 3)
+        peak = traced_peak_fields(grid, lambda: _band_max_speed(
+            band, v, *workers_module._carve(*specs)))
+        assert peak < block + 0.1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_step(self, grid16):
