@@ -32,6 +32,7 @@ from euler_spectra.diagnostics import (
 )
 from euler_spectra.envelopes import (
     _SnapshotPass,
+    _series_spectra,
     containment_check,
     epsilon_decay_bound,
     growth_envelopes,
@@ -303,34 +304,62 @@ def cmd_run(args) -> int:
     return exit_code
 
 
+def _load_series(paths):
+    """``(grid, band, compact spectra, times)`` of the snapshots of
+    ``paths``, each loaded, checked and transformed before any is
+    recorded, one half spectrum at a time, on the band that
+    ``_series_spectra`` chooses for the whole series.  On the band
+    without the Nyquist planes, the largest share of a snapshot's power
+    on those planes, which the band drops, is reported on stderr.
+    """
+    headers = []  # (t, grid) of each snapshot
+
+    def halves():
+        headers.clear()
+        spectrum = None
+        for path in paths:
+            v, t, grid = load_snapshot(path)
+            headers.append((t, grid))
+            if grid == headers[0][1]:
+                spectrum = fft_forward(v, out=spectrum)
+                del v  # before the next load
+                yield grid, spectrum
+        times, grids = zip(*headers)
+        if any(grid != grids[0] for grid in grids):
+            raise ContractViolationError(
+                "snapshots mix different grids; diagnose needs one "
+                "resolution")
+        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+            raise ContractViolationError(
+                "snapshots must be supplied in strictly increasing time "
+                "order")
+
+    band, spectra, nyquist = _series_spectra(halves)
+    if band.m != band.n // 3:
+        print(f"band: 2/3 rule exceeded, recorded without the Nyquist "
+              f"planes (dropped Nyquist power fraction {nyquist:.3e})",
+              file=sys.stderr)
+    return headers[0][1], band, spectra, [t for t, _ in headers]
+
+
 def cmd_diagnose(args) -> int:
     """Recompute diagnostics from snapshots, in one pass over them.
 
     Every snapshot is loaded, checked and transformed first, and only
-    its spectrum is kept, so that a corrupt, mixed-grid or unsorted
-    input fails before any row is printed.  Then one snapshot at a
-    time, through an :class:`~euler_spectra.envelopes._SnapshotPass`:
-    its physical fields are formed once, its record is computed from
-    them under a run's series rules, in scratch the pass lends it, and
-    printed, and, when the series takes the series residuals (five or
-    more uniformly spaced snapshots), its transport term is formed in
-    place of its spectrum.
+    its compact spectrum is kept, on one band for the whole series
+    (``_load_series``), so that a corrupt, mixed-grid or unsorted input
+    fails before any row is printed.  Then one snapshot at a time,
+    through an :class:`~euler_spectra.envelopes._SnapshotPass` on that
+    band: its physical fields are formed, and its omega row kept; its
+    record is computed from the fields under a run's series rules, in
+    the block the pass lends it, and printed; when the series takes the
+    series residuals (five or more uniformly spaced snapshots), its
+    transport row is formed, and its spectrum's bytes take the next
+    snapshot's omega row, or, for the last, are released before the
+    transport row is allocated.  Spectra and omega rows have one shape,
+    so the reuse leaves the heap no gaps that later rows do not fit.
     """
-    spectra, times, grid, mixed = [], [], None, False
-    for path in args.snapshots:
-        v, t, g = load_snapshot(path)
-        spectra.append(fft_forward(v))
-        del v  # before the next load
-        times.append(t)
-        if grid is None:
-            grid = g
-        mixed = mixed or g != grid
-    if mixed:
-        raise ContractViolationError(
-            "snapshots mix different grids; diagnose needs one resolution")
-    if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-        raise ContractViolationError(
-            "snapshots must be supplied in strictly increasing time order")
+    grid, band, spectra, times = _load_series(args.snapshots)
     spacing = None
     if len(times) >= 5:
         try:
@@ -340,16 +369,19 @@ def cmd_diagnose(args) -> int:
 
     print(",".join(DiagnosticsRecord.field_names()))
     series = DiagnosticsCollector()
-    snapshots = _SnapshotPass(grid, transport=spacing is not None,
-                              lend=record_scratch_size(grid))
+    snapshots = _SnapshotPass(grid, band, transport=spacing is not None,
+                              lend=record_scratch_size(band))
+    spare = None  # a released spectrum, which the next omega row reuses
     for m, t in enumerate(times):
-        record = series.record(grid, t, spectra[m],
-                               physical=snapshots.fields(spectra[m]),
+        record = series.record(band, t, spectra[m],
+                               physical=snapshots.fields(spectra[m], spare),
                                work=snapshots.work)
         print(_format_row(record.as_tuple()))
-        if spacing is not None:
-            snapshots.add_transport(spectra[m])
+        if spacing is not None and m + 1 < len(times):
+            spare = spectra[m]
         spectra[m] = None
+        if spacing is not None:
+            snapshots.add_transport()
     if spacing is not None:
         transport, _ = snapshots.residual(spacing)
 
@@ -398,11 +430,12 @@ def cmd_classify(args) -> int:
         classification, _ = classify_and_record(
             start.band, start.t, start.v, cfg.class_tolerance)
     else:
-        v, t, grid = load_snapshot(args.snapshot)
         if args.spectra:
-            classification = classify_admissible(v)
+            classification = classify_admissible(
+                load_snapshot(args.snapshot)[0])
         else:
-            classification, _ = classify_and_record(grid, t, fft_forward(v))
+            _, band, (vhat,), (t,) = _load_series([args.snapshot])
+            classification, _ = classify_and_record(band, t, vhat)
 
     print(f"class: {classification.label.value}")
     print(f"min_lambda2: {classification.min_lambda2!r}")

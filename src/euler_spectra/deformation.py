@@ -38,9 +38,11 @@ import numpy as np
 
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import (
+    _band_inverse_into,
     _combine_product,
     _form_buffers,
-    _inverse_component,
+    _spectral_in,
+    fft_inverse,
     magnitude_squared,
 )
 from euler_spectra.grid import Band, Grid
@@ -107,60 +109,60 @@ class Classification:
     tolerance: float
 
 
+# (i, j) of each entry of a deformation tensor array, in component order.
+_ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
 def deformation_tensor(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Symmetric part of the gradient of a spectral velocity.
 
     Returns the ``(6, n, n, n)`` physical tensor in the order
-    ``s11, s12, s13, s22, s23, s33``.  Each entry is transformed on its
-    own, into its slot, which measured faster than batching three
-    entries per transform and holds less memory.
+    ``s11, s12, s13, s22, s23, s33`` of the half spectrum ``v``, each
+    entry transformed on its own by ``fft_inverse``.
 
     Logs a warning when the pointwise trace is not negligible against
     the tensor magnitude, since downstream eigenvalue identities assume
     a divergence-free velocity.  A diagnostics record forms the tensor
-    with :func:`_strain_entries` instead and runs the same check on the
-    trace and Frobenius fields it fills slab by slab.
+    of a compact velocity with :func:`_strain_entries` instead and runs
+    the same check on the trace and Frobenius fields it fills slab by
+    slab.
     """
+    k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
     tensor = np.empty((6,) + (grid.n,) * 3)
-    _strain_entries(grid, v, None, tensor,
-                    np.empty((1, 2) + v.shape[1:], np.complex128), None)
+    for c, (i, j) in enumerate(_ENTRY_INDEX):
+        tensor[c] = fft_inverse((1j * k[i]) * v[i] if i == j
+                                else 0.5j * (k[i] * v[j] + k[j] * v[i]))
     _check_trace(np.mean(_trace_squared(tensor)),
                  np.mean(frobenius_squared(tensor)))
     return tensor
 
 
-# (i, j) of each entry of a deformation tensor array, in component order.
-_ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-
-def _strain_entries(grid: Grid | Band, v: np.ndarray, worker,
-                    tensor: np.ndarray, work: np.ndarray,
-                    pads: np.ndarray | None) -> None:
-    """The tensor of :func:`deformation_tensor` into ``tensor``, without
-    its trace check.
+def _strain_entries(band: Band, v: np.ndarray, worker, tensor: np.ndarray,
+                    work) -> None:
+    """The tensor of the compact velocity ``v`` into ``tensor``, without
+    its trace check; the same as :func:`deformation_tensor` gives on the
+    half spectrum that holds ``v`` and is zero off ``band``.
 
     With a worker (:mod:`euler_spectra.workers`) the entries s11, s12,
     s13 are transformed on it and the other three on the calling
-    thread.  Each thread (lane) takes the pair ``work[lane]``, as in
-    :func:`~euler_spectra.fields._physical_fields`: it forms its
-    spectral entries in the first, with the second product of an
-    off-diagonal entry formed in the second, a component or fewer of
-    its x planes, one slab at a time
+    thread.  Each thread (lane) takes the buffers ``work[lane]`` of
+    :func:`~euler_spectra.fields._lane_specs`: it forms its spectral
+    entries in the bytes of the last of its entries in ``tensor``
+    (:func:`~euler_spectra.fields._spectral_in`), with the second
+    product of an off-diagonal entry formed in the first buffer, a
+    component or fewer of its x planes, one slab at a time
     (:func:`~euler_spectra.fields._combine_product`), in the order of
     ``1j * k_i * v_i`` and ``0.5j * (k_i * v_j + k_j * v_i)``, so they
-    round as those expressions do.  ``grid`` is the :class:`Band` of a
-    compact ``v``
-    (a run's state), whose entries are formed on the band and
-    transformed by the passes of
-    :func:`~euler_spectra.fields.band_inverse` through ``pads[lane]``;
-    the tensor is the same as on the half spectrum of ``v``.  Every
-    buffer is the caller's, so ``tensor`` may hold anything the record
-    no longer needs.
+    round as those expressions do, and transforms them by the passes of
+    :func:`~euler_spectra.fields.band_inverse` through the second.
+    Every buffer is the caller's, so ``tensor`` may hold anything the
+    record no longer needs.
     """
-    k = (grid.k_deriv_x, grid.k_deriv_y, grid.k_deriv_z)
+    k = (band.k_deriv_x, band.k_deriv_y, band.k_deriv_z)
 
     def transform(entries, lane):
-        entry, scratch = work[lane]
+        scratch, pad = work[lane]
+        entry = _spectral_in(band, tensor[entries[-1]])
         for c in entries:
             i, j = _ENTRY_INDEX[c]
             if i == j:
@@ -169,8 +171,7 @@ def _strain_entries(grid: Grid | Band, v: np.ndarray, worker,
                 np.multiply(k[i], v[j], out=entry)
                 _combine_product(np.add, entry, k[j], v[i], scratch)
                 np.multiply(0.5j, entry, out=entry)
-            _inverse_component(grid, entry, tensor[c],
-                               None if pads is None else pads[lane])
+            _band_inverse_into(band, entry, tensor[c], pad)
 
     _split_lanes(worker, transform, [(0, 1, 2), (3, 4, 5)])
 

@@ -19,11 +19,11 @@ Each is tracked as a normalized residual whose denominator is floored
 by a small multiple of the natural scale sqrt(Q) * Z, so symmetric
 initial data (where both sides vanish) does not report junk ratios.
 
-A record (:func:`compute_record`) runs its pointwise stages over slabs
-of a few x planes, shared with a worker thread where
-:mod:`euler_spectra.workers` allows one, and is the same bit for bit as
-one evaluated on the whole field, on the :class:`Grid` of a half
-spectrum or the :class:`Band` of a run's state.
+A record (:func:`compute_record`) runs on a :class:`Band`, that of a
+run's state or the one ``diagnose`` chooses for a series of snapshots.
+Its pointwise stages run over slabs of a few x planes, shared with a
+worker thread where :mod:`euler_spectra.workers` allows one, and it is
+the same bit for bit as one evaluated on the whole field.
 :class:`DiagnosticsCollector` keeps the rules of a series of records,
 for ``run`` and ``diagnose`` alike.
 """
@@ -56,7 +56,7 @@ from euler_spectra.fields import (
     magnitude_squared,
     pointwise_dot,
 )
-from euler_spectra.grid import Band, Grid
+from euler_spectra.grid import Band
 from euler_spectra.reductions import _pairwise_sum_owned, pairwise_sum
 from euler_spectra.workers import (
     _carve,
@@ -136,7 +136,7 @@ def resolution_tail_fraction(space: Band, v: np.ndarray) -> float:
     :class:`Band` ``space``, a run's state.  Sums run over the band's
     modes in the C order of the half spectrum, with its Parseval weight
     (1 at kz = 0, 2 on the other band planes), so they are the same bits
-    as on ``space.scatter(v)``.
+    as on the half spectrum that holds ``v`` and is zero off the band.
     """
     limit, m = space.n // 3, space.m
     modes = np.abs(np.r_[:m + 1, -m:0])
@@ -205,104 +205,98 @@ class _ClassifyHere:
 
 class _RecordBlock:
     """The buffers of one :func:`compute_record` call, as views of one
-    block that lives for the call, by the rules of
-    :mod:`euler_spectra.workers`.  Each region is reused once what it
-    held is dead:
+    block, by the rules of :mod:`euler_spectra.workers`: the block of
+    :func:`record_scratch_size` bytes that a caller lends (``diagnose``'s
+    pass), or one that lives for the call.  Each region is reused once what it held is
+    dead:
 
     - ``tensor``, the six entries of the deformation tensor.  Its first
       half, ``v``, holds the record's physical velocity until E and H
-      are integrated, and then the eigenvalues, once every integral of
-      the tensor is taken.
-    - ``omega``, the physical vorticity, or None when the caller holds
-      the physical fields (``own_fields`` false, as in ``diagnose``).
+      are integrated (a lending caller's, ``diagnose``'s, may be there
+      already), and then the eigenvalues, once every integral of the
+      tensor is taken.
     - a region of :meth:`scratch_size` bytes whose parts are live in
       turn, one set of buffers per thread ("lane",
       :func:`euler_spectra.workers._split_lanes`) in each: while fields
-      are transformed, ``work``, a spectral component and the scratch
-      of its second product (x-slab rows on a :class:`Grid`, a
-      component's rows on a :class:`Band`), and on a band ``pads``, a
-      padded component (None on a grid); while integrands are filled,
-      the integrand ``density`` and ``scratch``, the two slabs an
-      integrand form takes as ``work``; and during the eigensolve
-      ``eig_work``, the six slabs of :func:`eigenvalues_sym3`.  A caller
-      that lends ``work``, bytes of at least that size (``diagnose``'s
-      pass, between its transforms), holds the region, and the record's
-      block is the tensor alone: E and H are integrated before the
-      tensor's entries are transformed, and every later integrand after
-      it.
+      are transformed, ``work``, the scratch of a spectral component's
+      second product and a padded component
+      (:func:`euler_spectra.fields._lane_specs`), the component itself
+      being formed in the bytes of its physical one; while integrands are
+      filled, the integrand ``density`` and ``scratch``, the two slabs
+      an integrand form takes as ``work``; and during the eigensolve
+      ``eig_work``, the six slabs of :func:`eigenvalues_sym3`.
+    - ``omega``, the physical vorticity, or None when the caller holds
+      the physical fields (``own_fields`` false, as in ``diagnose``).
 
-    So a record holds 9 fields of the grid plus that region, or 6 with
-    the caller's physical fields and region.
+    So a record holds 9 fields of the grid plus that region, or none of
+    its own with the caller's physical fields and block, which holds
+    the first two regions alone.
     """
 
-    def __init__(self, space: Grid | Band, lanes: int, own_fields: bool,
+    def __init__(self, band: Band, lanes: int, own_fields: bool,
                  work: np.ndarray | None = None):
-        n = space.n
-        regions = [((6, n, n, n), np.float64)]
-        if work is None:
-            regions.append(((self.scratch_size(space, lanes),), np.uint8))
+        n = band.n
+        regions = [((6, n, n, n), np.float64),
+                   ((self.scratch_size(band, lanes),), np.uint8)]
         if own_fields:
             regions.append(((3, n, n, n), np.float64))
-        self.tensor, *rest = _carve(*regions)
-        shared = rest.pop(0) if work is None else work
-        self.omega = rest[0] if own_fields else None
+        self.tensor, shared, *omega = _carve(*regions, block=work)
+        self.omega = omega[0] if own_fields else None
         self.v = self.tensor[:3]
-        lane_specs, fill_specs, eig_spec = self._specs(space, lanes)
+        lane_specs, fill_specs, eig_spec = self._specs(band, lanes)
         self.density, self.scratch = _carve(*fill_specs, block=shared)
         (self.eig_work,) = _carve(eig_spec, block=shared)
-        components, scratches, *pads = _carve(*lane_specs, block=shared)
-        self.work = list(zip(components, scratches))
-        self.pads = pads[0] if pads else None
+        self.work = list(zip(*_carve(*lane_specs, block=shared)))
 
     @staticmethod
-    def _specs(space: Grid | Band, lanes: int):
+    def _specs(band: Band, lanes: int):
         """The specs of the shared region's three sets: the lane
         buffers, the integrand with its scratch, and the eigensolver's
         scratch."""
-        n, f = space.n, np.float64
+        n, f = band.n, np.float64
         planes = _slabs(n)[0].stop
-        if isinstance(space, Band):
-            rows = space.spectral_shape[0]
-            lane_specs = _lane_specs(space, lanes, rows) + (
-                ((lanes, n, n, space.m + 1), np.complex128),)
-        else:
-            lane_specs = _lane_specs(space, lanes, planes)
         fill_specs = (((n, n, n), f), ((lanes, 2, planes, n, n), f))
         eig_spec = ((lanes, 6, planes, n, n), f)
-        return lane_specs, fill_specs, eig_spec
+        return _lane_specs(band, lanes), fill_specs, eig_spec
 
     @classmethod
-    def scratch_size(cls, space: Grid | Band, lanes: int) -> int:
+    def scratch_size(cls, band: Band, lanes: int) -> int:
         """The bytes of the region that a record's three sets share."""
-        lane_specs, fill_specs, eig_spec = cls._specs(space, lanes)
+        lane_specs, fill_specs, eig_spec = cls._specs(band, lanes)
         return max(_carved_size(*lane_specs), _carved_size(*fill_specs),
                    _carved_size(eig_spec))
 
 
-def record_scratch_size(space: Grid | Band) -> int:
+def record_scratch_size(band: Band) -> int:
     """The bytes of ``work`` that a caller lends :func:`compute_record`
-    on ``space`` (:meth:`_RecordBlock.scratch_size`)."""
-    return _RecordBlock.scratch_size(space, _lanes(_worker(space.n)))
+    on ``band``: those of the tensor and of the region of
+    :meth:`_RecordBlock.scratch_size`, which it carves in turn."""
+    n, lanes = band.n, _lanes(_worker(band.n))
+    return _carved_size(((6, n, n, n), np.float64),
+                        ((_RecordBlock.scratch_size(band, lanes),), np.uint8))
 
 
-def compute_record(space: Grid | Band, t: float, v: np.ndarray,
+def compute_record(band: Band, t: float, v: np.ndarray,
                    classification: Classification | None = None,
                    eps_floor: float | None = None, physical=None,
                    work: np.ndarray | None = None) -> DiagnosticsRecord:
     """Evaluate the full diagnostics pipeline for one spectral velocity.
 
-    ``space`` is the :class:`Grid` of a half spectrum ``v`` or the
-    :class:`Band` of a compact one, a run's state; a band's record is
-    the same as the grid's on ``band.scatter(v)``.  The epsilon-ratio
-    infimum is only defined while the run sits in a one-signed class;
-    pass the run's classification while its sign condition holds to
-    populate it, otherwise it is NaN.
+    ``v`` is the compact array of the :class:`Band` ``band``: a run's
+    state, or a snapshot's spectrum cut to the band that ``diagnose``
+    chooses.  The record is the same as one evaluated on the whole
+    half spectrum that holds ``v`` and is zero off the band.  The
+    epsilon-ratio infimum is only defined while the run sits in a
+    one-signed class; pass the run's classification while its sign
+    condition holds to populate it, otherwise it is NaN.
     :func:`classify_and_record` classifies the sample itself first.
-    ``physical`` is ``(fft_inverse(v), fft_inverse(curl(grid, v)))``
-    for a caller that holds them (``diagnose``); the record is the same.
-    ``work`` is a uint8 array of at least :func:`record_scratch_size`
-    bytes that a caller lends the record (``diagnose``'s pass, between
-    its transforms); the record carves its scratch out of it.
+    ``physical`` is ``(band_inverse(band, v), band_inverse(band,
+    curl(band, v)))`` for a caller that holds them (``diagnose``); the
+    record is the same.  ``work`` is a uint8 array of at least
+    :func:`record_scratch_size` bytes that a caller lends the record
+    (``diagnose``'s pass); the record carves its tensor and its scratch
+    out of it, and reads a physical velocity that the caller keeps in
+    the tensor's first half before it writes there.
 
     Every other float buffer of grid or slab size is a view of one block
     that lives for the call (:class:`_RecordBlock`).  The record forms
@@ -318,10 +312,10 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
     a grid where :mod:`euler_spectra.workers` allows it, the worker
     thread takes half of the slabs and half of the transforms.
     """
-    worker = _worker(space.n)
-    block = _RecordBlock(space, _lanes(worker), physical is None, work)
+    worker = _worker(band.n)
+    block = _RecordBlock(band, _lanes(worker), physical is None, work)
     density, tensor = block.density, block.tensor
-    slabs = _slabs(space.n)
+    slabs = _slabs(band.n)
 
     def fill(form, *arrays):
         """``density`` filled with ``form(*arrays)``, slab by slab."""
@@ -333,19 +327,18 @@ def compute_record(space: Grid | Band, t: float, v: np.ndarray,
 
     def integrate(density):
         """``integrate_domain(grid, density)``, folding ``density``."""
-        return space.cell_volume * _pairwise_sum_owned(density)
+        return band.cell_volume * _pairwise_sum_owned(density)
 
     def integral(form, *arrays):
         return integrate(fill(form, *arrays))
 
     if physical is None:
         physical = block.v, block.omega
-        _physical_fields(space, v, physical, worker, block.work,
-                         block.pads)
+        _physical_fields(band, v, physical, worker, block.work)
     v_phys, omega_phys = physical
     e = integral(magnitude_squared, v_phys)
     h = integral(pointwise_dot, v_phys, omega_phys)
-    _strain_entries(space, v, worker, tensor, block.work, block.pads)
+    _strain_entries(band, v, worker, tensor, block.work)
     fill(magnitude_squared, omega_phys)
     bkm_sup_vort = float(np.sqrt(np.max(density)))  # max |omega|
     z = integrate(density)
@@ -415,7 +408,7 @@ def _slab_eigenvalues(tensor: np.ndarray, worker, out: np.ndarray,
     return out
 
 
-def classify_and_record(space: Grid | Band, t: float, v: np.ndarray,
+def classify_and_record(band: Band, t: float, v: np.ndarray,
                         tolerance: float | None = None,
                         eps_floor: float | None = None, physical=None,
                         work=None):
@@ -423,7 +416,7 @@ def classify_and_record(space: Grid | Band, t: float, v: np.ndarray,
 
     Gives the classification of the record's eigenvalues with
     ``tolerance`` and the record :func:`compute_record` gives with it
-    on ``space``, from one deformation tensor and one eigensolve;
+    on ``band``, from one deformation tensor and one eigensolve;
     ``physical`` and ``work`` go to the record.
 
     Returns
@@ -431,7 +424,7 @@ def classify_and_record(space: Grid | Band, t: float, v: np.ndarray,
     (Classification, DiagnosticsRecord)
     """
     pending = _ClassifyHere(tolerance)
-    record = compute_record(space, t, v, classification=pending,
+    record = compute_record(band, t, v, classification=pending,
                             eps_floor=eps_floor, physical=physical,
                             work=work)
     return pending.result, record
@@ -531,17 +524,17 @@ class DiagnosticsCollector:
         rates = envelope_rates(record, label, self._class_active())
         return self._accumulator.push(record, rates)
 
-    def record(self, space: Grid | Band, t: float, v: np.ndarray,
+    def record(self, band: Band, t: float, v: np.ndarray,
                physical=None, work=None) -> DiagnosticsRecord:
-        """Add the record of ``v`` on ``space`` to the series; the
-        keywords go to :func:`compute_record`."""
+        """Add the record of the compact ``v`` on ``band`` to the series;
+        the keywords go to :func:`compute_record`."""
         if not self.records:
             self.classification, record = classify_and_record(
-                space, t, v, self.class_tolerance, self.eps_floor,
+                band, t, v, self.class_tolerance, self.eps_floor,
                 physical=physical, work=work)
         else:
             active = self.classification if self._class_active() else None
-            record = compute_record(space, t, v, classification=active,
+            record = compute_record(band, t, v, classification=active,
                                     eps_floor=self.eps_floor,
                                     physical=physical, work=work)
         self._update_zero_touch(record)

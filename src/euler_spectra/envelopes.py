@@ -35,10 +35,11 @@ from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
     _band_forward_x,
     _band_forward_y,
+    _band_forward_z,
+    _band_inverse_into,
     _band_pad_inverse_x,
     _cross_component,
     _curl_component,
-    _forward_z,
     _inverse_yz,
     _lane_specs,
     _physical_fields,
@@ -64,24 +65,15 @@ def derivative_4th(values, spacing: float, axis: int = 0) -> np.ndarray:
     stencils at the two samples on each end.  Needs at least five
     samples along the chosen axis.
     """
-    y = np.asarray(values, dtype=np.float64)
-    if y.shape[axis] < 5:
+    y = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0)
+    if len(y) < 5:
         raise ContractViolationError(
-            f"need >= 5 samples for a 4th-order derivative, got {y.shape[axis]}")
+            f"need >= 5 samples for a 4th-order derivative, got {len(y)}")
     if not spacing > 0.0:
         raise ContractViolationError(f"spacing must be positive, got {spacing}")
-    y = np.moveaxis(y, axis, 0)
-    d = np.empty_like(y)
-    w = 1.0 / (12.0 * spacing)
-    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) * w
-    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2]
-            + 16.0 * y[3] - 3.0 * y[4]) * w
-    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2]
-            - 6.0 * y[3] + y[4]) * w
-    d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3]
-             + 6.0 * y[-4] - y[-5]) * w
-    d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3]
-             - 16.0 * y[-4] + 3.0 * y[-5]) * w
+    d, work = np.empty_like(y), np.empty_like(y[:1])
+    for k in range(len(y)):
+        _derivative_sample(y, k, spacing, d[k:k + 1], work)
     return np.moveaxis(d, 0, axis)
 
 
@@ -414,158 +406,232 @@ def epsilon_decay_bound(records, classification: Classification,
                              satisfied_series, bool(satisfied_series.all()))
 
 
-class _SnapshotPass:
-    """The physical fields and transport terms of a series of spectral
-    velocities, formed one snapshot at a time.
+# A series of snapshots is recorded on the 2/3-rule band when no snapshot
+# holds this share of its power or more outside it: what the band drops
+# is then rounding noise, which measured at most 6e-32 on the snapshots
+# of dealiased runs, against 2.2e-8 and more on those of dealias: false
+# runs.  Otherwise the series is recorded on the band without the
+# Nyquist planes (_series_spectra).
+_NOISE_SHARE = 1e-20
 
-    :meth:`fields` transforms the next snapshot's v into one buffer that
-    every snapshot reuses and its omega into a new row of the omega
-    series (into one reused row when the series takes no transport
-    term).  :meth:`add_transport` keeps the transport term of the fields
-    formed last as a new row, its compact spectrum on the 2/3-rule
-    :class:`~euler_spectra.grid.Band`, and :meth:`residual` compares the
-    fourth-order time stencil of the omega rows with the transport rows.
-    The rows are allocated one at a time, so that a caller that releases
-    each snapshot's spectrum once its rows exist (``diagnose``) holds the
+
+def _power_shares(grid: Grid, spectrum: np.ndarray) -> tuple:
+    """The shares of the power of the half spectrum ``spectrum`` (a
+    vector's, with the grid's Parseval weight) outside the 2/3-rule band
+    and on the Nyquist planes; zeros for a zero spectrum."""
+    power = grid.parseval_weight * np.sum(np.abs(spectrum) ** 2, axis=0)
+    nyquist = np.zeros(power.shape, bool)
+    nyquist[grid.n // 2] = nyquist[:, grid.n // 2] = nyquist[..., -1] = True
+    total = max(float(np.sum(power)), 1e-300)
+    return (float(np.sum(power[~grid.dealias_mask])) / total,
+            float(np.sum(power[nyquist])) / total)
+
+
+def _series_spectra(spectra):
+    """The band a series of half spectra is recorded on, the spectra cut
+    to it, and the largest share of a spectrum's power on the Nyquist
+    planes (:func:`_power_shares`).
+
+    ``spectra()`` gives ``(grid, half spectrum)`` pairs one at a time.
+    The band is the 2/3-rule band while every share of power outside it
+    is below ``_NOISE_SHARE``, and only the spectra cut to it are kept;
+    else it is the band of every mode but the Nyquist planes, and
+    ``spectra()`` is called again to cut them to it.
+    """
+    band, compacts, noise, nyquist = None, [], 0.0, 0.0
+    for grid, spectrum in spectra():
+        band = band or Band(grid)
+        outside, on_nyquist = _power_shares(grid, spectrum)
+        noise, nyquist = max(noise, outside), max(nyquist, on_nyquist)
+        if noise < _NOISE_SHARE:
+            compacts.append(band.restrict(spectrum))
+    if noise >= _NOISE_SHARE:
+        band, compacts = Band(grid, grid.n // 2 - 1), []
+        compacts.extend(band.restrict(half) for _, half in spectra())
+    return band, compacts, nyquist
+
+
+class _SnapshotPass:
+    """The physical fields and transport terms of a series of compact
+    velocities on one :class:`~euler_spectra.grid.Band`, formed one
+    snapshot at a time.
+
+    :meth:`fields` writes the next snapshot's curl into a new compact
+    row of the omega series (one reused row when the series takes no
+    transport term) and transforms v and omega into two physical
+    buffers that every snapshot reuses.  :meth:`add_transport` keeps the
+    transport term of the snapshot as a new row, its compact spectrum on
+    the 2/3-rule band, and :meth:`residual` compares the fourth-order
+    time stencil of the omega series with the transport rows.  The rows
+    are allocated one at a time, so that a caller that releases each
+    snapshot's spectrum once its rows exist (``diagnose``) holds the
     spectra and the rows of the whole series at no point.
 
     Each phase is split with the worker thread.  All buffers but the
     rows are views of one block, by the rules of
-    :mod:`euler_spectra.workers`: the physical v, and ``work``, a region
-    whose parts are live in turn.  While :meth:`fields` transforms, it
-    holds per thread a spectral component and x-slab rows of one for
-    the second product of a curl component (``spectral_work``); between
-    the transforms a caller may lend it to a borrower that needs at
-    most ``lend`` bytes (``diagnose``'s records); :meth:`add_transport`
-    carves its scratch out of it, and :meth:`residual` its slab buffers
-    and at least one padded row out of the whole block.
+    :mod:`euler_spectra.workers`: ``work``, a region whose parts are live
+    in turn, and the physical omega.  The physical v is the first three
+    fields of ``work``, and :meth:`fields` carves the lane buffers of its
+    transforms past it.  Between :meth:`fields` and
+    :meth:`add_transport` a caller may lend ``work`` to a borrower that
+    needs at most ``lend`` bytes and reads v before it writes there
+    (``diagnose``'s records, whose tensor's first half v is), so
+    :meth:`add_transport` forms v again, and carves its scratch out of
+    ``work``; :meth:`residual` carves its buffers out of the whole
+    block.
     """
 
-    def __init__(self, grid: Grid, transport=True, lend: int = 0):
+    def __init__(self, grid: Grid, band: Band, transport=True,
+                 lend: int = 0):
         n = grid.n
-        self.grid, self.worker, self.slabs = grid, _worker(n), _slabs(n)
-        self.band = Band(grid)
-        self.field = (3,) + (n,) * 3
+        self.band, self.worker, self.slabs = band, _worker(n), _slabs(n)
+        self.cut = band if band.m == n // 3 else Band(grid)
         lanes, planes = _lanes(self.worker), self.slabs[0].stop
         f, c = np.float64, np.complex128
-        compact = self.band.spectral_shape
-        lane_specs = _lane_specs(grid, lanes, planes)
-        # add_transport's two carves, and residual's.
-        self.product_spec = ((lanes, 2, planes, n, n), f)
-        self.band_specs = (((3,) + compact, c),
-                           ((lanes, planes) + compact[1:], c))
-        self.slab_spec = ((lanes, 3, planes, n, n), f)
-        self.pad_spec = ((n, n, self.band.m + 1), c)
-        fields = _carved_size((self.field, f))
-        region = max(_carved_size(*lane_specs), lend,
-                     _carved_size(self.product_spec),
-                     _carved_size(*self.band_specs),
-                     _carved_size(self.slab_spec, self.pad_spec) - fields)
-        self.block = np.empty(fields + _carved_size(((region,), np.uint8)),
-                              np.uint8)
-        self.v, self.work = _carve((self.field, f), ((region,), np.uint8),
-                                   block=self.block)
-        self.spectral_work = list(zip(*_carve(*lane_specs, block=self.work)))
-        self.omega = [] if transport else [np.empty(self.field)]
+        compact = self.cut.spectral_shape
+        self.field = ((3, n, n, n), f)
+        self.lane_specs = _lane_specs(band, lanes)
+        # add_transport's carve past v: the planes kz <= m of the z
+        # pass, the compact product and, per thread, a slab product with
+        # its scratch, the slab's whole z pass and a curl product.
+        self.transport_specs = (((3, n, n, self.cut.m + 1), c),
+                                ((3,) + compact, c),
+                                ((lanes, 2, planes, n, n), f),
+                                ((lanes, planes, n, n // 2 + 1), c),
+                                ((lanes, planes) + compact[1:], c))
+        # residual's carve: a ring of five physical omega components,
+        # per thread a padded omega component and three slabs, and a
+        # padded transport component.
+        self.residual_specs = (((5, n, n, n), f),
+                               ((lanes, n, n, band.m + 1), c),
+                               ((lanes, 3, planes, n, n), f),
+                               ((n, n, self.cut.m + 1), c))
+        size = max(lend, _carved_size(self.field, *self.lane_specs),
+                   _carved_size(self.field, *self.transport_specs),
+                   _carved_size(*self.residual_specs)
+                   - _carved_size(self.field))
+        self.work, self.omega = _carve(((size,), np.uint8), self.field)
+        self.block = self.work.base
+        self.v, *lane_buffers = _carve(self.field, *self.lane_specs,
+                                       block=self.work)
+        self.lanes = list(zip(*lane_buffers))
+        self.omega_hat, self.vhat = [], None
         self.transport = [] if transport else None
 
-    def fields(self, vhat: np.ndarray):
-        """``(fft_inverse(vhat), fft_inverse(curl(grid, vhat)))`` of the
-        next snapshot, in the pass's buffers."""
-        if self.transport is not None:
-            self.omega.append(np.empty(self.field))
-        fields = self.v, self.omega[-1]
-        _physical_fields(self.grid, vhat, fields, self.worker,
-                         self.spectral_work, None)
+    def fields(self, vhat: np.ndarray, row: np.ndarray | None = None):
+        """``(band_inverse(band, vhat), band_inverse(band, curl(band,
+        vhat)))`` of the next snapshot, in the pass's buffers; the curl
+        goes into the snapshot's omega row: ``row``, a compact array of
+        the band that the caller no longer needs (``diagnose``'s last
+        released spectrum), or a new one."""
+        if self.transport is not None or not self.omega_hat:
+            self.omega_hat.append(np.empty(vhat.shape, vhat.dtype)
+                                  if row is None else row)
+        fields = self.v, self.omega
+        _physical_fields(self.band, vhat, fields, self.worker, self.lanes,
+                         self.omega_hat[-1])
+        self.vhat = vhat
         return fields
 
-    def add_transport(self, spectrum: np.ndarray) -> None:
+    def add_transport(self) -> None:
         """The transport row of the snapshot :meth:`fields` formed last:
-        the compact band spectrum ``(3, 2m + 1, 2m + 1, m + 1)`` of
-        ``curl(band, band.restrict(fft_forward(v x omega)))``.
+        the compact spectrum ``(3, 2m + 1, 2m + 1, m + 1)`` on the
+        2/3-rule band ``cut`` of ``curl(cut, cut.restrict(fft_forward(v
+        x omega)))``.
 
-        The complex128 half spectrum ``spectrum`` (a vector's) is
-        overwritten: each x-slab of each component of v x omega is
-        transformed along z into it, as a band step does, and the band
-        forward x and y passes run on its planes kz <= m and gather the
-        band modes.  Each band mode goes through the arithmetic of
-        :func:`fft_forward`, and the 2/3-rule band holds exactly the
-        modes that ``dealias_23`` keeps."""
-        band, n, worker = self.band, self.grid.n, self.worker
-        v, omega = self.v, self.omega[-1]
-        row = np.empty((3,) + band.spectral_shape, np.complex128)
+        v is formed again from the snapshot's compact velocity, as
+        :meth:`fields` formed it, and the pass lets go of that velocity
+        before the row is allocated, so that a caller that has let go of
+        it too (``diagnose``) holds it no longer.  Each x-slab of
+        each component of v x omega is transformed along z, and its
+        planes kz <= m kept, as a band step does; the band forward x and
+        y passes run on those planes and gather the band modes.  Each
+        band mode goes through the arithmetic of :func:`fft_forward`,
+        and the 2/3-rule band holds exactly the modes that the 2/3 rule
+        keeps."""
+        cut, n, worker = self.cut, self.band.n, self.worker
+        v, omega = self.v, self.omega
+        _split_lanes(worker, lambda i, lane: _band_inverse_into(
+            self.band, self.vhat[i], v[i], self.lanes[lane][1]), range(3))
+        self.vhat = None
+        row = np.empty((3,) + cut.spectral_shape, np.complex128)
         self.transport.append(row)
-        # The slab products are dead before the band modes are gathered.
-        (products,) = _carve(self.product_spec, block=self.work)
-        product, curl_work = _carve(*self.band_specs, block=self.work)
-        low = spectrum[..., :band.m + 1]  # the planes kz <= m
+        _, low, product, products, spectra, curl_work = _carve(
+            self.field, *self.transport_specs, block=self.work)
 
         def slab(part, lane):
             x, i = part
             out, work = products[lane]
             _cross_component(v[:, x], omega[:, x], i, out, work=work)
-            _forward_z(out, out=spectrum[i, x])
+            _band_forward_z(cut, out, low[i, x], spectra[lane])
 
         def curl_component(i, lane):
-            _curl_component(band, product, i, row[i], work=curl_work[lane])
+            _curl_component(cut, product, i, row[i], work=curl_work[lane])
 
         _split_lanes(worker, slab,
                      [(x, i) for x in self.slabs for i in range(3)])
         _split(worker, lambda y_rows: _band_forward_x(low, y_rows),
                (slice(0, n // 2), slice(n // 2, n)))
         _split(worker, lambda half: _band_forward_y(
-            band, low, half, product[:, half.rows]), band.x_halves)
+            cut, low, half, product[:, half.rows]), cut.x_halves)
         _split_lanes(worker, curl_component, range(3))
 
     def residual(self, spacing: float):
         """The returns of :func:`vorticity_transport_residual` for the
         rows formed so far, sampled ``spacing`` apart.
 
-        Component by component, each transport row is zero-padded and
-        transformed along x (``_band_pad_inverse_x``), and then each
-        x-slab of the padded rows is transformed along y and z
-        (``_inverse_yz``) into a slab buffer of its thread and compared
-        with the stencil of the omega rows at that sample on that slab,
-        formed in another (``_derivative_sample``), with a third for
-        their temporaries: the passes of
-        ``band_inverse``, whose values are those of ``fft_inverse`` of
-        the scattered row, and the values of ``derivative_4th``.  The
-        padded rows are views of the pass's block, as many as it holds;
-        a longer series is taken in groups of that many rows."""
-        band, n, worker = self.band, self.grid.n, self.worker
-        omega, transport = self.omega, self.transport
-        pad, c = self.pad_spec
-        count = ((self.block.size - _carved_size(self.slab_spec))
-                 // _carved_size(self.pad_spec))
-        slab_out, pads = _carve(self.slab_spec, ((count,) + pad, c),
-                                block=self.block)
+        Component by component and sample by sample, the omega rows of
+        the sample's stencil are transformed back into a ring of five
+        physical components, each row once, by
+        :func:`~euler_spectra.fields._band_inverse_into`, the passes its
+        physical omega took for the record, so the stencil sees that
+        omega bit for bit.  The sample's transport row is zero-padded
+        and transformed along x (``_band_pad_inverse_x``); then each
+        x-slab of it is transformed along y and z (``_inverse_yz``) into
+        a slab buffer of its thread and compared with the stencil of the
+        ring on that slab, formed in another (``_derivative_sample``),
+        with a third for their temporaries: the passes of
+        ``band_inverse`` and the values of ``derivative_4th``."""
+        n, worker, count = self.band.n, self.worker, len(self.transport)
+        ring, pads, slab_out, term_pad = _carve(*self.residual_specs,
+                                                block=self.block)
         # Per sample, component and slab: max |d(omega)/dt - transport|,
         # max |d(omega)/dt| and max |transport|.  A maximum over the
         # parts' maxima is the maximum.
-        peaks = np.empty((3, len(omega), 3, len(self.slabs)))
+        peaks = np.empty((3, count, 3, len(self.slabs)))
 
-        def compare(i, rows):
+        def compare(i, r):
             def job(part, lane):
                 s, x = part
-                samples = [w[i, x] for w in omega]
+                samples = [ring[j % 5, x] for j in range(count)]
                 d, term, scratch = slab_out[lane]
-                for pad, r in zip(pads, rows):
-                    _derivative_sample(samples, r, spacing, d, scratch)
-                    _inverse_yz(pad[x], n, out=term)
-                    peaks[1, r, i, s] = np.max(np.abs(d, out=scratch))
-                    peaks[2, r, i, s] = np.max(np.abs(term, out=scratch))
-                    np.subtract(d, term, out=d)
-                    peaks[0, r, i, s] = np.max(np.abs(d, out=d))
+                _derivative_sample(samples, r, spacing, d, scratch)
+                _inverse_yz(term_pad[x], n, out=term)
+                peaks[1, r, i, s] = np.max(np.abs(d, out=scratch))
+                peaks[2, r, i, s] = np.max(np.abs(term, out=scratch))
+                np.subtract(d, term, out=d)
+                peaks[0, r, i, s] = np.max(np.abs(d, out=d))
             return job
 
         for i in range(3):
-            for first in range(0, len(transport), count):
-                rows = range(first, min(first + count, len(transport)))
-                _split(worker, lambda r: _band_pad_inverse_x(
-                    band, transport[r][i], pads[r - first]), rows)
-                _split_lanes(worker, compare(i, rows),
+            held = 0  # the omega rows below it have entered the ring
+            for r in range(count):
+                # The rows of sample r's stencil (_derivative_sample).
+                last = min(max(r - 2, 0), count - 5) + 5
+
+                def prepare(j, lane):
+                    if j is None:
+                        _band_pad_inverse_x(self.cut, self.transport[r][i],
+                                            term_pad)
+                    else:
+                        _band_inverse_into(self.band, self.omega_hat[j][i],
+                                           ring[j % 5], pads[lane])
+
+                _split_lanes(worker, prepare, [None, *range(held, last)])
+                held = last
+                _split_lanes(worker, compare(i, r),
                              list(enumerate(self.slabs)))
-        raw, *terms = np.max(peaks.reshape(3, len(omega), -1), axis=2)
+        raw, *terms = np.max(peaks.reshape(3, count, -1), axis=2)
         normalized = np.array([
             r / max(float(d), float(t), 1e-300)
             for r, d, t in zip(raw, *terms)])
@@ -584,8 +650,9 @@ def vorticity_transport_residual(grid: Grid, times, velocities):
     against too.
 
     It runs the pass that ``diagnose`` runs over its snapshots
-    (``_SnapshotPass``); the maxima are those of the whole field, bit
-    for bit.
+    (``_SnapshotPass``), on the band ``diagnose`` chooses for them
+    (``_series_spectra``); the maxima are those of the whole field of
+    the velocities cut to that band, bit for bit.
 
     Returns
     -------
@@ -605,13 +672,11 @@ def vorticity_transport_residual(grid: Grid, times, velocities):
     for v in velocities:
         check_velocity(grid, v)
 
-    spectrum = np.empty((3,) + grid.spectral_shape, np.complex128)
-    snapshots = _SnapshotPass(grid)
-    for v in velocities:
-        if np.iscomplexobj(v):
-            spectrum[...] = v
-        else:
-            fft_forward(v, out=spectrum)
-        snapshots.fields(spectrum)
-        snapshots.add_transport(spectrum)
+    band, spectra, _ = _series_spectra(lambda: (
+        (grid, v if np.iscomplexobj(v) else fft_forward(v))
+        for v in velocities))
+    snapshots = _SnapshotPass(grid, band)
+    for vhat in spectra:
+        snapshots.fields(vhat)
+        snapshots.add_transport()
     return snapshots.residual(h)

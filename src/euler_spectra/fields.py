@@ -97,15 +97,9 @@ def fft_inverse(coeffs: np.ndarray) -> np.ndarray:
     working copy, then ``irfft`` along z.
     """
     # In place on a copy: an out-of-place x pass measured slower.
-    return _inverse_owned(np.array(coeffs, dtype=np.complex128))
-
-
-def _inverse_owned(work: np.ndarray, out: np.ndarray | None = None
-                   ) -> np.ndarray:
-    """:func:`fft_inverse` that overwrites the complex128 ``work`` and
-    writes into the float64 ``out`` when it is given."""
+    work = np.array(coeffs, dtype=np.complex128)
     np.fft.ifft(work, axis=-3, norm="forward", out=work)
-    return _inverse_yz(work, work.shape[-3], out)
+    return _inverse_yz(work, work.shape[-3])
 
 
 def _inverse_yz(work: np.ndarray, n: int,
@@ -151,8 +145,9 @@ def _band_forward_y(band: Band, work: np.ndarray, half: BandHalf,
 
 
 def band_inverse(band: Band, coeffs: np.ndarray) -> np.ndarray:
-    """Compact band -> physical transform, equal to
-    ``fft_inverse(band.scatter(coeffs))`` without its all-zero lines.
+    """Compact band -> physical transform, equal to ``fft_inverse`` of
+    the half spectrum that holds ``coeffs`` and is zero off the band,
+    without its all-zero lines.
 
     One component at a time, the band is zero-padded to the planes
     kz <= m, the x pass runs only on the band's ky lines, and ``irfft``
@@ -198,18 +193,6 @@ def _band_pad_inverse_x(band: Band, coeffs: np.ndarray,
         np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
 
 
-def _inverse_component(space: Grid | Band, coeffs: np.ndarray,
-                       out: np.ndarray, pad: np.ndarray | None) -> None:
-    """The physical values of the one spectral component ``coeffs`` into
-    the float64 ``out``: in place on ``coeffs``, which it overwrites, on
-    a :class:`Grid` (``_inverse_owned``), or through the padded
-    component ``pad`` on a :class:`Band` (:func:`_band_inverse_into`)."""
-    if isinstance(space, Band):
-        _band_inverse_into(space, coeffs, out, pad)
-    else:
-        _inverse_owned(coeffs, out=out)
-
-
 # The transforms of a velocity and its vorticity by component, as
 # (field, component) with v as field 0 and omega as field 1.  The
 # threads of :func:`euler_spectra.workers._split_lanes` take these parts
@@ -219,37 +202,49 @@ def _inverse_component(space: Grid | Band, coeffs: np.ndarray,
 _FIELD_PARTS = ((1, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2))
 
 
-def _lane_specs(space: Grid | Band, lanes: int, rows: int) -> tuple:
+def _lane_specs(band: Band, lanes: int) -> tuple:
     """The ``(shape, dtype)`` specs (:func:`euler_spectra.workers._carve`)
     of the lane buffers of :func:`_physical_fields` and of
-    ``deformation._strain_entries`` on ``space``, for ``lanes`` threads:
-    the spectral components, and their scratches of ``rows`` x planes of
-    a component (:func:`_combine_product`)."""
-    shape = space.spectral_shape
-    return (((lanes,) + shape, np.complex128),
-            ((lanes, rows) + shape[1:], np.complex128))
+    ``deformation._strain_entries`` on ``band``, for ``lanes`` threads:
+    the scratch of a spectral component's second product
+    (:func:`_combine_product`) and a padded component
+    (:func:`_band_inverse_into`).  The scratch is a whole component on
+    the 2/3-rule band, and at most a slab of x planes on a wider one,
+    whose components are near a half spectrum's size."""
+    n, m, c = band.n, band.m, np.complex128
+    rows = 2 * m + 1 if m == n // 3 else min(2 * m + 1, _slabs(n)[0].stop)
+    return (((lanes, rows, 2 * m + 1, m + 1), c), ((lanes, n, n, m + 1), c))
 
 
-def _physical_fields(space: Grid | Band, v: np.ndarray, out, worker,
-                     work, pads: np.ndarray | None) -> None:
-    """``fft_inverse(v)`` and ``fft_inverse(curl(space, v))`` into the
-    two float64 vector fields of ``out``, by component (``_FIELD_PARTS``)
-    split with ``worker``.  ``v`` is a half spectrum on a :class:`Grid`
-    and compact on a :class:`Band`.  Each thread (lane) takes the pair
-    ``work[lane]``: it forms its spectral component in the first, with
-    the second as the scratch of a curl component's product
-    (:func:`_curl_component`), and on a band transforms it through
-    ``pads[lane]`` (:func:`_inverse_component`); the values are those of
-    the whole-field transforms."""
+def _spectral_in(band: Band, out: np.ndarray) -> np.ndarray:
+    """A compact component of ``band`` in the first bytes of the
+    C-contiguous float64 physical component ``out``, which it fits in.
+    A component formed there and transformed into ``out`` by
+    :func:`_band_inverse_into` is read into the padded component before
+    ``out`` is written, so it needs no buffer of its own."""
+    return np.ndarray(band.spectral_shape, np.complex128, buffer=out)
+
+
+def _physical_fields(band: Band, v: np.ndarray, out, worker, work,
+                     omega_hat: np.ndarray | None = None) -> None:
+    """``band_inverse(band, v)`` and ``band_inverse(band, curl(band, v))``
+    of the compact ``v`` into the two float64 vector fields of ``out``,
+    by component (``_FIELD_PARTS``) split with ``worker``.  Each thread
+    (lane) takes the buffers ``work[lane]`` of :func:`_lane_specs`: it
+    forms a curl component in the bytes of its physical component
+    (:func:`_spectral_in`), or in ``omega_hat[i]`` when a compact
+    ``omega_hat`` is given, with the first as the scratch of its product
+    (:func:`_curl_component`), and transforms through the second; the
+    values are those of the whole-field transforms."""
     def transform(part, lane):
         field, i = part
-        component, scratch = work[lane]
-        if field == 0:
-            component[...] = v[i]
-        else:
-            _curl_component(space, v, i, component, work=scratch)
-        _inverse_component(space, component, out[field][i],
-                           None if pads is None else pads[lane])
+        scratch, pad = work[lane]
+        coeffs = v[i]
+        if field == 1:
+            coeffs = (_spectral_in(band, out[1][i]) if omega_hat is None
+                      else omega_hat[i])
+            _curl_component(band, v, i, coeffs, work=scratch)
+        _band_inverse_into(band, coeffs, out[field][i], pad)
 
     _split_lanes(worker, transform, _FIELD_PARTS)
 
@@ -331,11 +326,6 @@ def divergence_free_error(grid: Grid, v: np.ndarray) -> float:
     if den == 0.0:
         return 0.0
     return num / den
-
-
-def dealias_23(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Zero every mode outside the 2/3-rule ball (keep 3|k_j| <= n)."""
-    return np.where(grid.dealias_mask, coeffs, 0.0)
 
 
 def integrate_domain(grid: Grid, values: np.ndarray) -> float:

@@ -31,6 +31,7 @@ the projection tables of one x half of the band, for work split by x
 rows.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,8 +74,8 @@ class Grid:
 
     The tables of the half spectrum, shape ``spectral_shape`` =
     (n, n, n//2 + 1), are properties built on every read, as
-    ``coordinates()`` and ``mode_radius()`` are, so that no grid holds
-    one through a run or a ``diagnose``:
+    ``mode_radius()`` is, so that no grid holds one through a run or a
+    ``diagnose``:
 
     - ``k_squared``, ``k_squared_safe``: |k|^2 from the true
       wavenumbers; the safe one has 1 at k = 0
@@ -156,15 +157,6 @@ class Grid:
                 & keep_1d.reshape(1, n, 1)
                 & keep_1d[:half].reshape(1, 1, half))
 
-    def coordinates(self):
-        """Return the physical coordinate arrays (X, Y, Z), ij-indexed.
-
-        Built on demand: keeping three dense (n, n, n) arrays cached
-        would waste memory.
-        """
-        axis = np.arange(self.n, dtype=np.float64) * self.dx
-        return np.meshgrid(axis, axis, axis, indexing="ij")
-
     def mode_radius(self):
         """Integer-wavenumber magnitude sqrt(kx^2+ky^2+kz^2).
 
@@ -193,13 +185,14 @@ class Band:
     wavenumber tables are the :class:`Grid` tables restricted to the
     band, under the same names (``n`` and ``cell_volume`` too), so the
     per-mode operators and the records run on a ``Band`` unchanged.
-    The one-dimensional ones are cut from the grid's; the band holds
-    its ``k_squared`` and ``k_squared_safe`` itself, formed from its own
+    The one-dimensional ones are cut from the grid's; the band forms
+    its ``k_squared`` and ``k_squared_safe`` itself at their first read
+    (a solver run's projection; ``diagnose`` reads none), from its own
     ``k_true_x/y/z`` by the grid's expression, so they are the grid's
     tables cut to the band bit for bit without the grid ever forming
     its own.
-    ``restrict`` and ``scatter`` convert to and from the half spectrum.
-    ``x_halves`` cuts the band into the x rows of the two ``halves``.
+    ``restrict`` cuts a half spectrum to the band.  ``x_halves`` cuts
+    the band into the x rows of the two ``halves``.
     """
 
     def __init__(self, grid: Grid, m: int | None = None):
@@ -218,23 +211,23 @@ class Band:
         self.k_true_y = grid.k_true_y[:, rows]
         self.k_true_z = grid.k_true_z[..., :m + 1]
         self.spectral_shape = (2 * m + 1, 2 * m + 1, m + 1)
-        self.k_squared = _k_squared(self.k_true_x, self.k_true_y,
-                                    self.k_true_z)
-        self.k_squared_safe = _safe(self.k_squared.copy())
         self.x_halves = (BandHalf(self, self.halves[0], slice(0, m + 1)),
                          BandHalf(self, self.halves[1],
                                   slice(m + 1, 2 * m + 1)))
 
+    @functools.cached_property
+    def k_squared(self) -> np.ndarray:
+        """|k|^2 of the band's true wavenumbers, formed at first read."""
+        return _k_squared(self.k_true_x, self.k_true_y, self.k_true_z)
+
+    @functools.cached_property
+    def k_squared_safe(self) -> np.ndarray:
+        """:attr:`k_squared` with 1 at k = 0, formed at first read."""
+        return _safe(self.k_squared.copy())
+
     def restrict(self, coeffs: np.ndarray) -> np.ndarray:
         """The band modes of a half spectrum, as a compact array."""
         return coeffs[self.index]
-
-    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
-        """A compact band array as a half spectrum, zero off the band."""
-        n = self.n
-        out = np.zeros(coeffs.shape[:-3] + (n, n, n // 2 + 1), coeffs.dtype)
-        out[self.index] = coeffs
-        return out
 
 
 class BandHalf:
@@ -248,12 +241,20 @@ class BandHalf:
     """
 
     def __init__(self, band: Band, fft_rows: slice, rows: slice):
-        self.fft_rows, self.rows = fft_rows, rows
+        self.band, self.fft_rows, self.rows = band, fft_rows, rows
         self.k_true_x = band.k_true_x[rows]
         self.k_true_y = band.k_true_y
         self.k_true_z = band.k_true_z
-        self.k_squared = band.k_squared[rows]
-        self.k_squared_safe = band.k_squared_safe[rows]
+
+    @property
+    def k_squared(self) -> np.ndarray:
+        """The band's :attr:`Band.k_squared` cut to the half's rows."""
+        return self.band.k_squared[self.rows]
+
+    @property
+    def k_squared_safe(self) -> np.ndarray:
+        """The band's :attr:`Band.k_squared_safe` cut to the rows."""
+        return self.band.k_squared_safe[self.rows]
 
 
 def _k_squared(kx: np.ndarray, ky: np.ndarray, kz: np.ndarray) -> np.ndarray:

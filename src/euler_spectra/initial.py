@@ -23,8 +23,9 @@ from euler_spectra.grid import Grid
 def _finalize(grid: Grid, vhat: np.ndarray) -> np.ndarray:
     """Project and dealias a freshly built spectral field, in place.
 
-    The values of ``dealias_23(grid, leray_project(grid, vhat))`` without
-    a second or third spectrum alive at once.
+    The values of ``leray_project(grid, vhat)`` with every mode outside
+    the 2/3-rule ball zeroed, without a second or third spectrum alive
+    at once.
     """
     leray_project(grid, vhat, out=vhat)
     np.copyto(vhat, 0.0, where=~grid.dealias_mask)
@@ -34,9 +35,9 @@ def _finalize(grid: Grid, vhat: np.ndarray) -> np.ndarray:
 def _axes(grid: Grid):
     """The coordinates x, y, z as 1-D axes that broadcast to the grid.
 
-    Every term built from them has the values the meshgrids of
-    ``Grid.coordinates`` give, without three dense arrays of them (50 MB
-    less at n=128).
+    Every term built from them has the values that dense ij-indexed
+    meshgrids of the axes give, without three dense arrays of them
+    (50 MB less at n=128).
     """
     axis = np.arange(grid.n, dtype=np.float64) * grid.dx
     return axis[:, None, None], axis[None, :, None], axis[None, None, :]

@@ -22,7 +22,6 @@ temporary file, so a failed write leaves the target as it was.
 """
 
 import contextlib
-import hashlib
 import math
 import os
 import struct
@@ -53,6 +52,9 @@ def fnv1a64(data) -> int:
 
 def blake2b64(prefix, payload) -> int:
     """Version 2 checksum: 8-byte BLAKE2b of ``prefix`` then ``payload``."""
+    # Imported here: its OpenSSL bindings cost a command that writes or
+    # reads no snapshot memory and import time.
+    import hashlib
     digest = hashlib.blake2b(digest_size=8)
     digest.update(prefix)
     digest.update(payload)

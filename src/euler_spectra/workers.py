@@ -31,8 +31,8 @@ them:
   step's block lives for one step and a record carves its own, because
   a block that is never freed would keep the threshold low and every
   other array of grid size would be mapped again.  ``diagnose`` holds
-  one block for its whole pass, and lends its records their scratch
-  from it, so that their blocks hold only the tensor.
+  one block for its whole pass, and lends its records their tensor and
+  scratch from it, so that they carve no block of their own.
 - Work just before a block above the mmap threshold frees little of
   grid size into the heap.  The block is mapped afresh rather than
   served from the freed heap pages, which stay resident under it, so

@@ -6,6 +6,7 @@ seed so failures reproduce bit-for-bit.
 """
 
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,21 +19,28 @@ from euler_spectra.deformation import (
     _TINY_SPREAD,
     _refine_near_degenerate,
     _require_finite,
+    deformation_tensor,
+    eigenvalues_sym3,
+    epsilon_ratio,
 )
 from euler_spectra.diagnostics import (
+    DiagnosticsRecord,
     _cubic_trace_density,
     _product_density,
     _stretching_density,
+    classify_and_record,
+    compute_record,
 )
+from euler_spectra.envelopes import _series_spectra
 from euler_spectra.grid import Grid
 from euler_spectra.fields import (
     curl,
-    dealias_23,
     fft_forward,
     fft_inverse,
     integrate_domain,
     leray_project,
     magnitude_squared,
+    pointwise_dot,
 )
 from euler_spectra.initial import random_solenoidal
 from euler_spectra.snapshot import write_snapshot
@@ -74,6 +82,28 @@ def snapshot_series64(tmp_path_factory):
     return paths
 
 
+def dealias_23(grid, coeffs):
+    """Zero every mode of a half spectrum outside the 2/3-rule ball
+    (keep 3|k_j| <= n)."""
+    return np.where(grid.dealias_mask, coeffs, 0.0)
+
+
+def coordinates(grid):
+    """The physical coordinate arrays (X, Y, Z) of ``grid``, ij-indexed
+    dense meshgrids."""
+    axis = np.arange(grid.n, dtype=np.float64) * grid.dx
+    return np.meshgrid(axis, axis, axis, indexing="ij")
+
+
+def scatter(band, coeffs):
+    """The compact band array ``coeffs`` as a half spectrum, zero off
+    the band."""
+    n = band.n
+    out = np.zeros(coeffs.shape[:-3] + (n, n, n // 2 + 1), coeffs.dtype)
+    out[band.index] = coeffs
+    return out
+
+
 def make_random_velocity(grid, rng, scale=1.0, band=None):
     """Random smooth divergence-free velocity in spectral space, zero
     outside ``band`` (a :class:`Band`), or dealiased when it is None."""
@@ -86,7 +116,52 @@ def make_random_velocity(grid, rng, scale=1.0, band=None):
     vhat = leray_project(grid, vhat * damp)
     if band is None:
         return dealias_23(grid, vhat)
-    return band.scatter(band.restrict(vhat))
+    return scatter(band, band.restrict(vhat))
+
+
+def series_on_band(grid, spectra):
+    """The band ``diagnose`` records a series of half spectra on, and
+    the spectra cut to it."""
+    band, compacts, _ = _series_spectra(lambda: ((grid, v) for v in spectra))
+    return band, compacts
+
+
+def record_half_spectrum(grid, t, v, **kwargs):
+    """``compute_record`` of the half spectrum ``v``, on the band that
+    ``diagnose`` records it on."""
+    band, (compact,) = series_on_band(grid, [v])
+    return compute_record(band, t, compact, **kwargs)
+
+
+def classify_half_spectrum(grid, t, v, **kwargs):
+    """``classify_and_record`` of the half spectrum ``v``, on the band
+    that ``diagnose`` records it on."""
+    band, (compact,) = series_on_band(grid, [v])
+    return classify_and_record(band, t, compact, **kwargs)
+
+
+def whole_field_record(grid, t, v, classification=None):
+    """The record of the half spectrum ``v``, from the public functions
+    applied to the whole field: the reference for the record's slab pass
+    on a band, and for what ``diagnose`` drops off its band."""
+    v_phys, omega_phys = fft_inverse(v), fft_inverse(curl(grid, v))
+    tensor = deformation_tensor(grid, v)
+    spectra = eigenvalues_sym3(tensor)
+    q, p = spectra_moments(grid, spectra)
+    min_l2, max_l2 = float(np.min(spectra[1])), float(np.max(spectra[1]))
+    inf_eps = math.nan
+    if classification is not None:
+        ratio, excluded = epsilon_ratio(spectra, classification)
+        if excluded < ratio.size:
+            inf_eps = float(np.nanmin(ratio))
+    return DiagnosticsRecord(
+        t, 0.5 * integrate_domain(grid, magnitude_squared(v_phys)),
+        integrate_domain(grid, pointwise_dot(v_phys, omega_phys)),
+        integrate_domain(grid, magnitude_squared(omega_phys)), q, p,
+        stretching_integral(grid, tensor, omega_phys),
+        cubic_trace_integral(grid, tensor), max(max_l2, 0.0),
+        max(min_l2, 0.0), max(-min_l2, 0.0), max(-max_l2, 0.0), min_l2,
+        max_l2, inf_eps, max_speed(omega_phys))
 
 
 def cross_product(u, v):

@@ -26,7 +26,6 @@ from euler_spectra.deformation import (
 from euler_spectra.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
-    compute_record,
     identity_residuals,
 )
 from euler_spectra.envelopes import (
@@ -50,6 +49,8 @@ from euler_spectra.solver import SolverConfig, run as solver_run
 from conftest import (
     gradient_norm_squared_pointwise,
     max_speed,
+    record_half_spectrum,
+    scatter,
     velocity_gradient,
 )
 
@@ -103,7 +104,7 @@ def test_criterion_1_static_identity_suite(grid32):
     worst_gradient = 0.0
     for seed in range(50):
         vh = random_solenoidal(grid32, seed=seed, peak_k=4.0)
-        record = compute_record(grid32, 0.0, vh)
+        record = record_half_spectrum(grid32, 0.0, vh)
         for key, value in identity_residuals(record).items():
             worst[key] = max(worst[key], value)
 
@@ -193,7 +194,7 @@ def test_criterion_2_eigensolver_oracle():
 
 def test_criterion_3_steady_abc_regression(abc32):
     final = abc32.final
-    steadiness = max_speed(fft_inverse(final.band.scatter(final.v)
+    steadiness = max_speed(fft_inverse(scatter(final.band, final.v)
                                        - abc32.initial))
 
     records = abc32.records

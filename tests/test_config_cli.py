@@ -31,14 +31,21 @@ from euler_spectra.config import InitSpec, RunConfig, parse_config
 from euler_spectra.diagnostics import classify_and_record, compute_record
 from euler_spectra.envelopes import vorticity_transport_residual
 from euler_spectra.errors import ConfigurationError
-from euler_spectra.fields import fft_forward
+from euler_spectra.fields import fft_forward, fft_inverse
 from euler_spectra.grid import Grid
 from euler_spectra.initial import random_solenoidal, taylor_green
 from euler_spectra.snapshot import load_snapshot, write_snapshot
 from euler_spectra.solver import SolverConfig, run as solver_run, step_threads
 import euler_spectra.workers as workers_module
 
-from conftest import UNCARVED_PER_THREAD, fresh_worker, traced_peak_fields
+from conftest import (
+    UNCARVED_PER_THREAD,
+    fresh_worker,
+    scatter,
+    series_on_band,
+    traced_peak_fields,
+    whole_field_record,
+)
 
 
 MINIMAL = {
@@ -515,6 +522,19 @@ class TestCmdRun:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
+    def test_import_does_not_load_hashlib(self):
+        # hashlib loads OpenSSL (3.5 MiB); only a snapshot checksum
+        # needs it, so a command imports it when it takes one.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        code = ("import sys, euler_spectra.cli; "
+                "print('hashlib' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("dealias", [True, False])
     def test_snapshots_have_the_half_spectrum_bytes(self, tmp_path,
                                                     dealias):
@@ -534,7 +554,7 @@ class TestCmdRun:
 
         def compare(state):
             on_band.append(state.band is not None)
-            write_snapshot(reference, grid, state.band.scatter(state.v),
+            write_snapshot(reference, grid, scatter(state.band, state.v),
                            state.t)
             written = out / f"snapshot_{state.step_index:08d}.bin"
             assert written.read_bytes() == reference.read_bytes()
@@ -542,7 +562,7 @@ class TestCmdRun:
         final = solver_run(grid, config.initial.build(grid), config.solver,
                            [compare])
         assert on_band == [True] * 4
-        write_snapshot(reference, grid, final.band.scatter(final.v), final.t)
+        write_snapshot(reference, grid, scatter(final.band, final.v), final.t)
         assert (out / "final.bin").read_bytes() == reference.read_bytes()
 
     def unmasked_identity_run(self, tmp_path, dealias=False):
@@ -848,12 +868,14 @@ class TestCmdDiagnose:
         loaded = [load_snapshot(p) for p in paths]
         grid = loaded[0][2]
         times = [t for _, t, _ in loaded]
-        classification, first = classify_and_record(
-            grid, times[0], fft_forward(loaded[0][0]))
+        band, spectra = series_on_band(
+            grid, [fft_forward(v) for v, _, _ in loaded])
+        assert band.m == (n // 3 if dealias else n // 2 - 1)
+        classification, first = classify_and_record(band, times[0],
+                                                    spectra[0])
         records = [first] + [
-            compute_record(grid, t, fft_forward(v),
-                           classification=classification)
-            for v, t, _ in loaded[1:]]
+            compute_record(band, t, v, classification=classification)
+            for v, t in zip(spectra[1:], times[1:])]
         rows = captured.out.strip().splitlines()[1:]
         assert rows == [",".join(repr(float(x)) for x in r.as_tuple())
                         for r in records]
@@ -866,6 +888,104 @@ class TestCmdDiagnose:
             assert residual < 1e-10
         else:
             assert 0.1 < residual < 1.0
+
+    @pytest.mark.parametrize("dealias, bound", [(True, 1.1e-14),
+                                                 (False, 3.5e-14)])
+    def test_rows_near_the_whole_field(self, tmp_path, capsys, dealias,
+                                       bound):
+        # diagnose records a series on one band: the 2/3-rule band when
+        # no snapshot holds more than rounding noise outside it, as
+        # those of a dealiased run do, else the band without the Nyquist
+        # planes, which those of a dealias: false run leave empty to
+        # rounding too.  What the band drops moves no printed value of
+        # the record of the whole half spectrum by more than the
+        # relative bound measured on such series: on these, 1.09e-14
+        # and 5.3e-15.
+        grid = Grid(16)
+        paths = []
+
+        def write(state):
+            paths.append(str(tmp_path / f"s{state.step_index}.bin"))
+            write_snapshot(paths[-1], grid, state.physical(), state.t)
+
+        solver_run(grid, random_solenoidal(grid, 1),
+                   SolverConfig(dt=1e-3, t_final=0.004, dealias=dealias),
+                   observers=[write])
+        capsys.readouterr()
+        assert main(["diagnose", *paths]) == EXIT_OK
+        rows = np.array([[float(x) for x in row.split(",")] for row in
+                         capsys.readouterr().out.splitlines()[1:]])
+        whole = np.array([
+            whole_field_record(grid, t, fft_forward(v)).as_tuple()
+            for v, t, _ in map(load_snapshot, paths)])
+        assert np.all(np.isnan(rows[:, 14]) & np.isnan(whole[:, 14]))
+        rows, whole = np.delete(rows, 14, 1), np.delete(whole, 14, 1)
+        zero = whole == 0.0  # inf_l2p and inf_l2m_abs of a Neither field
+        assert np.array_equal(rows[zero], whole[zero])
+        difference = np.max(np.abs(rows - whole)[~zero]
+                            / np.abs(whole[~zero]))
+        assert 0.0 < difference <= bound
+
+    def test_undealiased_series_takes_the_nyquist_free_band(self, tmp_path,
+                                                            capsys):
+        # One snapshot with power outside the 2/3-rule band puts the
+        # whole series on the band without the Nyquist planes, whose
+        # dropped share of power is reported; diagnose and classify say
+        # so alike, and a dealiased series says nothing.
+        paths = write_series16(tmp_path, [1e-3 * m for m in range(5)])
+        assert main(["diagnose", *paths]) == EXIT_OK
+        assert "band" not in capsys.readouterr().err
+        grid = Grid(16)
+        v, t, _ = load_snapshot(paths[2])
+        rng = np.random.default_rng(16)
+        write_snapshot(paths[2], grid, v + 1e-6 * rng.standard_normal(
+            v.shape), t)
+        spectrum = fft_forward(load_snapshot(paths[2])[0])
+        nyquist = np.zeros(spectrum.shape[1:], bool)
+        nyquist[8] = nyquist[:, 8] = nyquist[..., 8] = True
+        power = grid.parseval_weight * np.sum(np.abs(spectrum) ** 2, axis=0)
+        share = np.sum(power[nyquist]) / np.sum(power)
+        line = (f"band: 2/3 rule exceeded, recorded without the Nyquist "
+                f"planes (dropped Nyquist power fraction {share:.3e})")
+        assert main(["diagnose", *paths]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0] == line
+        band, spectra = series_on_band(
+            grid, [fft_forward(load_snapshot(p)[0]) for p in paths])
+        assert band.m == 7
+        classification, first = classify_and_record(band, 0.0, spectra[0])
+        assert captured.out.splitlines()[1] == ",".join(
+            repr(float(x)) for x in first.as_tuple())
+        assert main(["classify", paths[2]]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line]
+        classification, _ = classify_and_record(band, t, spectra[2])
+        assert captured.out.splitlines()[0] == (
+            f"class: {classification.label.value}")
+        assert (f"min_lambda2: {classification.min_lambda2!r}"
+                in captured.out)
+
+    def test_peak_grows_by_two_rows_per_snapshot(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # Past the load, a snapshot keeps its omega row and its
+        # transport row, both compact on the 2/3-rule band (3, 11, 11,
+        # 6) at n=16, where its physical omega row took 3 fields; the
+        # peak grows by those two rows per snapshot and the record, the
+        # printed row and the lists that hold them, under 4 KiB.  It
+        # measured 2.14 fields of the grid per snapshot from 5 to 9
+        # snapshots (515 bytes above the two rows), against 4.06 with
+        # physical omega rows.
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
+        grid = Grid(16)
+        paths = write_series16(tmp_path, [1e-3 * m for m in range(9)])
+        peaks = []
+        for count in (5, 9):
+            peaks.append(traced_peak_fields(
+                grid, lambda: main(["diagnose", *paths[:count]])))
+        capsys.readouterr()
+        rows = 2 * 3 * 11 * 11 * 6 * 16
+        growth = (peaks[1] - peaks[0]) * 8 * 16 ** 3 / 4
+        assert rows < growth < rows + 4096
 
     def test_same_output_on_one_thread_or_two(self, snapshot_series64,
                                               capsys, monkeypatch,
@@ -886,38 +1006,63 @@ class TestCmdDiagnose:
         assert [starts for _, _, starts in outputs] == [0, 1, 0]
 
     def test_peak_memory(self, snapshot_series64, capsys, monkeypatch):
-        # diagnose keeps only the spectra of the loaded snapshots and
-        # forms each one's v and omega when its record needs them; the
-        # omega rows and the compact transport rows grow as the spectra
-        # are released.  Its records carve their scratch out of the
-        # pass's lane region, whose curl products take a slab, and the
-        # Grid of the last load is released.  One thread, so that the
-        # peak does not depend on the host: it measured 33.57 fields of
-        # the grid, against 36.73 with a scratch region of each record's
-        # own, whole-component product scratch and the stale Grid, and
-        # 46.8 when each transport row was a physical field of 3.
+        # diagnose keeps only the compact spectra of the loaded
+        # snapshots on the 2/3-rule band, and per processed snapshot a
+        # compact omega row and a compact transport row.  Its records
+        # take their tensor and scratch from the pass's block, whose
+        # physical v is the tensor's first half, and the last snapshot's
+        # spectrum is released before its transport row is formed.  One
+        # thread, so that the peak does not depend on the host: it
+        # measured 19.77 fields of the grid at the last record, against
+        # 32.47 when the records ran on the half spectrum beside five
+        # physical omega rows, 36.73 with a scratch region of each
+        # record's own, whole-component product scratch and the stale
+        # Grid, and 46.8 when each transport row was a physical field of
+        # 3.
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         codes = []
         peak = traced_peak_fields(Grid(64), lambda: codes.append(
             main(["diagnose", *snapshot_series64])))
         assert codes == [EXIT_OK]
-        assert peak < 34.0
+        assert peak < 20.0
+
+    def test_peak_memory_of_a_wider_band(self, tmp_path, capsys,
+                                         monkeypatch):
+        # Snapshots with power outside the 2/3-rule band are recorded on
+        # the band without the Nyquist planes, whose spectra and omega
+        # rows are 2.91 fields each at n=64; each released spectrum
+        # takes the next omega row.  One thread: it measured 31.64
+        # fields of the grid, against 32.47 when the records ran on the
+        # half spectrum beside physical omega rows.
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
+        grid = Grid(64)
+        v = fft_inverse(random_solenoidal(grid, seed=1))
+        v += 1e-3 * np.random.default_rng(64).standard_normal(v.shape)
+        paths = []
+        for m in range(5):
+            paths.append(str(tmp_path / f"s{m}.bin"))
+            write_snapshot(paths[-1], grid, v * (1.0 + 0.01 * m), 1e-3 * m)
+        codes = []
+        peak = traced_peak_fields(grid, lambda: codes.append(
+            main(["diagnose", *paths])))
+        assert codes == [EXIT_OK]
+        assert "without the Nyquist planes" in capsys.readouterr().err
+        assert peak < 31.9
 
     def test_peak_memory_on_two_lanes(self, snapshot_series64, capsys,
                                       monkeypatch):
         # The same on two threads, whose lane buffers make the pass's
-        # lane region 2.3 fields, against 4.1 with whole-component
-        # product scratch.  It measured 34.67-34.75 fields, against
-        # 39.08-39.17 before; a two-thread peak also holds what numpy's
-        # FFTs allocate on both threads, which varies from call to call
-        # (UNCARVED_PER_THREAD).
+        # region larger.  It measured 20.58 fields, against 34.67-34.75
+        # with the records on the half spectrum; a two-thread peak also
+        # holds what numpy's FFTs allocate on both threads, which varies
+        # from call to call (UNCARVED_PER_THREAD).
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
         codes = []
         job = lambda: codes.append(main(["diagnose", *snapshot_series64]))
         job()
         peak = traced_peak_fields(Grid(64), job)
         assert codes == [EXIT_OK, EXIT_OK]
-        assert peak < 34.75 + 2 * UNCARVED_PER_THREAD
+        assert peak < 20.58 + 2 * UNCARVED_PER_THREAD
 
     @pytest.mark.parametrize("last", ["corrupt", "other grid"])
     def test_every_snapshot_checked_before_any_record(self, tmp_path,
@@ -951,13 +1096,13 @@ class TestCmdDiagnose:
         assert captured.err.splitlines()[-1] == (
             "series residuals skipped: non-uniform snapshot times")
         loaded = [load_snapshot(p) for p in paths]
-        grid = loaded[0][2]
-        classification, first = classify_and_record(
-            grid, loaded[0][1], fft_forward(loaded[0][0]))
+        band, spectra = series_on_band(
+            loaded[0][2], [fft_forward(v) for v, _, _ in loaded])
+        classification, first = classify_and_record(band, loaded[0][1],
+                                                    spectra[0])
         records = [first] + [
-            compute_record(grid, t, fft_forward(v),
-                           classification=classification)
-            for v, t, _ in loaded[1:]]
+            compute_record(band, t, v, classification=classification)
+            for v, (_, t, _) in zip(spectra[1:], loaded[1:])]
         assert captured.out.strip().splitlines()[1:] == [
             ",".join(repr(float(x)) for x in r.as_tuple()) for r in records]
 

@@ -24,13 +24,17 @@ from euler_spectra.deformation import (
     first_zero_touching,
     frobenius_squared,
 )
-from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ContractViolationError, NumericsError
 from euler_spectra.fields import fft_forward, fft_inverse
 from euler_spectra.grid import Band, Grid
 from euler_spectra.initial import abc_flow, shear_flow, taylor_green
 
-from conftest import make_random_velocity, velocity_gradient
+from conftest import (
+    coordinates,
+    make_random_velocity,
+    record_half_spectrum,
+    velocity_gradient,
+)
 
 
 def tensor_from_matrices(grid, matrices):
@@ -190,36 +194,31 @@ class TestDeformationTensor:
         # An off-diagonal entry's second product is formed one x-slab of
         # the scratch's rows at a time, the last slab shorter where the
         # rows do not divide the component's (a band's 2m+1 = 21 rows at
-        # n=32); every scratch gives the tensor of whole-component
-        # scratch, on one thread or two.
+        # n=32); every scratch gives the tensor of the whole half
+        # spectrum, on one thread or two.  "grid" is the band of a half
+        # spectrum that holds more than the 2/3-rule band: every mode but
+        # the Nyquist planes.
         grid = Grid(32)
-        band = Band(grid)
-        v = make_random_velocity(grid, np.random.default_rng(32))
-        space, v = (band, band.restrict(v)) if layout == "band" else (grid,
-                                                                       v)
+        band = Band(grid) if layout == "band" else Band(grid, 15)
+        half = make_random_velocity(grid, np.random.default_rng(32))
+        v = band.restrict(half)
         shape, c = v.shape[1:], np.complex128
-        pads = (np.empty((lanes, 32, 32, band.m + 1), c)
-                if layout == "band" else None)
+        pads = np.empty((lanes, 32, 32, band.m + 1), c)
         with ThreadPoolExecutor(1) as pool:
             worker = pool if lanes == 2 else None
-            expected = np.empty((6, 32, 32, 32))
-            _strain_entries(space, v, worker, expected,
-                            np.empty((lanes, 2) + shape, c), pads)
-            if layout == "grid":
-                assert (expected.tobytes()
-                        == deformation_tensor(grid, v).tobytes())
+            expected = deformation_tensor(grid, half)
             for rows in (1, 5, 8, len(v[0])):
                 tensor = np.empty_like(expected)
-                work = [(np.empty(shape, c), np.empty((rows,) + shape[1:], c))
-                        for _ in range(lanes)]
-                _strain_entries(space, v, worker, tensor, work, pads)
+                work = [(np.empty((rows,) + shape[1:], c), pads[lane])
+                        for lane in range(lanes)]
+                _strain_entries(band, v, worker, tensor, work)
                 assert tensor.tobytes() == expected.tobytes(), rows
 
     def test_shear_flow_components(self, grid16):
         # v = (sin y, 0, 0): the only nonzero entry is s12 = cos(y)/2.
         v = shear_flow(grid16)
         s11, s12, s13, s22, s23, s33 = deformation_tensor(grid16, v)
-        _, y, _ = grid16.coordinates()
+        _, y, _ = coordinates(grid16)
         assert np.max(np.abs(s12 - 0.5 * np.cos(y))) < 1e-13
         for comp in (s11, s13, s22, s23, s33):
             assert np.max(np.abs(comp)) < 1e-13
@@ -229,7 +228,7 @@ class TestDeformationTensor:
         # (y-derivative of the x-component) is nonzero.
         v = shear_flow(grid16)
         grad = velocity_gradient(grid16, v)
-        _, y, _ = grid16.coordinates()
+        _, y, _ = coordinates(grid16)
         assert np.max(np.abs(grad[1, 0] - np.cos(y))) < 1e-13
         assert np.max(np.abs(grad[0, 1])) < 1e-13
 
@@ -275,7 +274,7 @@ class TestDeformationTensor:
             assert np.array_equal(entry, kept)
 
     def test_trace_warning_for_compressible_input(self, grid16, caplog):
-        x, _, _ = grid16.coordinates()
+        x, _, _ = coordinates(grid16)
         v = fft_forward(np.stack(
             (np.sin(x), np.zeros_like(x), np.zeros_like(x))))
         with caplog.at_level(logging.WARNING, "euler_spectra.deformation"):
@@ -341,7 +340,7 @@ class TestClassification:
         l2 = eigenvalues_sym3(deformation_tensor(grid16, v))[1]
         plus, minus = np.maximum(l2, 0.0), np.minimum(l2, 0.0)
         assert np.array_equal(plus + minus, l2)
-        record = compute_record(grid16, 0.0, v)
+        record = record_half_spectrum(grid16, 0.0, v)
         assert record.sup_l2p == np.max(plus)
         assert record.inf_l2p == np.min(plus)
         assert record.sup_l2m_abs == np.max(-minus)

@@ -23,7 +23,6 @@ from euler_spectra.deformation import (
     classify_admissible,
     deformation_tensor,
     eigenvalues_sym3,
-    epsilon_ratio,
     frobenius_squared,
 )
 from euler_spectra.diagnostics import (
@@ -66,15 +65,19 @@ import euler_spectra.workers as workers_module
 
 from conftest import (
     UNCARVED_PER_THREAD,
+    classify_half_spectrum,
+    coordinates,
     cubic_trace_integral,
     fresh_worker,
     gradient_norm_squared_pointwise,
     make_random_velocity,
-    max_speed,
+    record_half_spectrum,
+    scatter,
     spectra_moments,
     stretching_integral,
     traced_peak_fields,
     velocity_gradient,
+    whole_field_record,
 )
 
 PI3 = math.pi ** 3
@@ -87,7 +90,7 @@ class TestScalarFunctionals:
         vhat = taylor_green(grid16)
         parseval = 0.5 * grid16.volume * np.sum(grid16.parseval_weight
                                                 * np.abs(vhat) ** 2)
-        assert compute_record(grid16, 0.0, vhat).E == pytest.approx(
+        assert record_half_spectrum(grid16, 0.0, vhat).E == pytest.approx(
             parseval, rel=1e-14)
 
     def test_enstrophy_equals_gradient_norm(self, grid16, rng):
@@ -95,12 +98,12 @@ class TestScalarFunctionals:
         v = make_random_velocity(grid16, rng)
         grad_sq = gradient_norm_squared_pointwise(velocity_gradient(grid16, v))
         lhs = integrate_domain(grid16, grad_sq)
-        assert lhs == pytest.approx(compute_record(grid16, 0.0, v).Z,
-                                    rel=1e-12)
+        assert lhs == pytest.approx(
+            record_half_spectrum(grid16, 0.0, v).Z, rel=1e-12)
 
     def test_sup_vorticity_shear(self, grid16):
         # omega = (0, 0, -cos y) has max magnitude 1.
-        record = compute_record(grid16, 0.0, shear_flow(grid16))
+        record = record_half_spectrum(grid16, 0.0, shear_flow(grid16))
         assert record.bkm_sup_vort == pytest.approx(1.0, rel=1e-12)
 
     def test_spectra_moments_shear(self, grid16):
@@ -139,15 +142,15 @@ class TestIntegralIdentities:
         return random_solenoidal(grid16, seed=request.param, peak_k=3.0)
 
     def test_enstrophy_is_twice_quadratic_moment(self, velocity, grid16):
-        record = compute_record(grid16, 0.0, velocity)
+        record = record_half_spectrum(grid16, 0.0, velocity)
         assert record.Z == pytest.approx(2.0 * record.Q, rel=1e-11)
 
     def test_stretching_is_minus_four_thirds_cubic(self, velocity, grid16):
-        record = compute_record(grid16, 0.0, velocity)
+        record = record_half_spectrum(grid16, 0.0, velocity)
         assert record.W == pytest.approx(-(4.0 / 3.0) * record.C3, rel=1e-9)
 
     def test_cubic_is_three_times_product(self, velocity, grid16):
-        record = compute_record(grid16, 0.0, velocity)
+        record = record_half_spectrum(grid16, 0.0, velocity)
         assert record.C3 == pytest.approx(3.0 * record.P, rel=1e-10)
 
     def test_cubic_trace_against_eigenvalue_cubes(self, velocity, grid16):
@@ -168,7 +171,8 @@ class TestIntegralIdentities:
         assert c3 == pytest.approx(via_pow, rel=1e-13)
 
     def test_residuals_near_rounding(self, velocity, grid16):
-        res = identity_residuals(compute_record(grid16, 0.0, velocity))
+        res = identity_residuals(
+            record_half_spectrum(grid16, 0.0, velocity))
         assert res["enstrophy_moment"] < 1e-11
         assert res["stretching_cubic"] < 1e-9
         assert res["cubic_product"] < 1e-10
@@ -177,7 +181,7 @@ class TestIntegralIdentities:
         # Taylor-Green at t = 0 has W = C3 = P = 0 by mirror symmetry;
         # the floored denominators must keep the residuals tiny instead
         # of reporting 0/0 garbage.
-        record = compute_record(grid16, 0.0, taylor_green(grid16))
+        record = record_half_spectrum(grid16, 0.0, taylor_green(grid16))
         assert abs(record.W) < 1e-10
         assert abs(record.C3) < 1e-10
         res = identity_residuals(record)
@@ -187,20 +191,20 @@ class TestIntegralIdentities:
 
 class TestComputeRecord:
     def test_lambda2_extrema_splits(self, grid16, rng):
-        record = compute_record(grid16, 0.0,
-                                make_random_velocity(grid16, rng))
+        record = record_half_spectrum(grid16, 0.0,
+                                      make_random_velocity(grid16, rng))
         assert record.sup_l2p == max(record.max_l2, 0.0)
         assert record.inf_l2p == max(record.min_l2, 0.0)
         assert record.sup_l2m_abs == max(-record.min_l2, 0.0)
         assert record.inf_l2m_abs == max(-record.max_l2, 0.0)
 
     def test_eps_requires_classification(self, grid16, rng):
-        record = compute_record(grid16, 0.0,
-                                make_random_velocity(grid16, rng))
+        record = record_half_spectrum(grid16, 0.0,
+                                      make_random_velocity(grid16, rng))
         assert math.isnan(record.inf_eps)
 
     def test_abc_benchmark_values(self, grid16):
-        record = compute_record(grid16, 0.0, abc_flow(grid16))
+        record = record_half_spectrum(grid16, 0.0, abc_flow(grid16))
         assert record.E == pytest.approx(12.0 * PI3, rel=1e-12)
         assert record.H == pytest.approx(24.0 * PI3, rel=1e-12)
         assert record.Z == pytest.approx(24.0 * PI3, rel=1e-12)
@@ -213,29 +217,6 @@ class TestComputeRecord:
             "t", "E", "H", "Z", "Q", "P", "W", "C3",
             "sup_l2p", "inf_l2p", "sup_l2m_abs", "inf_l2m_abs",
             "min_l2", "max_l2", "inf_eps", "bkm_sup_vort")
-
-
-def whole_field_record(grid, t, v, classification=None):
-    """The record of compute_record, from the public functions applied
-    to the whole field: the reference for its slab pass."""
-    v_phys, omega_phys = fft_inverse(v), fft_inverse(curl(grid, v))
-    tensor = deformation_tensor(grid, v)
-    spectra = eigenvalues_sym3(tensor)
-    q, p = spectra_moments(grid, spectra)
-    min_l2, max_l2 = float(np.min(spectra[1])), float(np.max(spectra[1]))
-    inf_eps = math.nan
-    if classification is not None:
-        ratio, excluded = epsilon_ratio(spectra, classification)
-        if excluded < ratio.size:
-            inf_eps = float(np.nanmin(ratio))
-    return DiagnosticsRecord(
-        t, 0.5 * integrate_domain(grid, magnitude_squared(v_phys)),
-        integrate_domain(grid, pointwise_dot(v_phys, omega_phys)),
-        integrate_domain(grid, magnitude_squared(omega_phys)), q, p,
-        stretching_integral(grid, tensor, omega_phys),
-        cubic_trace_integral(grid, tensor), max(max_l2, 0.0),
-        max(min_l2, 0.0), max(-min_l2, 0.0), max(-max_l2, 0.0), min_l2,
-        max_l2, inf_eps, max_speed(omega_phys))
 
 
 def use_threads(monkeypatch, threads):
@@ -267,8 +248,8 @@ class TestSlabRecord:
                           AdmissibleClass.AMINUS):
                 classification = label and Classification(label, 0.0, 0.0,
                                                           0.0)
-                record = compute_record(grid, 0.5, v,
-                                        classification=classification)
+                record = record_half_spectrum(
+                    grid, 0.5, v, classification=classification)
                 expected = whole_field_record(grid, 0.5, v, classification)
                 assert np.array_equal(record.as_tuple(), expected.as_tuple(),
                                       equal_nan=True), (name, label)
@@ -304,7 +285,7 @@ class TestSlabRecord:
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
         expected = np.array(compute_record(band, 0.5, v).as_tuple())
         worker = workers_module._worker(grid.n)
-        tensor = deformation_tensor(grid, band.scatter(v))
+        tensor = deformation_tensor(grid, scatter(band, v))
         tensor[2, 3, 4, 5] = np.inf
         with pytest.raises(NumericsError, match=r"s13 at grid index \(3, "):
             _slab_eigenvalues(tensor, worker, out=tensor[:3])
@@ -316,17 +297,24 @@ class TestSlabRecord:
         # The record's buffers are one block: the tensor, whose first
         # half holds v and then the eigenvalues, omega, and one region
         # shared in turn by the transform buffers, the integrand with
-        # its scratch, and the eigensolver's scratch.  One thread, so
-        # that the peak does not depend on the host: it measured 11.13
-        # fields of the grid, against 13.3 while the eigensolver and the
-        # integrands allocated slab temporaries, 15.3 while the record
-        # allocated its arrays one by one and 26.3 while it held all
-        # nine integrands at once.
+        # its scratch, and the eigensolver's scratch.  A half spectrum
+        # wider than the 2/3-rule band is recorded on the band without
+        # the Nyquist planes, whose components are near a half
+        # spectrum's size, so its product scratch is a slab.  One
+        # thread, so that the peak does not depend on the host: it
+        # measured 11.22 fields of the grid, against 12.07 with
+        # whole-component product scratch and 11.13 for the record on
+        # the half spectrum that this band replaced; and 13.3 while the
+        # eigensolver and the integrands allocated slab temporaries, 15.3
+        # while the record allocated its arrays one by one and 26.3 while
+        # it held all nine integrands at once.
         grid = Grid(64)
-        v = make_random_velocity(grid, np.random.default_rng(64))
+        band = Band(grid, 31)
+        v = band.restrict(make_random_velocity(
+            grid, np.random.default_rng(64), band=band))
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 1)
         assert traced_peak_fields(
-            grid, lambda: compute_record(grid, 0.5, v)) < 11.4
+            grid, lambda: compute_record(band, 0.5, v)) < 11.4
 
     def test_peak_memory_of_one_band_record(self, monkeypatch):
         # A dealiased run's record: its lane buffers are compact
@@ -375,12 +363,12 @@ class TestSlabRecord:
         assert record <= step + 0.5
 
     def test_trace_warning_from_the_slab_pass(self, grid16, caplog):
-        x, _, _ = grid16.coordinates()
+        x, _, _ = coordinates(grid16)
         v = fft_forward(np.stack(
             (np.sin(x), np.zeros_like(x), np.zeros_like(x))))
         with caplog.at_level(logging.WARNING, "euler_spectra.deformation"):
             deformation_tensor(grid16, v)
-            compute_record(grid16, 0.0, v)
+            record_half_spectrum(grid16, 0.0, v)
         first, second = caplog.records
         assert "trace" in first.message
         assert second.message == first.message
@@ -430,6 +418,14 @@ def test_integrand_form_rounds_as_its_expression(form, expression, kinds,
     assert np.array_equal(form(*args), expected)
 
 
+def layout_band(grid, layout):
+    """The band of a record layout: "band" is the 2/3-rule band of a
+    dealiased run's state, "half" the band without the Nyquist planes,
+    on which ``diagnose`` records half spectra that hold more than the
+    2/3-rule band."""
+    return Band(grid) if layout == "band" else Band(grid, grid.n // 2 - 1)
+
+
 class TestRecordBlock:
     # Every buffer of grid size of a record is a view of one block, in
     # regions that are reused only once what they held is dead.
@@ -438,17 +434,16 @@ class TestRecordBlock:
     @pytest.mark.parametrize("layout", ["band", "half"])
     def test_is_one_block(self, layout, own_fields, threaded):
         grid = Grid(16)
-        space = Band(grid) if layout == "band" else grid
+        band = layout_band(grid, layout)
         lanes = 2 if threaded else 1
-        block = _RecordBlock(space, lanes, own_fields)
+        block = _RecordBlock(band, lanes, own_fields)
         buffers = {name: value for name, value in vars(block).items()
                    if isinstance(value, np.ndarray)}
         assert len(block.work) == lanes
-        for lane, (component, scratch) in enumerate(block.work):
-            buffers[f"component{lane}"] = component
+        for lane, (scratch, pad) in enumerate(block.work):
             buffers[f"product{lane}"] = scratch
+            buffers[f"pad{lane}"] = pad
         assert (block.omega is None) != own_fields
-        assert (block.pads is None) == (layout == "half")
         root = block.tensor.base
         assert root is not None and root.ndim == 1
         for buffer in buffers.values():
@@ -458,8 +453,8 @@ class TestRecordBlock:
         # eigenvalues), omega, the integrand and its scratch while
         # integrands are; the tensor and the eigensolver's scratch
         # during the eigensolve.
-        for group in (("tensor", "omega", "pads", "component0",
-                       "product0", "component1", "product1"),
+        for group in (("tensor", "omega", "product0", "pad0", "product1",
+                       "pad1"),
                       ("tensor", "omega", "density", "scratch"),
                       ("tensor", "omega", "eig_work")):
             live = [name for name in group if name in buffers]
@@ -470,46 +465,61 @@ class TestRecordBlock:
         assert np.shares_memory(block.density, block.eig_work)
         assert block.scratch.shape == (lanes, 2, 16, 16, 16)
         assert block.eig_work.shape == (lanes, 6, 16, 16, 16)
-        # A grid's product scratch is a slab, a band's a whole component.
-        component, scratch = block.work[0]
-        rows = 16 if layout == "half" else len(component)
-        assert scratch.shape == (rows,) + component.shape[1:]
+        # The product scratch is a whole component on the 2/3-rule band,
+        # and at most a slab of x planes (16 at n=16) on a wider one.
+        scratch, pad = block.work[0]
+        assert scratch.shape == band.spectral_shape
+        assert pad.shape == (16, 16, band.m + 1)
 
-    def test_lent_work_is_carved(self, grid16):
-        # A lent region holds the record's scratch: the lane buffers,
-        # the integrand with its slabs and the eigensolver's slabs are
-        # views of it, and the record's own block is the tensor alone.
-        work = np.empty(_RecordBlock.scratch_size(grid16, 2), np.uint8)
-        block = _RecordBlock(grid16, 2, False, work)
-        assert block.pads is None and block.omega is None
-        for buffer in (block.density, block.scratch, block.eig_work,
-                       *(b for pair in block.work for b in pair)):
+    def test_lent_work_is_carved(self, grid16, monkeypatch):
+        # A lent block holds the record's tensor and scratch: the lane
+        # buffers, the integrand with its slabs and the eigensolver's
+        # slabs are views of it, and the record allocates no block of
+        # its own.  The tensor's first half is the lent block's start,
+        # where diagnose's pass keeps its physical v.
+        band = Band(grid16)
+        use_threads(monkeypatch, 2)
+        work = np.empty(record_scratch_size(band), np.uint8)
+        block = _RecordBlock(band, 2, False, work)
+        assert block.omega is None
+        for buffer in (block.tensor, block.density, block.scratch,
+                       block.eig_work,
+                       *(b for lane in block.work for b in lane)):
             assert buffer.base is work
-        assert block.tensor.base.nbytes == 6 * 8 * 16 ** 3
+        assert np.shares_memory(block.v, work[:3 * 8 * 16 ** 3])
 
     @pytest.mark.parametrize("layout, lanes, own_fields, shared", [
-        # The lane buffers: compact components (43, 43, 22), each with a
-        # scratch of all its rows, and padded ones (64, 64, 22), complex;
-        # each array starts at a multiple of 64 bytes.
-        ("band", 1, True, 2 * (43 * 43 * 22 * 16 + 32) + 64 * 64 * 22 * 16),
-        ("band", 2, True, 2 * (2 * 43 * 43 * 22 * 16 + 64 * 64 * 22 * 16)),
-        # Half-spectrum components (64, 64, 33), complex, each with a
-        # scratch of one slab of 8 planes, or the integrand and two
-        # float64 slabs per lane, whichever is larger.
+        # One thread: the integrand and its two float64 slabs of 8
+        # planes, larger than the lane buffers.  Two: the lane buffers,
+        # the scratch of a compact component's product, all its rows
+        # (43, 43, 22) on the 2/3-rule band and a slab of 8 planes of
+        # (63, 63, 32) on the other, and a padded component, (64, 64,
+        # 22) or (64, 64, 32), complex; each array starts at a multiple
+        # of 64 bytes.  The components themselves are formed in their
+        # physical outputs.
+        ("band", 1, True, (1 + 2 / 8) * 8 * 64 ** 3),
+        ("band", 2, True, 2 * (43 * 43 * 22 * 16 + 64 * 64 * 22 * 16)),
         ("half", 1, True, (1 + 2 / 8) * 8 * 64 ** 3),
-        ("half", 2, True, 2 * (1 + 1 / 8) * 64 * 64 * 33 * 16),
-        # diagnose lends the region: the tensor alone.
+        ("half", 2, True, 2 * (8 * 63 + 64 * 64) * 32 * 16),
+        # diagnose lends the tensor and the region: the record allocates
+        # no block of its own.
         ("half", 1, False, 0),
         ("half", 2, False, 0),
     ])
-    def test_block_size(self, layout, lanes, own_fields, shared):
+    def test_block_size(self, layout, lanes, own_fields, shared,
+                        monkeypatch):
         grid = Grid(64)
-        space = Band(grid) if layout == "band" else grid
-        work = None if own_fields else np.empty(
-            _RecordBlock.scratch_size(space, lanes), np.uint8)
-        block = _RecordBlock(space, lanes, own_fields, work)
-        fields = 9 if own_fields else 6
-        assert block.tensor.base.nbytes == fields * 8 * 64 ** 3 + shared
+        band = layout_band(grid, layout)
+        use_threads(monkeypatch, lanes)
+        if own_fields:
+            block = _RecordBlock(band, lanes, True)
+            assert block.tensor.base.nbytes == 9 * 8 * 64 ** 3 + shared
+        else:
+            work = np.empty(record_scratch_size(band), np.uint8)
+            block = _RecordBlock(band, lanes, False, work)
+            assert block.tensor.base is work and shared == 0
+            assert work.nbytes == (6 * 8 * 64 ** 3
+                                   + _RecordBlock.scratch_size(band, lanes))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("layout", ["band", "half"])
@@ -518,12 +528,9 @@ class TestRecordBlock:
         # np.empty runs once per record, for its block, whatever the
         # layout and the threads.
         grid = Grid(32)
-        band = Band(grid)
+        band = layout_band(grid, layout)
         v = band.restrict(make_random_velocity(grid,
                                                np.random.default_rng(3)))
-        space = band if layout == "band" else grid
-        if layout == "half":
-            v = band.scatter(v)
         use_threads(monkeypatch, threads)
         sizes = []
         empty = np.empty
@@ -535,7 +542,7 @@ class TestRecordBlock:
             return array
 
         monkeypatch.setattr(np, "empty", counting)
-        compute_record(space, 0.5, v)
+        compute_record(band, 0.5, v)
         assert len(sizes) == 1
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -546,22 +553,21 @@ class TestRecordBlock:
     def test_matches_whole_field(self, n, layout, given, threads,
                                  monkeypatch):
         # The block's reuse order changes which integral is taken first,
-        # never a value: on the band and on the half spectrum, with the
-        # physical fields of a caller or without, and with the scratch
-        # that diagnose's pass lends, which held other values before
-        # (NaN bytes here), as with a block of the record's own.  At
-        # n=26 the slabs are 13 planes.
+        # never a value: on the 2/3-rule band and on the band without
+        # the Nyquist planes, with the physical fields of a caller or
+        # without, and with the block that diagnose's pass lends, whose
+        # bytes past its v held other values before (NaN bytes here),
+        # as with a block of the record's own.  At n=26 the slabs are 13
+        # planes.
         grid = Grid(n)
-        band = Band(grid)
+        band = layout_band(grid, layout)
         use_threads(monkeypatch, threads)
         for start in (random_solenoidal(grid, seed=n), abc_flow(grid)):
-            compact = band.restrict(start)
-            half = band.scatter(compact)
-            space, v = (band, compact) if layout == "band" else (grid, half)
+            v = band.restrict(start)
             for label in (None, AdmissibleClass.APLUS):
                 classification = label and Classification(label, 0.0, 0.0,
                                                           0.0)
-                expected = whole_field_record(grid, 0.5, half,
+                expected = whole_field_record(grid, 0.5, start,
                                               classification)
                 kwargs = {}
                 if given != "none" and layout == "band":
@@ -569,20 +575,22 @@ class TestRecordBlock:
                                           band_inverse(band, curl(band, v)))
                 elif given != "none":
                     snapshots = _SnapshotPass(
-                        grid, transport=False, lend=record_scratch_size(grid))
+                        grid, band, transport=False,
+                        lend=record_scratch_size(band))
                     kwargs["physical"] = snapshots.fields(v)
                     if given == "physical+work":
-                        snapshots.work.fill(0xFF)
+                        snapshots.work[snapshots.v.nbytes:].fill(0xFF)
                         kwargs["work"] = snapshots.work
-                record = compute_record(space, 0.5, v,
+                record = compute_record(band, 0.5, v,
                                         classification=classification,
                                         **kwargs)
                 assert np.array_equal(record.as_tuple(),
                                       expected.as_tuple(), equal_nan=True)
                 if "work" in kwargs:
-                    own = compute_record(space, 0.5, v,
+                    # The lent record wrote its tensor over the pass's v.
+                    own = compute_record(band, 0.5, v,
                                          classification=classification,
-                                         physical=kwargs["physical"])
+                                         physical=snapshots.fields(v))
                     assert (np.array(record.as_tuple()).tobytes()
                             == np.array(own.as_tuple()).tobytes())
 
@@ -624,7 +632,7 @@ class TestResolutionTail:
         compact = band.restrict(start)
         on_band = resolution_tail_fraction(band, compact)
         assert on_band == half_spectrum_tail_fraction(grid,
-                                                      band.scatter(compact))
+                                                      scatter(band, compact))
         assert on_band > 0.0 or field == "taylor_green"
 
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -639,7 +647,7 @@ class TestResolutionTail:
             compact = band.restrict(v)
             on_band = resolution_tail_fraction(band, compact)
             assert on_band == half_spectrum_tail_fraction(
-                grid, band.scatter(compact))
+                grid, scatter(band, compact))
             assert 0.0 < on_band < 1.0
 
     def test_band_limited_field_has_empty_tail(self, grid32):
@@ -701,69 +709,76 @@ class TestResolutionTail:
         assert abs(divergence_free_error(g, v) - expected) < 1e-12
 
 
-def record_transforms(space, v, worker):
+def record_transforms(band, v, worker):
     """The physical v and omega and the deformation tensor that a record
     forms, each in buffers of its own record block."""
     lanes = workers_module._lanes(worker)
-    block = _RecordBlock(space, lanes, own_fields=True)
-    _physical_fields(space, v, (block.v, block.omega), worker, block.work,
-                     block.pads)
-    tensor = _RecordBlock(space, lanes, own_fields=False)
-    _strain_entries(space, v, worker, tensor.tensor, tensor.work, tensor.pads)
+    block = _RecordBlock(band, lanes, own_fields=True)
+    _physical_fields(band, v, (block.v, block.omega), worker, block.work)
+    tensor = _RecordBlock(band, lanes, own_fields=False)
+    _strain_entries(band, v, worker, tensor.tensor, tensor.work)
     return block.v, block.omega, tensor.tensor
 
 
 class TestBandRecord:
     # A dealiased run's observers get its state on the band, and a
-    # record transforms the band as it is; it must give the record of
-    # the half spectrum bit for bit.
+    # record transforms the band as it is; on the 2/3-rule band and on
+    # the band without the Nyquist planes that diagnose uses for wider
+    # spectra, it must give the record of the whole half spectrum bit
+    # for bit.
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("field", ["taylor_green", "random"])
     def test_matches_half_spectrum(self, n, field, monkeypatch):
         grid = Grid(n)
-        band = Band(grid)
-        start = (taylor_green(grid) if field == "taylor_green"
-                 else random_solenoidal(grid, seed=n))
-        compact = band.restrict(start)
-        half = band.scatter(compact)
+        half = (taylor_green(grid) if field == "taylor_green"
+                else random_solenoidal(grid, seed=n))
         # n=64 shares its work with the worker, whatever this host has.
         monkeypatch.setattr(workers_module, "_threaded", lambda n: n >= 64)
         worker = workers_module._worker(n)
         assert (worker is not None) == (n == 64)
-        for on_band, on_half in zip(record_transforms(band, compact, worker),
-                                    record_transforms(grid, half, worker)):
-            assert np.array_equal(on_band, on_half)
-        classification, record = classify_and_record(band, 0.5, compact)
-        assert classification == classify_and_record(grid, 0.5, half)[0]
-        assert np.array_equal(record.as_tuple(),
-                              compute_record(grid, 0.5, half).as_tuple(),
-                              equal_nan=True)
-        for label in (AdmissibleClass.APLUS, AdmissibleClass.AMINUS):
-            given = Classification(label, 0.0, 0.0, 0.0)
-            record = compute_record(band, 0.5, compact,
-                                    classification=given)
-            expected = compute_record(grid, 0.5, half, classification=given)
-            assert np.array_equal(record.as_tuple(), expected.as_tuple(),
+        whole = (fft_inverse(half), fft_inverse(curl(grid, half)),
+                 deformation_tensor(grid, half))
+        for band in (Band(grid), Band(grid, n // 2 - 1)):
+            compact = band.restrict(half)
+            for on_band, on_half in zip(
+                    record_transforms(band, compact, worker), whole):
+                assert np.array_equal(on_band, on_half)
+            classification, record = classify_and_record(band, 0.5, compact)
+            assert classification == classify_admissible(
+                eigenvalues_sym3(whole[2]))
+            assert np.array_equal(record.as_tuple(),
+                                  whole_field_record(grid, 0.5,
+                                                     half).as_tuple(),
                                   equal_nan=True)
-            if field == "random":
-                assert math.isfinite(record.inf_eps)
+            for label in (AdmissibleClass.APLUS, AdmissibleClass.AMINUS):
+                given = Classification(label, 0.0, 0.0, 0.0)
+                record = compute_record(band, 0.5, compact,
+                                        classification=given)
+                expected = whole_field_record(grid, 0.5, half, given)
+                assert np.array_equal(record.as_tuple(),
+                                      expected.as_tuple(), equal_nan=True)
+                if field == "random":
+                    assert math.isfinite(record.inf_eps)
 
     def test_collector_records_the_band(self, grid16):
         # A collector fed a dealiased run's band states keeps the series
-        # of one that records their half spectra on the grid.
+        # of one that records them on the band without the Nyquist
+        # planes, as diagnose records wider spectra.
         states = []
         run(grid16, random_solenoidal(grid16, seed=3),
             SolverConfig(dt=1e-3, t_final=3e-3), observers=[states.append])
-        on_band, on_half = DiagnosticsCollector(), DiagnosticsCollector()
+        wide = Band(grid16, 7)
+        on_band, on_wide = DiagnosticsCollector(), DiagnosticsCollector()
         for state in states:
             on_band(state)
-            on_half.record(grid16, state.t, state.band.scatter(state.v))
+            on_wide.record(wide, state.t,
+                           wide.restrict(scatter(state.band, state.v)))
         assert np.array_equal([r.as_tuple() for r in on_band.records],
-                              [r.as_tuple() for r in on_half.records],
+                              [r.as_tuple() for r in on_wide.records],
                               equal_nan=True)
-        assert on_band.classification == on_half.classification
-        assert on_band.zero_touch_time == on_half.zero_touch_time
-        assert on_band.max_residuals == on_half.max_residuals
+        assert on_band.classification == on_wide.classification
+        assert on_band.zero_touch_time == on_wide.zero_touch_time
+        assert on_band.max_residuals == on_wide.max_residuals
 
 
 class TestDiagnosticsCollector:
@@ -851,13 +866,13 @@ class TestDiagnosticsCollector:
 
     def test_classify_and_record_matches_two_passes(self, grid16, rng):
         v = make_random_velocity(grid16, rng)
-        classification, record = classify_and_record(grid16, 0.5, v)
+        classification, record = classify_half_spectrum(grid16, 0.5, v)
         assert classification == classify_admissible(
             eigenvalues_sym3(deformation_tensor(grid16, v)))
         np.testing.assert_array_equal(
             record.as_tuple(),
-            compute_record(grid16, 0.5, v,
-                           classification=classification).as_tuple())
+            record_half_spectrum(grid16, 0.5, v,
+                                 classification=classification).as_tuple())
 
     def test_summary_schema(self, grid16):
         col = DiagnosticsCollector(every=1)
@@ -891,9 +906,11 @@ class TestDiagnosticsCollector:
     def test_holds_no_state_the_run_stepped_past(self):
         # Between two records the collector holds the run's current
         # state at most: the traced memory after each step, the
-        # collector's call included, is that after the first record.
-        # It read 0.93 fields of the grid more at the steps after a
-        # record while the collector kept the recorded state.
+        # collector's call included, is that after the first record
+        # and the band's two |k|^2 tables, which the first step forms
+        # (0.31 fields of the grid).  It read 0.93 fields more at the
+        # steps after a record while the collector kept the recorded
+        # state.
         grid, traced = Grid(64), []
 
         def probe(state):
@@ -906,8 +923,10 @@ class TestDiagnosticsCollector:
 
         traced_peak_fields(grid, job)
         field = 8 * grid.n ** 3
+        tables = 2 * Band(grid).k_squared.nbytes
         assert len(traced) == 5
-        assert all(abs(t - traced[0]) < 0.05 * field for t in traced[1:])
+        assert all(abs(t - traced[0] - tables) < 0.05 * field
+                   for t in traced[1:])
 
     def test_summary_requires_records(self):
         with pytest.raises(ContractViolationError):
@@ -916,16 +935,16 @@ class TestDiagnosticsCollector:
     def test_sign_break_ends_the_epsilon_ratio(self, grid16, rng):
         # Once the first sample has fixed a one-signed class, the record
         # that breaks the sign condition and every later one carry no
-        # epsilon ratio, on either layout.
+        # epsilon ratio, on either band.
         v = make_random_velocity(grid16, rng)
+        band, wide = Band(grid16), Band(grid16, 7)
         col = DiagnosticsCollector()
-        col.record(grid16, 0.0, v)
+        col.record(wide, 0.0, wide.restrict(v))
         col.classification = Classification(
             AdmissibleClass.APLUS, 0.1, 0.2, 1e-3)
-        assert math.isfinite(compute_record(
+        assert math.isfinite(record_half_spectrum(
             grid16, 0.1, v, classification=col.classification).inf_eps)
-        band = Band(grid16)
-        assert math.isnan(col.record(grid16, 0.1, v).inf_eps)
+        assert math.isnan(col.record(wide, 0.1, wide.restrict(v)).inf_eps)
         assert math.isnan(col.record(band, 0.2, band.restrict(v)).inf_eps)
         assert col.zero_touch_time == 0.1
 

@@ -35,7 +35,6 @@ from euler_spectra.envelopes import (
 from euler_spectra.errors import ContractViolationError
 from euler_spectra.fields import (
     curl,
-    dealias_23,
     fft_forward,
     fft_inverse,
 )
@@ -43,11 +42,14 @@ from euler_spectra.grid import Band, Grid
 from euler_spectra.initial import random_solenoidal, shear_flow, taylor_green
 from euler_spectra.solver import SolverConfig, run
 import euler_spectra.envelopes as envelopes_module
+import euler_spectra.fields as fields_module
 import euler_spectra.workers as workers_module
 
 from conftest import (
     cross_product,
+    dealias_23,
     make_random_velocity,
+    scatter,
     traced_peak_fields,
     velocity_gradient,
 )
@@ -469,7 +471,7 @@ class TestTransportResidual:
 
         def taker(state):
             if state.step_index % 5 == 0:
-                snaps.append((state.t, state.band.scatter(state.v)))
+                snaps.append((state.t, scatter(state.band, state.v)))
 
         run(grid16, abc_flow(grid16), SolverConfig(dt=1e-2, t_final=0.2),
             observers=[taker])
@@ -486,7 +488,7 @@ class TestTransportResidual:
         run(grid16, random_solenoidal(grid16, 3),
             SolverConfig(dt=1e-3, t_final=0.004),
             observers=[lambda state: snaps.append(
-                (state.t, state.band.scatter(state.v)))])
+                (state.t, scatter(state.band, state.v)))])
         times = [t for t, _ in snaps]
         velocities = [v for _, v in snaps]
         assert len(times) == 5
@@ -502,8 +504,8 @@ class TestTransportResidual:
         # The residual is formed snapshot by snapshot on the band and
         # compared slab by slab, on one thread or two; it must equal the
         # whole-field evaluation bit for bit.  Seven snapshots put the
-        # central stencil on samples past the middle one, and at n=16 on
-        # one thread they take the padded rows in two groups.
+        # central stencil on samples past the middle one, whose omega
+        # rows replace the first ones in the ring of five.
         grid = Grid(n)
         rng = np.random.default_rng(n)
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
@@ -519,40 +521,99 @@ class TestTransportResidual:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [8, 10, 16, 26, 64])
     def test_every_group_takes_a_padded_row(self, n, threads, monkeypatch):
-        # The pass sizes its lane region so that its block holds the
-        # comparison's slab buffers and at least one padded row beside
-        # v, also when the region is sized for what diagnose lends its
-        # records; a series longer than the rows it holds is taken in
-        # groups, which give the bits of the whole series.
+        # The pass sizes its block so that it holds the comparison's
+        # buffers, also when its region is sized for what diagnose lends
+        # its records: a ring of five physical omega components, a padded
+        # omega component and three slabs per thread, and one padded
+        # transport row, for the group of one sample that is compared
+        # at a time.  Each omega row enters the ring once per component,
+        # and the samples give the bits of the whole series.
         grid = Grid(n)
+        band = Band(grid)
         rng = np.random.default_rng(n)
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
         monkeypatch.setattr(workers_module, "_THREADED_MIN_N", 8)
-        carves = []
+        carves, inverses = [], []
 
         def spy(*specs, block=None):
             carves.append(specs)
             return workers_module._carve(*specs, block=block)
 
+        def counting(band, coeffs, out, pad):
+            inverses.append(coeffs.shape)
+            return fields_module._band_inverse_into(band, coeffs, out, pad)
+
         monkeypatch.setattr(envelopes_module, "_carve", spy)
+        monkeypatch.setattr(envelopes_module, "_band_inverse_into", counting)
         for count in (5, 7):
             velocities = [make_random_velocity(grid, rng)
                           for _ in range(count)]
             times = np.linspace(0.0, 0.1 * (count - 1), count)
             raw, normalized = vorticity_transport_residual(grid, times,
                                                            velocities)
-            for lend in (0, record_scratch_size(grid)):
-                snapshots = _SnapshotPass(grid, lend=lend)
+            for lend in (0, record_scratch_size(band)):
+                snapshots = _SnapshotPass(grid, band, lend=lend)
                 for v in velocities:
-                    spectrum = v.copy()
-                    snapshots.fields(spectrum)
-                    snapshots.add_transport(spectrum)
+                    snapshots.fields(band.restrict(v))
+                    snapshots.add_transport()
                 carves.clear()
+                inverses.clear()
                 got = snapshots.residual(uniform_spacing(times))
-                ((_, (pads, _)),) = carves
-                assert pads[0] >= 1
+                ((ring, pads, _, pad),) = carves
+                assert ring[0] == (5, n, n, n)
+                assert pads[0][1:] == pad[0] == (n, n, band.m + 1)
+                assert len(inverses) == 3 * count
                 assert np.array_equal(got[0], raw)
                 assert np.array_equal(got[1], normalized)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stencil_sees_the_record_omega(self, threads, monkeypatch):
+        # The comparison rebuilds each omega row from its compact row by
+        # the passes that the record's physical omega took, so every
+        # slab of every sample of the stencil is that omega bit for bit.
+        grid = Grid(16)
+        band = Band(grid)
+        rng = np.random.default_rng(16)
+        monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
+        monkeypatch.setattr(workers_module, "_THREADED_MIN_N", 8)
+        monkeypatch.setattr(workers_module, "_SLAB_PLANES", 4)
+        monkeypatch.setattr(workers_module, "_SLAB_POINTS", 1024)
+        slabs = workers_module._slabs(16)
+        assert len(slabs) == 4
+        snapshots = _SnapshotPass(grid, band)
+        omegas = []
+        for _ in range(7):
+            v = band.restrict(make_random_velocity(grid, rng))
+            omegas.append(snapshots.fields(v)[1].copy())
+            snapshots.add_transport()
+        rings, calls = [], []
+
+        def carving(*specs, block=None):
+            views = workers_module._carve(*specs, block=block)
+            rings.append(views[0])
+            return views
+
+        def spy(samples, k, spacing, out, work):
+            first = min(max(k - 2, 0), len(samples) - 5)
+            calls.append([(j, samples[j].copy(), samples[j].ctypes.data)
+                          for j in range(first, first + 5)])
+            return derivative(samples, k, spacing, out, work)
+
+        derivative = envelopes_module._derivative_sample
+        monkeypatch.setattr(envelopes_module, "_carve", carving)
+        monkeypatch.setattr(envelopes_module, "_derivative_sample", spy)
+        snapshots.residual(0.1)
+        (ring,) = rings
+        assert len(calls) == 3 * 7 * len(slabs)
+        for c, window in enumerate(calls):
+            i = c // (7 * len(slabs))  # component by component
+            for j, slab, address in window:
+                slot, offset = divmod(address - ring.ctypes.data,
+                                      ring[0].nbytes)
+                assert slot == j % 5
+                x = offset // (16 * 16 * 8)
+                assert (slab.tobytes()
+                        == omegas[j][i, x:x + len(slab)].tobytes())
 
     def test_comparison_allocates_no_slab(self, monkeypatch):
         # The comparison forms each sample's stencil, the transport term
@@ -564,14 +625,14 @@ class TestTransportResidual:
         # whole-field expressions.
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: 2)
         grid = Grid(64)
+        band = Band(grid)
         rng = np.random.default_rng(11)
         velocities = [make_random_velocity(grid, rng) for _ in range(7)]
         got = []
-        snapshots = _SnapshotPass(grid)
+        snapshots = _SnapshotPass(grid, band)
         for v in velocities:
-            spectrum = v.copy()
-            snapshots.fields(spectrum)
-            snapshots.add_transport(spectrum)
+            snapshots.fields(band.restrict(v))
+            snapshots.add_transport()
         peak = traced_peak_fields(
             grid, lambda: got.extend(snapshots.residual(0.1)))
         assert peak < 0.5
@@ -584,23 +645,23 @@ class TestTransportResidual:
         # Each transport row is the compact 2/3-rule band spectrum of the
         # term, and forming it allocates nothing else of grid size: the
         # row is 0.93 fields at n=64, and numpy's ufunc buffers (8192
-        # elements per thread) take up to 0.13 more.  A padded component
-        # would add 0.69.  The comparison takes its padded rows from the
-        # pass's block; a physical row would be 3 fields.
+        # elements per thread) take up to 0.13 more.  The planes kz <= m
+        # of its z pass are carved from the pass's block; a padded
+        # component would add 0.69.  The comparison takes its ring and
+        # padded rows from the pass's block; a physical row would be 3
+        # fields.
         monkeypatch.setattr(workers_module, "_cpu_count", lambda: threads)
         grid = Grid(64)
         band = Band(grid)
         rng = np.random.default_rng(7)
-        snapshots = _SnapshotPass(grid)
+        snapshots = _SnapshotPass(grid, band)
         for _ in range(7):
-            spectrum = make_random_velocity(grid, rng)
-            snapshots.fields(spectrum)
-            peak = traced_peak_fields(
-                grid, lambda: snapshots.add_transport(spectrum))
+            snapshots.fields(band.restrict(make_random_velocity(grid, rng)))
+            peak = traced_peak_fields(grid, snapshots.add_transport)
             assert peak < 1.2
         assert all(row.dtype == np.complex128
                    and row.shape == (3,) + band.k_squared.shape
-                   for row in snapshots.transport)
+                   for row in snapshots.transport + snapshots.omega_hat)
         if threads == 1:
             peak = traced_peak_fields(grid, lambda: snapshots.residual(0.1))
             assert peak < 3.0

@@ -19,7 +19,6 @@ from euler_spectra.fields import (
     _curl_component,
     band_inverse,
     curl,
-    dealias_23,
     divergence_free_error,
     fft_forward,
     fft_inverse,
@@ -32,9 +31,12 @@ from euler_spectra.snapshot import write_snapshot
 from euler_spectra.solver import SolverConfig, run
 
 from conftest import (
+    coordinates,
+    dealias_23,
     leray_reference,
     make_random_velocity,
     max_speed,
+    scatter,
     spectral_derivative,
 )
 
@@ -119,7 +121,7 @@ class TestGrid:
             Grid("16")
 
     def test_coordinates_range(self, grid8):
-        X, Y, Z = grid8.coordinates()
+        X, Y, Z = coordinates(grid8)
         assert X[0, 0, 0] == 0.0
         assert X[-1, 0, 0] == pytest.approx(TAU - grid8.dx)
         assert Y[0, -1, 0] == pytest.approx(TAU - grid8.dx)
@@ -138,7 +140,7 @@ class TestTransforms:
         assert fhat[0, 0, 0] == pytest.approx(values.mean(), rel=1e-13)
 
     def test_cosine_coefficients(self, grid16):
-        X, _, _ = grid16.coordinates()
+        X, _, _ = coordinates(grid16)
         fhat = fft_forward(np.cos(X))
         # cos(x) = (e^{ix} + e^{-ix})/2 -> coefficients 1/2 at k = +/-1
         assert fhat[1, 0, 0] == pytest.approx(0.5, abs=1e-14)
@@ -237,7 +239,7 @@ class TestTransforms:
         v = dealias_23(grid, fft_forward(rng.standard_normal((3, n, n, n))))
         noise = fft_forward(rng.standard_normal((3, n, n, n)))
         noisy = np.where(grid.dealias_mask, v, noise)
-        banded = band.scatter(operator(band, band.restrict(v)))
+        banded = scatter(band, operator(band, band.restrict(v)))
         assert np.array_equal(banded, dealias_23(grid, operator(grid, noisy)))
         assert not banded[..., ~grid.dealias_mask].any()
 
@@ -283,13 +285,13 @@ class TestDerivatives:
                 assert out.tobytes() == expected.tobytes(), scratch_rows
 
     def test_single_mode(self, grid16):
-        _, _, Z = grid16.coordinates()
+        _, _, Z = coordinates(grid16)
         f = fft_forward(np.sin(4.0 * Z))
         df = fft_inverse(spectral_derivative(grid16, f, 2))
         assert np.max(np.abs(df - 4.0 * np.cos(4.0 * Z))) < 1e-12
 
     def test_product_field(self, grid32):
-        X, Y, _ = grid32.coordinates()
+        X, Y, _ = coordinates(grid32)
         f = fft_forward(np.sin(X) * np.cos(2 * Y))
         dfy = fft_inverse(spectral_derivative(grid32, f, 1))
         exact = -2.0 * np.sin(X) * np.sin(2 * Y)
@@ -303,7 +305,7 @@ class TestDerivatives:
 
     def test_curl_of_beltrami_field(self, grid16):
         # (sin z, cos z, 0) has curl equal to itself.
-        _, _, Z = grid16.coordinates()
+        _, _, Z = coordinates(grid16)
         v = np.stack((np.sin(Z), np.cos(Z), np.zeros_like(Z)))
         vhat = fft_forward(v)
         w = curl(grid16, vhat)
@@ -321,7 +323,7 @@ class TestDerivatives:
 
 class TestLerayProjection:
     def test_removes_gradient_part(self, grid16):
-        X, Y, _ = grid16.coordinates()
+        X, Y, _ = coordinates(grid16)
         # Helmholtz-decomposable field: (cos x + sin y, 0, 0).
         # grad part: (cos x, 0, 0); solenoidal part: (sin y, 0, 0).
         v = fft_forward(np.stack(
@@ -381,7 +383,7 @@ class TestDealiasing:
     def test_mode_beyond_limit_removed(self, grid8):
         # n=8 keeps |k| <= 2, so a k=3 mode must vanish; retained modes
         # keep their (rounding-noise) coefficients bitwise.
-        X, _, _ = grid8.coordinates()
+        X, _, _ = coordinates(grid8)
         f = fft_forward(np.cos(3.0 * X))
         assert abs(f[3, 0, 0]) > 0.49
         cut = dealias_23(grid8, f)
@@ -391,7 +393,7 @@ class TestDealiasing:
         assert np.array_equal(cut, expected)
 
     def test_mode_at_limit_survives(self, grid8):
-        X, _, _ = grid8.coordinates()
+        X, _, _ = coordinates(grid8)
         f = fft_forward(np.cos(2.0 * X))
         cut = dealias_23(grid8, f)
         assert cut[2, 0, 0] == f[2, 0, 0]
@@ -414,18 +416,18 @@ class TestIntegrals:
         assert integrate_domain(grid8, f) == pytest.approx(TAU ** 3, rel=1e-14)
 
     def test_cosine_squared(self, grid16):
-        _, Y, _ = grid16.coordinates()
+        _, Y, _ = coordinates(grid16)
         f = np.cos(Y) ** 2
         assert integrate_domain(grid16, f) == pytest.approx(0.5 * TAU ** 3,
                                                             rel=1e-13)
 
     def test_odd_mode_integrates_to_zero(self, grid16):
-        X, _, _ = grid16.coordinates()
+        X, _, _ = coordinates(grid16)
         f = np.sin(X)
         assert abs(integrate_domain(grid16, f)) < 1e-13
 
     def test_max_speed(self, grid16):
-        X, _, _ = grid16.coordinates()
+        X, _, _ = coordinates(grid16)
         v = np.stack((3.0 * np.cos(X), np.zeros_like(X), np.zeros_like(X)))
         assert max_speed(v) == pytest.approx(3.0, rel=1e-13)
         m = magnitude_squared(v)

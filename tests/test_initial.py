@@ -18,11 +18,9 @@ import euler_spectra.snapshot as snapshot_module
 from euler_spectra.cli import EXIT_IO, main
 from euler_spectra.config import InitSpec
 from euler_spectra.deformation import AdmissibleClass
-from euler_spectra.diagnostics import classify_and_record, compute_record
 from euler_spectra.errors import ConfigurationError, SnapshotFormatError
 from euler_spectra.fields import (
     curl,
-    dealias_23,
     divergence_free_error,
     fft_forward,
     fft_inverse,
@@ -43,19 +41,25 @@ from euler_spectra.snapshot import (
     _HEADER,
 )
 
-from conftest import leray_reference
+from conftest import (
+    classify_half_spectrum,
+    coordinates,
+    dealias_23,
+    leray_reference,
+    record_half_spectrum,
+)
 
 PI3 = math.pi ** 3
 
 
 def classify(grid, v):
     """The sign class of ``v``, as the first record of a run gives it."""
-    return classify_and_record(grid, 0.0, v)[0]
+    return classify_half_spectrum(grid, 0.0, v)[0]
 
 
 class TestTaylorGreen:
     def test_quadratic_invariants(self, grid32):
-        record = compute_record(grid32, 0.0, taylor_green(grid32))
+        record = record_half_spectrum(grid32, 0.0, taylor_green(grid32))
         assert record.E == pytest.approx(PI3, rel=1e-13)
         assert abs(record.H) < 1e-12
         assert record.Z == pytest.approx(6.0 * PI3, rel=1e-13)
@@ -72,7 +76,7 @@ class TestTaylorGreen:
         # Built from broadcast 1-D coordinates, the field is the one the
         # dense meshgrids of Grid.coordinates give, bit for bit.
         grid = Grid(n)
-        x, y, z = grid.coordinates()
+        x, y, z = coordinates(grid)
         u = np.stack((np.sin(x) * np.cos(y) * np.cos(z),
                       -np.cos(x) * np.sin(y) * np.cos(z), np.zeros_like(x)))
         expected = dealias_23(grid, leray_project(grid, fft_forward(u)))
@@ -88,7 +92,7 @@ class TestTaylorGreen:
 
 class TestABCFlow:
     def test_quadratic_invariants(self, grid32):
-        record = compute_record(grid32, 0.0, abc_flow(grid32))
+        record = record_half_spectrum(grid32, 0.0, abc_flow(grid32))
         assert record.E == pytest.approx(12.0 * PI3, rel=1e-13)
         assert record.H == pytest.approx(24.0 * PI3, rel=1e-13)
         assert record.Z == pytest.approx(24.0 * PI3, rel=1e-13)
@@ -104,8 +108,8 @@ class TestABCFlow:
         # E = (a^2 + b^2 + c^2) * 4 pi^3 for general coefficients.
         v = abc_flow(grid16, a=2.0, b=0.5, c=1.0)
         expected = (4.0 + 0.25 + 1.0) * 4.0 * PI3
-        assert compute_record(grid16, 0.0, v).E == pytest.approx(expected,
-                                                                 rel=1e-13)
+        assert record_half_spectrum(grid16, 0.0, v).E == pytest.approx(
+            expected, rel=1e-13)
 
     def test_is_neither_class(self, grid16):
         assert (classify(grid16, abc_flow(grid16)).label
@@ -114,7 +118,7 @@ class TestABCFlow:
     @pytest.mark.parametrize("n", [16, 64])
     def test_equals_meshgrid_construction(self, n):
         grid = Grid(n)
-        x, y, z = grid.coordinates()
+        x, y, z = coordinates(grid)
         a, b, c = 2.0, 0.5, 1.0
         u = np.stack((a * np.sin(z) + c * np.cos(y),
                       b * np.sin(x) + a * np.cos(z),
@@ -125,7 +129,7 @@ class TestABCFlow:
 
 class TestShearFlow:
     def test_enstrophy(self, grid16):
-        record = compute_record(grid16, 0.0, shear_flow(grid16))
+        record = record_half_spectrum(grid16, 0.0, shear_flow(grid16))
         assert record.E == pytest.approx(0.5 * 4.0 * PI3, rel=1e-13)
         assert record.Z == pytest.approx(4.0 * PI3, rel=1e-13)
         assert abs(record.H) < 1e-13
@@ -139,7 +143,7 @@ class TestShearFlow:
     @pytest.mark.parametrize("n", [16, 64])
     def test_equals_meshgrid_construction(self, n):
         grid = Grid(n)
-        _, y, _ = grid.coordinates()
+        _, y, _ = coordinates(grid)
         u = np.stack((np.sin(y), np.zeros_like(y), np.zeros_like(y)))
         expected = dealias_23(grid, leray_project(grid, fft_forward(u)))
         assert np.array_equal(shear_flow(grid), expected)
@@ -159,8 +163,8 @@ class TestRandomSolenoidal:
 
     def test_energy_normalization(self, grid16):
         v = random_solenoidal(grid16, seed=3, amplitude=2.5)
-        assert compute_record(grid16, 0.0, v).E == pytest.approx(2.5,
-                                                                rel=1e-12)
+        assert record_half_spectrum(grid16, 0.0, v).E == pytest.approx(
+            2.5, rel=1e-12)
 
     def test_divergence_free_and_dealiased(self, grid16):
         v = random_solenoidal(grid16, seed=11)
@@ -260,7 +264,7 @@ class TestSnapshotIO:
         # 40-byte header, v2 and v3 after one and two blocks of 8 n^3.
         grid = Grid(8)
         n = grid.n
-        x, y, z = grid.coordinates()
+        x, y, z = coordinates(grid)
         marker = 100.0 * x + 10.0 * y + z
         v = np.stack((marker, marker + 1000.0, marker + 2000.0))
         path = tmp_path / "layout.bin"
