@@ -393,6 +393,8 @@ def cmd_diagnose(args) -> int:
                   "cubic_product": 1e-8}
     for key, label in names.items():
         verdict = "pass" if worst[key] <= tolerances[key] else "FAIL"
+        if key == "stretching_cubic" and band.m != band.n // 3:
+            verdict = "not exact on this band"  # its cubic products alias
         print(f"identity {label}: {verdict} (max residual {worst[key]:.3e})",
               file=sys.stderr)
 

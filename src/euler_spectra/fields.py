@@ -377,36 +377,3 @@ def magnitude_squared(v: np.ndarray, out: np.ndarray | None = None,
     """Pointwise |v|^2 of a physical vector field, as
     ``pointwise_dot(v, v, out, work)``."""
     return pointwise_dot(v, v, out, work)
-
-
-def _max_speed_specs(band: Band) -> tuple:
-    """The ``(shape, dtype)`` specs (:func:`euler_spectra.workers._carve`)
-    of the buffers ``pad`` and ``slab`` of :func:`_band_max_speed` on
-    ``band``."""
-    n, planes = band.n, _slabs(band.n)[0].stop
-    return (((3, n, n, band.m + 1), np.complex128),
-            ((5, planes, n, n), np.float64))
-
-
-def _band_max_speed(band: Band, coeffs: np.ndarray, pad: np.ndarray,
-                    slab: np.ndarray) -> float:
-    """The largest pointwise |v| of ``band_inverse(band, coeffs)``, the
-    physical field of a compact velocity, without that field: the three components are zero-padded
-    and transformed along x into the complex128 ``pad``
-    (:func:`_band_pad_inverse_x`); then each x-slab of
-    :func:`euler_spectra.workers._slabs` is transformed along y and z
-    into the first three of the float64 ``slab``, and its |v|^2 formed
-    into the fourth through the fifth (:func:`_max_speed_specs` gives
-    their shapes).  The passes are those of :func:`band_inverse`, and a
-    maximum over the slab maxima is the maximum, so the value is that of
-    ``sqrt(max(magnitude_squared(band_inverse(band, coeffs))))`` bit for
-    bit."""
-    n = band.n
-    _band_pad_inverse_x(band, coeffs, pad)
-    v, square, work = slab[:3], slab[3], slab[4:]
-    slabs = _slabs(n)
-    peaks = np.empty(len(slabs))
-    for s, x in enumerate(slabs):
-        _inverse_yz(pad[:, x], n, out=v)
-        peaks[s] = np.max(magnitude_squared(v, out=square, work=work))
-    return float(np.sqrt(np.max(peaks)))

@@ -28,16 +28,19 @@ and keeps the state on the compact band layout, whose forward
 transform computes only the band modes, from the start to the end of
 the run: every step runs on it, the observers get it as it is
 (:class:`SolverState` names its band), and ``run`` returns the last of
-them, so a record, a CFL sample or a snapshot transforms the band and
-skips the lines outside it.
+them, so a record or a snapshot transforms the band and skips the
+lines outside it.
 
 A band step forms v, omega and v x omega in physical space one x-slab
 at a time, between the x pass of the inverse transforms and the x pass
 of the forward one, so it holds no physical vector field of the whole
-grid.  It shares every phase of its evaluations with the worker thread
-when :mod:`euler_spectra.workers` allows one, and its buffers follow
-that module's memory rules; the result is the same bit for bit as on
-one thread, and :func:`step_threads` reports the choice.
+grid.  Its first evaluation also takes the largest |v|^2 of each slab,
+which gives the max speed of the state the step starts from, and
+``run`` checks the CFL number of every step with it.  A step shares
+every phase of its evaluations with the worker thread when
+:mod:`euler_spectra.workers` allows one, and its buffers follow that
+module's memory rules; the result is the same bit for bit as on one
+thread, and :func:`step_threads` reports the choice.
 """
 
 import logging
@@ -51,16 +54,15 @@ from euler_spectra.fields import (
     _band_forward_x,
     _band_forward_y,
     _band_forward_z,
-    _band_max_speed,
     _band_pad_inverse_x,
     _cross_component,
     _curl_component,
     _inverse_yz,
-    _max_speed_specs,
     band_inverse,
     check_velocity,
     fft_forward,
     leray_project,
+    magnitude_squared,
 )
 from euler_spectra.grid import Band, Grid
 from euler_spectra.workers import (
@@ -74,13 +76,6 @@ from euler_spectra.workers import (
 )
 
 logger = logging.getLogger("euler_spectra.solver")
-
-# Steps between CFL samplings during run(); each sample costs one
-# inverse transform of the velocity, a third of the transforms of an
-# rhs evaluation, so checking every step would tax small grids.  The
-# sample transforms the band one x-slab at a time (_band_max_speed), so
-# it holds no physical field of the whole grid.
-_CFL_CHECK_STRIDE = 25
 
 
 @dataclass
@@ -102,7 +97,8 @@ class SolverConfig:
         off, on the Nyquist-free band (see the module docstring), which
         is only useful for demonstrating aliasing errors.
     cfl_warning : float
-        Advective CFL number above which run() logs a warning.
+        Advective CFL number above which run() logs a warning, once, at
+        the first step whose start state exceeds it.
     """
 
     dt: float
@@ -190,7 +186,9 @@ class _BandWorkspace:
     component, the physical v and omega of a slab, a component of their
     cross product and its subtracted product, the ``rfft`` along z of
     that component, and the temporaries of ``leray_project`` on an x
-    half.
+    half.  While ``squares`` is a list, an evaluation appends to it the
+    largest |v|^2 of each slab, formed in the slab's product buffers
+    before its cross product overwrites them.
     """
 
     def __init__(self, band: Band):
@@ -209,6 +207,7 @@ class _BandWorkspace:
             ((lanes, 2, 3, planes, n, n), f), ((lanes, 2, planes, n, n), f),
             ((lanes, planes, n, n // 2 + 1), c),
             ((lanes, 2, m + 1, 2 * m + 1, m + 1), c))
+        self.squares = None
 
     def by_halves(self, job):
         """Call ``job(rows, half, work)`` for each ``half`` of
@@ -240,6 +239,7 @@ class _BandWorkspace:
         the result is the same bit for bit on one thread or two.
         """
         band, padded, omega, n = self.band, self.padded, self.k, self.band.n
+        squares = self.squares
 
         def inverse_x(part, lane):
             field, i = part
@@ -251,6 +251,9 @@ class _BandWorkspace:
             v_slab, omega_slab = self.slab_fields[lane]
             product, work = self.slab_products[lane]
             _inverse_yz(padded[:, :, x], n, out=self.slab_fields[lane])
+            if squares is not None:
+                squares.append(np.max(magnitude_squared(
+                    v_slab, out=product, work=self.slab_products[lane][1:])))
             for i in range(3):
                 _cross_component(v_slab, omega_slab, i, product, work=work)
                 _band_forward_z(band, product, padded[0, i, x],
@@ -294,7 +297,8 @@ def _check_finite(v: np.ndarray, step_index: int, t: float):
             raise NumericsError(message, step_index=step_index, time=t)
 
 
-def step_rk4(state: SolverState, config: SolverConfig) -> SolverState:
+def step_rk4(state: SolverState, config: SolverConfig,
+             report_speed=None) -> SolverState:
     """Advance one classical RK4 step and re-project the result.
 
     The four evaluations on ``state.band`` share one set of buffers,
@@ -303,6 +307,12 @@ def step_rk4(state: SolverState, config: SolverConfig) -> SolverState:
     formed in place, in the order of
     ``v + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, so they round as that
     expression does.  The new state names the same band.
+
+    The first evaluation forms the physical v of ``state`` slab by slab,
+    by the passes of ``band_inverse``, and takes the largest |v|^2 of
+    each slab; ``report_speed``, when given, is then called with the
+    square root of the largest, the max speed of ``state`` bit for bit,
+    before the new state is checked.
 
     Raises
     ------
@@ -335,7 +345,11 @@ def step_rk4(state: SolverState, config: SolverConfig) -> SolverState:
         np.add(v[:, x], acc[:, x], out=acc[:, x])
         leray_project(tables, acc[:, x], out=new_v[:, x], work=work)
 
+    squares = workspace.squares = []
     rhs(band, v, nu, workspace, out=acc)
+    workspace.squares = None
+    if report_speed is not None:
+        report_speed(float(np.sqrt(max(squares))))
     workspace.by_halves(next_stage(0.5 * dt))
     rhs(band, stage, nu, workspace, out=k)
     workspace.by_halves(next_stage(0.5 * dt, 2.0))
@@ -365,9 +379,13 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     reference to ``initial`` or to the start state once it has stepped
     past it, so a caller that hands over its only reference frees them.
 
-    The advective CFL number u_max * dt / dx is sampled at the start
-    and every few dozen steps; exceeding ``config.cfl_warning`` logs a
-    warning naming the offending value but does not stop the run.
+    Every step reports the max speed of the state it starts from
+    (:func:`step_rk4`), and the first whose advective CFL number
+    u_max * dt / dx exceeds ``config.cfl_warning`` logs a warning naming
+    the offending value, after the observers of that state ran; it does
+    not stop the run.  The CFL number bounds a step, so a state that no
+    step leaves, the last one or the start of a zero-step run, is not
+    checked.
 
     Raises
     ------
@@ -386,28 +404,22 @@ def run(grid: Grid, initial: np.ndarray, config: SolverConfig,
     del v0  # the state holds the start's band modes alone
 
     warned_cfl = False
-    sample_specs = _max_speed_specs(band)
 
-    def check_cfl(s: SolverState):
+    def check_cfl(speed: float):
+        # Called inside step_rk4(state, ...): ``state`` is its start.
         nonlocal warned_cfl
-        if warned_cfl:
-            return
-        speed = _band_max_speed(band, s.v, *_carve(*sample_specs))
         cfl = speed * config.dt / grid.dx
-        if cfl > config.cfl_warning:
+        if cfl > config.cfl_warning and not warned_cfl:
             logger.warning(
                 "advective CFL number %.3f exceeds %.3f at t=%.6g; "
                 "results may be underresolved in time",
-                cfl, config.cfl_warning, s.t)
+                cfl, config.cfl_warning, state.t)
             warned_cfl = True
 
-    check_cfl(state)
     for obs in observers:
         obs(state)
     for _ in range(steps):
-        state = step_rk4(state, config)
-        if state.step_index % _CFL_CHECK_STRIDE == 0:
-            check_cfl(state)
+        state = step_rk4(state, config, check_cfl)
         for obs in observers:
             obs(state)
     return state

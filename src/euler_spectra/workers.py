@@ -36,9 +36,10 @@ them:
 - Work just before a block above the mmap threshold frees little of
   grid size into the heap.  The block is mapped afresh rather than
   served from the freed heap pages, which stay resident under it, so
-  the peak would be that garbage plus the block.  The start CFL sample
-  of a run, just before its first record, holds no physical field for
-  this reason (:func:`euler_spectra.fields._band_max_speed`).
+  the peak would be that garbage plus the block.  For this reason too,
+  a run takes the max speed of its start in its first step, from the
+  physical v that the step forms one slab at a time, and nothing
+  transforms the start just before its first record.
 """
 
 import functools

@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -925,6 +926,33 @@ class TestCmdDiagnose:
         difference = np.max(np.abs(rows - whole)[~zero]
                             / np.abs(whole[~zero]))
         assert 0.0 < difference <= bound
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_verdicts_on_each_band(self, tmp_path, capsys, dealias):
+        # W = -(4/3) C3 needs an alias-free cubic product, which the band
+        # without the Nyquist planes does not give: there its residual
+        # (2.1e-3 on this series) comes with a verdict that says so, not
+        # FAIL.  The other identities hold to rounding on both bands.
+        grid = Grid(16)
+        paths = []
+
+        def write(state):
+            paths.append(str(tmp_path / f"s{state.step_index}.bin"))
+            write_snapshot(paths[-1], grid, state.physical(), state.t)
+
+        solver_run(grid, random_solenoidal(grid, 1),
+                   SolverConfig(dt=1e-3, t_final=0.004, dealias=dealias),
+                   observers=[write])
+        capsys.readouterr()
+        assert main(["diagnose", *paths]) == EXIT_OK
+        verdicts = dict(
+            re.fullmatch(r"identity (.*): (.*) \(max residual \S+\)",
+                         line).groups()
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("identity "))
+        assert verdicts == {
+            "Z = 2Q": "pass", "C3 = 3P": "pass",
+            "W = -(4/3) C3": "pass" if dealias else "not exact on this band"}
 
     def test_undealiased_series_takes_the_nyquist_free_band(self, tmp_path,
                                                             capsys):

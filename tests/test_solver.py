@@ -19,8 +19,6 @@ import pytest
 from euler_spectra.diagnostics import compute_record
 from euler_spectra.errors import ConfigurationError, NumericsError
 from euler_spectra.fields import (
-    _band_max_speed,
-    _max_speed_specs,
     band_inverse,
     divergence_free_error,
     fft_inverse,
@@ -262,48 +260,35 @@ class TestRunMechanics:
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_cfl_sample_is_the_half_spectrum_one(self, dealias, monkeypatch):
-        # A band state's CFL sample transforms the band one x-slab at a
-        # time; it reads the speed of the half spectrum's velocity bit
-        # for bit, on grids of one x-slab (16), of two slabs of 13
-        # planes (26) and of eight slabs (64).
-        sampled = []
-        band_max_speed = solver_module._band_max_speed
+        # Every step reports the max speed of the state it starts from,
+        # which its first evaluation forms one x-slab at a time; it is
+        # the speed of the half spectrum's velocity bit for bit, on one
+        # thread and two, on grids of one x-slab (16), of two slabs of
+        # 13 planes (26) and of eight slabs (64).
+        reported = []
+        step = solver_module.step_rk4
 
-        def spy(band, coeffs, *buffers):
-            speed = band_max_speed(band, coeffs, *buffers)
-            sampled.append((coeffs, speed))
-            return speed
+        def spy(state, config, report_speed):
+            def report(speed):
+                reported.append((state, speed))
+                report_speed(speed)
+            return step(state, config, report)
 
-        monkeypatch.setattr(solver_module, "_CFL_CHECK_STRIDE", 1)
-        monkeypatch.setattr(solver_module, "_band_max_speed", spy)
-        for n in (16, 26, 64):
+        monkeypatch.setattr(solver_module, "step_rk4", spy)
+        for n, threaded in itertools.product((16, 26, 64), (False, True)):
+            monkeypatch.setattr(workers_module, "_threaded",
+                                lambda n, threaded=threaded: threaded)
             grid, states = Grid(n), []
-            sampled.clear()
+            reported.clear()
             run(grid, random_solenoidal(grid, seed=3),
                 SolverConfig(dt=1e-3, t_final=3e-3, dealias=dealias),
                 observers=[states.append])
-            assert len(sampled) == len(states) == 4
-            for (coeffs, speed), state in zip(sampled, states):
+            assert len(reported) == 3 and len(states) == 4
+            for (start, speed), state in zip(reported, states):
+                assert start is state
                 assert state.band.m == (n // 3 if dealias else n // 2 - 1)
-                assert coeffs is state.v
                 half = scatter(state.band, state.v)
                 assert speed == max_speed(fft_inverse(half))
-
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_peak_memory_of_the_cfl_sample(self, dealias):
-        # The sample holds its carved block, a padded vector and the
-        # buffers of one x-slab, and no physical field of the grid.  It
-        # measured 2.69 fields of the n=64 grid on the 2/3-rule band and
-        # 3.63 on the Nyquist-free one (blocks of 2.69 and 3.63),
-        # against 5.00 while it took max_speed of the physical velocity.
-        grid = Grid(64)
-        band = Band(grid, None if dealias else 31)
-        v = band.restrict(random_solenoidal(grid, seed=1))
-        specs = _max_speed_specs(band)
-        block = workers_module._carved_size(*specs) / (8 * 64 ** 3)
-        peak = traced_peak_fields(grid, lambda: _band_max_speed(
-            band, v, *workers_module._carve(*specs)))
-        assert peak < block + 0.1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_step(self, grid16):
@@ -325,6 +310,50 @@ class TestRunMechanics:
                 pass  # instability is fine; we only care about the log
         warnings = [r for r in caplog.records if "CFL" in r.message]
         assert len(warnings) == 1
+
+    def test_cfl_warning_at_any_step(self, grid16, caplog):
+        # The max speed of this field grows over its first steps, so a
+        # threshold between the CFL numbers of states 0 and 1 is first
+        # exceeded by state 1, which the step from it reports, after the
+        # observers of state 1 and before those of state 2.
+        v0, dt = random_solenoidal(grid16, seed=4), 1e-2
+        states = []
+        run(grid16, v0, SolverConfig(dt=dt, t_final=3 * dt),
+            observers=[states.append])
+        cfl = [max_speed(s.physical()) * dt / grid16.dx for s in states]
+        assert cfl[0] < cfl[1]
+        config = SolverConfig(dt=dt, t_final=3 * dt,
+                              cfl_warning=0.5 * (cfl[0] + cfl[1]))
+        seen = []
+
+        def count_warnings(state):
+            seen.append(len([r for r in caplog.records
+                             if "CFL" in r.message]))
+
+        with caplog.at_level(logging.WARNING, "euler_spectra.solver"):
+            run(grid16, v0, config, observers=[count_warnings])
+        warnings = [r.message for r in caplog.records if "CFL" in r.message]
+        assert len(warnings) == 1 and "at t=0.01;" in warnings[0]
+        assert seen == [0, 0, 1, 1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_aborting_step_logs_the_cfl_of_its_start(self, grid16, caplog):
+        # The first step overflows, and its start's warning is logged
+        # before the abort propagates.
+        config = SolverConfig(dt=1e200, t_final=1e200)
+        with caplog.at_level(logging.WARNING, "euler_spectra.solver"):
+            with pytest.raises(NumericsError) as exc_info:
+                run(grid16, taylor_green(grid16), config)
+        assert exc_info.value.step_index == 1
+        warnings = [r.message for r in caplog.records if "CFL" in r.message]
+        assert len(warnings) == 1 and "at t=0;" in warnings[0]
+
+    def test_zero_step_run_checks_no_cfl(self, grid16, caplog):
+        # No step leaves the start, so no CFL number bounds a step.
+        config = SolverConfig(dt=0.5, t_final=0.0, cfl_warning=0.05)
+        with caplog.at_level(logging.WARNING, "euler_spectra.solver"):
+            run(grid16, taylor_green(grid16), config)
+        assert not [r for r in caplog.records if "CFL" in r.message]
 
     def test_no_cfl_warning_when_resolved(self, grid16, caplog):
         v0 = taylor_green(grid16)
@@ -403,7 +432,8 @@ class TestDealiasingEffect:
 
     def test_peak_memory_of_one_band_step(self, rng, monkeypatch):
         # v and omega exist one x-slab at a time, and v x omega one
-        # component of a slab at a time.  One thread, so that the peak
+        # component of a slab at a time; the max speed of the start is
+        # taken in the slab buffers.  One thread, so that the peak
         # does not depend on the host: it measured 9.73 fields of the
         # grid, against 10.2 while a slab held v x omega whole and its
         # rfft along z, 14.6 before the step's buffers were one block,
@@ -448,9 +478,9 @@ class TestDealiasingEffect:
         # holds outside it, and returns a state that is zero there.
         spaces = []
 
-        def spy(state, config):
+        def spy(state, config, report_speed):
             spaces.append(type(state.band).__name__)
-            return step_rk4(state, config)
+            return step_rk4(state, config, report_speed)
 
         monkeypatch.setattr(solver_module, "step_rk4", spy)
         v0 = taylor_green(grid16)
